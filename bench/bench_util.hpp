@@ -7,7 +7,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "core/pipeline.hpp"
 #include "eval/metrics.hpp"
 #include "obs/metrics.hpp"
+#include "obs/pipeline.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "simdata/datasets.hpp"
@@ -77,7 +77,8 @@ class Flags {
 ///   --trace=<path>    Chrome trace of every simulated job (as MRMC_TRACE)
 ///   --report=<path>   job-doctor report; .html/.json/text by extension
 ///                     (as MRMC_REPORT); bare --report prints text at exit
-/// Environment variables already set keep working; flags override them.
+/// Environment variables already set keep working; --trace overrides
+/// MRMC_TRACE's path.
 inline void apply_obs_flags(const Flags& flags) {
   auto& tracer = obs::Tracer::global();
   const std::string trace_path = flags.str("trace", tracer.output_path());
@@ -85,19 +86,14 @@ inline void apply_obs_flags(const Flags& flags) {
     tracer.set_output_path(trace_path);
     tracer.set_enabled(true);
   }
-  auto& collector = obs::report::Collector::global();
-  const std::string report_path = flags.str("report", "");
-  if (flags.flag("report") || collector.enabled()) {
-    collector.set_enabled(true);
-    if (!report_path.empty() && report_path != "1") {
-      collector.set_output_path(report_path);
-    }
-  }
+  // The report is rendered from the tracer's events at exit.
+  if (flags.flag("report")) tracer.set_enabled(true);
 }
 
 /// End-of-run counterpart of apply_obs_flags(): flush the trace, honor
-/// --metrics (print the snapshot) and MRMC_METRICS, and emit the job-doctor
-/// report — to the --report=<path> file, or to `out` for a bare --report.
+/// --metrics (print the snapshot), MRMC_METRICS, MRMC_REPORT and
+/// MRMC_PIPELINE, and emit the --report job-doctor report — to the
+/// --report=<path> file, or to `out` for a bare --report.
 inline void finish_obs(const Flags& flags, std::ostream& out = std::cout) {
   auto& tracer = obs::Tracer::global();
   if (tracer.flush()) {
@@ -109,13 +105,17 @@ inline void finish_obs(const Flags& flags, std::ostream& out = std::cout) {
         << obs::Registry::global().snapshot().to_text();
   }
   obs::Registry::write_global_if_configured();
-  auto& collector = obs::report::Collector::global();
-  if (collector.flush()) {
-    out << "\nwrote job report to " << collector.output_path() << "\n";
-  } else if (flags.str("report", "") == "1" && collector.size() > 0) {
-    const auto reports = collector.reports();
-    out << "\nJob doctor\n"
-        << obs::report::to_text(std::span<const obs::report::JobReport>(reports));
+  obs::pipeline::write_configured_reports();
+  if (!flags.flag("report")) return;
+  const std::vector<obs::report::JobInput> jobs =
+      obs::report::jobs_from_trace(obs::report::trace_root(tracer));
+  const std::string report_path = flags.str("report", "1");
+  if (report_path != "1") {
+    if (obs::report::write_report(report_path, jobs)) {
+      out << "\nwrote job report to " << report_path << "\n";
+    }
+  } else if (!jobs.empty()) {
+    out << "\nJob doctor\n" << obs::report::render(jobs, "text");
   }
 }
 

@@ -53,6 +53,11 @@ struct SimPoint {
   std::size_t blacklisted_nodes = 0;
 };
 
+/// Suffix naming one (reads, nodes) point's jobs, e.g. "[1000r/2n]".
+std::string point_tag(std::size_t reads, std::size_t nodes) {
+  return "[" + std::to_string(reads) + "r/" + std::to_string(nodes) + "n]";
+}
+
 /// Simulated end-to-end hierarchical-pipeline time for `reads` reads on
 /// `nodes` nodes, built from the same cost models the executed pipeline
 /// uses (sketch map work, similarity row work, dendrogram reduce work).
@@ -64,8 +69,7 @@ SimPoint simulate_hierarchical(std::size_t reads, std::size_t read_length,
   mr::ClusterConfig cluster;
   cluster.nodes = nodes;
   const mr::SimScheduler scheduler(cluster);
-  const std::string tag =
-      "[" + std::to_string(reads) + "r/" + std::to_string(nodes) + "n]";
+  const std::string tag = point_tag(reads, nodes);
   const auto run_job = [&](std::span<const mr::TaskSpec> maps, double bytes,
                            std::span<const mr::TaskSpec> reduces,
                            const std::string& name) {
@@ -152,11 +156,10 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = flags.num("seed", 42);
 
   bench::apply_obs_flags(flags);
-  // --bench-json needs per-point reports, so it implies the collector even
-  // when no --report file was asked for.
+  // --bench-json rows carry per-point job reports, which are built from the
+  // tracer's events, so it turns on (in-memory) tracing.
   const bool bench_json = flags.flag("bench-json");
-  auto& collector = obs::report::Collector::global();
-  if (bench_json) collector.set_enabled(true);
+  if (bench_json) obs::Tracer::global().set_enabled(true);
   bench::BenchRecord record("fig2", {"reads", "nodes"});
 
   const std::vector<std::size_t> node_counts{2, 4, 6, 8, 10, 12};
@@ -170,18 +173,29 @@ int main(int argc, char** argv) {
   for (const std::size_t reads : read_counts) {
     std::vector<std::string> row{std::to_string(reads)};
     for (const std::size_t nodes : node_counts) {
-      const std::size_t jobs_before = collector.size();
       const double seconds =
           simulate_hierarchical(reads, read_length, hashes, nodes).total_s;
       row.push_back(common::format_duration(seconds));
-      if (bench_json) {
+    }
+    table.add_row(std::move(row));
+  }
+  if (bench_json) {
+    const std::vector<obs::report::JobInput> jobs =
+        obs::report::jobs_from_trace(
+            obs::report::trace_root(obs::Tracer::global()));
+    for (const std::size_t reads : read_counts) {
+      for (const std::size_t nodes : node_counts) {
         // Aggregate the point's jobs (sketch, similarity, cluster) into one
-        // record row: busy/capacity efficiency plus every finding id.
-        const auto reports = collector.reports();
-        double busy = 0.0, capacity = 0.0;
+        // record row: the makespan, busy/capacity efficiency, and every
+        // finding id.  The job totals add up in simulation order, exactly
+        // as simulate_hierarchical sums them.
+        const std::string tag = point_tag(reads, nodes);
+        double seconds = 0.0, busy = 0.0, capacity = 0.0;
         std::string findings;
-        for (std::size_t i = jobs_before; i < reports.size(); ++i) {
-          const auto& report = reports[i];
+        for (const obs::report::JobInput& job : jobs) {
+          if (!job.name.ends_with(tag)) continue;
+          const obs::report::JobReport report = obs::report::analyze(job);
+          seconds += report.total_s;
           busy += report.map_phase.busy_s + report.reduce_phase.busy_s;
           capacity +=
               report.map_phase.makespan_s *
@@ -201,7 +215,6 @@ int main(int argc, char** argv) {
             .str("findings", findings);
       }
     }
-    table.add_row(std::move(row));
   }
   std::cout << "Figure 2 — simulated MrMC-MinH^h runtime vs nodes and reads\n"
             << "(S1-style reads of " << read_length << " bp, " << hashes

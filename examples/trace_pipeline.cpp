@@ -24,8 +24,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <span>
+#include <vector>
 
+#include "common/mini_json.hpp"
 #include "core/mrmc.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -47,12 +48,6 @@ int main(int argc, char** argv) {
   auto& tracer = obs::Tracer::global();
   tracer.set_output_path(trace_path);
   tracer.set_enabled(true);
-  auto& collector = obs::report::Collector::global();
-  collector.set_output_path(report_path);
-  collector.set_enabled(true);
-  auto& pipelines = obs::pipeline::Collector::global();
-  pipelines.set_output_path(pipeline_path);
-  pipelines.set_enabled(true);
   obs::LogConfig::global().set_default_level(obs::LogLevel::kInfo);
 
   // An S2-style two-species sample, clustered with both pipeline variants so
@@ -107,24 +102,25 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  // The job doctor: same analysis mrmc_doctor runs on the flushed trace.
-  const auto reports = collector.reports();
-  std::cout << "\nJob doctor (" << reports.size() << " simulated jobs)\n"
-            << obs::report::to_text(
-                   std::span<const obs::report::JobReport>(reports));
-  if (collector.flush()) {
+  // The job doctor, built from the tracer's events: the same reconstruction
+  // mrmc_doctor runs on the flushed trace file.
+  const common::JsonValue trace = obs::report::trace_root(tracer);
+  const std::vector<obs::report::JobInput> jobs =
+      obs::report::jobs_from_trace(trace);
+  std::cout << "\nJob doctor (" << jobs.size() << " simulated jobs)\n"
+            << obs::report::render(jobs, "text");
+  if (obs::report::write_report(report_path, jobs)) {
     std::cout << "wrote HTML report to " << report_path << "\n";
   }
 
   // The pipeline doctor: both run_pipeline calls stitched end to end — the
-  // same view `mrmc_doctor pipeline <trace>` reconstructs offline.
-  const auto pipeline_reports = pipelines.reports();
+  // same view `mrmc_doctor pipeline <trace>` prints.
+  const std::vector<obs::pipeline::PipelineReport> pipeline_reports =
+      obs::pipeline::analyze_trace(trace);
   std::cout << "\nPipeline doctor (" << pipeline_reports.size()
             << " pipelines)\n"
-            << obs::pipeline::to_text(
-                   std::span<const obs::pipeline::PipelineReport>(
-                       pipeline_reports));
-  if (pipelines.flush()) {
+            << obs::pipeline::render(pipeline_reports, "text");
+  if (obs::pipeline::write_report(pipeline_path, pipeline_reports)) {
     std::cout << "wrote HTML pipeline report to " << pipeline_path << "\n";
   }
   return 0;

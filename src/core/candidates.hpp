@@ -17,8 +17,7 @@
 // sketch kernels (count_equal / SortedSketchStore) into a
 // SparseSimilarityGraph that greedy (greedy_cluster_graph), hierarchical
 // (similarity_matrix_from_graph), and pig's CalculatePairwiseSimilarity all
-// consume.  The S-curve / band-shape math lives here and only here;
-// core/lsh_index is a thin compatibility shim on top.
+// consume.  The S-curve / band-shape math lives here and only here.
 //
 // Everything in this header is deterministic: candidate sets and edge lists
 // are sorted and deduplicated, so they are byte-identical across thread
@@ -103,9 +102,9 @@ struct Params {
 /// An unordered candidate pair, stored with a < b.
 using Pair = std::pair<std::uint32_t, std::uint32_t>;
 
-/// Incremental banded bucket index (the grown core of the old LshIndex):
-/// supports interleaved insert / candidate queries, as the indexed greedy
-/// sweep needs.  Batch enumeration should prefer enumerate_pairs.
+/// Incremental banded bucket index: supports interleaved insert / candidate
+/// queries, as IncrementalClusterer needs.  Batch enumeration should prefer
+/// enumerate_pairs.
 class LshBucketIndex {
  public:
   LshBucketIndex(std::size_t sketch_size, BandShape shape, std::uint64_t seed);

@@ -19,8 +19,13 @@ Sketch sorted_unique(const Sketch& sketch) {
 }  // namespace
 
 IncrementalClusterer::IncrementalClusterer(MinHashParams hasher,
-                                           GreedyParams greedy, LshParams lsh)
-    : hasher_(hasher), greedy_(greedy), index_(hasher.num_hashes, lsh) {}
+                                           GreedyParams greedy,
+                                           std::size_t bands)
+    : hasher_(hasher),
+      greedy_(greedy),
+      index_(hasher.num_hashes,
+             candidates::validated_band_shape(hasher.num_hashes, bands),
+             candidates::Params{}.seed) {}
 
 int IncrementalClusterer::add(std::string_view seq) {
   const Sketch sketch = hasher_.sketch(seq);

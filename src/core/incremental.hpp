@@ -9,7 +9,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/lsh_index.hpp"
+#include "core/candidates.hpp"
+#include "core/greedy.hpp"
 #include "core/minhash.hpp"
 
 namespace mrmc::core {
@@ -17,9 +18,10 @@ namespace mrmc::core {
 class IncrementalClusterer {
  public:
   /// `hasher` defines the sketch space; `theta` and `estimator` follow
-  /// Algorithm 1's join rule.
+  /// Algorithm 1's join rule; `bands` (which must divide the sketch length)
+  /// shapes the LSH index that proposes representatives.
   IncrementalClusterer(MinHashParams hasher, GreedyParams greedy,
-                       LshParams lsh = {});
+                       std::size_t bands = 10);
 
   /// Add one read; returns its (possibly new) cluster label.
   int add(std::string_view seq);
@@ -43,7 +45,7 @@ class IncrementalClusterer {
  private:
   MinHasher hasher_;
   GreedyParams greedy_;
-  LshIndex index_;
+  candidates::LshBucketIndex index_;
   std::vector<Sketch> representatives_;        // raw sketches
   std::vector<Sketch> sorted_representatives_; // sorted-unique (set estimator)
   std::vector<std::size_t> sizes_;

@@ -25,7 +25,6 @@
 #include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
 #include "core/incremental.hpp"
-#include "core/lsh_index.hpp"
 #include "core/minhash.hpp"
 #include "core/otu_table.hpp"
 #include "core/pipeline.hpp"

@@ -15,7 +15,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pipeline.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 
 namespace mrmc::core {
@@ -780,8 +779,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
       result.recovery = driver.stats();
       tracer.flush();
       obs::Registry::write_global_if_configured();
-      obs::report::Collector::write_global_if_configured();
-      obs::pipeline::Collector::write_global_if_configured();
+      obs::pipeline::write_configured_reports();
       throw;
     }
     result.recovery = driver.stats();
@@ -844,12 +842,12 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
                {"wall_s", result.wall_s},
                {"sim_total_s", result.sim_total_s}});
 
-  // Honor MRMC_TRACE / MRMC_METRICS / MRMC_REPORT at every pipeline boundary
-  // so even a caller that exits abnormally afterwards has a complete artifact.
+  // Honor MRMC_TRACE / MRMC_METRICS / MRMC_REPORT / MRMC_PIPELINE at every
+  // pipeline boundary so even a caller that exits abnormally afterwards has
+  // a complete artifact.
   tracer.flush();
   obs::Registry::write_global_if_configured();
-  obs::report::Collector::write_global_if_configured();
-  obs::pipeline::Collector::write_global_if_configured();
+  obs::pipeline::write_configured_reports();
   return result;
 }
 

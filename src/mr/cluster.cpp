@@ -261,8 +261,9 @@ std::vector<FetchPlacement> schedule_fetches(const SimScheduler& scheduler,
   return placed;
 }
 
-/// Metrics + doctor input + trace + log for a finished timeline — shared by
-/// the fault-free and faulted simulate_job paths so both emit identically.
+/// Metrics + trace + log for a finished timeline — shared by the fault-free
+/// and faulted simulate_job paths so both emit identically.  The trace
+/// events are the job doctor's only input (obs::report::jobs_from_trace).
 void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
               std::span<const TaskSpec> map_specs,
               std::span<const TaskSpec> reduce_specs,
@@ -302,19 +303,6 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
   // whatever sinks are enabled, and run_splits reads the claim back via
   // obs::pipeline::last_claim() to stamp its wall span.
   const std::optional<obs::pipeline::Claim> claim = obs::pipeline::claim();
-
-  auto& collector = obs::report::Collector::global();
-  if (collector.enabled()) {
-    obs::report::JobInput input =
-        report_input(timeline, scheduler.config(), job_name, shuffle_bytes);
-    if (claim) {
-      input.pipeline = claim->pipeline;
-      input.stage = claim->stage;
-      input.round = claim->round;
-      input.sequence = claim->sequence;
-    }
-    collector.add(std::move(input));
-  }
 
   auto& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
@@ -359,8 +347,8 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
       }
       obs::pipeline::set_flow_link(pid, timeline.total_s * 1e6);
     }
-    // Cluster shape + startup for offline reconstruction (mrmc_doctor); the
-    // doubles travel as %.17g so the offline report is bit-identical.
+    // Cluster shape + startup for the doctor's reconstruction; the doubles
+    // travel as %.17g so the report restores them bit for bit.
     obs::TraceEvent config_event;
     config_event.name = "job_config";
     config_event.category = "sim";
@@ -375,8 +363,7 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
     tracer.append(std::move(config_event));
     if (!timeline.bytes.empty()) {
       // Byte totals as %.17g instants so jobs_from_trace restores the exact
-      // doubles — the "bytes" report section stays byte-identical across
-      // the in-process and offline ingestion paths.
+      // doubles of the simulator's ByteSummary.
       obs::TraceEvent bytes_event;
       bytes_event.name = "job_bytes";
       bytes_event.category = "sim";
@@ -397,9 +384,8 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
            std::to_string(timeline.bytes.max_fetch_fan_in)}};
       tracer.append(std::move(bytes_event));
     }
-    // Fault instants precede the task events so offline reconstruction
-    // (jobs_from_trace) rebuilds the doctor's fault lists in the exact
-    // order analyze() sees them in-process.
+    // Fault instants precede the task events, in crash / discovery order,
+    // so jobs_from_trace rebuilds the timeline's fault lists exactly.
     for (const faults::NodeDownEvent& event : timeline.faults.events) {
       obs::TraceEvent fault_event;
       fault_event.name = "node_fault";
@@ -448,9 +434,9 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
                       shuffle_offset);
     }
     // Per-fetch shuffle events, one track per reducer, on the map-phase
-    // clock (fetches overlap the map phase).  Offline reconstruction
+    // clock (fetches overlap the map phase).  The doctor's reconstruction
     // (jobs_from_trace) skips phase=fetch events; the aggregate shuffle
-    // event above remains the doctor's source of truth.
+    // event above remains its source of truth.
     for (const FetchPlacement& fetch : timeline.fetches) {
       const std::uint32_t tid =
           shuffle_tid + 1 + static_cast<std::uint32_t>(fetch.reducer);
@@ -839,43 +825,6 @@ JobTimeline simulate_job(const SimScheduler& scheduler,
   emit_job(scheduler, timeline, map_tasks, reduce_tasks, shuffle_bytes,
            job_name);
   return timeline;
-}
-
-obs::report::JobInput report_input(const JobTimeline& timeline,
-                                   const ClusterConfig& config,
-                                   std::string job_name, double shuffle_bytes) {
-  obs::report::JobInput input;
-  input.name = std::move(job_name);
-  input.nodes = config.nodes;
-  input.map_slots_per_node = config.map_slots_per_node;
-  input.reduce_slots_per_node = config.reduce_slots_per_node;
-  input.job_startup_s = config.job_startup_s;
-  input.shuffle_s = timeline.shuffle_s;
-  input.shuffle_bytes = shuffle_bytes;
-  input.bytes = timeline.bytes;
-  const auto convert = [](const PhaseTimeline& phase) {
-    std::vector<obs::report::TaskSample> tasks;
-    tasks.reserve(phase.tasks.size());
-    for (std::size_t i = 0; i < phase.tasks.size(); ++i) {
-      const TaskPlacement& task = phase.tasks[i];
-      tasks.push_back({i, task.node, task.slot, task.start_s, task.end_s,
-                       task.data_local});
-    }
-    return tasks;
-  };
-  input.map_tasks = convert(timeline.map_phase);
-  input.reduce_tasks = convert(timeline.reduce_phase);
-  input.fault_events.reserve(timeline.faults.events.size());
-  for (const faults::NodeDownEvent& event : timeline.faults.events) {
-    input.fault_events.push_back({event.node, event.crash_s, event.detect_s,
-                                  event.recover_s, event.blacklisted});
-  }
-  input.lost_attempts.reserve(timeline.faults.lost_attempts.size());
-  for (const faults::LostAttempt& lost : timeline.faults.lost_attempts) {
-    input.lost_attempts.push_back({lost.phase, lost.kind, lost.task, lost.node,
-                                   lost.slot, lost.start_s, lost.end_s});
-  }
-  return input;
 }
 
 std::string JobTimeline::summary() const {

@@ -188,12 +188,4 @@ inline JobTimeline simulate_job(const SimScheduler& scheduler,
                       "job");
 }
 
-/// Convert a finished timeline into the job doctor's input (the in-process
-/// twin of obs::report::jobs_from_trace): tasks keep their phase-index order
-/// so both ingestion paths feed analyze() identically.
-[[nodiscard]] obs::report::JobInput report_input(const JobTimeline& timeline,
-                                                 const ClusterConfig& config,
-                                                 std::string job_name,
-                                                 double shuffle_bytes = 0.0);
-
 }  // namespace mrmc::mr

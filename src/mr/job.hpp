@@ -510,9 +510,8 @@ class Job {
 
     // Cross-job lineage: simulate_job's emit funnel just claimed this job's
     // pipeline slot (same thread), so last_claim() is exactly ours — stamp
-    // it onto the wall span, record the wall window for the pipeline
-    // doctor's driver-gap analysis, and feed the pipeline collector.
-    const double wall_end_us = tracer.now_us();
+    // it onto the wall span and record the wall window for the pipeline
+    // doctor's driver-gap analysis.
     if (const std::optional<obs::pipeline::Claim>& claim =
             obs::pipeline::last_claim()) {
       job_span.arg("pipeline", claim->pipeline);
@@ -523,8 +522,8 @@ class Job {
       job_span.arg("sequence", std::to_string(claim->sequence));
       if (tracer.enabled()) {
         // Real-clock instant carrying the wall window as %.17g, so the
-        // trace-reconstructed pipeline report recovers the exact gaps the
-        // in-process collector computed.
+        // pipeline report recovers the driver's exact gaps.
+        const double wall_end_us = tracer.now_us();
         obs::TraceEvent wall_event;
         wall_event.name = "job_wall";
         wall_event.category = "real";
@@ -537,19 +536,6 @@ class Job {
                            {"start_us", obs::trace_double(wall_start_us)},
                            {"end_us", obs::trace_double(wall_end_us)}};
         tracer.append(std::move(wall_event));
-      }
-      auto& pipelines = obs::pipeline::Collector::global();
-      if (pipelines.enabled()) {
-        obs::pipeline::StageRecord record;
-        record.job = report_input(stats.timeline, config_.cluster,
-                                  config_.name, stats.shuffle_bytes);
-        record.job.pipeline = claim->pipeline;
-        record.job.stage = claim->stage;
-        record.job.round = claim->round;
-        record.job.sequence = claim->sequence;
-        record.wall_start_us = wall_start_us;
-        record.wall_end_us = wall_end_us;
-        pipelines.add(std::move(record));
       }
     }
     return result;

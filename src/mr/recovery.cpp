@@ -365,13 +365,6 @@ void StageDriver::finish_stage(const std::string& stage, std::size_t sequence,
                     {"key", key_hex(key)},
                     {"attempts", std::to_string(attempts)}});
   }
-  if (!pipeline.empty()) {
-    auto& collector = obs::pipeline::Collector::global();
-    if (collector.enabled()) {
-      collector.add_recovery(
-          {pipeline, stage, sequence, outcome, attempts, key_hex(key)});
-    }
-  }
 }
 
 void StageDriver::note_undecodable(const std::string& file_name) {

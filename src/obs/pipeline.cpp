@@ -5,14 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "common/fsio.hpp"
 #include "common/timer.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::obs::pipeline {
 
@@ -176,54 +173,6 @@ const char* severity_color(report::Severity severity) {
   return "";
 }
 
-/// Group collected stage records into pipelines: first-appearance order of
-/// pipeline ids, stages sorted by claim sequence.  Shared by the in-process
-/// Collector and the trace-reconstruction path so both produce identical
-/// PipelineInput orderings.
-std::vector<PipelineInput> group_stages(std::vector<StageRecord> records) {
-  std::vector<PipelineInput> out;
-  for (StageRecord& record : records) {
-    if (record.job.pipeline.empty()) continue;  // standalone job
-    auto it = std::find_if(out.begin(), out.end(), [&](const PipelineInput& p) {
-      return p.id == record.job.pipeline;
-    });
-    if (it == out.end()) {
-      out.emplace_back();
-      it = out.end() - 1;
-      it->id = record.job.pipeline;
-    }
-    it->stages.push_back(std::move(record));
-  }
-  for (PipelineInput& input : out) {
-    std::stable_sort(input.stages.begin(), input.stages.end(),
-                     [](const StageRecord& a, const StageRecord& b) {
-                       return a.job.sequence < b.job.sequence;
-                     });
-  }
-  return out;
-}
-
-/// Join recovery-driver checkpoint records onto their pipelines, shared by
-/// the in-process Collector and the trace-reconstruction path (the
-/// byte-identity contract).  A fully-resumed pipeline runs no jobs, so its
-/// id may carry recovery records only — such pipelines are appended after
-/// the stage-carrying ones, in record order.
-void attach_recovery(std::vector<PipelineInput>& pipelines,
-                     std::vector<RecoveryRecord> records) {
-  for (RecoveryRecord& record : records) {
-    if (record.pipeline.empty()) continue;
-    auto it = std::find_if(
-        pipelines.begin(), pipelines.end(),
-        [&](const PipelineInput& p) { return p.id == record.pipeline; });
-    if (it == pipelines.end()) {
-      pipelines.emplace_back();
-      it = pipelines.end() - 1;
-      it->id = record.pipeline;
-    }
-    it->recovery.push_back(std::move(record));
-  }
-}
-
 }  // namespace
 
 PipelineReport analyze(const PipelineInput& input,
@@ -233,10 +182,8 @@ PipelineReport analyze(const PipelineInput& input,
   out.stages.reserve(input.stages.size());
 
   // Per-stage job reports plus the aggregate critical path, every sum
-  // accumulated left to right in stage-sequence order (the byte-identity
-  // contract between the in-process and trace-reconstructed paths).  Sort
-  // here rather than trusting the caller: hand-built inputs may arrive in
-  // arrival order.
+  // accumulated left to right in stage-sequence order.  Sort here rather
+  // than trusting the caller: hand-built inputs may arrive in arrival order.
   std::vector<const StageRecord*> ordered;
   ordered.reserve(input.stages.size());
   for (const StageRecord& record : input.stages) ordered.push_back(&record);
@@ -286,8 +233,8 @@ PipelineReport analyze(const PipelineInput& input,
 
   // ------------------------------------------------------------- recovery
   // Checkpoint decisions of the recovery stage driver, sorted by driver
-  // sequence (the collector and the trace both deliver them in that order
-  // already; sorting here keeps hand-built inputs honest too).
+  // sequence (the trace delivers them in that order already; sorting here
+  // keeps hand-built inputs honest too).
   out.recovery.rows = input.recovery;
   std::stable_sort(out.recovery.rows.begin(), out.recovery.rows.end(),
                    [](const RecoveryRecord& a, const RecoveryRecord& b) {
@@ -368,19 +315,32 @@ PipelineReport analyze(const PipelineInput& input,
   return out;
 }
 
-// ---------------------------------------------------------- offline intake
+// ------------------------------------------------------------ trace intake
 
 std::vector<PipelineInput> pipelines_from_trace(const common::JsonValue& root) {
+  // Pipelines in first-appearance order of their ids.
+  std::vector<PipelineInput> pipelines;
+  const auto pipeline_for = [&](const std::string& id) -> PipelineInput& {
+    for (PipelineInput& input : pipelines) {
+      if (input.id == id) return input;
+    }
+    pipelines.emplace_back().id = id;
+    return pipelines.back();
+  };
+
   // The job doctor already reconstructs every sim job (lineage included);
   // regroup the ones that carry a pipeline id, then join the "job_wall"
   // instants the job runner emitted on the real-clock track.
-  std::vector<StageRecord> records;
   for (report::JobInput& job : report::jobs_from_trace(root)) {
-    StageRecord record;
-    record.job = std::move(job);
-    records.push_back(std::move(record));
+    if (job.pipeline.empty()) continue;  // standalone job
+    pipeline_for(job.pipeline).stages.push_back({std::move(job)});
   }
-  std::vector<PipelineInput> pipelines = group_stages(std::move(records));
+  for (PipelineInput& input : pipelines) {
+    std::stable_sort(input.stages.begin(), input.stages.end(),
+                     [](const StageRecord& a, const StageRecord& b) {
+                       return a.job.sequence < b.job.sequence;
+                     });
+  }
 
   const common::JsonValue& events = root.at("traceEvents");
   for (const common::JsonValue& event : events.array) {
@@ -407,15 +367,15 @@ std::vector<PipelineInput> pipelines_from_trace(const common::JsonValue& root) {
 
   // Recovery-driver checkpoint decisions, emitted one "stage_checkpoint"
   // instant per driver stage, in driver order.  A fully-resumed pipeline
-  // (every stage a hit) has no jobs in the trace — it enters `pipelines`
-  // here, recovery-only.
-  std::vector<RecoveryRecord> checkpoints;
+  // (every stage a hit) has no jobs in the trace — it is appended here,
+  // recovery-only, after the pipelines that ran jobs.
   for (const common::JsonValue& event : events.array) {
     if (event.at("ph").string != "i" ||
         event.at("name").string != "stage_checkpoint") {
       continue;
     }
     const common::JsonValue& args = event.at("args");
+    if (args.at("pipeline").string.empty()) continue;
     RecoveryRecord record;
     record.pipeline = args.at("pipeline").string;
     record.stage = args.at("stage").string;
@@ -425,24 +385,23 @@ std::vector<PipelineInput> pipelines_from_trace(const common::JsonValue& root) {
     record.attempts = static_cast<int>(
         std::strtod(args.at("attempts").string.c_str(), nullptr));
     record.key = args.at("key").string;
-    checkpoints.push_back(std::move(record));
+    pipeline_for(record.pipeline).recovery.push_back(std::move(record));
   }
-  attach_recovery(pipelines, std::move(checkpoints));
   return pipelines;
 }
 
-std::vector<PipelineReport> analyze_trace_file(
-    const std::string& path, const PipelineAnalyzeOptions& options) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const common::JsonValue root = common::parse_json(buffer.str());
+std::vector<PipelineReport> analyze_trace(const common::JsonValue& root,
+                                          const PipelineAnalyzeOptions& options) {
   std::vector<PipelineReport> reports;
   for (const PipelineInput& input : pipelines_from_trace(root)) {
     reports.push_back(analyze(input, options));
   }
   return reports;
+}
+
+std::vector<PipelineReport> analyze_trace_file(
+    const std::string& path, const PipelineAnalyzeOptions& options) {
+  return analyze_trace(report::load_trace(path), options);
 }
 
 // -------------------------------------------------------------- renderers
@@ -750,116 +709,29 @@ std::string to_bench_json(std::span<const PipelineReport> reports) {
   return out;
 }
 
-// -------------------------------------------------------------- collector
-
-Collector::Collector() {
-  if (const char* path = std::getenv("MRMC_PIPELINE");
-      path != nullptr && *path != '\0') {
-    enabled_ = true;
-    output_path_ = path;
-  }
+std::string render(std::span<const PipelineReport> reports,
+                   std::string_view format, bool color) {
+  if (format == "html") return to_html(reports);
+  if (format == "json") return to_json(reports);
+  return to_text(reports, color);
 }
 
-Collector& Collector::global() {
-  static Collector instance;
-  return instance;
+bool write_report(const std::string& path,
+                  std::span<const PipelineReport> reports) {
+  return !reports.empty() &&
+         common::write_file_atomic(
+             path, render(reports, report::format_for_path(path)));
 }
 
-bool Collector::enabled() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
-}
-
-void Collector::set_enabled(bool enabled) noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = enabled;
-}
-
-void Collector::set_output_path(std::string path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  output_path_ = std::move(path);
-  if (!output_path_.empty()) enabled_ = true;
-}
-
-std::string Collector::output_path() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return output_path_;
-}
-
-void Collector::add(StageRecord record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  records_.push_back(std::move(record));
-}
-
-void Collector::add_recovery(RecoveryRecord record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  recovery_.push_back(std::move(record));
-}
-
-std::size_t Collector::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
-void Collector::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  records_.clear();
-  recovery_.clear();
-}
-
-std::vector<PipelineInput> Collector::pipelines() const {
-  std::vector<StageRecord> records;
-  std::vector<RecoveryRecord> recovery;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    records = records_;
-    recovery = recovery_;
-  }
-  std::vector<PipelineInput> out = group_stages(std::move(records));
-  attach_recovery(out, std::move(recovery));
-  return out;
-}
-
-std::vector<PipelineReport> Collector::reports(
-    const PipelineAnalyzeOptions& options) const {
-  std::vector<PipelineReport> out;
-  for (const PipelineInput& input : pipelines()) {
-    out.push_back(analyze(input, options));
-  }
-  return out;
-}
-
-bool Collector::flush() const {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // recovery_ alone still flushes: a fully-resumed pipeline runs no jobs,
-    // but its checkpoint decisions are exactly what the doctor must show.
-    if (!enabled_ || output_path_.empty() ||
-        (records_.empty() && recovery_.empty())) {
-      return false;
-    }
-    path = output_path_;
-  }
-  const std::vector<PipelineReport> rendered = reports();
-  if (rendered.empty()) return false;
-  const std::span<const PipelineReport> span(rendered);
-  std::string body;
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".html") == 0) {
-    body = to_html(span);
-  } else if (path.size() >= 5 &&
-             path.compare(path.size() - 5, 5, ".json") == 0) {
-    body = to_json(span);
-  } else {
-    body = to_text(span);
-  }
-  return common::write_file_atomic(path, body);
-}
-
-bool Collector::write_global_if_configured() {
-  const char* path = std::getenv("MRMC_PIPELINE");
-  if (path == nullptr || *path == '\0') return false;
-  return global().flush();
+void write_configured_reports() {
+  const char* job_path = std::getenv("MRMC_REPORT");
+  const char* pipeline_path = std::getenv("MRMC_PIPELINE");
+  const bool jobs = job_path != nullptr && *job_path != '\0';
+  const bool pipelines = pipeline_path != nullptr && *pipeline_path != '\0';
+  if (!jobs && !pipelines) return;
+  const common::JsonValue root = report::trace_root(Tracer::global());
+  if (jobs) (void)report::write_report(job_path, report::jobs_from_trace(root));
+  if (pipelines) (void)write_report(pipeline_path, analyze_trace(root));
 }
 
 }  // namespace mrmc::obs::pipeline

@@ -15,11 +15,11 @@
 //   * aggregate shuffle bytes per stage, and
 //   * stage-level findings ("similarity is 78% of the makespan", ...).
 //
-// The standing obs invariant holds one level up: a PipelineReport built from
-// the in-process Collector is byte-identical to one reconstructed from the
-// flushed trace by `mrmc_doctor pipeline`.  Lineage events are invisible to
-// the single-job reconstruction path, so enabling pipelines never perturbs
-// existing job reports.
+// Pipelines are rebuilt from the tracer's events only — the in-memory buffer
+// for MRMC_PIPELINE, a flushed trace file for `mrmc_doctor pipeline` — so
+// both produce the same bytes.  Lineage events are invisible to the
+// single-job reconstruction, so enabling pipelines never perturbs existing
+// job reports.
 //
 // The API is shaped for round-indexed iterative drivers (StageScope takes an
 // optional round) so the upcoming hash-to-min connected-components work can
@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -139,9 +138,9 @@ void set_flow_link(std::uint32_t pid, double end_ts_us) noexcept;
 
 // ------------------------------------------------------- pipeline doctor
 
-/// One stage of a pipeline as collected: the job-doctor input plus the real
-/// wall window the driver observed around the job (microseconds on the
-/// tracer's clock; both 0 when wall timing is unavailable).
+/// One stage of a pipeline: the job-doctor input plus the real wall window
+/// the driver observed around the job ("job_wall" instant; microseconds on
+/// the tracer's clock; both 0 when wall timing is unavailable).
 struct StageRecord {
   report::JobInput job;
   double wall_start_us = 0.0;
@@ -153,9 +152,8 @@ struct StageRecord {
 };
 
 /// One checkpoint decision of the recovery stage driver (mr::recovery), as
-/// fed to the Collector in-process and emitted as a "stage_checkpoint"
-/// instant on the trace — the pipeline doctor's "recovery" section is built
-/// from these, byte-identical along either path.
+/// emitted in a "stage_checkpoint" instant on the trace — the pipeline
+/// doctor's "recovery" section is built from these.
 struct RecoveryRecord {
   std::string pipeline;      ///< PipelineScope id the driver ran under
   std::string stage;         ///< stage name ("sketch", "similarity", ...)
@@ -204,8 +202,8 @@ struct RecoverySummary {
 };
 
 /// The stitched end-to-end view.  All aggregate sums are accumulated left to
-/// right in stage-sequence order so in-process and trace-reconstructed
-/// reports are byte-identical.
+/// right in stage-sequence order, so a report is a pure function of its
+/// stages.
 struct PipelineReport {
   std::string id;
   double sim_total_s = 0.0;   ///< sum of stage sim totals
@@ -232,8 +230,12 @@ struct PipelineReport {
 [[nodiscard]] std::vector<PipelineInput> pipelines_from_trace(
     const common::JsonValue& root);
 
-/// `mrmc_doctor pipeline` entry point: parse + regroup + analyze a flushed
-/// trace file.  Throws common::MrmcError on I/O or parse failure.
+/// pipelines_from_trace + analyze over every pipeline of a parsed trace.
+[[nodiscard]] std::vector<PipelineReport> analyze_trace(
+    const common::JsonValue& root, const PipelineAnalyzeOptions& options = {});
+
+/// `mrmc_doctor pipeline` entry point: analyze_trace over a flushed trace
+/// file.  Throws std::runtime_error on I/O or parse failure.
 [[nodiscard]] std::vector<PipelineReport> analyze_trace_file(
     const std::string& path, const PipelineAnalyzeOptions& options = {});
 
@@ -250,46 +252,19 @@ struct PipelineReport {
 /// tight-gated by `mrmc_doctor regress`) and wall seconds (noisy-gated).
 [[nodiscard]] std::string to_bench_json(std::span<const PipelineReport> reports);
 
-/// Process-wide pipeline-report sink, mirroring report::Collector: the job
-/// runner feeds it a StageRecord per claimed job; flush() renders every
-/// collected pipeline to the configured path (.html / .json / text).  First
-/// use reads MRMC_PIPELINE (a path — enables collection + sets the sink).
-class Collector {
- public:
-  static Collector& global();
+/// Render `reports` as "text", "json" or "html".
+[[nodiscard]] std::string render(std::span<const PipelineReport> reports,
+                                 std::string_view format, bool color = false);
 
-  [[nodiscard]] bool enabled() const noexcept;
-  void set_enabled(bool enabled) noexcept;
-  void set_output_path(std::string path);
-  [[nodiscard]] std::string output_path() const;
+/// render() to `path` in the format its extension asks for, committed
+/// atomically.  False when `reports` is empty or the write fails.
+bool write_report(const std::string& path,
+                  std::span<const PipelineReport> reports);
 
-  void add(StageRecord record);
-  /// Record a recovery-driver checkpoint decision (see RecoveryRecord).
-  void add_recovery(RecoveryRecord record);
-  [[nodiscard]] std::size_t size() const;
-  void clear();
-
-  /// Collected stages regrouped into pipelines (same ordering contract as
-  /// pipelines_from_trace).
-  [[nodiscard]] std::vector<PipelineInput> pipelines() const;
-  [[nodiscard]] std::vector<PipelineReport> reports(
-      const PipelineAnalyzeOptions& options = {}) const;
-
-  /// Render every collected pipeline to the configured path.  False when
-  /// disabled, pathless, empty, or on I/O error.
-  bool flush() const;
-
-  /// Flush the global collector iff MRMC_PIPELINE is set (checked per call).
-  static bool write_global_if_configured();
-
- private:
-  Collector();
-
-  mutable std::mutex mutex_;
-  bool enabled_ = false;
-  std::string output_path_;
-  std::vector<StageRecord> records_;
-  std::vector<RecoveryRecord> recovery_;
-};
+/// Write the MRMC_REPORT job report and the MRMC_PIPELINE pipeline report —
+/// whichever of the two variables is set — from the global tracer's events.
+/// Either variable turns in-memory tracing on (obs::Tracer::global()); the
+/// drivers call this at every pipeline boundary.
+void write_configured_reports();
 
 }  // namespace mrmc::obs::pipeline

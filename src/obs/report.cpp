@@ -13,6 +13,7 @@
 #include "common/fsio.hpp"
 #include "common/timer.hpp"
 #include "obs/log.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::obs::report {
 
@@ -371,7 +372,7 @@ JobReport analyze(const JobInput& input, const AnalyzeOptions& options) {
   return report;
 }
 
-// ------------------------------------------------------------ offline intake
+// -------------------------------------------------------------- trace intake
 
 namespace {
 
@@ -434,7 +435,7 @@ std::vector<JobInput> jobs_from_trace(const common::JsonValue& root) {
         job.shuffle_bytes = parse_exact(args.at("shuffle_bytes").string);
       }
     } else if (ph == "i" && name == "job_bytes") {
-      // %.17g strings restore the in-process byte totals bit-for-bit.
+      // %.17g strings restore the simulator's byte totals bit-for-bit.
       const common::JsonValue& args = event.at("args");
       ByteSummary& bytes = jobs[pid].bytes;
       bytes.map_input_bytes = parse_exact(args.at("map_input_bytes").string);
@@ -449,8 +450,8 @@ std::vector<JobInput> jobs_from_trace(const common::JsonValue& root) {
       bytes.max_fetch_fan_in = static_cast<std::size_t>(
           parse_exact(args.at("max_fetch_fan_in").string));
     } else if (ph == "i" && name == "node_fault") {
-      // Fault instants were appended in crash order, so file order rebuilds
-      // the exact FaultOutcome lists the in-process path feeds analyze().
+      // Fault instants were appended in crash order, so trace order rebuilds
+      // the simulator's exact FaultOutcome lists.
       const common::JsonValue& args = event.at("args");
       FaultEventSample fault;
       fault.node = static_cast<int>(parse_exact(args.at("node").string));
@@ -534,7 +535,7 @@ std::vector<JobInput> jobs_from_trace(const common::JsonValue& root) {
     job.nodes = std::max(job.nodes, max_node + 1);
     job.trace_pid = pid;  // lets mrmc_doctor list/select jobs by sim track
     // Tasks were appended in trace order; restore phase-index order so the
-    // analyzer's sums run in the same order as the in-process path.
+    // analyzer's sums run in the simulator's order.
     auto by_index = [](const TaskSample& a, const TaskSample& b) {
       return a.index < b.index;
     };
@@ -545,15 +546,24 @@ std::vector<JobInput> jobs_from_trace(const common::JsonValue& root) {
   return out;
 }
 
-std::vector<JobReport> analyze_trace_file(const std::string& path,
-                                          const AnalyzeOptions& options) {
+common::JsonValue load_trace(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const common::JsonValue root = common::parse_json(buffer.str());
+  return common::parse_json(buffer.str());
+}
+
+common::JsonValue trace_root(const Tracer& tracer) {
+  std::ostringstream buffer;
+  tracer.write_chrome_trace(buffer);
+  return common::parse_json(buffer.str());
+}
+
+std::vector<JobReport> analyze_trace_file(const std::string& path,
+                                          const AnalyzeOptions& options) {
   std::vector<JobReport> reports;
-  for (const JobInput& job : jobs_from_trace(root)) {
+  for (const JobInput& job : jobs_from_trace(load_trace(path))) {
     reports.push_back(analyze(job, options));
   }
   return reports;
@@ -914,21 +924,21 @@ void gantt_svg(std::string& out, const JobReport& report,
 /// Per-node utilization strip: 100 bins over [0, total_s], opacity = the
 /// node's busy slot-seconds in the bin over its available slot-seconds.
 void utilization_svg(std::string& out, const JobReport& report,
-                     const JobInput* input) {
-  if (input == nullptr || report.total_s <= 0.0) return;
+                     const JobInput& input) {
+  if (report.total_s <= 0.0) return;
   constexpr int kBins = 100;
   constexpr double kWidth = 860.0, kLabel = 110.0, kRowH = 14.0;
   const double total = report.total_s;
   const double bin_s = total / kBins;
   const double slots_per_node = static_cast<double>(
-      std::max(input->map_slots_per_node, input->reduce_slots_per_node));
-  const double height = kRowH * static_cast<double>(input->nodes) + 6.0;
+      std::max(input.map_slots_per_node, input.reduce_slots_per_node));
+  const double height = kRowH * static_cast<double>(input.nodes) + 6.0;
   out += "<svg viewBox=\"0 0 " + f2(kWidth) + " " + f2(height) +
          "\" style=\"width:100%;max-width:" + f2(kWidth) + "px\">\n";
   const double map_offset = report.startup_s;
   const double reduce_offset =
       report.startup_s + report.map_phase.makespan_s + report.shuffle_s;
-  for (std::size_t node = 0; node < input->nodes; ++node) {
+  for (std::size_t node = 0; node < input.nodes; ++node) {
     std::vector<double> busy(kBins, 0.0);
     auto accumulate = [&](const std::vector<TaskSample>& tasks, double offset) {
       for (const TaskSample& task : tasks) {
@@ -943,8 +953,8 @@ void utilization_svg(std::string& out, const JobReport& report,
         }
       }
     };
-    accumulate(input->map_tasks, map_offset);
-    accumulate(input->reduce_tasks, reduce_offset);
+    accumulate(input.map_tasks, map_offset);
+    accumulate(input.reduce_tasks, reduce_offset);
     const double y = 2.0 + kRowH * static_cast<double>(node);
     out += "<text x=\"0\" y=\"" + f2(y + 10.0) + "\" class=\"lbl\">node " +
            std::to_string(node) + "</text>\n";
@@ -982,13 +992,9 @@ void critical_path_bar(std::string& out, const JobReport& report) {
   out += "</div>\n";
 }
 
-}  // namespace
-
-namespace detail {
-
-/// HTML for one job; `input` (optional) enables the Gantt + utilization
-/// strips, which need the raw task placements.
-std::string job_html(const JobReport& report, const JobInput* input) {
+/// HTML for one job: the summary, then the Gantt + utilization strips drawn
+/// from the job's raw task placements.
+std::string job_html(const JobReport& report, const JobInput& input) {
   std::string out;
   out += "<section>\n<h2>" + html_escape(report.name) + "</h2>\n";
   out += "<p class=\"sum\">total <b>" + f2(report.total_s) + "s</b> on " +
@@ -1005,48 +1011,25 @@ std::string job_html(const JobReport& report, const JobInput* input) {
     out += "</p>\n";
   }
   critical_path_bar(out, report);
-  if (input != nullptr) {
-    std::vector<GanttRow> rows;
-    AnalyzeOptions defaults;
-    phase_rows(report.map_phase, input->map_tasks, report.startup_s, kMapColor,
-               defaults.straggler_factor, rows);
-    if (report.shuffle_s > 0.0) {
-      rows.push_back({"shuffle",
-                      kShuffleColor,
-                      {{report.startup_s + report.map_phase.makespan_s,
-                        report.startup_s + report.map_phase.makespan_s +
-                            report.shuffle_s}},
-                      {false}});
-    }
-    phase_rows(report.reduce_phase, input->reduce_tasks,
-               report.startup_s + report.map_phase.makespan_s +
-                   report.shuffle_s,
-               kReduceColor, defaults.straggler_factor, rows);
-    out += "<h3>schedule</h3>\n";
-    gantt_svg(out, report, rows);
-    out += "<h3>node utilization</h3>\n";
-    utilization_svg(out, report, input);
-  } else {
-    // Without the raw task placements (report-only rendering) draw the
-    // whole-run per-node utilization as horizontal bars.
-    constexpr double kWidth = 860.0, kLabel = 110.0, kRowH = 14.0;
-    out += "<h3>node utilization</h3>\n<svg viewBox=\"0 0 " + f2(kWidth) +
-           " " +
-           f2(kRowH * static_cast<double>(report.node_utilization.size()) +
-              6.0) +
-           "\" style=\"width:100%;max-width:" + f2(kWidth) + "px\">\n";
-    for (std::size_t i = 0; i < report.node_utilization.size(); ++i) {
-      const NodeUtilization& node = report.node_utilization[i];
-      const double y = 2.0 + kRowH * static_cast<double>(i);
-      out += "<text x=\"0\" y=\"" + f2(y + 10.0) + "\" class=\"lbl\">node " +
-             std::to_string(node.node) + "</text>\n";
-      out += "<rect x=\"" + f2(kLabel) + "\" y=\"" + f2(y) + "\" width=\"" +
-             f2((kWidth - kLabel) * std::min(1.0, node.utilization)) +
-             "\" height=\"" + f2(kRowH - 3.0) + "\" fill=\"" + kMapColor +
-             "\"><title>" + pct(node.utilization) + "</title></rect>\n";
-    }
-    out += "</svg>\n";
+  std::vector<GanttRow> rows;
+  AnalyzeOptions defaults;
+  phase_rows(report.map_phase, input.map_tasks, report.startup_s, kMapColor,
+             defaults.straggler_factor, rows);
+  if (report.shuffle_s > 0.0) {
+    rows.push_back({"shuffle",
+                    kShuffleColor,
+                    {{report.startup_s + report.map_phase.makespan_s,
+                      report.startup_s + report.map_phase.makespan_s +
+                          report.shuffle_s}},
+                    {false}});
   }
+  phase_rows(report.reduce_phase, input.reduce_tasks,
+             report.startup_s + report.map_phase.makespan_s + report.shuffle_s,
+             kReduceColor, defaults.straggler_factor, rows);
+  out += "<h3>schedule</h3>\n";
+  gantt_svg(out, report, rows);
+  out += "<h3>node utilization</h3>\n";
+  utilization_svg(out, report, input);
   if (!report.bytes.empty()) {
     out += "<h3>bytes</h3>\n<p class=\"sum\">map in <b>" +
            f2(report.bytes.map_input_bytes / 1e6) + " MB</b>, out <b>" +
@@ -1126,120 +1109,38 @@ std::string page_html(const std::string& body) {
          body + "</body></html>\n";
 }
 
-}  // namespace detail
+}  // namespace
 
-std::string to_html(std::span<const JobReport> reports) {
+std::string to_html(std::span<const JobInput> jobs) {
   std::string body;
-  for (const JobReport& report : reports) {
-    body += detail::job_html(report, nullptr);
-  }
-  return detail::page_html(body);
+  for (const JobInput& job : jobs) body += job_html(analyze(job), job);
+  return page_html(body);
 }
 
-// --------------------------------------------------------------- collector
-
-Collector::Collector() {
-  if (const char* path = std::getenv("MRMC_REPORT")) {
-    if (*path != '\0') {
-      output_path_ = path;
-      enabled_ = true;
-    }
-  }
+std::string format_for_path(std::string_view path) {
+  if (path.ends_with(".html")) return "html";
+  if (path.ends_with(".json")) return "json";
+  return "text";
 }
 
-Collector::~Collector() { flush(); }
-
-Collector& Collector::global() {
-  static Collector collector;
-  return collector;
-}
-
-bool Collector::enabled() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
-}
-
-void Collector::set_enabled(bool enabled) noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = enabled;
-}
-
-void Collector::set_output_path(std::string path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  output_path_ = std::move(path);
-}
-
-std::string Collector::output_path() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return output_path_;
-}
-
-void Collector::add(JobInput input) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  inputs_.push_back(std::move(input));
-}
-
-std::size_t Collector::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return inputs_.size();
-}
-
-void Collector::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  inputs_.clear();
-}
-
-std::vector<JobReport> Collector::reports(const AnalyzeOptions& options) const {
-  std::vector<JobInput> inputs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inputs = inputs_;
-  }
-  std::vector<JobReport> out;
-  out.reserve(inputs.size());
-  for (const JobInput& input : inputs) out.push_back(analyze(input, options));
-  return out;
-}
-
-bool Collector::flush() const {
-  std::string path;
-  std::vector<JobInput> inputs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!enabled_ || output_path_.empty()) return false;
-    path = output_path_;
-    inputs = inputs_;
-  }
-  if (inputs.empty()) return false;
-
+std::string render(std::span<const JobInput> jobs, std::string_view format,
+                   bool color) {
+  if (format == "html") return to_html(jobs);
   std::vector<JobReport> reports;
-  reports.reserve(inputs.size());
-  for (const JobInput& input : inputs) reports.push_back(analyze(input));
+  reports.reserve(jobs.size());
+  for (const JobInput& job : jobs) reports.push_back(analyze(job));
+  const std::span<const JobReport> all(reports);
+  return format == "json" ? to_json(all) : to_text(all, color);
+}
 
-  std::string rendered;
-  const auto ends_with = [&](std::string_view suffix) {
-    return path.size() >= suffix.size() &&
-           std::string_view(path).substr(path.size() - suffix.size()) == suffix;
-  };
-  if (ends_with(".html")) {
-    std::string body;
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      body += detail::job_html(reports[i], &inputs[i]);
-    }
-    rendered = detail::page_html(body);
-  } else if (ends_with(".json")) {
-    rendered = to_json(std::span<const JobReport>(reports));
-  } else {
-    rendered = to_text(std::span<const JobReport>(reports));
-  }
-
-  if (!common::write_file_atomic(path, rendered)) {
+bool write_report(const std::string& path, std::span<const JobInput> jobs) {
+  if (jobs.empty()) return false;
+  if (!common::write_file_atomic(path,
+                                 render(jobs, format_for_path(path)))) {
     logger().warn("failed writing report output file", {{"path", path}});
     return false;
   }
   return true;
 }
-
-bool Collector::write_global_if_configured() { return global().flush(); }
 
 }  // namespace mrmc::obs::report

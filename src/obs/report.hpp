@@ -1,9 +1,9 @@
 // Post-hoc job doctor: turns raw telemetry into answers.
 //
-// The analyzer consumes one simulated job's schedule — either handed over
-// in-process (mr::simulate_job feeds the global Collector when MRMC_REPORT
-// is set) or reconstructed offline from a flushed Chrome-trace JSON file
-// (the mrmc_doctor CLI) — and produces a structured JobReport:
+// The analyzer consumes one simulated job's schedule, rebuilt from the
+// tracer's events (jobs_from_trace) — the tracer's in-memory buffer when
+// MRMC_REPORT is set, or a flushed Chrome-trace JSON file in the
+// mrmc_doctor CLI; both take the same route — and produces a JobReport:
 //
 //   * critical-path decomposition: startup / map / shuffle / reduce, the
 //     longest chain versus the sum of task work, and the parallel
@@ -18,20 +18,24 @@
 // JSON (to_json) whose doubles are printed with %.17g so an offline reader
 // recovers the scheduler's numbers bit-for-bit.
 //
-// Both ingestion paths run the same analyze() over the same JobInput
-// fields, and every derived quantity is combined in a fixed left-to-right
-// order, so the offline report equals the in-process one EXACTLY (asserted
-// by tests/obs/report_test.cpp and the mrmc_doctor round-trip test).
+// The trace carries the scheduler's doubles as %.17g args and every derived
+// quantity is combined in a fixed left-to-right order, so the report's
+// makespans equal the simulated JobTimeline's bit for bit (asserted by
+// tests/obs/report_test.cpp against the timeline simulate_job returns).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mini_json.hpp"
+
+namespace mrmc::obs {
+class Tracer;
+}  // namespace mrmc::obs
 
 namespace mrmc::obs::report {
 
@@ -75,7 +79,7 @@ struct LostAttemptSample {
 /// producer recorded none — the renderers then omit the Bytes section
 /// entirely, keeping byte-less reports byte-identical to older builds.
 /// Doubles travel as %.17g through the trace ("job_bytes" instant), so the
-/// offline report equals the in-process one exactly.
+/// report restores the simulator's totals exactly.
 struct ByteSummary {
   double map_input_bytes = 0.0;      ///< split bytes the map tasks read
   double map_output_bytes = 0.0;     ///< spill bytes the map tasks wrote
@@ -92,8 +96,8 @@ struct ByteSummary {
   }
 };
 
-/// Everything the analyzer needs about one simulated job, however obtained
-/// (mr::report_input() in-process, jobs_from_trace() offline).
+/// Everything the analyzer needs about one simulated job, as
+/// jobs_from_trace() rebuilds it from the tracer's events.
 struct JobInput {
   std::string name = "job";
   std::size_t nodes = 1;
@@ -114,9 +118,8 @@ struct JobInput {
   std::string stage;         ///< stage name within the pipeline
   int round = -1;            ///< iteration index for round drivers; -1 = none
   std::size_t sequence = 0;  ///< 0-based position within the pipeline
-  /// Sim track the job occupies in a flushed trace (offline intake only;
-  /// 0 in-process).  mrmc_doctor's `jobs` listing and --job selector key
-  /// on it; never rendered into reports.
+  /// Sim track (pid) the job occupies in the trace.  mrmc_doctor's `jobs`
+  /// listing and --job selector key on it; never rendered into reports.
   std::uint32_t trace_pid = 0;
 };
 
@@ -210,7 +213,7 @@ struct JobReport {
   std::string stage;
   int round = -1;
   std::size_t sequence = 0;
-  std::uint32_t trace_pid = 0;  ///< offline intake only; not rendered
+  std::uint32_t trace_pid = 0;  ///< sim track in the trace; not rendered
 
   [[nodiscard]] bool has_finding(std::string_view id) const noexcept;
 };
@@ -219,7 +222,7 @@ struct JobReport {
 [[nodiscard]] JobReport analyze(const JobInput& input,
                                 const AnalyzeOptions& options = {});
 
-// ----------------------------------------------------------- offline intake
+// ------------------------------------------------------------ trace intake
 
 /// Reconstruct the analyzer inputs from a parsed Chrome trace (the format
 /// obs::Tracer::write_chrome_trace emits): sim pids become jobs, their
@@ -229,9 +232,16 @@ struct JobReport {
 [[nodiscard]] std::vector<JobInput> jobs_from_trace(
     const common::JsonValue& root);
 
-/// Parse + reconstruct + analyze a trace file end to end (what mrmc_doctor
-/// does).  Throws std::runtime_error when the file is unreadable or is not
-/// a trace.
+/// Read and parse a flushed trace file.  Throws std::runtime_error when the
+/// file is unreadable or is not JSON.
+[[nodiscard]] common::JsonValue load_trace(const std::string& path);
+
+/// The tracer's in-memory events, serialized and parsed exactly as a
+/// flushed trace file would be — so in-process reports (MRMC_REPORT,
+/// MRMC_PIPELINE, --report) take the same intake as mrmc_doctor.
+[[nodiscard]] common::JsonValue trace_root(const Tracer& tracer);
+
+/// load_trace + jobs_from_trace + analyze, end to end.
 [[nodiscard]] std::vector<JobReport> analyze_trace_file(
     const std::string& path, const AnalyzeOptions& options = {});
 
@@ -246,49 +256,22 @@ struct JobReport {
 [[nodiscard]] std::string to_json(const JobReport& report);
 [[nodiscard]] std::string to_json(std::span<const JobReport> reports);
 
-/// Self-contained HTML page: per job an inline-SVG Gantt (one row per
-/// node/slot, stragglers outlined), per-node utilization strips, the
-/// critical-path bar, and the findings list.  No external assets.
-[[nodiscard]] std::string to_html(std::span<const JobReport> reports);
+/// Self-contained HTML page: per job an inline-SVG Gantt of its task
+/// placements (one row per node/slot, stragglers outlined), per-node
+/// utilization strips, the critical-path bar, and the findings list.  No
+/// external assets.
+[[nodiscard]] std::string to_html(std::span<const JobInput> jobs);
 
-// -------------------------------------------------------------- collector
+/// The output format a report path asks for: "html" or "json" by
+/// extension, "text" otherwise.  The one rule every report writer uses.
+[[nodiscard]] std::string format_for_path(std::string_view path);
 
-/// Process-global report sink, mirroring Tracer/Registry: when MRMC_REPORT
-/// names a file (or set_output_path() is called), mr::simulate_job feeds
-/// every job's JobInput here and flush() writes the rendered report —
-/// HTML when the path ends in .html, JSON for .json, text otherwise.
-class Collector {
- public:
-  static Collector& global();  ///< first use reads MRMC_REPORT
+/// Analyze `jobs` and render them as "text", "json" or "html".
+[[nodiscard]] std::string render(std::span<const JobInput> jobs,
+                                 std::string_view format, bool color = false);
 
-  [[nodiscard]] bool enabled() const noexcept;
-  void set_enabled(bool enabled) noexcept;
-  void set_output_path(std::string path);
-  [[nodiscard]] std::string output_path() const;
-
-  void add(JobInput input);
-  [[nodiscard]] std::size_t size() const;
-  void clear();
-
-  /// Analyze everything collected so far.
-  [[nodiscard]] std::vector<JobReport> reports(
-      const AnalyzeOptions& options = {}) const;
-
-  /// Render to the configured path.  Returns true when a file was written.
-  bool flush() const;
-
-  /// flush() on the global collector, for pipeline/process boundaries.
-  static bool write_global_if_configured();
-
-  ~Collector();
-
- private:
-  Collector();
-
-  mutable std::mutex mutex_;
-  bool enabled_ = false;
-  std::string output_path_;
-  std::vector<JobInput> inputs_;
-};
+/// render() to `path` in the format its extension asks for, committed
+/// atomically.  False when `jobs` is empty or the write fails (logged).
+bool write_report(const std::string& path, std::span<const JobInput> jobs);
 
 }  // namespace mrmc::obs::report

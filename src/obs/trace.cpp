@@ -56,11 +56,15 @@ std::string_view TraceEvent::arg(std::string_view key) const noexcept {
 }
 
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {
-  if (const char* path = std::getenv("MRMC_TRACE")) {
-    if (*path != '\0') {
-      output_path_ = path;
-      enabled_.store(true, std::memory_order_relaxed);
-    }
+  const auto set = [](const char* name) {
+    const char* value = std::getenv(name);
+    return value != nullptr && *value != '\0';
+  };
+  if (set("MRMC_TRACE")) output_path_ = std::getenv("MRMC_TRACE");
+  // The job and pipeline reports are rendered from this buffer, so asking
+  // for either turns tracing on in memory, without a trace file.
+  if (set("MRMC_TRACE") || set("MRMC_REPORT") || set("MRMC_PIPELINE")) {
+    enabled_.store(true, std::memory_order_relaxed);
   }
 }
 

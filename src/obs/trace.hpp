@@ -18,6 +18,9 @@
 // exported JSON round-trips the scheduler's doubles exactly (asserted by
 // tests).  Enable with MRMC_TRACE=<out.json> (written on flush / process
 // exit) or programmatically via set_enabled() for in-memory inspection.
+// The event buffer is also the only input of the job and pipeline doctors
+// (obs/report.hpp, obs/pipeline.hpp): MRMC_REPORT / MRMC_PIPELINE enable
+// in-memory tracing without writing a trace file.
 #pragma once
 
 #include <atomic>
@@ -61,7 +64,8 @@ struct TraceEvent {
 class Tracer {
  public:
   /// The process-wide tracer; first use reads MRMC_TRACE (a file path —
-  /// enables tracing and sets the flush destination).
+  /// enables tracing and sets the flush destination), and MRMC_REPORT /
+  /// MRMC_PIPELINE (either enables tracing in memory only).
   static Tracer& global();
 
   [[nodiscard]] bool enabled() const noexcept {

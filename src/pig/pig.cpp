@@ -440,6 +440,7 @@ Algorithm3Result run_algorithm3(mr::SimDfs& dfs, const std::string& input_path,
                                       {"hier_tuples", result.hierarchical.size()},
                                       {"greedy_tuples", result.greedy.size()}});
   obs::Tracer::global().flush();
+  obs::pipeline::write_configured_reports();
   return result;
 }
 

@@ -1,5 +1,6 @@
 // core::candidates — the pair-enumeration layer.  Covers the S-curve
-// properties, band-shape selection and validation, backend equivalence
+// properties, band-shape selection and validation, the incremental bucket
+// index and greedy over LSH candidates, backend equivalence
 // (exact graphs reproduce the dense all-pairs matrix bit-for-bit and the
 // graph greedy sweep reproduces the exhaustive sweep), determinism of the
 // candidate MapReduce job across thread counts / split sizes / fault plans /
@@ -56,6 +57,11 @@ kernels::SketchMatrix family_matrix(std::size_t families, std::size_t per_family
 }
 
 // ---------------------------------------------------------------- the S-curve
+
+TEST(LshCollisionProbability, BoundaryValues) {
+  EXPECT_DOUBLE_EQ(candidates::lsh_collision_probability(0.0, 10, 5), 0.0);
+  EXPECT_DOUBLE_EQ(candidates::lsh_collision_probability(1.0, 10, 5), 1.0);
+}
 
 TEST(CollisionProbability, MonotoneInSimilarity) {
   for (const auto [bands, rows] :
@@ -249,6 +255,118 @@ TEST(GreedyClusterGraph, EmptyGraphIsAllSingletons) {
   const auto result = greedy_cluster_graph(graph, {.theta = 0.9});
   EXPECT_EQ(result.num_clusters, 4u);
   EXPECT_EQ(result.labels, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// --------------------------------------------------------- LshBucketIndex
+// The incremental index IncrementalClusterer queries, with the default seed.
+
+constexpr std::uint64_t kIndexSeed = candidates::Params{}.seed;
+
+Sketch random_sketch(std::size_t length, common::Xoshiro256& rng) {
+  Sketch sketch(length);
+  for (auto& v : sketch) v = rng();
+  return sketch;
+}
+
+TEST(LshIndex, RejectsBadShapes) {
+  // The shape must tile the sketch exactly, and every sketch must fit it.
+  const candidates::BandShape ragged{7, 7};
+  const candidates::BandShape empty{0, 5};
+  EXPECT_THROW(candidates::LshBucketIndex(50, ragged, kIndexSeed),
+               common::InvalidArgument);
+  EXPECT_THROW(candidates::LshBucketIndex(50, empty, kIndexSeed),
+               common::InvalidArgument);
+  candidates::LshBucketIndex index(50, {10, 5}, kIndexSeed);
+  EXPECT_THROW(index.insert(0, Sketch(49)), common::InvalidArgument);
+  EXPECT_THROW((void)index.candidates(Sketch(49)), common::InvalidArgument);
+}
+
+TEST(LshIndex, IdenticalSketchesAlwaysCandidates) {
+  candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
+  common::Xoshiro256 rng(1);
+  const Sketch sketch = random_sketch(40, rng);
+  index.insert(7, sketch);
+  const auto found = index.candidates(sketch);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0], 7);
+  EXPECT_EQ(index.size(), 1u);
+}
+
+TEST(LshIndex, DisjointSketchesRarelyCollide) {
+  candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
+  common::Xoshiro256 rng(2);
+  for (int id = 0; id < 50; ++id) index.insert(id, random_sketch(40, rng));
+  EXPECT_LT(index.candidates(random_sketch(40, rng)).size(), 3u);
+}
+
+TEST(LshIndex, SimilarSketchesCollide) {
+  candidates::LshBucketIndex index(40, {20, 2}, kIndexSeed);  // sensitive
+  common::Xoshiro256 rng(3);
+  const Sketch base = random_sketch(40, rng);
+  index.insert(0, base);
+  Sketch similar = base;
+  for (std::size_t i = 0; i < 4; ++i) similar[i * 10] = rng();  // J ~ 0.9
+  const auto found = index.candidates(similar);
+  ASSERT_FALSE(found.empty());
+  EXPECT_EQ(found[0], 0);
+}
+
+TEST(LshIndex, CandidatesDedupAcrossBands) {
+  candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
+  common::Xoshiro256 rng(4);
+  const Sketch sketch = random_sketch(40, rng);
+  index.insert(1, sketch);
+  // The same id collides in all 8 bands but must be returned once.
+  EXPECT_EQ(index.candidates(sketch).size(), 1u);
+}
+
+// ------------------------------------------------------ indexed greedy
+// Algorithm 1 over LSH-banded candidates: greedy_cluster_graph on the
+// kLshBanded graph, the batch counterpart of IncrementalClusterer.
+
+GreedyResult indexed_greedy(std::span<const Sketch> sketches,
+                            const GreedyParams& params, std::size_t bands) {
+  candidates::Params lsh;
+  lsh.backend = candidates::Backend::kLshBanded;
+  lsh.bands = bands;
+  return greedy_cluster_graph(
+      candidates::build_graph(kernels::SketchMatrix::from_sketches(sketches),
+                              lsh, params.theta, params.estimator),
+      params);
+}
+
+TEST(GreedyClusterIndexed, MatchesExactGreedyOnSeparatedData) {
+  const auto sketches = family_sketches(5, 12, 40, 0.05, 5);
+  const GreedyParams params{.theta = 0.5,
+                            .estimator = SketchEstimator::kComponentMatch};
+  const auto exact = greedy_cluster(sketches, params);
+  const auto indexed = indexed_greedy(sketches, params, 20);
+  EXPECT_EQ(indexed.labels, exact.labels);
+  EXPECT_EQ(indexed.num_clusters, exact.num_clusters);
+}
+
+TEST(GreedyClusterIndexed, FarFewerComparisonsThanExact) {
+  const auto sketches = family_sketches(40, 10, 40, 0.05, 6);
+  const GreedyParams params{.theta = 0.5,
+                            .estimator = SketchEstimator::kComponentMatch};
+  const auto exact = greedy_cluster(sketches, params);
+  const auto indexed = indexed_greedy(sketches, params, 20);
+  EXPECT_EQ(indexed.num_clusters, exact.num_clusters);
+  EXPECT_LT(indexed.comparisons, exact.comparisons / 4);
+}
+
+TEST(GreedyClusterIndexed, EmptyAndSingle) {
+  EXPECT_TRUE(indexed_greedy({}, {}, 8).labels.empty());
+  const std::vector<Sketch> one{Sketch(40, 1)};
+  EXPECT_EQ(indexed_greedy(one, {.theta = 0.5}, 8).num_clusters, 1u);
+}
+
+TEST(GreedyClusterIndexed, LabelsAreDense) {
+  const auto sketches = family_sketches(6, 6, 40, 0.3, 7);
+  const auto result = indexed_greedy(sketches, {.theta = 0.6}, 10);
+  std::set<int> labels(result.labels.begin(), result.labels.end());
+  EXPECT_EQ(labels.size(), result.num_clusters);
+  for (const int label : result.labels) EXPECT_GE(label, 0);
 }
 
 TEST(GreedyClusterGraph, RejectsOutOfRangeEdges) {

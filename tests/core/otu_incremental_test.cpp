@@ -3,7 +3,10 @@
 #include <string_view>
 
 #include "common/error.hpp"
+#include "core/candidates.hpp"
+#include "core/greedy.hpp"
 #include "core/incremental.hpp"
+#include "core/kernels.hpp"
 #include "core/otu_table.hpp"
 #include "simdata/marker16s.hpp"
 
@@ -84,7 +87,7 @@ IncrementalClusterer make_clusterer() {
   return IncrementalClusterer({.kmer = 12, .num_hashes = 40, .seed = 2},
                               {.theta = 0.4,
                                .estimator = SketchEstimator::kComponentMatch},
-                              {.bands = 20});
+                              20);
 }
 
 TEST(IncrementalClusterer, GrowsClustersAcrossBatches) {
@@ -120,7 +123,15 @@ TEST(IncrementalClusterer, MatchesBatchIndexedGreedy) {
   for (const auto& seq : reads) sketches.push_back(hasher.sketch(seq));
   const GreedyParams greedy{.theta = 0.4,
                             .estimator = SketchEstimator::kComponentMatch};
-  const auto batch = greedy_cluster_indexed(sketches, greedy, {.bands = 20});
+  // Batch Algorithm 1 over the same banding's candidate graph.
+  candidates::Params lsh;
+  lsh.backend = candidates::Backend::kLshBanded;
+  lsh.bands = 20;
+  const auto batch = greedy_cluster_graph(
+      candidates::build_graph(
+          kernels::SketchMatrix::from_sketches(std::span<const Sketch>(sketches)),
+          lsh, greedy.theta, greedy.estimator),
+      greedy);
 
   auto clusterer = make_clusterer();
   std::vector<int> incremental;

@@ -319,25 +319,48 @@ TEST(Chaos, DoctorFaultsSectionIsByteIdenticalAcrossIngestionPaths) {
       ::testing::TempDir() + "/mrmc_chaos_doctor_trace.json";
   tracer.set_output_path(trace_path);
   ASSERT_TRUE(tracer.flush());
+  // The in-memory events, as MRMC_REPORT reads them.
+  const std::vector<obs::report::JobInput> in_memory =
+      obs::report::jobs_from_trace(obs::report::trace_root(tracer));
   tracer.set_enabled(false);
+  tracer.set_output_path("");
   tracer.clear();
 
+  // The reference: the fault lists simulate_job returned, field by field.
   ASSERT_FALSE(faulted.faults.empty());
-  const obs::report::JobInput in_process =
-      report_input(faulted, config, "chaos doctor", 1.0e8);
-  ASSERT_EQ(in_process.fault_events.size(), faulted.faults.events.size());
-  ASSERT_EQ(in_process.lost_attempts.size(),
-            faulted.faults.lost_attempts.size());
+  ASSERT_EQ(in_memory.size(), 1u);
+  const obs::report::JobInput& job = in_memory[0];
+  ASSERT_EQ(job.fault_events.size(), faulted.faults.events.size());
+  for (std::size_t i = 0; i < job.fault_events.size(); ++i) {
+    const faults::NodeDownEvent& want = faulted.faults.events[i];
+    EXPECT_EQ(job.fault_events[i].node, want.node);
+    EXPECT_EQ(job.fault_events[i].crash_s, want.crash_s);
+    EXPECT_EQ(job.fault_events[i].detect_s, want.detect_s);
+    EXPECT_EQ(job.fault_events[i].recover_s, want.recover_s);
+    EXPECT_EQ(job.fault_events[i].blacklisted, want.blacklisted);
+  }
+  ASSERT_EQ(job.lost_attempts.size(), faulted.faults.lost_attempts.size());
+  for (std::size_t i = 0; i < job.lost_attempts.size(); ++i) {
+    const faults::LostAttempt& want = faulted.faults.lost_attempts[i];
+    EXPECT_EQ(job.lost_attempts[i].phase, want.phase);
+    EXPECT_EQ(job.lost_attempts[i].kind, want.kind);
+    EXPECT_EQ(job.lost_attempts[i].task, want.task);
+    EXPECT_EQ(job.lost_attempts[i].node, want.node);
+    EXPECT_EQ(job.lost_attempts[i].slot, want.slot);
+    EXPECT_EQ(job.lost_attempts[i].start_s, want.start_s);
+    EXPECT_EQ(job.lost_attempts[i].end_s, want.end_s);
+  }
 
+  const obs::report::JobReport report = obs::report::analyze(job);
+  EXPECT_FALSE(report.faults.empty());
+  EXPECT_TRUE(report.has_finding("node-failures"));
+  EXPECT_EQ(report.total_s, faulted.total_s);
+
+  // The Faults section (and the whole report) renders byte-identically
+  // from the in-memory events and from the trace file.
   const std::vector<obs::report::JobReport> offline =
       obs::report::analyze_trace_file(trace_path);
   ASSERT_EQ(offline.size(), 1u);
-  const obs::report::JobReport report = obs::report::analyze(in_process);
-  EXPECT_FALSE(report.faults.empty());
-  EXPECT_TRUE(report.has_finding("node-failures"));
-
-  // The headline parity claim: the Faults section (and the whole report)
-  // renders byte-identically from both ingestion paths.
   EXPECT_EQ(obs::report::to_json(report), obs::report::to_json(offline[0]));
   EXPECT_EQ(obs::report::to_text(report), obs::report::to_text(offline[0]));
 }

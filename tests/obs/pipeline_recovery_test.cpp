@@ -1,7 +1,7 @@
 // Pipeline-doctor coverage for the recovery layer: "stage_checkpoint"
-// instants reconstruct the same "recovery" section the in-process Collector
-// saw — byte-identical — for cold runs (all misses), resumed runs (all
-// hits, no jobs at all), and crashed runs resumed mid-pipeline.
+// instants rebuild a "recovery" section that matches the stage driver's own
+// counts, for cold runs (all misses), resumed runs (all hits, no jobs at
+// all), and crashed runs resumed mid-pipeline.
 #include "obs/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -28,12 +28,8 @@ class PipelineRecoveryTest : public ::testing::Test {
     Tracer::global().clear();
     Tracer::global().set_output_path("");
     Tracer::global().set_enabled(true);
-    Collector::global().clear();
-    Collector::global().set_enabled(true);
   }
   void TearDown() override {
-    Collector::global().set_enabled(false);
-    Collector::global().clear();
     Tracer::global().set_enabled(false);
     Tracer::global().set_output_path("");
     Tracer::global().clear();
@@ -80,71 +76,66 @@ class PipelineRecoveryTest : public ::testing::Test {
 TEST_F(PipelineRecoveryTest, ColdRunRecoverySectionRoundTripsByteIdentical) {
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_recovery_cold_trace.json";
-  run_checkpointed(fresh_dir("cold"), trace_path);
-
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  EXPECT_EQ(in_process[0].stages.size(), 3u);
-  ASSERT_EQ(in_process[0].recovery.rows.size(), 3u);
-  EXPECT_EQ(in_process[0].recovery.hits, 0u);
-  EXPECT_EQ(in_process[0].recovery.misses, 3u);
-  EXPECT_EQ(in_process[0].recovery.writes, 3u);
-  EXPECT_EQ(in_process[0].recovery.rows[0].stage, "sketch");
-  EXPECT_EQ(in_process[0].recovery.rows[0].outcome, "miss+write");
-  EXPECT_FALSE(has_finding(in_process[0], "checkpoint-resume"));
+  const core::PipelineResult result =
+      run_checkpointed(fresh_dir("cold"), trace_path);
 
   const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
   ASSERT_EQ(offline.size(), 1u);
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
-  EXPECT_EQ(to_text(in_process[0]), to_text(offline[0]));
+  EXPECT_EQ(offline[0].stages.size(), 3u);
+  ASSERT_EQ(offline[0].recovery.rows.size(), 3u);
+  // The section agrees with the driver's own counts.
+  EXPECT_EQ(offline[0].recovery.hits, result.recovery.checkpoint_hits);
+  EXPECT_EQ(offline[0].recovery.misses, result.recovery.checkpoint_misses);
+  EXPECT_EQ(offline[0].recovery.writes, result.recovery.checkpoint_writes);
+  EXPECT_EQ(offline[0].recovery.misses, 3u);
+  EXPECT_EQ(offline[0].recovery.rows[0].stage, "sketch");
+  EXPECT_EQ(offline[0].recovery.rows[0].outcome, "miss+write");
+  EXPECT_FALSE(has_finding(offline[0], "checkpoint-resume"));
+
+  // The tracer's in-memory events (MRMC_PIPELINE's route) give the bytes
+  // the trace file does.
+  const std::vector<PipelineReport> in_memory =
+      analyze_trace(report::trace_root(Tracer::global()));
+  ASSERT_EQ(in_memory.size(), 1u);
+  EXPECT_EQ(to_json(in_memory[0]), to_json(offline[0]));
 
   // The renderers actually surface the section.
-  EXPECT_NE(to_text(in_process[0]).find("recovery:"), std::string::npos);
-  const auto parsed = common::parse_json(to_json(in_process[0]));
+  EXPECT_NE(to_text(offline[0]).find("recovery:"), std::string::npos);
+  const auto parsed = common::parse_json(to_json(offline[0]));
   EXPECT_EQ(parsed.at("recovery").at("stages").array.size(), 3u);
-  const std::vector<PipelineReport> all{in_process[0]};
-  EXPECT_NE(to_html(all).find("recovery"), std::string::npos);
+  EXPECT_NE(to_html(offline).find("recovery"), std::string::npos);
 }
 
 TEST_F(PipelineRecoveryTest, ResumedRunIsRecoveryOnlyAndStillRoundTrips) {
   const std::string ckpt_dir = fresh_dir("resume");
   run_checkpointed(ckpt_dir, ::testing::TempDir() + "/mrmc_warmup_trace.json");
   Tracer::global().clear();
-  Collector::global().clear();
 
   // Warm run: every stage hits, no MapReduce job runs, so the pipeline
-  // exists in the trace and the collector ONLY through its recovery rows.
+  // exists in the trace ONLY through its recovery rows — and MRMC_PIPELINE
+  // must not treat such a pipeline as empty.
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_recovery_warm_trace.json";
+  const std::string out_path =
+      ::testing::TempDir() + "/mrmc_recovery_warm_report.json";
+  ::setenv("MRMC_PIPELINE", out_path.c_str(), 1);
   const core::PipelineResult result =
       run_checkpointed(ckpt_dir, trace_path);
+  ::unsetenv("MRMC_PIPELINE");
   EXPECT_EQ(result.recovery.checkpoint_hits, 3u);
 
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  EXPECT_TRUE(in_process[0].stages.empty());
-  EXPECT_EQ(in_process[0].recovery.hits, 3u);
-  EXPECT_EQ(in_process[0].recovery.misses, 0u);
-  for (const RecoveryRecord& row : in_process[0].recovery.rows) {
+  const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
+  ASSERT_EQ(offline.size(), 1u);
+  EXPECT_TRUE(offline[0].stages.empty());
+  EXPECT_EQ(offline[0].recovery.hits, 3u);
+  EXPECT_EQ(offline[0].recovery.misses, 0u);
+  for (const RecoveryRecord& row : offline[0].recovery.rows) {
     EXPECT_EQ(row.outcome, "hit");
     EXPECT_EQ(row.attempts, 0);
   }
   // A fully-resumed run announces itself.
-  EXPECT_TRUE(has_finding(in_process[0], "checkpoint-resume"));
+  EXPECT_TRUE(has_finding(offline[0], "checkpoint-resume"));
 
-  const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
-  ASSERT_EQ(offline.size(), 1u);
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
-  EXPECT_EQ(to_text(in_process[0]), to_text(offline[0]));
-
-  // flush() must not treat a recovery-only collection as empty.
-  const std::string out_path =
-      ::testing::TempDir() + "/mrmc_recovery_warm_report.json";
-  Collector::global().set_output_path(out_path);
-  ASSERT_TRUE(Collector::global().flush());
-  Collector::global().set_output_path("");
   std::ifstream in(out_path);
   std::ostringstream text;
   text << in.rdbuf();
@@ -169,28 +160,24 @@ TEST_F(PipelineRecoveryTest, CrashedThenResumedRunKeepsStageNamesAligned) {
                mr::recovery::InjectedDriverCrash);
   ::unsetenv("MRMC_CRASH_AFTER_STAGE");
   Tracer::global().clear();
-  Collector::global().clear();
 
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_resume_trace.json";
-  run_checkpointed(ckpt_dir, trace_path);
-
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  // One computed job, two checkpoint hits — and the computed job landed on
-  // the sequence slot of an uninterrupted run (2, after the two hits).
-  ASSERT_EQ(in_process[0].stages.size(), 1u);
-  EXPECT_EQ(in_process[0].stages[0].job.name, "hierarchical-cluster");
-  EXPECT_EQ(in_process[0].stages[0].job.sequence, 2u);  // slots 0-1 were
-                                                        // claimed by the hits
-  EXPECT_EQ(in_process[0].recovery.hits, 2u);
-  EXPECT_EQ(in_process[0].recovery.misses, 1u);
-  EXPECT_TRUE(has_finding(in_process[0], "checkpoint-resume"));
+  const core::PipelineResult result = run_checkpointed(ckpt_dir, trace_path);
 
   const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
   ASSERT_EQ(offline.size(), 1u);
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
+  // One computed job, two checkpoint hits — and the computed job landed on
+  // the sequence slot of an uninterrupted run (2, after the two hits).
+  ASSERT_EQ(offline[0].stages.size(), 1u);
+  EXPECT_EQ(offline[0].stages[0].job.name, "hierarchical-cluster");
+  EXPECT_EQ(offline[0].stages[0].job.sequence, 2u);  // slots 0-1 were
+                                                     // claimed by the hits
+  EXPECT_EQ(offline[0].stages[0].job.total_s,
+            result.cluster_stats.timeline.total_s);
+  EXPECT_EQ(offline[0].recovery.hits, 2u);
+  EXPECT_EQ(offline[0].recovery.misses, 1u);
+  EXPECT_TRUE(has_finding(offline[0], "checkpoint-resume"));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -235,12 +236,8 @@ class PipelineDoctorTest : public ::testing::Test {
     Tracer::global().clear();
     Tracer::global().set_output_path("");
     Tracer::global().set_enabled(true);
-    Collector::global().clear();
-    Collector::global().set_enabled(true);
   }
   void TearDown() override {
-    Collector::global().set_enabled(false);
-    Collector::global().clear();
     Tracer::global().set_enabled(false);
     Tracer::global().set_output_path("");
     Tracer::global().clear();
@@ -269,30 +266,66 @@ class PipelineDoctorTest : public ::testing::Test {
     Tracer::global().set_output_path(trace_path);
     return core::run_pipeline(sample_reads(80), params, exec);
   }
+
+  /// The process-wide pipeline serial differs between runs; normalize the
+  /// ids so two runs' reports can be compared byte for byte.
+  static void normalize(PipelineReport& report) {
+    report.id = "normalized";
+    for (auto& stage : report.stages) stage.job.pipeline = "normalized";
+  }
+
+  /// Every stage the trace rebuilt matches the job the pipeline ran: name,
+  /// sequence, and the simulated timeline bit for bit.
+  static void expect_stages_match(const PipelineReport& report,
+                                  const std::vector<std::string>& names,
+                                  const std::vector<const mr::JobStats*>& jobs) {
+    ASSERT_EQ(report.stages.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      SCOPED_TRACE(names[i]);
+      const report::JobReport& job = report.stages[i].job;
+      const mr::JobTimeline& timeline = jobs[i]->timeline;
+      EXPECT_EQ(job.name, names[i]);
+      EXPECT_EQ(job.stage, names[i]);
+      EXPECT_EQ(job.sequence, i);
+      EXPECT_EQ(job.total_s, timeline.total_s);
+      EXPECT_EQ(job.map_phase.makespan_s, timeline.map_phase.makespan_s);
+      EXPECT_EQ(job.shuffle_s, timeline.shuffle_s);
+      EXPECT_EQ(job.reduce_phase.makespan_s, timeline.reduce_phase.makespan_s);
+      EXPECT_EQ(job.shuffle_bytes, jobs[i]->shuffle_bytes);
+    }
+  }
 };
 
-TEST_F(PipelineDoctorTest, TraceReconstructionIsByteIdenticalToInProcess) {
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST_F(PipelineDoctorTest, TraceReconstructionMatchesThePipelineResult) {
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_pipeline_roundtrip.json";
-  run_sample(trace_path);
+  const core::PipelineResult result = run_sample(trace_path);
 
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  EXPECT_EQ(in_process[0].stages.size(), 3u);
-
-  const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
-  ASSERT_EQ(offline.size(), 1u);
-  // The whole serialized report — sim facts AND the driver's wall windows —
-  // agrees byte for byte with the in-process collection.
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
-  EXPECT_EQ(to_text(in_process[0]), to_text(offline[0]));
+  const std::vector<PipelineReport> reports = analyze_trace_file(trace_path);
+  ASSERT_EQ(reports.size(), 1u);
+  expect_stages_match(
+      reports[0], {"sketch", "similarity", "hierarchical-cluster"},
+      {&result.sketch_stats, &result.similarity_stats, &result.cluster_stats});
+  // Stage totals add up in the order run_pipeline sums them.
+  EXPECT_EQ(reports[0].sim_total_s, result.sim_total_s);
+  // Every stage carries the driver's wall window.
+  EXPECT_TRUE(reports[0].has_wall);
+  for (const StageReport& stage : reports[0].stages) {
+    EXPECT_TRUE(stage.has_wall);
+  }
 }
 
 TEST_F(PipelineDoctorTest, LshCandidateStagesAppearAndRoundTrip) {
   // The LSH backend adds two jobs the doctor has never been taught about —
   // "candidates" and "verify" — and the stage list must pick them up from
-  // lineage alone, with the trace reconstruction still byte-identical.
+  // lineage alone.
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_pipeline_candidates.json";
   core::PipelineParams params;
@@ -304,36 +337,27 @@ TEST_F(PipelineDoctorTest, LshCandidateStagesAppearAndRoundTrip) {
   exec.threads = 2;
   exec.records_per_split = 16;
   Tracer::global().set_output_path(trace_path);
-  core::run_pipeline(sample_reads(80), params, exec);
+  const core::PipelineResult result =
+      core::run_pipeline(sample_reads(80), params, exec);
 
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  ASSERT_EQ(in_process[0].stages.size(), 4u);
-  EXPECT_EQ(in_process[0].stages[0].job.name, "sketch");
-  EXPECT_EQ(in_process[0].stages[1].job.name, "candidates");
-  EXPECT_EQ(in_process[0].stages[2].job.name, "verify");
-  EXPECT_EQ(in_process[0].stages[3].job.name, "greedy-cluster");
-
-  const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
-  ASSERT_EQ(offline.size(), 1u);
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
-  EXPECT_EQ(to_text(in_process[0]), to_text(offline[0]));
+  const std::vector<PipelineReport> reports = analyze_trace_file(trace_path);
+  ASSERT_EQ(reports.size(), 1u);
+  expect_stages_match(reports[0],
+                      {"sketch", "candidates", "verify", "greedy-cluster"},
+                      {&result.sketch_stats, &result.candidate_stats,
+                       &result.verify_stats, &result.cluster_stats});
 }
 
 TEST_F(PipelineDoctorTest, SamplerProgressAndFaultsLeaveTheReportIdentical) {
   // Combined-feature round trip: resource sampler + fault plan + progress
   // tracking + lineage all on.  Counter and flow events ride along in the
-  // trace but must not perturb the reconstructed pipeline report.
+  // trace but must not perturb the reconstructed pipeline report, which is
+  // held to the same faulted run without them.
+  const std::string plain_path =
+      ::testing::TempDir() + "/mrmc_pipeline_plain.json";
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_pipeline_combined.json";
-
-  auto& progress_tracker = obs::progress::Tracker::global();
-  progress_tracker.set_render(false);
-  progress_tracker.set_enabled(true);
-  core::PipelineResult result;
-  {
-    SamplerScope sampler(ResourceSampler::global());
+  const auto run_faulted = [](const std::string& path) {
     core::PipelineParams params;
     params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true,
                       .seed = 1};
@@ -344,39 +368,51 @@ TEST_F(PipelineDoctorTest, SamplerProgressAndFaultsLeaveTheReportIdentical) {
     exec.records_per_split = 16;
     exec.fault_plan = mr::faults::FaultPlan::random(11, exec.cluster.nodes, 1,
                                                     30.0);
-    Tracer::global().set_output_path(trace_path);
-    result = core::run_pipeline(sample_reads(80), params, exec);
+    Tracer::global().set_output_path(path);
+    return core::run_pipeline(sample_reads(80), params, exec);
+  };
+  run_faulted(plain_path);
+  Tracer::global().clear();
+
+  auto& progress_tracker = obs::progress::Tracker::global();
+  progress_tracker.set_render(false);
+  progress_tracker.set_enabled(true);
+  {
+    SamplerScope sampler(ResourceSampler::global());
+    run_faulted(trace_path);
   }
   progress_tracker.set_enabled(false);
 
   // The trace really carries the ride-along layers...
-  std::ifstream in(trace_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  EXPECT_NE(text.str().find("sim progress"), std::string::npos);
-  EXPECT_NE(text.str().find("sim active tasks"), std::string::npos);
-  EXPECT_NE(text.str().find("\"ph\": \"s\""), std::string::npos);
-  EXPECT_NE(text.str().find("job_lineage"), std::string::npos);
+  const std::string text = read_file(trace_path);
+  EXPECT_NE(text.find("sim progress"), std::string::npos);
+  EXPECT_NE(text.find("sim active tasks"), std::string::npos);
+  EXPECT_NE(text.find("\"ph\": \"s\""), std::string::npos);
+  EXPECT_NE(text.find("job_lineage"), std::string::npos);
 
-  // ...and the reconstruction still matches the in-process bytes exactly.
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
-  ASSERT_EQ(in_process.size(), 1u);
-  ASSERT_EQ(offline.size(), 1u);
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
+  // ...and the simulated report equals the plain run's exactly.
+  PipelineAnalyzeOptions options;
+  options.include_wall = false;  // wall pacing differs between any two runs
+  std::vector<PipelineReport> plain = analyze_trace_file(plain_path, options);
+  std::vector<PipelineReport> combined =
+      analyze_trace_file(trace_path, options);
+  ASSERT_EQ(plain.size(), 1u);
+  ASSERT_EQ(combined.size(), 1u);
+  const std::string combined_id = combined[0].id;
+  normalize(plain[0]);
+  normalize(combined[0]);
+  EXPECT_EQ(to_json(plain[0]), to_json(combined[0]));
 
   // The single-job doctor is equally unperturbed by the new layers.
   const auto jobs = report::analyze_trace_file(trace_path);
   ASSERT_EQ(jobs.size(), 3u);
-  EXPECT_EQ(jobs[0].pipeline, in_process[0].id);
+  EXPECT_EQ(jobs[0].pipeline, combined_id);
 }
 
 TEST_F(PipelineDoctorTest, SimFactsAreStableAcrossThreadCounts) {
   const std::string one_path = ::testing::TempDir() + "/mrmc_pipe_t1.json";
   const std::string three_path = ::testing::TempDir() + "/mrmc_pipe_t3.json";
   run_sample(one_path, 1);
-  Collector::global().clear();
   Tracer::global().clear();
   run_sample(three_path, 3);
 
@@ -386,51 +422,54 @@ TEST_F(PipelineDoctorTest, SimFactsAreStableAcrossThreadCounts) {
   std::vector<PipelineReport> three = analyze_trace_file(three_path, options);
   ASSERT_EQ(one.size(), 1u);
   ASSERT_EQ(three.size(), 1u);
-
-  // The process-wide pipeline serial differs between the two runs; normalize
-  // the ids, then demand byte-identical reports.
-  const auto normalize = [](PipelineReport& report) {
-    report.id = "normalized";
-    for (auto& stage : report.stages) stage.job.pipeline = "normalized";
-  };
   normalize(one[0]);
   normalize(three[0]);
   EXPECT_EQ(to_json(one[0]), to_json(three[0]));
 }
 
-TEST_F(PipelineDoctorTest, CollectorFlushWritesTheConfiguredFormat) {
-  const std::string out_path = ::testing::TempDir() + "/mrmc_pipe_flush.json";
-  run_sample(::testing::TempDir() + "/mrmc_pipe_flush_trace.json");
-  Collector::global().set_output_path(out_path);
-  ASSERT_TRUE(Collector::global().flush());
-  std::ifstream in(out_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  const auto parsed = common::parse_json(text.str());
+TEST_F(PipelineDoctorTest, ConfiguredReportsWriteTheirFormats) {
+  // MRMC_REPORT / MRMC_PIPELINE: run_pipeline renders both from the
+  // tracer's events at its boundary, with no trace file involved.
+  const std::string report_path =
+      ::testing::TempDir() + "/mrmc_env_report.html";
+  const std::string pipeline_path =
+      ::testing::TempDir() + "/mrmc_env_pipeline.json";
+  std::remove(report_path.c_str());
+  std::remove(pipeline_path.c_str());
+  ::setenv("MRMC_REPORT", report_path.c_str(), 1);
+  ::setenv("MRMC_PIPELINE", pipeline_path.c_str(), 1);
+  run_sample("");
+  ::unsetenv("MRMC_REPORT");
+  ::unsetenv("MRMC_PIPELINE");
+
+  const auto parsed = common::parse_json(read_file(pipeline_path));
   ASSERT_EQ(parsed.at("pipelines").array.size(), 1u);
   EXPECT_EQ(parsed.at("pipelines").array[0].at("stages").array.size(), 3u);
+  const std::string html = read_file(report_path);
+  EXPECT_NE(html.find("<h3>schedule</h3>"), std::string::npos);
+  EXPECT_NE(html.find("hierarchical-cluster"), std::string::npos);
 }
 
 #ifdef MRMC_DOCTOR_BIN
 TEST_F(PipelineDoctorTest, CliPipelineModeReproducesTheInProcessReport) {
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_pipeline_cli_trace.json";
+  const std::string in_process_path =
+      ::testing::TempDir() + "/mrmc_pipeline_cli_in_process.json";
   const std::string out_path =
       ::testing::TempDir() + "/mrmc_pipeline_cli_report.json";
+  ::setenv("MRMC_PIPELINE", in_process_path.c_str(), 1);
   run_sample(trace_path);
+  ::unsetenv("MRMC_PIPELINE");
 
   const std::string command = std::string(MRMC_DOCTOR_BIN) + " pipeline " +
                               trace_path + " --format=json -o " + out_path;
   ASSERT_EQ(std::system(command.c_str()), 0) << command;
-
-  std::ifstream in(out_path);
-  std::ostringstream cli_text;
-  cli_text << in.rdbuf();
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  const std::vector<PipelineReport> all = in_process;
-  EXPECT_EQ(cli_text.str(), to_json(std::span<const PipelineReport>(all)));
+  // The CLI on the trace file writes exactly what MRMC_PIPELINE wrote from
+  // the in-memory events — wall windows included.
+  const std::string cli_text = read_file(out_path);
+  EXPECT_FALSE(cli_text.empty());
+  EXPECT_EQ(cli_text, read_file(in_process_path));
 }
 
 TEST_F(PipelineDoctorTest, CliJobsAndJobSelectorsBehave) {

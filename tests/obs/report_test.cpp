@@ -1,8 +1,7 @@
 // Tests for the job doctor (obs::report): the analyzer's critical-path
 // arithmetic and findings heuristics, the golden straggler detection on a
-// deterministic seeded Job timeline, and the exactness claim that the
-// offline (trace file / mrmc_doctor CLI) report is bit-identical to the
-// in-process one.
+// deterministic seeded Job timeline, and the exactness claim that a job
+// rebuilt from the trace reproduces the simulated JobTimeline bit for bit.
 #include "obs/report.hpp"
 
 #include <gtest/gtest.h>
@@ -29,6 +28,19 @@ using obs::report::JobInput;
 using obs::report::JobReport;
 using obs::report::Severity;
 using obs::report::TaskSample;
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// The jobs in the global tracer's buffer — the route MRMC_REPORT takes.
+std::vector<JobInput> traced_jobs() {
+  return obs::report::jobs_from_trace(
+      obs::report::trace_root(obs::Tracer::global()));
+}
 
 JobInput two_node_input() {
   JobInput input;
@@ -144,9 +156,10 @@ TEST(Renderers, TextJsonAndHtmlTellTheSameStory) {
   }
   EXPECT_TRUE(straggler_in_json);
 
-  const std::vector<JobReport> reports{report};
-  const std::string html = obs::report::to_html(reports);
-  EXPECT_NE(html.find("<svg"), std::string::npos);  // critical-path visuals
+  const std::vector<JobInput> jobs{input};
+  const std::string html = obs::report::to_html(jobs);
+  EXPECT_NE(html.find("<h3>schedule</h3>"), std::string::npos);  // the Gantt
+  EXPECT_NE(html.find("<svg"), std::string::npos);
   EXPECT_NE(html.find("render &lt;job&gt; &amp; escape"), std::string::npos);
   EXPECT_EQ(html.find("<job>"), std::string::npos);  // name was escaped
 }
@@ -186,11 +199,16 @@ mr::JobStats golden_straggler_stats(double straggler_rate) {
 }
 
 TEST(GoldenStraggler, InjectedSkewYieldsANamedFinding) {
-  const mr::JobStats stats = golden_straggler_stats(0.25);
-  mr::ClusterConfig cluster;
-  cluster.nodes = 4;
-  const JobInput input = mr::report_input(stats.timeline, cluster, "golden",
-                                          stats.shuffle_bytes);
+  auto& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  (void)golden_straggler_stats(0.25);
+  (void)golden_straggler_stats(0.0);  // control: no injection
+  const std::vector<JobInput> jobs = traced_jobs();
+  tracer.set_enabled(false);
+  tracer.clear();
+  ASSERT_EQ(jobs.size(), 2u);
+  const JobInput& input = jobs[0];
   ASSERT_EQ(input.map_tasks.size(), 16u);
 
   // Sanity: the injection really produced a >2x-median map task.
@@ -207,14 +225,9 @@ TEST(GoldenStraggler, InjectedSkewYieldsANamedFinding) {
   ASSERT_GT(max, 2.0 * median)
       << "seeded straggler injection produced no straggler";
 
-  const JobReport report = analyze(input);
-  EXPECT_TRUE(report.has_finding("map-straggler"));
-
-  // Control: without injection the same job is clean.
-  const mr::JobStats clean = golden_straggler_stats(0.0);
-  const JobReport clean_report = analyze(
-      mr::report_input(clean.timeline, cluster, "clean", clean.shuffle_bytes));
-  EXPECT_FALSE(clean_report.has_finding("map-straggler"));
+  EXPECT_TRUE(analyze(input).has_finding("map-straggler"));
+  // Without injection the same job is clean.
+  EXPECT_FALSE(analyze(jobs[1]).has_finding("map-straggler"));
 }
 
 // ------------------------------------------------------------- round trip
@@ -227,16 +240,25 @@ class DoctorRoundTripTest : public ::testing::Test {
   }
   void TearDown() override {
     obs::Tracer::global().set_enabled(false);
+    obs::Tracer::global().set_output_path("");
     obs::Tracer::global().clear();
   }
 };
 
-/// Two dissimilar jobs with awkward doubles: bandwidth divisions, locality
-/// misses, a straggler, and an empty map phase.
-std::vector<JobInput> simulate_two_jobs(const std::string& trace_path) {
+constexpr double kShuffleBytes[] = {2.3e8, 7.7e7};
+
+mr::ClusterConfig two_job_cluster() {
   mr::ClusterConfig config;
   config.nodes = 3;
-  const mr::SimScheduler scheduler(config);
+  return config;
+}
+
+/// Two dissimilar jobs with awkward doubles: bandwidth divisions, locality
+/// misses, a straggler, and an empty map phase.  Flushes the trace to
+/// `trace_path` and returns the timelines simulate_job computed — the
+/// reference every reconstruction is held to.
+std::vector<mr::JobTimeline> simulate_two_jobs(const std::string& trace_path) {
+  const mr::SimScheduler scheduler(two_job_cluster());
 
   std::vector<mr::TaskSpec> maps;
   for (int i = 0; i < 11; ++i) {
@@ -244,43 +266,65 @@ std::vector<JobInput> simulate_two_jobs(const std::string& trace_path) {
                     1.7e6, 3.1e5, i % 4 == 0 ? -1 : i % 3});
   }
   std::vector<mr::TaskSpec> reduces(5, {20.0, 2.5e6, 1.25e6, -1});
-  const mr::JobTimeline first =
-      simulate_job(scheduler, maps, 2.3e8, reduces, "roundtrip A");
+  mr::JobTimeline first =
+      simulate_job(scheduler, maps, kShuffleBytes[0], reduces, "roundtrip A");
 
   std::vector<mr::TaskSpec> lone_reduce{{55.5, 9.9e6, 1e3, -1}};
-  const mr::JobTimeline second =
-      simulate_job(scheduler, {}, 7.7e7, lone_reduce, "roundtrip B");
+  mr::JobTimeline second =
+      simulate_job(scheduler, {}, kShuffleBytes[1], lone_reduce, "roundtrip B");
 
   auto& tracer = obs::Tracer::global();
   tracer.set_output_path(trace_path);
   EXPECT_TRUE(tracer.flush());
-
-  return {mr::report_input(first, config, "roundtrip A", 2.3e8),
-          mr::report_input(second, config, "roundtrip B", 7.7e7)};
+  return {std::move(first), std::move(second)};
 }
 
-TEST_F(DoctorRoundTripTest, OfflineReportIsBitIdenticalToInProcess) {
+/// A job rebuilt from the trace carries the simulated timeline's numbers
+/// bit for bit: cluster shape, every task placement, shuffle, makespans.
+void expect_matches_timeline(const JobInput& job,
+                             const mr::JobTimeline& timeline,
+                             double shuffle_bytes) {
+  const mr::ClusterConfig config = two_job_cluster();
+  EXPECT_EQ(job.nodes, config.nodes);
+  EXPECT_EQ(job.map_slots_per_node, config.map_slots_per_node);
+  EXPECT_EQ(job.reduce_slots_per_node, config.reduce_slots_per_node);
+  EXPECT_EQ(job.job_startup_s, config.job_startup_s);
+  EXPECT_EQ(job.shuffle_s, timeline.shuffle_s);
+  EXPECT_EQ(job.shuffle_bytes, shuffle_bytes);
+  const auto expect_tasks = [](const std::vector<TaskSample>& tasks,
+                               const mr::PhaseTimeline& phase) {
+    ASSERT_EQ(tasks.size(), phase.tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      SCOPED_TRACE("task " + std::to_string(i));
+      EXPECT_EQ(tasks[i].index, i);
+      EXPECT_EQ(tasks[i].node, phase.tasks[i].node);
+      EXPECT_EQ(tasks[i].slot, phase.tasks[i].slot);
+      EXPECT_EQ(tasks[i].start_s, phase.tasks[i].start_s);
+      EXPECT_EQ(tasks[i].end_s, phase.tasks[i].end_s);
+      EXPECT_EQ(tasks[i].data_local, phase.tasks[i].data_local);
+    }
+  };
+  expect_tasks(job.map_tasks, timeline.map_phase);
+  expect_tasks(job.reduce_tasks, timeline.reduce_phase);
+  const JobReport report = analyze(job);
+  EXPECT_EQ(report.map_phase.makespan_s, timeline.map_phase.makespan_s);
+  EXPECT_EQ(report.reduce_phase.makespan_s, timeline.reduce_phase.makespan_s);
+  EXPECT_EQ(report.total_s, timeline.total_s);
+}
+
+TEST_F(DoctorRoundTripTest, TraceRebuildsTheTimelineBitForBit) {
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_doctor_roundtrip.json";
-  const std::vector<JobInput> inputs = simulate_two_jobs(trace_path);
+  const std::vector<mr::JobTimeline> timelines = simulate_two_jobs(trace_path);
 
-  const std::vector<JobReport> offline =
-      obs::report::analyze_trace_file(trace_path);
-  ASSERT_EQ(offline.size(), inputs.size());
-
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const JobReport in_process = analyze(inputs[i]);
-    EXPECT_EQ(in_process.name, offline[i].name);
-    // The headline exactness claims: critical path and makespans.
-    EXPECT_EQ(in_process.total_s, offline[i].total_s);
-    EXPECT_EQ(in_process.startup_s, offline[i].startup_s);
-    EXPECT_EQ(in_process.shuffle_s, offline[i].shuffle_s);
-    EXPECT_EQ(in_process.map_phase.makespan_s, offline[i].map_phase.makespan_s);
-    EXPECT_EQ(in_process.reduce_phase.makespan_s,
-              offline[i].reduce_phase.makespan_s);
-    // ...and in fact the entire serialized report is byte-identical.
-    EXPECT_EQ(obs::report::to_json(in_process),
-              obs::report::to_json(offline[i]));
+  const std::vector<JobInput> jobs =
+      obs::report::jobs_from_trace(obs::report::load_trace(trace_path));
+  ASSERT_EQ(jobs.size(), timelines.size());
+  EXPECT_EQ(jobs[0].name, "roundtrip A");
+  EXPECT_EQ(jobs[1].name, "roundtrip B");
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(jobs[i].name);
+    expect_matches_timeline(jobs[i], timelines[i], kShuffleBytes[i]);
   }
 }
 
@@ -301,11 +345,9 @@ TEST_F(DoctorRoundTripTest, SamplerCountersLeaveTheReportByteIdentical) {
   sampler.set_enabled(false);
 
   // The sampler-on trace really carries counter events...
-  std::ifstream in(on_path);
-  std::ostringstream trace_text;
-  trace_text << in.rdbuf();
-  EXPECT_NE(trace_text.str().find("\"ph\": \"C\""), std::string::npos);
-  EXPECT_NE(trace_text.str().find("sim active tasks"), std::string::npos);
+  const std::string trace_text = read_file(on_path);
+  EXPECT_NE(trace_text.find("\"ph\": \"C\""), std::string::npos);
+  EXPECT_NE(trace_text.find("sim active tasks"), std::string::npos);
 
   // ...and the reconstructed reports are byte-identical regardless.
   const std::vector<JobReport> off = obs::report::analyze_trace_file(off_path);
@@ -319,30 +361,26 @@ TEST_F(DoctorRoundTripTest, SamplerCountersLeaveTheReportByteIdentical) {
 TEST_F(DoctorRoundTripTest, ByteAccountingSurvivesTheTraceRoundTrip) {
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_doctor_bytes.json";
-  const std::vector<JobInput> inputs = simulate_two_jobs(trace_path);
-  ASSERT_FALSE(inputs[0].bytes.empty());
+  const std::vector<mr::JobTimeline> timelines = simulate_two_jobs(trace_path);
+  ASSERT_FALSE(timelines[0].bytes.empty());
 
-  const std::vector<JobReport> offline =
+  const std::vector<JobReport> reports =
       obs::report::analyze_trace_file(trace_path);
-  ASSERT_EQ(offline.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const JobReport in_process = analyze(inputs[i]);
-    EXPECT_EQ(in_process.bytes.map_input_bytes,
-              offline[i].bytes.map_input_bytes);
-    EXPECT_EQ(in_process.bytes.map_output_bytes,
-              offline[i].bytes.map_output_bytes);
-    EXPECT_EQ(in_process.bytes.reduce_input_bytes,
-              offline[i].bytes.reduce_input_bytes);
-    EXPECT_EQ(in_process.bytes.reduce_output_bytes,
-              offline[i].bytes.reduce_output_bytes);
-    EXPECT_EQ(in_process.bytes.fetch_bytes, offline[i].bytes.fetch_bytes);
-    EXPECT_EQ(in_process.bytes.fetch_count, offline[i].bytes.fetch_count);
-    EXPECT_EQ(in_process.bytes.max_fetch_fan_in,
-              offline[i].bytes.max_fetch_fan_in);
-    // The rendered "bytes" sections agree byte for byte.
-    const std::string in_json = obs::report::to_json(in_process);
-    EXPECT_NE(in_json.find("\"bytes\""), std::string::npos);
-    EXPECT_EQ(in_json, obs::report::to_json(offline[i]));
+  ASSERT_EQ(reports.size(), timelines.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const obs::report::ByteSummary& want = timelines[i].bytes;
+    const obs::report::ByteSummary& got = reports[i].bytes;
+    EXPECT_EQ(got.map_input_bytes, want.map_input_bytes);
+    EXPECT_EQ(got.map_output_bytes, want.map_output_bytes);
+    EXPECT_EQ(got.reduce_input_bytes, want.reduce_input_bytes);
+    EXPECT_EQ(got.reduce_output_bytes, want.reduce_output_bytes);
+    EXPECT_EQ(got.fetch_bytes, want.fetch_bytes);
+    EXPECT_EQ(got.fetch_count, want.fetch_count);
+    EXPECT_EQ(got.max_fetch_fan_in, want.max_fetch_fan_in);
+    // The rendered "bytes" section appears exactly when bytes were moved.
+    EXPECT_EQ(obs::report::to_json(reports[i]).find("\"bytes\"") !=
+                  std::string::npos,
+              !want.empty());
   }
 }
 
@@ -352,66 +390,62 @@ TEST_F(DoctorRoundTripTest, CliBinaryReproducesTheInProcessReport) {
       ::testing::TempDir() + "/mrmc_doctor_cli_trace.json";
   const std::string out_path =
       ::testing::TempDir() + "/mrmc_doctor_cli_report.json";
-  const std::vector<JobInput> inputs = simulate_two_jobs(trace_path);
+  const std::string html_path =
+      ::testing::TempDir() + "/mrmc_doctor_cli_report.html";
+  const std::vector<mr::JobTimeline> timelines = simulate_two_jobs(trace_path);
+  // What MRMC_REPORT renders from the tracer's in-memory events.
+  const std::string in_process = obs::report::render(traced_jobs(), "json");
 
   const std::string command = std::string(MRMC_DOCTOR_BIN) + " " + trace_path +
                               " --format=json -o " + out_path;
   ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  EXPECT_EQ(read_file(out_path), in_process);
 
-  std::ifstream in(out_path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const common::JsonValue root = common::parse_json(buffer.str());
+  const common::JsonValue root = common::parse_json(in_process);
   const auto& jobs = root.at("jobs").array;
-  ASSERT_EQ(jobs.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const JobReport in_process = analyze(inputs[i]);
-    EXPECT_EQ(jobs[i].at("name").string, in_process.name);
+  ASSERT_EQ(jobs.size(), timelines.size());
+  for (std::size_t i = 0; i < timelines.size(); ++i) {
     // strtod on the CLI's %.17g output recovers the scheduler's doubles.
-    EXPECT_EQ(jobs[i].at("critical_path").at("total_s").number,
-              in_process.total_s);
-    EXPECT_EQ(jobs[i].at("critical_path").at("map_s").number,
-              in_process.map_phase.makespan_s);
-    EXPECT_EQ(jobs[i].at("critical_path").at("reduce_s").number,
-              in_process.reduce_phase.makespan_s);
-    EXPECT_EQ(jobs[i].at("critical_path").at("shuffle_s").number,
-              in_process.shuffle_s);
+    const common::JsonValue& path = jobs[i].at("critical_path");
+    EXPECT_EQ(path.at("total_s").number, timelines[i].total_s);
+    EXPECT_EQ(path.at("map_s").number, timelines[i].map_phase.makespan_s);
+    EXPECT_EQ(path.at("reduce_s").number,
+              timelines[i].reduce_phase.makespan_s);
+    EXPECT_EQ(path.at("shuffle_s").number, timelines[i].shuffle_s);
   }
+
+  // The offline HTML report draws each job's schedule.
+  const std::string html_command = std::string(MRMC_DOCTOR_BIN) + " " +
+                                   trace_path + " -o " + html_path +
+                                   " 2>/dev/null";
+  ASSERT_EQ(std::system(html_command.c_str()), 0) << html_command;
+  EXPECT_NE(read_file(html_path).find("<h3>schedule</h3>"),
+            std::string::npos);
 }
 #endif  // MRMC_DOCTOR_BIN
 
-// -------------------------------------------------------------- collector
+// ------------------------------------------------------------------ output
 
-TEST(Collector, FlushWritesTheFormatTheExtensionAsksFor) {
-  auto& collector = obs::report::Collector::global();
-  collector.clear();
-  collector.set_enabled(true);
-  collector.add(two_node_input());
+TEST(ReportOutput, WritesTheFormatTheExtensionAsksFor) {
+  const std::vector<JobInput> jobs{two_node_input()};
 
   const std::string html_path = ::testing::TempDir() + "/mrmc_report.html";
-  collector.set_output_path(html_path);
-  ASSERT_TRUE(collector.flush());
-  std::ifstream html_in(html_path);
-  std::ostringstream html;
-  html << html_in.rdbuf();
-  EXPECT_NE(html.str().find("<svg"), std::string::npos);
-  EXPECT_NE(html.str().find("unit"), std::string::npos);
+  ASSERT_TRUE(obs::report::write_report(html_path, jobs));
+  const std::string html = read_file(html_path);
+  EXPECT_NE(html.find("<h3>schedule</h3>"), std::string::npos);
+  EXPECT_NE(html.find("unit"), std::string::npos);
 
   const std::string json_path = ::testing::TempDir() + "/mrmc_report.json";
-  collector.set_output_path(json_path);
-  ASSERT_TRUE(collector.flush());
-  std::ifstream json_in(json_path);
-  std::ostringstream json;
-  json << json_in.rdbuf();
-  const common::JsonValue root = common::parse_json(json.str());
+  ASSERT_TRUE(obs::report::write_report(json_path, jobs));
+  const common::JsonValue root = common::parse_json(read_file(json_path));
   ASSERT_EQ(root.at("jobs").array.size(), 1u);
   EXPECT_EQ(root.at("jobs").array[0].at("name").string, "unit");
 
-  collector.clear();
-  collector.set_enabled(false);
-  collector.set_output_path("");
-  EXPECT_FALSE(collector.flush());  // nothing to write once cleared
+  const std::string text_path = ::testing::TempDir() + "/mrmc_report.txt";
+  ASSERT_TRUE(obs::report::write_report(text_path, jobs));
+  EXPECT_NE(read_file(text_path).find("critical path"), std::string::npos);
+
+  EXPECT_FALSE(obs::report::write_report(text_path, {}));  // nothing to write
 }
 
 }  // namespace

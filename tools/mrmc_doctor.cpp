@@ -2,8 +2,8 @@
 //
 // Single-trace mode reads a trace written by MRMC_TRACE / --trace
 // (obs::Tracer), reconstructs every simulated job from the %.17g args, and
-// prints the same JobReport the in-process analyzer would have produced
-// (bit-identical critical path — asserted by tests/obs/report_test.cpp).
+// prints its JobReport — the same reconstruction MRMC_REPORT runs on the
+// tracer's in-memory events, so both write the same bytes.
 //
 //   mrmc_doctor <trace.json>                    # ANSI text to stdout
 //   mrmc_doctor <trace.json> --format=json      # machine-readable
@@ -14,8 +14,8 @@
 //   mrmc_doctor jobs <trace.json>               # one-line-per-job listing
 //
 // Pipeline mode stitches the lineage-carrying jobs of a trace back into
-// end-to-end PipelineReports (byte-identical to the in-process
-// obs::pipeline::Collector — asserted by tests/obs/pipeline_test.cpp):
+// end-to-end PipelineReports (the same bytes MRMC_PIPELINE writes —
+// asserted by tests/obs/pipeline_test.cpp):
 //
 //   mrmc_doctor pipeline <trace.json> [--format=...] [-o <path>]
 //       [--no-color] [--bench-json=<path>]
@@ -44,7 +44,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -142,13 +141,7 @@ Options parse_options(int argc, char** argv, int first) {
 /// Explicit --format wins, then the output extension, then text.
 std::string resolve_format(const Options& options) {
   if (!options.format.empty()) return options.format;
-  const auto ends_with = [&](const std::string& suffix) {
-    return options.output_path.size() >= suffix.size() &&
-           options.output_path.compare(
-               options.output_path.size() - suffix.size(), suffix.size(),
-               suffix) == 0;
-  };
-  return ends_with(".html") ? "html" : ends_with(".json") ? "json" : "text";
+  return mrmc::obs::report::format_for_path(options.output_path);
 }
 
 /// Write `rendered` to -o (or stdout).  Returns false on an unwritable path.
@@ -366,10 +359,9 @@ int run_pipeline_mode(const Options& options) {
     return 1;
   }
 
-  const std::span<const pipeline::PipelineReport> all(reports);
   if (!options.bench_json_path.empty()) {
     if (!mrmc::common::write_file_atomic(options.bench_json_path,
-                                         pipeline::to_bench_json(all))) {
+                                         pipeline::to_bench_json(reports))) {
       std::fprintf(stderr, "mrmc_doctor: cannot write %s\n",
                    options.bench_json_path.c_str());
       return 1;
@@ -378,15 +370,8 @@ int run_pipeline_mode(const Options& options) {
                  options.bench_json_path.c_str());
   }
 
-  std::string rendered;
-  if (format == "json") {
-    rendered = pipeline::to_json(all);
-  } else if (format == "html") {
-    rendered = pipeline::to_html(all);
-  } else {
-    rendered =
-        pipeline::to_text(all, options.color && options.output_path.empty());
-  }
+  const std::string rendered = pipeline::render(
+      reports, format, options.color && options.output_path.empty());
   if (!deliver(options, rendered, (format + " pipeline report").c_str())) {
     return 1;
   }
@@ -398,15 +383,15 @@ int run_single_trace(const Options& options) {
   if (format != "text" && format != "json" && format != "html") return 1;
 
   using namespace mrmc::obs;
-  std::vector<report::JobReport> reports;
+  std::vector<report::JobInput> jobs;
   const std::string& trace_path = options.positional[0];
   try {
-    reports = report::analyze_trace_file(trace_path);
+    jobs = report::jobs_from_trace(report::load_trace(trace_path));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "mrmc_doctor: %s\n", error.what());
     return 1;
   }
-  if (reports.empty()) {
+  if (jobs.empty()) {
     std::fprintf(stderr,
                  "mrmc_doctor: no simulated jobs in %s (was the trace written "
                  "with MRMC_TRACE by this library?)\n",
@@ -415,13 +400,13 @@ int run_single_trace(const Options& options) {
   }
   if (options.job_pid >= 0) {
     const auto pid = static_cast<std::uint32_t>(options.job_pid);
-    std::vector<report::JobReport> selected;
-    for (auto& job : reports) {
+    std::vector<report::JobInput> selected;
+    for (auto& job : jobs) {
       if (job.trace_pid == pid) selected.push_back(std::move(job));
     }
     if (selected.empty()) {
       std::string available;
-      for (const auto& job : reports) {
+      for (const auto& job : jobs) {
         if (!available.empty()) available += ", ";
         available += std::to_string(job.trace_pid);
       }
@@ -431,19 +416,11 @@ int run_single_trace(const Options& options) {
                    options.job_pid, trace_path.c_str(), available.c_str());
       return 1;
     }
-    reports = std::move(selected);
+    jobs = std::move(selected);
   }
 
-  const std::span<const report::JobReport> all(reports);
-  std::string rendered;
-  if (format == "json") {
-    rendered = report::to_json(all);
-  } else if (format == "html") {
-    rendered = report::to_html(all);
-  } else {
-    rendered =
-        report::to_text(all, options.color && options.output_path.empty());
-  }
+  const std::string rendered = report::render(
+      jobs, format, options.color && options.output_path.empty());
   if (!deliver(options, rendered, (format + " report").c_str())) return 1;
   return 0;
 }
