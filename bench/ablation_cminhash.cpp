@@ -66,15 +66,16 @@ double sketch_seconds(const core::MinHasher& hasher,
   return median(std::move(runs));
 }
 
-/// One k-mer extraction pass over the sample (scheme-independent context
-/// for the hash-only numbers above).
+/// One pass of the extractor MinHasher runs before hashing, the filtered
+/// k-mer stream (scheme-independent context for the hash-only numbers
+/// above).
 double extraction_seconds(const simdata::LabeledReads& sample, int repeats) {
   std::vector<std::uint64_t> scratch;
   std::vector<double> runs;
   for (int r = 0; r < repeats; ++r) {
     common::Stopwatch watch;
     for (const auto& read : sample.reads) {
-      bio::kmer_set_into(read.seq, {.k = 5, .canonical = true}, scratch);
+      bio::kmer_stream_into(read.seq, {.k = 5, .canonical = true}, scratch);
       if (scratch.empty()) std::abort();
     }
     runs.push_back(watch.seconds());

@@ -53,10 +53,11 @@ GreedyResult greedy_sweep(std::size_t n, const GreedyParams& params,
 }  // namespace
 
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
-                            const GreedyParams& params) {
+                            const GreedyParams& params,
+                            common::ThreadPool* pool) {
   const std::size_t n = sketches.rows();
   if (params.estimator == SketchEstimator::kSetBased) {
-    const SortedSketchStore store(sketches);
+    const SortedSketchStore store(sketches, pool);
     return greedy_sweep(n, params, [&](std::size_t i, std::size_t j) {
       return store.jaccard(i, j);
     });

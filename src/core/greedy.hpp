@@ -32,10 +32,12 @@ struct GreedyResult {
 
 /// Greedy sweep over the flat sketch store.  Component-match comparisons run
 /// the batched count_equal kernel over contiguous rows; set-based pre-sorts
-/// every sketch once into a SortedSketchStore.  Labels, representatives and
-/// the comparison count are identical to the span overload.
+/// every sketch once into a SortedSketchStore, on `pool` when non-null (the
+/// sweep itself is sequential).  Labels, representatives and the comparison
+/// count are identical to the span overload and at any thread count.
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
-                            const GreedyParams& params);
+                            const GreedyParams& params,
+                            common::ThreadPool* pool = nullptr);
 
 GreedyResult greedy_cluster(std::span<const Sketch> sketches,
                             const GreedyParams& params);

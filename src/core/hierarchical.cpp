@@ -36,7 +36,7 @@ SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketche
   }
 
   // Set-based: pre-sort once so each comparison is a linear merge.
-  const SortedSketchStore store(sketches);
+  const SortedSketchStore store(sketches, pool);
   auto fill_row = [&](std::size_t i) {
     matrix.set(i, i, 1.0F);
     for (std::size_t j = i + 1; j < n; ++j) {

@@ -23,6 +23,17 @@ void validate_family_params(std::size_t count, std::uint64_t m) {
                "zero and m > p is incompatible with the Mersenne-61 family");
 }
 
+/// The k-mer stream the sketch hashes, in per-thread scratch that stays
+/// valid until this thread's next call.  Repeats the stream keeps cannot
+/// change a minimum, so the sketch equals the sketch of bio::kmer_set.
+std::span<const std::uint64_t> kmer_stream(std::string_view seq,
+                                           const MinHashParams& params) {
+  thread_local std::vector<std::uint64_t> stream;
+  bio::kmer_stream_into(seq, {.k = params.kmer, .canonical = params.canonical},
+                        stream);
+  return stream;
+}
+
 }  // namespace
 
 const char* sketch_scheme_name(SketchScheme scheme) noexcept {
@@ -116,10 +127,7 @@ Sketch MinHasher::sketch_features(std::span<const std::uint64_t> features) const
 }
 
 Sketch MinHasher::sketch(std::string_view seq) const {
-  thread_local std::vector<std::uint64_t> features;
-  bio::kmer_set_into(seq, {.k = params_.kmer, .canonical = params_.canonical},
-                     features);
-  return sketch_features(features);
+  return sketch_features(kmer_stream(seq, params_));
 }
 
 std::vector<Sketch> MinHasher::sketch_all(
@@ -138,11 +146,7 @@ kernels::SketchMatrix MinHasher::sketch_matrix(
     std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
   kernels::SketchMatrix matrix(seqs.size(), sketch_size());
   auto sketch_row = [&](std::size_t i) {
-    thread_local std::vector<std::uint64_t> features;
-    bio::kmer_set_into(seqs[i],
-                       {.k = params_.kmer, .canonical = params_.canonical},
-                       features);
-    sketch_features_into(features, matrix.row(i));
+    sketch_features_into(kmer_stream(seqs[i], params_), matrix.row(i));
   };
   if (pool != nullptr && seqs.size() > 1) {
     pool->parallel_for(seqs.size(), sketch_row);
@@ -154,53 +158,44 @@ kernels::SketchMatrix MinHasher::sketch_matrix(
 
 // ---------------------------------------------------------- SortedSketchStore
 
-void SortedSketchStore::append(std::span<const std::uint64_t> sketch,
-                               std::vector<std::uint64_t>& scratch) {
-  scratch.assign(sketch.begin(), sketch.end());
-  std::sort(scratch.begin(), scratch.end());
-  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-  values_.insert(values_.end(), scratch.begin(), scratch.end());
-  offsets_.push_back(values_.size());
-}
-
-SortedSketchStore::SortedSketchStore(std::span<const Sketch> sketches) {
-  offsets_.reserve(sketches.size() + 1);
-  offsets_.push_back(0);
-  std::vector<std::uint64_t> scratch;
-  for (const auto& sketch : sketches) append(sketch, scratch);
-}
-
-SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches) {
-  offsets_.reserve(sketches.rows() + 1);
-  offsets_.push_back(0);
-  values_.reserve(sketches.rows() * sketches.cols());
-  std::vector<std::uint64_t> scratch;
-  for (std::size_t i = 0; i < sketches.rows(); ++i) {
-    append(sketches.row(i), scratch);
+template <typename Source>
+void SortedSketchStore::fill_rows(Source&& source, common::ThreadPool* pool) {
+  values_ = std::make_unique_for_overwrite<std::uint64_t[]>(size() * stride_);
+  auto fill_row = [&](std::size_t i) {
+    const std::span<const std::uint64_t> sketch = source(i);
+    std::uint64_t* const first = values_.get() + i * stride_;
+    std::uint64_t* const last = std::copy(sketch.begin(), sketch.end(), first);
+    std::sort(first, last);
+    lengths_[i] = static_cast<std::size_t>(std::unique(first, last) - first);
+  };
+  if (pool != nullptr && size() > 1) {
+    pool->parallel_for(size(), fill_row);
+  } else {
+    for (std::size_t i = 0; i < size(); ++i) fill_row(i);
   }
+}
+
+SortedSketchStore::SortedSketchStore(std::span<const Sketch> sketches)
+    : lengths_(sketches.size()) {
+  for (const Sketch& sketch : sketches) {
+    stride_ = std::max(stride_, sketch.size());
+  }
+  fill_rows([&](std::size_t i) { return std::span<const std::uint64_t>(sketches[i]); },
+            nullptr);
+}
+
+SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches,
+                                     common::ThreadPool* pool)
+    : stride_(sketches.cols()), lengths_(sketches.rows()) {
+  fill_rows([&](std::size_t i) { return sketches.row(i); }, pool);
 }
 
 std::pair<std::uint64_t, std::uint64_t> SortedSketchStore::jaccard_counts(
     std::size_t i, std::size_t j) const noexcept {
   const auto a = row(i);
   const auto b = row(j);
-  // Same merge-count as bio::exact_jaccard; rows are sorted unique.
-  std::uint64_t inter = 0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    if (a[ia] == b[ib]) {
-      ++inter;
-      ++ia;
-      ++ib;
-    } else if (a[ia] < b[ib]) {
-      ++ia;
-    } else {
-      ++ib;
-    }
-  }
-  const std::uint64_t uni = a.size() + b.size() - inter;
-  return {inter, uni};
+  const std::uint64_t inter = bio::intersection_size(a, b);
+  return {inter, a.size() + b.size() - inter};
 }
 
 // ------------------------------------------------------------------ estimators

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -182,20 +183,23 @@ class MinHasher {
   std::optional<CMinHashFamily> cmin_;  ///< engaged when scheme == kCMinHash
 };
 
-/// Pre-sorted unique minima of a set of sketches, stored flat so repeated
-/// set-based comparisons (greedy sweeps, medoid scans, matrix fills) pay the
-/// sort once per sketch instead of twice per pair.
+/// Pre-sorted unique minima of a set of sketches, so repeated set-based
+/// comparisons (greedy sweeps, medoid scans, matrix fills) pay the sort once
+/// per sketch instead of twice per pair.  Rows sit at a fixed stride (the
+/// longest sketch) with a length each, so every row sorts in place and
+/// independently of the others.
 class SortedSketchStore {
  public:
   SortedSketchStore() = default;
   explicit SortedSketchStore(std::span<const Sketch> sketches);
-  explicit SortedSketchStore(const kernels::SketchMatrix& sketches);
+  /// When `pool` is non-null the rows sort in parallel; the store is the
+  /// same at any thread count.
+  explicit SortedSketchStore(const kernels::SketchMatrix& sketches,
+                             common::ThreadPool* pool = nullptr);
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return lengths_.size(); }
   [[nodiscard]] std::span<const std::uint64_t> row(std::size_t i) const noexcept {
-    return {values_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+    return {values_.get() + i * stride_, lengths_[i]};
   }
   /// == bio::exact_jaccard over the sorted unique minima of sketches i and j.
   [[nodiscard]] double jaccard(std::size_t i, std::size_t j) const noexcept {
@@ -208,11 +212,16 @@ class SortedSketchStore {
       std::size_t i, std::size_t j) const noexcept;
 
  private:
-  void append(std::span<const std::uint64_t> sketch,
-              std::vector<std::uint64_t>& scratch);
+  /// Copies source(i) into row i, then sorts and dedups it in place; on
+  /// `pool` when non-null.  Needs stride_ and lengths_ sized.
+  template <typename Source>
+  void fill_rows(Source&& source, common::ThreadPool* pool);
 
-  std::vector<std::uint64_t> values_;
-  std::vector<std::size_t> offsets_;
+  std::size_t stride_ = 0;
+  /// size() rows of stride_ slots.  Left uninitialized until fill_rows so
+  /// the first touch of every page happens on the thread sorting it.
+  std::unique_ptr<std::uint64_t[]> values_;
+  std::vector<std::size_t> lengths_;  ///< unique minima at the front of each row
 };
 
 /// Estimated Jaccard similarity of two sketches (must be equal length).

@@ -818,8 +818,10 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
                                        knobs.theta);
       }
     } else if (params.mode == Mode::kGreedy) {
-      result.labels =
-          greedy_cluster(sketches, {knobs.greedy_theta, knobs.greedy_estimator}).labels;
+      result.labels = greedy_cluster(sketches,
+                                     {knobs.greedy_theta, knobs.greedy_estimator},
+                                     &lease.pool())
+                          .labels;
     } else {
       result.labels = hierarchical_cluster(
                           sketches,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "bio/dna.hpp"
 #include "common/error.hpp"
@@ -128,6 +129,25 @@ TEST(ExactJaccard, IsSymmetric) {
   const std::vector<std::uint64_t> a{1, 5, 9, 12};
   const std::vector<std::uint64_t> b{5, 9, 30};
   EXPECT_DOUBLE_EQ(exact_jaccard(a, b), exact_jaccard(b, a));
+}
+
+TEST(IntersectionSize, MatchesSetIntersectionOnRandomSets) {
+  common::Xoshiro256 rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint64_t> a;
+    std::vector<std::uint64_t> b;
+    for (std::uint64_t n = rng.bounded(40); n > 0; --n) a.push_back(rng.bounded(60));
+    for (std::uint64_t n = rng.bounded(40); n > 0; --n) b.push_back(rng.bounded(60));
+    for (auto* set : {&a, &b}) {
+      std::sort(set->begin(), set->end());
+      set->erase(std::unique(set->begin(), set->end()), set->end());
+    }
+    std::vector<std::uint64_t> common;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(common));
+    EXPECT_EQ(intersection_size(a, b), common.size());
+    EXPECT_EQ(intersection_size(b, a), common.size());
+  }
 }
 
 // -------------------------------------------------- parameterized properties

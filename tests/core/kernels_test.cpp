@@ -21,6 +21,7 @@
 
 #include "bio/fasta.hpp"
 #include "bio/kmer.hpp"
+#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/greedy.hpp"
@@ -153,6 +154,130 @@ TEST(MinSketchEquivalence, EmptyReadSketchIsSentinel) {
     const Sketch sketch = hasher.sketch(seq);
     ASSERT_EQ(sketch.size(), 9U);
     for (const std::uint64_t v : sketch) EXPECT_EQ(v, kEmptyMin);
+  }
+}
+
+// ------------------------------------------------------------ k-mer stream
+//
+// The sketcher hashes bio::kmer_stream_into's filtered stream instead of
+// the sorted set.  That is only safe under the stream's contract (every
+// distinct k-mer at least once, nothing else), checked here directly, and
+// end to end as byte-identical sketches.
+
+/// Reads that stress the rolling encoder and the repeat filter: reads
+/// shorter than k, all-N, N runs, homopolymers (every window hits one filter
+/// slot), dinucleotide repeats and long random reads (thousands of windows
+/// over 4096 slots).
+std::vector<std::string> stream_corpus(int k, common::Xoshiro256& rng) {
+  std::vector<std::string> reads = {
+      "",
+      std::string(static_cast<std::size_t>(k) - 1, 'A'),
+      std::string(static_cast<std::size_t>(k), 'C'),
+      std::string(50, 'N'),
+      std::string(300, 'A'),
+      std::string(300, 'T'),
+      std::string(120, 'G') + std::string(5, 'N') + std::string(120, 'C'),
+      "acgtNNNNacgtacgt",
+  };
+  std::string dinucleotide;
+  for (int i = 0; i < 200; ++i) dinucleotide += "AC";
+  reads.push_back(dinucleotide);
+  for (const std::size_t length : {std::size_t{40}, std::size_t{600},
+                                   std::size_t{5000}}) {
+    reads.push_back(random_seq(rng, length));
+    reads.push_back(random_seq(rng, length, 0.05));
+  }
+  return reads;
+}
+
+TEST(KmerStream, SortUniqueOfStreamIsTheKmerSet) {
+  common::Xoshiro256 rng(1301);
+  std::vector<std::uint64_t> stream;
+  for (const int k : {1, 5, 12, 31}) {
+    for (const bool canonical : {false, true}) {
+      const bio::KmerParams params{.k = k, .canonical = canonical};
+      // One thread, read after read: a slot left over from an earlier read
+      // would drop a k-mer here.
+      for (const std::string& read : stream_corpus(k, rng)) {
+        bio::kmer_stream_into(read, params, stream);
+        std::sort(stream.begin(), stream.end());
+        stream.erase(std::unique(stream.begin(), stream.end()), stream.end());
+        ASSERT_EQ(stream, bio::kmer_set(read, params))
+            << "k=" << k << " canonical=" << canonical
+            << " length=" << read.size();
+      }
+    }
+  }
+}
+
+TEST(KmerStream, HomopolymerEmitsItsOneKmerOnce) {
+  std::vector<std::uint64_t> stream;
+  bio::kmer_stream_into(std::string(600, 'A'), {.k = 5}, stream);
+  EXPECT_EQ(stream, (std::vector<std::uint64_t>{0}));
+  bio::kmer_stream_into(std::string(600, 'T'), {.k = 5, .canonical = true},
+                        stream);
+  EXPECT_EQ(stream, (std::vector<std::uint64_t>{0}));  // TTTTT -> AAAAA
+  bio::kmer_stream_into("ACG", {.k = 5}, stream);
+  EXPECT_TRUE(stream.empty());
+  EXPECT_THROW(bio::kmer_stream_into("ACGT", {.k = 0}, stream),
+               common::InvalidArgument);
+  EXPECT_THROW(bio::kmer_stream_into("ACGT", {.k = 32}, stream),
+               common::InvalidArgument);
+}
+
+TEST(KmerStream, RollingReverseComplementMatchesRevcompKmer) {
+  common::Xoshiro256 rng(1302);
+  for (const int k : {1, 2, 5, 12, 30, 31}) {
+    std::size_t windows = 0;
+    for (const std::string& read : stream_corpus(k, rng)) {
+      bio::for_each_kmer(read, k, [&](std::uint64_t forward, std::uint64_t reverse) {
+        ++windows;
+        ASSERT_EQ(reverse, bio::revcomp_kmer(forward, k))
+            << "k=" << k << " window " << bio::decode_kmer(forward, k);
+      });
+    }
+    EXPECT_GT(windows, 0U) << "k=" << k;
+  }
+}
+
+TEST(KmerStream, SketchesEqualSketchesOfTheKmerSet) {
+  common::Xoshiro256 rng(1303);
+  common::ThreadPool pool(3);
+  std::vector<Backend> backends = {Backend::kScalar};
+  if (avx2_available()) backends.push_back(Backend::kAvx2);
+  for (const int k : {5, 12}) {
+    std::vector<std::string> reads = stream_corpus(k, rng);
+    for (int i = 0; i < 24; ++i) reads.push_back(random_seq(rng, 600, 0.01));
+    const std::vector<std::string_view> views(reads.begin(), reads.end());
+    for (const SketchScheme scheme :
+         {SketchScheme::kUniversal, SketchScheme::kCMinHash}) {
+      for (const std::uint64_t modulus :
+           {std::uint64_t{0}, bio::kmer_space_size(k)}) {
+        const MinHasher hasher({.kmer = k,
+                                .num_hashes = 37,
+                                .canonical = true,
+                                .seed = 11,
+                                .modulus = modulus,
+                                .scheme = scheme});
+        for (const Backend backend : backends) {
+          kernels::ScopedBackendOverride force(backend);
+          std::vector<Sketch> reference;
+          for (const std::string& read : reads) {
+            reference.push_back(hasher.sketch_features(
+                bio::kmer_set(read, {.k = k, .canonical = true})));
+          }
+          const auto expected = kernels::SketchMatrix::from_sketches(reference);
+          EXPECT_EQ(hasher.sketch_matrix(views), expected);
+          EXPECT_EQ(hasher.sketch_matrix(views, &pool), expected);
+          for (std::size_t i = 0; i < reads.size(); ++i) {
+            ASSERT_EQ(hasher.sketch(reads[i]), reference[i])
+                << "k=" << k << " scheme=" << sketch_scheme_name(scheme)
+                << " modulus=" << modulus
+                << " backend=" << kernels::backend_name(backend);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -290,6 +415,47 @@ TEST(SortedSketchStore, MatchesSetBasedSimilarity) {
   }
 }
 
+TEST(SortedSketchStore, PooledMatrixBuildMatchesSerial) {
+  common::Xoshiro256 rng(31);
+  std::vector<Sketch> sketches(200, Sketch(24));
+  for (auto& sketch : sketches) {
+    for (auto& v : sketch) v = rng.bounded(30);
+  }
+  const auto matrix = kernels::SketchMatrix::from_sketches(sketches);
+  common::ThreadPool pool(4);
+  const SortedSketchStore serial(matrix);
+  const SortedSketchStore pooled(matrix, &pool);
+  const SortedSketchStore from_span{std::span<const Sketch>(sketches)};
+  ASSERT_EQ(pooled.size(), sketches.size());
+  for (std::size_t i = 0; i < sketches.size(); ++i) {
+    const std::set<std::uint64_t> unique(sketches[i].begin(), sketches[i].end());
+    const std::vector<std::uint64_t> expected(unique.begin(), unique.end());
+    const auto row = pooled.row(i);
+    ASSERT_EQ(std::vector<std::uint64_t>(row.begin(), row.end()), expected);
+    const auto serial_row = serial.row(i);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), serial_row.begin(),
+                           serial_row.end()));
+    const auto span_row = from_span.row(i);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), span_row.begin(),
+                           span_row.end()));
+  }
+}
+
+TEST(SortedSketchStore, RaggedSketchesKeepTheirOwnLengths) {
+  const std::vector<Sketch> sketches = {{5, 3, 5}, {}, {9, 1, 9, 1, 2}, {7}};
+  const SortedSketchStore store{std::span<const Sketch>(sketches)};
+  ASSERT_EQ(store.size(), 4U);
+  const auto as_vector = [&](std::size_t i) {
+    const auto row = store.row(i);
+    return std::vector<std::uint64_t>(row.begin(), row.end());
+  };
+  EXPECT_EQ(as_vector(0), (std::vector<std::uint64_t>{3, 5}));
+  EXPECT_TRUE(as_vector(1).empty());
+  EXPECT_EQ(as_vector(2), (std::vector<std::uint64_t>{1, 2, 9}));
+  EXPECT_EQ(as_vector(3), (std::vector<std::uint64_t>{7}));
+  EXPECT_EQ(SortedSketchStore().size(), 0U);
+}
+
 // ------------------------------------------- similarity matrices, end to end
 
 std::vector<bio::FastaRecord> make_reads(std::size_t count, std::uint64_t seed) {
@@ -385,11 +551,17 @@ TEST(ClusteringEquivalence, GreedyIdenticalAcrossBackends) {
     EXPECT_EQ(scalar.labels, simd.labels);
     EXPECT_EQ(scalar.representatives, simd.representatives);
     EXPECT_EQ(scalar.comparisons, simd.comparisons);
-    // The flat-matrix overload must also agree with the span overload.
+    // The flat-matrix overload must also agree with the span overload and
+    // with itself on a pool.
     const GreedyResult via_span =
         greedy_cluster(std::span<const Sketch>(matrix.to_sketches()), params);
     EXPECT_EQ(scalar.labels, via_span.labels);
     EXPECT_EQ(scalar.comparisons, via_span.comparisons);
+    common::ThreadPool pool(4);
+    const GreedyResult pooled = greedy_cluster(matrix, params, &pool);
+    EXPECT_EQ(scalar.labels, pooled.labels);
+    EXPECT_EQ(scalar.representatives, pooled.representatives);
+    EXPECT_EQ(scalar.comparisons, pooled.comparisons);
   }
 }
 

@@ -324,8 +324,7 @@ TEST(CMinHashScheme, SketchMatchesFamilyReference) {
                           .seed = 9,
                           .scheme = SketchScheme::kCMinHash});
   const std::string seq = "ACGTACGGTTCAACGGATCCGATCGGCTTAACGT";
-  thread_local std::vector<std::uint64_t> features;
-  bio::kmer_set_into(seq, {.k = 5}, features);
+  const std::vector<std::uint64_t> features = bio::kmer_set(seq, {.k = 5});
   const Sketch sketch = hasher.sketch(seq);
   const CMinHashFamily family(32, 0, 9);
   for (std::size_t k = 0; k < 32; ++k) {
