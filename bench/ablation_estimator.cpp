@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
   for (const auto& config : configs) {
     const core::MinHasher hasher({.kmer = 15, .num_hashes = 50, .seed = seed,
                                   .modulus = config.modulus});
-    std::vector<core::Sketch> sketches;
-    for (const auto& read : sample.reads) sketches.push_back(hasher.sketch(read.seq));
+    const core::kernels::SketchMatrix sketches =
+        bench::sketch_reads(hasher, sample.reads);
+    const core::SketchPairSimilarity estimate_pair(sketches, config.estimator);
 
     common::Xoshiro256 rng(seed ^ config.modulus);
     double squared = 0;
@@ -57,8 +58,7 @@ int main(int argc, char** argv) {
       const std::size_t i = rng.bounded(sample.size());
       const std::size_t j = rng.bounded(sample.size());
       const double exact = bio::exact_jaccard(feature_sets[i], feature_sets[j]);
-      const double estimate =
-          core::sketch_similarity(sketches[i], sketches[j], config.estimator);
+      const double estimate = estimate_pair(i, j);
       squared += (estimate - exact) * (estimate - exact);
     }
 

@@ -25,10 +25,8 @@ int main(int argc, char** argv) {
   for (const int k : {3, 5, 7, 9, 11, 15}) {
     const core::MinHasher hasher(
         {.kmer = k, .num_hashes = 100, .canonical = true, .seed = seed});
-    std::vector<core::Sketch> sketches;
-    for (const auto& read : shotgun.reads) sketches.push_back(hasher.sketch(read.seq));
     const auto result = core::hierarchical_cluster(
-        sketches, {.theta = 0.5, .linkage = core::Linkage::kAverage,
+        bench::sketch_reads(hasher, shotgun.reads), {.theta = 0.5, .linkage = core::Linkage::kAverage,
                    .estimator = core::SketchEstimator::kComponentMatch});
     table.add_row({"whole-metagenome S8", std::to_string(k),
                    std::to_string(result.num_clusters),
@@ -40,12 +38,8 @@ int main(int argc, char** argv) {
       {.reads = reads, .error_rate = 0.03, .seed = seed});
   for (const int k : {5, 9, 12, 15, 21}) {
     const core::MinHasher hasher({.kmer = k, .num_hashes = 50, .seed = seed});
-    std::vector<core::Sketch> sketches;
-    for (const auto& read : amplicon.reads) {
-      sketches.push_back(hasher.sketch(read.seq));
-    }
     const auto result = core::hierarchical_cluster(
-        sketches, {.theta = 0.12, .linkage = core::Linkage::kAverage,
+        bench::sketch_reads(hasher, amplicon.reads), {.theta = 0.12, .linkage = core::Linkage::kAverage,
                    .estimator = core::SketchEstimator::kComponentMatch});
     table.add_row({"16S simulated 3%", std::to_string(k),
                    std::to_string(result.num_clusters),

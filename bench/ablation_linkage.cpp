@@ -20,11 +20,9 @@ int main(int argc, char** argv) {
       simdata::whole_metagenome_spec("S9"), {.reads = reads, .seed = seed});
   const core::MinHasher hasher(
       {.kmer = 5, .num_hashes = 100, .canonical = true, .seed = seed});
-  std::vector<core::Sketch> sketches;
-  for (const auto& read : sample.reads) sketches.push_back(hasher.sketch(read.seq));
-
   const auto matrix = core::pairwise_similarity_matrix(
-      sketches, core::SketchEstimator::kComponentMatch, nullptr);
+      bench::sketch_reads(hasher, sample.reads),
+      core::SketchEstimator::kComponentMatch, nullptr);
 
   common::TextTable table({"linkage", "theta", "# Cluster", "W.Acc"});
   for (const auto linkage : {core::Linkage::kSingle, core::Linkage::kAverage,

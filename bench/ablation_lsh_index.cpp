@@ -59,12 +59,8 @@ int main(int argc, char** argv) {
         seed + 1);
 
     const core::MinHasher hasher({.kmer = 12, .num_hashes = 40, .seed = seed});
-    std::vector<core::Sketch> sketches(sample.reads.size());
-    pool.parallel_for(sample.reads.size(), [&](std::size_t i) {
-      sketches[i] = hasher.sketch(sample.reads[i].seq);
-    });
-    const auto matrix = core::kernels::SketchMatrix::from_sketches(
-        std::span<const core::Sketch>(sketches));
+    const core::kernels::SketchMatrix matrix =
+        bench::sketch_reads(hasher, sample.reads, &pool);
 
     const core::GreedyParams greedy{.theta = theta, .estimator = estimator};
 
@@ -75,7 +71,7 @@ int main(int argc, char** argv) {
     double exact_s = -1.0;
     if (run_exact) {
       common::Stopwatch watch;
-      exact = core::greedy_cluster(sketches, greedy);
+      exact = core::greedy_cluster(matrix, greedy);
       exact_s = watch.seconds();
       record.row()
           .num("reads", static_cast<long>(reads))
@@ -85,8 +81,6 @@ int main(int argc, char** argv) {
           .num("comparisons", static_cast<long>(exact.comparisons))
           .num("clusters", static_cast<long>(exact.num_clusters));
     }
-    sketches.clear();
-    sketches.shrink_to_fit();  // the 1 M run only needs the flat matrix
 
     core::candidates::Params lsh;
     lsh.backend = core::candidates::Backend::kLshBanded;

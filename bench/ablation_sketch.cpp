@@ -41,21 +41,24 @@ int main(int argc, char** argv) {
         {.kmer = 5, .num_hashes = hashes, .canonical = true, .seed = seed});
 
     common::Stopwatch sketch_watch;
-    std::vector<core::Sketch> sketches;
-    sketches.reserve(sample.size());
-    for (const auto& read : sample.reads) sketches.push_back(hasher.sketch(read.seq));
+    const core::kernels::SketchMatrix sketches =
+        bench::sketch_reads(hasher, sample.reads);
     const double us_per_read = sketch_watch.seconds() * 1e6 /
                                static_cast<double>(sample.size());
 
     // RMSE over a fixed deterministic pair sample.
     common::Xoshiro256 rng(seed ^ hashes);
+    const core::SketchPairSimilarity component(
+        sketches, core::SketchEstimator::kComponentMatch);
+    const core::SketchPairSimilarity set_based(sketches,
+                                               core::SketchEstimator::kSetBased);
     double sq_comp = 0, sq_set = 0;
     for (std::size_t p = 0; p < pairs; ++p) {
       const std::size_t i = rng.bounded(sample.size());
       const std::size_t j = rng.bounded(sample.size());
       const double exact = bio::exact_jaccard(feature_sets[i], feature_sets[j]);
-      const double comp = core::component_match_similarity(sketches[i], sketches[j]);
-      const double set = core::set_based_similarity(sketches[i], sketches[j]);
+      const double comp = component(i, j);
+      const double set = set_based(i, j);
       sq_comp += (comp - exact) * (comp - exact);
       sq_set += (set - exact) * (set - exact);
     }

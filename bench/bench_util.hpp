@@ -7,7 +7,9 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/baseline.hpp"
@@ -272,6 +274,16 @@ inline MethodResult run_mrmc(const simdata::LabeledReads& sample,
   result.sim_s = pipeline.sim_total_s;
   result.labels = std::move(pipeline.labels);
   return result;
+}
+
+/// Every read's sketch, one row per read (on `pool` when non-null).
+inline core::kernels::SketchMatrix sketch_reads(
+    const core::MinHasher& hasher, std::span<const bio::FastaRecord> reads,
+    common::ThreadPool* pool = nullptr) {
+  std::vector<std::string_view> seqs;
+  seqs.reserve(reads.size());
+  for (const auto& read : reads) seqs.emplace_back(read.seq);
+  return hasher.sketch_matrix(seqs, pool);
 }
 
 inline MethodResult wrap_baseline(std::string name,

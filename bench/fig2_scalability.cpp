@@ -73,9 +73,7 @@ SimPoint simulate_hierarchical(std::size_t reads, std::size_t read_length,
   const auto run_job = [&](std::span<const mr::TaskSpec> maps, double bytes,
                            std::span<const mr::TaskSpec> reduces,
                            const std::string& name) {
-    return plan.empty()
-               ? simulate_job(scheduler, maps, bytes, reduces, name)
-               : simulate_job(scheduler, maps, bytes, {}, reduces, name, plan);
+    return simulate_job(scheduler, maps, bytes, {}, reduces, name, plan);
   };
 
   const double read_bytes = static_cast<double>(read_length) + 48.0;

@@ -101,15 +101,14 @@ void BM_GlobalAlignmentBanded(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalAlignmentBanded);
 
-std::vector<core::Sketch> bench_sketches(std::size_t count) {
+core::kernels::SketchMatrix bench_sketches(std::size_t count) {
   common::Xoshiro256 rng(11);
   const core::MinHasher hasher({.kmer = 15, .num_hashes = 50, .seed = 12});
-  std::vector<core::Sketch> sketches;
-  sketches.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    sketches.push_back(hasher.sketch(random_seq(100, rng())));
-  }
-  return sketches;
+  std::vector<std::string> seqs;
+  seqs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) seqs.push_back(random_seq(100, rng()));
+  const std::vector<std::string_view> views(seqs.begin(), seqs.end());
+  return hasher.sketch_matrix(views);
 }
 
 void BM_SimilarityMatrix(benchmark::State& state) {
@@ -174,8 +173,7 @@ void BM_ComponentMatchMatrix(benchmark::State& state) {
     state.SkipWithError("backend unavailable");
     return;
   }
-  const auto sketches = bench_sketches(static_cast<std::size_t>(state.range(0)));
-  const auto matrix = core::kernels::SketchMatrix::from_sketches(sketches);
+  const auto matrix = bench_sketches(static_cast<std::size_t>(state.range(0)));
   core::SimilarityMatrix out(matrix.rows());
   for (auto _ : state) {
     core::kernels::component_match_matrix(matrix, out.mutable_data(),

@@ -26,11 +26,11 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
 }  // namespace
 
 CandidateJobResult run_candidate_job(
-    std::shared_ptr<const std::vector<Sketch>> sketches,
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,
     const ExecutionOptions& exec) {
   CandidateJobResult result;
-  const std::size_t n = sketches->size();
+  const std::size_t n = sketches->rows();
   if (n < 2) return result;
 
   if (params.backend == candidates::Backend::kExactAllPairs) {
@@ -42,7 +42,7 @@ CandidateJobResult run_candidate_job(
   }
 
   obs::pipeline::StageScope stage("candidates");
-  const std::size_t sketch_size = sketches->front().size();
+  const std::size_t sketch_size = sketches->cols();
   const candidates::BandShape shape =
       candidates::resolve_band_shape(params, sketch_size, theta);
   result.shape = shape;
@@ -58,9 +58,7 @@ CandidateJobResult run_candidate_job(
       config,
       [sketches, shape, seed](const std::uint32_t& id,
                               mr::Emitter<std::uint64_t, std::uint32_t>& emit) {
-        const Sketch& sketch = (*sketches)[id];
-        MRMC_CHECK(sketch.size() == shape.bands * shape.rows,
-                   "sketch length mismatch");
+        const std::span<const std::uint64_t> sketch = sketches->row(id);
         for (std::size_t band = 0; band < shape.bands; ++band) {
           emit.emit(candidates::band_bucket_key(sketch, band, shape, seed), id);
         }
@@ -106,34 +104,27 @@ CandidateJobResult run_candidate_job(
 }
 
 VerifyJobResult run_verify_job(
-    std::shared_ptr<const std::vector<Sketch>> sketches,
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
     std::vector<candidates::Pair> pairs, SketchEstimator estimator,
     std::size_t sketch_bits, const ExecutionOptions& exec) {
   VerifyJobResult result;
-  result.graph.num_vertices = sketches->size();
+  result.graph.num_vertices = sketches->rows();
   if (pairs.empty()) return result;
 
   obs::pipeline::StageScope stage("verify");
-  const std::size_t num_hashes = sketches->front().size();
+  const std::size_t num_hashes = sketches->cols();
 
-  // Shared read-only scoring structures, built once and visible to every
-  // map task (the sketch table plays Pig's GROUP-ALL broadcast relation).
-  // Below 64 bits the rows are b-bit packed and scored with the packed
-  // count_equal kernel (the sketch job already truncated every value).
+  // Shared read-only scoring structures, visible to every map task (the
+  // sketch table plays Pig's GROUP-ALL broadcast relation).  Below 64 bits
+  // the rows are b-bit packed and scored with the packed count_equal kernel
+  // (the sketch job already truncated every value).
   const bool set_based = estimator == SketchEstimator::kSetBased;
   auto store = set_based ? std::make_shared<const SortedSketchStore>(*sketches)
                          : nullptr;
-  std::shared_ptr<const kernels::SketchMatrix> matrix;
-  std::shared_ptr<const kernels::PackedSketchMatrix> packed;
-  if (!set_based) {
-    kernels::SketchMatrix full = kernels::SketchMatrix::from_sketches(*sketches);
-    if (sketch_bits < 64) {
-      packed = std::make_shared<const kernels::PackedSketchMatrix>(
-          kernels::PackedSketchMatrix::pack(full, sketch_bits));
-    } else {
-      matrix = std::make_shared<const kernels::SketchMatrix>(std::move(full));
-    }
-  }
+  auto packed = !set_based && sketch_bits < 64
+                    ? std::make_shared<const kernels::PackedSketchMatrix>(
+                          kernels::PackedSketchMatrix::pack(*sketches, sketch_bits))
+                    : nullptr;
   const double inv_cols =
       num_hashes == 0 ? 0.0 : 1.0 / static_cast<double>(num_hashes);
 
@@ -154,7 +145,7 @@ VerifyJobResult run_verify_job(
 
   VerifyJob job(
       config,
-      [store, matrix, packed, set_based, lane_bits](
+      [sketches, store, packed, set_based, lane_bits](
           std::span<const candidates::Pair> split, std::size_t split_index,
           mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         mr::BinaryBlock block(lane_bits, split.size(), set_based ? 2 : 1);
@@ -166,9 +157,9 @@ VerifyJobResult run_verify_job(
             block.set(1, r, uni);
           } else if (packed != nullptr) {
             block.set(0, r, packed->count_equal_rows(a, b));
-          } else if (matrix->cols() != 0) {
+          } else if (sketches->cols() != 0) {
             block.set(0, r,
-                      kernels::count_equal(matrix->row(a), matrix->row(b)));
+                      kernels::count_equal(sketches->row(a), sketches->row(b)));
           }
           emit.count("verify.pairs_scored");
         }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/candidates.hpp"
+#include "core/kernels.hpp"
 #include "core/pipeline.hpp"
 #include "mr/job.hpp"
 
@@ -39,7 +40,7 @@ struct CandidateJobResult {
 /// enumerates all pairs driver-side (an all-pairs shuffle would itself be
 /// the O(n^2) wall this layer removes).
 CandidateJobResult run_candidate_job(
-    std::shared_ptr<const std::vector<Sketch>> sketches,
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,
     const ExecutionOptions& exec);
 
@@ -54,7 +55,7 @@ struct VerifyJobResult {
 /// b-bit packed sketch rows with the packed count_equal kernel (the sketches
 /// must already be b-bit truncated, as the sketch job leaves them).
 VerifyJobResult run_verify_job(
-    std::shared_ptr<const std::vector<Sketch>> sketches,
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
     std::vector<candidates::Pair> pairs, SketchEstimator estimator,
     std::size_t sketch_bits, const ExecutionOptions& exec);
 

@@ -6,15 +6,12 @@
 
 namespace mrmc::core {
 
-namespace {
-
-/// Algorithm 1's sweep, parameterized over the pair-similarity callback so
-/// the flat-matrix and vector<Sketch> entry points share one control flow
-/// (and therefore produce identical labels / comparison counts).
-template <typename Similarity>
-GreedyResult greedy_sweep(std::size_t n, const GreedyParams& params,
-                          Similarity&& similarity) {
+GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
+                            const GreedyParams& params,
+                            common::ThreadPool* pool) {
   MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
+  const std::size_t n = sketches.rows();
+  const SketchPairSimilarity similarity(sketches, params.estimator, pool);
   GreedyResult result;
   result.labels.assign(n, -1);
   if (n == 0) return result;
@@ -48,27 +45,6 @@ GreedyResult greedy_sweep(std::size_t n, const GreedyParams& params,
 
   result.num_clusters = static_cast<std::size_t>(next_label);
   return result;
-}
-
-}  // namespace
-
-GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
-                            const GreedyParams& params,
-                            common::ThreadPool* pool) {
-  const std::size_t n = sketches.rows();
-  if (params.estimator == SketchEstimator::kSetBased) {
-    const SortedSketchStore store(sketches, pool);
-    return greedy_sweep(n, params, [&](std::size_t i, std::size_t j) {
-      return store.jaccard(i, j);
-    });
-  }
-  const auto cols = static_cast<double>(sketches.cols());
-  return greedy_sweep(n, params, [&](std::size_t i, std::size_t j) {
-    if (sketches.cols() == 0) return 0.0;
-    const std::size_t matches =
-        kernels::count_equal(sketches.row(i), sketches.row(j));
-    return static_cast<double>(matches) / cols;
-  });
 }
 
 GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph,
@@ -118,24 +94,6 @@ GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph
   }
   result.num_clusters = static_cast<std::size_t>(next_label);
   return result;
-}
-
-GreedyResult greedy_cluster(std::span<const Sketch> sketches,
-                            const GreedyParams& params) {
-  if (params.estimator == SketchEstimator::kSetBased) {
-    // Sorted unique view of each sketch, precomputed so the set-based
-    // estimator does not re-sort per comparison.
-    const SortedSketchStore store(sketches);
-    return greedy_sweep(sketches.size(), params,
-                        [&](std::size_t i, std::size_t j) {
-                          return store.jaccard(i, j);
-                        });
-  }
-  return greedy_sweep(sketches.size(), params,
-                      [&](std::size_t i, std::size_t j) {
-                        return component_match_similarity(sketches[i],
-                                                          sketches[j]);
-                      });
 }
 
 }  // namespace mrmc::core

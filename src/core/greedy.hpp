@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/candidates.hpp"
@@ -34,13 +33,10 @@ struct GreedyResult {
 /// the batched count_equal kernel over contiguous rows; set-based pre-sorts
 /// every sketch once into a SortedSketchStore, on `pool` when non-null (the
 /// sweep itself is sequential).  Labels, representatives and the comparison
-/// count are identical to the span overload and at any thread count.
+/// count are identical at any thread count.
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
                             const GreedyParams& params,
                             common::ThreadPool* pool = nullptr);
-
-GreedyResult greedy_cluster(std::span<const Sketch> sketches,
-                            const GreedyParams& params);
 
 /// Algorithm 1 over a verified candidate graph instead of raw sketches: a
 /// sequence only ever joins a representative it shares a graph edge with,

@@ -51,49 +51,6 @@ SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketche
   return matrix;
 }
 
-SimilarityMatrix pairwise_similarity_matrix(std::span<const Sketch> sketches,
-                                            SketchEstimator estimator,
-                                            common::ThreadPool* pool) {
-  const std::size_t n = sketches.size();
-  const bool uniform = std::all_of(
-      sketches.begin(), sketches.end(), [&](const Sketch& s) {
-        return s.size() == sketches.front().size();
-      });
-  if (n == 0 || (uniform && estimator == SketchEstimator::kComponentMatch)) {
-    return pairwise_similarity_matrix(kernels::SketchMatrix::from_sketches(sketches),
-                                      estimator, pool);
-  }
-  if (estimator == SketchEstimator::kSetBased) {
-    // The store handles ragged lengths too; same merge as the matrix path.
-    SimilarityMatrix matrix(n, 0.0F);
-    const SortedSketchStore store(sketches);
-    auto fill_row = [&](std::size_t i) {
-      matrix.set(i, i, 1.0F);
-      for (std::size_t j = i + 1; j < n; ++j) {
-        matrix.set(i, j, static_cast<float>(store.jaccard(i, j)));
-      }
-    };
-    if (pool != nullptr && n > 64) {
-      pool->parallel_for(n, fill_row);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fill_row(i);
-    }
-    return matrix;
-  }
-
-  // Ragged component-match (not produced by MinHasher): legacy per-pair
-  // semantics — mismatched lengths score 0.
-  SimilarityMatrix matrix(n, 0.0F);
-  for (std::size_t i = 0; i < n; ++i) {
-    matrix.set(i, i, 1.0F);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      matrix.set(i, j, static_cast<float>(
-                           component_match_similarity(sketches[i], sketches[j])));
-    }
-  }
-  return matrix;
-}
-
 SimilarityMatrix similarity_matrix_from_graph(
     const candidates::SparseSimilarityGraph& graph) {
   SimilarityMatrix matrix(graph.num_vertices, 0.0F);
@@ -284,14 +241,6 @@ HierarchicalResult cluster_from_matrix(const SimilarityMatrix& matrix,
 }  // namespace
 
 HierarchicalResult hierarchical_cluster(const kernels::SketchMatrix& sketches,
-                                        const HierarchicalParams& params,
-                                        common::ThreadPool* pool) {
-  if (sketches.empty()) return {};
-  return cluster_from_matrix(
-      pairwise_similarity_matrix(sketches, params.estimator, pool), params);
-}
-
-HierarchicalResult hierarchical_cluster(std::span<const Sketch> sketches,
                                         const HierarchicalParams& params,
                                         common::ThreadPool* pool) {
   if (sketches.empty()) return {};

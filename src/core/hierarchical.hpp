@@ -59,11 +59,6 @@ SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketche
                                             SketchEstimator estimator,
                                             common::ThreadPool* pool = nullptr);
 
-/// vector<Sketch> convenience wrapper (gathers into a SketchMatrix first).
-SimilarityMatrix pairwise_similarity_matrix(std::span<const Sketch> sketches,
-                                            SketchEstimator estimator,
-                                            common::ThreadPool* pool = nullptr);
-
 /// Densify a verified candidate graph for the agglomerative path: edge
 /// similarities land in their cells, the diagonal is 1, and absent pairs
 /// stay 0 (i.e. maximally distant — candidate pruning can only keep
@@ -107,9 +102,6 @@ struct HierarchicalResult {
 
 /// Convenience: matrix + agglomerate + cut in one call.
 HierarchicalResult hierarchical_cluster(const kernels::SketchMatrix& sketches,
-                                        const HierarchicalParams& params,
-                                        common::ThreadPool* pool = nullptr);
-HierarchicalResult hierarchical_cluster(std::span<const Sketch> sketches,
                                         const HierarchicalParams& params,
                                         common::ThreadPool* pool = nullptr);
 

@@ -593,16 +593,6 @@ SketchMatrix SketchMatrix::from_sketches(
   return matrix;
 }
 
-std::vector<std::vector<std::uint64_t>> SketchMatrix::to_sketches() const {
-  std::vector<std::vector<std::uint64_t>> out;
-  out.reserve(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const auto r = row(i);
-    out.emplace_back(r.begin(), r.end());
-  }
-  return out;
-}
-
 void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept {
   for (std::size_t i = 0; i < sketches.rows(); ++i) {
     for (std::uint64_t& value : sketches.row(i)) value &= mask;

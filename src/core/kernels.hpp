@@ -191,9 +191,10 @@ void cmin_sketch(std::uint64_t mul, std::span<const std::uint64_t> add,
 [[nodiscard]] std::size_t count_distinct(std::span<const std::uint64_t> values,
                                          std::vector<std::uint64_t>& scratch);
 
-/// Flat row-major sketch store: rows() sketches of cols() minima each in one
-/// contiguous uint64_t block — the similarity kernels' substrate (replaces
-/// vector<vector<uint64_t>> and its per-cell pointer chase).
+/// Flat row-major sketch table: rows() sketches of cols() minima each in one
+/// contiguous uint64_t block.  It is the only form a table of sketches takes
+/// — sketching, checkpoints, candidates, verification and both clustering
+/// modes all read it, locally and in the MapReduce jobs.
 class SketchMatrix {
  public:
   SketchMatrix() = default;
@@ -214,13 +215,10 @@ class SketchMatrix {
   }
   [[nodiscard]] const std::uint64_t* data() const noexcept { return data_.data(); }
 
-  /// Gather a vector-of-sketches into a flat matrix.  All sketches must have
+  /// Gather single sketches into a flat matrix.  All sketches must have
   /// the same length (MinHasher guarantees this).
   static SketchMatrix from_sketches(
       std::span<const std::vector<std::uint64_t>> sketches);
-
-  /// Inverse of from_sketches (for APIs that still speak vector<Sketch>).
-  [[nodiscard]] std::vector<std::vector<std::uint64_t>> to_sketches() const;
 
   friend bool operator==(const SketchMatrix&, const SketchMatrix&) = default;
 

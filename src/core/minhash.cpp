@@ -130,18 +130,6 @@ Sketch MinHasher::sketch(std::string_view seq) const {
   return sketch_features(kmer_stream(seq, params_));
 }
 
-std::vector<Sketch> MinHasher::sketch_all(
-    std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
-  std::vector<Sketch> sketches(seqs.size());
-  auto sketch_one = [&](std::size_t i) { sketches[i] = sketch(seqs[i]); };
-  if (pool != nullptr && seqs.size() > 1) {
-    pool->parallel_for(seqs.size(), sketch_one);
-  } else {
-    for (std::size_t i = 0; i < seqs.size(); ++i) sketch_one(i);
-  }
-  return sketches;
-}
-
 kernels::SketchMatrix MinHasher::sketch_matrix(
     std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
   kernels::SketchMatrix matrix(seqs.size(), sketch_size());
@@ -158,11 +146,15 @@ kernels::SketchMatrix MinHasher::sketch_matrix(
 
 // ---------------------------------------------------------- SortedSketchStore
 
-template <typename Source>
-void SortedSketchStore::fill_rows(Source&& source, common::ThreadPool* pool) {
-  values_ = std::make_unique_for_overwrite<std::uint64_t[]>(size() * stride_);
+SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches,
+                                     common::ThreadPool* pool)
+    : stride_(sketches.cols()),
+      values_(std::make_unique_for_overwrite<std::uint64_t[]>(sketches.rows() *
+                                                              stride_)),
+      lengths_(sketches.rows()) {
+  // Copy row i into place, then sort and dedup it there.
   auto fill_row = [&](std::size_t i) {
-    const std::span<const std::uint64_t> sketch = source(i);
+    const std::span<const std::uint64_t> sketch = sketches.row(i);
     std::uint64_t* const first = values_.get() + i * stride_;
     std::uint64_t* const last = std::copy(sketch.begin(), sketch.end(), first);
     std::sort(first, last);
@@ -175,21 +167,6 @@ void SortedSketchStore::fill_rows(Source&& source, common::ThreadPool* pool) {
   }
 }
 
-SortedSketchStore::SortedSketchStore(std::span<const Sketch> sketches)
-    : lengths_(sketches.size()) {
-  for (const Sketch& sketch : sketches) {
-    stride_ = std::max(stride_, sketch.size());
-  }
-  fill_rows([&](std::size_t i) { return std::span<const std::uint64_t>(sketches[i]); },
-            nullptr);
-}
-
-SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches,
-                                     common::ThreadPool* pool)
-    : stride_(sketches.cols()), lengths_(sketches.rows()) {
-  fill_rows([&](std::size_t i) { return sketches.row(i); }, pool);
-}
-
 std::pair<std::uint64_t, std::uint64_t> SortedSketchStore::jaccard_counts(
     std::size_t i, std::size_t j) const noexcept {
   const auto a = row(i);
@@ -197,6 +174,15 @@ std::pair<std::uint64_t, std::uint64_t> SortedSketchStore::jaccard_counts(
   const std::uint64_t inter = bio::intersection_size(a, b);
   return {inter, a.size() + b.size() - inter};
 }
+
+SketchPairSimilarity::SketchPairSimilarity(const kernels::SketchMatrix& sketches,
+                                           SketchEstimator estimator,
+                                           common::ThreadPool* pool)
+    : sketches_(sketches),
+      estimator_(estimator),
+      store_(estimator == SketchEstimator::kSetBased
+                 ? SortedSketchStore(sketches, pool)
+                 : SortedSketchStore()) {}
 
 // ------------------------------------------------------------------ estimators
 

@@ -165,14 +165,9 @@ class MinHasher {
   void sketch_features_into(std::span<const std::uint64_t> features,
                             std::span<std::uint64_t> out) const;
 
-  /// Sketches for many sequences.  When `pool` is non-null, reads are
-  /// sketched in parallel; the result is identical at any thread count.
-  [[nodiscard]] std::vector<Sketch> sketch_all(
-      std::span<const std::string_view> seqs,
-      common::ThreadPool* pool = nullptr) const;
-
-  /// Batched variant: all sketches in one flat row-major matrix (the
-  /// similarity kernels' native layout).
+  /// Sketches for many sequences, one row each.  When `pool` is non-null,
+  /// reads are sketched in parallel; the result is identical at any thread
+  /// count.
   [[nodiscard]] kernels::SketchMatrix sketch_matrix(
       std::span<const std::string_view> seqs,
       common::ThreadPool* pool = nullptr) const;
@@ -185,13 +180,12 @@ class MinHasher {
 
 /// Pre-sorted unique minima of a set of sketches, so repeated set-based
 /// comparisons (greedy sweeps, medoid scans, matrix fills) pay the sort once
-/// per sketch instead of twice per pair.  Rows sit at a fixed stride (the
-/// longest sketch) with a length each, so every row sorts in place and
+/// per sketch instead of twice per pair.  Rows sit at the matrix's fixed
+/// stride of cols() with a length each, so every row sorts in place and
 /// independently of the others.
 class SortedSketchStore {
  public:
   SortedSketchStore() = default;
-  explicit SortedSketchStore(std::span<const Sketch> sketches);
   /// When `pool` is non-null the rows sort in parallel; the store is the
   /// same at any thread count.
   explicit SortedSketchStore(const kernels::SketchMatrix& sketches,
@@ -212,16 +206,38 @@ class SortedSketchStore {
       std::size_t i, std::size_t j) const noexcept;
 
  private:
-  /// Copies source(i) into row i, then sorts and dedups it in place; on
-  /// `pool` when non-null.  Needs stride_ and lengths_ sized.
-  template <typename Source>
-  void fill_rows(Source&& source, common::ThreadPool* pool);
-
   std::size_t stride_ = 0;
-  /// size() rows of stride_ slots.  Left uninitialized until fill_rows so
-  /// the first touch of every page happens on the thread sorting it.
+  /// size() rows of stride_ slots.  Left uninitialized until each row is
+  /// copied in, so the first touch of every page happens on the thread
+  /// sorting it.
   std::unique_ptr<std::uint64_t[]> values_;
   std::vector<std::size_t> lengths_;  ///< unique minima at the front of each row
+};
+
+/// The chosen estimator over pairs of rows of one sketch table, equal to
+/// sketch_similarity over the same two sketches when cols() > 0.  Set-based
+/// pairs read a
+/// SortedSketchStore built once (on `pool` when non-null); component-match
+/// pairs run count_equal over the two rows.  Holds a reference to
+/// `sketches`, which must outlive it.
+class SketchPairSimilarity {
+ public:
+  SketchPairSimilarity(const kernels::SketchMatrix& sketches,
+                       SketchEstimator estimator,
+                       common::ThreadPool* pool = nullptr);
+
+  [[nodiscard]] double operator()(std::size_t i, std::size_t j) const noexcept {
+    if (estimator_ == SketchEstimator::kSetBased) return store_.jaccard(i, j);
+    if (sketches_.cols() == 0) return 0.0;
+    return static_cast<double>(
+               kernels::count_equal(sketches_.row(i), sketches_.row(j))) /
+           static_cast<double>(sketches_.cols());
+  }
+
+ private:
+  const kernels::SketchMatrix& sketches_;
+  SketchEstimator estimator_;
+  SortedSketchStore store_;  ///< empty unless set-based
 };
 
 /// Estimated Jaccard similarity of two sketches (must be equal length).

@@ -9,36 +9,19 @@
 namespace mrmc::core {
 
 std::vector<OtuEntry> build_otu_table(std::span<const int> labels,
-                                      std::span<const Sketch> sketches,
+                                      const kernels::SketchMatrix& sketches,
                                       SketchEstimator estimator,
                                       std::size_t medoid_cap) {
-  MRMC_REQUIRE(labels.size() == sketches.size(), "one sketch per label");
+  MRMC_REQUIRE(labels.size() == sketches.rows(), "one sketch per label");
   std::map<int, std::vector<std::size_t>> members;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     MRMC_REQUIRE(labels[i] >= 0, "labels must be non-negative");
     members[labels[i]].push_back(i);
   }
 
-  // Medoid scans compare each member against every other member; when the
-  // sketches are uniform (the normal MinHasher output) pay the set-based sort
-  // once per sketch up front and use the batched equality kernel for
-  // component-match.  Ragged inputs keep the legacy per-pair path.
-  const bool need_medoid =
-      std::any_of(members.begin(), members.end(), [&](const auto& entry) {
-        return entry.second.size() > 2 && entry.second.size() <= medoid_cap;
-      });
-  const bool uniform = std::all_of(
-      sketches.begin(), sketches.end(),
-      [&](const Sketch& s) { return s.size() == sketches.front().size(); });
-  const SortedSketchStore store =
-      need_medoid && uniform && estimator == SketchEstimator::kSetBased
-          ? SortedSketchStore(sketches)
-          : SortedSketchStore();
-  auto pair_sim = [&](std::size_t i, std::size_t j) {
-    if (!uniform) return sketch_similarity(sketches[i], sketches[j], estimator);
-    if (estimator == SketchEstimator::kSetBased) return store.jaccard(i, j);
-    return component_match_similarity(sketches[i], sketches[j]);
-  };
+  // Medoid scans compare each member against every other member; the
+  // set-based estimator pays its sort once per sketch up front.
+  const SketchPairSimilarity pair_sim(sketches, estimator);
 
   std::vector<OtuEntry> table;
   table.reserve(members.size());

@@ -27,7 +27,7 @@ struct OtuEntry {
 /// its cluster mates (exact medoid for clusters up to `medoid_cap` members,
 /// first member beyond that).
 std::vector<OtuEntry> build_otu_table(std::span<const int> labels,
-                                      std::span<const Sketch> sketches,
+                                      const kernels::SketchMatrix& sketches,
                                       SketchEstimator estimator =
                                           SketchEstimator::kComponentMatch,
                                       std::size_t medoid_cap = 256);

@@ -5,6 +5,10 @@
 #include <memory>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/candidate_jobs.hpp"
@@ -118,11 +122,12 @@ EffectiveKnobs effective_knobs(const PipelineParams& params) noexcept {
 /// instead of one vector<uint64_t> per read, so the shuffle moves the exact
 /// packed bytes (64/b-fold less at b < 64, and no per-record vector header
 /// even at b = 64).  The identity reduce passes blocks through; the driver
-/// rejoins them positionally via split_index · records_per_split.
-std::vector<Sketch> run_sketch_job(std::span<const bio::FastaRecord> reads,
-                                   const PipelineParams& params,
-                                   const ExecutionOptions& exec,
-                                   mr::JobStats& stats) {
+/// rejoins them positionally via split_index · records_per_split, straight
+/// into the rows of one SketchMatrix.
+kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
+                                     const PipelineParams& params,
+                                     const ExecutionOptions& exec,
+                                     mr::JobStats& stats) {
   obs::pipeline::StageScope stage("sketch");
   auto hasher = std::make_shared<MinHasher>(params.minhash);
   const std::size_t num_hashes = params.minhash.num_hashes;
@@ -186,15 +191,12 @@ std::vector<Sketch> run_sketch_job(std::span<const bio::FastaRecord> reads,
   stats = std::move(result.stats);
 
   // Positional rejoin: split s covers reads [s · per_split, ...).
-  std::vector<Sketch> sketches(reads.size());
+  kernels::SketchMatrix sketches(reads.size(), num_hashes);
   for (const auto& [split_index, block] : result.output) {
     const std::size_t first = static_cast<std::size_t>(split_index) * per_split;
     for (std::uint32_t c = 0; c < block.cols(); ++c) {
-      Sketch& sketch = sketches[first + c];
-      sketch.resize(num_hashes);
-      for (std::size_t k = 0; k < num_hashes; ++k) {
-        sketch[k] = block.get(c, k);
-      }
+      const std::span<std::uint64_t> row = sketches.row(first + c);
+      for (std::size_t k = 0; k < num_hashes; ++k) row[k] = block.get(c, k);
     }
   }
   return sketches;
@@ -210,13 +212,12 @@ std::vector<Sketch> run_sketch_job(std::span<const bio::FastaRecord> reads,
 /// reciprocal multiply of the mapper, and jaccard_from_counts mirrors
 /// bio::exact_jaccard.  A pair costs one packed lane instead of a 4-byte
 /// float (≥ 4× fewer shuffle bytes at K ≤ 255).
-SimilarityMatrix run_similarity_job(std::shared_ptr<const std::vector<Sketch>> sketches,
-                                    const PipelineParams& params,
-                                    const EffectiveKnobs& knobs,
-                                    const ExecutionOptions& exec,
-                                    mr::JobStats& stats) {
+SimilarityMatrix run_similarity_job(
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
+    const PipelineParams& params, const EffectiveKnobs& knobs,
+    const ExecutionOptions& exec, mr::JobStats& stats) {
   obs::pipeline::StageScope stage("similarity");
-  const std::size_t n = sketches->size();
+  const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
   const SketchEstimator estimator = knobs.estimator;
   const bool set_based = estimator == SketchEstimator::kSetBased;
@@ -254,8 +255,8 @@ SimilarityMatrix run_similarity_job(std::shared_ptr<const std::vector<Sketch>> s
       [sketches, store, set_based, inv_cols, lane_bits, theta, &fanout_hist](
           std::span<const std::uint32_t> split, std::size_t split_index,
           mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        const auto& all = *sketches;
-        const std::size_t n_reads = all.size();
+        const kernels::SketchMatrix& all = *sketches;
+        const std::size_t n_reads = all.rows();
         // One ragged column: row r contributes n - r - 1 lanes, upper
         // triangle in row order (the driver knows the lengths).
         std::uint64_t total = 0;
@@ -272,9 +273,7 @@ SimilarityMatrix run_similarity_job(std::shared_ptr<const std::vector<Sketch>> s
               block.set(1, lane, uni);
               sim = jaccard_from_counts(inter, uni);
             } else {
-              const std::size_t eq = all[row].empty()
-                                         ? 0
-                                         : kernels::count_equal(all[row], all[j]);
+              const std::size_t eq = kernels::count_equal(all.row(row), all.row(j));
               block.set(0, lane, eq);
               sim = static_cast<double>(eq) * inv_cols;
             }
@@ -331,12 +330,12 @@ SimilarityMatrix run_similarity_job(std::shared_ptr<const std::vector<Sketch>> s
 /// sketch table (Algorithm 3, step 9) — or, when the LSH backend supplied a
 /// verified candidate graph, the graph-aware sweep over it.
 std::vector<int> run_greedy_job(
-    std::shared_ptr<const std::vector<Sketch>> sketches,
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
     const EffectiveKnobs& knobs, const ExecutionOptions& exec,
     mr::JobStats& stats,
     std::shared_ptr<const candidates::SparseSimilarityGraph> graph = nullptr) {
   obs::pipeline::StageScope stage("greedy-cluster");
-  const std::size_t n = sketches->size();
+  const std::size_t n = sketches->rows();
   const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator};
 
   using Value = std::uint32_t;  // read index; sketches travel via the table
@@ -448,20 +447,31 @@ std::vector<int> run_hierarchical_job(const SimilarityMatrix& matrix,
 // payload — the property that keeps downstream checkpoints valid after an
 // upstream invalidation.
 
+// The sketch table: u64 rows, then per row u64 cols and its cols u64
+// values.  Repeating cols on every row keeps the bytes of the per-sketch
+// layout, so older checkpoints still hit.  A row whose length differs from
+// the first one is a corrupt checkpoint.
 void encode_sketches(mr::recovery::PayloadWriter& writer,
-                     const std::vector<Sketch>& sketches) {
-  writer.u64(sketches.size());
-  for (const Sketch& sketch : sketches) {
-    writer.u64(sketch.size());
-    for (const std::uint64_t component : sketch) writer.u64(component);
+                     const kernels::SketchMatrix& sketches) {
+  writer.u64(sketches.rows());
+  for (std::size_t i = 0; i < sketches.rows(); ++i) {
+    writer.u64(sketches.cols());
+    for (const std::uint64_t component : sketches.row(i)) writer.u64(component);
   }
 }
 
-std::vector<Sketch> decode_sketches(mr::recovery::PayloadReader& reader) {
-  std::vector<Sketch> sketches(reader.u64());
-  for (Sketch& sketch : sketches) {
-    sketch.resize(reader.u64());
-    for (std::uint64_t& component : sketch) component = reader.u64();
+kernels::SketchMatrix decode_sketches(mr::recovery::PayloadReader& reader) {
+  const std::uint64_t rows = reader.u64();
+  if (rows == 0) return {};
+  const std::uint64_t cols = reader.u64();
+  // rows · (cols + 1) - 1 words follow; bound the allocation by them.
+  const std::uint64_t words = reader.remaining() / 8;
+  MRMC_CHECK(cols <= words && rows <= (words + 1) / (cols + 1),
+             "sketch table larger than its payload");
+  kernels::SketchMatrix sketches(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (i > 0) MRMC_CHECK(reader.u64() == cols, "ragged sketch table");
+    for (std::uint64_t& component : sketches.row(i)) component = reader.u64();
   }
   return sketches;
 }
@@ -598,11 +608,17 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
     driver.park("fault plan leaves no schedulable node");
   }
 
-  auto sketches = std::make_shared<std::vector<Sketch>>(driver.run_stage(
+  auto sketches = std::make_shared<const kernels::SketchMatrix>(driver.run_stage(
       "sketch",
       [&] { return run_sketch_job(reads, params, exec, result.sketch_stats); },
       encode_sketches, decode_sketches));
   result.sim_total_s += result.sketch_stats.timeline.total_s;
+#if defined(__GLIBC__)
+  // The sketch job's blocks and input copies are freed but stay resident in
+  // the allocator, and the table is one large mapping that cannot reuse
+  // them; hand those pages back before the table's consumers allocate.
+  ::malloc_trim(0);
+#endif
 
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
     // LSH-banded path: candidates -> verify -> sparse-graph clustering.

@@ -626,14 +626,12 @@ std::deque<std::size_t> lpt_order(const SimScheduler& scheduler,
   return {order.begin(), order.end()};
 }
 
-}  // namespace
-
-JobTimeline simulate_job(const SimScheduler& scheduler,
-                         std::span<const TaskSpec> map_tasks,
-                         double shuffle_bytes,
-                         std::span<const FetchSpec> fetches,
-                         std::span<const TaskSpec> reduce_tasks,
-                         const std::string& job_name) {
+JobTimeline simulate_fault_free(const SimScheduler& scheduler,
+                                std::span<const TaskSpec> map_tasks,
+                                double shuffle_bytes,
+                                std::span<const FetchSpec> fetches,
+                                std::span<const TaskSpec> reduce_tasks,
+                                const std::string& job_name) {
   JobTimeline timeline;
   timeline.map_phase =
       scheduler.schedule_phase(map_tasks, scheduler.config().map_slots_per_node);
@@ -664,6 +662,8 @@ JobTimeline simulate_job(const SimScheduler& scheduler,
   return timeline;
 }
 
+}  // namespace
+
 JobTimeline simulate_job(const SimScheduler& scheduler,
                          std::span<const TaskSpec> map_tasks,
                          double shuffle_bytes,
@@ -672,8 +672,8 @@ JobTimeline simulate_job(const SimScheduler& scheduler,
                          const std::string& job_name,
                          const faults::FaultPlan& plan) {
   if (plan.empty()) {
-    return simulate_job(scheduler, map_tasks, shuffle_bytes, fetches,
-                        reduce_tasks, job_name);
+    return simulate_fault_free(scheduler, map_tasks, shuffle_bytes, fetches,
+                               reduce_tasks, job_name);
   }
   const ClusterConfig& config = scheduler.config();
   plan.validate(config.nodes);

@@ -147,45 +147,22 @@ struct JobTimeline {
 /// With a non-empty `fetches` stream, the shuffle is modeled per fetch
 /// (overlapped with the map phase; `shuffle_s` becomes only the tail that
 /// outlives the last map task) instead of as one aggregate transfer.
-JobTimeline simulate_job(const SimScheduler& scheduler,
-                         std::span<const TaskSpec> map_tasks,
-                         double shuffle_bytes,
-                         std::span<const FetchSpec> fetches,
-                         std::span<const TaskSpec> reduce_tasks,
-                         const std::string& job_name);
-
-/// Fault-aware twin: schedules the same job under `plan`'s node crashes.
-/// Attempts running on a node when it dies are killed and re-queued once the
+///
+/// A non-empty `plan` schedules the job under its node crashes.  Attempts
+/// running on a node when it dies are killed and re-queued once the
 /// heartbeat timeout detects the crash; *completed* map attempts whose node
 /// dies before every reducer has fetched their output are invalidated and
 /// the map re-executes (Hadoop's fetch-failure path); a node crashing more
 /// than `plan.config().max_node_failures` times is blacklisted and never
 /// scheduled again.  Speculative execution is disabled under faults (a
 /// backup copy's slot occupancy would interact with kills; documented in
-/// DESIGN.md).  With an empty plan this is exactly the fault-free overload.
+/// DESIGN.md).  The empty plan is the fault-free path.
 JobTimeline simulate_job(const SimScheduler& scheduler,
                          std::span<const TaskSpec> map_tasks,
                          double shuffle_bytes,
                          std::span<const FetchSpec> fetches,
                          std::span<const TaskSpec> reduce_tasks,
                          const std::string& job_name,
-                         const faults::FaultPlan& plan);
-
-inline JobTimeline simulate_job(const SimScheduler& scheduler,
-                                std::span<const TaskSpec> map_tasks,
-                                double shuffle_bytes,
-                                std::span<const TaskSpec> reduce_tasks,
-                                const std::string& job_name) {
-  return simulate_job(scheduler, map_tasks, shuffle_bytes, {}, reduce_tasks,
-                      job_name);
-}
-
-inline JobTimeline simulate_job(const SimScheduler& scheduler,
-                                std::span<const TaskSpec> map_tasks,
-                                double shuffle_bytes,
-                                std::span<const TaskSpec> reduce_tasks) {
-  return simulate_job(scheduler, map_tasks, shuffle_bytes, reduce_tasks,
-                      "job");
-}
+                         const faults::FaultPlan& plan = {});
 
 }  // namespace mrmc::mr

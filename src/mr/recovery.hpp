@@ -158,6 +158,11 @@ class PayloadReader {
   /// True when every payload byte has been consumed — the driver requires
   /// this after decode, so a payload/decoder mismatch reads as corruption.
   [[nodiscard]] bool done() const noexcept { return pos_ == bytes_.size(); }
+  /// Bytes not yet consumed; lets a decoder bound a size field before it
+  /// allocates.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes_.size() - pos_;
+  }
 
  private:
   void need(std::size_t count);

@@ -12,11 +12,20 @@ namespace mrmc::pig {
 
 namespace {
 
-core::Sketch to_sketch(const std::vector<long>& values) {
-  core::Sketch sketch;
-  sketch.reserve(values.size());
-  for (const long v : values) sketch.push_back(static_cast<std::uint64_t>(v));
-  return sketch;
+/// A group's minwise tuples as one sketch table, row i = tuple i.  Every
+/// tuple must carry the same number of values.
+core::kernels::SketchMatrix sketch_table(const Bag& group) {
+  const std::size_t cols =
+      group.empty() ? 0 : group.front().get<std::vector<long>>(0).size();
+  core::kernels::SketchMatrix sketches(group.size(), cols);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const auto& values = group[i].get<std::vector<long>>(0);
+    MRMC_REQUIRE(values.size() == cols,
+                 "every minwise tuple in a group must have the same length");
+    std::transform(values.begin(), values.end(), sketches.row(i).begin(),
+                   [](long v) { return static_cast<std::uint64_t>(v); });
+  }
+  return sketches;
 }
 
 std::vector<long> from_sketch(const core::Sketch& sketch) {
@@ -49,26 +58,17 @@ TranslateToKmer::TranslateToKmer(int k) : k_(k) {
 
 Bag TranslateToKmer::exec(const Tuple& input) const {
   const auto& codes = input.get<std::vector<long>>(0);
-  // Rolling 2-bit packing over the integer codes; windows containing an
-  // ambiguous code (-1) restart, mirroring bio::extract_kmers.
-  const std::uint64_t mask = (std::uint64_t{1} << (2 * k_)) - 1;
-  std::uint64_t word = 0;
-  int filled = 0;
-  std::vector<long> kmers;
-  for (const long code : codes) {
-    if (code < 0 || code > 3) {
-      filled = 0;
-      word = 0;
-      continue;
-    }
-    word = ((word << 2) | static_cast<std::uint64_t>(code)) & mask;
-    if (++filled >= k_) kmers.push_back(static_cast<long>(word));
-  }
-  std::sort(kmers.begin(), kmers.end());
-  kmers.erase(std::unique(kmers.begin(), kmers.end()), kmers.end());
+  // Back to bases, 'N' for any code outside 0..3 (it restarts the window),
+  // so bio::kmer_set's rolling encoder does the packing.
+  std::string seq(codes.size(), 'N');
+  std::transform(codes.begin(), codes.end(), seq.begin(), [](long code) {
+    return code >= 0 && code <= 3 ? bio::decode_base(static_cast<int>(code))
+                                  : 'N';
+  });
+  const std::vector<std::uint64_t> set = bio::kmer_set(seq, {.k = k_});
 
   Tuple out;
-  out.fields.emplace_back(std::move(kmers));
+  out.fields.emplace_back(std::vector<long>(set.begin(), set.end()));
   out.fields.push_back(input.fields.at(1));
   return {std::move(out)};
 }
@@ -107,70 +107,36 @@ CalculatePairwiseSimilarity::CalculatePairwiseSimilarity(
 
 Bag CalculatePairwiseSimilarity::exec(const Tuple& input) const {
   const auto& group = input.get<Bag>(0);
-  std::vector<core::Sketch> sketches;
-  sketches.reserve(group.size());
-  for (const Tuple& tuple : group) {
-    sketches.push_back(to_sketch(tuple.get<std::vector<long>>(0)));
-  }
+  const core::kernels::SketchMatrix sketches = sketch_table(group);
+  const std::size_t n = sketches.rows();
 
-  // Minwise tuples in a group all come from the same CalculateMinwiseHash, so
-  // the sketches are uniform in practice: pre-sort each once (set-based) or
-  // run the batched equality kernel (component-match).  Ragged groups fall
-  // back to the legacy per-pair estimator.
-  const bool uniform = std::all_of(
-      sketches.begin(), sketches.end(), [&](const core::Sketch& s) {
-        return s.size() == sketches.front().size();
-      });
-  // LSH-banded candidate generation: score only bucket-mate pairs via the
-  // shared candidates layer; everything else keeps its 0 cell.  Ragged
-  // groups (never produced by CalculateMinwiseHash) cannot be banded and
-  // fall through to the exact path below.
-  if (candidates_.backend == core::candidates::Backend::kLshBanded && uniform &&
-      !sketches.empty() && !sketches.front().empty()) {
-    const auto matrix = core::kernels::SketchMatrix::from_sketches(
-        std::span<const core::Sketch>(sketches));
+  // Row i holds the similarities of pairs (i, j > i).  LSH-banded candidate
+  // generation scores only bucket-mate pairs via the shared candidates layer
+  // and leaves every other cell 0; empty sketches cannot be banded and are
+  // scored exactly.
+  std::vector<std::vector<double>> sims(n);
+  if (candidates_.backend == core::candidates::Backend::kLshBanded &&
+      sketches.cols() != 0) {
+    for (std::size_t i = 0; i < n; ++i) sims[i].assign(n - i - 1, 0.0);
     const core::candidates::SparseSimilarityGraph graph =
-        core::candidates::build_graph(matrix, candidates_, theta_, estimator_);
-    std::vector<std::vector<double>> sims(sketches.size());
-    for (std::size_t i = 0; i < sketches.size(); ++i) {
-      sims[i].assign(sketches.size() - i - 1, 0.0);
-    }
+        core::candidates::build_graph(sketches, candidates_, theta_, estimator_);
     for (const auto& edge : graph.edges) {
       sims[edge.a][edge.b - edge.a - 1] = edge.similarity;
     }
-    Bag rows;
-    rows.reserve(group.size());
-    for (std::size_t i = 0; i < sketches.size(); ++i) {
-      Tuple row;
-      row.fields.emplace_back(static_cast<long>(i));
-      row.fields.emplace_back(std::move(sims[i]));
-      row.fields.push_back(group[i].fields.at(1));  // read id
-      rows.push_back(std::move(row));
+  } else {
+    const core::SketchPairSimilarity pair_sim(sketches, estimator_);
+    for (std::size_t i = 0; i < n; ++i) {
+      sims[i].reserve(n - i - 1);
+      for (std::size_t j = i + 1; j < n; ++j) sims[i].push_back(pair_sim(i, j));
     }
-    return rows;
   }
 
-  const core::SortedSketchStore store =
-      uniform && estimator_ == core::SketchEstimator::kSetBased
-          ? core::SortedSketchStore(std::span<const core::Sketch>(sketches))
-          : core::SortedSketchStore();
-  auto pair_sim = [&](std::size_t i, std::size_t j) {
-    if (!uniform) return core::sketch_similarity(sketches[i], sketches[j], estimator_);
-    if (estimator_ == core::SketchEstimator::kSetBased) return store.jaccard(i, j);
-    return core::component_match_similarity(sketches[i], sketches[j]);
-  };
-
   Bag rows;
-  rows.reserve(group.size());
-  for (std::size_t i = 0; i < sketches.size(); ++i) {
-    std::vector<double> sims;
-    sims.reserve(sketches.size() - i - 1);
-    for (std::size_t j = i + 1; j < sketches.size(); ++j) {
-      sims.push_back(pair_sim(i, j));
-    }
+  rows.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     Tuple row;
     row.fields.emplace_back(static_cast<long>(i));
-    row.fields.emplace_back(std::move(sims));
+    row.fields.emplace_back(std::move(sims[i]));
     row.fields.push_back(group[i].fields.at(1));  // read id
     rows.push_back(std::move(row));
   }
@@ -192,8 +158,11 @@ Bag AgglomerativeHierarchicalClustering::exec(const Tuple& input) const {
   std::vector<std::string> ids(n);
   for (const Tuple& tuple : group) {
     const auto row = static_cast<std::size_t>(tuple.get<long>(0));
-    MRMC_CHECK(row < n, "similarity row index out of range");
     const auto& sims = tuple.get<std::vector<double>>(1);
+    // A row of a larger matrix (e.g. a LIMITed relation) must not write
+    // past this group's n x n cells.
+    MRMC_REQUIRE(row < n && sims.size() <= n - row - 1,
+                 "similarity row must fit the group's n x n matrix");
     matrix.set(row, row, 1.0F);
     for (std::size_t j = 0; j < sims.size(); ++j) {
       matrix.set(row, row + 1 + j, static_cast<float>(sims[j]));
@@ -224,13 +193,8 @@ GreedyClustering::GreedyClustering(double cutoff, core::SketchEstimator estimato
 
 Bag GreedyClustering::exec(const Tuple& input) const {
   const auto& group = input.get<Bag>(0);  // minwise tuples
-  std::vector<core::Sketch> sketches;
-  sketches.reserve(group.size());
-  for (const Tuple& tuple : group) {
-    sketches.push_back(to_sketch(tuple.get<std::vector<long>>(0)));
-  }
   const core::GreedyResult result =
-      core::greedy_cluster(sketches, {cutoff_, estimator_});
+      core::greedy_cluster(sketch_table(group), {cutoff_, estimator_});
 
   Bag out;
   out.reserve(group.size());

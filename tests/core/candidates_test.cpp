@@ -29,7 +29,7 @@
 namespace mrmc::core {
 namespace {
 
-std::vector<Sketch> family_sketches(std::size_t families, std::size_t per_family,
+kernels::SketchMatrix family_matrix(std::size_t families, std::size_t per_family,
                                     std::size_t length, double noise,
                                     std::uint64_t seed) {
   common::Xoshiro256 rng(seed);
@@ -45,15 +45,7 @@ std::vector<Sketch> family_sketches(std::size_t families, std::size_t per_family
       sketches.push_back(std::move(member));
     }
   }
-  return sketches;
-}
-
-kernels::SketchMatrix family_matrix(std::size_t families, std::size_t per_family,
-                                    std::size_t length, double noise,
-                                    std::uint64_t seed) {
-  const auto sketches = family_sketches(families, per_family, length, noise, seed);
-  return kernels::SketchMatrix::from_sketches(
-      std::span<const Sketch>(sketches));
+  return kernels::SketchMatrix::from_sketches(sketches);
 }
 
 // ---------------------------------------------------------------- the S-curve
@@ -234,15 +226,13 @@ TEST(VerifyPairs, IdenticalUnderScalarAndActiveKernelBackends) {
 // ------------------------------------------------------------- graph greedy
 
 TEST(GreedyClusterGraph, MatchesExhaustiveSweepOnTheExactGraph) {
-  const auto sketches = family_sketches(6, 7, 40, 0.15, 16);
-  const auto matrix = kernels::SketchMatrix::from_sketches(
-      std::span<const Sketch>(sketches));
+  const auto matrix = family_matrix(6, 7, 40, 0.15, 16);
   for (const auto estimator :
        {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
     const GreedyParams params{.theta = 0.6, .estimator = estimator};
     const auto graph = candidates::build_graph(matrix, {}, 0.6, estimator);
     const auto from_graph = greedy_cluster_graph(graph, params);
-    const auto exhaustive = greedy_cluster(sketches, params);
+    const auto exhaustive = greedy_cluster(matrix, params);
     EXPECT_EQ(from_graph.labels, exhaustive.labels);
     EXPECT_EQ(from_graph.num_clusters, exhaustive.num_clusters);
     EXPECT_EQ(from_graph.representatives, exhaustive.representatives);
@@ -324,19 +314,18 @@ TEST(LshIndex, CandidatesDedupAcrossBands) {
 // Algorithm 1 over LSH-banded candidates: greedy_cluster_graph on the
 // kLshBanded graph, the batch counterpart of IncrementalClusterer.
 
-GreedyResult indexed_greedy(std::span<const Sketch> sketches,
+GreedyResult indexed_greedy(const kernels::SketchMatrix& sketches,
                             const GreedyParams& params, std::size_t bands) {
   candidates::Params lsh;
   lsh.backend = candidates::Backend::kLshBanded;
   lsh.bands = bands;
   return greedy_cluster_graph(
-      candidates::build_graph(kernels::SketchMatrix::from_sketches(sketches),
-                              lsh, params.theta, params.estimator),
+      candidates::build_graph(sketches, lsh, params.theta, params.estimator),
       params);
 }
 
 TEST(GreedyClusterIndexed, MatchesExactGreedyOnSeparatedData) {
-  const auto sketches = family_sketches(5, 12, 40, 0.05, 5);
+  const auto sketches = family_matrix(5, 12, 40, 0.05, 5);
   const GreedyParams params{.theta = 0.5,
                             .estimator = SketchEstimator::kComponentMatch};
   const auto exact = greedy_cluster(sketches, params);
@@ -346,7 +335,7 @@ TEST(GreedyClusterIndexed, MatchesExactGreedyOnSeparatedData) {
 }
 
 TEST(GreedyClusterIndexed, FarFewerComparisonsThanExact) {
-  const auto sketches = family_sketches(40, 10, 40, 0.05, 6);
+  const auto sketches = family_matrix(40, 10, 40, 0.05, 6);
   const GreedyParams params{.theta = 0.5,
                             .estimator = SketchEstimator::kComponentMatch};
   const auto exact = greedy_cluster(sketches, params);
@@ -357,12 +346,12 @@ TEST(GreedyClusterIndexed, FarFewerComparisonsThanExact) {
 
 TEST(GreedyClusterIndexed, EmptyAndSingle) {
   EXPECT_TRUE(indexed_greedy({}, {}, 8).labels.empty());
-  const std::vector<Sketch> one{Sketch(40, 1)};
+  const kernels::SketchMatrix one(1, 40, 1);
   EXPECT_EQ(indexed_greedy(one, {.theta = 0.5}, 8).num_clusters, 1u);
 }
 
 TEST(GreedyClusterIndexed, LabelsAreDense) {
-  const auto sketches = family_sketches(6, 6, 40, 0.3, 7);
+  const auto sketches = family_matrix(6, 6, 40, 0.3, 7);
   const auto result = indexed_greedy(sketches, {.theta = 0.6}, 10);
   std::set<int> labels(result.labels.begin(), result.labels.end());
   EXPECT_EQ(labels.size(), result.num_clusters);
@@ -381,10 +370,10 @@ TEST(GreedyClusterGraph, RejectsOutOfRangeEdges) {
 
 class CandidateJobTest : public ::testing::Test {
  protected:
-  static std::shared_ptr<const std::vector<Sketch>> shared_family(
+  static std::shared_ptr<const kernels::SketchMatrix> shared_family(
       std::uint64_t seed) {
-    return std::make_shared<const std::vector<Sketch>>(
-        family_sketches(7, 6, 40, 0.05, seed));
+    return std::make_shared<const kernels::SketchMatrix>(
+        family_matrix(7, 6, 40, 0.05, seed));
   }
 
   static candidates::Params lsh_params() {
@@ -396,8 +385,7 @@ class CandidateJobTest : public ::testing::Test {
 
 TEST_F(CandidateJobTest, MatchesLocalEnumerationExactAndLsh) {
   const auto sketches = shared_family(21);
-  const auto matrix = kernels::SketchMatrix::from_sketches(
-      std::span<const Sketch>(*sketches));
+  const kernels::SketchMatrix& matrix = *sketches;
   ExecutionOptions exec;
 
   const auto exact = run_candidate_job(sketches, {}, 0.9, exec);
@@ -434,8 +422,7 @@ TEST_F(CandidateJobTest, ByteIdenticalAcrossThreadsSplitsAndNodes) {
 
 TEST_F(CandidateJobTest, VerifyJobMatchesLocalScoring) {
   const auto sketches = shared_family(23);
-  const auto matrix = kernels::SketchMatrix::from_sketches(
-      std::span<const Sketch>(*sketches));
+  const kernels::SketchMatrix& matrix = *sketches;
   ExecutionOptions exec;
   exec.records_per_split = 16;
   for (const auto estimator :

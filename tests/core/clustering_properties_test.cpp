@@ -16,15 +16,16 @@
 namespace mrmc::core {
 namespace {
 
-std::vector<Sketch> sample_sketches(std::uint64_t seed, std::size_t reads = 120) {
+kernels::SketchMatrix sample_sketches(std::uint64_t seed,
+                                      std::size_t reads = 120) {
   const auto sample = simdata::build_whole_metagenome(
       simdata::whole_metagenome_spec("S9"), {.reads = reads, .seed = seed});
   const MinHasher hasher(
       {.kmer = 5, .num_hashes = 64, .canonical = true, .seed = seed});
-  std::vector<Sketch> sketches;
-  sketches.reserve(sample.size());
-  for (const auto& read : sample.reads) sketches.push_back(hasher.sketch(read.seq));
-  return sketches;
+  std::vector<std::string_view> seqs;
+  seqs.reserve(sample.size());
+  for (const auto& read : sample.reads) seqs.emplace_back(read.seq);
+  return hasher.sketch_matrix(seqs);
 }
 
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -35,7 +36,7 @@ TEST_P(SeedSweep, LabelsAreAlwaysDenseAndComplete) {
     const auto greedy = greedy_cluster(sketches, {.theta = theta});
     const auto hier = hierarchical_cluster(sketches, {.theta = theta});
     for (const auto& result : {greedy.labels, hier.labels}) {
-      ASSERT_EQ(result.size(), sketches.size());
+      ASSERT_EQ(result.size(), sketches.rows());
       std::set<int> labels(result.begin(), result.end());
       EXPECT_EQ(*labels.begin(), 0);
       EXPECT_EQ(*labels.rbegin(), static_cast<int>(labels.size()) - 1);
@@ -50,26 +51,28 @@ TEST_P(SeedSweep, ThresholdExtremesBehave) {
   // theta = 1: only sketch-identical reads merge; duplicates are unlikely
   // in 120 distinct reads, so (almost) every read is alone.
   EXPECT_GT(greedy_cluster(sketches, {.theta = 1.0}).num_clusters,
-            sketches.size() - 5);
+            sketches.rows() - 5);
 }
 
 TEST_P(SeedSweep, HierarchicalIsInvariantToInputPermutation) {
-  auto sketches = sample_sketches(GetParam(), 60);
+  const auto sketches = sample_sketches(GetParam(), 60);
   const auto baseline = hierarchical_cluster(sketches, {.theta = 0.5});
 
   // Permute, cluster, and compare partitions via ARI (labels renumber).
-  std::vector<std::size_t> perm(sketches.size());
+  std::vector<std::size_t> perm(sketches.rows());
   std::iota(perm.begin(), perm.end(), std::size_t{0});
   common::Xoshiro256 rng(GetParam() ^ 0xabcULL);
   for (std::size_t i = perm.size(); i > 1; --i) {
     std::swap(perm[i - 1], perm[rng.bounded(i)]);
   }
-  std::vector<Sketch> permuted(sketches.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) permuted[i] = sketches[perm[i]];
+  kernels::SketchMatrix permuted(sketches.rows(), sketches.cols());
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    std::ranges::copy(sketches.row(perm[i]), permuted.row(i).begin());
+  }
   const auto shuffled = hierarchical_cluster(permuted, {.theta = 0.5});
 
   // Map the shuffled labels back to original positions.
-  std::vector<int> unshuffled(sketches.size());
+  std::vector<int> unshuffled(sketches.rows());
   for (std::size_t i = 0; i < perm.size(); ++i) {
     unshuffled[perm[i]] = shuffled.labels[i];
   }
@@ -90,7 +93,7 @@ TEST_P(SeedSweep, GreedyPartitionIsCoarserOrComparableAtSameTheta) {
   const auto hier = hierarchical_cluster(
       sketches, {.theta = theta + 0.05,
                  .estimator = SketchEstimator::kComponentMatch});
-  EXPECT_LE(greedy.num_clusters, hier.num_clusters + sketches.size() / 10);
+  EXPECT_LE(greedy.num_clusters, hier.num_clusters + sketches.rows() / 10);
 }
 
 TEST_P(SeedSweep, DendrogramHeightsWithinDistanceRange) {

@@ -10,9 +10,13 @@
 namespace mrmc::core {
 namespace {
 
+kernels::SketchMatrix table(const std::vector<Sketch>& sketches) {
+  return kernels::SketchMatrix::from_sketches(sketches);
+}
+
 /// Sketches with known structure: each "family" shares a base sketch with a
 /// controlled fraction of positions perturbed per member.
-std::vector<Sketch> family_sketches(std::size_t families, std::size_t per_family,
+kernels::SketchMatrix family_sketches(std::size_t families, std::size_t per_family,
                                     std::size_t length, double noise,
                                     std::uint64_t seed) {
   common::Xoshiro256 rng(seed);
@@ -28,17 +32,17 @@ std::vector<Sketch> family_sketches(std::size_t families, std::size_t per_family
       sketches.push_back(std::move(member));
     }
   }
-  return sketches;
+  return table(sketches);
 }
 
 TEST(GreedyCluster, EmptyInput) {
-  const GreedyResult result = greedy_cluster(std::span<const Sketch>{}, {});
+  const GreedyResult result = greedy_cluster(kernels::SketchMatrix{}, {});
   EXPECT_TRUE(result.labels.empty());
   EXPECT_EQ(result.num_clusters, 0u);
 }
 
 TEST(GreedyCluster, SingleSequence) {
-  const std::vector<Sketch> sketches{{1, 2, 3}};
+  const auto sketches = table({{1, 2, 3}});
   const GreedyResult result = greedy_cluster(sketches, {.theta = 0.9});
   EXPECT_EQ(result.labels, (std::vector<int>{0}));
   EXPECT_EQ(result.num_clusters, 1u);
@@ -53,7 +57,7 @@ TEST(GreedyCluster, ThetaZeroPutsEverythingTogether) {
 }
 
 TEST(GreedyCluster, ThetaOneGroupsOnlyIdenticalSketches) {
-  std::vector<Sketch> sketches = {{1, 2, 3}, {1, 2, 3}, {4, 5, 6}, {1, 2, 3}};
+  const auto sketches = table({{1, 2, 3}, {1, 2, 3}, {4, 5, 6}, {1, 2, 3}});
   const GreedyResult result = greedy_cluster(sketches, {.theta = 1.0});
   EXPECT_EQ(result.num_clusters, 2u);
   EXPECT_EQ(result.labels[0], result.labels[1]);
@@ -105,7 +109,7 @@ TEST(GreedyCluster, ComparisonsShrinkWithLooserThreshold) {
   const auto strict = greedy_cluster(sketches, {.theta = 0.99});
   const auto loose = greedy_cluster(sketches, {.theta = 0.0});
   // Loose threshold absorbs everything in the first pass: N-1 comparisons.
-  EXPECT_EQ(loose.comparisons, sketches.size() - 1);
+  EXPECT_EQ(loose.comparisons, sketches.rows() - 1);
   EXPECT_GT(strict.comparisons, loose.comparisons);
 }
 
@@ -131,7 +135,7 @@ TEST(GreedyCluster, EstimatorsCanDiffer) {
 }
 
 TEST(GreedyCluster, RejectsBadTheta) {
-  const std::vector<Sketch> sketches{{1}};
+  const auto sketches = table({{1}});
   EXPECT_THROW(greedy_cluster(sketches, {.theta = -0.1}), common::InvalidArgument);
   EXPECT_THROW(greedy_cluster(sketches, {.theta = 1.1}), common::InvalidArgument);
 }

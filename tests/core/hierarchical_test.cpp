@@ -41,7 +41,8 @@ TEST(PairwiseSimilarityMatrix, DiagonalIsOneAndSymmetric) {
     for (auto& v : sketch) v = rng.bounded(8);  // collisions likely
   }
   const auto matrix = pairwise_similarity_matrix(
-      sketches, SketchEstimator::kComponentMatch, nullptr);
+      kernels::SketchMatrix::from_sketches(sketches),
+      SketchEstimator::kComponentMatch, nullptr);
   ASSERT_EQ(matrix.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_FLOAT_EQ(matrix.at(i, i), 1.0F);
@@ -55,17 +56,17 @@ TEST(PairwiseSimilarityMatrix, DiagonalIsOneAndSymmetric) {
 
 TEST(PairwiseSimilarityMatrix, ParallelMatchesSequential) {
   common::Xoshiro256 rng(2);
-  std::vector<Sketch> sketches(80, Sketch(16));
-  for (auto& sketch : sketches) {
-    for (auto& v : sketch) v = rng.bounded(4);
+  kernels::SketchMatrix sketches(80, 16);
+  for (std::size_t i = 0; i < sketches.rows(); ++i) {
+    for (auto& v : sketches.row(i)) v = rng.bounded(4);
   }
   common::ThreadPool pool(3);
   const auto sequential = pairwise_similarity_matrix(
       sketches, SketchEstimator::kComponentMatch, nullptr);
   const auto parallel =
       pairwise_similarity_matrix(sketches, SketchEstimator::kComponentMatch, &pool);
-  for (std::size_t i = 0; i < sketches.size(); ++i) {
-    for (std::size_t j = 0; j < sketches.size(); ++j) {
+  for (std::size_t i = 0; i < sketches.rows(); ++i) {
+    for (std::size_t j = 0; j < sketches.rows(); ++j) {
       EXPECT_FLOAT_EQ(sequential.at(i, j), parallel.at(i, j));
     }
   }
@@ -219,7 +220,8 @@ TEST(HierarchicalCluster, EndToEndRecoversFamilies) {
     }
   }
   const HierarchicalResult result =
-      hierarchical_cluster(sketches, {.theta = 0.5, .linkage = Linkage::kAverage});
+      hierarchical_cluster(kernels::SketchMatrix::from_sketches(sketches),
+                           {.theta = 0.5, .linkage = Linkage::kAverage});
   EXPECT_EQ(result.num_clusters, 3u);
   EXPECT_EQ(result.labels.size(), 21u);
   EXPECT_EQ(result.dendrogram.merges.size(), 20u);
@@ -227,7 +229,7 @@ TEST(HierarchicalCluster, EndToEndRecoversFamilies) {
 
 TEST(HierarchicalCluster, EmptyInput) {
   const HierarchicalResult result =
-      hierarchical_cluster(std::span<const Sketch>{}, {});
+      hierarchical_cluster(kernels::SketchMatrix{}, {});
   EXPECT_TRUE(result.labels.empty());
   EXPECT_EQ(result.num_clusters, 0u);
 }

@@ -373,28 +373,10 @@ TEST(SketchMatrix, RoundTripsThroughSketchVectors) {
   const auto matrix = kernels::SketchMatrix::from_sketches(sketches);
   EXPECT_EQ(matrix.rows(), 9U);
   EXPECT_EQ(matrix.cols(), 21U);
-  EXPECT_EQ(matrix.to_sketches(), sketches);
   for (std::size_t i = 0; i < sketches.size(); ++i) {
     const auto row = matrix.row(i);
     ASSERT_TRUE(std::equal(row.begin(), row.end(), sketches[i].begin()));
   }
-}
-
-TEST(SketchMatrix, SketchMatrixMatchesSketchAll) {
-  common::Xoshiro256 rng(23);
-  std::vector<std::string> seqs;
-  for (int i = 0; i < 12; ++i) seqs.push_back(random_seq(rng, 80));
-  std::vector<std::string_view> views(seqs.begin(), seqs.end());
-
-  const MinHasher hasher({.kmer = 5, .num_hashes = 17, .seed = 4});
-  common::ThreadPool pool(4);
-  const auto serial = hasher.sketch_all(views);
-  const auto pooled = hasher.sketch_all(views, &pool);
-  EXPECT_EQ(serial, pooled);
-  EXPECT_EQ(kernels::SketchMatrix::from_sketches(serial),
-            hasher.sketch_matrix(views));
-  EXPECT_EQ(kernels::SketchMatrix::from_sketches(serial),
-            hasher.sketch_matrix(views, &pool));
 }
 
 // ------------------------------------------------------- SortedSketchStore
@@ -405,7 +387,7 @@ TEST(SortedSketchStore, MatchesSetBasedSimilarity) {
   for (auto& sketch : sketches) {
     for (auto& v : sketch) v = rng.bounded(12);  // lots of duplicate minima
   }
-  const SortedSketchStore store{std::span<const Sketch>(sketches)};
+  const SortedSketchStore store(kernels::SketchMatrix::from_sketches(sketches));
   ASSERT_EQ(store.size(), sketches.size());
   for (std::size_t i = 0; i < sketches.size(); ++i) {
     for (std::size_t j = 0; j < sketches.size(); ++j) {
@@ -413,6 +395,32 @@ TEST(SortedSketchStore, MatchesSetBasedSimilarity) {
                        set_based_similarity(sketches[i], sketches[j]));
     }
   }
+}
+
+TEST(SketchPairSimilarity, MatchesSketchSimilarityOnEveryPair) {
+  common::Xoshiro256 rng(37);
+  std::vector<Sketch> sketches(12, Sketch(23));
+  for (auto& sketch : sketches) {
+    for (auto& v : sketch) v = rng.bounded(16);  // matches and repeats
+  }
+  const auto matrix = kernels::SketchMatrix::from_sketches(sketches);
+  common::ThreadPool pool(3);
+  for (const SketchEstimator estimator :
+       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+    const SketchPairSimilarity serial(matrix, estimator);
+    const SketchPairSimilarity pooled(matrix, estimator, &pool);
+    for (std::size_t i = 0; i < sketches.size(); ++i) {
+      for (std::size_t j = 0; j < sketches.size(); ++j) {
+        const double expected =
+            sketch_similarity(sketches[i], sketches[j], estimator);
+        ASSERT_EQ(serial(i, j), expected) << i << "," << j;
+        ASSERT_EQ(pooled(i, j), expected) << i << "," << j;
+      }
+    }
+  }
+  const kernels::SketchMatrix empty_rows(2, 0);
+  EXPECT_EQ(SketchPairSimilarity(empty_rows, SketchEstimator::kComponentMatch)(0, 1),
+            0.0);
 }
 
 TEST(SortedSketchStore, PooledMatrixBuildMatchesSerial) {
@@ -425,7 +433,6 @@ TEST(SortedSketchStore, PooledMatrixBuildMatchesSerial) {
   common::ThreadPool pool(4);
   const SortedSketchStore serial(matrix);
   const SortedSketchStore pooled(matrix, &pool);
-  const SortedSketchStore from_span{std::span<const Sketch>(sketches)};
   ASSERT_EQ(pooled.size(), sketches.size());
   for (std::size_t i = 0; i < sketches.size(); ++i) {
     const std::set<std::uint64_t> unique(sketches[i].begin(), sketches[i].end());
@@ -435,24 +442,7 @@ TEST(SortedSketchStore, PooledMatrixBuildMatchesSerial) {
     const auto serial_row = serial.row(i);
     ASSERT_TRUE(std::equal(row.begin(), row.end(), serial_row.begin(),
                            serial_row.end()));
-    const auto span_row = from_span.row(i);
-    ASSERT_TRUE(std::equal(row.begin(), row.end(), span_row.begin(),
-                           span_row.end()));
   }
-}
-
-TEST(SortedSketchStore, RaggedSketchesKeepTheirOwnLengths) {
-  const std::vector<Sketch> sketches = {{5, 3, 5}, {}, {9, 1, 9, 1, 2}, {7}};
-  const SortedSketchStore store{std::span<const Sketch>(sketches)};
-  ASSERT_EQ(store.size(), 4U);
-  const auto as_vector = [&](std::size_t i) {
-    const auto row = store.row(i);
-    return std::vector<std::uint64_t>(row.begin(), row.end());
-  };
-  EXPECT_EQ(as_vector(0), (std::vector<std::uint64_t>{3, 5}));
-  EXPECT_TRUE(as_vector(1).empty());
-  EXPECT_EQ(as_vector(2), (std::vector<std::uint64_t>{1, 2, 9}));
-  EXPECT_EQ(as_vector(3), (std::vector<std::uint64_t>{7}));
   EXPECT_EQ(SortedSketchStore().size(), 0U);
 }
 
@@ -509,32 +499,70 @@ TEST(SimilarityMatrixEquivalence, BackendsAndThreadCountsAgree) {
   }
 }
 
-TEST(SimilarityMatrixEquivalence, FlatMatrixMatchesSketchSpanPath) {
+TEST(SimilarityMatrixEquivalence, CellsMatchPerPairEstimators) {
   const auto reads = make_reads(40, 37);
   std::vector<std::string_view> views;
-  for (const auto& read : reads) views.emplace_back(read.seq);
+  std::vector<Sketch> sketches;
+  // K = 16: the tile kernel's multiply by 1/K is then exactly the per-pair
+  // estimator's division by K.
   const MinHasher hasher({.kmer = 5, .num_hashes = 16, .seed = 5});
-  const auto sketches = hasher.sketch_all(views);
+  for (const auto& read : reads) {
+    views.emplace_back(read.seq);
+    sketches.push_back(hasher.sketch(read.seq));
+  }
   const auto matrix = hasher.sketch_matrix(views);
+  common::ThreadPool pool(4);
   for (const SketchEstimator estimator :
        {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
-    const SimilarityMatrix via_span =
-        pairwise_similarity_matrix(std::span<const Sketch>(sketches), estimator);
-    const SimilarityMatrix via_matrix = pairwise_similarity_matrix(matrix, estimator);
-    for (std::size_t i = 0; i < via_span.size(); ++i) {
-      for (std::size_t j = 0; j < via_span.size(); ++j) {
-        ASSERT_EQ(via_span.at(i, j), via_matrix.at(i, j));
+    for (common::ThreadPool* p :
+         {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+      const SimilarityMatrix cells = pairwise_similarity_matrix(matrix, estimator, p);
+      ASSERT_EQ(cells.size(), sketches.size());
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        for (std::size_t j = 0; j < cells.size(); ++j) {
+          ASSERT_EQ(cells.at(i, j),
+                    static_cast<float>(
+                        sketch_similarity(sketches[i], sketches[j], estimator)))
+              << "pooled=" << (p != nullptr) << " cell " << i << "," << j;
+        }
       }
     }
   }
+}
+
+/// Algorithm 1 written out over the per-pair estimators: a new
+/// representative i compares against every still-unassigned j > i.
+GreedyResult reference_greedy(const std::vector<Sketch>& sketches,
+                              const GreedyParams& params) {
+  GreedyResult result;
+  result.labels.assign(sketches.size(), -1);
+  for (std::size_t i = 0; i < sketches.size(); ++i) {
+    if (result.labels[i] >= 0) continue;
+    const int label = static_cast<int>(result.num_clusters++);
+    result.labels[i] = label;
+    result.representatives.push_back(i);
+    for (std::size_t j = i + 1; j < sketches.size(); ++j) {
+      if (result.labels[j] >= 0) continue;
+      ++result.comparisons;
+      if (sketch_similarity(sketches[i], sketches[j], params.estimator) >=
+          params.theta) {
+        result.labels[j] = label;
+      }
+    }
+  }
+  return result;
 }
 
 TEST(ClusteringEquivalence, GreedyIdenticalAcrossBackends) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
   const auto reads = make_reads(60, 41);
   std::vector<std::string_view> views;
-  for (const auto& read : reads) views.emplace_back(read.seq);
+  std::vector<Sketch> sketches;
   const MinHasher hasher({.kmer = 5, .num_hashes = 30, .seed = 3});
+  for (const auto& read : reads) {
+    views.emplace_back(read.seq);
+    sketches.push_back(hasher.sketch(read.seq));
+  }
   const auto matrix = hasher.sketch_matrix(views);
   for (const SketchEstimator estimator :
        {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
@@ -551,12 +579,12 @@ TEST(ClusteringEquivalence, GreedyIdenticalAcrossBackends) {
     EXPECT_EQ(scalar.labels, simd.labels);
     EXPECT_EQ(scalar.representatives, simd.representatives);
     EXPECT_EQ(scalar.comparisons, simd.comparisons);
-    // The flat-matrix overload must also agree with the span overload and
-    // with itself on a pool.
-    const GreedyResult via_span =
-        greedy_cluster(std::span<const Sketch>(matrix.to_sketches()), params);
-    EXPECT_EQ(scalar.labels, via_span.labels);
-    EXPECT_EQ(scalar.comparisons, via_span.comparisons);
+    // Both must equal Algorithm 1 over the per-pair estimators, and the
+    // matrix path must agree with itself on a pool.
+    const GreedyResult reference = reference_greedy(sketches, params);
+    EXPECT_EQ(scalar.labels, reference.labels);
+    EXPECT_EQ(scalar.representatives, reference.representatives);
+    EXPECT_EQ(scalar.comparisons, reference.comparisons);
     common::ThreadPool pool(4);
     const GreedyResult pooled = greedy_cluster(matrix, params, &pool);
     EXPECT_EQ(scalar.labels, pooled.labels);

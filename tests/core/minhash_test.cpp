@@ -110,13 +110,16 @@ TEST(MinHasher, RejectsBadK) {
   EXPECT_THROW(MinHasher({.kmer = 32}), common::InvalidArgument);
 }
 
-TEST(MinHasher, SketchAllMatchesIndividualSketches) {
+TEST(MinHasher, SketchMatrixRowsMatchIndividualSketches) {
   const MinHasher hasher({.kmer = 4, .num_hashes = 8, .seed = 6});
   const std::vector<std::string_view> seqs{"ACGTACGTAA", "TTGGCCAATT"};
-  const auto sketches = hasher.sketch_all(seqs);
-  ASSERT_EQ(sketches.size(), 2u);
-  EXPECT_EQ(sketches[0], hasher.sketch(seqs[0]));
-  EXPECT_EQ(sketches[1], hasher.sketch(seqs[1]));
+  const auto sketches = hasher.sketch_matrix(seqs);
+  ASSERT_EQ(sketches.rows(), 2u);
+  ASSERT_EQ(sketches.cols(), 8u);
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    const auto row = sketches.row(i);
+    EXPECT_EQ(Sketch(row.begin(), row.end()), hasher.sketch(seqs[i]));
+  }
 }
 
 // --------------------------------------------------------------- estimators
@@ -435,7 +438,7 @@ TEST(SortedSketchStore, JaccardCountsRebuildTheExactDouble) {
     for (auto& v : s) v = rng.bounded(64);  // plenty of duplicates
     sketches.push_back(std::move(s));
   }
-  const SortedSketchStore store{std::span<const Sketch>(sketches)};
+  const SortedSketchStore store(kernels::SketchMatrix::from_sketches(sketches));
   for (std::size_t i = 0; i < sketches.size(); ++i) {
     for (std::size_t j = i; j < sketches.size(); ++j) {
       const auto [inter, uni] = store.jaccard_counts(i, j);

@@ -17,7 +17,7 @@ namespace {
 
 TEST(OtuTable, SortedBySizeWithAbundance) {
   const std::vector<int> labels{0, 1, 1, 1, 2, 2};
-  const std::vector<Sketch> sketches(6, Sketch(8, 1));
+  const kernels::SketchMatrix sketches(6, 8, 1);
   const auto table = build_otu_table(labels, sketches);
   ASSERT_EQ(table.size(), 3u);
   EXPECT_EQ(table[0].label, 1);
@@ -30,24 +30,27 @@ TEST(OtuTable, SortedBySizeWithAbundance) {
 TEST(OtuTable, MedoidIsTheCentralMember) {
   // Cluster of 3: members 0 and 2 each differ from member 1 in different
   // positions; member 1 is closest to both -> medoid.
-  std::vector<Sketch> sketches{{1, 2, 3, 9}, {1, 2, 3, 4}, {1, 2, 8, 4}};
+  const auto sketches = kernels::SketchMatrix::from_sketches(
+      std::vector<Sketch>{{1, 2, 3, 9}, {1, 2, 3, 4}, {1, 2, 8, 4}});
   const std::vector<int> labels{0, 0, 0};
-  const auto table = build_otu_table(labels, sketches);
-  ASSERT_EQ(table.size(), 1u);
-  EXPECT_EQ(table[0].representative, 1u);
+  for (const SketchEstimator estimator :
+       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+    const auto table = build_otu_table(labels, sketches, estimator);
+    ASSERT_EQ(table.size(), 1u);
+    EXPECT_EQ(table[0].representative, 1u);
+  }
 }
 
 TEST(OtuTable, RejectsMismatchedInputs) {
-  EXPECT_THROW(build_otu_table(std::vector<int>{0}, std::vector<Sketch>{}),
+  EXPECT_THROW(build_otu_table(std::vector<int>{0}, kernels::SketchMatrix{}),
                common::InvalidArgument);
-  EXPECT_THROW(build_otu_table(std::vector<int>{-1},
-                               std::vector<Sketch>{Sketch{}}),
+  EXPECT_THROW(build_otu_table(std::vector<int>{-1}, kernels::SketchMatrix(1, 0)),
                common::InvalidArgument);
 }
 
 TEST(OtuTable, RepresentativeReadsAreNamedByClusterAndSize) {
   const std::vector<int> labels{0, 0, 1};
-  const std::vector<Sketch> sketches(3, Sketch(4, 7));
+  const kernels::SketchMatrix sketches(3, 4, 7);
   const std::vector<bio::FastaRecord> reads{
       {"a", "a", "ACGT"}, {"b", "b", "ACGA"}, {"c", "c", "TTTT"}};
   const auto table = build_otu_table(labels, sketches);
@@ -60,7 +63,7 @@ TEST(OtuTable, RepresentativeReadsAreNamedByClusterAndSize) {
 
 TEST(OtuTable, TsvHasHeaderAndOneRowPerCluster) {
   const std::vector<int> labels{0, 1};
-  const std::vector<Sketch> sketches(2, Sketch(4, 7));
+  const kernels::SketchMatrix sketches(2, 4, 7);
   const std::vector<bio::FastaRecord> reads{{"x", "x", "AC"}, {"y", "y", "GT"}};
   const auto tsv = otu_table_tsv(build_otu_table(labels, sketches), reads);
   EXPECT_NE(tsv.find("label\tsize"), std::string::npos);
@@ -119,8 +122,7 @@ TEST(IncrementalClusterer, SizesSumToReads) {
 TEST(IncrementalClusterer, MatchesBatchIndexedGreedy) {
   const auto reads = otu_reads(4, 6, 12);
   const MinHasher hasher({.kmer = 12, .num_hashes = 40, .seed = 2});
-  std::vector<Sketch> sketches;
-  for (const auto& seq : reads) sketches.push_back(hasher.sketch(seq));
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
   const GreedyParams greedy{.theta = 0.4,
                             .estimator = SketchEstimator::kComponentMatch};
   // Batch Algorithm 1 over the same banding's candidate graph.
@@ -128,9 +130,8 @@ TEST(IncrementalClusterer, MatchesBatchIndexedGreedy) {
   lsh.backend = candidates::Backend::kLshBanded;
   lsh.bands = 20;
   const auto batch = greedy_cluster_graph(
-      candidates::build_graph(
-          kernels::SketchMatrix::from_sketches(std::span<const Sketch>(sketches)),
-          lsh, greedy.theta, greedy.estimator),
+      candidates::build_graph(hasher.sketch_matrix(views), lsh, greedy.theta,
+                              greedy.estimator),
       greedy);
 
   auto clusterer = make_clusterer();

@@ -303,7 +303,7 @@ TEST(Chaos, DoctorFaultsSectionIsByteIdenticalAcrossIngestionPaths) {
   // Fault-free dry run (untraced) to aim the crashes: one mid-map on node
   // 1, one inside the barrier shuffle on node 2.
   const JobTimeline dry =
-      simulate_job(scheduler, maps, 1.0e8, reduces, "chaos dry");
+      simulate_job(scheduler, maps, 1.0e8, {}, reduces, "chaos dry");
   ASSERT_GT(dry.shuffle_s, 0.0);
   const faults::FaultPlan plan(
       {{1, config.job_startup_s + 0.4 * dry.map_phase.makespan_s,

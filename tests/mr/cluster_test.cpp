@@ -125,7 +125,7 @@ TEST(SimulateJob, TotalComposesPhases) {
   const SimScheduler scheduler(small_cluster(2));
   const std::vector<TaskSpec> maps(4, TaskSpec{2.0, 0.0, 0.0, -1});
   const std::vector<TaskSpec> reduces(2, TaskSpec{1.0, 0.0, 0.0, -1});
-  const auto timeline = simulate_job(scheduler, maps, 0.0, reduces);
+  const auto timeline = simulate_job(scheduler, maps, 0.0, {}, reduces, "job");
   EXPECT_DOUBLE_EQ(timeline.total_s, 5.0 + timeline.map_phase.makespan_s +
                                          timeline.reduce_phase.makespan_s);
   EXPECT_FALSE(timeline.summary().empty());
@@ -189,14 +189,14 @@ TEST(JobTimeline, SummaryReportsEveryPhase) {
   const SimScheduler scheduler(small_cluster(2));
   const std::vector<TaskSpec> maps(4, TaskSpec{2.0, 0.0, 0.0, -1});
   const std::vector<TaskSpec> reduces(2, TaskSpec{1.0, 0.0, 0.0, -1});
-  const auto timeline = simulate_job(scheduler, maps, 80e6, reduces, "t");
+  const auto timeline = simulate_job(scheduler, maps, 80e6, {}, reduces, "t");
   const std::string summary = timeline.summary();
   EXPECT_NE(summary.find("map="), std::string::npos);
   EXPECT_NE(summary.find("shuffle="), std::string::npos);
   EXPECT_NE(summary.find("reduce="), std::string::npos);
   EXPECT_NE(summary.find("total="), std::string::npos);
   // An all-empty job still reports (zero) phases rather than crashing.
-  const auto empty = simulate_job(scheduler, {}, 0.0, {}, "empty");
+  const auto empty = simulate_job(scheduler, {}, 0.0, {}, {}, "empty");
   EXPECT_DOUBLE_EQ(empty.total_s, scheduler.config().job_startup_s);
   EXPECT_NE(empty.summary().find("shuffle=0"), std::string::npos);
 }
@@ -205,8 +205,8 @@ TEST(SimulateJob, DeterministicAcrossCalls) {
   const SimScheduler scheduler(small_cluster(3));
   std::vector<TaskSpec> maps;
   for (int i = 0; i < 10; ++i) maps.push_back({1.0 + i, 1e5, 1e5, i % 3});
-  const auto a = simulate_job(scheduler, maps, 5e6, {});
-  const auto b = simulate_job(scheduler, maps, 5e6, {});
+  const auto a = simulate_job(scheduler, maps, 5e6, {}, {}, "job");
+  const auto b = simulate_job(scheduler, maps, 5e6, {}, {}, "job");
   EXPECT_DOUBLE_EQ(a.total_s, b.total_s);
 }
 

@@ -208,7 +208,7 @@ void write_job_trace(const std::string& path, double slowdown) {
     maps.push_back({work, 1.5e6, 4.0e5, i % 3});
   }
   std::vector<mr::TaskSpec> reduces(4, {18.0, 2.0e6, 1.0e6, -1});
-  simulate_job(scheduler, maps, 1.6e7, reduces, "accept");
+  simulate_job(scheduler, maps, 1.6e7, {}, reduces, "accept");
   auto& tracer = Tracer::global();
   tracer.set_output_path(path);
   ASSERT_TRUE(tracer.flush());

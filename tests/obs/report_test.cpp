@@ -267,11 +267,12 @@ std::vector<mr::JobTimeline> simulate_two_jobs(const std::string& trace_path) {
   }
   std::vector<mr::TaskSpec> reduces(5, {20.0, 2.5e6, 1.25e6, -1});
   mr::JobTimeline first =
-      simulate_job(scheduler, maps, kShuffleBytes[0], reduces, "roundtrip A");
+      simulate_job(scheduler, maps, kShuffleBytes[0], {}, reduces, "roundtrip A");
 
   std::vector<mr::TaskSpec> lone_reduce{{55.5, 9.9e6, 1e3, -1}};
   mr::JobTimeline second =
-      simulate_job(scheduler, {}, kShuffleBytes[1], lone_reduce, "roundtrip B");
+      simulate_job(scheduler, {}, kShuffleBytes[1], {}, lone_reduce,
+                   "roundtrip B");
 
   auto& tracer = obs::Tracer::global();
   tracer.set_output_path(trace_path);

@@ -171,6 +171,26 @@ STORE K INTO '/out';
   EXPECT_EQ(lsh_dfs.read("/out"), exact_dfs.read("/out"));
 }
 
+TEST(RunScript, LimitedSimilarityRowsAreRejected) {
+  // LIMIT keeps the first rows of a larger similarity relation; their
+  // partner lists no longer fit the smaller group's matrix.
+  const auto sample = simdata::build_whole_metagenome(
+      simdata::whole_metagenome_spec("S6"), {.reads = 12, .seed = 21});
+  auto dfs = make_dfs_with_sample(sample);
+  PigContext ctx(&dfs, {.nodes = 4});
+  EXPECT_THROW(run_script(ctx, R"(
+A = LOAD '/in.fa' USING FastaStorage;
+B = FOREACH A GENERATE FLATTEN(StringGenerator(seq, readid));
+C = FOREACH B GENERATE FLATTEN(TranslateToKmer(seq, seqid, 5));
+E = FOREACH C GENERATE FLATTEN(CalculateMinwiseHash(seqkmer, seqid2, 64, 0));
+I = GROUP E ALL;
+J = FOREACH I GENERATE FLATTEN(CalculatePairwiseSimilarity(minwise, F));
+J2 = LIMIT J 2;
+K = FOREACH (GROUP J2 ALL) GENERATE FLATTEN(AgglomerativeHierarchicalClustering(similaritymatrix, average, 0.5));
+)"),
+               common::InvalidArgument);
+}
+
 TEST(RunScript, CMinHashWordSelectsTheScheme) {
   // The `cminhash` extension word on CalculateMinwiseHash swaps in the
   // C-MinHash family; the script output must match the UDF built with the

@@ -50,6 +50,21 @@ TEST(TranslateToKmerUdf, AmbiguousCodesRestartWindow) {
   const Bag out = translate.exec(input);
   const auto& kmers = out[0].get<std::vector<long>>(0);
   EXPECT_EQ(kmers.size(), 2u);  // AC and GT only
+
+  // Any code outside 0..3 restarts the window like -1 does.
+  Tuple out_of_range;
+  out_of_range.fields.emplace_back(std::vector<long>{0, 1, 7, 2, 3});
+  out_of_range.fields.emplace_back(std::string("r"));
+  const Bag restarted = translate.exec(out_of_range);
+  EXPECT_EQ(restarted[0].get<std::vector<long>>(0), kmers);
+
+  Tuple all_ambiguous;
+  all_ambiguous.fields.emplace_back(std::vector<long>{-1, 7, 4, -1, 9});
+  all_ambiguous.fields.emplace_back(std::string("n"));
+  const Bag none = translate.exec(all_ambiguous);
+  ASSERT_EQ(none.size(), 1u);
+  EXPECT_TRUE(none[0].get<std::vector<long>>(0).empty());
+  EXPECT_EQ(none[0].get<std::string>(1), "n");
 }
 
 TEST(TranslateToKmerUdf, RejectsBadK) {
@@ -181,6 +196,39 @@ TEST(AgglomerativeHierarchicalClusteringUdf, ClustersFromRows) {
   EXPECT_EQ(labels[2].get<long>(1), labels[3].get<long>(1));
   EXPECT_NE(labels[0].get<long>(1), labels[2].get<long>(1));
   EXPECT_EQ(labels[0].get<std::string>(0), "r0");
+}
+
+TEST(AgglomerativeHierarchicalClusteringUdf, RejectsRowsThatOverrunTheGroup) {
+  const Bag group = make_minwise_group({"ACGTACGTACGT", "ACGTACGTACGT",
+                                        "TTGGCCAATTGG"});
+  Tuple grouped;
+  grouped.fields.emplace_back(group);
+  const CalculatePairwiseSimilarity sim(core::SketchEstimator::kComponentMatch);
+  const Bag rows = sim.exec(grouped);
+  const AgglomerativeHierarchicalClustering cluster(core::Linkage::kAverage, 0.5);
+
+  // The first two rows of a three-read relation (what LIMIT 2 leaves):
+  // row 0 still lists two partners, one past the 2 x 2 matrix.
+  Tuple limited;
+  limited.fields.emplace_back(Bag(rows.begin(), rows.begin() + 2));
+  EXPECT_THROW(cluster.exec(limited), common::InvalidArgument);
+
+  // A row index past the group.
+  Tuple last_only;
+  last_only.fields.emplace_back(Bag(rows.begin() + 2, rows.end()));
+  EXPECT_THROW(cluster.exec(last_only), common::InvalidArgument);
+}
+
+TEST(ClusteringUdfs, RejectRaggedMinwiseGroups) {
+  Bag group = make_minwise_group({"ACGTACGTACGT", "TTGGCCAATTGG"});
+  group[1].fields[0] = std::vector<long>{1, 2, 3};  // 3 values, not 16
+  Tuple input;
+  input.fields.emplace_back(group);
+  EXPECT_THROW(CalculatePairwiseSimilarity(core::SketchEstimator::kSetBased)
+                   .exec(input),
+               common::InvalidArgument);
+  EXPECT_THROW(GreedyClustering(0.5, core::SketchEstimator::kSetBased).exec(input),
+               common::InvalidArgument);
 }
 
 TEST(GreedyClusteringUdf, MatchesCoreGreedy) {

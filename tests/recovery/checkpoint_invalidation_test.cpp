@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "core/minhash.hpp"
 #include "core/pipeline.hpp"
+#include "mr/recovery.hpp"
 #include "simdata/datasets.hpp"
 
 namespace mrmc::core {
@@ -62,6 +64,26 @@ std::filesystem::path checkpoint_of(const std::string& dir,
 
 // The hierarchical pipeline drives 3 stages: sketch, similarity, cluster.
 constexpr std::size_t kStages = 3;
+
+// A checkpoint file: magic, u32 version, u64 key, u64 payload size and u64
+// payload checksum, then the payload.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Replace a checkpoint's payload, keeping its key and re-sealing the size
+/// and checksum, so only the decoder can reject it.
+void reseal_payload(const std::filesystem::path& path, std::string_view payload) {
+  const std::string blob = read_file(path);
+  mr::recovery::PayloadWriter sizes;
+  sizes.u64(payload.size());
+  sizes.u64(mr::recovery::fnv_checksum(payload));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << blob.substr(0, kHeaderBytes - 16) << sizes.bytes() << payload;
+}
 
 TEST(Invalidation, UnchangedRerunServesEveryStageFromCheckpoint) {
   const auto reads = sample_reads();
@@ -158,6 +180,60 @@ TEST(Invalidation, CorruptedCheckpointRecomputesThatStageOnly) {
   EXPECT_EQ(rerun.labels, first.labels);
   EXPECT_EQ(rerun.recovery.invalid_checkpoints, 1u);
   EXPECT_EQ(rerun.recovery.checkpoint_hits, kStages - 1);
+}
+
+/// The sketch stage's payload for `reads` under hier_params(): u64 rows,
+/// then per row its u64 length and values.  `edit` may reshape row i first.
+template <typename Edit>
+std::string sketch_payload(const std::vector<bio::FastaRecord>& reads,
+                           Edit&& edit) {
+  const MinHasher hasher(hier_params().minhash);
+  mr::recovery::PayloadWriter writer;
+  writer.u64(reads.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    Sketch sketch = hasher.sketch(reads[i].seq);
+    edit(i, sketch);
+    writer.u64(sketch.size());
+    for (const std::uint64_t value : sketch) writer.u64(value);
+  }
+  return writer.take();
+}
+
+TEST(Invalidation, SketchPayloadIsRowsThenLengthAndValuesPerRow) {
+  const auto reads = sample_reads();
+  const std::string dir = fresh_dir("layout");
+  (void)run_pipeline(reads, hier_params(), checkpointed(dir));
+
+  const std::string blob = read_file(checkpoint_of(dir, 0));
+  ASSERT_GE(blob.size(), kHeaderBytes);
+  EXPECT_EQ(blob.substr(kHeaderBytes),
+            sketch_payload(reads, [](std::size_t, Sketch&) {}));
+}
+
+TEST(Invalidation, RaggedSketchPayloadIsAMissThenARecompute) {
+  const auto reads = sample_reads();
+  const std::string dir = fresh_dir("ragged");
+  const PipelineResult first =
+      run_pipeline(reads, hier_params(), checkpointed(dir));
+
+  // Row 1 one value short and row 2 one value long: the sizes add up and
+  // the checksum is valid, but the table is ragged.
+  const std::filesystem::path victim = checkpoint_of(dir, 0);
+  ASSERT_FALSE(victim.empty());
+  const std::string payload = read_file(victim).substr(kHeaderBytes);
+  reseal_payload(victim, sketch_payload(reads, [](std::size_t i, Sketch& sketch) {
+                   if (i == 1) sketch.pop_back();
+                   if (i == 2) sketch.push_back(7);
+                 }));
+
+  const PipelineResult rerun =
+      run_pipeline(reads, hier_params(), checkpointed(dir));
+  EXPECT_EQ(rerun.labels, first.labels);
+  EXPECT_EQ(rerun.recovery.invalid_checkpoints, 1u);
+  EXPECT_EQ(rerun.recovery.checkpoint_misses, 1u);
+  EXPECT_EQ(rerun.recovery.checkpoint_hits, kStages - 1);
+  // The recompute wrote the well-formed table back.
+  EXPECT_EQ(read_file(victim).substr(kHeaderBytes), payload);
 }
 
 TEST(Invalidation, StaleDirectoryFromOtherRunsIsHarmless) {
