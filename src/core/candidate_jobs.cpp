@@ -1,11 +1,13 @@
 #include "core/candidate_jobs.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
 #include "core/kernels.hpp"
 #include "mr/block.hpp"
+#include "mr/runtime.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pipeline.hpp"
 
@@ -34,10 +36,7 @@ CandidateJobResult run_candidate_job(
   if (n < 2) return result;
 
   if (params.backend == candidates::Backend::kExactAllPairs) {
-    result.pairs.reserve(n * (n - 1) / 2);
-    for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      for (std::uint32_t j = i + 1; j < n; ++j) result.pairs.emplace_back(i, j);
-    }
+    result.pairs = candidates::enumerate_pairs(*sketches, params, theta);
     return result;
   }
 
@@ -47,9 +46,11 @@ CandidateJobResult run_candidate_job(
       candidates::resolve_band_shape(params, sketch_size, theta);
   result.shape = shape;
   const std::uint64_t seed = params.seed;
+  MRMC_REQUIRE(n * shape.bands <= std::numeric_limits<std::uint32_t>::max(),
+               "read ids and bucket entries must fit 32 bits");
 
   using BandJob = mr::Job<std::uint32_t, std::uint64_t, std::uint32_t,
-                          candidates::Pair>;
+                          std::vector<std::uint32_t>>;
   auto config = job_config("candidates", exec, exec.records_per_split);
 
   auto& bucket_hist =
@@ -66,19 +67,15 @@ CandidateJobResult run_candidate_job(
                    static_cast<long>(shape.bands));
       },
       [&bucket_hist](const std::uint64_t&, std::vector<std::uint32_t>& ids,
-                     std::vector<candidates::Pair>& out,
+                     std::vector<std::vector<std::uint32_t>>& out,
                      mr::ReduceContext& context) {
         bucket_hist.observe(static_cast<double>(ids.size()));
         if (ids.size() < 2) return;
         std::sort(ids.begin(), ids.end());
         ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-        for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-          for (std::size_t j = i + 1; j < ids.size(); ++j) {
-            out.emplace_back(ids[i], ids[j]);
-          }
-        }
         context.count("candidates.bucket_pairs",
                       static_cast<long>(ids.size() * (ids.size() - 1) / 2));
+        if (ids.size() >= 2) out.push_back(std::move(ids));
       });
   job.with_map_work([sketch_size](const std::uint32_t&) {
     return cost::compare_work(sketch_size);  // one mix per component
@@ -93,13 +90,17 @@ CandidateJobResult run_candidate_job(
   auto run = job.run(input);
   result.stats = std::move(run.stats);
 
-  // Cross-bucket dedup happens driver-side: the same pair may surface from
-  // several bands (and reducers), so sort + unique fixes one canonical,
-  // order-independent candidate set.
-  result.pairs = std::move(run.output);
-  std::sort(result.pairs.begin(), result.pairs.end());
-  result.pairs.erase(std::unique(result.pairs.begin(), result.pairs.end()),
-                     result.pairs.end());
+  // The driver expands the buckets row by row: the same pair may surface
+  // from several bands (and reducers), and pairs_from_buckets dedups it per
+  // row, so the candidate set does not depend on bucket order.
+  candidates::BucketCsr buckets;
+  for (const std::vector<std::uint32_t>& bucket : run.output) {
+    buckets.ids.insert(buckets.ids.end(), bucket.begin(), bucket.end());
+    buckets.offsets.push_back(static_cast<std::uint32_t>(buckets.ids.size()));
+  }
+  run.output = {};
+  mr::runtime::PoolLease lease(exec.threads, exec.isolated_pool);
+  result.pairs = candidates::pairs_from_buckets(buckets, n, &lease.pool());
   return result;
 }
 

@@ -3,14 +3,17 @@
 //
 //   "candidates"  map: (read_id, sketch) -> per-band (bucket_key, read_id)
 //                 GROUP on bucket_key
-//                 reduce: emit the bucket's deduplicated candidate pairs
+//                 reduce: emit the bucket's sorted unique id list (buckets
+//                 with fewer than two distinct ids emit nothing); the
+//                 driver joins the lists into CSR and expands them row by
+//                 row with candidates::pairs_from_buckets on its pool
 //   "verify"      map: one packed BinaryBlock of integer counts per split
 //                 (match counts via count_equal / count_equal_packed, or
 //                 |∩|,|∪| lanes via SortedSketchStore::jaccard_counts)
 //                 reduce: identity; the driver rebuilds edges positionally
 //                 from the already-sorted candidate pair list
 //
-// Both drivers sort and deduplicate their outputs, so candidate sets and
+// Both drivers produce sorted unique outputs, so candidate sets and
 // edge lists are byte-identical across thread counts, record split orders,
 // fault plans that leave one live node, and scalar vs AVX2 kernels — and
 // identical to the local candidates::enumerate_pairs / verify_pairs path.
@@ -37,8 +40,10 @@ struct CandidateJobResult {
 
 /// Enumerate candidate pairs for the sketch table.  The LSH backend runs the
 /// "candidates" MapReduce job on the simulated cluster; the exact backend
-/// enumerates all pairs driver-side (an all-pairs shuffle would itself be
-/// the O(n^2) wall this layer removes).
+/// enumerates all pairs driver-side with candidates::enumerate_pairs (an
+/// all-pairs shuffle would itself be the O(n^2) wall this layer removes).
+/// Read ids are 32-bit: rows × bands must stay below 2^32 (InvalidArgument
+/// otherwise).
 CandidateJobResult run_candidate_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,

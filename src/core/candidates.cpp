@@ -1,7 +1,10 @@
 #include "core/candidates.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -109,6 +112,19 @@ std::vector<int> LshBucketIndex::candidates(
 
 namespace {
 
+/// Read ids and bucket positions are 32-bit.
+constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+
+/// fn(block) for every block in [0, blocks), on the pool when there is one.
+void for_each_block(std::size_t blocks, common::ThreadPool* pool,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && blocks > 1) {
+    pool->parallel_for(blocks, fn);
+  } else {
+    for (std::size_t block = 0; block < blocks; ++block) fn(block);
+  }
+}
+
 std::vector<Pair> all_pairs(std::size_t n) {
   std::vector<Pair> pairs;
   if (n < 2) return pairs;
@@ -119,60 +135,232 @@ std::vector<Pair> all_pairs(std::size_t n) {
   return pairs;
 }
 
-/// Sort-based batch bucketing: one (key, id) entry per (read, band), sorted
-/// so each bucket is a contiguous run.  Memory-lean relative to hash maps
-/// at millions of reads, and trivially deterministic.
-std::vector<Pair> lsh_pairs(const kernels::SketchMatrix& sketches,
-                            const BandShape& shape, std::uint64_t seed,
-                            common::ThreadPool* pool) {
-  const std::size_t n = sketches.rows();
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> entries(n * shape.bands);
-  auto fill_row = [&](std::size_t i) {
-    const auto sketch = sketches.row(i);
-    for (std::size_t band = 0; band < shape.bands; ++band) {
-      entries[i * shape.bands + band] = {
-          band_bucket_key(sketch, band, shape, seed),
-          static_cast<std::uint32_t>(i)};
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(n, fill_row);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fill_row(i);
-  }
-  std::sort(entries.begin(), entries.end());
+/// Bucket entries are partitioned on the top kPartBits of their key: equal
+/// keys share a part, so sorting every part on its own gives the global
+/// (key, id) order.
+constexpr unsigned kPartBits = 8;
+constexpr std::size_t kParts = std::size_t{1} << kPartBits;
 
-  std::vector<Pair> pairs;
-  for (std::size_t lo = 0; lo < entries.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < entries.size() && entries[hi].first == entries[lo].first) ++hi;
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t j = i + 1; j < hi; ++j) {
-        // ids ascend within a run (the sort's tiebreak), so a < b holds;
-        // equal ids (two bands of one read colliding on the same key) must
-        // not become a self-pair.
-        if (entries[i].second == entries[j].second) continue;
-        pairs.emplace_back(entries[i].second, entries[j].second);
+/// One (read, band) bucket entry: (band_bucket_key, read id).
+using Entry = std::pair<std::uint64_t, std::uint32_t>;
+
+/// Sort-based batch bucketing: one (key, id) entry per (read, band), sorted
+/// so each bucket is a contiguous run, then compacted into CSR.  The keys
+/// are hashed twice — once to size each part, once to fill it — so the
+/// 16-byte entry array is the only per-entry buffer.  Every buffer is
+/// allocated on the calling thread: memory a pool worker frees stays in
+/// that worker's allocator arena, out of reach of the caller's later
+/// allocations.
+BucketCsr lsh_buckets(const kernels::SketchMatrix& sketches,
+                      const BandShape& shape, std::uint64_t seed,
+                      common::ThreadPool* pool) {
+  const std::size_t n = sketches.rows();
+  const std::size_t row_blocks =
+      pool == nullptr ? 1 : std::min(n, pool->size() * 4);
+  auto for_each_key = [&](std::size_t row_block, auto&& fn) {
+    for (std::size_t i = n * row_block / row_blocks;
+         i < n * (row_block + 1) / row_blocks; ++i) {
+      const auto sketch = sketches.row(i);
+      for (std::size_t band = 0; band < shape.bands; ++band) {
+        const std::uint64_t key = band_bucket_key(sketch, band, shape, seed);
+        fn(key >> (64 - kPartBits), key, static_cast<std::uint32_t>(i));
       }
     }
-    lo = hi;
+  };
+
+  // cursor[r * kParts + p]: row block r's entries in part p, then (after
+  // the prefix pass) where it writes the first of them.  Parts are laid out
+  // in order and row blocks in order within a part, so the fill is
+  // deterministic.
+  std::vector<std::size_t> cursor(row_blocks * kParts, 0);
+  for_each_block(row_blocks, pool, [&](std::size_t r) {
+    for_each_key(r, [&](std::size_t part, std::uint64_t, std::uint32_t) {
+      ++cursor[r * kParts + part];
+    });
+  });
+  std::vector<std::size_t> part_start(kParts + 1, 0);
+  for (std::size_t p = 0; p < kParts; ++p) {
+    part_start[p + 1] = part_start[p];
+    for (std::size_t r = 0; r < row_blocks; ++r) {
+      const std::size_t count = cursor[r * kParts + p];
+      cursor[r * kParts + p] = part_start[p + 1];
+      part_start[p + 1] += count;
+    }
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
+  std::vector<Entry> entries(part_start[kParts]);
+  for_each_block(row_blocks, pool, [&](std::size_t r) {
+    for_each_key(r, [&](std::size_t part, std::uint64_t key, std::uint32_t id) {
+      entries[cursor[r * kParts + part]++] = {key, id};
+    });
+  });
+
+  // Sort every part, then compact its runs of equal keys into buckets in
+  // two walks: one to size each part's share of the CSR, one to fill it.
+  // ids ascend within a run (the sort's tiebreak); an id repeated in one run
+  // (two bands of one read colliding on the same key) is kept once, and a
+  // bucket left with a single distinct id makes no pair and is dropped.
+  auto for_each_bucket = [&](std::size_t p, auto&& fn) {
+    const Entry* const last = entries.data() + part_start[p + 1];
+    for (const Entry* lo = entries.data() + part_start[p]; lo != last;) {
+      const Entry* hi = lo + 1;
+      std::size_t distinct = 1;
+      for (; hi != last && hi->first == lo->first; ++hi) {
+        distinct += hi->second != hi[-1].second ? 1 : 0;
+      }
+      if (distinct >= 2) fn(lo, hi, distinct);
+      lo = hi;
+    }
+  };
+  // part_ids[p + 1] / part_buckets[p + 1] count part p's ids and buckets;
+  // after the prefix pass, part_ids[p] / part_buckets[p] are where part p's
+  // begin in the CSR.
+  std::vector<std::size_t> part_ids(kParts + 1, 0);
+  std::vector<std::size_t> part_buckets(kParts + 1, 0);
+  for_each_block(kParts, pool, [&](std::size_t p) {
+    std::sort(entries.begin() + static_cast<std::ptrdiff_t>(part_start[p]),
+              entries.begin() + static_cast<std::ptrdiff_t>(part_start[p + 1]));
+    for_each_bucket(p, [&](const Entry*, const Entry*, std::size_t distinct) {
+      part_ids[p + 1] += distinct;
+      ++part_buckets[p + 1];
+    });
+  });
+  for (std::size_t p = 0; p < kParts; ++p) {
+    part_ids[p + 1] += part_ids[p];
+    part_buckets[p + 1] += part_buckets[p];
+  }
+  BucketCsr buckets;
+  buckets.ids.resize(part_ids[kParts]);
+  buckets.offsets.resize(part_buckets[kParts] + 1, 0);
+  for_each_block(kParts, pool, [&](std::size_t p) {
+    std::size_t id = part_ids[p];
+    std::size_t bucket = part_buckets[p];
+    for_each_bucket(p, [&](const Entry* lo, const Entry* hi, std::size_t) {
+      for (const Entry* e = lo; e != hi; ++e) {
+        if (e == lo || e->second != e[-1].second) buckets.ids[id++] = e->second;
+      }
+      buckets.offsets[++bucket] = static_cast<std::uint32_t>(id);
+    });
+  });
+  return buckets;
 }
 
 }  // namespace
 
+std::vector<Pair> pairs_from_buckets(const BucketCsr& buckets,
+                                     std::size_t rows,
+                                     common::ThreadPool* pool) {
+  const std::vector<std::uint32_t>& offsets = buckets.offsets;
+  const std::vector<std::uint32_t>& ids = buckets.ids;
+  MRMC_REQUIRE(rows <= kMaxIndex, "read ids must fit 32 bits");
+  MRMC_REQUIRE(ids.size() <= kMaxIndex, "bucket entries must fit 32 bits");
+  MRMC_REQUIRE(!offsets.empty() && offsets.front() == 0 &&
+                   offsets.back() == ids.size(),
+               "offsets must frame the ids");
+
+  // Row index: slot s of row a is one bucket holding a, as the range of
+  // a's mates b > a in it — the ids after a in that ascending bucket.
+  // work[a] counts the mates rows before a gather, duplicates included.
+  struct Mates {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  std::vector<std::uint32_t> row_start(rows + 1, 0);
+  std::vector<std::uint64_t> work(rows + 1, 0);
+  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+    const std::uint32_t lo = offsets[g];
+    const std::uint32_t hi = offsets[g + 1];
+    MRMC_REQUIRE(lo < hi && hi - lo >= 2, "every bucket needs two ids");
+    MRMC_REQUIRE(ids[hi - 1] < rows, "bucket id out of range");
+    for (std::uint32_t p = lo; p + 1 < hi; ++p) {
+      MRMC_REQUIRE(ids[p] < ids[p + 1], "bucket ids must ascend");
+      ++row_start[ids[p] + 1];
+      work[ids[p] + 1] += hi - p - 1;
+    }
+  }
+  for (std::size_t a = 0; a < rows; ++a) {
+    row_start[a + 1] += row_start[a];
+    work[a + 1] += work[a];
+  }
+  std::vector<Mates> slots(row_start[rows]);
+  {
+    std::vector<std::uint32_t> cursor(row_start.begin(), row_start.end() - 1);
+    for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+      for (std::uint32_t p = offsets[g]; p + 1 < offsets[g + 1]; ++p) {
+        slots[cursor[ids[p]]++] = {p + 1, offsets[g + 1]};
+      }
+    }
+  }
+
+  // Cut the rows into contiguous blocks of about equal work, so one dense
+  // bucket cannot serialise the pass.
+  const std::size_t blocks = pool == nullptr ? 1 : pool->size() * 8;
+  std::vector<std::size_t> cut(blocks + 1, rows);
+  cut[0] = 0;
+  for (std::size_t k = 1; k < blocks; ++k) {
+    cut[k] = static_cast<std::size_t>(
+        std::lower_bound(work.begin(), work.end(), work[rows] * k / blocks) -
+        work.begin());
+  }
+
+  // Worker w stamps seen[w][b] = a + 1 when it writes the pair (a, b), so a
+  // mate reached through several buckets is kept once.  Every block is
+  // expanded twice, first to count its pairs and then to write them at its
+  // prefix offset, so the output is the only pair-sized buffer.
+  const std::size_t workers = pool == nullptr ? 1 : pool->size();
+  std::vector<std::vector<std::uint32_t>> seen(workers,
+                                               std::vector<std::uint32_t>(rows));
+  std::vector<std::size_t> start(blocks + 1, 0);
+  std::vector<Pair> pairs;
+  auto expand = [&](bool write) {
+    std::atomic<std::size_t> next_block{0};
+    for_each_block(workers, pool, [&](std::size_t w) {
+      std::vector<std::uint32_t>& last = seen[w];
+      std::fill(last.begin(), last.end(), 0);
+      for (std::size_t k; (k = next_block.fetch_add(1)) < blocks;) {
+        std::size_t out = write ? start[k] : 0;
+        for (std::size_t a = cut[k]; a < cut[k + 1]; ++a) {
+          const auto stamp = static_cast<std::uint32_t>(a + 1);
+          const std::size_t row_begin = out;
+          for (std::uint32_t s = row_start[a]; s < row_start[a + 1]; ++s) {
+            for (std::uint32_t p = slots[s].begin; p < slots[s].end; ++p) {
+              if (last[ids[p]] == stamp) continue;
+              last[ids[p]] = stamp;
+              if (write) pairs[out] = {stamp - 1, ids[p]};
+              ++out;
+            }
+          }
+          // Each bucket's mates ascend, so a row in one bucket, or whose
+          // other buckets add nothing new (copies of one read), needs no
+          // sort.
+          if (write) {
+            Pair* const row = pairs.data() + row_begin;
+            if (!std::is_sorted(row, pairs.data() + out)) {
+              std::sort(row, pairs.data() + out);
+            }
+          }
+        }
+        if (!write) start[k + 1] = out;
+      }
+    });
+  };
+  expand(false);
+  for (std::size_t k = 0; k < blocks; ++k) start[k + 1] += start[k];
+  pairs.resize(start[blocks]);
+  expand(true);
+  return pairs;
+}
+
 std::vector<Pair> enumerate_pairs(const kernels::SketchMatrix& sketches,
                                   const Params& params, double theta,
                                   common::ThreadPool* pool) {
-  if (sketches.rows() < 2) return {};
-  if (params.backend == Backend::kExactAllPairs) {
-    return all_pairs(sketches.rows());
-  }
+  const std::size_t n = sketches.rows();
+  MRMC_REQUIRE(n <= kMaxIndex, "read ids must fit 32 bits");
+  if (n < 2) return {};
+  if (params.backend == Backend::kExactAllPairs) return all_pairs(n);
   const BandShape shape = resolve_band_shape(params, sketches.cols(), theta);
-  return lsh_pairs(sketches, shape, params.seed, pool);
+  MRMC_REQUIRE(n * shape.bands <= kMaxIndex, "bucket entries must fit 32 bits");
+  return pairs_from_buckets(lsh_buckets(sketches, shape, params.seed, pool), n,
+                            pool);
 }
 
 SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,

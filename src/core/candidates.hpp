@@ -132,9 +132,31 @@ class LshBucketIndex {
 /// all pairs (exact backend) or bucket-mates in at least one band (LSH
 /// backend).  The result is sorted by (a, b) and deduplicated — identical
 /// at any `pool` size, and identical to what the candidate MapReduce job
-/// produces for the same inputs.
+/// produces for the same inputs.  Read ids are 32-bit: the matrix may hold
+/// at most 2^32 - 1 rows, and for the LSH backend rows × bands must also
+/// stay below 2^32 (both are checked; InvalidArgument otherwise).
 [[nodiscard]] std::vector<Pair> enumerate_pairs(
     const kernels::SketchMatrix& sketches, const Params& params, double theta,
+    common::ThreadPool* pool = nullptr);
+
+/// LSH buckets in CSR form: bucket g holds ids[offsets[g], offsets[g + 1]),
+/// strictly ascending, at least two ids each.  A bucket is every (read,
+/// band) entry sharing one band_bucket_key, across all bands, with repeated
+/// ids (two bands of one read landing on the same key) collapsed.
+struct BucketCsr {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<std::uint32_t> ids;
+};
+
+/// Every pair of bucket-mates among `rows` reads, sorted by (a, b), unique,
+/// a < b: the one bucket-to-pairs routine the local enumerator and the
+/// candidate MapReduce driver share.  Rows are split into contiguous blocks
+/// of roughly equal pair work; each row gathers its mates b > a from its
+/// buckets, deduplicates them and writes them in ascending order, so the
+/// output is identical at any `pool` size.  Requires every id < rows,
+/// rows < 2^32 and fewer than 2^32 ids (InvalidArgument otherwise).
+[[nodiscard]] std::vector<Pair> pairs_from_buckets(
+    const BucketCsr& buckets, std::size_t rows,
     common::ThreadPool* pool = nullptr);
 
 /// A verified candidate edge.  `similarity` is kept in double, computed with

@@ -483,7 +483,9 @@ void encode_labels(mr::recovery::PayloadWriter& writer,
 }
 
 std::vector<int> decode_labels(mr::recovery::PayloadReader& reader) {
-  std::vector<int> labels(reader.u64());
+  const std::uint64_t count = reader.u64();
+  MRMC_CHECK(count <= reader.remaining() / 8, "label list larger than its payload");
+  std::vector<int> labels(count);
   for (int& label : labels) label = static_cast<int>(reader.i64());
   return labels;
 }
@@ -503,10 +505,18 @@ CandidateJobResult decode_candidates(mr::recovery::PayloadReader& reader) {
   CandidateJobResult candidates;  // stats stay empty: the job never ran
   candidates.shape.bands = reader.u64();
   candidates.shape.rows = reader.u64();
-  candidates.pairs.resize(reader.u64());
+  const std::uint64_t count = reader.u64();
+  MRMC_CHECK(count <= reader.remaining() / 8, "pair list larger than its payload");
+  candidates.pairs.resize(count);
   for (auto& [a, b] : candidates.pairs) {
     a = reader.u32();
     b = reader.u32();
+  }
+  // A candidate list is sorted, unique and a < b; anything else is corrupt.
+  for (std::size_t p = 0; p < candidates.pairs.size(); ++p) {
+    MRMC_CHECK(candidates.pairs[p].first < candidates.pairs[p].second &&
+                   (p == 0 || candidates.pairs[p - 1] < candidates.pairs[p]),
+               "candidate pairs not strictly ascending");
   }
   return candidates;
 }
@@ -526,7 +536,9 @@ candidates::SparseSimilarityGraph decode_graph(
     mr::recovery::PayloadReader& reader) {
   candidates::SparseSimilarityGraph graph;
   graph.num_vertices = reader.u64();
-  graph.edges.resize(reader.u64());
+  const std::uint64_t count = reader.u64();
+  MRMC_CHECK(count <= reader.remaining() / 16, "edge list larger than its payload");
+  graph.edges.resize(count);
   for (candidates::Edge& edge : graph.edges) {
     edge.a = reader.u32();
     edge.b = reader.u32();
@@ -546,6 +558,8 @@ void encode_matrix(mr::recovery::PayloadWriter& writer,
 
 SimilarityMatrix decode_matrix(mr::recovery::PayloadReader& reader) {
   const std::size_t n = reader.u64();
+  MRMC_CHECK(n == 0 || n <= reader.remaining() / 4 / n,
+             "similarity matrix larger than its payload");
   SimilarityMatrix matrix(n, 0.0F);
   float* data = matrix.mutable_data();
   for (std::size_t i = 0; i < n * n; ++i) data[i] = reader.f32();

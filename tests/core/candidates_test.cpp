@@ -4,13 +4,15 @@
 // (exact graphs reproduce the dense all-pairs matrix bit-for-bit and the
 // graph greedy sweep reproduces the exhaustive sweep), determinism of the
 // candidate MapReduce job across thread counts / split sizes / fault plans /
-// kernel backends, and the recall harness in eval/.  Kept as its own binary
+// kernel backends, the bucket-to-pairs expansion against a brute-force
+// oracle on duplicate-heavy input, and the recall harness in eval/.  Kept as its own binary
 // so the TSan leg can build and run it in isolation.
 #include "core/candidates.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -308,6 +310,178 @@ TEST(LshIndex, CandidatesDedupAcrossBands) {
   index.insert(1, sketch);
   // The same id collides in all 8 bands but must be returned once.
   EXPECT_EQ(index.candidates(sketch).size(), 1u);
+}
+
+// ------------------------------------------------ bucket-to-pairs expansion
+
+/// A duplicate-heavy table: 2 100 rows, of which 700 (a third) are exact
+/// copies of one sketch, 300 are near-copies of it (two components
+/// redrawn), and the rest are families of five and loose pairs, so buckets
+/// range from two ids to ~1 000.
+kernels::SketchMatrix duplicate_heavy_matrix() {
+  common::Xoshiro256 rng(41);
+  Sketch base(40);
+  for (auto& v : base) v = rng();
+  std::vector<Sketch> rows(700, base);
+  for (std::size_t i = 0; i < 300; ++i) {
+    Sketch near = base;
+    near[rng.bounded(40)] = rng();
+    near[rng.bounded(40)] = rng();
+    rows.push_back(std::move(near));
+  }
+  for (const auto& families : {family_matrix(150, 5, 40, 0.05, 42),
+                                family_matrix(175, 2, 40, 0.15, 45)}) {
+    for (std::size_t i = 0; i < families.rows(); ++i) {
+      const auto row = families.row(i);
+      rows.emplace_back(row.begin(), row.end());
+    }
+  }
+  // Interleave so the copies are not one contiguous id range.
+  for (std::size_t i = rows.size() - 1; i > 0; --i) {
+    std::swap(rows[i], rows[rng.bounded(i + 1)]);
+  }
+  return kernels::SketchMatrix::from_sketches(rows);
+}
+
+/// The definition of the LSH candidate set, written out directly: every pair
+/// of bucket-mates over all bands, then sort + unique.
+std::vector<candidates::Pair> brute_force_lsh_pairs(
+    const kernels::SketchMatrix& matrix, const candidates::Params& params,
+    double theta) {
+  const auto shape =
+      candidates::resolve_band_shape(params, matrix.cols(), theta);
+  std::map<std::uint64_t, std::vector<std::uint32_t>> buckets;
+  for (std::uint32_t i = 0; i < matrix.rows(); ++i) {
+    for (std::size_t band = 0; band < shape.bands; ++band) {
+      buckets[candidates::band_bucket_key(matrix.row(i), band, shape,
+                                          params.seed)]
+          .push_back(i);
+    }
+  }
+  std::vector<candidates::Pair> pairs;
+  for (const auto& [key, ids] : buckets) {
+    for (const std::uint32_t a : ids) {
+      for (const std::uint32_t b : ids) {
+        if (a < b) pairs.emplace_back(a, b);
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+candidates::Params lsh_params() {
+  candidates::Params params;
+  params.backend = candidates::Backend::kLshBanded;
+  return params;
+}
+
+TEST(PairsFromBuckets, DuplicateHeavyMatrixMatchesTheBruteForceOracle) {
+  const auto matrix = duplicate_heavy_matrix();
+  ASSERT_GE(matrix.rows(), 2000u);
+  const auto oracle = brute_force_lsh_pairs(matrix, lsh_params(), 0.9);
+  // The 700 copies alone are 700 · 699 / 2 pairs.
+  ASSERT_GT(oracle.size(), 700u * 699u / 2u);
+  EXPECT_EQ(candidates::enumerate_pairs(matrix, lsh_params(), 0.9), oracle);
+}
+
+TEST(PairsFromBuckets, DuplicateHeavyIdenticalWithoutAPoolAndAtOneAndFourThreads) {
+  const auto matrix = duplicate_heavy_matrix();
+  common::ThreadPool one(1);
+  common::ThreadPool four(4);
+  const auto serial = candidates::enumerate_pairs(matrix, lsh_params(), 0.9);
+  EXPECT_EQ(candidates::enumerate_pairs(matrix, lsh_params(), 0.9, &one),
+            serial);
+  EXPECT_EQ(candidates::enumerate_pairs(matrix, lsh_params(), 0.9, &four),
+            serial);
+}
+
+TEST(PairsFromBuckets, DuplicateHeavyCandidateJobMatchesLocalEnumeration) {
+  const auto sketches =
+      std::make_shared<const kernels::SketchMatrix>(duplicate_heavy_matrix());
+  ExecutionOptions exec;
+  exec.threads = 3;
+  exec.records_per_split = 256;
+  exec.cluster.nodes = 4;
+  EXPECT_EQ(run_candidate_job(sketches, lsh_params(), 0.9, exec).pairs,
+            candidates::enumerate_pairs(*sketches, lsh_params(), 0.9));
+}
+
+/// A two-band sketch whose bands hash to one key: the last component of band
+/// 1 is chosen so both bands feed the same value into their final mix.
+Sketch self_colliding_sketch(const candidates::BandShape& shape,
+                             std::uint64_t seed) {
+  common::Xoshiro256 rng(43);
+  Sketch sketch(shape.bands * shape.rows);
+  for (auto& v : sketch) v = rng();
+  auto chain_before_last = [&](std::size_t band) {
+    std::uint64_t h = common::mix64(seed ^ (band * 0x9e3779b97f4a7c15ULL));
+    for (std::size_t r = band * shape.rows; r + 1 < (band + 1) * shape.rows; ++r) {
+      h = common::mix64(h ^ sketch[r]);
+    }
+    return h;
+  };
+  sketch[2 * shape.rows - 1] =
+      chain_before_last(0) ^ sketch[shape.rows - 1] ^ chain_before_last(1);
+  return sketch;
+}
+
+TEST(PairsFromBuckets, TwoBandsOfOneRowOnOneKeyMakeNoSelfPair) {
+  candidates::Params params = lsh_params();
+  params.bands = 8;
+  const candidates::BandShape shape{8, 5};
+  const Sketch colliding = self_colliding_sketch(shape, params.seed);
+  ASSERT_EQ(candidates::band_bucket_key(colliding, 0, shape, params.seed),
+            candidates::band_bucket_key(colliding, 1, shape, params.seed));
+
+  common::Xoshiro256 rng(44);
+  const Sketch other = random_sketch(40, rng);
+  // Alone with an unrelated row: the shared bucket holds one distinct id.
+  const auto lone = std::make_shared<const kernels::SketchMatrix>(
+      kernels::SketchMatrix::from_sketches(std::vector<Sketch>{colliding, other}));
+  common::ThreadPool pool(2);
+  EXPECT_TRUE(candidates::enumerate_pairs(*lone, params, 0.9).empty());
+  EXPECT_TRUE(candidates::enumerate_pairs(*lone, params, 0.9, &pool).empty());
+  EXPECT_TRUE(run_candidate_job(lone, params, 0.9, {}).pairs.empty());
+
+  // With a copy of itself: exactly the one cross pair, never (i, i).
+  const auto twice = std::make_shared<const kernels::SketchMatrix>(
+      kernels::SketchMatrix::from_sketches(
+          std::vector<Sketch>{other, colliding, colliding}));
+  const std::vector<candidates::Pair> expected{{1, 2}};
+  EXPECT_EQ(candidates::enumerate_pairs(*twice, params, 0.9), expected);
+  EXPECT_EQ(candidates::enumerate_pairs(*twice, params, 0.9, &pool), expected);
+  EXPECT_EQ(run_candidate_job(twice, params, 0.9, {}).pairs, expected);
+}
+
+TEST(PairsFromBuckets, ExpandsHandBuiltBucketsRowByRow) {
+  // Buckets {0, 2, 5}, {2, 5}, {1, 3}: (2, 5) surfaces twice.
+  candidates::BucketCsr buckets;
+  buckets.ids = {0, 2, 5, 2, 5, 1, 3};
+  buckets.offsets = {0, 3, 5, 7};
+  const std::vector<candidates::Pair> expected{
+      {0, 2}, {0, 5}, {1, 3}, {2, 5}};
+  EXPECT_EQ(candidates::pairs_from_buckets(buckets, 6), expected);
+  common::ThreadPool pool(3);
+  EXPECT_EQ(candidates::pairs_from_buckets(buckets, 6, &pool), expected);
+  EXPECT_TRUE(candidates::pairs_from_buckets({}, 6).empty());
+}
+
+TEST(PairsFromBuckets, RejectsMalformedBuckets) {
+  const auto expand = [](std::vector<std::uint32_t> offsets,
+                         std::vector<std::uint32_t> ids, std::size_t rows) {
+    candidates::BucketCsr buckets;
+    buckets.offsets = std::move(offsets);
+    buckets.ids = std::move(ids);
+    return candidates::pairs_from_buckets(buckets, rows);
+  };
+  EXPECT_THROW((void)expand({0, 2}, {1, 9}, 5), common::InvalidArgument);
+  EXPECT_THROW((void)expand({0, 2}, {3, 1}, 5), common::InvalidArgument);
+  EXPECT_THROW((void)expand({0, 2}, {1, 1}, 5), common::InvalidArgument);
+  EXPECT_THROW((void)expand({0, 1, 3}, {0, 1, 2}, 5), common::InvalidArgument);
+  EXPECT_THROW((void)expand({0, 2}, {0, 1, 2}, 5), common::InvalidArgument);
+  EXPECT_THROW((void)expand({}, {}, 5), common::InvalidArgument);
 }
 
 // ------------------------------------------------------ indexed greedy

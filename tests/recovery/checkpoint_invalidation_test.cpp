@@ -3,6 +3,7 @@
 // to recompute — never crash, never change the output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -234,6 +235,87 @@ TEST(Invalidation, RaggedSketchPayloadIsAMissThenARecompute) {
   EXPECT_EQ(rerun.recovery.checkpoint_hits, kStages - 1);
   // The recompute wrote the well-formed table back.
   EXPECT_EQ(read_file(victim).substr(kHeaderBytes), payload);
+}
+
+// The LSH greedy pipeline drives 4 stages: sketch, candidates, verify,
+// greedy-cluster.
+constexpr std::size_t kLshStages = 4;
+
+PipelineParams lsh_params() {
+  PipelineParams params = hier_params();
+  params.mode = Mode::kGreedy;
+  params.candidates.backend = candidates::Backend::kLshBanded;
+  return params;
+}
+
+/// Run `params`' pipeline, let `edit` rewrite the payload of stage
+/// `sequence`, re-seal it, and check the rerun rejects exactly that
+/// checkpoint and recomputes it.
+template <typename Edit>
+void expect_payload_rejected(const std::string& tag, const PipelineParams& params,
+                             std::size_t stages, std::size_t sequence,
+                             Edit&& edit) {
+  const auto reads = sample_reads();
+  const std::string dir = fresh_dir(tag);
+  const PipelineResult first = run_pipeline(reads, params, checkpointed(dir));
+
+  const std::filesystem::path victim = checkpoint_of(dir, sequence);
+  ASSERT_FALSE(victim.empty());
+  const std::string payload = read_file(victim).substr(kHeaderBytes);
+  std::string edited = payload;
+  edit(edited);
+  reseal_payload(victim, edited);
+
+  const PipelineResult rerun = run_pipeline(reads, params, checkpointed(dir));
+  EXPECT_EQ(rerun.labels, first.labels) << tag;
+  EXPECT_EQ(rerun.recovery.invalid_checkpoints, 1u) << tag;
+  EXPECT_EQ(rerun.recovery.checkpoint_misses, 1u) << tag;
+  EXPECT_EQ(rerun.recovery.checkpoint_hits, stages - 1) << tag;
+  EXPECT_EQ(read_file(victim).substr(kHeaderBytes), payload) << tag;
+}
+
+/// Overwrite the little-endian u64 at byte `offset` of a payload with 2^40.
+auto claim_2_pow_40_at(std::size_t offset) {
+  return [offset](std::string& payload) {
+    mr::recovery::PayloadWriter writer;
+    writer.u64(std::uint64_t{1} << 40);
+    payload.replace(offset, 8, writer.bytes());
+  };
+}
+
+TEST(Invalidation, OversizedCountsAreAMissThenARecompute) {
+  // A count of 2^40 elements would be a multi-TiB allocation; each decoder
+  // must refuse it against the bytes actually left.  Candidates: u64
+  // bands, u64 rows, u64 pairs.  Graph: u64 vertices, u64 edges.  Labels
+  // and the similarity matrix start with their count.
+  expect_payload_rejected("count_pairs", lsh_params(), kLshStages, 1,
+                          claim_2_pow_40_at(16));
+  expect_payload_rejected("count_edges", lsh_params(), kLshStages, 2,
+                          claim_2_pow_40_at(8));
+  expect_payload_rejected("count_labels", lsh_params(), kLshStages, 3,
+                          claim_2_pow_40_at(0));
+  expect_payload_rejected("count_matrix", hier_params(), kStages, 1,
+                          claim_2_pow_40_at(0));
+}
+
+TEST(Invalidation, UnorderedCandidatePairsAreAMissThenARecompute) {
+  // The candidates payload is u64 bands, u64 rows, u64 count, then u32 a,
+  // u32 b per pair; this input yields at least two pairs.
+  // Swap the last pair's ids: b < a, though the list still ascends.
+  expect_payload_rejected("pairs_order", lsh_params(), kLshStages, 1,
+                          [](std::string& payload) {
+                            ASSERT_GE(payload.size(), 24u + 16u);
+                            std::swap_ranges(payload.end() - 8,
+                                             payload.end() - 4,
+                                             payload.end() - 4);
+                          });
+  // Swap the first two pairs: the list no longer ascends.
+  expect_payload_rejected("pairs_sorted", lsh_params(), kLshStages, 1,
+                          [](std::string& payload) {
+                            std::swap_ranges(payload.begin() + 24,
+                                             payload.begin() + 32,
+                                             payload.begin() + 32);
+                          });
 }
 
 TEST(Invalidation, StaleDirectoryFromOtherRunsIsHarmless) {
