@@ -42,23 +42,30 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  const std::size_t chunks = std::min(count, size() * 4);
+  // Each fetch_add claims a block of `grain` indices: about 64 blocks per
+  // worker, so one shared counter is not hit once per index.
+  const std::size_t grain = std::max<std::size_t>(1, count / (size() * 64));
+  const std::size_t blocks = (count + grain - 1) / grain;
+  const std::size_t tasks = std::min(blocks, size() * 4);
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
   std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
+  futures.reserve(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) {
     futures.push_back(submit([&] {
       for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
+        const std::size_t begin = next.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= count) return;
+        const std::size_t end = std::min(count, begin + grain);
+        for (std::size_t i = begin; i < end; ++i) {
+          try {
+            fn(i);
+          } catch (...) {
+            std::lock_guard lock(error_mutex);
+            if (!first_error) first_error = std::current_exception();
+          }
         }
       }
     }));

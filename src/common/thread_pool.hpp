@@ -1,6 +1,7 @@
 // A fixed-size work-stealing-free thread pool with a bulk parallel_for
-// helper.  Used by the MapReduce engine's thread-backed execution mode and
-// by the evaluation code (pairwise alignment sampling).
+// helper.  One process-wide pool runs the MapReduce engine's task waves and
+// every parallel loop of the library: sketching, the pairwise similarity
+// fill, candidate enumeration and verification, and the evaluation code.
 #pragma once
 
 #include <condition_variable>
@@ -49,7 +50,10 @@ class ThreadPool {
   }
 
   /// Run fn(i) for i in [0, count) across the pool and block until done.
-  /// Exceptions from any chunk are rethrown (first one wins).
+  /// Workers claim contiguous blocks of max(1, count / (size() × 64))
+  /// indices from one shared counter, so a cheap fn is not dominated by the
+  /// claim.  Every index runs exactly once, even after another index threw;
+  /// the first exception caught is rethrown.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <unordered_set>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -65,6 +67,137 @@ SimilarityMatrix similarity_matrix_from_graph(
   return matrix;
 }
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The NN-chain's working distances, 1 - similarity in double.  One n×n
+/// buffer holds a stride×stride square over the slots; slot order is leaf
+/// order, so the first-minimum scan breaks ties towards the lowest leaf.
+///
+/// Owner-row rule: a merge of (a, b) rewrites row a only, which is
+/// contiguous; no column is ever written.  Row t is current as of merge
+/// `current_as_of_[t]` of `log_` (the merges since the last compaction), and
+/// a cell (i, j) is current in whichever of rows i, j is current as of the
+/// later merge.  `current_row` brings a row up to date by walking the log
+/// entries it has not seen: a surviving slot's cell is read from that slot's
+/// own row, a retired slot's cell becomes +inf.
+///
+/// When the live slots fall to half the stride, `compact` repacks them into
+/// a live×live square at the front of the same buffer, in slot order, and
+/// clears the log.
+class ChainDistances {
+ public:
+  explicit ChainDistances(const SimilarityMatrix& matrix)
+      : stride_(matrix.size()),
+        live_(stride_),
+        dist_(std::make_unique_for_overwrite<double[]>(stride_ * stride_)),
+        current_as_of_(stride_, 0),
+        last_merge_(stride_, kNever) {
+    for (std::size_t i = 0; i < stride_; ++i) {
+      for (std::size_t j = 0; j < stride_; ++j) {
+        dist_[i * stride_ + j] =
+            i == j ? kInf : 1.0 - static_cast<double>(matrix.at(i, j));
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
+  [[nodiscard]] std::size_t live() const noexcept { return live_; }
+  [[nodiscard]] bool retired(std::size_t slot) const noexcept {
+    return last_merge_[slot] == kRetired;
+  }
+
+  /// Row `t` with every cell current: the diagonal and retired slots +inf.
+  std::span<double> current_row(std::size_t t) {
+    double* row = dist_.get() + t * stride_;
+    for (std::size_t i = current_as_of_[t]; i < log_.size(); ++i) {
+      const auto [a, b] = log_[i];
+      if (last_merge_[a] == i) row[a] = dist_[a * stride_ + t];
+      row[b] = kInf;
+    }
+    current_as_of_[t] = log_.size();
+    return {row, stride_};
+  }
+
+  /// Lance-Williams update of (a, b) into row a; slot b retires.
+  void merge(std::size_t a, std::size_t b, double size_a, double size_b,
+             Linkage linkage) {
+    double* row_a = current_row(a).data();
+    const double* row_b = current_row(b).data();
+    // Retired slots are +inf in both rows and stay +inf under every linkage.
+    switch (linkage) {
+      case Linkage::kSingle:
+        for (std::size_t k = 0; k < stride_; ++k) {
+          row_a[k] = std::min(row_a[k], row_b[k]);
+        }
+        break;
+      case Linkage::kComplete:
+        for (std::size_t k = 0; k < stride_; ++k) {
+          row_a[k] = std::max(row_a[k], row_b[k]);
+        }
+        break;
+      case Linkage::kAverage: {
+        const double total = size_a + size_b;
+        for (std::size_t k = 0; k < stride_; ++k) {
+          row_a[k] = (size_a * row_a[k] + size_b * row_b[k]) / total;
+        }
+        break;
+      }
+    }
+    row_a[a] = kInf;
+    row_a[b] = kInf;
+    last_merge_[a] = log_.size();
+    last_merge_[b] = kRetired;
+    log_.push_back({a, b});
+    current_as_of_[a] = log_.size();
+    --live_;
+  }
+
+  /// Repack the live slots, in slot order, into a live×live square at the
+  /// front of the buffer.  Returns the old slot of each new slot.
+  std::vector<std::size_t> compact() {
+    std::vector<std::size_t> keep;
+    keep.reserve(live_);
+    for (std::size_t slot = 0; slot < stride_; ++slot) {
+      if (!retired(slot)) keep.push_back(slot);
+    }
+    // New row r ends before old row keep[r + 1] begins, and within row r
+    // cell c is written after its source keep[r] * stride + keep[c] >=
+    // r * live + c is read: no cell is overwritten before its last read.
+    // Cells left of the diagonal copy the new rows already written.
+    for (std::size_t r = 0; r < live_; ++r) {
+      double* out = dist_.get() + r * live_;
+      for (std::size_t c = 0; c < r; ++c) out[c] = dist_[c * live_ + r];
+      out[r] = kInf;
+      const std::size_t i = keep[r];
+      for (std::size_t c = r + 1; c < live_; ++c) {
+        const std::size_t j = keep[c];
+        out[c] = current_as_of_[i] >= current_as_of_[j] ? dist_[i * stride_ + j]
+                                                        : dist_[j * stride_ + i];
+      }
+    }
+    stride_ = live_;
+    std::fill_n(current_as_of_.begin(), stride_, 0);
+    std::fill_n(last_merge_.begin(), stride_, kNever);
+    log_.clear();
+    return keep;
+  }
+
+ private:
+  static constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max() - 1;
+  static constexpr std::size_t kRetired = std::numeric_limits<std::size_t>::max();
+
+  std::size_t stride_;
+  std::size_t live_;
+  std::unique_ptr<double[]> dist_;  ///< uninitialised: the fill writes every cell
+  std::vector<std::size_t> current_as_of_;  ///< log entries row t reflects
+  std::vector<std::size_t> last_merge_;     ///< log index, kNever or kRetired
+  std::vector<std::pair<std::size_t, std::size_t>> log_;  ///< (kept, retired)
+};
+
+}  // namespace
+
 Dendrogram agglomerate(const SimilarityMatrix& matrix, Linkage linkage) {
   const std::size_t n = matrix.size();
   Dendrogram dendrogram;
@@ -72,88 +205,73 @@ Dendrogram agglomerate(const SimilarityMatrix& matrix, Linkage linkage) {
   if (n <= 1) return dendrogram;
   dendrogram.merges.reserve(n - 1);
 
-  // Working distance matrix, mutated in place by Lance-Williams updates.
-  // Dead slots and the diagonal hold +inf so the nearest-neighbour scan is a
-  // pure vectorizable min-reduction with no per-slot branch.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(n * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      dist[i * n + j] = i == j ? kInf : 1.0 - static_cast<double>(matrix.at(i, j));
-    }
-  }
-
-  std::vector<bool> active(n, true);
+  ChainDistances dist(matrix);
   std::vector<std::size_t> cluster_size(n, 1);
   std::vector<int> node_id(n);  // dendrogram node currently in each slot
   std::iota(node_id.begin(), node_id.end(), 0);
 
-  auto nearest = [&](std::size_t slot) {
-    const std::span<const double> row(dist.data() + slot * n, n);
-    const std::size_t best = kernels::argmin(row);
-    MRMC_CHECK(best < n && row[best] < kInf, "no active neighbour found");
-    return std::pair{best, row[best]};
-  };
-
   std::vector<std::size_t> chain;
   chain.reserve(n);
+  std::vector<char> in_chain(n, 0);
   std::size_t merges_done = 0;
-  std::size_t scan_start = 0;  // earliest possibly-active slot
+  std::size_t scan_start = 0;  // earliest possibly-live slot
 
   while (merges_done < n - 1) {
     if (chain.empty()) {
-      while (!active[scan_start]) ++scan_start;
+      while (dist.retired(scan_start)) ++scan_start;
       chain.push_back(scan_start);
+      in_chain[scan_start] = 1;
     }
-    // Grow the chain until a reciprocal nearest-neighbour pair appears.
+    // Grow the chain until its tip's nearest neighbour is already on it.
+    std::size_t tip = 0;
+    std::size_t nn = 0;
+    double d = 0;
     for (;;) {
-      const std::size_t tip = chain.back();
-      const auto [nn, d] = nearest(tip);
-      if (chain.size() >= 2 && nn == chain[chain.size() - 2]) {
-        // Reciprocal pair (tip, nn): merge.
-        const std::size_t a = std::min(tip, nn);
-        const std::size_t b = std::max(tip, nn);
-
-        Dendrogram::Merge merge;
-        merge.left = node_id[a];
-        merge.right = node_id[b];
-        merge.distance = d;
-        merge.size = cluster_size[a] + cluster_size[b];
-        dendrogram.merges.push_back(merge);
-
-        // Lance-Williams update into slot a; slot b dies.
-        const auto size_a = static_cast<double>(cluster_size[a]);
-        const auto size_b = static_cast<double>(cluster_size[b]);
-        for (std::size_t k = 0; k < n; ++k) {
-          if (!active[k] || k == a || k == b) continue;
-          const double dak = dist[a * n + k];
-          const double dbk = dist[b * n + k];
-          double updated = 0;
-          switch (linkage) {
-            case Linkage::kSingle: updated = std::min(dak, dbk); break;
-            case Linkage::kComplete: updated = std::max(dak, dbk); break;
-            case Linkage::kAverage:
-              updated = (size_a * dak + size_b * dbk) / (size_a + size_b);
-              break;
-          }
-          dist[a * n + k] = updated;
-          dist[k * n + a] = updated;
-        }
-        active[b] = false;
-        // Retire slot b: +inf across its row and column keeps it invisible
-        // to the branch-free min scans.
-        std::fill(dist.begin() + static_cast<std::ptrdiff_t>(b * n),
-                  dist.begin() + static_cast<std::ptrdiff_t>((b + 1) * n), kInf);
-        for (std::size_t k = 0; k < n; ++k) dist[k * n + b] = kInf;
-        cluster_size[a] += cluster_size[b];
-        node_id[a] = static_cast<int>(n + merges_done);
-        ++merges_done;
-
-        chain.pop_back();
-        chain.pop_back();
+      tip = chain.back();
+      const std::span<const double> row = dist.current_row(tip);
+      nn = kernels::argmin(row);
+      MRMC_CHECK(nn < row.size() && row[nn] < kInf, "no active neighbour found");
+      if (in_chain[nn]) {
+        // Normally nn is the previous element: a reciprocal pair.  Under
+        // ties the first minimum can name an earlier chain element; the
+        // previous one attains the same minimum, so merge with it instead.
+        nn = chain[chain.size() - 2];
+        d = row[nn];
         break;
       }
       chain.push_back(nn);
+      in_chain[nn] = 1;
+    }
+
+    const std::size_t a = std::min(tip, nn);
+    const std::size_t b = std::max(tip, nn);
+    dendrogram.merges.push_back({.left = node_id[a],
+                                 .right = node_id[b],
+                                 .distance = d,
+                                 .size = cluster_size[a] + cluster_size[b]});
+    dist.merge(a, b, static_cast<double>(cluster_size[a]),
+               static_cast<double>(cluster_size[b]), linkage);
+    cluster_size[a] += cluster_size[b];
+    node_id[a] = static_cast<int>(n + merges_done);
+    ++merges_done;
+    in_chain[tip] = 0;
+    in_chain[nn] = 0;
+    chain.resize(chain.size() - 2);
+
+    if (merges_done < n - 1 && 2 * dist.live() <= dist.stride()) {
+      const std::vector<std::size_t> keep = dist.compact();
+      for (std::size_t r = 0; r < keep.size(); ++r) {
+        cluster_size[r] = cluster_size[keep[r]];
+        node_id[r] = node_id[keep[r]];
+      }
+      // Chain elements are live, so each is found in keep.
+      for (auto& slot : chain) {
+        in_chain[slot] = 0;
+        slot = static_cast<std::size_t>(
+            std::lower_bound(keep.begin(), keep.end(), slot) - keep.begin());
+      }
+      for (const std::size_t slot : chain) in_chain[slot] = 1;
+      scan_start = 0;
     }
   }
 
@@ -211,17 +329,13 @@ std::vector<int> cut_dendrogram(const Dendrogram& dendrogram, double theta) {
   }
 
   // Compact labels in order of first appearance.
-  std::vector<int> labels(n, -1);
-  std::vector<std::size_t> roots;
+  std::vector<int> labels(n);
+  std::vector<int> root_label(n, -1);
+  int next_label = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t root = uf.find(i);
-    auto it = std::find(roots.begin(), roots.end(), root);
-    if (it == roots.end()) {
-      roots.push_back(root);
-      labels[i] = static_cast<int>(roots.size() - 1);
-    } else {
-      labels[i] = static_cast<int>(it - roots.begin());
-    }
+    int& label = root_label[uf.find(i)];
+    if (label < 0) label = next_label++;
+    labels[i] = label;
   }
   return labels;
 }

@@ -3,9 +3,11 @@
 //
 // An all-pairs sketch-similarity matrix is converted to distances
 // (d = 1 - sim) and agglomerated bottom-up with the nearest-neighbour-chain
-// algorithm (O(N^2) time, O(N^2) memory), supporting the paper's three
-// linkage policies (single / average / complete) via Lance-Williams
-// updates.  The resulting dendrogram is cut at similarity threshold θ:
+// algorithm (O(N^2) time, one N^2 double buffer), supporting the paper's
+// three linkage policies (single / average / complete) via Lance-Williams
+// updates.  A merge rewrites only the surviving cluster's row; the live
+// rows are repacked in place whenever half of them have retired (DESIGN.md
+// §10).  The resulting dendrogram is cut at similarity threshold θ:
 // all merges with similarity >= θ are applied, so for complete linkage no
 // pair of sequences within a flat cluster is less than θ similar — the
 // paper's stated cutoff semantics.
@@ -81,11 +83,15 @@ struct Dendrogram {
   std::vector<Merge> merges;  ///< in merge order (monotone non-decreasing distance)
 };
 
-/// NN-chain agglomeration over a similarity matrix.
+/// NN-chain agglomeration over a similarity matrix.  Nearest-neighbour ties
+/// go to the cluster with the lowest smallest leaf; when a tie makes the
+/// chain tip's nearest neighbour an earlier chain element, the tip merges
+/// with the previous element instead, which attains the same minimum.
 Dendrogram agglomerate(const SimilarityMatrix& matrix, Linkage linkage);
 
 /// Flat clusters: apply every merge whose similarity (1 - distance) is
-/// >= theta.  Returns 0-based labels ordered by first occurrence.
+/// >= theta.  Returns 0-based labels ordered by first occurrence.  O(n + m)
+/// for n leaves and m merges.
 std::vector<int> cut_dendrogram(const Dendrogram& dendrogram, double theta);
 
 struct HierarchicalParams {

@@ -180,8 +180,8 @@ void cmin_sketch(std::uint64_t mul, std::span<const std::uint64_t> add,
     Backend backend = active_backend()) noexcept;
 
 /// First index of the minimum of `row` (ties -> lowest index), or
-/// row.size() when the row is empty.  +inf entries mark dead slots; the scan
-/// assumes no NaNs.
+/// row.size() when the row is empty.  agglomerate() marks retired slots and
+/// the diagonal +inf; the scan assumes no NaNs.
 [[nodiscard]] std::size_t argmin(std::span<const double> row,
                                  Backend backend = active_backend()) noexcept;
 

@@ -48,6 +48,36 @@ TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
+TEST(ThreadPool, ParallelForGrainVisitsEveryIndexExactlyOnce) {
+  // Counts on both sides of the one-index grain boundary (size × 64) and a
+  // prime count whose last block is short.
+  ThreadPool pool(3);
+  const std::size_t boundary = pool.size() * 64;
+  for (const std::size_t count :
+       {std::size_t{1}, boundary - 1, boundary + 1, std::size_t{10007}}) {
+    std::vector<std::atomic<int>> visits(count);
+    pool.parallel_for(count, [&](std::size_t i) { ++visits[i]; });
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(visits[i].load(), 1) << "count " << count << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForThrowInsideABlockStillRunsTheRest) {
+  // 10007 indices on 2 workers claim blocks of 78, so index 100 throws in
+  // the middle of a block; the rest of that block and every other index
+  // must still run, and the exception must reach the caller.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> visits(10007);
+  EXPECT_THROW(pool.parallel_for(visits.size(),
+                                 [&](std::size_t i) {
+                                   ++visits[i];
+                                   if (i == 100) throw std::runtime_error("at 100");
+                                 }),
+               std::runtime_error);
+  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
 TEST(ThreadPool, ParallelForZeroCountIsNoop) {
   ThreadPool pool(2);
   bool called = false;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -134,6 +140,139 @@ TEST(Agglomerate, LinkageOrderingSingleBelowComplete) {
   EXPECT_LE(single.merges.back().distance, complete.merges.back().distance);
 }
 
+// ------------------------------------------------------------------ oracle
+
+/// The dense NN-chain `agglomerate` replaced: a full n×n double matrix, a
+/// Lance-Williams row *and* column update per merge, and +inf fills for the
+/// retired slot.  A tip whose first nearest neighbour is an earlier chain
+/// element merges with the previous element, which attains the same minimum.
+Dendrogram reference_agglomerate(const SimilarityMatrix& matrix, Linkage linkage) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = matrix.size();
+  Dendrogram out{n, {}};
+  if (n <= 1) return out;
+  std::vector<double> dist(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      dist[i * n + j] = i == j ? kInf : 1.0 - static_cast<double>(matrix.at(i, j));
+    }
+  }
+  std::vector<std::size_t> size(n, 1);  // 0 marks a retired slot
+  std::vector<int> node(n);
+  std::iota(node.begin(), node.end(), 0);
+  std::vector<std::size_t> chain;
+  std::size_t start = 0;
+  while (out.merges.size() < n - 1) {
+    if (chain.empty()) {
+      while (size[start] == 0) ++start;
+      chain.push_back(start);
+    }
+    const std::size_t tip = chain.back();
+    const double* row = dist.data() + tip * n;
+    const auto nn = static_cast<std::size_t>(std::min_element(row, row + n) - row);
+    if (std::find(chain.begin(), chain.end(), nn) == chain.end()) {
+      chain.push_back(nn);
+      continue;
+    }
+    const std::size_t prev = chain[chain.size() - 2];
+    const std::size_t a = std::min(tip, prev);
+    const std::size_t b = std::max(tip, prev);
+    out.merges.push_back({node[a], node[b], row[prev], size[a] + size[b]});
+    const auto size_a = static_cast<double>(size[a]);
+    const auto size_b = static_cast<double>(size[b]);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (size[k] == 0 || k == a || k == b) continue;
+      const double dak = dist[a * n + k];
+      const double dbk = dist[b * n + k];
+      double updated = (size_a * dak + size_b * dbk) / (size_a + size_b);
+      if (linkage == Linkage::kSingle) updated = std::min(dak, dbk);
+      if (linkage == Linkage::kComplete) updated = std::max(dak, dbk);
+      dist[a * n + k] = dist[k * n + a] = updated;
+    }
+    for (std::size_t k = 0; k < n; ++k) dist[b * n + k] = dist[k * n + b] = kInf;
+    size[a] += size[b];
+    size[b] = 0;
+    node[a] = static_cast<int>(n + out.merges.size() - 1);
+    chain.resize(chain.size() - 2);
+  }
+  return out;
+}
+
+/// n×n similarities drawn from Xoshiro256(n + levels): continuous when
+/// `levels` is 0, else bounded(levels) / (levels - 1).  Row 1 duplicates
+/// row 0 (similarity 1 between them).
+SimilarityMatrix oracle_matrix(std::size_t n, std::uint64_t levels) {
+  common::Xoshiro256 rng(n + levels);
+  SimilarityMatrix matrix(n, 0.0F);
+  for (std::size_t i = 0; i < n; ++i) {
+    matrix.set(i, i, 1.0F);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double value =
+          levels == 0 ? rng.uniform()
+                      : static_cast<double>(rng.bounded(levels)) /
+                            static_cast<double>(levels - 1);
+      matrix.set(i, j, static_cast<float>(value));
+    }
+  }
+  if (n > 2) {
+    for (std::size_t j = 2; j < n; ++j) matrix.set(1, j, matrix.at(0, j));
+    matrix.set(0, 1, 1.0F);
+  }
+  return matrix;
+}
+
+void expect_same_merges(const Dendrogram& actual, const Dendrogram& expected,
+                        const std::string& where) {
+  ASSERT_EQ(actual.num_leaves, expected.num_leaves) << where;
+  ASSERT_EQ(actual.merges.size(), expected.merges.size()) << where;
+  for (std::size_t i = 0; i < expected.merges.size(); ++i) {
+    const auto& got = actual.merges[i];
+    const auto& want = expected.merges[i];
+    ASSERT_EQ(got.left, want.left) << where << " merge " << i;
+    ASSERT_EQ(got.right, want.right) << where << " merge " << i;
+    ASSERT_EQ(got.size, want.size) << where << " merge " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.distance),
+              std::bit_cast<std::uint64_t>(want.distance))
+        << where << " merge " << i;
+  }
+}
+
+TEST(Agglomerate, BitIdenticalToDenseReference) {
+  // Sizes straddle the halving compactions (64 → 32 → ..., 65, 129, ...);
+  // the quantised levels force heavy ties and tie cycles.
+  for (const std::size_t n : {2, 3, 64, 65, 129, 300, 1500}) {
+    for (const std::uint64_t levels : {0, 3, 11, 101}) {
+      const auto matrix = oracle_matrix(n, levels);
+      for (const auto linkage :
+           {Linkage::kSingle, Linkage::kAverage, Linkage::kComplete}) {
+        expect_same_merges(agglomerate(matrix, linkage),
+                           reference_agglomerate(matrix, linkage),
+                           "n=" + std::to_string(n) + " levels=" +
+                               std::to_string(levels) + " " + linkage_name(linkage));
+      }
+    }
+  }
+}
+
+TEST(Agglomerate, TieCycleMergesWithThePreviousChainElement) {
+  // With similarities on a 0.01 grid the first-minimum neighbour of a chain
+  // tip can be an earlier chain element rather than the previous one.  The
+  // dendrogram must still be complete and well formed (the oracle test above
+  // checks each merge against the reference's rule).
+  const auto matrix = oracle_matrix(64, 101);
+  const Dendrogram dendrogram = agglomerate(matrix, Linkage::kSingle);
+  ASSERT_EQ(dendrogram.merges.size(), 63u);
+  std::vector<int> used(127, 0);
+  for (std::size_t i = 0; i < dendrogram.merges.size(); ++i) {
+    const auto& merge = dendrogram.merges[i];
+    ASSERT_LT(merge.left, 64 + static_cast<int>(i));
+    ASSERT_LT(merge.right, 64 + static_cast<int>(i));
+    EXPECT_EQ(++used[merge.left], 1);
+    EXPECT_EQ(++used[merge.right], 1);
+  }
+  EXPECT_EQ(dendrogram.merges.back().size, 64u);
+}
+
 TEST(LinkageName, AllNamed) {
   EXPECT_STREQ(linkage_name(Linkage::kSingle), "single");
   EXPECT_STREQ(linkage_name(Linkage::kAverage), "average");
@@ -195,6 +334,23 @@ TEST(CutDendrogram, LabelsAreDenseAndOrderedByFirstAppearance) {
   const std::set<int> unique(labels.begin(), labels.end());
   EXPECT_EQ(*unique.begin(), 0);
   EXPECT_EQ(*unique.rbegin(), static_cast<int>(unique.size()) - 1);
+}
+
+TEST(CutDendrogram, ThetaOneKeepsTwentyThousandSingletons) {
+  // Every merge is above the cutoff, so each leaf is its own cluster and
+  // labels follow leaf order.
+  constexpr std::size_t n = 20000;
+  Dendrogram dendrogram{n, {}};
+  dendrogram.merges.reserve(n - 1);
+  dendrogram.merges.push_back({0, 1, 0.5, 2});
+  for (std::size_t i = 2; i < n; ++i) {
+    dendrogram.merges.push_back(
+        {static_cast<int>(n + i - 2), static_cast<int>(i), 0.5, i + 1});
+  }
+  const auto labels = cut_dendrogram(dendrogram, 1.0);
+  std::vector<int> expected(n);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(labels, expected);
 }
 
 TEST(CutDendrogram, RejectsBadTheta) {

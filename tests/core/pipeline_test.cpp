@@ -62,6 +62,28 @@ TEST(Pipeline, DistributedHierarchicalMatchesLocal) {
   EXPECT_EQ(a.labels, b.labels);
 }
 
+TEST(Pipeline, DistributedHierarchicalMatchesLocalAcrossCompactions) {
+  // 600 reads: the agglomeration repacks its distance square at 300, 150,
+  // ... live clusters, under every linkage, on both paths.
+  const auto sample = simdata::build_whole_metagenome(
+      simdata::whole_metagenome_spec("S8"), {.reads = 600, .seed = 3});
+  ExecutionOptions distributed;
+  distributed.distributed = true;
+  distributed.cluster.nodes = 4;
+  ExecutionOptions local;
+  local.distributed = false;
+
+  for (const auto linkage :
+       {Linkage::kSingle, Linkage::kAverage, Linkage::kComplete}) {
+    auto params = base_params(Mode::kHierarchical);
+    params.linkage = linkage;
+    const auto a = run_pipeline(sample.reads, params, distributed);
+    const auto b = run_pipeline(sample.reads, params, local);
+    ASSERT_EQ(a.labels.size(), 600u);
+    EXPECT_EQ(a.labels, b.labels) << linkage_name(linkage);
+  }
+}
+
 TEST(Pipeline, LabelsCoverEveryRead) {
   const auto sample = small_sample();
   const auto result = run_pipeline(sample.reads, base_params(Mode::kHierarchical));
