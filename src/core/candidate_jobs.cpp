@@ -13,19 +13,48 @@
 
 namespace mrmc::core {
 
-namespace {
+namespace detail {
 
 mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
-                         std::size_t records_per_split) {
+                         std::size_t records_per_split,
+                         std::size_t num_reducers) {
   mr::JobConfig config;
   config.name = name;
-  config.num_reducers = std::max<std::size_t>(1, exec.cluster.reduce_slots());
+  config.num_reducers =
+      num_reducers != 0 ? num_reducers
+                        : std::max<std::size_t>(1, exec.cluster.reduce_slots());
   config.records_per_split = records_per_split;
-  detail::apply_exec_options(config, exec);
+  config.threads = exec.threads;
+  config.isolated_pool = exec.isolated_pool;
+  config.fault_plan = exec.fault_plan;
+  config.cluster = exec.cluster;
+  config.heartbeat_interval_s = exec.heartbeat_interval_s;
+  config.max_job_attempts = exec.max_job_attempts;
+  config.job_timeout_s = exec.job_timeout_s;
+  config.backoff_base_s = exec.backoff_base_s;
+  config.backoff_cap_s = exec.backoff_cap_s;
   return config;
 }
 
-}  // namespace
+PairScoreLanes::PairScoreLanes(
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
+    SketchEstimator estimator, std::size_t sketch_bits)
+    : sketches_(std::move(sketches)),
+      cols_(sketches_->cols()),
+      score_(cols_) {
+  // Set-based pairs re-compare sorted minima: sort every sketch once into a
+  // store shared (read-only) by all map tasks.
+  if (estimator == SketchEstimator::kSetBased) {
+    store_ = std::make_shared<const SortedSketchStore>(*sketches_);
+  } else if (sketch_bits < 64) {
+    packed_ = std::make_shared<const kernels::PackedSketchMatrix>(
+        kernels::PackedSketchMatrix::pack(*sketches_, sketch_bits));
+  }
+  // Match counts are ≤ K; set-based |∩| and |∪| are ≤ 2K.
+  lane_bits_ = mr::min_lane_bits(store_ ? 2 * cols_ : cols_);
+}
+
+}  // namespace detail
 
 CandidateJobResult run_candidate_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
@@ -51,12 +80,10 @@ CandidateJobResult run_candidate_job(
 
   using BandJob = mr::Job<std::uint32_t, std::uint64_t, std::uint32_t,
                           std::vector<std::uint32_t>>;
-  auto config = job_config("candidates", exec, exec.records_per_split);
-
   auto& bucket_hist =
       obs::Registry::global().histogram("pipeline.candidate_bucket_size");
   BandJob job(
-      config,
+      detail::job_config("candidates", exec, exec.records_per_split),
       [sketches, shape, seed](const std::uint32_t& id,
                               mr::Emitter<std::uint64_t, std::uint32_t>& emit) {
         const std::span<const std::uint64_t> sketch = sketches->row(id);
@@ -113,85 +140,36 @@ VerifyJobResult run_verify_job(
   if (pairs.empty()) return result;
 
   obs::pipeline::StageScope stage("verify");
+  // Splits partition the sorted unique pairs in order, so split s covers
+  // pairs [s · per_split, ...) verbatim and the positional rejoin yields the
+  // edges in canonical (a, b) order with no re-sort.  The sketch table plays
+  // Pig's GROUP-ALL broadcast relation for every map task.
   const std::size_t num_hashes = sketches->cols();
-
-  // Shared read-only scoring structures, visible to every map task (the
-  // sketch table plays Pig's GROUP-ALL broadcast relation).  Below 64 bits
-  // the rows are b-bit packed and scored with the packed count_equal kernel
-  // (the sketch job already truncated every value).
-  const bool set_based = estimator == SketchEstimator::kSetBased;
-  auto store = set_based ? std::make_shared<const SortedSketchStore>(*sketches)
-                         : nullptr;
-  auto packed = !set_based && sketch_bits < 64
-                    ? std::make_shared<const kernels::PackedSketchMatrix>(
-                          kernels::PackedSketchMatrix::pack(*sketches, sketch_bits))
-                    : nullptr;
-  const double inv_cols =
-      num_hashes == 0 ? 0.0 : 1.0 / static_cast<double>(num_hashes);
-
-  // Instead of one ((a, b), double) record per pair, each map task ships one
-  // BinaryBlock of integer counts per split — match counts (≤ K) in one
-  // column, or |∩|,|∪| (≤ 2K) in two — and the driver rebuilds the same
-  // doubles positionally: `pairs` is sorted unique and splits partition it
-  // in order, so split s covers pairs [s · per_split, ...) verbatim and the
-  // final edge list needs no re-sort.
-  const std::uint32_t lane_bits =
-      mr::min_lane_bits(set_based ? 2 * num_hashes : num_hashes);
-  using VerifyJob = mr::Job<candidates::Pair, std::uint32_t, mr::BinaryBlock,
-                            std::pair<std::uint32_t, mr::BinaryBlock>>;
+  const detail::PairScoreLanes lanes(sketches, estimator, sketch_bits);
   const std::size_t per_split = std::max<std::size_t>(
       exec.records_per_split,
       pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-  auto config = job_config("verify", exec, per_split);
-
-  VerifyJob job(
-      config,
-      [sketches, store, packed, set_based, lane_bits](
-          std::span<const candidates::Pair> split, std::size_t split_index,
-          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        mr::BinaryBlock block(lane_bits, split.size(), set_based ? 2 : 1);
+  const auto blocks = detail::run_block_job(
+      "verify", exec, per_split, pairs,
+      [lanes](std::span<const candidates::Pair> split,
+              mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
+        mr::BinaryBlock block = lanes.block(split.size());
         for (std::size_t r = 0; r < split.size(); ++r) {
-          const auto [a, b] = split[r];
-          if (set_based) {
-            const auto [inter, uni] = store->jaccard_counts(a, b);
-            block.set(0, r, inter);
-            block.set(1, r, uni);
-          } else if (packed != nullptr) {
-            block.set(0, r, packed->count_equal_rows(a, b));
-          } else if (sketches->cols() != 0) {
-            block.set(0, r,
-                      kernels::count_equal(sketches->row(a), sketches->row(b)));
-          }
+          lanes.encode(block, r, split[r].first, split[r].second);
           emit.count("verify.pairs_scored");
         }
-        emit.emit(static_cast<std::uint32_t>(split_index), std::move(block));
+        return block;
       },
-      [](const std::uint32_t& key, std::vector<mr::BinaryBlock>& values,
-         std::vector<std::pair<std::uint32_t, mr::BinaryBlock>>& out) {
-        MRMC_CHECK(values.size() == 1, "one count block per pair split");
-        out.emplace_back(key, std::move(values.front()));
-      });
-  job.with_map_work([num_hashes](const candidates::Pair&) {
-    return cost::compare_work(num_hashes);
-  });
-
-  auto run = job.run(pairs);
-  result.stats = std::move(run.stats);
-
-  // Positional rejoin against the sorted-unique input pairs: edges come out
-  // in canonical (a, b) order by construction.
+      [num_hashes](const candidates::Pair&) {
+        return cost::compare_work(num_hashes);
+      },
+      result.stats);
   result.graph.edges.resize(pairs.size());
-  for (const auto& [split_index, block] : run.output) {
-    const std::size_t base = static_cast<std::size_t>(split_index) * per_split;
+  for (const auto& [first, block] : blocks) {
     for (std::uint64_t r = 0; r < block.rows(); ++r) {
-      const auto [a, b] = pairs[base + r];
-      double sim = 0.0;
-      if (set_based) {
-        sim = jaccard_from_counts(block.get(0, r), block.get(1, r));
-      } else {
-        sim = static_cast<double>(block.get(0, r)) * inv_cols;
-      }
-      result.graph.edges[base + r] = candidates::Edge{a, b, sim};
+      const auto [a, b] = pairs[first + r];
+      result.graph.edges[first + r] =
+          candidates::Edge{a, b, lanes.decode(block, r)};
     }
   }
   return result;

@@ -1,5 +1,8 @@
-// The candidate-generation MapReduce jobs (ScalLoPS-style LSH banding at
-// MapReduce scale, Sunarso et al.):
+// The MapReduce job builders behind core::run_pipeline's distributed stages,
+// and the two job shapes they share.
+//
+// Candidate generation (ScalLoPS-style LSH banding at MapReduce scale,
+// Sunarso et al.):
 //
 //   "candidates"  map: (read_id, sketch) -> per-band (bucket_key, read_id)
 //                 GROUP on bucket_key
@@ -7,11 +10,9 @@
 //                 with fewer than two distinct ids emit nothing); the
 //                 driver joins the lists into CSR and expands them row by
 //                 row with candidates::pairs_from_buckets on its pool
-//   "verify"      map: one packed BinaryBlock of integer counts per split
-//                 (match counts via count_equal / count_equal_packed, or
-//                 |∩|,|∪| lanes via SortedSketchStore::jaccard_counts)
-//                 reduce: identity; the driver rebuilds edges positionally
-//                 from the already-sorted candidate pair list
+//   "verify"      a block job (below) over the sorted candidate pair list:
+//                 one count-lane block per split; the driver rebuilds edges
+//                 positionally from the already-sorted pair list
 //
 // Both drivers produce sorted unique outputs, so candidate sets and
 // edge lists are byte-identical across thread counts, record split orders,
@@ -19,15 +20,25 @@
 // identical to the local candidates::enumerate_pairs / verify_pairs path.
 // Each job claims a lineage stage ("candidates" / "verify") so
 // `mrmc_doctor pipeline` reports them like any other pipeline stage.
+//
+// detail:: holds what every pipeline job builder shares: the one JobConfig
+// builder, the block-job shape of the sketch, similarity and verify jobs
+// (a map task turns its split into ONE BinaryBlock, the reduce is the
+// identity, the driver rejoins blocks positionally), and PairScoreLanes,
+// the one encode/decode of a pair score as integer count lanes.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/candidates.hpp"
 #include "core/kernels.hpp"
 #include "core/pipeline.hpp"
+#include "mr/block.hpp"
 #include "mr/job.hpp"
 
 namespace mrmc::core {
@@ -63,5 +74,109 @@ VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     std::vector<candidates::Pair> pairs, SketchEstimator estimator,
     std::size_t sketch_bits, const ExecutionOptions& exec);
+
+namespace detail {
+
+/// The JobConfig of one pipeline job: its name, split size and reducer
+/// count (0 = one per reduce slot, at least one), plus every execution knob
+/// the jobs share — threads, cluster, fault plan, heartbeat override, retry
+/// policy — so a new ExecutionOptions knob cannot silently miss a stage.
+mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
+                         std::size_t records_per_split,
+                         std::size_t num_reducers = 0);
+
+/// A pair score as integer count lanes of a BinaryBlock: one match count
+/// (component-match, ≤ K) or |∩| and |∪| (set-based, ≤ 2K) per pair, in the
+/// narrowest lane that holds them.  Map tasks encode; the driver decodes the
+/// exact double the local scorers compute (kernels::MatchScore /
+/// jaccard_from_counts), so a pair costs one packed lane instead of a float.
+class PairScoreLanes {
+ public:
+  /// Below 64 `sketch_bits`, component-match rows are packed once and scored
+  /// with the packed kernel (the sketches must already be truncated).
+  PairScoreLanes(std::shared_ptr<const kernels::SketchMatrix> sketches,
+                 SketchEstimator estimator, std::size_t sketch_bits);
+
+  /// A zeroed block of `pairs` lanes.
+  [[nodiscard]] mr::BinaryBlock block(std::uint64_t pairs) const {
+    return {lane_bits_, pairs, store_ ? 2U : 1U};
+  }
+
+  /// Score rows a and b into `lane` of `block`; returns the decoded score.
+  double encode(mr::BinaryBlock& block, std::uint64_t lane, std::size_t a,
+                std::size_t b) const {
+    if (store_) {
+      const auto [inter, uni] = store_->jaccard_counts(a, b);
+      block.set(0, lane, inter);
+      block.set(1, lane, uni);
+      return jaccard_from_counts(inter, uni);
+    }
+    std::size_t matches = 0;
+    if (packed_) {
+      matches = packed_->count_equal_rows(a, b);
+    } else if (cols_ != 0) {
+      matches = kernels::count_equal(sketches_->row(a), sketches_->row(b));
+    }
+    block.set(0, lane, matches);
+    return score_(matches);
+  }
+
+  [[nodiscard]] double decode(const mr::BinaryBlock& block,
+                              std::uint64_t lane) const {
+    if (store_) {
+      return jaccard_from_counts(block.get(0, lane), block.get(1, lane));
+    }
+    return score_(block.get(0, lane));
+  }
+
+ private:
+  std::shared_ptr<const kernels::SketchMatrix> sketches_;
+  std::shared_ptr<const SortedSketchStore> store_;           ///< set-based
+  std::shared_ptr<const kernels::PackedSketchMatrix> packed_;  ///< b < 64
+  std::size_t cols_ = 0;
+  kernels::MatchScore score_{0};
+  std::uint32_t lane_bits_ = 8;
+};
+
+/// A block-job output block and the index of its split's first record.
+using PlacedBlock = std::pair<std::size_t, mr::BinaryBlock>;
+
+/// The block-job shape: `fill(split, emit)` turns each map split into ONE
+/// BinaryBlock (it may bump counters on `emit`), keyed by split index, and
+/// the reduce is the identity.  Returns every block placed at its split's
+/// first record, split_index · records_per_split, for the caller's
+/// positional rejoin.
+template <typename In, typename Fill, typename MapWork>
+std::vector<PlacedBlock> run_block_job(const char* name,
+                                       const ExecutionOptions& exec,
+                                       std::size_t records_per_split,
+                                       const std::vector<In>& input, Fill fill,
+                                       MapWork map_work, mr::JobStats& stats) {
+  using Key = std::uint32_t;
+  using BlockJob =
+      mr::Job<In, Key, mr::BinaryBlock, std::pair<Key, mr::BinaryBlock>>;
+  BlockJob job(
+      job_config(name, exec, records_per_split),
+      [fill](std::span<const In> split, std::size_t split_index,
+             mr::Emitter<Key, mr::BinaryBlock>& emit) {
+        emit.emit(static_cast<Key>(split_index), fill(split, emit));
+      },
+      [](const Key& key, std::vector<mr::BinaryBlock>& values,
+         std::vector<std::pair<Key, mr::BinaryBlock>>& out) {
+        MRMC_CHECK(values.size() == 1, "one block per split");
+        out.emplace_back(key, std::move(values.front()));
+      });
+  job.with_map_work(std::move(map_work));
+  auto run = job.run(input);
+  stats = std::move(run.stats);
+  std::vector<PlacedBlock> blocks;
+  blocks.reserve(run.output.size());
+  for (auto& [split_index, block] : run.output) {
+    blocks.emplace_back(split_index * records_per_split, std::move(block));
+  }
+  return blocks;
+}
+
+}  // namespace detail
 
 }  // namespace mrmc::core

@@ -374,10 +374,7 @@ SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
   const bool set_based = estimator == SketchEstimator::kSetBased;
   const SortedSketchStore store =
       set_based ? SortedSketchStore(sketches) : SortedSketchStore();
-  // Multiply-by-reciprocal, exactly as kernels::component_match_matrix does,
-  // so exact-backend graphs match the dense matrix to the last bit.
-  const double inv_cols =
-      sketches.cols() == 0 ? 0.0 : 1.0 / static_cast<double>(sketches.cols());
+  const kernels::MatchScore match_score(sketches.cols());
   auto score = [&](std::size_t p) {
     const auto [a, b] = pairs[p];
     MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");
@@ -385,9 +382,7 @@ SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
     if (set_based) {
       sim = store.jaccard(a, b);
     } else {
-      sim = static_cast<double>(
-                kernels::count_equal(sketches.row(a), sketches.row(b))) *
-            inv_cols;
+      sim = match_score(kernels::count_equal(sketches.row(a), sketches.row(b)));
     }
     graph.edges[p] = Edge{a, b, sim};
   };

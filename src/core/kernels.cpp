@@ -630,8 +630,7 @@ void component_match_matrix(const SketchMatrix& sketches, float* out,
   // Block height: 8 rows of up to 512 components stay L1-resident while the
   // partner rows stream through once per block.
   constexpr std::size_t kBlock = 8;
-  const double inv_cols =
-      cols == 0 ? 0.0 : 1.0 / static_cast<double>(cols);
+  const MatchScore score(cols);
 
   auto fill_block = [&](std::size_t block) {
     const std::size_t i0 = block * kBlock;
@@ -643,8 +642,7 @@ void component_match_matrix(const SketchMatrix& sketches, float* out,
       for (std::size_t i = i0; i < iend; ++i) {
         const std::size_t eq =
             count_equal({sketches.row_ptr(i), cols}, {rj, cols}, backend);
-        const auto sim =
-            static_cast<float>(static_cast<double>(eq) * inv_cols);
+        const auto sim = static_cast<float>(score(eq));
         out[i * stride + j] = sim;
         out[j * stride + i] = sim;
       }

@@ -159,6 +159,25 @@ void cmin_sketch(std::uint64_t mul, std::span<const std::uint64_t> add,
                                       std::span<const std::uint64_t> b,
                                       Backend backend = active_backend()) noexcept;
 
+/// The component-match score m / K for sketches of K = `cols` components,
+/// in its one rounding: m · (1/K), the reciprocal taken once at
+/// construction so a loop over many pairs pays one division.  Every scorer
+/// (matrix fill, verify, per-pair estimators, MR count lanes, the b-bit
+/// correction) scores through this type, so a pair's score — and its
+/// comparison against θ — is the same double on every path.  Scores 0 when
+/// cols == 0.
+class MatchScore {
+ public:
+  constexpr explicit MatchScore(std::size_t cols) noexcept
+      : inverse_(cols == 0 ? 0.0 : 1.0 / static_cast<double>(cols)) {}
+  [[nodiscard]] constexpr double operator()(std::size_t matches) const noexcept {
+    return static_cast<double>(matches) * inverse_;
+  }
+
+ private:
+  double inverse_;
+};
+
 /// True for the packed widths the b-bit kernels support: divisors of 64, so
 /// a lane never straddles a word.
 [[nodiscard]] constexpr bool valid_pack_bits(std::size_t bits) noexcept {
@@ -294,7 +313,7 @@ class PackedSketchMatrix {
 
 /// Cache-blocked all-pairs component-match fill: writes the full symmetric
 /// n×n matrix (diagonal 1.0f) into `out` with `stride` floats per row.
-/// out[i*stride+j] = float(count_equal(row i, row j) / cols); 0.0f off the
+/// out[i*stride+j] = float(MatchScore(cols)(count_equal(row i, row j))); 0.0f off the
 /// diagonal when cols == 0 (matching component_match_similarity on empty
 /// sketches).  Rows are processed in blocks so each block stays L1-resident
 /// while the partner rows stream.  When `pool` is non-null, blocks run in

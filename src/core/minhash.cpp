@@ -180,6 +180,7 @@ SketchPairSimilarity::SketchPairSimilarity(const kernels::SketchMatrix& sketches
                                            common::ThreadPool* pool)
     : sketches_(sketches),
       estimator_(estimator),
+      score_(sketches.cols()),
       store_(estimator == SketchEstimator::kSetBased
                  ? SortedSketchStore(sketches, pool)
                  : SortedSketchStore()) {}
@@ -188,8 +189,7 @@ SketchPairSimilarity::SketchPairSimilarity(const kernels::SketchMatrix& sketches
 
 double component_match_similarity(const Sketch& a, const Sketch& b) noexcept {
   if (a.empty() || a.size() != b.size()) return 0.0;
-  const std::size_t matches = kernels::count_equal(a, b);
-  return static_cast<double>(matches) / static_cast<double>(a.size());
+  return kernels::MatchScore(a.size())(kernels::count_equal(a, b));
 }
 
 double set_based_similarity(const Sketch& a, const Sketch& b) {

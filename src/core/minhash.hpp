@@ -229,14 +229,13 @@ class SketchPairSimilarity {
   [[nodiscard]] double operator()(std::size_t i, std::size_t j) const noexcept {
     if (estimator_ == SketchEstimator::kSetBased) return store_.jaccard(i, j);
     if (sketches_.cols() == 0) return 0.0;
-    return static_cast<double>(
-               kernels::count_equal(sketches_.row(i), sketches_.row(j))) /
-           static_cast<double>(sketches_.cols());
+    return score_(kernels::count_equal(sketches_.row(i), sketches_.row(j)));
   }
 
  private:
   const kernels::SketchMatrix& sketches_;
   SketchEstimator estimator_;
+  kernels::MatchScore score_;
   SortedSketchStore store_;  ///< empty unless set-based
 };
 
@@ -288,8 +287,7 @@ class SketchPairSimilarity {
 [[nodiscard]] constexpr double corrected_match_similarity(
     std::size_t matches, std::size_t count, std::size_t bits) noexcept {
   if (count == 0) return 0.0;
-  const double raw =
-      static_cast<double>(matches) / static_cast<double>(count);
+  const double raw = kernels::MatchScore(count)(matches);
   const double c = bbit_collision_floor(bits);
   if (c == 0.0) return raw;
   const double corrected = (raw - c) / (1.0 - c);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #if defined(__GLIBC__)
@@ -22,22 +24,6 @@
 #include "obs/trace.hpp"
 
 namespace mrmc::core {
-
-namespace detail {
-
-void apply_exec_options(mr::JobConfig& config, const ExecutionOptions& exec) {
-  config.threads = exec.threads;
-  config.isolated_pool = exec.isolated_pool;
-  config.fault_plan = exec.fault_plan;
-  config.cluster = exec.cluster;
-  config.heartbeat_interval_s = exec.heartbeat_interval_s;
-  config.max_job_attempts = exec.max_job_attempts;
-  config.job_timeout_s = exec.job_timeout_s;
-  config.backoff_base_s = exec.backoff_base_s;
-  config.backoff_cap_s = exec.backoff_cap_s;
-}
-
-}  // namespace detail
 
 const char* mode_name(Mode mode) noexcept {
   switch (mode) {
@@ -117,13 +103,29 @@ EffectiveKnobs effective_knobs(const PipelineParams& params) noexcept {
           SketchEstimator::kComponentMatch, SketchEstimator::kComponentMatch};
 }
 
+/// The sketch stage in-process: every read sketched on `pool`, then the same
+/// b-bit truncation the sketch job applies before packing, so local and
+/// distributed runs score identical values at any b.
+kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
+                                   const PipelineParams& params,
+                                   common::ThreadPool* pool) {
+  std::vector<std::string_view> seqs;
+  seqs.reserve(reads.size());
+  for (const auto& read : reads) seqs.emplace_back(read.seq);
+  kernels::SketchMatrix sketches =
+      MinHasher(params.minhash).sketch_matrix(seqs, pool);
+  if (params.sketch_bits < 64) {
+    kernels::mask_components(sketches, sketch_bits_mask(params.sketch_bits));
+  }
+  return sketches;
+}
+
 /// Job 1: sketch every read.  Each map task emits ONE BinaryBlock per input
 /// split — K rows × (reads in split) columns of b-bit packed minima —
 /// instead of one vector<uint64_t> per read, so the shuffle moves the exact
 /// packed bytes (64/b-fold less at b < 64, and no per-record vector header
-/// even at b = 64).  The identity reduce passes blocks through; the driver
-/// rejoins them positionally via split_index · records_per_split, straight
-/// into the rows of one SketchMatrix.
+/// even at b = 64).  The driver rejoins the blocks straight into the rows of
+/// one SketchMatrix.
 kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
                                      const PipelineParams& params,
                                      const ExecutionOptions& exec,
@@ -134,24 +136,20 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
   const std::size_t bits = params.sketch_bits;
   const std::uint64_t mask = sketch_bits_mask(bits);
 
-  using SketchJob = mr::Job<IndexedRead, std::uint32_t, mr::BinaryBlock,
-                            std::pair<std::uint32_t, mr::BinaryBlock>>;
-  mr::JobConfig config;
-  config.name = "sketch";
-  config.num_reducers = std::max<std::size_t>(1, exec.cluster.reduce_slots());
-  config.records_per_split = exec.records_per_split;
-  detail::apply_exec_options(config, exec);
-  const std::size_t per_split = config.records_per_split;
+  std::vector<IndexedRead> input;
+  input.reserve(reads.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    input.push_back({static_cast<std::uint32_t>(i), reads[i].seq});
+  }
 
   auto& sketch_bytes_hist =
       obs::Registry::global().histogram("pipeline.sketch_bytes");
   auto& sketch_minima_hist =
       obs::Registry::global().histogram("pipeline.sketch_distinct_minima");
-  SketchJob job(
-      config,
+  const auto blocks = detail::run_block_job(
+      "sketch", exec, exec.records_per_split, input,
       [hasher, num_hashes, bits, mask, &sketch_bytes_hist,
        &sketch_minima_hist](std::span<const IndexedRead> split,
-                            std::size_t split_index,
                             mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         mr::BinaryBlock block(static_cast<std::uint32_t>(bits), num_hashes,
                               static_cast<std::uint32_t>(split.size()));
@@ -170,30 +168,15 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
               static_cast<double>(kernels::count_distinct(sketch, scratch)));
           emit.count("reads.sketched");
         }
-        emit.emit(static_cast<std::uint32_t>(split_index), std::move(block));
+        return block;
       },
-      [](const std::uint32_t& key, std::vector<mr::BinaryBlock>& values,
-         std::vector<std::pair<std::uint32_t, mr::BinaryBlock>>& out) {
-        MRMC_CHECK(values.size() == 1, "one sketch block per split");
-        out.emplace_back(key, std::move(values.front()));
-      });
-  job.with_map_work([num_hashes](const IndexedRead& read) {
-    return cost::sketch_work(read.seq.size(), num_hashes);
-  });
+      [num_hashes](const IndexedRead& read) {
+        return cost::sketch_work(read.seq.size(), num_hashes);
+      },
+      stats);
 
-  std::vector<IndexedRead> input;
-  input.reserve(reads.size());
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    input.push_back({static_cast<std::uint32_t>(i), reads[i].seq});
-  }
-
-  auto result = job.run(input);
-  stats = std::move(result.stats);
-
-  // Positional rejoin: split s covers reads [s · per_split, ...).
   kernels::SketchMatrix sketches(reads.size(), num_hashes);
-  for (const auto& [split_index, block] : result.output) {
-    const std::size_t first = static_cast<std::size_t>(split_index) * per_split;
+  for (const auto& [first, block] : blocks) {
     for (std::uint32_t c = 0; c < block.cols(); ++c) {
       const std::span<std::uint64_t> row = sketches.row(first + c);
       for (std::size_t k = 0; k < num_hashes; ++k) row[k] = block.get(c, k);
@@ -204,14 +187,9 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
 
 /// Job 2: all-pairs similarity, map tasks own contiguous row ranges (the
 /// paper's row-wise partition).  The sketch table plays the role of Pig's
-/// GROUP-ALL broadcast relation.  Instead of a vector<float> per row, each
-/// map task ships ONE BinaryBlock of *integer counts* per split —
-/// component-match: one match-count lane per pair (width 8/16/32 bits,
-/// whatever holds K); set-based: two lanes (|∩|, |∪|) — and the driver
-/// rebuilds the identical floats: float(count · (1/K)) uses the exact
-/// reciprocal multiply of the mapper, and jaccard_from_counts mirrors
-/// bio::exact_jaccard.  A pair costs one packed lane instead of a 4-byte
-/// float (≥ 4× fewer shuffle bytes at K ≤ 255).
+/// GROUP-ALL broadcast relation.  Each map task ships ONE block of pair
+/// count lanes per split (detail::PairScoreLanes) instead of a vector<float>
+/// per row, and the driver rebuilds the identical floats from them.
 SimilarityMatrix run_similarity_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const PipelineParams& params, const EffectiveKnobs& knobs,
@@ -219,216 +197,93 @@ SimilarityMatrix run_similarity_job(
   obs::pipeline::StageScope stage("similarity");
   const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
-  const SketchEstimator estimator = knobs.estimator;
-  const bool set_based = estimator == SketchEstimator::kSetBased;
+  const detail::PairScoreLanes lanes(sketches, knobs.estimator,
+                                     params.sketch_bits);
+  const std::size_t per_split = std::max<std::size_t>(
+      1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
 
-  // Count lanes: match counts are ≤ K; set-based |∩| and |∪| are ≤ 2K.
-  const std::uint32_t lane_bits =
-      mr::min_lane_bits(set_based ? 2 * num_hashes : num_hashes);
-
-  using SimJob = mr::Job<std::uint32_t, std::uint32_t, mr::BinaryBlock,
-                         std::pair<std::uint32_t, mr::BinaryBlock>>;
-
-  mr::JobConfig config;
-  config.name = "similarity";
-  config.num_reducers = std::max<std::size_t>(1, exec.cluster.reduce_slots());
-  config.records_per_split =
-      std::max<std::size_t>(1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-  detail::apply_exec_options(config, exec);
-  const std::size_t per_split = config.records_per_split;
-
-  // Set-based rows re-compare every sketch pair; pre-sort each sketch once
-  // into a flat store shared (read-only) by all map tasks instead of sorting
-  // two copies per pair inside the row loop.
-  auto store = set_based ? std::make_shared<const SortedSketchStore>(*sketches)
-                         : nullptr;
-  const double inv_cols =
-      num_hashes == 0 ? 0.0 : 1.0 / static_cast<double>(num_hashes);
+  std::vector<std::uint32_t> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
 
   // Per-row fan-out: how many of the row's pairs clear theta — the density
   // signal that decides whether sparse clustering would pay off.
   auto& fanout_hist =
       obs::Registry::global().histogram("pipeline.similarity_fanout");
   const auto theta = static_cast<float>(knobs.theta);
-  SimJob job(
-      config,
-      [sketches, store, set_based, inv_cols, lane_bits, theta, &fanout_hist](
-          std::span<const std::uint32_t> split, std::size_t split_index,
+  const auto blocks = detail::run_block_job(
+      "similarity", exec, per_split, rows,
+      [lanes, n, theta, &fanout_hist](
+          std::span<const std::uint32_t> split,
           mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        const kernels::SketchMatrix& all = *sketches;
-        const std::size_t n_reads = all.rows();
         // One ragged column: row r contributes n - r - 1 lanes, upper
         // triangle in row order (the driver knows the lengths).
         std::uint64_t total = 0;
-        for (const std::uint32_t row : split) total += n_reads - row - 1;
-        mr::BinaryBlock block(lane_bits, total, set_based ? 2 : 1);
+        for (const std::uint32_t row : split) total += n - row - 1;
+        mr::BinaryBlock block = lanes.block(total);
         std::uint64_t lane = 0;
         for (const std::uint32_t row : split) {
           std::size_t fanout = 0;
-          for (std::size_t j = row + 1; j < n_reads; ++j) {
-            double sim = 0.0;
-            if (set_based) {
-              const auto [inter, uni] = store->jaccard_counts(row, j);
-              block.set(0, lane, inter);
-              block.set(1, lane, uni);
-              sim = jaccard_from_counts(inter, uni);
-            } else {
-              const std::size_t eq = kernels::count_equal(all.row(row), all.row(j));
-              block.set(0, lane, eq);
-              sim = static_cast<double>(eq) * inv_cols;
-            }
+          for (std::size_t j = row + 1; j < n; ++j, ++lane) {
+            const double sim = lanes.encode(block, lane, row, j);
             if (static_cast<float>(sim) >= theta) ++fanout;
-            ++lane;
           }
           fanout_hist.observe(static_cast<double>(fanout));
           emit.count("matrix.rows");
         }
-        emit.emit(static_cast<std::uint32_t>(split_index), std::move(block));
+        return block;
       },
-      [](const std::uint32_t& key, std::vector<mr::BinaryBlock>& values,
-         std::vector<std::pair<std::uint32_t, mr::BinaryBlock>>& out) {
-        MRMC_CHECK(values.size() == 1, "one count block per row split");
-        out.emplace_back(key, std::move(values.front()));
-      });
-  job.with_map_work([n, num_hashes](const std::uint32_t& row) {
-    return static_cast<double>(n - row - 1) * cost::compare_work(num_hashes);
-  });
+      [n, num_hashes](const std::uint32_t& row) {
+        return static_cast<double>(n - row - 1) * cost::compare_work(num_hashes);
+      },
+      stats);
 
-  std::vector<std::uint32_t> rows(n);
-  for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
-
-  auto result = job.run(rows);
-  stats = std::move(result.stats);
-
-  // Positional rejoin: split s starts at row s · per_split; within the
-  // block, lanes follow the mapper's (row, j) iteration order exactly.
+  // Lanes follow the mapper's (row, j) iteration order exactly.
   SimilarityMatrix matrix(n, 0.0F);
-  for (const auto& [split_index, block] : result.output) {
-    const std::size_t first = static_cast<std::size_t>(split_index) * per_split;
+  for (const auto& [first, block] : blocks) {
     const std::size_t last = std::min(first + per_split, n);
     std::uint64_t lane = 0;
     for (std::size_t row = first; row < last; ++row) {
       matrix.set(row, row, 1.0F);
-      for (std::size_t j = row + 1; j < n; ++j) {
-        float sim = 0.0F;
-        if (set_based) {
-          sim = static_cast<float>(
-              jaccard_from_counts(block.get(0, lane), block.get(1, lane)));
-        } else {
-          sim = static_cast<float>(
-              static_cast<double>(block.get(0, lane)) * inv_cols);
-        }
-        matrix.set(row, j, sim);
-        ++lane;
+      for (std::size_t j = row + 1; j < n; ++j, ++lane) {
+        matrix.set(row, j, static_cast<float>(lanes.decode(block, lane)));
       }
     }
   }
   return matrix;
 }
 
-/// Job 3 (greedy): GROUP ALL -> one reducer runs Algorithm 1 over the
-/// sketch table (Algorithm 3, step 9) — or, when the LSH backend supplied a
-/// verified candidate graph, the graph-aware sweep over it.
-std::vector<int> run_greedy_job(
-    std::shared_ptr<const kernels::SketchMatrix> sketches,
-    const EffectiveKnobs& knobs, const ExecutionOptions& exec,
-    mr::JobStats& stats,
-    std::shared_ptr<const candidates::SparseSimilarityGraph> graph = nullptr) {
-  obs::pipeline::StageScope stage("greedy-cluster");
-  const std::size_t n = sketches->rows();
-  const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator};
-
-  using Value = std::uint32_t;  // read index; sketches travel via the table
-  using GreedyJob = mr::Job<std::uint32_t, int, Value, std::pair<std::uint32_t, int>>;
-
-  mr::JobConfig config;
-  config.name = "greedy-cluster";
-  config.num_reducers = 1;  // GROUP ALL semantics
-  config.records_per_split = exec.records_per_split;
-  detail::apply_exec_options(config, exec);
-
-  GreedyJob job(
-      config,
-      [](const std::uint32_t& index, mr::Emitter<int, Value>& emit) {
+/// Job 3: the GROUP-ALL cluster job (Algorithm 3, steps 8 and 9).  Every map
+/// task emits its read indices under one key; the single reducer runs
+/// `cluster()` — Algorithm 1 or the dendrogram build + θ-cut — and emits
+/// each index's label in sorted index order.
+std::vector<int> run_cluster_job(const char* name, std::size_t n,
+                                 std::size_t records_per_split,
+                                 double reduce_work,
+                                 const std::function<std::vector<int>()>& cluster,
+                                 const ExecutionOptions& exec,
+                                 mr::JobStats& stats) {
+  obs::pipeline::StageScope stage(name);
+  using ClusterJob =
+      mr::Job<std::uint32_t, int, std::uint32_t, std::pair<std::uint32_t, int>>;
+  ClusterJob job(
+      detail::job_config(name, exec, records_per_split, 1),  // GROUP ALL
+      [](const std::uint32_t& index, mr::Emitter<int, std::uint32_t>& emit) {
         emit.emit(0, index);
       },
-      [sketches, greedy, graph](const int&, std::vector<Value>& indices,
-                                std::vector<std::pair<std::uint32_t, int>>& out,
-                                mr::ReduceContext& context) {
-        // Keep input order: values arrive in map-task order which follows
-        // the original read order for our deterministic shuffle.
+      [&cluster](const int&, std::vector<std::uint32_t>& indices,
+                 std::vector<std::pair<std::uint32_t, int>>& out,
+                 mr::ReduceContext& context) {
+        const std::vector<int> labels = cluster();
         std::sort(indices.begin(), indices.end());
-        const GreedyResult result = graph != nullptr
-                                        ? greedy_cluster_graph(*graph, greedy)
-                                        : greedy_cluster(*sketches, greedy);
         for (const std::uint32_t index : indices) {
-          out.emplace_back(index, result.labels[index]);
+          out.emplace_back(index, labels[index]);
         }
-        context.count("clusters.formed",
-                      static_cast<long>(count_clusters(result.labels)));
-      });
-  job.with_map_work([](const std::uint32_t&) { return 1e-7; });  // emit only
-  job.with_reduce_work([n, graph](const int&, std::size_t) {
-    if (graph != nullptr) {
-      // Graph sweep is O(V + E): each edge is inspected at most once.
-      return (static_cast<double>(n) +
-              static_cast<double>(graph->edges.size())) *
-             cost::compare_work(100);
-    }
-    // Greedy comparisons are data dependent; model the observed ~N*sqrt(N)
-    // envelope with the per-comparison sketch cost.
-    return static_cast<double>(n) * std::max(1.0, std::sqrt(static_cast<double>(n))) *
-           cost::compare_work(100);
-  });
-
-  std::vector<std::uint32_t> input(n);
-  for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
-  auto result = job.run(input);
-  stats = std::move(result.stats);
-
-  std::vector<int> labels(n, -1);
-  for (const auto& [index, label] : result.output) labels[index] = label;
-  return labels;
-}
-
-/// Job 3 (hierarchical): GROUP ALL over matrix rows -> one reducer builds
-/// the dendrogram and cuts it at theta (Algorithm 3, step 8).
-std::vector<int> run_hierarchical_job(const SimilarityMatrix& matrix,
-                                      const PipelineParams& params,
-                                      const EffectiveKnobs& knobs,
-                                      const ExecutionOptions& exec,
-                                      mr::JobStats& stats) {
-  obs::pipeline::StageScope stage("hierarchical-cluster");
-  const std::size_t n = matrix.size();
-
-  using HierJob = mr::Job<std::uint32_t, int, std::uint32_t,
-                          std::pair<std::uint32_t, int>>;
-  mr::JobConfig config;
-  config.name = "hierarchical-cluster";
-  config.num_reducers = 1;  // GROUP ALL semantics
-  config.records_per_split = std::max<std::size_t>(1, n / 8);
-  detail::apply_exec_options(config, exec);
-
-  const Linkage linkage = params.linkage;
-  const double theta = knobs.theta;
-  HierJob job(
-      config,
-      [](const std::uint32_t& row, mr::Emitter<int, std::uint32_t>& emit) {
-        emit.emit(0, row);
-      },
-      [&matrix, linkage, theta](const int&, std::vector<std::uint32_t>& rows,
-                                std::vector<std::pair<std::uint32_t, int>>& out,
-                                mr::ReduceContext& context) {
-        const Dendrogram dendrogram = agglomerate(matrix, linkage);
-        const std::vector<int> labels = cut_dendrogram(dendrogram, theta);
-        std::sort(rows.begin(), rows.end());
-        for (const std::uint32_t row : rows) out.emplace_back(row, labels[row]);
         context.count("clusters.formed",
                       static_cast<long>(count_clusters(labels)));
       });
   job.with_map_work([](const std::uint32_t&) { return 1e-7; });  // emit only
   job.with_reduce_work(
-      [n](const int&, std::size_t) { return cost::dendrogram_work(n); });
+      [reduce_work](const int&, std::size_t) { return reduce_work; });
 
   std::vector<std::uint32_t> input(n);
   for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
@@ -602,140 +457,194 @@ std::uint64_t input_fingerprint(std::span<const bio::FastaRecord> reads) {
   return hasher.finish();
 }
 
-// ------------------------------------------------------- the staged driver
+// ---------------------------------------------------------- the stage list
 
-/// The distributed pipeline as recovery-driver stages.  Stage names are the
-/// lineage stage names; each checkpointed stage runs exactly one MapReduce
-/// job when computed, so a checkpoint hit claims the job's lineage slot and
-/// downstream sequence numbers match an uninterrupted run.
+/// How the stage list runs.  Local: each stage's in-process body is a plain
+/// call on the run's one pool — no retry, checkpoint, lineage claim or
+/// stage hook, so an error keeps its type.  Distributed: each stage's
+/// MapReduce job is driven by the recovery driver under the stage's name
+/// (the lineage stage name), so a checkpoint hit claims the job's lineage
+/// slot and downstream sequence numbers match an uninterrupted run.
+class StageRunner {
+ public:
+  explicit StageRunner(common::ThreadPool& pool) : pool_(&pool) {}
+  explicit StageRunner(mr::recovery::StageDriver& driver) : driver_(&driver) {}
+
+  [[nodiscard]] bool distributed() const noexcept { return driver_ != nullptr; }
+  /// The local run's pool; nullptr when distributed (the jobs lease their own).
+  [[nodiscard]] common::ThreadPool* pool() const noexcept { return pool_; }
+  [[nodiscard]] mr::recovery::StageDriver& driver() const noexcept {
+    return *driver_;
+  }
+
+  template <typename Local, typename Job, typename Encode, typename Decode>
+  auto run(const char* name, Local&& local, Job&& job, Encode&& encode,
+           Decode&& decode) const -> std::decay_t<decltype(local())> {
+    if (driver_ == nullptr) return local();
+    return driver_->run_stage(name, std::forward<Job>(job),
+                              std::forward<Encode>(encode),
+                              std::forward<Decode>(decode));
+  }
+
+ private:
+  common::ThreadPool* pool_ = nullptr;
+  mr::recovery::StageDriver* driver_ = nullptr;
+};
+
+/// candidates -> verify (the LSH backend).  The pairs die with this frame,
+/// so the cluster stage never holds them next to its own buffers.
+candidates::SparseSimilarityGraph candidate_graph(
+    const std::shared_ptr<const kernels::SketchMatrix>& sketches,
+    const PipelineParams& params, SketchEstimator estimator,
+    const ExecutionOptions& exec, const StageRunner& stages,
+    PipelineResult& result) {
+  CandidateJobResult enumerated;
+  try {
+    enumerated = stages.run(
+        "candidates",
+        [&] {
+          CandidateJobResult local;
+          local.pairs = candidates::enumerate_pairs(
+              *sketches, params.candidates, params.theta, stages.pool());
+          return local;
+        },
+        [&] {
+          return run_candidate_job(sketches, params.candidates, params.theta,
+                                   exec);
+        },
+        encode_candidates, decode_candidates);
+  } catch (const mr::recovery::RetryExhausted& error) {
+    // Only the recovery driver retries, so only a distributed run gets here.
+    if (exec.lsh_fallback_max_reads == 0 ||
+        sketches->rows() > exec.lsh_fallback_max_reads) {
+      throw;
+    }
+    // Graceful degradation: banded enumeration keeps failing, but the
+    // input is small enough for the exact oracle — same pairs-at-θ
+    // semantics at O(n^2) cost, computed driver-side (no MR job, hence
+    // no lineage claim).
+    stages.driver().record_lsh_fallback("candidates");
+    static const obs::Logger logger("core.pipeline");
+    logger.warn("candidates stage degraded to exact all-pairs",
+                {{"reads", sketches->rows()},
+                 {"attempts", error.history().size()},
+                 {"error", error.what()}});
+    candidates::Params exact = params.candidates;
+    exact.backend = candidates::Backend::kExactAllPairs;
+    enumerated = stages.driver().run_stage(
+        "candidates-exact-fallback",
+        [&] { return run_candidate_job(sketches, exact, params.theta, exec); },
+        encode_candidates, decode_candidates, {.claims_lineage = false});
+  }
+  result.candidate_stats = std::move(enumerated.stats);
+  result.sim_total_s += result.candidate_stats.timeline.total_s;
+
+  candidates::SparseSimilarityGraph graph = stages.run(
+      "verify",
+      [&] {
+        return candidates::verify_pairs(*sketches, enumerated.pairs, estimator,
+                                        stages.pool());
+      },
+      [&] {
+        // The job takes the pairs by value: a retry needs them intact.
+        auto verified = run_verify_job(sketches, enumerated.pairs, estimator,
+                                       params.sketch_bits, exec);
+        result.verify_stats = std::move(verified.stats);
+        return std::move(verified.graph);
+      },
+      encode_graph, decode_graph);
+  result.sim_total_s += result.verify_stats.timeline.total_s;
+  result.candidate_pairs = graph.edges.size();
+  return graph;
+}
+
+/// The pipeline's one stage list, for both modes: sketch -> (candidates ->
+/// verify | similarity) -> greedy-cluster or hierarchical-cluster.
 void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                          const PipelineParams& params,
                          const ExecutionOptions& exec,
-                         mr::recovery::StageDriver& driver,
-                         PipelineResult& result) {
+                         const StageRunner& stages, PipelineResult& result) {
   const EffectiveKnobs knobs = effective_knobs(params);
-  // Degraded-cluster policy: a plan stranding every node would fail the
-  // first job's validation; a checkpointing driver parks for resume instead
-  // (an operator repairs the plan/cluster, re-runs, completed stages hit).
-  if (!exec.fault_plan.empty() && driver.checkpointing() &&
-      !exec.fault_plan.leaves_schedulable(exec.cluster.nodes)) {
-    driver.park("fault plan leaves no schedulable node");
-  }
-
-  auto sketches = std::make_shared<const kernels::SketchMatrix>(driver.run_stage(
-      "sketch",
-      [&] { return run_sketch_job(reads, params, exec, result.sketch_stats); },
-      encode_sketches, decode_sketches));
+  const std::size_t n = reads.size();
+  const auto sketches =
+      std::make_shared<const kernels::SketchMatrix>(stages.run(
+          "sketch", [&] { return sketch_reads(reads, params, stages.pool()); },
+          [&] {
+            return run_sketch_job(reads, params, exec, result.sketch_stats);
+          },
+          encode_sketches, decode_sketches));
   result.sim_total_s += result.sketch_stats.timeline.total_s;
 #if defined(__GLIBC__)
   // The sketch job's blocks and input copies are freed but stay resident in
   // the allocator, and the table is one large mapping that cannot reuse
   // them; hand those pages back before the table's consumers allocate.
-  ::malloc_trim(0);
+  if (stages.distributed()) ::malloc_trim(0);
 #endif
 
+  // Band-shape selection keeps the ORIGINAL theta (see EffectiveKnobs).
+  std::optional<candidates::SparseSimilarityGraph> graph;
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
-    // LSH-banded path: candidates -> verify -> sparse-graph clustering.
-    CandidateJobResult enumerated;
-    try {
-      enumerated = driver.run_stage(
-          "candidates",
-          [&] {
-            return run_candidate_job(sketches, params.candidates, params.theta,
-                                     exec);
-          },
-          encode_candidates, decode_candidates);
-    } catch (const mr::recovery::RetryExhausted& error) {
-      if (exec.lsh_fallback_max_reads == 0 ||
-          reads.size() > exec.lsh_fallback_max_reads) {
-        throw;
-      }
-      // Graceful degradation: banded enumeration keeps failing, but the
-      // input is small enough for the exact oracle — same pairs-at-θ
-      // semantics at O(n^2) cost, computed driver-side (no MR job, hence
-      // no lineage claim).
-      driver.record_lsh_fallback("candidates");
-      static const obs::Logger logger("core.pipeline");
-      logger.warn("candidates stage degraded to exact all-pairs",
-                  {{"reads", reads.size()},
-                   {"attempts", error.history().size()},
-                   {"error", error.what()}});
-      candidates::Params exact = params.candidates;
-      exact.backend = candidates::Backend::kExactAllPairs;
-      enumerated = driver.run_stage(
-          "candidates-exact-fallback",
-          [&] {
-            return run_candidate_job(sketches, exact, params.theta, exec);
-          },
-          encode_candidates, decode_candidates, {.claims_lineage = false});
-    }
-    result.candidate_stats = std::move(enumerated.stats);
-    result.sim_total_s += result.candidate_stats.timeline.total_s;
-
-    const SketchEstimator estimator = params.mode == Mode::kGreedy
-                                          ? knobs.greedy_estimator
-                                          : knobs.estimator;
-    // The compute closure must survive retries, so the verify job gets a
-    // copy of the pairs (its signature takes them by value).
-    candidates::SparseSimilarityGraph verified_graph = driver.run_stage(
-        "verify",
-        [&] {
-          auto verified = run_verify_job(sketches, enumerated.pairs, estimator,
-                                         params.sketch_bits, exec);
-          result.verify_stats = std::move(verified.stats);
-          return std::move(verified.graph);
-        },
-        encode_graph, decode_graph);
-    result.sim_total_s += result.verify_stats.timeline.total_s;
-    result.candidate_pairs = verified_graph.edges.size();
-    auto graph = std::make_shared<const candidates::SparseSimilarityGraph>(
-        std::move(verified_graph));
-
-    if (params.mode == Mode::kGreedy) {
-      result.labels = driver.run_stage(
-          "greedy-cluster",
-          [&] {
-            return run_greedy_job(sketches, knobs, exec, result.cluster_stats,
-                                  graph);
-          },
-          encode_labels, decode_labels);
-    } else {
-      const SimilarityMatrix matrix = similarity_matrix_from_graph(*graph);
-      result.labels = driver.run_stage(
-          "hierarchical-cluster",
-          [&] {
-            return run_hierarchical_job(matrix, params, knobs, exec,
-                                        result.cluster_stats);
-          },
-          encode_labels, decode_labels);
-    }
-    result.sim_total_s += result.cluster_stats.timeline.total_s;
-  } else if (params.mode == Mode::kGreedy) {
-    result.labels = driver.run_stage(
-        "greedy-cluster",
-        [&] {
-          return run_greedy_job(sketches, knobs, exec, result.cluster_stats);
-        },
-        encode_labels, decode_labels);
-    result.sim_total_s += result.cluster_stats.timeline.total_s;
-  } else {
-    const SimilarityMatrix matrix = driver.run_stage(
-        "similarity",
-        [&] {
-          return run_similarity_job(sketches, params, knobs, exec,
-                                    result.similarity_stats);
-        },
-        encode_matrix, decode_matrix);
-    result.sim_total_s += result.similarity_stats.timeline.total_s;
-    result.labels = driver.run_stage(
-        "hierarchical-cluster",
-        [&] {
-          return run_hierarchical_job(matrix, params, knobs, exec,
-                                      result.cluster_stats);
-        },
-        encode_labels, decode_labels);
-    result.sim_total_s += result.cluster_stats.timeline.total_s;
+    graph = candidate_graph(sketches, params,
+                            params.mode == Mode::kGreedy ? knobs.greedy_estimator
+                                                         : knobs.estimator,
+                            exec, stages, result);
   }
+
+  if (params.mode == Mode::kGreedy) {
+    const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator};
+    const auto cluster = [&](common::ThreadPool* pool) {
+      return (graph ? greedy_cluster_graph(*graph, greedy)
+                    : greedy_cluster(*sketches, greedy, pool))
+          .labels;
+    };
+    // A graph sweep is O(V + E): each edge is inspected at most once.
+    // Exhaustive greedy comparisons are data dependent; model the observed
+    // ~N·sqrt(N) envelope with the per-comparison sketch cost.
+    const double reduce_work =
+        graph ? (static_cast<double>(n) +
+                 static_cast<double>(graph->edges.size())) *
+                    cost::compare_work(100)
+              : static_cast<double>(n) *
+                    std::max(1.0, std::sqrt(static_cast<double>(n))) *
+                    cost::compare_work(100);
+    result.labels = stages.run(
+        "greedy-cluster", [&] { return cluster(stages.pool()); },
+        [&] {
+          // The reducer sweeps serially; labels match at any pool size.
+          return run_cluster_job(
+              "greedy-cluster", n, exec.records_per_split, reduce_work,
+              [&] { return cluster(nullptr); }, exec, result.cluster_stats);
+        },
+        encode_labels, decode_labels);
+  } else {
+    const SimilarityMatrix matrix =
+        graph ? similarity_matrix_from_graph(*graph)
+              : stages.run(
+                    "similarity",
+                    [&] {
+                      return pairwise_similarity_matrix(
+                          *sketches, knobs.estimator, stages.pool());
+                    },
+                    [&] {
+                      return run_similarity_job(sketches, params, knobs, exec,
+                                                result.similarity_stats);
+                    },
+                    encode_matrix, decode_matrix);
+    result.sim_total_s += result.similarity_stats.timeline.total_s;
+    const auto cluster = [&] {
+      return cut_dendrogram(agglomerate(matrix, params.linkage), knobs.theta);
+    };
+    result.labels = stages.run(
+        "hierarchical-cluster", cluster,
+        [&] {
+          return run_cluster_job("hierarchical-cluster", n,
+                                 std::max<std::size_t>(1, n / 8),
+                                 cost::dendrogram_work(n), cluster, exec,
+                                 result.cluster_stats);
+        },
+        encode_labels, decode_labels);
+  }
+  result.sim_total_s += result.cluster_stats.timeline.total_s;
 }
 
 }  // namespace
@@ -768,12 +677,17 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
   common::Stopwatch watch;
   MRMC_REQUIRE(valid_sketch_bits(params.sketch_bits),
                "sketch_bits must be one of {1, 2, 4, 8, 16, 32, 64}");
+  // A band count that cannot tile the sketch is the caller's error in both
+  // modes, never a failed job for the retry loop or the LSH fallback.
+  if (params.candidates.backend == candidates::Backend::kLshBanded) {
+    (void)candidates::resolve_band_shape(
+        params.candidates, params.minhash.num_hashes, params.theta);
+  }
   PipelineResult result;
   if (reads.empty()) return result;
 
-  auto& tracer = obs::Tracer::global();
   obs::Tracer::Span pipeline_span(
-      tracer, std::string("pipeline ") + mode_name(params.mode),
+      obs::Tracer::global(), std::string("pipeline ") + mode_name(params.mode),
       {{"reads", std::to_string(reads.size())},
        {"distributed", exec.distributed ? "true" : "false"}});
 
@@ -802,63 +716,26 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
     mr::recovery::StageDriver driver(driver_options);
 
     try {
-      run_pipeline_stages(reads, params, exec, driver, result);
+      // Degraded-cluster policy: a plan stranding every node would fail the
+      // first job's validation; a checkpointing driver parks for resume
+      // instead (an operator repairs the plan/cluster, re-runs, completed
+      // stages hit).
+      if (!exec.fault_plan.empty() && driver.checkpointing() &&
+          !exec.fault_plan.leaves_schedulable(exec.cluster.nodes)) {
+        driver.park("fault plan leaves no schedulable node");
+      }
+      run_pipeline_stages(reads, params, exec, StageRunner(driver), result);
     } catch (...) {
       // A crashed/parked/exhausted driver still leaves complete artifacts
       // behind — the resume run's doctor needs this run's trace.
       result.recovery = driver.stats();
-      tracer.flush();
-      obs::Registry::write_global_if_configured();
-      obs::pipeline::write_configured_reports();
+      obs::pipeline::write_configured_artifacts();
       throw;
     }
     result.recovery = driver.stats();
   } else {
-    const EffectiveKnobs knobs = effective_knobs(params);
-    const MinHasher hasher(params.minhash);
-    std::vector<std::string_view> seqs;
-    seqs.reserve(reads.size());
-    for (const auto& read : reads) seqs.emplace_back(read.seq);
-
     mr::runtime::PoolLease lease(exec.threads, exec.isolated_pool);
-    kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs, &lease.pool());
-    // The same b-bit truncation the sketch job applies before packing, so
-    // local and distributed runs score identical values at any b.
-    if (params.sketch_bits < 64) {
-      kernels::mask_components(sketches, sketch_bits_mask(params.sketch_bits));
-    }
-
-    if (params.candidates.backend == candidates::Backend::kLshBanded) {
-      // Same candidates -> verify -> graph flow as the distributed path,
-      // computed in-process (byte-identical output either way).  Band-shape
-      // selection keeps the ORIGINAL theta (see EffectiveKnobs).
-      const SketchEstimator estimator = params.mode == Mode::kGreedy
-                                            ? knobs.greedy_estimator
-                                            : knobs.estimator;
-      const candidates::SparseSimilarityGraph graph = candidates::build_graph(
-          sketches, params.candidates, params.theta, estimator, &lease.pool());
-      result.candidate_pairs = graph.edges.size();
-      if (params.mode == Mode::kGreedy) {
-        result.labels =
-            greedy_cluster_graph(graph, {knobs.greedy_theta, knobs.greedy_estimator})
-                .labels;
-      } else {
-        const SimilarityMatrix matrix = similarity_matrix_from_graph(graph);
-        result.labels = cut_dendrogram(agglomerate(matrix, params.linkage),
-                                       knobs.theta);
-      }
-    } else if (params.mode == Mode::kGreedy) {
-      result.labels = greedy_cluster(sketches,
-                                     {knobs.greedy_theta, knobs.greedy_estimator},
-                                     &lease.pool())
-                          .labels;
-    } else {
-      result.labels = hierarchical_cluster(
-                          sketches,
-                          {knobs.theta, params.linkage, knobs.estimator},
-                          &lease.pool())
-                          .labels;
-    }
+    run_pipeline_stages(reads, params, exec, StageRunner(lease.pool()), result);
   }
 
   result.num_clusters = count_clusters(result.labels);
@@ -877,9 +754,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
   // Honor MRMC_TRACE / MRMC_METRICS / MRMC_REPORT / MRMC_PIPELINE at every
   // pipeline boundary so even a caller that exits abnormally afterwards has
   // a complete artifact.
-  tracer.flush();
-  obs::Registry::write_global_if_configured();
-  obs::pipeline::write_configured_reports();
+  obs::pipeline::write_configured_artifacts();
   return result;
 }
 

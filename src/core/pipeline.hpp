@@ -1,26 +1,33 @@
 // End-to-end MrMC-MinH pipeline (Figure 1 of the paper): FASTA records ->
 // integer encoding -> k-mer feature sets -> minwise sketches -> pair
 // enumeration (core::candidates) -> greedy or agglomerative hierarchical
-// clustering, with each stage runnable either locally or as a MapReduce job
-// on the simulated cluster.  The job sequence depends on the candidate
-// backend (PipelineParams::candidates):
+// clustering.  run_pipeline walks ONE stage list in both execution modes;
+// which stages it holds depends on the candidate backend
+// (PipelineParams::candidates) and the mode:
 //
-//   "sketch"       map: read -> (read_index, sketch)        [always; map-heavy]
+//   "sketch"       map: read split -> one block of sketches  [always]
 //   -- exact all-pairs backend (the paper's shape, the default) --
-//   "similarity"   map: row  -> (row, sims[row+1..N))       [hierarchical only;
-//                   the paper's row-wise partition of the matrix]
+//   "similarity"   map: row split -> one block of pair counts [hierarchical
+//                   only; the paper's row-wise partition of the matrix]
 //   -- LSH-banded backend --
 //   "candidates"   map: (read, sketch) -> per-band (bucket_key, read);
-//                   GROUP on bucket; reduce emits candidate pairs
-//   "verify"       map: (a, b) -> ((a, b), kernel-scored similarity)
+//                   GROUP on bucket; reduce emits bucket id lists
+//   "verify"       map: pair split -> one block of pair counts
 //                   -> sparse similarity graph
 //   -- either backend --
-//   "…-cluster"    GROUP ALL -> single reducer runs Algorithm 1 (greedy,
+//   "greedy-cluster" / "hierarchical-cluster"
+//                  GROUP ALL -> single reducer runs Algorithm 1 (greedy,
 //                   graph-aware under LSH) or the dendrogram build + θ-cut
 //                   (Algorithm 3, steps 6-9)
 //
-// Simulated job timelines accumulate into PipelineResult::sim_total_s, the
-// number the paper's Table III/V "Time" columns report.
+// Distributed (ExecutionOptions::distributed), each stage runs as the
+// MapReduce job above on the simulated cluster, under the recovery stage
+// driver (retries, checkpoints, lineage, MRMC_* stage hooks).  Local, each
+// stage is a plain in-process call of the same computation on one thread
+// pool; labels, cluster counts and candidate pair counts are identical
+// either way.  Simulated job timelines accumulate into
+// PipelineResult::sim_total_s, the number the paper's Table III/V "Time"
+// columns report.
 #pragma once
 
 #include <cstdint>
@@ -136,14 +143,6 @@ FastqPipelineResult run_pipeline_fastq(std::span<const bio::FastqRecord> reads,
                                        const bio::QualityFilter& qc,
                                        const PipelineParams& params,
                                        const ExecutionOptions& exec = {});
-
-namespace detail {
-/// Copy the execution knobs every pipeline job shares — threads, cluster,
-/// fault plan, heartbeat override, retry policy — onto a JobConfig.  Used
-/// by the pipeline's job builders and the candidate/verify jobs so a new
-/// ExecutionOptions knob cannot silently miss a stage.
-void apply_exec_options(mr::JobConfig& config, const ExecutionOptions& exec);
-}  // namespace detail
 
 /// Deterministic work models (simulated seconds on a reference node) used by
 /// the pipeline's jobs and by the Figure-2 analytic scalability bench.

@@ -44,8 +44,7 @@ CandidateRecallReport candidate_recall(
   const bool set_based = estimator == core::SketchEstimator::kSetBased;
   const core::SortedSketchStore store =
       set_based ? core::SortedSketchStore(sample) : core::SortedSketchStore();
-  const double inv_cols =
-      sample.cols() == 0 ? 0.0 : 1.0 / static_cast<double>(sample.cols());
+  const core::kernels::MatchScore match_score(sample.cols());
 
   std::vector<std::size_t> row_true(n, 0);
   std::vector<std::size_t> row_recovered(n, 0);
@@ -53,9 +52,8 @@ CandidateRecallReport candidate_recall(
     for (std::size_t j = i + 1; j < n; ++j) {
       const double sim =
           set_based ? store.jaccard(i, j)
-                    : static_cast<double>(core::kernels::count_equal(
-                          sample.row(i), sample.row(j))) *
-                          inv_cols;
+                    : match_score(core::kernels::count_equal(sample.row(i),
+                                                             sample.row(j)));
       if (sim < theta) continue;
       ++row_true[i];
       const candidates::Pair pair{static_cast<std::uint32_t>(i),

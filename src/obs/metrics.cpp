@@ -8,6 +8,7 @@
 
 #include "common/fsio.hpp"
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::obs {
 
@@ -23,13 +24,6 @@ std::size_t shard_index() noexcept {
 }  // namespace detail
 
 namespace {
-
-/// %.17g round-trips doubles exactly through strtod.
-std::string format_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
 
 constexpr std::array<double, 31> kDefaultBounds = {
     1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3,
@@ -132,19 +126,19 @@ std::string MetricsSnapshot::to_text() const {
     out += name + " " + std::to_string(value) + "\n";
   }
   for (const auto& [name, value] : gauges) {
-    out += name + " " + format_double(value) + "\n";
+    out += name + " " + trace_double(value) + "\n";
   }
   for (const auto& [name, hist] : histograms) {
     out += name + " count=" + std::to_string(hist.count) +
-           " sum=" + format_double(hist.sum) +
-           " mean=" + format_double(hist.mean()) +
-           " p50=" + format_double(hist.percentile(0.50)) +
-           " p95=" + format_double(hist.percentile(0.95)) +
-           " p99=" + format_double(hist.percentile(0.99)) + "\n";
+           " sum=" + trace_double(hist.sum) +
+           " mean=" + trace_double(hist.mean()) +
+           " p50=" + trace_double(hist.percentile(0.50)) +
+           " p95=" + trace_double(hist.percentile(0.95)) +
+           " p99=" + trace_double(hist.percentile(0.99)) + "\n";
     for (std::size_t b = 0; b <= hist.bounds.size(); ++b) {
       if (hist.counts[b] == 0) continue;  // sparse: most decades stay empty
       const std::string le =
-          b < hist.bounds.size() ? format_double(hist.bounds[b]) : "+inf";
+          b < hist.bounds.size() ? trace_double(hist.bounds[b]) : "+inf";
       out += name + "{le=" + le + "} " + std::to_string(hist.counts[b]) + "\n";
     }
   }
@@ -174,14 +168,14 @@ std::string MetricsSnapshot::to_prometheus() const {
   for (const auto& [name, value] : gauges) {
     const std::string metric = prom_name(name);
     out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + format_double(value) + "\n";
+    out += metric + " " + trace_double(value) + "\n";
   }
   for (const auto& [name, hist] : histograms) {
     // Summaries stay label-free: _count and _sum only, no quantile series.
     const std::string metric = prom_name(name);
     out += "# TYPE " + metric + " summary\n";
     out += prom_name(name, "_count") + " " + std::to_string(hist.count) + "\n";
-    out += prom_name(name, "_sum") + " " + format_double(hist.sum) + "\n";
+    out += prom_name(name, "_sum") + " " + trace_double(hist.sum) + "\n";
   }
   return out;
 }
@@ -198,7 +192,7 @@ std::string MetricsSnapshot::to_json() const {
   first = true;
   for (const auto& [name, value] : gauges) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + format_double(value);
+    out += "    \"" + name + "\": " + trace_double(value);
     first = false;
   }
   out += "\n  },\n  \"histograms\": {";
@@ -206,14 +200,14 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, hist] : histograms) {
     out += first ? "\n" : ",\n";
     out += "    \"" + name + "\": {\"count\": " + std::to_string(hist.count) +
-           ", \"sum\": " + format_double(hist.sum) +
-           ", \"p50\": " + format_double(hist.percentile(0.50)) +
-           ", \"p95\": " + format_double(hist.percentile(0.95)) +
-           ", \"p99\": " + format_double(hist.percentile(0.99)) +
+           ", \"sum\": " + trace_double(hist.sum) +
+           ", \"p50\": " + trace_double(hist.percentile(0.50)) +
+           ", \"p95\": " + trace_double(hist.percentile(0.95)) +
+           ", \"p99\": " + trace_double(hist.percentile(0.99)) +
            ", \"bounds\": [";
     for (std::size_t b = 0; b < hist.bounds.size(); ++b) {
       if (b > 0) out += ", ";
-      out += format_double(hist.bounds[b]);
+      out += trace_double(hist.bounds[b]);
     }
     out += "], \"counts\": [";
     for (std::size_t b = 0; b < hist.counts.size(); ++b) {

@@ -9,6 +9,8 @@
 
 #include "common/fsio.hpp"
 #include "common/timer.hpp"
+#include "obs/format.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mrmc::obs::pipeline {
@@ -103,77 +105,6 @@ std::uint64_t flow_event_id(const Claim& claim) noexcept {
 }
 
 // ------------------------------------------------------- pipeline doctor
-
-namespace {
-
-/// %.17g — round-trips through strtod exactly (same contract as the trace).
-std::string f17(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-std::string f2(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.2f", value);
-  return buf;
-}
-
-std::string pct(double fraction) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.1f%%", fraction * 100.0);
-  return buf;
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-constexpr const char* kReset = "\x1b[0m";
-
-const char* severity_color(report::Severity severity) {
-  switch (severity) {
-    case report::Severity::kInfo: return "\x1b[36m";      // cyan
-    case report::Severity::kWarning: return "\x1b[33m";   // yellow
-    case report::Severity::kCritical: return "\x1b[31m";  // red
-  }
-  return "";
-}
-
-}  // namespace
 
 PipelineReport analyze(const PipelineInput& input,
                        const PipelineAnalyzeOptions& options) {
@@ -498,15 +429,15 @@ std::string to_text(std::span<const PipelineReport> reports, bool color) {
 std::string to_json(const PipelineReport& report) {
   std::string out = "{\"id\": ";
   append_json_string(out, report.id);
-  out += ", \"sim_total_s\": " + f17(report.sim_total_s) +
-         ", \"critical_path\": {\"startup_s\": " + f17(report.startup_s) +
-         ", \"map_s\": " + f17(report.map_s) +
-         ", \"shuffle_s\": " + f17(report.shuffle_s) +
-         ", \"reduce_s\": " + f17(report.reduce_s) + "}" +
-         ", \"shuffle_bytes\": " + f17(report.shuffle_bytes);
+  out += ", \"sim_total_s\": " + trace_double(report.sim_total_s) +
+         ", \"critical_path\": {\"startup_s\": " + trace_double(report.startup_s) +
+         ", \"map_s\": " + trace_double(report.map_s) +
+         ", \"shuffle_s\": " + trace_double(report.shuffle_s) +
+         ", \"reduce_s\": " + trace_double(report.reduce_s) + "}" +
+         ", \"shuffle_bytes\": " + trace_double(report.shuffle_bytes);
   if (report.has_wall) {
-    out += ", \"wall\": {\"total_s\": " + f17(report.wall_total_s) +
-           ", \"driver_gap_s\": " + f17(report.driver_gap_s) + "}";
+    out += ", \"wall\": {\"total_s\": " + trace_double(report.wall_total_s) +
+           ", \"driver_gap_s\": " + trace_double(report.driver_gap_s) + "}";
   }
   out += ", \"stages\": [";
   for (std::size_t i = 0; i < report.stages.size(); ++i) {
@@ -516,10 +447,10 @@ std::string to_json(const PipelineReport& report) {
     append_json_string(out, stage.job.stage);
     out += ", \"round\": " + std::to_string(stage.job.round) +
            ", \"sequence\": " + std::to_string(stage.job.sequence) +
-           ", \"sim_share\": " + f17(stage.sim_share);
+           ", \"sim_share\": " + trace_double(stage.sim_share);
     if (stage.has_wall) {
-      out += ", \"wall_s\": " + f17(stage.wall_s) +
-             ", \"gap_before_s\": " + f17(stage.gap_before_s);
+      out += ", \"wall_s\": " + trace_double(stage.wall_s) +
+             ", \"gap_before_s\": " + trace_double(stage.gap_before_s);
     }
     // The full per-stage job report nests verbatim, so every single-job
     // byte-identity guarantee carries into the pipeline view.
@@ -683,12 +614,12 @@ std::string to_bench_json(std::span<const PipelineReport> reports) {
     append_json_string(out, pipeline);
     out += ", \"stage\": ";
     append_json_string(out, stage);
-    out += ", \"sim_total_s\": " + f17(sim_total) +
-           ", \"sim_map_s\": " + f17(sim_map) +
-           ", \"sim_shuffle_s\": " + f17(sim_shuffle) +
-           ", \"sim_reduce_s\": " + f17(sim_reduce) +
-           ", \"shuffle_bytes\": " + f17(shuffle_bytes);
-    if (has_wall) out += ", \"wall_s\": " + f17(wall_s);
+    out += ", \"sim_total_s\": " + trace_double(sim_total) +
+           ", \"sim_map_s\": " + trace_double(sim_map) +
+           ", \"sim_shuffle_s\": " + trace_double(sim_shuffle) +
+           ", \"sim_reduce_s\": " + trace_double(sim_reduce) +
+           ", \"shuffle_bytes\": " + trace_double(shuffle_bytes);
+    if (has_wall) out += ", \"wall_s\": " + trace_double(wall_s);
     out += "}";
   };
   for (const PipelineReport& report : reports) {
@@ -732,6 +663,12 @@ void write_configured_reports() {
   const common::JsonValue root = report::trace_root(Tracer::global());
   if (jobs) (void)report::write_report(job_path, report::jobs_from_trace(root));
   if (pipelines) (void)write_report(pipeline_path, analyze_trace(root));
+}
+
+void write_configured_artifacts() {
+  Tracer::global().flush();
+  Registry::write_global_if_configured();
+  write_configured_reports();
 }
 
 }  // namespace mrmc::obs::pipeline

@@ -263,8 +263,13 @@ bool write_report(const std::string& path,
 
 /// Write the MRMC_REPORT job report and the MRMC_PIPELINE pipeline report —
 /// whichever of the two variables is set — from the global tracer's events.
-/// Either variable turns in-memory tracing on (obs::Tracer::global()); the
-/// drivers call this at every pipeline boundary.
+/// Either variable turns in-memory tracing on (obs::Tracer::global()).
 void write_configured_reports();
+
+/// Every artifact the environment asks for: flush the MRMC_TRACE trace,
+/// write the MRMC_METRICS snapshot, then write_configured_reports().  The
+/// pipeline drivers (core::run_pipeline, pig::run_algorithm3) call this at
+/// every pipeline boundary, on success and when a stage throws.
+void write_configured_artifacts();
 
 }  // namespace mrmc::obs::pipeline

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/format.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
@@ -24,55 +25,11 @@ bool ends_with(std::string_view name, std::string_view suffix) {
          name.substr(name.size() - suffix.size()) == suffix;
 }
 
-/// %.17g — round-trips through strtod exactly (same contract as the trace).
-std::string f17(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
 /// Compact human rendering for the text/html reports.
 std::string f6(double value) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.6g", value);
   return buf;
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
 }
 
 /// Collect every numeric leaf of `value` into `metrics`, joining nested
@@ -212,7 +169,7 @@ std::vector<MetricRow> rows_from_bench(const common::JsonValue& root) {
     row.source = bench;
     const auto render = [](const common::JsonValue& v) {
       return v.type == common::JsonValue::Type::kString ? v.string
-                                                        : f17(v.number);
+                                                        : trace_double(v.number);
     };
     std::vector<std::string> key_fields;
     if (declared_keys.type == common::JsonValue::Type::kArray) {
@@ -514,9 +471,9 @@ std::string to_json(const CompareReport& report) {
     append_json_string(out, entry.key);
     out += ", \"metric\": ";
     append_json_string(out, entry.metric);
-    out += ", \"baseline\": " + f17(entry.baseline) +
-           ", \"candidate\": " + f17(entry.candidate) +
-           ", \"ratio\": " + f17(entry.ratio) + ", \"status\": ";
+    out += ", \"baseline\": " + trace_double(entry.baseline) +
+           ", \"candidate\": " + trace_double(entry.candidate) +
+           ", \"ratio\": " + trace_double(entry.ratio) + ", \"status\": ";
     append_json_string(out, status_name(entry.status));
     out += "}";
   }

@@ -12,6 +12,7 @@
 
 #include "common/fsio.hpp"
 #include "common/timer.hpp"
+#include "obs/format.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 
@@ -22,62 +23,6 @@ namespace {
 const Logger& logger() {
   static const Logger instance("obs.report");
   return instance;
-}
-
-/// %.17g — round-trips through strtod exactly (same contract as the trace).
-std::string f17(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-std::string f2(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.2f", value);
-  return buf;
-}
-
-std::string pct(double fraction) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.1f%%", fraction * 100.0);
-  return buf;
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
 }
 
 /// Same median the scheduler's speculation heuristic uses: the upper median
@@ -573,17 +518,6 @@ std::vector<JobReport> analyze_trace_file(const std::string& path,
 
 namespace {
 
-constexpr const char* kReset = "\x1b[0m";
-
-const char* severity_color(Severity severity) {
-  switch (severity) {
-    case Severity::kInfo: return "\x1b[36m";      // cyan
-    case Severity::kWarning: return "\x1b[33m";   // yellow
-    case Severity::kCritical: return "\x1b[31m";  // red
-  }
-  return "";
-}
-
 /// 0..1 -> " ▁▂▃▄▅▆▇█" utilization bar glyph.
 const char* util_glyph(double fraction) {
   static const char* kGlyphs[] = {" ", "▁", "▂", "▃", "▄",
@@ -719,17 +653,17 @@ void phase_json(std::string& out, const PhaseAnalysis& phase) {
   out += "{\"tasks\": " + std::to_string(phase.task_count) +
          ", \"slots\": " + std::to_string(phase.slots) +
          ", \"busy_slots\": " + std::to_string(phase.busy_slots) +
-         ", \"makespan_s\": " + f17(phase.makespan_s) +
-         ", \"busy_s\": " + f17(phase.busy_s) +
-         ", \"ideal_s\": " + f17(phase.ideal_s) +
-         ", \"parallel_efficiency\": " + f17(phase.parallel_efficiency) +
-         ", \"median_task_s\": " + f17(phase.median_task_s) +
-         ", \"max_task_s\": " + f17(phase.max_task_s) +
-         ", \"data_local_fraction\": " + f17(phase.data_local_fraction) +
+         ", \"makespan_s\": " + trace_double(phase.makespan_s) +
+         ", \"busy_s\": " + trace_double(phase.busy_s) +
+         ", \"ideal_s\": " + trace_double(phase.ideal_s) +
+         ", \"parallel_efficiency\": " + trace_double(phase.parallel_efficiency) +
+         ", \"median_task_s\": " + trace_double(phase.median_task_s) +
+         ", \"max_task_s\": " + trace_double(phase.max_task_s) +
+         ", \"data_local_fraction\": " + trace_double(phase.data_local_fraction) +
          ", \"node_busy_s\": [";
   for (std::size_t i = 0; i < phase.node_busy_s.size(); ++i) {
     if (i > 0) out += ", ";
-    out += f17(phase.node_busy_s[i]);
+    out += trace_double(phase.node_busy_s[i]);
   }
   out += "]}";
 }
@@ -750,14 +684,14 @@ std::string to_json(const JobReport& report) {
     out += ", \"round\": " + std::to_string(report.round) +
            ", \"sequence\": " + std::to_string(report.sequence) + "}";
   }
-  out += ", \"critical_path\": {\"startup_s\": " + f17(report.startup_s) +
-         ", \"map_s\": " + f17(report.map_phase.makespan_s) +
-         ", \"shuffle_s\": " + f17(report.shuffle_s) +
-         ", \"reduce_s\": " + f17(report.reduce_phase.makespan_s) +
-         ", \"total_s\": " + f17(report.total_s) + "}" +
-         ", \"parallel_efficiency\": " + f17(report.parallel_efficiency) +
-         ", \"overhead_fraction\": " + f17(report.overhead_fraction) +
-         ", \"shuffle_bytes\": " + f17(report.shuffle_bytes) +
+  out += ", \"critical_path\": {\"startup_s\": " + trace_double(report.startup_s) +
+         ", \"map_s\": " + trace_double(report.map_phase.makespan_s) +
+         ", \"shuffle_s\": " + trace_double(report.shuffle_s) +
+         ", \"reduce_s\": " + trace_double(report.reduce_phase.makespan_s) +
+         ", \"total_s\": " + trace_double(report.total_s) + "}" +
+         ", \"parallel_efficiency\": " + trace_double(report.parallel_efficiency) +
+         ", \"overhead_fraction\": " + trace_double(report.overhead_fraction) +
+         ", \"shuffle_bytes\": " + trace_double(report.shuffle_bytes) +
          ", \"map\": ";
   phase_json(out, report.map_phase);
   out += ", \"reduce\": ";
@@ -766,19 +700,19 @@ std::string to_json(const JobReport& report) {
   for (std::size_t i = 0; i < report.node_utilization.size(); ++i) {
     if (i > 0) out += ", ";
     out += "{\"node\": " + std::to_string(report.node_utilization[i].node) +
-           ", \"busy_s\": " + f17(report.node_utilization[i].busy_s) +
-           ", \"utilization\": " + f17(report.node_utilization[i].utilization) +
+           ", \"busy_s\": " + trace_double(report.node_utilization[i].busy_s) +
+           ", \"utilization\": " + trace_double(report.node_utilization[i].utilization) +
            "}";
   }
   out += "]";
   if (!report.bytes.empty()) {
     out += ", \"bytes\": {\"map_input_bytes\": " +
-           f17(report.bytes.map_input_bytes) +
-           ", \"map_output_bytes\": " + f17(report.bytes.map_output_bytes) +
-           ", \"reduce_input_bytes\": " + f17(report.bytes.reduce_input_bytes) +
+           trace_double(report.bytes.map_input_bytes) +
+           ", \"map_output_bytes\": " + trace_double(report.bytes.map_output_bytes) +
+           ", \"reduce_input_bytes\": " + trace_double(report.bytes.reduce_input_bytes) +
            ", \"reduce_output_bytes\": " +
-           f17(report.bytes.reduce_output_bytes) +
-           ", \"fetch_bytes\": " + f17(report.bytes.fetch_bytes) +
+           trace_double(report.bytes.reduce_output_bytes) +
+           ", \"fetch_bytes\": " + trace_double(report.bytes.fetch_bytes) +
            ", \"fetch_count\": " + std::to_string(report.bytes.fetch_count) +
            ", \"max_fetch_fan_in\": " +
            std::to_string(report.bytes.max_fetch_fan_in) + "}";
@@ -792,16 +726,16 @@ std::string to_json(const JobReport& report) {
            std::to_string(report.faults.lost_map_outputs) +
            ", \"blacklisted_nodes\": " +
            std::to_string(report.faults.blacklisted_nodes) +
-           ", \"lost_work_s\": " + f17(report.faults.lost_work_s) +
-           ", \"downtime_s\": " + f17(report.faults.downtime_s) +
+           ", \"lost_work_s\": " + trace_double(report.faults.lost_work_s) +
+           ", \"downtime_s\": " + trace_double(report.faults.downtime_s) +
            ", \"events\": [";
     for (std::size_t i = 0; i < report.faults.events.size(); ++i) {
       const FaultEventSample& event = report.faults.events[i];
       if (i > 0) out += ", ";
       out += "{\"node\": " + std::to_string(event.node) +
-             ", \"crash_s\": " + f17(event.crash_s) +
-             ", \"detect_s\": " + f17(event.detect_s) +
-             ", \"recover_s\": " + f17(event.recover_s) +
+             ", \"crash_s\": " + trace_double(event.crash_s) +
+             ", \"detect_s\": " + trace_double(event.detect_s) +
+             ", \"recover_s\": " + trace_double(event.recover_s) +
              ", \"blacklisted\": " + (event.blacklisted ? "true" : "false") +
              "}";
     }
@@ -816,8 +750,8 @@ std::string to_json(const JobReport& report) {
       out += ", \"task\": " + std::to_string(lost.task) +
              ", \"node\": " + std::to_string(lost.node) +
              ", \"slot\": " + std::to_string(lost.slot) +
-             ", \"start_s\": " + f17(lost.start_s) +
-             ", \"end_s\": " + f17(lost.end_s) + "}";
+             ", \"start_s\": " + trace_double(lost.start_s) +
+             ", \"end_s\": " + trace_double(lost.end_s) + "}";
     }
     out += "]}";
   }

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/fsio.hpp"
+#include "obs/format.hpp"
 #include "obs/log.hpp"
 
 namespace mrmc::obs {
@@ -16,28 +17,6 @@ namespace {
 const Logger& logger() {
   static const Logger instance("obs.trace");
   return instance;
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace

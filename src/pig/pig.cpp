@@ -243,6 +243,17 @@ namespace {
 void encode_value(mr::recovery::PayloadWriter& writer, const Value& value);
 Value decode_value(mr::recovery::PayloadReader& reader);
 
+/// A claimed element count whose elements take at least `min_bytes` each:
+/// one the rest of the payload cannot hold is a corrupt checkpoint (a miss
+/// and a recompute), never an allocation of the claimed size.
+std::size_t decode_count(mr::recovery::PayloadReader& reader,
+                         std::size_t min_bytes) {
+  const std::uint64_t count = reader.u64();
+  MRMC_CHECK(count <= reader.remaining() / min_bytes,
+             "pig checkpoint count larger than its payload");
+  return count;
+}
+
 void encode_tuple(mr::recovery::PayloadWriter& writer, const Tuple& tuple) {
   writer.u64(tuple.fields.size());
   for (const Value& value : tuple.fields) encode_value(writer, value);
@@ -250,7 +261,7 @@ void encode_tuple(mr::recovery::PayloadWriter& writer, const Tuple& tuple) {
 
 Tuple decode_tuple(mr::recovery::PayloadReader& reader) {
   Tuple tuple;
-  tuple.fields.resize(reader.u64());
+  tuple.fields.resize(decode_count(reader, 12));  // u32 tag + 8 bytes each
   for (Value& value : tuple.fields) value = decode_value(reader);
   return tuple;
 }
@@ -286,17 +297,17 @@ Value decode_value(mr::recovery::PayloadReader& reader) {
     case 1: return Value(static_cast<long>(reader.i64()));
     case 2: return Value(reader.f64());
     case 3: {
-      std::vector<long> list(reader.u64());
+      std::vector<long> list(decode_count(reader, 8));
       for (long& element : list) element = static_cast<long>(reader.i64());
       return Value(std::move(list));
     }
     case 4: {
-      std::vector<double> list(reader.u64());
+      std::vector<double> list(decode_count(reader, 8));
       for (double& element : list) element = reader.f64();
       return Value(std::move(list));
     }
     case 5: {
-      Bag bag(reader.u64());
+      Bag bag(decode_count(reader, 8));  // a tuple is at least its count
       for (Tuple& element : bag) element = decode_tuple(reader);
       return Value(std::move(bag));
     }
@@ -312,7 +323,7 @@ void encode_relation(mr::recovery::PayloadWriter& writer,
 }
 
 Relation decode_relation(mr::recovery::PayloadReader& reader) {
-  Relation relation(reader.u64());
+  Relation relation(decode_count(reader, 8));
   for (Tuple& tuple : relation) tuple = decode_tuple(reader);
   return relation;
 }
@@ -372,49 +383,58 @@ Algorithm3Result run_algorithm3(mr::SimDfs& dfs, const std::string& input_path,
     driver_options.input_fingerprint = relation_fingerprint(a);
   }
   mr::recovery::StageDriver driver(driver_options);
-  const auto stage = [&driver](const char* name, auto compute) {
-    return driver.run_stage(name, std::move(compute), encode_relation,
-                            decode_relation);
-  };
 
-  // Step 2: B = FOREACH A GENERATE FLATTEN(StringGenerator(seq, readid))
-  const Relation b = stage("foreach-StringGenerator", [&] {
-    return ctx.foreach_generate(a, StringGenerator{});
-  });
-  // Step 3: C = FOREACH B GENERATE FLATTEN(TranslateToKmer(seq, id, $KMER))
-  const Relation c = stage("foreach-TranslateToKmer", [&] {
-    return ctx.foreach_generate(b, TranslateToKmer{params.kmer});
-  });
-  // Step 4: E = FOREACH C GENERATE FLATTEN(CalculateMinwiseHash(...))
-  const Relation e = stage("foreach-CalculateMinwiseHash", [&] {
-    return ctx.foreach_generate(
-        c, CalculateMinwiseHash{params.num_hashes, params.kmer, params.seed});
-  });
-  // Step 6: I = GROUP E ALL
-  const Relation grouped =
-      stage("group-all", [&] { return ctx.group_all(e); });
-  // Step 7: J = FOREACH I GENERATE FLATTEN(CalculatePairwiseSimilarity(...))
-  const Relation j = stage("foreach-CalculatePairwiseSimilarity", [&] {
-    return ctx.foreach_generate(grouped,
-                                CalculatePairwiseSimilarity{params.estimator});
-  });
-  // Step 8: K = FOREACH (GROUP J ALL) GENERATE
-  //             FLATTEN(AgglomerativeHierarchicalClustering(...))
-  // Two driver stages (the script runs two jobs) so a resumed run claims
-  // the same number of lineage slots as an uninterrupted one.
-  const Relation grouped_j =
-      stage("group-all", [&] { return ctx.group_all(j); });
-  const Relation k =
-      stage("foreach-AgglomerativeHierarchicalClustering", [&] {
-        return ctx.foreach_generate(
-            grouped_j, AgglomerativeHierarchicalClustering{params.linkage,
-                                                           params.cutoff});
-      });
-  // Step 9: L = FOREACH I GENERATE FLATTEN(GreedyClustering(...))
-  const Relation l = stage("foreach-GreedyClustering", [&] {
-    return ctx.foreach_generate(
-        grouped, GreedyClustering{params.cutoff, params.greedy_estimator});
-  });
+  // Steps 2-9 run inside the try: a throwing stage still leaves this run's
+  // trace, metrics and reports behind, as core::run_pipeline does.
+  Relation k;
+  Relation l;
+  try {
+    const auto stage = [&driver](const char* name, auto compute) {
+      return driver.run_stage(name, std::move(compute), encode_relation,
+                              decode_relation);
+    };
+
+    // Step 2: B = FOREACH A GENERATE FLATTEN(StringGenerator(seq, readid))
+    const Relation b = stage("foreach-StringGenerator", [&] {
+      return ctx.foreach_generate(a, StringGenerator{});
+    });
+    // Step 3: C = FOREACH B GENERATE FLATTEN(TranslateToKmer(seq, id, $KMER))
+    const Relation c = stage("foreach-TranslateToKmer", [&] {
+      return ctx.foreach_generate(b, TranslateToKmer{params.kmer});
+    });
+    // Step 4: E = FOREACH C GENERATE FLATTEN(CalculateMinwiseHash(...))
+    const Relation e = stage("foreach-CalculateMinwiseHash", [&] {
+      return ctx.foreach_generate(
+          c, CalculateMinwiseHash{params.num_hashes, params.kmer, params.seed});
+    });
+    // Step 6: I = GROUP E ALL
+    const Relation grouped =
+        stage("group-all", [&] { return ctx.group_all(e); });
+    // Step 7: J = FOREACH I GENERATE FLATTEN(CalculatePairwiseSimilarity(...))
+    const Relation j = stage("foreach-CalculatePairwiseSimilarity", [&] {
+      return ctx.foreach_generate(grouped,
+                                  CalculatePairwiseSimilarity{params.estimator});
+    });
+    // Step 8: K = FOREACH (GROUP J ALL) GENERATE
+    //             FLATTEN(AgglomerativeHierarchicalClustering(...))
+    // Two driver stages (the script runs two jobs) so a resumed run claims
+    // the same number of lineage slots as an uninterrupted one.
+    const Relation grouped_j =
+        stage("group-all", [&] { return ctx.group_all(j); });
+    k = stage("foreach-AgglomerativeHierarchicalClustering", [&] {
+      return ctx.foreach_generate(
+          grouped_j,
+          AgglomerativeHierarchicalClustering{params.linkage, params.cutoff});
+    });
+    // Step 9: L = FOREACH I GENERATE FLATTEN(GreedyClustering(...))
+    l = stage("foreach-GreedyClustering", [&] {
+      return ctx.foreach_generate(
+          grouped, GreedyClustering{params.cutoff, params.greedy_estimator});
+    });
+  } catch (...) {
+    obs::pipeline::write_configured_artifacts();
+    throw;
+  }
   // Steps 10-11: STORE K INTO '$OUTPUT1'; STORE L INTO '$OUTPUT2'.  Stores
   // always run — re-materializing output from checkpoints is the point of a
   // resume.
@@ -439,8 +459,7 @@ Algorithm3Result run_algorithm3(mr::SimDfs& dfs, const std::string& input_path,
                                       {"sim_time_s", result.sim_time_s},
                                       {"hier_tuples", result.hierarchical.size()},
                                       {"greedy_tuples", result.greedy.size()}});
-  obs::Tracer::global().flush();
-  obs::pipeline::write_configured_reports();
+  obs::pipeline::write_configured_artifacts();
   return result;
 }
 

@@ -241,6 +241,57 @@ TEST(GreedyClusterGraph, MatchesExhaustiveSweepOnTheExactGraph) {
   }
 }
 
+TEST(GreedyClusterGraph, MatchesExhaustiveSweepWhenAnEdgeTiesTheta) {
+  // K = 12, two rows sharing 5 components, θ = 5/12.  m / K and m · (1/K)
+  // differ in the last bit here (0.41666666666666669 vs ...663): the sweep
+  // and the graph must score the pair with the same rounding, or one joins
+  // the rows and the other keeps them apart.
+  kernels::SketchMatrix matrix(2, 12);
+  for (std::size_t k = 0; k < 12; ++k) {
+    matrix.row(0)[k] = 100 + k;
+    matrix.row(1)[k] = k < 5 ? 100 + k : 200 + k;
+  }
+  const double theta = 5.0 / 12.0;
+  const GreedyParams params{.theta = theta,
+                            .estimator = SketchEstimator::kComponentMatch};
+  const auto graph = candidates::build_graph(matrix, {}, theta,
+                                             SketchEstimator::kComponentMatch);
+  ASSERT_EQ(graph.edges.size(), 1u);
+  const auto from_graph = greedy_cluster_graph(graph, params);
+  const auto exhaustive = greedy_cluster(matrix, params);
+  EXPECT_EQ(from_graph.labels, exhaustive.labels);
+  EXPECT_EQ(from_graph.num_clusters, exhaustive.num_clusters);
+}
+
+TEST(ComponentMatchScore, EveryScorerUsesTheReciprocalRounding) {
+  // For every K ≤ 256 and m ≤ K, the per-pair estimators, verification and
+  // the dense matrix all produce kernels::MatchScore(K)(m) = m · (1/K).
+  for (std::size_t k = 1; k <= 256; ++k) {
+    kernels::SketchMatrix matrix(k + 1, k);
+    for (std::size_t m = 0; m <= k; ++m) {
+      // Row m > 0 shares its first m components with row 0.
+      for (std::size_t c = 0; c < k; ++c) {
+        matrix.row(m)[c] = m == 0 || c < m ? c + 1 : (m + 1) * 1000 + c;
+      }
+    }
+    const SketchPairSimilarity pair_score(matrix,
+                                          SketchEstimator::kComponentMatch);
+    std::vector<candidates::Pair> pairs;
+    for (std::uint32_t m = 1; m <= k; ++m) pairs.emplace_back(0, m);
+    const auto graph = candidates::verify_pairs(
+        matrix, pairs, SketchEstimator::kComponentMatch);
+    for (std::size_t m = 1; m <= k; ++m) {
+      const double expected = kernels::MatchScore(k)(m);
+      ASSERT_EQ(expected, static_cast<double>(m) * (1.0 / static_cast<double>(k)));
+      ASSERT_EQ(pair_score(0, m), expected) << "K=" << k << " m=" << m;
+      ASSERT_EQ(graph.edges[m - 1].similarity, expected) << "K=" << k;
+      const Sketch a(matrix.row(0).begin(), matrix.row(0).end());
+      const Sketch b(matrix.row(m).begin(), matrix.row(m).end());
+      ASSERT_EQ(component_match_similarity(a, b), expected) << "K=" << k;
+    }
+  }
+}
+
 TEST(GreedyClusterGraph, EmptyGraphIsAllSingletons) {
   candidates::SparseSimilarityGraph graph;
   graph.num_vertices = 4;

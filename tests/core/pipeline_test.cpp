@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "eval/external_indices.hpp"
 #include "simdata/datasets.hpp"
@@ -174,18 +176,33 @@ TEST(Pipeline, CMinHashDistributedMatchesLocal) {
 }
 
 TEST(Pipeline, BBitDistributedMatchesLocal) {
+  // One stage list serves both modes: every backend × mode × width walks
+  // the same stages locally and as MapReduce jobs, with equal results.
   const auto sample = small_sample();
   ExecutionOptions distributed;
   distributed.cluster.nodes = 3;
   ExecutionOptions local;
   local.distributed = false;
-  for (const Mode mode : {Mode::kGreedy, Mode::kHierarchical}) {
-    for (const std::size_t bits : {std::size_t{8}, std::size_t{16}}) {
-      auto params = base_params(mode);
-      params.sketch_bits = bits;
-      const auto a = run_pipeline(sample.reads, params, distributed);
-      const auto b = run_pipeline(sample.reads, params, local);
-      EXPECT_EQ(a.labels, b.labels) << mode_name(mode) << " bits=" << bits;
+  for (const auto backend : {candidates::Backend::kExactAllPairs,
+                             candidates::Backend::kLshBanded}) {
+    for (const Mode mode : {Mode::kGreedy, Mode::kHierarchical}) {
+      for (const std::size_t bits :
+           {std::size_t{64}, std::size_t{16}, std::size_t{8}}) {
+        auto params = base_params(mode);
+        params.sketch_bits = bits;
+        params.candidates.backend = backend;
+        const auto a = run_pipeline(sample.reads, params, distributed);
+        const auto b = run_pipeline(sample.reads, params, local);
+        const std::string where = std::string(candidates::backend_name(backend)) +
+                                  " " + mode_name(mode) +
+                                  " bits=" + std::to_string(bits);
+        EXPECT_EQ(a.labels, b.labels) << where;
+        EXPECT_EQ(a.num_clusters, b.num_clusters) << where;
+        EXPECT_EQ(a.candidate_pairs, b.candidate_pairs) << where;
+        if (backend == candidates::Backend::kLshBanded) {
+          EXPECT_GT(b.candidate_pairs, 0u) << where;
+        }
+      }
     }
   }
 }

@@ -6,14 +6,62 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <new>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "bio/fasta.hpp"
 #include "mr/recovery.hpp"
 #include "simdata/datasets.hpp"
+
+namespace mrmc::pig {
+namespace {
+
+/// The largest single operator-new request since the last reset (see the
+/// replacements below): a decoder that sizes a container from a count its
+/// payload cannot hold shows up here even when the allocation then fails.
+std::atomic<std::size_t> largest_request{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  std::size_t seen = largest_request.load(std::memory_order_relaxed);
+  while (size > seen && !largest_request.compare_exchange_weak(seen, size)) {
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+}  // namespace mrmc::pig
+
+// Every unaligned form of new and delete is replaced, so each allocation of
+// this binary pairs malloc with free (sanitizers check the pairing).
+void* operator new(std::size_t size) {
+  if (void* block = mrmc::pig::counted_malloc(size)) return block;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return mrmc::pig::counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return mrmc::pig::counted_malloc(size);
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete[](void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
 
 namespace mrmc::pig {
 namespace {
@@ -130,6 +178,142 @@ TEST(PigResume, ChangedParamsIgnoreTheWarmDirectory) {
   EXPECT_EQ(rerun.recovery.checkpoint_hits, 0u);
   EXPECT_EQ(rerun.recovery.checkpoint_misses, kSteps);
   EXPECT_EQ(rerun.jobs_run, kSteps);
+}
+
+TEST(PigResume, MetricsAreWrittenOnSuccessAndWhenAStageThrows) {
+  const std::string dir = fresh_dir("metrics");
+  std::filesystem::create_directories(dir);
+  {
+    ScopedEnv metrics("MRMC_METRICS", dir + "/done.json");
+    (void)Fixture().run();
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir + "/done.json"));
+
+  ScopedEnv metrics("MRMC_METRICS", dir + "/failed.json");
+  ScopedEnv fail("MRMC_FAIL_STAGE", "foreach-CalculatePairwiseSimilarity:5");
+  EXPECT_THROW((void)Fixture().run(), mr::recovery::RetryExhausted);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/failed.json"));
+}
+
+// A checkpoint file: magic, u32 version, u64 key, u64 payload size and u64
+// payload checksum, then the payload.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The byte offset of the first count of `kind` in a relation payload:
+/// 0 = the relation's tuple count, 1 = a tuple's field count, 3 / 4 / 5 =
+/// the element count of the first long list, double list or bag.
+class CountFinder {
+ public:
+  CountFinder(std::string_view payload, int kind)
+      : payload_(payload), kind_(kind) {
+    note(0);
+    for (std::uint64_t n = u64(); n > 0; --n) tuple();
+  }
+  [[nodiscard]] const std::optional<std::size_t>& offset() const {
+    return found_;
+  }
+
+ private:
+  void note(int kind) {
+    if (kind == kind_ && !found_) found_ = pos_;
+  }
+  std::uint64_t u64() {
+    std::uint64_t value = 0;
+    std::memcpy(&value, payload_.data() + pos_, 8);
+    pos_ += 8;
+    return value;
+  }
+  void tuple() {
+    note(1);
+    for (std::uint64_t n = u64(); n > 0; --n) value();
+  }
+  void value() {
+    std::uint32_t tag = 0;
+    std::memcpy(&tag, payload_.data() + pos_, 4);
+    pos_ += 4;
+    note(static_cast<int>(tag));
+    switch (tag) {
+      case 0: pos_ += u64(); break;              // string bytes
+      case 3: case 4: pos_ += 8 * u64(); break;  // list elements
+      case 5:
+        for (std::uint64_t n = u64(); n > 0; --n) tuple();
+        break;
+      default: pos_ += 8;                        // long or double
+    }
+  }
+
+  std::string_view payload_;
+  int kind_;
+  std::size_t pos_ = 0;
+  std::optional<std::size_t> found_;
+};
+
+TEST(PigResume, OversizedCountsAreAMissThenARecompute) {
+  // A count of 2^40 elements would be a multi-TiB allocation; every pig
+  // decoder must refuse it against the bytes actually left, so the stage
+  // is a counted miss and a recompute, and nothing of that size is asked
+  // of the allocator.
+  Fixture baseline_fixture;
+  const Algorithm3Result baseline = baseline_fixture.run();
+  for (const int kind : {0, 1, 3, 4, 5}) {
+    Fixture fixture;
+    const std::string dir = fresh_dir("oversized");
+    ScopedEnv ckpt("MRMC_CHECKPOINT_DIR", dir);
+    (void)fixture.run();
+
+    // The first stage (in driver order) whose payload holds such a count.
+    std::filesystem::path victim;
+    std::string payload;
+    std::size_t offset = 0;
+    for (std::size_t sequence = 0; sequence < kSteps && victim.empty();
+         ++sequence) {
+      std::string needle = ".";  // "<label>.<sequence>-<stage>..."
+      needle += std::to_string(sequence);
+      needle += '-';
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().filename().string().find(needle) ==
+            std::string::npos) {
+          continue;
+        }
+        payload = read_file(entry.path()).substr(kHeaderBytes);
+        if (const auto found = CountFinder(payload, kind).offset()) {
+          victim = entry.path();
+          offset = *found;
+        }
+      }
+    }
+    ASSERT_FALSE(victim.empty()) << "no payload holds count kind " << kind;
+
+    // Claim 2^40 elements, then re-seal the size and checksum so only the
+    // decoder can reject the file.
+    mr::recovery::PayloadWriter claim;
+    claim.u64(std::uint64_t{1} << 40);
+    std::string edited = payload;
+    edited.replace(offset, 8, claim.bytes());
+    const std::string blob = read_file(victim);
+    mr::recovery::PayloadWriter sizes;
+    sizes.u64(edited.size());
+    sizes.u64(mr::recovery::fnv_checksum(edited));
+    {
+      std::ofstream out(victim, std::ios::binary | std::ios::trunc);
+      out << blob.substr(0, kHeaderBytes - 16) << sizes.bytes() << edited;
+    }
+
+    largest_request = 0;
+    const Algorithm3Result rerun = fixture.run();
+    EXPECT_LT(largest_request.load(), std::size_t{1} << 30) << kind;
+    EXPECT_EQ(rerun.hierarchical, baseline.hierarchical) << kind;
+    EXPECT_EQ(rerun.greedy, baseline.greedy) << kind;
+    EXPECT_EQ(rerun.recovery.invalid_checkpoints, 1u) << kind;
+    EXPECT_EQ(rerun.recovery.checkpoint_misses, 1u) << kind;
+    EXPECT_EQ(rerun.recovery.checkpoint_hits, kSteps - 1) << kind;
+    EXPECT_EQ(read_file(victim).substr(kHeaderBytes), payload) << kind;
+  }
 }
 
 }  // namespace

@@ -247,5 +247,68 @@ TEST(DriverChaos, LshCandidatesExhaustionDegradesToExactAllPairs) {
                mr::recovery::RetryExhausted);
 }
 
+TEST(DriverChaos, LshBandsThatDoNotTileTheSketchAreRejectedInBothModes) {
+  // 7 bands cannot tile K = 32: a caller error, raised before any stage —
+  // never a failed job that the retry loop repeats and the LSH fallback
+  // hides behind an exact all-pairs rerun.
+  const auto reads = sample_reads();
+  PipelineCase c = pipeline_cases()[2];  // lsh-greedy
+  c.params.candidates.bands = 7;
+  ExecutionOptions distributed = exec_options(2, {}, "");
+  distributed.max_job_attempts = 2;
+  distributed.backoff_base_s = 1e-3;
+  distributed.backoff_cap_s = 2e-3;
+  EXPECT_THROW((void)run_pipeline(reads, c.params, distributed),
+               common::InvalidArgument);
+  ExecutionOptions local;
+  local.distributed = false;
+  EXPECT_THROW((void)run_pipeline(reads, c.params, local),
+               common::InvalidArgument);
+}
+
+TEST(DriverChaos, LocalRunIgnoresTheStageHooksAndCheckpoints) {
+  // A local run calls its stage bodies directly: no retry loop for
+  // MRMC_FAIL_STAGE to fail, and no checkpoint for MRMC_CHECKPOINT_DIR (or
+  // ExecutionOptions::checkpoint_dir) to write or serve.
+  const auto reads = sample_reads();
+  for (const PipelineCase& c : pipeline_cases()) {
+    ExecutionOptions local = exec_options(2, {}, "");
+    local.distributed = false;
+    const PipelineResult baseline = run_pipeline(reads, c.params, local);
+
+    const std::string dir = fresh_dir("local");
+    local.checkpoint_dir = dir;
+    ScopedEnv env_dir("MRMC_CHECKPOINT_DIR", dir);
+    for (const std::string& stage : c.stages) {
+      ScopedEnv fail("MRMC_FAIL_STAGE", stage + ":5");
+      ScopedEnv crash("MRMC_CRASH_AFTER_STAGE", stage);
+      const PipelineResult hooked = run_pipeline(reads, c.params, local);
+      EXPECT_EQ(hooked.labels, baseline.labels) << c.name << " " << stage;
+      EXPECT_EQ(hooked.recovery.stages, 0u) << c.name << " " << stage;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir)) << c.name;
+  }
+}
+
+TEST(DriverChaos, LocalStageErrorsKeepTheirType) {
+  // θ outside [0, 1] is rejected inside the cluster stage.  Distributed,
+  // the driver's retry loop wraps it; locally it surfaces as it was thrown.
+  const auto reads = sample_reads();
+  for (PipelineCase c : pipeline_cases()) {
+    c.params.theta = 1.5;
+    if (c.params.candidates.backend == candidates::Backend::kLshBanded) {
+      c.params.candidates.bands = 4;  // skip θ-driven band selection
+    }
+    ExecutionOptions local = exec_options(2, {}, "");
+    local.distributed = false;
+    EXPECT_THROW((void)run_pipeline(reads, c.params, local),
+                 common::InvalidArgument)
+        << c.name;
+    EXPECT_THROW((void)run_pipeline(reads, c.params, exec_options(2, {}, "")),
+                 mr::recovery::RetryExhausted)
+        << c.name;
+  }
+}
+
 }  // namespace
 }  // namespace mrmc::core
