@@ -133,7 +133,7 @@ CandidateJobResult run_candidate_job(
 
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
-    std::vector<candidates::Pair> pairs, SketchEstimator estimator,
+    const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
     std::size_t sketch_bits, const ExecutionOptions& exec) {
   VerifyJobResult result;
   result.graph.num_vertices = sketches->rows();

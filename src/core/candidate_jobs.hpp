@@ -66,13 +66,15 @@ struct VerifyJobResult {
 };
 
 /// Score candidate pairs into a sparse similarity graph via the "verify"
-/// MapReduce job.  `pairs` must be sorted unique (run_candidate_job output).
+/// MapReduce job.  `pairs` must be sorted unique (run_candidate_job output);
+/// the map tasks read views of it, so the job makes no copy of the pairs
+/// and a retry reads the same list.
 /// `sketch_bits` is PipelineParams::sketch_bits: below 64 the map tasks score
 /// b-bit packed sketch rows with the packed count_equal kernel (the sketches
 /// must already be b-bit truncated, as the sketch job leaves them).
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
-    std::vector<candidates::Pair> pairs, SketchEstimator estimator,
+    const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
     std::size_t sketch_bits, const ExecutionOptions& exec);
 
 namespace detail {

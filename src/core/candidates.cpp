@@ -371,20 +371,11 @@ SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
   graph.num_vertices = sketches.rows();
   graph.edges.resize(pairs.size());
 
-  const bool set_based = estimator == SketchEstimator::kSetBased;
-  const SortedSketchStore store =
-      set_based ? SortedSketchStore(sketches) : SortedSketchStore();
-  const kernels::MatchScore match_score(sketches.cols());
+  const SketchPairSimilarity similarity(sketches, estimator, pool);
   auto score = [&](std::size_t p) {
     const auto [a, b] = pairs[p];
     MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");
-    double sim = 0.0;
-    if (set_based) {
-      sim = store.jaccard(a, b);
-    } else {
-      sim = match_score(kernels::count_equal(sketches.row(a), sketches.row(b)));
-    }
-    graph.edges[p] = Edge{a, b, sim};
+    graph.edges[p] = Edge{a, b, similarity(a, b)};
   };
   if (pool != nullptr) {
     pool->parallel_for(pairs.size(), score);

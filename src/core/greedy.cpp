@@ -1,6 +1,6 @@
 #include "core/greedy.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -53,45 +53,37 @@ GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph
   const std::size_t n = graph.num_vertices;
   GreedyResult result;
   result.labels.assign(n, -1);
-  if (n == 0) return result;
-
-  // CSR adjacency over both edge directions.  Edges arrive sorted by
-  // (a, b) with a < b, so each vertex's neighbor list comes out ascending:
-  // smaller neighbors (as edge targets) land before larger ones (as edge
-  // sources).
-  std::vector<std::size_t> offsets(n + 1, 0);
-  for (const auto& edge : graph.edges) {
-    MRMC_REQUIRE(edge.a < edge.b && edge.b < n, "graph edge out of range");
-    ++offsets[edge.a + 1];
-    ++offsets[edge.b + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  std::vector<std::pair<std::uint32_t, double>> adjacency(offsets[n]);
-  {
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const auto& edge : graph.edges) {
-      adjacency[cursor[edge.a]++] = {edge.b, edge.similarity};
-      adjacency[cursor[edge.b]++] = {edge.a, edge.similarity};
-    }
-  }
 
   // Equivalent formulation of Algorithm 1's pending-list sweep: by the time
   // index i is reached every j < i is already assigned (absorbed earlier or
   // a representative itself), so a new representative i only needs to test
-  // its *graph neighbors* j > i that are still unassigned.
+  // its *graph neighbors* j > i that are still unassigned.  Edges are sorted
+  // by (a, b) with a < b, so those neighbors are the run of edges with
+  // a == i, and one cursor walks the runs in order.  An edge the cursor
+  // never reaches broke that order.
+  const std::vector<candidates::Edge>& edges = graph.edges;
   int next_label = 0;
+  std::size_t e = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (result.labels[i] >= 0) continue;
-    const int label = next_label++;
-    result.labels[i] = label;
-    result.representatives.push_back(i);
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-      const auto [neighbor, similarity] = adjacency[e];
-      if (neighbor < i || result.labels[neighbor] >= 0) continue;
+    int label = -1;  // stays -1 unless i opens a cluster
+    if (result.labels[i] < 0) {
+      label = next_label++;
+      result.labels[i] = label;
+      result.representatives.push_back(i);
+    }
+    for (; e < edges.size() && edges[e].a == i; ++e) {
+      const std::uint32_t neighbor = edges[e].b;
+      MRMC_REQUIRE(neighbor > i && neighbor < n &&
+                       (e == 0 || edges[e - 1].a != i ||
+                        edges[e - 1].b < neighbor),
+                   "graph edges not strictly ascending with a < b < n");
+      if (label < 0 || result.labels[neighbor] >= 0) continue;
       ++result.comparisons;
-      if (similarity >= params.theta) result.labels[neighbor] = label;
+      if (edges[e].similarity >= params.theta) result.labels[neighbor] = label;
     }
   }
+  MRMC_REQUIRE(e == edges.size(),
+               "graph edges not strictly ascending with a < b < n");
   result.num_clusters = static_cast<std::size_t>(next_label);
   return result;
 }

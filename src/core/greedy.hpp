@@ -40,7 +40,11 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
 
 /// Algorithm 1 over a verified candidate graph instead of raw sketches: a
 /// sequence only ever joins a representative it shares a graph edge with,
-/// so the sweep is O(V + E) instead of O(N * #clusters) comparisons.  When
+/// so the sweep is O(V + E) instead of O(N * #clusters) comparisons.  It
+/// walks `graph.edges` in place with one cursor (each representative's
+/// edges to later reads are one contiguous run) and allocates nothing
+/// proportional to E; edges that are not strictly ascending by (a, b) with
+/// a < b < num_vertices throw InvalidArgument.  When
 /// the graph contains every pair with similarity >= theta (always true for
 /// the exact backend), labels, representatives and cluster count are
 /// identical to greedy_cluster on the underlying sketches; `comparisons`

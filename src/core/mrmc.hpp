@@ -30,5 +30,4 @@
 #include "core/pipeline.hpp"
 #include "mr/cluster.hpp"
 #include "mr/job.hpp"
-#include "mr/input_format.hpp"
 #include "mr/simdfs.hpp"

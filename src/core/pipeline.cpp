@@ -399,6 +399,16 @@ candidates::SparseSimilarityGraph decode_graph(
     edge.b = reader.u32();
     edge.similarity = reader.f64();
   }
+  // Verified edges are sorted, unique and a < b < num_vertices, as the
+  // greedy sweep requires; anything else is corrupt.
+  for (std::size_t e = 0; e < graph.edges.size(); ++e) {
+    const candidates::Edge& edge = graph.edges[e];
+    MRMC_CHECK(edge.a < edge.b && edge.b < graph.num_vertices &&
+                   (e == 0 || std::pair(graph.edges[e - 1].a,
+                                        graph.edges[e - 1].b) <
+                                  std::pair(edge.a, edge.b)),
+               "graph edges not strictly ascending with a < b < n");
+  }
   return graph;
 }
 
@@ -546,7 +556,6 @@ candidates::SparseSimilarityGraph candidate_graph(
                                         stages.pool());
       },
       [&] {
-        // The job takes the pairs by value: a retry needs them intact.
         auto verified = run_verify_job(sketches, enumerated.pairs, estimator,
                                        params.sketch_bits, exec);
         result.verify_stats = std::move(verified.stats);

@@ -41,20 +41,13 @@ CandidateRecallReport candidate_recall(
   // the backend proposed.  enumerate_pairs output is sorted, so membership
   // is a binary search.  Per-row partial counts keep the parallel sweep
   // deterministic.
-  const bool set_based = estimator == core::SketchEstimator::kSetBased;
-  const core::SortedSketchStore store =
-      set_based ? core::SortedSketchStore(sample) : core::SortedSketchStore();
-  const core::kernels::MatchScore match_score(sample.cols());
+  const core::SketchPairSimilarity similarity(sample, estimator, pool);
 
   std::vector<std::size_t> row_true(n, 0);
   std::vector<std::size_t> row_recovered(n, 0);
   auto score_row = [&](std::size_t i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double sim =
-          set_based ? store.jaccard(i, j)
-                    : match_score(core::kernels::count_equal(sample.row(i),
-                                                             sample.row(j)));
-      if (sim < theta) continue;
+      if (similarity(i, j) < theta) continue;
       ++row_true[i];
       const candidates::Pair pair{static_cast<std::uint32_t>(i),
                                   static_cast<std::uint32_t>(j)};

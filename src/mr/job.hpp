@@ -11,13 +11,14 @@
 // giving the job a reproducible simulated makespan (JobStats::timeline).
 //
 // Job is a thin typed façade over mr::runtime::TaskGraph.  Each map task is
-// a graph node that spills its output as per-reducer key-sorted runs; every
-// (map, reducer) pair gets a ShuffleFetch node that moves the run the moment
-// the map finishes; each reduce node k-way-merges its sorted runs — no
-// re-sort, no map barrier.  The merge is stable by (key, map index, emission
-// order), which is exactly the order the old concatenate-then-stable_sort
-// shuffle produced, so job output is byte-identical across any thread count
-// and to the previous engine.
+// a graph node that reads a std::span view of its split of the caller's
+// input (no per-split copy) and spills its output as per-reducer key-sorted
+// runs; every (map, reducer) pair gets a ShuffleFetch node that moves the
+// run the moment the map finishes; each reduce node k-way-merges its sorted
+// runs — no re-sort, no map barrier.  The merge is stable by (key, map
+// index, emission order), which is exactly the order the old
+// concatenate-then-stable_sort shuffle produced, so job output is
+// byte-identical across any thread count and to the previous engine.
 //
 // Failures are injected as *real re-executions*: a doomed attempt runs,
 // throws runtime::TaskFailure, and the task graph re-runs the node (map and
@@ -247,27 +248,38 @@ class Job {
   }
 
   /// Run with automatic input splitting (round-robin locality like a DFS
-  /// writing splits across nodes).
+  /// writing splits across nodes).  Map tasks read views of `input`;
+  /// nothing is copied.
   JobResult<Out> run(const std::vector<In>& input) {
-    std::vector<std::vector<In>> splits;
+    std::vector<std::span<const In>> splits;
     std::vector<int> locality;
     const std::size_t per_split = config_.records_per_split;
+    const std::span<const In> all(input);
     for (std::size_t begin = 0; begin < input.size(); begin += per_split) {
-      const std::size_t end = std::min(begin + per_split, input.size());
-      splits.emplace_back(input.begin() + static_cast<long>(begin),
-                          input.begin() + static_cast<long>(end));
+      splits.push_back(
+          all.subspan(begin, std::min(per_split, input.size() - begin)));
       locality.push_back(static_cast<int>((begin / per_split) %
                                           config_.cluster.nodes));
     }
-    if (splits.empty()) splits.emplace_back();
-    if (locality.empty()) locality.push_back(0);
-    return run_splits(splits, locality);
+    if (splits.empty()) {
+      splits.emplace_back();
+      locality.push_back(0);
+    }
+    return run_views(splits, locality);
   }
 
   /// Run with caller-provided splits (e.g. SimDfs blocks) and their
-  /// preferred replica nodes.
+  /// preferred replica nodes.  Map tasks read views of the split vectors.
   JobResult<Out> run_splits(const std::vector<std::vector<In>>& splits,
                             const std::vector<int>& preferred_nodes) {
+    return run_views(
+        std::vector<std::span<const In>>(splits.begin(), splits.end()),
+        preferred_nodes);
+  }
+
+ private:
+  JobResult<Out> run_views(const std::vector<std::span<const In>>& splits,
+                           const std::vector<int>& preferred_nodes) {
     MRMC_REQUIRE(splits.size() == preferred_nodes.size(),
                  "one preferred node per split");
     auto& tracer = obs::Tracer::global();
@@ -541,7 +553,6 @@ class Job {
     return result;
   }
 
- private:
   using Run = std::vector<std::pair<K, V>>;
 
   struct MapTaskOutput {
@@ -742,8 +753,8 @@ class Job {
 
   /// One map attempt: map every record, combine, partition into per-reducer
   /// runs and sort each run by key (the "spill" a Hadoop mapper writes).
-  MapTaskOutput run_map_attempt(const std::vector<In>& split,
-                                int preferred_node, std::size_t split_index) {
+  MapTaskOutput run_map_attempt(std::span<const In> split, int preferred_node,
+                                std::size_t split_index) {
     MapTaskOutput task;
 
     // Thread CPU clock, not wall: the task shares a core with its siblings.
@@ -752,8 +763,7 @@ class Job {
     double input_bytes = 0.0;
     double work = 0.0;
     if (split_mapper_) {
-      split_mapper_(std::span<const In>(split.data(), split.size()),
-                    split_index, emitter);
+      split_mapper_(split, split_index, emitter);
     }
     for (const In& record : split) {
       if (mapper_) mapper_(record, emitter);

@@ -58,7 +58,7 @@ TEST(LshCollisionProbability, BoundaryValues) {
 }
 
 TEST(CollisionProbability, MonotoneInSimilarity) {
-  for (const auto [bands, rows] :
+  for (const auto& [bands, rows] :
        {std::pair<std::size_t, std::size_t>{8, 5}, {20, 2}, {4, 10}}) {
     double previous = -1.0;
     for (double j = 0.0; j <= 1.0; j += 0.05) {
@@ -84,7 +84,7 @@ TEST(CollisionProbability, MonotoneInBandCountAtFixedRows) {
 TEST(CollisionProbability, ThresholdIsTheSCurveMidpoint) {
   // At J = lsh_threshold the collision probability approaches
   // 1 - (1 - 1/b)^b, which lives in (0.5, 0.75) for b >= 2.
-  for (const auto [bands, rows] :
+  for (const auto& [bands, rows] :
        {std::pair<std::size_t, std::size_t>{8, 5}, {10, 4}, {20, 2}}) {
     const double mid = candidates::lsh_collision_probability(
         candidates::lsh_threshold(bands, rows), bands, rows);
@@ -584,10 +584,29 @@ TEST(GreedyClusterIndexed, LabelsAreDense) {
 }
 
 TEST(GreedyClusterGraph, RejectsOutOfRangeEdges) {
-  candidates::SparseSimilarityGraph graph;
-  graph.num_vertices = 3;
-  graph.edges.push_back({1, 5, 0.9});
-  EXPECT_THROW((void)greedy_cluster_graph(graph, {.theta = 0.5}),
+  // The sweep walks the edge list in place, so every edge must be in range
+  // and the list strictly ascending by (a, b) with a < b.
+  const std::vector<std::vector<candidates::Edge>> bad = {
+      {{1, 5, 0.9}},                          // b >= num_vertices
+      {{1, 2, 0.9}, {0, 2, 0.9}},             // unsorted by a
+      {{0, 2, 0.9}, {0, 1, 0.9}},             // unsorted by b within a run
+      {{0, 1, 0.9}, {0, 1, 0.9}},             // duplicate
+      {{0, 1, 0.9}, {1, 2, 0.9}, {1, 2, 0.4}},  // duplicate after a skip
+      {{2, 1, 0.9}},                          // a > b
+      {{1, 1, 0.9}},                          // a == b
+  };
+  for (const auto& edges : bad) {
+    candidates::SparseSimilarityGraph graph;
+    graph.num_vertices = 3;
+    graph.edges = edges;
+    EXPECT_THROW((void)greedy_cluster_graph(graph, {.theta = 0.5}),
+                 common::InvalidArgument)
+        << edges.size() << " edges, first (" << edges.front().a << ", "
+        << edges.front().b << ")";
+  }
+  candidates::SparseSimilarityGraph empty;
+  empty.edges.push_back({0, 1, 0.9});
+  EXPECT_THROW((void)greedy_cluster_graph(empty, {.theta = 0.5}),
                common::InvalidArgument);
 }
 

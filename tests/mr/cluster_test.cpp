@@ -210,5 +210,31 @@ TEST(SimulateJob, DeterministicAcrossCalls) {
   EXPECT_DOUBLE_EQ(a.total_s, b.total_s);
 }
 
+TEST(Speculation, RescuesInjectedStraggler) {
+  ClusterConfig config;
+  config.nodes = 4;
+  std::vector<TaskSpec> tasks(16, TaskSpec{10.0, 0.0, 0.0, -1});
+  tasks[5].work = 200.0;  // one straggler
+
+  const SimScheduler plain(config);
+  const double slow = plain.schedule_phase(tasks, 2).makespan_s;
+
+  config.speculative_execution = true;
+  const SimScheduler speculative(config);
+  const auto timeline = speculative.schedule_phase(tasks, 2);
+  EXPECT_LT(timeline.makespan_s, slow);
+  EXPECT_EQ(timeline.speculated_tasks, 1u);
+}
+
+TEST(Speculation, NoEffectOnUniformTasks) {
+  ClusterConfig config;
+  config.nodes = 4;
+  config.speculative_execution = true;
+  const SimScheduler scheduler(config);
+  const std::vector<TaskSpec> tasks(12, TaskSpec{10.0, 0.0, 0.0, -1});
+  const auto timeline = scheduler.schedule_phase(tasks, 2);
+  EXPECT_EQ(timeline.speculated_tasks, 0u);
+}
+
 }  // namespace
 }  // namespace mrmc::mr

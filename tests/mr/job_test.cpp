@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -213,6 +215,48 @@ TEST(Job, RunSplitsHonorsExplicitLocality) {
   EXPECT_THROW(job.run_splits(splits, {1}), common::InvalidArgument);
 }
 
+TEST(Job, SplitMapperReadsTheCallersRecords) {
+  // Map tasks get views, not copies: each split's span points into the
+  // vector handed to run() (or into the caller's split vectors).
+  using ViewJob = Job<int, std::size_t, long, std::pair<std::size_t, long>>;
+  const std::vector<int> input = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const auto offset_of = [](const std::vector<int>& records, const int* data) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      if (&records[i] == data) return static_cast<long>(i);
+    }
+    return -1L;  // a copy
+  };
+  const auto reducer = [](const std::size_t& key, std::vector<long>& values,
+                          std::vector<std::pair<std::size_t, long>>& out) {
+    out.emplace_back(key, values.front());
+  };
+  ViewJob job(test_config(2, 3),
+              [&](std::span<const int> split, std::size_t index,
+                  Emitter<std::size_t, long>& emit) {
+                emit.emit(index, offset_of(input, split.data()));
+              },
+              reducer);
+  auto result = job.run(input);
+  std::sort(result.output.begin(), result.output.end());
+  const std::vector<std::pair<std::size_t, long>> expected = {
+      {0, 0}, {1, 3}, {2, 6}, {3, 9}};
+  EXPECT_EQ(result.output, expected);
+
+  const std::vector<std::vector<int>> splits = {{1, 2}, {3}};
+  ViewJob split_job(test_config(2, 3),
+                    [&](std::span<const int> split, std::size_t index,
+                        Emitter<std::size_t, long>& emit) {
+                      emit.emit(index, split.data() == splits[index].data()
+                                           ? 1L
+                                           : 0L);
+                    },
+                    reducer);
+  auto split_result = split_job.run_splits(splits, {0, 1});
+  std::sort(split_result.output.begin(), split_result.output.end());
+  const std::vector<std::pair<std::size_t, long>> both = {{0, 1}, {1, 1}};
+  EXPECT_EQ(split_result.output, both);
+}
+
 TEST(Job, RejectsInvalidConfig) {
   auto config = test_config();
   config.num_reducers = 0;
@@ -366,6 +410,38 @@ TEST(ApproxBytes, PairsAndVectorsRecurse) {
   EXPECT_DOUBLE_EQ(approx_bytes(std::vector<long>{1, 2, 3}), 8.0 + 24.0);
   const std::vector<std::string> words{"ab", "c"};
   EXPECT_DOUBLE_EQ(approx_bytes(words), 8.0 + 10.0 + 9.0);
+}
+
+TEST(StragglerInjection, SlowsSimulatedTimeOnly) {
+  using IdJob = Job<int, int, int, std::pair<int, int>>;
+  std::vector<int> input(64);
+  std::iota(input.begin(), input.end(), 0);
+
+  auto make_config = [](double rate) {
+    JobConfig config;
+    config.records_per_split = 4;
+    config.straggler_rate = rate;
+    config.seed = 9;
+    return config;
+  };
+  auto mapper = [](const int& record, Emitter<int, int>& emit) {
+    emit.emit(record % 4, record);
+  };
+  auto reducer = [](const int& key, std::vector<int>& values,
+                    std::vector<std::pair<int, int>>& out) {
+    out.emplace_back(key, static_cast<int>(values.size()));
+  };
+
+  IdJob fast(make_config(0.0), mapper, reducer);
+  fast.with_map_work([](const int&) { return 0.5; });
+  IdJob slow(make_config(0.5), mapper, reducer);
+  slow.with_map_work([](const int&) { return 0.5; });
+
+  const auto fast_result = fast.run(input);
+  const auto slow_result = slow.run(input);
+  EXPECT_EQ(fast_result.output, slow_result.output);  // results unchanged
+  EXPECT_GT(slow_result.stats.timeline.total_s,
+            fast_result.stats.timeline.total_s);
 }
 
 }  // namespace

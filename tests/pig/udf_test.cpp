@@ -172,7 +172,9 @@ TEST(CalculatePairwiseSimilarityUdf, LshBackendKeepsRowShapeAndExactCells) {
     ASSERT_EQ(sparse.size(), dense.size());
     // Candidate cells carry the exact value; non-candidates stay 0.
     for (std::size_t j = 0; j < sparse.size(); ++j) {
-      if (sparse[j] != 0.0) EXPECT_DOUBLE_EQ(sparse[j], dense[j]);
+      if (sparse[j] != 0.0) {
+        EXPECT_DOUBLE_EQ(sparse[j], dense[j]);
+      }
     }
   }
   // The identical pair collides in every band, so its cell must be scored.

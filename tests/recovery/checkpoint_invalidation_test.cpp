@@ -116,9 +116,9 @@ TEST(Invalidation, ParamChangeRecomputesEverything) {
   EXPECT_EQ(rerun.recovery.checkpoint_hits, 0u);
   EXPECT_EQ(rerun.recovery.checkpoint_misses, kStages);
   // The changed-params run matches its own uncheckpointed twin.
-  const PipelineResult uncheckpointed =
-      run_pipeline(reads, changed, ExecutionOptions{.threads = 2,
-                                                    .records_per_split = 16});
+  ExecutionOptions plain = checkpointed(dir);
+  plain.checkpoint_dir.clear();
+  const PipelineResult uncheckpointed = run_pipeline(reads, changed, plain);
   EXPECT_EQ(rerun.labels, uncheckpointed.labels);
 }
 
@@ -315,6 +315,32 @@ TEST(Invalidation, UnorderedCandidatePairsAreAMissThenARecompute) {
                             std::swap_ranges(payload.begin() + 24,
                                              payload.begin() + 32,
                                              payload.begin() + 32);
+                          });
+}
+
+TEST(Invalidation, UnorderedOrOutOfRangeGraphEdgesAreAMissThenARecompute) {
+  // The verify payload is u64 vertices, u64 count, then u32 a, u32 b,
+  // f64 similarity per edge; this input yields at least two edges.
+  // Swap the last edge's ids: b < a, though the list still ascends.
+  expect_payload_rejected("edges_order", lsh_params(), kLshStages, 2,
+                          [](std::string& payload) {
+                            ASSERT_GE(payload.size(), 16u + 32u);
+                            std::swap_ranges(payload.end() - 16,
+                                             payload.end() - 12,
+                                             payload.end() - 12);
+                          });
+  // Swap the first two edges: the list no longer ascends.
+  expect_payload_rejected("edges_sorted", lsh_params(), kLshStages, 2,
+                          [](std::string& payload) {
+                            std::swap_ranges(payload.begin() + 16,
+                                             payload.begin() + 32,
+                                             payload.begin() + 32);
+                          });
+  // Point the last edge past the last vertex.
+  expect_payload_rejected("edges_range", lsh_params(), kLshStages, 2,
+                          [](std::string& payload) {
+                            payload.replace(payload.size() - 12, 4,
+                                            std::string(4, '\xff'));
                           });
 }
 
