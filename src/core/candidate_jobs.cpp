@@ -25,14 +25,8 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
                         : std::max<std::size_t>(1, exec.cluster.reduce_slots());
   config.records_per_split = records_per_split;
   config.threads = exec.threads;
-  config.isolated_pool = exec.isolated_pool;
   config.fault_plan = exec.fault_plan;
   config.cluster = exec.cluster;
-  config.heartbeat_interval_s = exec.heartbeat_interval_s;
-  config.max_job_attempts = exec.max_job_attempts;
-  config.job_timeout_s = exec.job_timeout_s;
-  config.backoff_base_s = exec.backoff_base_s;
-  config.backoff_cap_s = exec.backoff_cap_s;
   return config;
 }
 
@@ -126,7 +120,7 @@ CandidateJobResult run_candidate_job(
     buckets.offsets.push_back(static_cast<std::uint32_t>(buckets.ids.size()));
   }
   run.output = {};
-  mr::runtime::PoolLease lease(exec.threads, exec.isolated_pool);
+  mr::runtime::PoolLease lease(exec.threads, false);
   result.pairs = candidates::pairs_from_buckets(buckets, n, &lease.pool());
   return result;
 }

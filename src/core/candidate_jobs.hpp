@@ -81,8 +81,8 @@ namespace detail {
 
 /// The JobConfig of one pipeline job: its name, split size and reducer
 /// count (0 = one per reduce slot, at least one), plus every execution knob
-/// the jobs share — threads, cluster, fault plan, heartbeat override, retry
-/// policy — so a new ExecutionOptions knob cannot silently miss a stage.
+/// the jobs share — threads, cluster, fault plan — so a new
+/// ExecutionOptions knob cannot silently miss a stage.
 mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
                          std::size_t records_per_split,
                          std::size_t num_reducers = 0);

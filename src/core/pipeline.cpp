@@ -686,8 +686,10 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
   common::Stopwatch watch;
   MRMC_REQUIRE(valid_sketch_bits(params.sketch_bits),
                "sketch_bits must be one of {1, 2, 4, 8, 16, 32, 64}");
-  // A band count that cannot tile the sketch is the caller's error in both
-  // modes, never a failed job for the retry loop or the LSH fallback.
+  // A band count that cannot tile the sketch, or a retry policy out of
+  // range, is the caller's error in both modes, never a failed job for the
+  // retry loop or the LSH fallback.
+  mr::recovery::validate(exec.retry);
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
     (void)candidates::resolve_band_shape(
         params.candidates, params.minhash.num_hashes, params.theta);
@@ -710,10 +712,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
     mr::recovery::StageDriver::Options driver_options;
     driver_options.label = std::string("pipeline-") + mode_name(params.mode);
     driver_options.checkpoint_dir = exec.checkpoint_dir;
-    driver_options.retry.max_job_attempts = exec.max_job_attempts;
-    driver_options.retry.job_timeout_s = exec.job_timeout_s;
-    driver_options.retry.backoff_base_s = exec.backoff_base_s;
-    driver_options.retry.backoff_cap_s = exec.backoff_cap_s;
+    driver_options.retry = exec.retry;
     driver_options =
         mr::recovery::StageDriver::Options::from_env(driver_options);
     if (!driver_options.checkpoint_dir.empty()) {
@@ -743,7 +742,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
     }
     result.recovery = driver.stats();
   } else {
-    mr::runtime::PoolLease lease(exec.threads, exec.isolated_pool);
+    mr::runtime::PoolLease lease(exec.threads, false);
     run_pipeline_stages(reads, params, exec, StageRunner(lease.pool()), result);
   }
 

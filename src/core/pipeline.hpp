@@ -76,25 +76,16 @@ struct ExecutionOptions {
   /// Real execution threads.  0 = the lazily-created process-wide pool
   /// shared by all jobs (mr::runtime::shared_pool()); > 0 = a private pool.
   std::size_t threads = 0;
-  /// Escape hatch: force a private (hardware-sized) pool even when
-  /// `threads == 0`, e.g. to keep a latency-sensitive host isolated.
-  bool isolated_pool = false;
   std::size_t records_per_split = 512;
   /// Node-failure schedule applied to every job in the pipeline (empty =
   /// fault-free).  The clustering output is byte-identical either way; only
   /// the simulated timelines pay for the lost work.
   mr::faults::FaultPlan fault_plan{};
-  /// Heartbeat-detection interval override for the fault plan (forwarded to
-  /// every JobConfig); 0 = keep the plan's own FaultConfig value.
-  double heartbeat_interval_s = 0.0;
-  /// Driver-level retry policy around every stage's job (see
-  /// mr::recovery::RetryPolicy / JobConfig): attempts per job, per-attempt
-  /// wall deadline, exponential-backoff shape.  Exhaustion throws
-  /// mr::recovery::RetryExhausted with the attempt history.
-  int max_job_attempts = 1;
-  double job_timeout_s = 0.0;
-  double backoff_base_s = 0.5;
-  double backoff_cap_s = 30.0;
+  /// Driver-level retry policy around every stage's job: attempts per job,
+  /// per-attempt wall deadline, exponential-backoff shape.  Exhaustion
+  /// throws mr::recovery::RetryExhausted with the attempt history.
+  /// Validated in both modes; only distributed runs retry.
+  mr::recovery::RetryPolicy retry{};
   /// Durable stage checkpoints (mr::recovery): directory for checkpoint
   /// files; "" falls back to MRMC_CHECKPOINT_DIR (unset = disabled).  With
   /// checkpoints on, a restarted run serves completed stages from disk and

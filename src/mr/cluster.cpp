@@ -26,6 +26,8 @@ SimScheduler::SimScheduler(ClusterConfig config) : config_(config) {
   MRMC_REQUIRE(config_.node.cpu_rate > 0, "cpu_rate must be positive");
   MRMC_REQUIRE(config_.node.disk_bw > 0 && config_.node.net_bw > 0,
                "bandwidths must be positive");
+  MRMC_REQUIRE(config_.task_startup_s >= 0 && config_.job_startup_s >= 0,
+               "startup overheads must be non-negative");
 }
 
 double SimScheduler::task_duration(const TaskSpec& task, bool data_local) const {
@@ -58,94 +60,192 @@ double SimScheduler::fetch_time(double bytes) const {
          bytes * (1.0 - remote_fraction) / config_.node.disk_bw;
 }
 
-PhaseTimeline SimScheduler::schedule_phase(std::span<const TaskSpec> tasks,
-                                           std::size_t slots_per_node) const {
-  PhaseTimeline timeline;
-  timeline.tasks.resize(tasks.size());
-  if (tasks.empty()) return timeline;
+namespace {
 
-  // Longest-processing-time-first order for a tighter makespan.
-  std::vector<std::size_t> order(tasks.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return task_duration(tasks[a], true) > task_duration(tasks[b], true);
-  });
-
-  // slot_free[node][slot] = time the slot becomes available.
-  std::vector<std::vector<double>> slot_free(
-      config_.nodes, std::vector<double>(slots_per_node, 0.0));
-
-  auto earliest_slot = [&](int node) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < slot_free[node].size(); ++s) {
-      if (slot_free[node][s] < slot_free[node][best]) best = s;
-    }
-    return best;
-  };
-
-  for (const std::size_t idx : order) {
-    const TaskSpec& task = tasks[idx];
-    // Find the globally earliest slot.
-    int best_node = 0;
-    std::size_t best_slot = earliest_slot(0);
-    for (int n = 1; n < static_cast<int>(config_.nodes); ++n) {
-      const std::size_t s = earliest_slot(n);
-      if (slot_free[n][s] < slot_free[best_node][best_slot]) {
-        best_node = n;
-        best_slot = s;
-      }
-    }
-    // Prefer the replica holder if it is nearly as available (delay-scheduling
-    // heuristic: tolerate up to one task startup of extra wait for locality).
-    if (task.preferred_node >= 0 &&
-        task.preferred_node < static_cast<int>(config_.nodes)) {
-      const std::size_t s = earliest_slot(task.preferred_node);
-      if (slot_free[task.preferred_node][s] <=
-          slot_free[best_node][best_slot] + config_.task_startup_s) {
-        best_node = task.preferred_node;
-        best_slot = s;
-      }
-    }
-
-    const bool local =
-        task.preferred_node < 0 || task.preferred_node == best_node;
-    const double start = slot_free[best_node][best_slot];
-    const double end = start + task_duration(task, local);
-    slot_free[best_node][best_slot] = end;
-
-    timeline.tasks[idx] = {best_node, static_cast<int>(best_slot), start, end,
-                           local};
-    if (local) ++timeline.data_local_tasks;
+/// A phase under list scheduling.  `slot_free[node][slot]` is when the slot
+/// next frees up and `ready[task]` the earliest instant the task may start,
+/// both phase-relative.  They persist across place_tasks calls so map-output
+/// invalidation can re-run a subset with history intact.
+struct PhaseState {
+  PhaseState(std::size_t tasks, std::size_t nodes, std::size_t slots_per_node)
+      : slot_free(nodes, std::vector<double>(slots_per_node, 0.0)),
+        ready(tasks, 0.0) {
+    timeline.tasks.resize(tasks);
   }
 
-  if (config_.speculative_execution && timeline.tasks.size() >= 3) {
-    // Median duration of the phase defines the straggler threshold.
+  std::vector<std::vector<double>> slot_free;
+  std::vector<double> ready;
+  PhaseTimeline timeline;
+};
+
+/// `indices` in longest-processing-time-first order (ties keep their given
+/// order), for a tighter makespan.
+std::deque<std::size_t> lpt_order(const SimScheduler& scheduler,
+                                  std::span<const TaskSpec> tasks,
+                                  std::vector<std::size_t> indices) {
+  std::stable_sort(indices.begin(), indices.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return scheduler.task_duration(tasks[a], true) >
+                            scheduler.task_duration(tasks[b], true);
+                   });
+  return {indices.begin(), indices.end()};
+}
+
+/// The list scheduler: pending task indices are placed in turn onto the
+/// earliest slot whose node is up (first minimal node, then slot, wins a
+/// tie).  The replica holder is preferred when its slot is at most one task
+/// startup behind (delay scheduling).  Times are phase-relative; `offset`
+/// maps them onto the absolute job clock of the tracker's fault plan (its
+/// queries and the LostAttempt records).  An attempt that would outlive its
+/// node's up-window is killed at the crash instant and re-queued at the
+/// heartbeat detection time.  Under a tracker with no crashes no attempt is
+/// killed and every start is the earliest slot's free time.
+void place_tasks(const SimScheduler& scheduler, std::span<const TaskSpec> tasks,
+                 const faults::NodeTracker& tracker, const char* phase_name,
+                 double offset, std::deque<std::size_t> pending,
+                 PhaseState& state, faults::FaultOutcome& outcome) {
+  const ClusterConfig& config = scheduler.config();
+  // Earliest (slot, start) on `node` for work ready at `task_ready`, plus
+  // the crash instant bounding the chosen up-window (both phase-relative).
+  const auto candidate = [&](int node, double task_ready) {
+    std::size_t best_slot = 0;
+    const auto& slots = state.slot_free[static_cast<std::size_t>(node)];
+    for (std::size_t s = 1; s < slots.size(); ++s) {
+      if (slots[s] < slots[best_slot]) best_slot = s;
+    }
+    const double raw = std::max(slots[best_slot], task_ready);
+    const double raw_abs = raw + offset;
+    const faults::NodeTracker::Window window =
+        tracker.next_window(node, raw_abs);
+    if (window.start == faults::kNever) {
+      return std::tuple<std::size_t, double, double>(best_slot, faults::kNever,
+                                                     faults::kNever);
+    }
+    // next_window clamps the window start up to the query time; a window
+    // already open at raw_abs must keep `raw` bit-for-bit (subtracting the
+    // offset back would round), so a crash that never touches the phase
+    // leaves its schedule exactly as on a cluster that never fails.
+    const double start =
+        window.start <= raw_abs ? raw : window.start - offset;
+    const double crash = window.crash == faults::kNever
+                             ? faults::kNever
+                             : window.crash - offset;
+    return std::tuple<std::size_t, double, double>(best_slot, start, crash);
+  };
+  while (!pending.empty()) {
+    const std::size_t idx = pending.front();
+    pending.pop_front();
+    const TaskSpec& task = tasks[idx];
+    int best_node = -1;
+    std::size_t best_slot = 0;
+    double best_start = faults::kNever;
+    double best_crash = faults::kNever;
+    for (int n = 0; n < static_cast<int>(config.nodes); ++n) {
+      const auto [slot, start, crash] = candidate(n, state.ready[idx]);
+      if (start < best_start) {
+        best_node = n;
+        best_slot = slot;
+        best_start = start;
+        best_crash = crash;
+      }
+    }
+    MRMC_CHECK(best_node >= 0, "fault plan left no schedulable node");
+    if (task.preferred_node >= 0 &&
+        task.preferred_node < static_cast<int>(config.nodes) &&
+        task.preferred_node != best_node) {
+      const auto [slot, start, crash] =
+          candidate(task.preferred_node, state.ready[idx]);
+      if (start <= best_start + config.task_startup_s) {
+        best_node = task.preferred_node;
+        best_slot = slot;
+        best_start = start;
+        best_crash = crash;
+      }
+    }
+    const bool local =
+        task.preferred_node < 0 || task.preferred_node == best_node;
+    const double end = best_start + scheduler.task_duration(task, local);
+    auto& slot_free = state.slot_free[static_cast<std::size_t>(best_node)];
+    if (end > best_crash) {
+      // The node dies under the attempt: the slot is gone at the crash and
+      // the task cannot restart before the heartbeat timeout notices.
+      const double detect = tracker.detection_s(best_crash + offset);
+      outcome.lost_attempts.push_back({phase_name, "killed", idx, best_node,
+                                       static_cast<int>(best_slot),
+                                       best_start + offset, detect});
+      ++outcome.killed_attempts;
+      slot_free[best_slot] = best_crash;
+      state.ready[idx] = detect - offset;
+      pending.push_back(idx);
+      continue;
+    }
+    slot_free[best_slot] = end;
+    state.timeline.tasks[idx] = {best_node, static_cast<int>(best_slot),
+                                 best_start, end, local};
+  }
+}
+
+/// Schedule every task of one phase, longest first, from an idle cluster.
+PhaseState run_phase(const SimScheduler& scheduler,
+                     std::span<const TaskSpec> tasks,
+                     std::size_t slots_per_node,
+                     const faults::NodeTracker& tracker,
+                     const char* phase_name, double offset,
+                     faults::FaultOutcome& outcome) {
+  PhaseState state(tasks.size(), scheduler.config().nodes, slots_per_node);
+  std::vector<std::size_t> all(tasks.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  place_tasks(scheduler, tasks, tracker, phase_name, offset,
+              lpt_order(scheduler, tasks, std::move(all)), state, outcome);
+  return state;
+}
+
+/// Fold a placed phase's derived stats, after speculative execution when
+/// `speculate` allows it.  Speculation is applied only on a cluster that
+/// never fails: a backup copy's slot occupancy would interact with kills
+/// (DESIGN.md).  A straggler whose duration exceeds speculation_factor x
+/// the phase median then ends at start + (speculation_factor + 1) x median.
+void finish_phase(const ClusterConfig& config, bool speculate,
+                  PhaseTimeline& phase) {
+  if (speculate && config.speculative_execution && phase.tasks.size() >= 3) {
     std::vector<double> durations;
-    durations.reserve(timeline.tasks.size());
-    for (const auto& task : timeline.tasks) {
+    durations.reserve(phase.tasks.size());
+    for (const auto& task : phase.tasks) {
       durations.push_back(task.end_s - task.start_s);
     }
     std::nth_element(durations.begin(),
                      durations.begin() + static_cast<long>(durations.size() / 2),
                      durations.end());
     const double median = durations[durations.size() / 2];
-    for (auto& task : timeline.tasks) {
+    for (auto& task : phase.tasks) {
       const double duration = task.end_s - task.start_s;
-      if (duration > config_.speculation_factor * median) {
+      if (duration > config.speculation_factor * median) {
         const double rescued_end =
-            task.start_s + (config_.speculation_factor + 1.0) * median;
+            task.start_s + (config.speculation_factor + 1.0) * median;
         if (rescued_end < task.end_s) {
           task.end_s = rescued_end;
-          ++timeline.speculated_tasks;
+          ++phase.speculated_tasks;
         }
       }
     }
   }
-
-  for (const auto& task : timeline.tasks) {
-    timeline.makespan_s = std::max(timeline.makespan_s, task.end_s);
+  for (const TaskPlacement& placed : phase.tasks) {
+    phase.makespan_s = std::max(phase.makespan_s, placed.end_s);
+    if (placed.data_local) ++phase.data_local_tasks;
   }
-  return timeline;
+}
+
+}  // namespace
+
+PhaseTimeline SimScheduler::schedule_phase(std::span<const TaskSpec> tasks,
+                                           std::size_t slots_per_node) const {
+  const faults::FaultPlan no_faults;
+  const faults::NodeTracker tracker(no_faults, config_.nodes);
+  faults::FaultOutcome outcome;
+  PhaseState state = run_phase(*this, tasks, slots_per_node, tracker, "phase",
+                               0.0, outcome);
+  finish_phase(config_, true, state.timeline);
+  return std::move(state.timeline);
 }
 
 namespace {
@@ -189,8 +289,8 @@ void trace_sim_phase(obs::Tracer& tracer, std::uint32_t pid,
 }
 
 /// Byte totals from the specs in phase-index / fetch-list order — one fixed
-/// left-to-right summation shared by both simulate_job paths, so the doubles
-/// the doctor renders are identical however the job was scheduled.
+/// left-to-right summation, so the doubles the doctor renders do not depend
+/// on how the job was scheduled.
 obs::report::ByteSummary summarize_bytes(std::span<const TaskSpec> map_tasks,
                                          std::span<const FetchSpec> fetches,
                                          std::span<const TaskSpec> reduce_tasks) {
@@ -214,13 +314,11 @@ obs::report::ByteSummary summarize_bytes(std::span<const TaskSpec> map_tasks,
   return bytes;
 }
 
-/// The shuffle schedule shared by both simulate_job paths: each fetch starts
-/// when its map run is available and the reducer's NIC is free (fetches into
-/// one reducer are serialized).  Fetch order per reducer: by producer finish
-/// time, map index breaking ties — deterministic regardless of thread count.
-/// Times are on the same clock as `map_phase` (phase-relative in the
-/// fault-free path, absolute in the faulted one, which is why the caller
-/// passes the reducer-NIC floor explicitly).
+/// The per-fetch shuffle schedule: each fetch starts when its map run is
+/// available and the reducer's NIC is free (fetches into one reducer are
+/// serialized).  Fetch order per reducer: by producer finish time, map index
+/// breaking ties — deterministic regardless of thread count.  Times are on
+/// the map phase's relative clock, like `map_phase`.
 std::vector<FetchPlacement> schedule_fetches(const SimScheduler& scheduler,
                                              std::span<const FetchSpec> fetches,
                                              const PhaseTimeline& map_phase) {
@@ -261,9 +359,8 @@ std::vector<FetchPlacement> schedule_fetches(const SimScheduler& scheduler,
   return placed;
 }
 
-/// Metrics + trace + log for a finished timeline — shared by the fault-free
-/// and faulted simulate_job paths so both emit identically.  The trace
-/// events are the job doctor's only input (obs::report::jobs_from_trace).
+/// Metrics + trace + log for a finished timeline.  The trace events are the
+/// job doctor's only input (obs::report::jobs_from_trace).
 void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
               std::span<const TaskSpec> map_specs,
               std::span<const TaskSpec> reduce_specs,
@@ -513,153 +610,87 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
   }
 }
 
-/// Faulted list scheduling for one phase: pending task indices (LPT-first)
-/// are placed onto the earliest slot whose node is up, with the same
-/// first-minimal tie-breaks and delay-scheduling locality override as
-/// SimScheduler::schedule_phase.  Times are phase-relative; `offset` maps
-/// them onto the absolute job clock of the fault plan (tracker queries and
-/// the LostAttempt records).  Under a tracker whose crashes never intersect
-/// the phase, every arithmetic operation equals schedule_phase's, so the
-/// placements are BIT-identical to the fault-free schedule.  An attempt
-/// that would outlive its node's up-window is killed at the crash instant
-/// and re-queued at the heartbeat detection time.  `slot_free` and `ready`
-/// persist across calls so map-output invalidation can re-run a subset with
-/// history intact.
-void run_faulted_phase(const SimScheduler& scheduler,
-                       std::span<const TaskSpec> tasks,
-                       const faults::NodeTracker& tracker,
-                       const char* phase_name, double offset,
-                       std::deque<std::size_t> pending,
-                       std::vector<std::vector<double>>& slot_free,
-                       std::vector<double>& ready, PhaseTimeline& phase,
-                       faults::FaultOutcome& outcome) {
-  const ClusterConfig& config = scheduler.config();
-  // Earliest (slot, start) on `node` for work ready at `task_ready`, plus
-  // the crash instant bounding the chosen up-window (both phase-relative).
-  const auto candidate = [&](int node, double task_ready) {
-    std::size_t best_slot = 0;
-    const auto& slots = slot_free[static_cast<std::size_t>(node)];
-    for (std::size_t s = 1; s < slots.size(); ++s) {
-      if (slots[s] < slots[best_slot]) best_slot = s;
-    }
-    const double raw = std::max(slots[best_slot], task_ready);
-    const double raw_abs = raw + offset;
-    const faults::NodeTracker::Window window =
-        tracker.next_window(node, raw_abs);
-    if (window.start == faults::kNever) {
-      return std::tuple<std::size_t, double, double>(best_slot, faults::kNever,
-                                                     faults::kNever);
-    }
-    // next_window clamps the window start up to the query time; a window
-    // already open at raw_abs must keep `raw` bit-for-bit (subtracting the
-    // offset back would round), which is what makes the no-effective-crash
-    // schedule identical to schedule_phase's.
-    const double start =
-        window.start <= raw_abs ? raw : window.start - offset;
-    const double crash = window.crash == faults::kNever
-                             ? faults::kNever
-                             : window.crash - offset;
-    return std::tuple<std::size_t, double, double>(best_slot, start, crash);
-  };
-  while (!pending.empty()) {
-    const std::size_t idx = pending.front();
-    pending.pop_front();
-    const TaskSpec& task = tasks[idx];
-    int best_node = -1;
-    std::size_t best_slot = 0;
-    double best_start = faults::kNever;
-    double best_crash = faults::kNever;
-    for (int n = 0; n < static_cast<int>(config.nodes); ++n) {
-      const auto [slot, start, crash] = candidate(n, ready[idx]);
-      if (start < best_start) {
-        best_node = n;
-        best_slot = slot;
-        best_start = start;
-        best_crash = crash;
-      }
-    }
-    MRMC_CHECK(best_node >= 0, "fault plan left no schedulable node");
-    if (task.preferred_node >= 0 &&
-        task.preferred_node < static_cast<int>(config.nodes) &&
-        task.preferred_node != best_node) {
-      const auto [slot, start, crash] =
-          candidate(task.preferred_node, ready[idx]);
-      if (start <= best_start + config.task_startup_s) {
-        best_node = task.preferred_node;
-        best_slot = slot;
-        best_start = start;
-        best_crash = crash;
-      }
-    }
-    const bool local =
-        task.preferred_node < 0 || task.preferred_node == best_node;
-    const double end = best_start + scheduler.task_duration(task, local);
-    if (end > best_crash) {
-      // The node dies under the attempt: the slot is gone at the crash and
-      // the task cannot restart before the heartbeat timeout notices.
-      const double detect = tracker.detection_s(best_crash + offset);
-      outcome.lost_attempts.push_back({phase_name, "killed", idx, best_node,
-                                       static_cast<int>(best_slot),
-                                       best_start + offset, detect});
-      ++outcome.killed_attempts;
-      slot_free[static_cast<std::size_t>(best_node)][best_slot] = best_crash;
-      ready[idx] = detect - offset;
-      pending.push_back(idx);
-      continue;
-    }
-    slot_free[static_cast<std::size_t>(best_node)][best_slot] = end;
-    phase.tasks[idx] = {best_node, static_cast<int>(best_slot), best_start, end,
-                        local};
-  }
-}
-
-/// Longest-duration-first work order, same comparator as schedule_phase.
-std::deque<std::size_t> lpt_order(const SimScheduler& scheduler,
-                                  std::span<const TaskSpec> tasks) {
-  std::vector<std::size_t> order(tasks.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return scheduler.task_duration(tasks[a], true) >
-                            scheduler.task_duration(tasks[b], true);
-                   });
-  return {order.begin(), order.end()};
-}
-
-JobTimeline simulate_fault_free(const SimScheduler& scheduler,
+/// Map-output invalidation (Hadoop's fetch-failure path): a *completed* map
+/// whose node dies before every reducer has pulled its output must
+/// re-execute.  Loop until a fixed point: each re-execution shifts the
+/// serialized fetch schedule, which can extend other maps' vulnerability
+/// windows and expose further crashes as invalidating.  The loop terminates
+/// because a given map's invalidating crashes are strictly time-increasing
+/// and the plan is finite.
+void reexecute_lost_map_outputs(const SimScheduler& scheduler,
                                 std::span<const TaskSpec> map_tasks,
                                 double shuffle_bytes,
                                 std::span<const FetchSpec> fetches,
-                                std::span<const TaskSpec> reduce_tasks,
-                                const std::string& job_name) {
-  JobTimeline timeline;
-  timeline.map_phase =
-      scheduler.schedule_phase(map_tasks, scheduler.config().map_slots_per_node);
-  if (fetches.empty()) {
-    // Aggregate barrier model: one all-to-all transfer after the map phase.
-    timeline.shuffle_s = scheduler.shuffle_time(shuffle_bytes);
-  } else {
-    // Overlapped model: each fetch starts when its map run is available and
-    // the reducer's NIC is free; only the tail beyond the last map task
-    // extends the job.
-    timeline.fetches =
-        schedule_fetches(scheduler, fetches, timeline.map_phase);
-    double shuffle_done = 0.0;
-    for (const FetchPlacement& fetch : timeline.fetches) {
-      shuffle_done = std::max(shuffle_done, fetch.end_s);
+                                const faults::NodeTracker& tracker,
+                                PhaseState& map, faults::FaultOutcome& outcome) {
+  const ClusterConfig& config = scheduler.config();
+  const std::vector<TaskPlacement>& placements = map.timeline.tasks;
+  if (placements.empty()) return;
+  for (;;) {
+    // Safe instants on the ABSOLUTE job clock (crash times live there);
+    // placements are map-phase-relative, hence the + job_startup_s.
+    std::vector<double> safe(placements.size());
+    if (!fetches.empty()) {
+      for (std::size_t m = 0; m < placements.size(); ++m) {
+        safe[m] = placements[m].end_s + config.job_startup_s;
+      }
+      for (const FetchPlacement& fetch :
+           schedule_fetches(scheduler, fetches, map.timeline)) {
+        safe[fetch.map_task] = std::max(safe[fetch.map_task],
+                                        fetch.end_s + config.job_startup_s);
+      }
+    } else {
+      // Aggregate model: every output is consumed by the barrier shuffle
+      // that ends shuffle_time after the last map.  No shuffle bytes, no
+      // re-reads: outputs are safe the moment the map finishes.
+      double map_done = 0.0;
+      for (const TaskPlacement& placed : placements) {
+        map_done = std::max(map_done, placed.end_s);
+      }
+      const double barrier =
+          shuffle_bytes > 0 ? config.job_startup_s + map_done +
+                                  scheduler.shuffle_time(shuffle_bytes)
+                            : 0.0;
+      for (std::size_t m = 0; m < placements.size(); ++m) {
+        safe[m] = std::max(placements[m].end_s + config.job_startup_s, barrier);
+      }
     }
-    timeline.shuffle_s =
-        std::max(0.0, shuffle_done - timeline.map_phase.makespan_s);
+    double first_crash = faults::kNever;
+    int crash_node = -1;
+    for (std::size_t m = 0; m < placements.size(); ++m) {
+      const TaskPlacement& placed = placements[m];
+      const double crash = tracker.crash_in(
+          placed.node, placed.end_s + config.job_startup_s, safe[m]);
+      if (crash < first_crash ||
+          (crash == first_crash && crash != faults::kNever &&
+           placed.node < crash_node)) {
+        first_crash = crash;
+        crash_node = placed.node;
+      }
+    }
+    if (first_crash == faults::kNever) return;
+    const double detect = tracker.detection_s(first_crash);
+    std::vector<std::size_t> invalidated;
+    for (std::size_t m = 0; m < placements.size(); ++m) {
+      const TaskPlacement& placed = placements[m];
+      if (placed.node != crash_node ||
+          placed.end_s + config.job_startup_s > first_crash ||
+          first_crash >= safe[m]) {
+        continue;
+      }
+      outcome.lost_attempts.push_back(
+          {"map", "lost-output", m, placed.node, placed.slot,
+           placed.start_s + config.job_startup_s, detect});
+      ++outcome.lost_map_outputs;
+      map.ready[m] = detect - config.job_startup_s;
+      invalidated.push_back(m);
+    }
+    MRMC_CHECK(!invalidated.empty(),
+               "map-output invalidation matched no attempt");
+    place_tasks(scheduler, map_tasks, tracker, "map", config.job_startup_s,
+                lpt_order(scheduler, map_tasks, std::move(invalidated)), map,
+                outcome);
   }
-  timeline.reduce_phase = scheduler.schedule_phase(
-      reduce_tasks, scheduler.config().reduce_slots_per_node);
-  timeline.total_s = scheduler.config().job_startup_s +
-                     timeline.map_phase.makespan_s + timeline.shuffle_s +
-                     timeline.reduce_phase.makespan_s;
-  timeline.bytes = summarize_bytes(map_tasks, fetches, reduce_tasks);
-  emit_job(scheduler, timeline, map_tasks, reduce_tasks, shuffle_bytes,
-           job_name);
-  return timeline;
 }
 
 }  // namespace
@@ -671,154 +702,55 @@ JobTimeline simulate_job(const SimScheduler& scheduler,
                          std::span<const TaskSpec> reduce_tasks,
                          const std::string& job_name,
                          const faults::FaultPlan& plan) {
-  if (plan.empty()) {
-    return simulate_fault_free(scheduler, map_tasks, shuffle_bytes, fetches,
-                               reduce_tasks, job_name);
-  }
   const ClusterConfig& config = scheduler.config();
   plan.validate(config.nodes);
-  faults::NodeTracker tracker(plan, config.nodes);
+  const faults::NodeTracker tracker(plan, config.nodes);
+  // Speculation only under the empty plan; invalidation only under crashes.
+  const bool faulted = !plan.empty();
 
   JobTimeline timeline;
   timeline.faults.events = tracker.down_events();
   timeline.faults.blacklisted_nodes = tracker.blacklisted_nodes();
 
-  // Map phase on its own phase-relative clock (the fault plan's absolute
-  // job clock is job_startup_s later), so that a plan whose crashes never
-  // intersect the schedule reproduces the fault-free timeline bit-for-bit.
-  timeline.map_phase.tasks.resize(map_tasks.size());
-  std::vector<std::vector<double>> map_slot_free(
-      config.nodes, std::vector<double>(config.map_slots_per_node, 0.0));
-  std::vector<double> map_ready(map_tasks.size(), 0.0);
-  run_faulted_phase(scheduler, map_tasks, tracker, "map",
-                    config.job_startup_s, lpt_order(scheduler, map_tasks),
-                    map_slot_free, map_ready, timeline.map_phase,
-                    timeline.faults);
-
-  // Map-output invalidation (Hadoop's fetch-failure path): a *completed*
-  // map whose node dies before every reducer has pulled its output must
-  // re-execute.  Loop until a fixed point: each re-execution shifts the
-  // serialized fetch schedule, which can extend other maps' vulnerability
-  // windows and expose further crashes as invalidating.  The loop
-  // terminates because a given map's invalidating crashes are strictly
-  // time-increasing and the plan is finite.
-  if (!map_tasks.empty()) {
-    for (;;) {
-      // Safe instants on the ABSOLUTE job clock (crash times live there);
-      // placements are map-phase-relative, hence the + job_startup_s.
-      std::vector<double> safe(map_tasks.size());
-      if (!fetches.empty()) {
-        for (std::size_t m = 0; m < map_tasks.size(); ++m) {
-          safe[m] = timeline.map_phase.tasks[m].end_s + config.job_startup_s;
-        }
-        for (const FetchPlacement& fetch :
-             schedule_fetches(scheduler, fetches, timeline.map_phase)) {
-          safe[fetch.map_task] = std::max(
-              safe[fetch.map_task], fetch.end_s + config.job_startup_s);
-        }
-      } else {
-        // Aggregate model: every output is consumed by the barrier shuffle
-        // that ends shuffle_time after the last map.  No shuffle bytes, no
-        // re-reads: outputs are safe the moment the map finishes.
-        double map_done = 0.0;
-        for (const TaskPlacement& placed : timeline.map_phase.tasks) {
-          map_done = std::max(map_done, placed.end_s);
-        }
-        const double barrier =
-            shuffle_bytes > 0
-                ? config.job_startup_s + map_done +
-                      scheduler.shuffle_time(shuffle_bytes)
-                : 0.0;
-        for (std::size_t m = 0; m < map_tasks.size(); ++m) {
-          safe[m] = std::max(
-              timeline.map_phase.tasks[m].end_s + config.job_startup_s,
-              barrier);
-        }
-      }
-      double first_crash = faults::kNever;
-      int crash_node = -1;
-      for (std::size_t m = 0; m < map_tasks.size(); ++m) {
-        const TaskPlacement& placed = timeline.map_phase.tasks[m];
-        const double crash = tracker.crash_in(
-            placed.node, placed.end_s + config.job_startup_s, safe[m]);
-        if (crash < first_crash ||
-            (crash == first_crash && crash != faults::kNever &&
-             placed.node < crash_node)) {
-          first_crash = crash;
-          crash_node = placed.node;
-        }
-      }
-      if (first_crash == faults::kNever) break;
-      const double detect = tracker.detection_s(first_crash);
-      std::vector<std::size_t> invalidated;
-      for (std::size_t m = 0; m < map_tasks.size(); ++m) {
-        const TaskPlacement& placed = timeline.map_phase.tasks[m];
-        if (placed.node != crash_node ||
-            placed.end_s + config.job_startup_s > first_crash ||
-            first_crash >= safe[m]) {
-          continue;
-        }
-        timeline.faults.lost_attempts.push_back(
-            {"map", "lost-output", m, placed.node, placed.slot,
-             placed.start_s + config.job_startup_s, detect});
-        ++timeline.faults.lost_map_outputs;
-        map_ready[m] = detect - config.job_startup_s;
-        invalidated.push_back(m);
-      }
-      MRMC_CHECK(!invalidated.empty(),
-                 "map-output invalidation matched no attempt");
-      std::stable_sort(invalidated.begin(), invalidated.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return scheduler.task_duration(map_tasks[a], true) >
-                                scheduler.task_duration(map_tasks[b], true);
-                       });
-      run_faulted_phase(
-          scheduler, map_tasks, tracker, "map", config.job_startup_s,
-          std::deque<std::size_t>(invalidated.begin(), invalidated.end()),
-          map_slot_free, map_ready, timeline.map_phase, timeline.faults);
-    }
+  // Map phase on its own phase-relative clock; the fault plan's absolute
+  // job clock is job_startup_s later.
+  PhaseState map =
+      run_phase(scheduler, map_tasks, config.map_slots_per_node, tracker,
+                "map", config.job_startup_s, timeline.faults);
+  if (faulted) {
+    reexecute_lost_map_outputs(scheduler, map_tasks, shuffle_bytes, fetches,
+                               tracker, map, timeline.faults);
   }
+  timeline.map_phase = std::move(map.timeline);
+  finish_phase(config, !faulted, timeline.map_phase);
 
-  // Shuffle on the map-phase-relative clock, exactly like the fault-free
-  // path (no conversions: a no-effect plan keeps every number bit-equal).
-  double map_done = 0.0;
-  for (const TaskPlacement& placed : timeline.map_phase.tasks) {
-    map_done = std::max(map_done, placed.end_s);
-  }
+  // Shuffle on the map-phase-relative clock.
   if (fetches.empty()) {
+    // Aggregate barrier model: one all-to-all transfer after the map phase.
     timeline.shuffle_s = scheduler.shuffle_time(shuffle_bytes);
   } else {
+    // Overlapped model: each fetch starts when its map run is available and
+    // the reducer's NIC is free; only the tail beyond the last map task
+    // extends the job.
     timeline.fetches = schedule_fetches(scheduler, fetches, timeline.map_phase);
     double shuffle_done = 0.0;
     for (const FetchPlacement& fetch : timeline.fetches) {
       shuffle_done = std::max(shuffle_done, fetch.end_s);
     }
-    timeline.shuffle_s = std::max(0.0, shuffle_done - map_done);
+    timeline.shuffle_s =
+        std::max(0.0, shuffle_done - timeline.map_phase.makespan_s);
   }
 
   // Reduce phase: launches after the shuffle barrier on its own relative
   // clock, kills only (nothing downstream invalidates reduce outputs).
   const double reduce_offset =
-      config.job_startup_s + map_done + timeline.shuffle_s;
-  timeline.reduce_phase.tasks.resize(reduce_tasks.size());
-  std::vector<std::vector<double>> reduce_slot_free(
-      config.nodes, std::vector<double>(config.reduce_slots_per_node, 0.0));
-  std::vector<double> reduce_ready(reduce_tasks.size(), 0.0);
-  run_faulted_phase(scheduler, reduce_tasks, tracker, "reduce", reduce_offset,
-                    lpt_order(scheduler, reduce_tasks), reduce_slot_free,
-                    reduce_ready, timeline.reduce_phase, timeline.faults);
+      config.job_startup_s + timeline.map_phase.makespan_s + timeline.shuffle_s;
+  timeline.reduce_phase =
+      run_phase(scheduler, reduce_tasks, config.reduce_slots_per_node, tracker,
+                "reduce", reduce_offset, timeline.faults)
+          .timeline;
+  finish_phase(config, !faulted, timeline.reduce_phase);
 
-  // Fold the derived phase stats.  Speculative execution is intentionally
-  // not applied under faults: a backup copy's slot occupancy would interact
-  // with kills (DESIGN.md).
-  const auto finalize_phase = [](PhaseTimeline& phase) {
-    for (const TaskPlacement& placed : phase.tasks) {
-      phase.makespan_s = std::max(phase.makespan_s, placed.end_s);
-      if (placed.data_local) ++phase.data_local_tasks;
-    }
-  };
-  finalize_phase(timeline.map_phase);
-  finalize_phase(timeline.reduce_phase);
   timeline.total_s = config.job_startup_s + timeline.map_phase.makespan_s +
                      timeline.shuffle_s + timeline.reduce_phase.makespan_s;
   timeline.bytes = summarize_bytes(map_tasks, fetches, reduce_tasks);

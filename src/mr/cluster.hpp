@@ -77,13 +77,15 @@ struct PhaseTimeline {
 /// Deterministic list scheduler: tasks are placed longest-first onto the
 /// earliest-available slot, honoring locality when the preferred node's
 /// slot is not more than one task-startup behind the globally earliest one.
+/// simulate_job runs the same scheduler against its fault plan.
 class SimScheduler {
  public:
   explicit SimScheduler(ClusterConfig config);
 
   [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
 
-  /// Schedule one phase (map or reduce) over `slots_per_node` slots/node.
+  /// Schedule one phase (map or reduce) over `slots_per_node` slots/node on
+  /// a cluster that never fails, speculation included.
   [[nodiscard]] PhaseTimeline schedule_phase(std::span<const TaskSpec> tasks,
                                              std::size_t slots_per_node) const;
 
@@ -154,9 +156,10 @@ struct JobTimeline {
 /// dies before every reducer has fetched their output are invalidated and
 /// the map re-executes (Hadoop's fetch-failure path); a node crashing more
 /// than `plan.config().max_node_failures` times is blacklisted and never
-/// scheduled again.  Speculative execution is disabled under faults (a
-/// backup copy's slot occupancy would interact with kills; documented in
-/// DESIGN.md).  The empty plan is the fault-free path.
+/// scheduled again.  Both cases run one list scheduler; the empty plan is a
+/// plan with no crashes.  Speculative execution is applied only under the
+/// empty plan (a backup copy's slot occupancy would interact with kills;
+/// documented in DESIGN.md).
 JobTimeline simulate_job(const SimScheduler& scheduler,
                          std::span<const TaskSpec> map_tasks,
                          double shuffle_bytes,

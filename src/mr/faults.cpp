@@ -120,12 +120,6 @@ bool FaultPlan::leaves_schedulable(std::size_t nodes) const noexcept {
   return false;
 }
 
-FaultPlan FaultPlan::with_heartbeat_interval(double interval_s) const {
-  FaultConfig config = config_;
-  config.heartbeat_interval_s = interval_s;
-  return FaultPlan(events_, config);
-}
-
 NodeTracker::NodeTracker(const FaultPlan& plan, std::size_t nodes)
     : plan_(&plan), windows_(nodes), crashes_(nodes) {
   const std::size_t max_failures = plan.config().max_node_failures;

@@ -100,11 +100,6 @@ class FaultPlan {
   /// when the cluster has degraded below one schedulable node.
   [[nodiscard]] bool leaves_schedulable(std::size_t nodes) const noexcept;
 
-  /// A copy of this plan with the heartbeat-detection interval replaced —
-  /// the JobConfig::heartbeat_interval_s override.  Revalidates the
-  /// resulting config (throws common::InvalidArgument on a negative value).
-  [[nodiscard]] FaultPlan with_heartbeat_interval(double interval_s) const;
-
  private:
   std::vector<FaultEvent> events_;  ///< sorted by (crash_s, node)
   FaultConfig config_{};

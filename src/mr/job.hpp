@@ -93,8 +93,6 @@ struct JobConfig {
   /// Real execution threads.  0 = run on the process-wide shared pool
   /// (runtime::shared_pool()); > 0 = a private pool of that size.
   std::size_t threads = 0;
-  /// Force a private pool even when `threads == 0` (hardware-sized).
-  bool isolated_pool = false;
   ClusterConfig cluster{};
   double map_failure_rate = 0.0;  ///< injected per-map-task failure probability
   double reduce_failure_rate = 0.0;  ///< ditto for reduce tasks
@@ -116,22 +114,6 @@ struct JobConfig {
   /// runtime::LostInputFailure), so job output stays byte-identical to the
   /// fault-free run as long as the plan leaves one live node (validated).
   faults::FaultPlan fault_plan{};
-  /// Heartbeat-detection cadence override (seconds) applied on top of the
-  /// fault plan's own FaultConfig; 0 = keep the plan's value.  Validated
-  /// non-negative; crash *detection* instants move to the new grid while
-  /// the crash schedule itself is untouched.
-  double heartbeat_interval_s = 0.0;
-  /// Driver-level retry policy for the stage this job runs under.  The
-  /// recovery stage driver (mr::recovery::StageDriver) re-runs the whole
-  /// job up to max_job_attempts times with exponential backoff
-  /// (backoff_base_s doubling up to backoff_cap_s, seeded jitter) and
-  /// treats an attempt that outlives job_timeout_s wall seconds as failed.
-  /// Distinct from max_task_attempts, which retries single tasks inside
-  /// one job run.
-  int max_job_attempts = 1;
-  double job_timeout_s = 0.0;   ///< per-attempt wall deadline; 0 = none
-  double backoff_base_s = 0.5;
-  double backoff_cap_s = 30.0;
   std::uint64_t seed = 1;
 };
 
@@ -316,14 +298,7 @@ class Job {
     // the designated fetch below via runtime::LostInputFailure.  (The
     // simulator computes its own, placement-exact invalidations; the two
     // are complementary views of the same plan — see DESIGN.md.)
-    // The effective plan folds in the JobConfig heartbeat-interval override
-    // (a control-plane knob layered over the plan's own FaultConfig).
-    const faults::FaultPlan fault_plan =
-        (config_.heartbeat_interval_s > 0.0 && !config_.fault_plan.empty())
-            ? config_.fault_plan.with_heartbeat_interval(
-                  config_.heartbeat_interval_s)
-            : config_.fault_plan;
-    const bool faulted = !fault_plan.empty();
+    const bool faulted = !config_.fault_plan.empty();
     std::vector<std::size_t> map_losses(num_maps, 0);
     if (faulted) {
       for (std::size_t m = 0; m < num_maps; ++m) {
@@ -332,7 +307,7 @@ class Job {
                 ? preferred_nodes[m] %
                       static_cast<int>(config_.cluster.nodes)
                 : static_cast<int>(m % config_.cluster.nodes);
-        map_losses[m] = fault_plan.crash_count(node);
+        map_losses[m] = config_.fault_plan.crash_count(node);
       }
     }
     // Lost-input re-runs rewrite map_outputs[m] while sibling fetches may
@@ -422,7 +397,7 @@ class Job {
       obs::progress::Tracker::JobScope progress_scope(
           obs::progress::Tracker::global(), config_.name, num_maps,
           num_maps * num_reducers, num_reducers);
-      runtime::PoolLease lease(config_.threads, config_.isolated_pool);
+      runtime::PoolLease lease(config_.threads, false);
       graph.run(lease.pool());
     }
 
@@ -438,7 +413,7 @@ class Job {
       stats.map_cpu_s += task.cpu_s;
       for (const auto& [name, value] : task.counters) stats.counters[name] += value;
 
-      // Lost-input re-runs are not retries: the faulted simulator schedules
+      // Lost-input re-runs are not retries: the simulator schedules
       // each invalidated map's re-execution explicitly, so charging them
       // into the spec here would pay the lost work twice.
       const std::size_t reruns =
@@ -504,7 +479,8 @@ class Job {
     }
     const SimScheduler scheduler(config_.cluster);
     stats.timeline = simulate_job(scheduler, map_specs, shuffle_bytes, fetches,
-                                  reduce_specs, config_.name, fault_plan);
+                                  reduce_specs, config_.name,
+                                  config_.fault_plan);
     stats.node_crashes = stats.timeline.faults.events.size();
     stats.killed_attempts = stats.timeline.faults.killed_attempts;
     stats.lost_map_outputs = stats.timeline.faults.lost_map_outputs;
@@ -596,18 +572,6 @@ class Job {
                  "straggler_rate must be a probability in [0, 1]");
     MRMC_REQUIRE(config_.straggler_slowdown > 0.0,
                  "straggler_slowdown must be positive");
-    MRMC_REQUIRE(config_.heartbeat_interval_s >= 0.0,
-                 "heartbeat_interval_s must be non-negative");
-    MRMC_REQUIRE(config_.max_job_attempts >= 1,
-                 "max_job_attempts must be >= 1; 0 would mean the job never "
-                 "runs");
-    MRMC_REQUIRE(config_.job_timeout_s >= 0.0,
-                 "job_timeout_s must be non-negative (0 disables the "
-                 "deadline)");
-    MRMC_REQUIRE(config_.backoff_base_s > 0.0,
-                 "backoff_base_s must be positive");
-    MRMC_REQUIRE(config_.backoff_cap_s >= config_.backoff_base_s,
-                 "backoff_cap_s must be >= backoff_base_s");
     if (!config_.fault_plan.empty()) {
       config_.fault_plan.validate(config_.cluster.nodes);
     }

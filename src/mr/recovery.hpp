@@ -104,8 +104,9 @@ class DriverParked : public common::Error {
   using Error::Error;
 };
 
-/// Driver-level retry policy, mirrored from JobConfig's
-/// {max_job_attempts, job_timeout_s, backoff_base_s, backoff_cap_s} knobs.
+/// Driver-level retry policy around each stage (core::ExecutionOptions::retry).
+/// Distinct from JobConfig::max_task_attempts, which retries single tasks
+/// inside one job run.
 struct RetryPolicy {
   int max_job_attempts = 1;     ///< >= 1; 1 = no retry
   double job_timeout_s = 0.0;   ///< per-attempt wall deadline; 0 = none

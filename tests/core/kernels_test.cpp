@@ -640,7 +640,6 @@ TEST(ClusteringEquivalence, PipelineLabelsIdenticalAcrossBackendsAndThreads) {
           ExecutionOptions exec;
           exec.distributed = distributed;
           exec.threads = threads;
-          exec.isolated_pool = true;
           const PipelineResult result = run_pipeline(reads, params, exec);
           if (reference.empty()) {
             reference = result.labels;

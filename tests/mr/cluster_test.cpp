@@ -30,6 +30,15 @@ TEST(SimScheduler, RejectsDegenerateConfigs) {
   EXPECT_THROW(SimScheduler{config}, common::InvalidArgument);
 }
 
+TEST(SimScheduler, RejectsNegativeStartupOverheads) {
+  ClusterConfig config;
+  config.task_startup_s = -1.0;
+  EXPECT_THROW(SimScheduler{config}, common::InvalidArgument);
+  config = ClusterConfig{};
+  config.job_startup_s = -1.0;
+  EXPECT_THROW(SimScheduler{config}, common::InvalidArgument);
+}
+
 TEST(SimScheduler, TaskDurationComposesCosts) {
   const SimScheduler scheduler(small_cluster(2));
   const TaskSpec task{10.0, 80e6, 40e6, -1};  // 10 s work, 1 s disk in, .5 s out
@@ -234,6 +243,145 @@ TEST(Speculation, NoEffectOnUniformTasks) {
   const std::vector<TaskSpec> tasks(12, TaskSpec{10.0, 0.0, 0.0, -1});
   const auto timeline = scheduler.schedule_phase(tasks, 2);
   EXPECT_EQ(timeline.speculated_tasks, 0u);
+}
+
+// One fault-free job, every number pinned: locality preferences (one
+// naming node 5 of 3), a per-fetch shuffle and speculation in both phases.
+// The expected values were computed by the scheduler this suite was first
+// written against; any drift in the fault-free schedule shows here.
+TEST(SimulateJob, FaultFreeTimelineMatchesPinnedValues) {
+  ClusterConfig config;
+  config.nodes = 3;
+  config.map_slots_per_node = 2;
+  config.reduce_slots_per_node = 1;
+  config.task_startup_s = 1.0;
+  config.job_startup_s = 5.0;
+  config.speculative_execution = true;
+  const SimScheduler scheduler(config);
+  const std::vector<TaskSpec> maps = {
+      {3.0, 40e6, 8e6, 0},  {5.5, 20e6, 4e6, 1}, {2.0, 60e6, 2e6, 2},
+      {60.0, 10e6, 1e6, 0}, {4.0, 30e6, 6e6, 5}, {2.5, 50e6, 3e6, -1},
+      {3.5, 25e6, 5e6, 1},  {4.5, 35e6, 7e6, 2}};
+  std::vector<FetchSpec> fetches;
+  double shuffle_bytes = 0.0;
+  for (std::size_t m = 0; m < maps.size(); ++m) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      const double bytes = 1e6 * static_cast<double>(1 + (m * 3 + r) % 7);
+      fetches.push_back({m, r, bytes});
+      shuffle_bytes += bytes;
+    }
+  }
+  const std::vector<TaskSpec> reduces = {{2.0, 8e6, 1e6, -1},
+                                         {40.0, 6e6, 1e6, -1},
+                                         {3.0, 9e6, 2e6, -1},
+                                         {2.5, 7e6, 1e6, -1}};
+  const JobTimeline timeline =
+      simulate_job(scheduler, maps, shuffle_bytes, fetches, reduces, "pinned");
+
+  const auto expect_phase = [](const PhaseTimeline& phase,
+                               const std::vector<TaskPlacement>& expected) {
+    ASSERT_EQ(phase.tasks.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE("task " + std::to_string(i));
+      EXPECT_EQ(phase.tasks[i].node, expected[i].node);
+      EXPECT_EQ(phase.tasks[i].slot, expected[i].slot);
+      EXPECT_EQ(phase.tasks[i].start_s, expected[i].start_s);
+      EXPECT_EQ(phase.tasks[i].end_s, expected[i].end_s);
+      EXPECT_EQ(phase.tasks[i].data_local, expected[i].data_local);
+    }
+  };
+  expect_phase(timeline.map_phase,
+               {{2, 1, 0, 5.0999999999999996, false},
+                {1, 0, 0, 6.7999999999999998, true},
+                {2, 1, 5.0999999999999996, 8.875, true},
+                {0, 0, 0, 14.5625, true},
+                {0, 1, 0, 5.8250000000000002, false},
+                {1, 1, 4.875, 9.0374999999999996, true},
+                {1, 1, 0, 4.875, true},
+                {2, 0, 0, 6.0250000000000004, true}});
+  EXPECT_EQ(timeline.map_phase.makespan_s, 14.5625);
+  EXPECT_EQ(timeline.map_phase.data_local_tasks, 6u);
+  EXPECT_EQ(timeline.map_phase.speculated_tasks, 1u);
+  expect_phase(timeline.reduce_phase,
+               {{2, 0, 3.6000000000000001, 6.7125000000000004, true},
+                {0, 0, 0, 10.34375, true},
+                {1, 0, 0, 4.1375000000000002, true},
+                {2, 0, 0, 3.6000000000000001, true}});
+  EXPECT_EQ(timeline.reduce_phase.makespan_s, 10.34375);
+  EXPECT_EQ(timeline.reduce_phase.data_local_tasks, 4u);
+  EXPECT_EQ(timeline.reduce_phase.speculated_tasks, 1u);
+
+  const std::vector<FetchPlacement> expected_fetches = {
+      {6, 0, 4.875, 4.979166666666667, 5000000},
+      {0, 0, 5.0999999999999996, 5.1208333333333327, 1000000},
+      {4, 0, 5.8250000000000002, 5.9500000000000002, 6000000},
+      {7, 0, 6.0250000000000004, 6.0458333333333334, 1000000},
+      {1, 0, 6.7999999999999998, 6.8833333333333329, 4000000},
+      {2, 0, 8.875, 9.0208333333333339, 7000000},
+      {5, 0, 9.0374999999999996, 9.0791666666666657, 2000000},
+      {3, 0, 14.5625, 14.625, 3000000},
+      {6, 1, 4.875, 5, 6000000},
+      {0, 1, 5.0999999999999996, 5.1416666666666666, 2000000},
+      {4, 1, 5.8250000000000002, 5.9708333333333332, 7000000},
+      {7, 1, 6.0250000000000004, 6.0666666666666673, 2000000},
+      {1, 1, 6.7999999999999998, 6.9041666666666668, 5000000},
+      {2, 1, 8.875, 8.8958333333333339, 1000000},
+      {5, 1, 9.0374999999999996, 9.0999999999999996, 3000000},
+      {3, 1, 14.5625, 14.645833333333334, 4000000},
+      {6, 2, 4.875, 5.020833333333333, 7000000},
+      {0, 2, 5.0999999999999996, 5.1624999999999996, 3000000},
+      {4, 2, 5.8250000000000002, 5.8458333333333332, 1000000},
+      {7, 2, 6.0250000000000004, 6.0875000000000004, 3000000},
+      {1, 2, 6.7999999999999998, 6.9249999999999998, 6000000},
+      {2, 2, 8.875, 8.9166666666666661, 2000000},
+      {5, 2, 9.0374999999999996, 9.1208333333333336, 4000000},
+      {3, 2, 14.5625, 14.666666666666666, 5000000}};
+  ASSERT_EQ(timeline.fetches.size(), expected_fetches.size());
+  for (std::size_t i = 0; i < expected_fetches.size(); ++i) {
+    SCOPED_TRACE("fetch " + std::to_string(i));
+    EXPECT_EQ(timeline.fetches[i].map_task, expected_fetches[i].map_task);
+    EXPECT_EQ(timeline.fetches[i].reducer, expected_fetches[i].reducer);
+    EXPECT_EQ(timeline.fetches[i].start_s, expected_fetches[i].start_s);
+    EXPECT_EQ(timeline.fetches[i].end_s, expected_fetches[i].end_s);
+    EXPECT_EQ(timeline.fetches[i].bytes, expected_fetches[i].bytes);
+  }
+  EXPECT_EQ(timeline.shuffle_s, 0.10416666666666607);
+  EXPECT_EQ(timeline.total_s, 30.010416666666664);
+}
+
+// Speculation is applied only under the empty plan: a plan whose one crash
+// lands after the job ends still switches it off, in both phases.
+TEST(Speculation, OffUnderAFaultPlan) {
+  ClusterConfig config = small_cluster(4);
+  config.speculative_execution = true;
+  const SimScheduler scheduler(config);
+  std::vector<TaskSpec> tasks(16, TaskSpec{2.0, 0.0, 0.0, -1});
+  tasks[5].work = 200.0;  // one task 100x slower
+
+  const JobTimeline speculated =
+      simulate_job(scheduler, tasks, 0.0, {}, tasks, "speculated");
+  ASSERT_GT(speculated.map_phase.speculated_tasks, 0u);
+
+  const faults::FaultPlan late(
+      {{1, 10.0 * speculated.total_s + 1e6, faults::kNever}});
+  const JobTimeline timeline =
+      simulate_job(scheduler, tasks, 0.0, {}, tasks, "late-crash", late);
+  EXPECT_EQ(timeline.map_phase.speculated_tasks, 0u);
+  EXPECT_EQ(timeline.reduce_phase.speculated_tasks, 0u);
+  EXPECT_TRUE(timeline.faults.lost_attempts.empty());
+
+  // The unspeculated makespan: the straggler runs its full 1 + 200 s, as
+  // it does with speculation off.
+  EXPECT_EQ(timeline.map_phase.makespan_s, 201.0);
+  config.speculative_execution = false;
+  const SimScheduler plain(config);
+  const JobTimeline unspeculated =
+      simulate_job(plain, tasks, 0.0, {}, tasks, "plain");
+  EXPECT_EQ(timeline.map_phase.makespan_s, unspeculated.map_phase.makespan_s);
+  EXPECT_EQ(timeline.reduce_phase.makespan_s,
+            unspeculated.reduce_phase.makespan_s);
+  EXPECT_EQ(timeline.total_s, unspeculated.total_s);
+  EXPECT_GT(timeline.total_s, speculated.total_s);
 }
 
 }  // namespace

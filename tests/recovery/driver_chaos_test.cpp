@@ -195,9 +195,9 @@ TEST(DriverChaos, RetriedStageLeavesLabelsByteIdentical) {
       run_pipeline(reads, c.params, exec_options(2, {}, ""));
 
   ExecutionOptions exec = exec_options(2, {}, "");
-  exec.max_job_attempts = 3;
-  exec.backoff_base_s = 1e-3;
-  exec.backoff_cap_s = 2e-3;
+  exec.retry.max_job_attempts = 3;
+  exec.retry.backoff_base_s = 1e-3;
+  exec.retry.backoff_cap_s = 2e-3;
   ScopedEnv fail("MRMC_FAIL_STAGE", "similarity:2");
   const PipelineResult retried = run_pipeline(reads, c.params, exec);
   EXPECT_EQ(retried.labels, baseline.labels);
@@ -208,9 +208,9 @@ TEST(DriverChaos, ExhaustedRetriesCarryTheAttemptHistory) {
   const auto reads = sample_reads();
   const PipelineCase c = pipeline_cases()[0];
   ExecutionOptions exec = exec_options(2, {}, "");
-  exec.max_job_attempts = 2;
-  exec.backoff_base_s = 1e-3;
-  exec.backoff_cap_s = 2e-3;
+  exec.retry.max_job_attempts = 2;
+  exec.retry.backoff_base_s = 1e-3;
+  exec.retry.backoff_cap_s = 2e-3;
   ScopedEnv fail("MRMC_FAIL_STAGE", "sketch:5");
   try {
     (void)run_pipeline(reads, c.params, exec);
@@ -226,9 +226,9 @@ TEST(DriverChaos, LshCandidatesExhaustionDegradesToExactAllPairs) {
   const auto reads = sample_reads();
   const PipelineCase c = pipeline_cases()[2];  // lsh-greedy
   ExecutionOptions exec = exec_options(2, {}, "");
-  exec.max_job_attempts = 2;
-  exec.backoff_base_s = 1e-3;
-  exec.backoff_cap_s = 2e-3;
+  exec.retry.max_job_attempts = 2;
+  exec.retry.backoff_base_s = 1e-3;
+  exec.retry.backoff_cap_s = 2e-3;
 
   ScopedEnv fail("MRMC_FAIL_STAGE", "candidates:2");
   const PipelineResult degraded = run_pipeline(reads, c.params, exec);
@@ -255,15 +255,30 @@ TEST(DriverChaos, LshBandsThatDoNotTileTheSketchAreRejectedInBothModes) {
   PipelineCase c = pipeline_cases()[2];  // lsh-greedy
   c.params.candidates.bands = 7;
   ExecutionOptions distributed = exec_options(2, {}, "");
-  distributed.max_job_attempts = 2;
-  distributed.backoff_base_s = 1e-3;
-  distributed.backoff_cap_s = 2e-3;
+  distributed.retry.max_job_attempts = 2;
+  distributed.retry.backoff_base_s = 1e-3;
+  distributed.retry.backoff_cap_s = 2e-3;
   EXPECT_THROW((void)run_pipeline(reads, c.params, distributed),
                common::InvalidArgument);
   ExecutionOptions local;
   local.distributed = false;
   EXPECT_THROW((void)run_pipeline(reads, c.params, local),
                common::InvalidArgument);
+}
+
+TEST(DriverChaos, RetryPolicyOutOfRangeIsRejectedInBothModes) {
+  // No attempt at all is a caller error, raised before any stage in both
+  // modes, even though only a distributed run retries.
+  const auto reads = sample_reads();
+  const PipelineCase c = pipeline_cases()[0];
+  for (const bool distributed : {true, false}) {
+    ExecutionOptions exec = exec_options(2, {}, "");
+    exec.distributed = distributed;
+    exec.retry.max_job_attempts = 0;
+    EXPECT_THROW((void)run_pipeline(reads, c.params, exec),
+                 common::InvalidArgument)
+        << "distributed=" << distributed;
+  }
 }
 
 TEST(DriverChaos, LocalRunIgnoresTheStageHooksAndCheckpoints) {
