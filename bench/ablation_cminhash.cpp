@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -240,8 +241,8 @@ int main(int argc, char** argv) {
                              feature_sets[i], feature_sets[j])));
       }
     }
-    exact_labels =
-        core::cut_dendrogram(core::agglomerate(matrix, core::Linkage::kAverage), 0.5);
+    exact_labels = core::cut_dendrogram(
+        core::agglomerate(std::move(matrix), core::Linkage::kAverage), 0.5);
   }
 
   common::TextTable pipe_table({"scheme", "b", "ARI vs b=64", "ARI vs exact",

@@ -6,6 +6,7 @@
 //
 //   ./ablation_linkage [--reads=300] [--seed=42]
 #include <iostream>
+#include <utility>
 
 #include "bench_util.hpp"
 
@@ -20,14 +21,16 @@ int main(int argc, char** argv) {
       simdata::whole_metagenome_spec("S9"), {.reads = reads, .seed = seed});
   const core::MinHasher hasher(
       {.kmer = 5, .num_hashes = 100, .canonical = true, .seed = seed});
-  const auto matrix = core::pairwise_similarity_matrix(
+  auto matrix = core::pairwise_similarity_matrix(
       bench::sketch_reads(hasher, sample.reads),
       core::SketchEstimator::kComponentMatch, nullptr);
 
   common::TextTable table({"linkage", "theta", "# Cluster", "W.Acc"});
   for (const auto linkage : {core::Linkage::kSingle, core::Linkage::kAverage,
                              core::Linkage::kComplete}) {
-    const auto dendrogram = core::agglomerate(matrix, linkage);
+    // agglomerate consumes its matrix: the last linkage takes this one.
+    const auto dendrogram = core::agglomerate(
+        linkage == core::Linkage::kComplete ? std::move(matrix) : matrix, linkage);
     for (const double theta : {0.40, 0.45, 0.50, 0.55, 0.60}) {
       const auto labels = core::cut_dendrogram(dendrogram, theta);
       table.add_row({core::linkage_name(linkage), common::fmt_f(theta, 2),

@@ -1,6 +1,7 @@
 #include "baselines/hclust_family.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "baselines/word_stats.hpp"
 #include "bio/alignment.hpp"
@@ -13,10 +14,10 @@ namespace mrmc::baselines {
 namespace {
 
 /// Complete-linkage clustering of a similarity matrix, cut at `identity`.
-std::vector<int> complete_linkage_cut(const core::SimilarityMatrix& matrix,
+std::vector<int> complete_linkage_cut(core::SimilarityMatrix matrix,
                                       double identity) {
   const core::Dendrogram dendrogram =
-      core::agglomerate(matrix, core::Linkage::kComplete);
+      core::agglomerate(std::move(matrix), core::Linkage::kComplete);
   return core::cut_dendrogram(dendrogram, identity);
 }
 
@@ -55,7 +56,7 @@ BaselineResult esprit_cluster(std::span<const bio::FastaRecord> reads,
     }
   }
 
-  result.labels = complete_linkage_cut(matrix, params.identity);
+  result.labels = complete_linkage_cut(std::move(matrix), params.identity);
   result.num_clusters = core::count_clusters(result.labels);
   result.wall_s = watch.seconds();
   return result;
@@ -81,7 +82,7 @@ BaselineResult dotur_cluster(std::span<const bio::FastaRecord> reads,
     }
   }
 
-  result.labels = complete_linkage_cut(matrix, params.identity);
+  result.labels = complete_linkage_cut(std::move(matrix), params.identity);
   result.num_clusters = core::count_clusters(result.labels);
   result.wall_s = watch.seconds();
   return result;
@@ -109,7 +110,7 @@ BaselineResult mothur_cluster(std::span<const bio::FastaRecord> reads,
     }
   }
 
-  result.labels = complete_linkage_cut(matrix, params.identity);
+  result.labels = complete_linkage_cut(std::move(matrix), params.identity);
   result.num_clusters = core::count_clusters(result.labels);
   result.wall_s = watch.seconds();
   return result;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "baselines/word_stats.hpp"
 #include "common/error.hpp"
@@ -123,7 +124,7 @@ BaselineResult metacluster_cluster(std::span<const bio::FastaRecord> reads,
     }
   }
   const core::Dendrogram dendrogram =
-      core::agglomerate(matrix, core::Linkage::kComplete);
+      core::agglomerate(std::move(matrix), core::Linkage::kComplete);
   const std::vector<int> group_labels =
       core::cut_dendrogram(dendrogram, 1.0 - params.merge_distance);
 

@@ -30,6 +30,58 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
   return config;
 }
 
+std::vector<int> run_cluster_job(const mr::JobConfig& config, std::size_t n,
+                                 double reduce_work,
+                                 const std::function<std::vector<int>()>& cluster,
+                                 mr::JobStats& stats) {
+  obs::pipeline::StageScope stage(config.name);
+  using ClusterJob =
+      mr::Job<std::uint32_t, int, std::uint32_t, std::pair<std::uint32_t, int>>;
+  ClusterJob job(
+      config,
+      [](const std::uint32_t& index, mr::Emitter<int, std::uint32_t>& emit) {
+        emit.emit(0, index);
+      },
+      [&cluster](const int&, std::vector<std::uint32_t>& indices,
+                 std::vector<std::pair<std::uint32_t, int>>& out,
+                 mr::ReduceContext& context) {
+        const std::vector<int> labels = cluster();
+        std::sort(indices.begin(), indices.end());
+        for (const std::uint32_t index : indices) {
+          out.emplace_back(index, labels[index]);
+        }
+        context.count("clusters.formed",
+                      static_cast<long>(count_clusters(labels)));
+      });
+  job.with_map_work([](const std::uint32_t&) { return 1e-7; });  // emit only
+  job.with_reduce_work(
+      [reduce_work](const int&, std::size_t) { return reduce_work; });
+
+  std::vector<std::uint32_t> input(n);
+  for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
+  auto result = job.run(input);
+  stats = std::move(result.stats);
+
+  std::vector<int> labels(n, -1);
+  for (const auto& [index, label] : result.output) labels[index] = label;
+  return labels;
+}
+
+DendrogramLabels::DendrogramLabels(SimilarityMatrix matrix, Linkage linkage,
+                                   double theta)
+    : matrix_(std::move(matrix)), linkage_(linkage), theta_(theta) {}
+
+std::vector<int> DendrogramLabels::operator()(common::ThreadPool* pool) {
+  if (!dendrogram_) {
+    MRMC_CHECK(!consumed_,
+               "the similarity matrix went to an agglomerate that threw; "
+               "no dendrogram is left to cut");
+    consumed_ = true;
+    dendrogram_ = agglomerate(std::move(matrix_), linkage_, pool);
+  }
+  return cut_dendrogram(*dendrogram_, theta_);
+}
+
 PairScoreLanes::PairScoreLanes(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     SketchEstimator estimator, std::size_t sketch_bits)

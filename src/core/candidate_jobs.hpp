@@ -22,20 +22,25 @@
 // `mrmc_doctor pipeline` reports them like any other pipeline stage.
 //
 // detail:: holds what every pipeline job builder shares: the one JobConfig
-// builder, the block-job shape of the sketch, similarity and verify jobs
-// (a map task turns its split into ONE BinaryBlock, the reduce is the
-// identity, the driver rejoins blocks positionally), and PairScoreLanes,
-// the one encode/decode of a pair score as integer count lanes.
+// builder, the two job shapes — the block job of the sketch, similarity and
+// verify stages (a map task turns its split into ONE BinaryBlock, the
+// reduce is the identity, the driver rejoins blocks positionally) and the
+// GROUP-ALL cluster job of the greedy and hierarchical stages — and
+// PairScoreLanes, the one encode/decode of a pair score as integer count
+// lanes.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/candidates.hpp"
+#include "core/hierarchical.hpp"
 #include "core/kernels.hpp"
 #include "core/pipeline.hpp"
 #include "mr/block.hpp"
@@ -178,6 +183,39 @@ std::vector<PlacedBlock> run_block_job(const char* name,
   }
   return blocks;
 }
+
+/// The GROUP-ALL cluster job (Algorithm 3, steps 8 and 9): every map task
+/// emits its read indices under one key; the single reducer runs
+/// `cluster()` — Algorithm 1 or the dendrogram build + θ-cut — and emits
+/// each index's label in sorted index order.  `cluster` runs once per
+/// reduce attempt: a doomed attempt (JobConfig::reduce_failure_rate) calls
+/// it again, and so does every driver retry of the stage.
+std::vector<int> run_cluster_job(const mr::JobConfig& config, std::size_t n,
+                                 double reduce_work,
+                                 const std::function<std::vector<int>()>& cluster,
+                                 mr::JobStats& stats);
+
+/// The hierarchical-cluster stage's body.  agglomerate() consumes the
+/// matrix, so the first call builds the dendrogram and every call cuts that
+/// one dendrogram: a re-run attempt (a doomed reduce attempt, a driver
+/// retry after MRMC_FAIL_STAGE or a job timeout) gets the same labels.  A
+/// call after one whose agglomerate threw raises common::Error instead of
+/// reading the moved-from matrix.
+class DendrogramLabels {
+ public:
+  DendrogramLabels(SimilarityMatrix matrix, Linkage linkage, double theta);
+
+  /// `pool` converts the matrix to distances on the first call (nullptr =
+  /// serially, as a reducer on a pool worker must).
+  [[nodiscard]] std::vector<int> operator()(common::ThreadPool* pool);
+
+ private:
+  SimilarityMatrix matrix_;
+  Linkage linkage_;
+  double theta_;
+  bool consumed_ = false;
+  std::optional<Dendrogram> dendrogram_;
+};
 
 }  // namespace detail
 

@@ -21,13 +21,37 @@ const char* linkage_name(Linkage linkage) noexcept {
 }
 
 SimilarityMatrix::SimilarityMatrix(std::size_t n, float fill)
-    : n_(n), data_(n * n, fill) {}
+    : n_(n), data_(std::make_unique_for_overwrite<double[]>(n * n)) {
+  std::fill_n(data_.get(), n * n, static_cast<double>(fill));
+}
+
+SimilarityMatrix SimilarityMatrix::for_overwrite(std::size_t n) {
+  SimilarityMatrix matrix;
+  matrix.n_ = n;
+  matrix.data_ = std::make_unique_for_overwrite<double[]>(n * n);
+  return matrix;
+}
+
+SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& other)
+    : n_(other.n_), data_(std::make_unique_for_overwrite<double[]>(n_ * n_)) {
+  std::copy_n(other.data_.get(), n_ * n_, data_.get());
+}
+
+SimilarityMatrix::SimilarityMatrix(SimilarityMatrix&& other) noexcept
+    : n_(std::exchange(other.n_, 0)), data_(std::move(other.data_)) {}
+
+SimilarityMatrix& SimilarityMatrix::operator=(SimilarityMatrix other) noexcept {
+  n_ = std::exchange(other.n_, 0);
+  data_ = std::move(other.data_);
+  return *this;
+}
 
 SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
                                             SketchEstimator estimator,
                                             common::ThreadPool* pool) {
   const std::size_t n = sketches.rows();
-  SimilarityMatrix matrix(n, 0.0F);
+  // Both fills below write every cell, diagonal included.
+  SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
   if (n == 0) return matrix;
 
   if (estimator == SketchEstimator::kComponentMatch) {
@@ -71,9 +95,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The NN-chain's working distances, 1 - similarity in double.  One n×n
-/// buffer holds a stride×stride square over the slots; slot order is leaf
-/// order, so the first-minimum scan breaks ties towards the lowest leaf.
+/// The NN-chain's working distances, 1 - similarity in double, held in the
+/// similarity matrix's own cells.  The n×n buffer holds a stride×stride
+/// square over the slots; slot order is leaf order, so the first-minimum
+/// scan breaks ties towards the lowest leaf.
 ///
 /// Owner-row rule: a merge of (a, b) rewrites row a only, which is
 /// contiguous; no column is ever written.  Row t is current as of merge
@@ -88,17 +113,23 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// clears the log.
 class ChainDistances {
  public:
-  explicit ChainDistances(const SimilarityMatrix& matrix)
+  ChainDistances(SimilarityMatrix matrix, common::ThreadPool* pool)
       : stride_(matrix.size()),
         live_(stride_),
-        dist_(std::make_unique_for_overwrite<double[]>(stride_ * stride_)),
+        matrix_(std::move(matrix)),
+        dist_(matrix_.mutable_data()),
         current_as_of_(stride_, 0),
         last_merge_(stride_, kNever) {
-    for (std::size_t i = 0; i < stride_; ++i) {
-      for (std::size_t j = 0; j < stride_; ++j) {
-        dist_[i * stride_ + j] =
-            i == j ? kInf : 1.0 - static_cast<double>(matrix.at(i, j));
-      }
+    // Each cell holds a float value, so 1 - cell is 1 - double(float(sim)).
+    auto to_distances = [this](std::size_t i) {
+      double* row = dist_ + i * stride_;
+      for (std::size_t j = 0; j < stride_; ++j) row[j] = 1.0 - row[j];
+      row[i] = kInf;
+    };
+    if (pool != nullptr && stride_ > 64) {
+      pool->parallel_for(stride_, to_distances);
+    } else {
+      for (std::size_t i = 0; i < stride_; ++i) to_distances(i);
     }
   }
 
@@ -110,7 +141,7 @@ class ChainDistances {
 
   /// Row `t` with every cell current: the diagonal and retired slots +inf.
   std::span<double> current_row(std::size_t t) {
-    double* row = dist_.get() + t * stride_;
+    double* row = dist_ + t * stride_;
     for (std::size_t i = current_as_of_[t]; i < log_.size(); ++i) {
       const auto [a, b] = log_[i];
       if (last_merge_[a] == i) row[a] = dist_[a * stride_ + t];
@@ -167,7 +198,7 @@ class ChainDistances {
     // r * live + c is read: no cell is overwritten before its last read.
     // Cells left of the diagonal copy the new rows already written.
     for (std::size_t r = 0; r < live_; ++r) {
-      double* out = dist_.get() + r * live_;
+      double* out = dist_ + r * live_;
       for (std::size_t c = 0; c < r; ++c) out[c] = dist_[c * live_ + r];
       out[r] = kInf;
       const std::size_t i = keep[r];
@@ -190,7 +221,8 @@ class ChainDistances {
 
   std::size_t stride_;
   std::size_t live_;
-  std::unique_ptr<double[]> dist_;  ///< uninitialised: the fill writes every cell
+  SimilarityMatrix matrix_;  ///< owns the cells
+  double* dist_;             ///< matrix_'s cells, rewritten to distances
   std::vector<std::size_t> current_as_of_;  ///< log entries row t reflects
   std::vector<std::size_t> last_merge_;     ///< log index, kNever or kRetired
   std::vector<std::pair<std::size_t, std::size_t>> log_;  ///< (kept, retired)
@@ -198,14 +230,15 @@ class ChainDistances {
 
 }  // namespace
 
-Dendrogram agglomerate(const SimilarityMatrix& matrix, Linkage linkage) {
+Dendrogram agglomerate(SimilarityMatrix matrix, Linkage linkage,
+                       common::ThreadPool* pool) {
   const std::size_t n = matrix.size();
   Dendrogram dendrogram;
   dendrogram.num_leaves = n;
   if (n <= 1) return dendrogram;
   dendrogram.merges.reserve(n - 1);
 
-  ChainDistances dist(matrix);
+  ChainDistances dist(std::move(matrix), pool);
   std::vector<std::size_t> cluster_size(n, 1);
   std::vector<int> node_id(n);  // dendrogram node currently in each slot
   std::iota(node_id.begin(), node_id.end(), 0);
@@ -343,10 +376,11 @@ std::vector<int> cut_dendrogram(const Dendrogram& dendrogram, double theta) {
 
 namespace {
 
-HierarchicalResult cluster_from_matrix(const SimilarityMatrix& matrix,
-                                       const HierarchicalParams& params) {
+HierarchicalResult cluster_from_matrix(SimilarityMatrix matrix,
+                                       const HierarchicalParams& params,
+                                       common::ThreadPool* pool) {
   HierarchicalResult result;
-  result.dendrogram = agglomerate(matrix, params.linkage);
+  result.dendrogram = agglomerate(std::move(matrix), params.linkage, pool);
   result.labels = cut_dendrogram(result.dendrogram, params.theta);
   result.num_clusters = count_clusters(result.labels);
   return result;
@@ -359,7 +393,7 @@ HierarchicalResult hierarchical_cluster(const kernels::SketchMatrix& sketches,
                                         common::ThreadPool* pool) {
   if (sketches.empty()) return {};
   return cluster_from_matrix(
-      pairwise_similarity_matrix(sketches, params.estimator, pool), params);
+      pairwise_similarity_matrix(sketches, params.estimator, pool), params, pool);
 }
 
 std::size_t count_clusters(std::span<const int> labels) {

@@ -622,7 +622,7 @@ PackedSketchMatrix PackedSketchMatrix::pack(const SketchMatrix& matrix,
   return packed;
 }
 
-void component_match_matrix(const SketchMatrix& sketches, float* out,
+void component_match_matrix(const SketchMatrix& sketches, double* out,
                             std::size_t stride, Backend backend,
                             common::ThreadPool* pool) {
   const std::size_t n = sketches.rows();
@@ -635,14 +635,14 @@ void component_match_matrix(const SketchMatrix& sketches, float* out,
   auto fill_block = [&](std::size_t block) {
     const std::size_t i0 = block * kBlock;
     const std::size_t i1 = std::min(i0 + kBlock, n);
-    for (std::size_t i = i0; i < i1; ++i) out[i * stride + i] = 1.0F;
+    for (std::size_t i = i0; i < i1; ++i) out[i * stride + i] = 1.0;
     for (std::size_t j = i0 + 1; j < n; ++j) {
       const std::uint64_t* rj = sketches.row_ptr(j);
       const std::size_t iend = std::min(i1, j);
       for (std::size_t i = i0; i < iend; ++i) {
         const std::size_t eq =
             count_equal({sketches.row_ptr(i), cols}, {rj, cols}, backend);
-        const auto sim = static_cast<float>(score(eq));
+        const double sim = static_cast<float>(score(eq));
         out[i * stride + j] = sim;
         out[j * stride + i] = sim;
       }

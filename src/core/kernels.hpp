@@ -311,14 +311,15 @@ class PackedSketchMatrix {
   std::vector<std::uint64_t> data_;
 };
 
-/// Cache-blocked all-pairs component-match fill: writes the full symmetric
-/// n×n matrix (diagonal 1.0f) into `out` with `stride` floats per row.
-/// out[i*stride+j] = float(MatchScore(cols)(count_equal(row i, row j))); 0.0f off the
-/// diagonal when cols == 0 (matching component_match_similarity on empty
-/// sketches).  Rows are processed in blocks so each block stays L1-resident
-/// while the partner rows stream.  When `pool` is non-null, blocks run in
-/// parallel; the result is identical at any thread count.
-void component_match_matrix(const SketchMatrix& sketches, float* out,
+/// Cache-blocked all-pairs component-match fill: writes every cell of the
+/// symmetric n×n matrix (diagonal 1) into `out` with `stride` doubles per
+/// row, out[i*stride+j] = double(float(MatchScore(cols)(count_equal(row i,
+/// row j)))); 0 off the diagonal when cols == 0 (matching
+/// component_match_similarity on empty sketches).  Rows are processed in
+/// blocks so each block stays L1-resident while the partner rows stream.
+/// When `pool` is non-null, blocks run in parallel (and first-touch the
+/// pages they write); the result is identical at any thread count.
+void component_match_matrix(const SketchMatrix& sketches, double* out,
                             std::size_t stride,
                             Backend backend = active_backend(),
                             common::ThreadPool* pool = nullptr);

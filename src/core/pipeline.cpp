@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -189,7 +188,8 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
 /// paper's row-wise partition).  The sketch table plays the role of Pig's
 /// GROUP-ALL broadcast relation.  Each map task ships ONE block of pair
 /// count lanes per split (detail::PairScoreLanes) instead of a vector<float>
-/// per row, and the driver rebuilds the identical floats from them.
+/// per row, and the driver rebuilds the identical floats from them, row by
+/// row on the pool.
 SimilarityMatrix run_similarity_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const PipelineParams& params, const EffectiveKnobs& knobs,
@@ -237,62 +237,33 @@ SimilarityMatrix run_similarity_job(
       },
       stats);
 
-  // Lanes follow the mapper's (row, j) iteration order exactly.
-  SimilarityMatrix matrix(n, 0.0F);
+  // Lanes follow the mapper's (row, j) iteration order, so row r's lanes
+  // start k(2(n - first) - k - 1)/2 into its split's block, k = r - first.
+  // Row r writes cell (r, r) and cells (r, j), (j, r) for j > r: rows write
+  // disjoint cells that together cover the matrix, so the decode runs row by
+  // row on the pool, which also first-touches the pages.
+  std::vector<const mr::BinaryBlock*> split_blocks(
+      (n + per_split - 1) / per_split, nullptr);
   for (const auto& [first, block] : blocks) {
-    const std::size_t last = std::min(first + per_split, n);
-    std::uint64_t lane = 0;
-    for (std::size_t row = first; row < last; ++row) {
-      matrix.set(row, row, 1.0F);
-      for (std::size_t j = row + 1; j < n; ++j, ++lane) {
-        matrix.set(row, j, static_cast<float>(lanes.decode(block, lane)));
-      }
-    }
+    MRMC_CHECK(first % per_split == 0 && first < n, "similarity block misplaced");
+    split_blocks[first / per_split] = &block;
   }
+  MRMC_CHECK(std::find(split_blocks.begin(), split_blocks.end(), nullptr) ==
+                 split_blocks.end(),
+             "a similarity split returned no block");
+  SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
+  mr::runtime::PoolLease lease(exec.threads, false);
+  lease.pool().parallel_for(n, [&](std::size_t row) {
+    const std::size_t first = row - row % per_split;
+    const std::size_t k = row - first;
+    const mr::BinaryBlock& block = *split_blocks[row / per_split];
+    std::uint64_t lane = k * (2 * (n - first) - k - 1) / 2;
+    matrix.set(row, row, 1.0F);
+    for (std::size_t j = row + 1; j < n; ++j, ++lane) {
+      matrix.set(row, j, static_cast<float>(lanes.decode(block, lane)));
+    }
+  });
   return matrix;
-}
-
-/// Job 3: the GROUP-ALL cluster job (Algorithm 3, steps 8 and 9).  Every map
-/// task emits its read indices under one key; the single reducer runs
-/// `cluster()` — Algorithm 1 or the dendrogram build + θ-cut — and emits
-/// each index's label in sorted index order.
-std::vector<int> run_cluster_job(const char* name, std::size_t n,
-                                 std::size_t records_per_split,
-                                 double reduce_work,
-                                 const std::function<std::vector<int>()>& cluster,
-                                 const ExecutionOptions& exec,
-                                 mr::JobStats& stats) {
-  obs::pipeline::StageScope stage(name);
-  using ClusterJob =
-      mr::Job<std::uint32_t, int, std::uint32_t, std::pair<std::uint32_t, int>>;
-  ClusterJob job(
-      detail::job_config(name, exec, records_per_split, 1),  // GROUP ALL
-      [](const std::uint32_t& index, mr::Emitter<int, std::uint32_t>& emit) {
-        emit.emit(0, index);
-      },
-      [&cluster](const int&, std::vector<std::uint32_t>& indices,
-                 std::vector<std::pair<std::uint32_t, int>>& out,
-                 mr::ReduceContext& context) {
-        const std::vector<int> labels = cluster();
-        std::sort(indices.begin(), indices.end());
-        for (const std::uint32_t index : indices) {
-          out.emplace_back(index, labels[index]);
-        }
-        context.count("clusters.formed",
-                      static_cast<long>(count_clusters(labels)));
-      });
-  job.with_map_work([](const std::uint32_t&) { return 1e-7; });  // emit only
-  job.with_reduce_work(
-      [reduce_work](const int&, std::size_t) { return reduce_work; });
-
-  std::vector<std::uint32_t> input(n);
-  for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
-  auto result = job.run(input);
-  stats = std::move(result.stats);
-
-  std::vector<int> labels(n, -1);
-  for (const auto& [index, label] : result.output) labels[index] = label;
-  return labels;
 }
 
 // ------------------------------------------------ checkpoint serialization
@@ -412,12 +383,14 @@ candidates::SparseSimilarityGraph decode_graph(
   return graph;
 }
 
+// The similarity matrix: u64 n, then n² f32 cells in row order.  Every cell
+// holds a float value, so the f32 bytes are exact.
 void encode_matrix(mr::recovery::PayloadWriter& writer,
                    const SimilarityMatrix& matrix) {
   const std::size_t n = matrix.size();
   writer.u64(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const float value : matrix.row(i)) writer.f32(value);
+    for (const double value : matrix.row(i)) writer.f32(static_cast<float>(value));
   }
 }
 
@@ -425,8 +398,8 @@ SimilarityMatrix decode_matrix(mr::recovery::PayloadReader& reader) {
   const std::size_t n = reader.u64();
   MRMC_CHECK(n == 0 || n <= reader.remaining() / 4 / n,
              "similarity matrix larger than its payload");
-  SimilarityMatrix matrix(n, 0.0F);
-  float* data = matrix.mutable_data();
+  SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
+  double* data = matrix.mutable_data();
   for (std::size_t i = 0; i < n * n; ++i) data[i] = reader.f32();
   return matrix;
 }
@@ -620,13 +593,15 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
         "greedy-cluster", [&] { return cluster(stages.pool()); },
         [&] {
           // The reducer sweeps serially; labels match at any pool size.
-          return run_cluster_job(
-              "greedy-cluster", n, exec.records_per_split, reduce_work,
-              [&] { return cluster(nullptr); }, exec, result.cluster_stats);
+          return detail::run_cluster_job(
+              detail::job_config("greedy-cluster", exec, exec.records_per_split,
+                                 1),  // GROUP ALL
+              n, reduce_work, [&] { return cluster(nullptr); },
+              result.cluster_stats);
         },
         encode_labels, decode_labels);
   } else {
-    const SimilarityMatrix matrix =
+    SimilarityMatrix matrix =
         graph ? similarity_matrix_from_graph(*graph)
               : stages.run(
                     "similarity",
@@ -639,17 +614,21 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                                                 result.similarity_stats);
                     },
                     encode_matrix, decode_matrix);
+    graph.reset();  // densified: the cluster stage reads the matrix only
     result.sim_total_s += result.similarity_stats.timeline.total_s;
-    const auto cluster = [&] {
-      return cut_dendrogram(agglomerate(matrix, params.linkage), knobs.theta);
-    };
+    // The matrix is the run's one n² buffer: the cluster stage takes it and
+    // agglomerate rewrites its cells to distances in place.
+    detail::DendrogramLabels labels(std::move(matrix), params.linkage,
+                                    knobs.theta);
     result.labels = stages.run(
-        "hierarchical-cluster", cluster,
+        "hierarchical-cluster", [&] { return labels(stages.pool()); },
         [&] {
-          return run_cluster_job("hierarchical-cluster", n,
-                                 std::max<std::size_t>(1, n / 8),
-                                 cost::dendrogram_work(n), cluster, exec,
-                                 result.cluster_stats);
+          // The reducer runs on a pool worker, so it converts serially.
+          return detail::run_cluster_job(
+              detail::job_config("hierarchical-cluster", exec,
+                                 std::max<std::size_t>(1, n / 8), 1),
+              n, cost::dendrogram_work(n), [&] { return labels(nullptr); },
+              result.cluster_stats);
         },
         encode_labels, decode_labels);
   }

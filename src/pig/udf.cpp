@@ -1,6 +1,7 @@
 #include "pig/udf.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "bio/dna.hpp"
 #include "bio/kmer.hpp"
@@ -170,7 +171,8 @@ Bag AgglomerativeHierarchicalClustering::exec(const Tuple& input) const {
     ids[row] = tuple.get<std::string>(2);
   }
 
-  const core::Dendrogram dendrogram = core::agglomerate(matrix, linkage_);
+  const core::Dendrogram dendrogram =
+      core::agglomerate(std::move(matrix), linkage_);
   const std::vector<int> labels = core::cut_dendrogram(dendrogram, cutoff_);
 
   Bag out;

@@ -10,6 +10,7 @@
 #include "core/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -489,7 +490,8 @@ TEST(SimilarityMatrixEquivalence, BackendsAndThreadCountsAgree) {
         ASSERT_EQ(got.size(), reference.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
           for (std::size_t j = 0; j < got.size(); ++j) {
-            ASSERT_EQ(got.at(i, j), reference.at(i, j))
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got.row(i)[j]),
+                      std::bit_cast<std::uint64_t>(reference.row(i)[j]))
                 << "backend=" << kernels::backend_name(backend)
                 << " pooled=" << (p != nullptr) << " cell " << i << "," << j;
           }
@@ -520,11 +522,50 @@ TEST(SimilarityMatrixEquivalence, CellsMatchPerPairEstimators) {
       ASSERT_EQ(cells.size(), sketches.size());
       for (std::size_t i = 0; i < cells.size(); ++i) {
         for (std::size_t j = 0; j < cells.size(); ++j) {
-          ASSERT_EQ(cells.at(i, j),
-                    static_cast<float>(
-                        sketch_similarity(sketches[i], sketches[j], estimator)))
+          // Double cells holding the float score: what at(), checkpoints
+          // and agglomerate's 1 - s all read.
+          ASSERT_EQ(cells.row(i)[j],
+                    static_cast<double>(static_cast<float>(
+                        sketch_similarity(sketches[i], sketches[j], estimator))))
               << "pooled=" << (p != nullptr) << " cell " << i << "," << j;
         }
+      }
+    }
+  }
+}
+
+TEST(SimilarityMatrixEquivalence, KernelWritesEveryCellAsTheFloatScore) {
+  // K = 24: 1/K is inexact, so the float rounding of m · (1/K) is visible.
+  // A NaN sentinel in every cell shows any cell the fill leaves unwritten.
+  common::Xoshiro256 rng(41);
+  const std::size_t n = 150;
+  const std::size_t cols = 24;
+  kernels::SketchMatrix sketches(n, cols);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (auto& v : sketches.row(i)) v = rng.bounded(6);
+  }
+  const kernels::MatchScore score(cols);
+  std::vector<double> expected(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      expected[i * n + j] =
+          i == j ? 1.0
+                 : static_cast<double>(static_cast<float>(score(kernels::count_equal(
+                       sketches.row(i), sketches.row(j), Backend::kScalar))));
+    }
+  }
+  common::ThreadPool pool(4);
+  for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+    if (!kernels::backend_available(backend)) continue;
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+      std::vector<double> out(n * n, std::numeric_limits<double>::quiet_NaN());
+      kernels::component_match_matrix(sketches, out.data(), n, backend, p);
+      for (std::size_t cell = 0; cell < n * n; ++cell) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[cell]),
+                  std::bit_cast<std::uint64_t>(expected[cell]))
+            << "backend=" << kernels::backend_name(backend)
+            << " pooled=" << (p != nullptr) << " cell " << cell / n << ","
+            << cell % n;
       }
     }
   }

@@ -7,12 +7,17 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/candidate_jobs.hpp"
+#include "core/candidates.hpp"
+#include "core/hierarchical.hpp"
+#include "core/minhash.hpp"
 #include "core/pipeline.hpp"
 #include "mr/faults.hpp"
 #include "mr/recovery.hpp"
@@ -322,6 +327,81 @@ TEST(DriverChaos, LocalStageErrorsKeepTheirType) {
     EXPECT_THROW((void)run_pipeline(reads, c.params, exec_options(2, {}, "")),
                  mr::recovery::RetryExhausted)
         << c.name;
+  }
+}
+
+/// The matrix a hierarchical run's cluster stage receives: the similarity
+/// stage's all-pairs matrix, or the LSH backend's verified graph densified.
+SimilarityMatrix cluster_stage_matrix(const std::vector<bio::FastaRecord>& reads,
+                                      const PipelineParams& params) {
+  std::vector<std::string_view> seqs;
+  for (const auto& read : reads) seqs.emplace_back(read.seq);
+  const kernels::SketchMatrix sketches =
+      MinHasher(params.minhash).sketch_matrix(seqs);
+  if (params.candidates.backend == candidates::Backend::kExactAllPairs) {
+    return pairwise_similarity_matrix(sketches, params.estimator);
+  }
+  return similarity_matrix_from_graph(candidates::build_graph(
+      sketches, params.candidates, params.theta, params.estimator));
+}
+
+TEST(DriverChaos, ReRunHierarchicalAttemptsReuseTheDendrogram) {
+  // agglomerate consumes the matrix, so every attempt after the first —
+  // doomed reduce attempts, a driver retry — must cut the dendrogram the
+  // first attempt built and hand back the local run's labels.
+  const auto reads = sample_reads();
+  PipelineCase lsh_hier = pipeline_cases()[1];  // exact-hierarchical → LSH
+  lsh_hier.params.candidates.backend = candidates::Backend::kLshBanded;
+  for (const PipelineCase& c : {pipeline_cases()[1], lsh_hier}) {
+    const std::string backend =
+        c.params.candidates.backend == candidates::Backend::kLshBanded ? "lsh"
+                                                                         : "exact";
+    ExecutionOptions local = exec_options(2, {}, "");
+    local.distributed = false;
+    const PipelineResult expected = run_pipeline(reads, c.params, local);
+
+    // The cluster job with every reduce attempt but the last doomed, then
+    // the whole job again on the same body, as a driver retry runs it.
+    ExecutionOptions exec = exec_options(2, {}, "");
+    detail::DendrogramLabels labels(cluster_stage_matrix(reads, c.params),
+                                    c.params.linkage, c.params.theta);
+    mr::JobConfig config =
+        detail::job_config("hierarchical-cluster", exec, reads.size() / 8, 1);
+    config.reduce_failure_rate = 1.0;
+    for (int run = 0; run < 2; ++run) {
+      mr::JobStats stats;
+      EXPECT_EQ(detail::run_cluster_job(config, reads.size(), 1.0,
+                                        [&] { return labels(nullptr); }, stats),
+                expected.labels)
+          << backend << " run " << run;
+      EXPECT_EQ(stats.reduce_retries, config.max_task_attempts - 1) << backend;
+    }
+
+    // A distributed run whose cluster stage fails once under the driver.
+    exec.retry.max_job_attempts = 2;
+    exec.retry.backoff_base_s = 1e-3;
+    exec.retry.backoff_cap_s = 2e-3;
+    ScopedEnv fail("MRMC_FAIL_STAGE", "hierarchical-cluster:1");
+    const PipelineResult retried = run_pipeline(reads, c.params, exec);
+    EXPECT_EQ(retried.labels, expected.labels) << backend;
+    EXPECT_EQ(retried.recovery.retries, 1u) << backend;
+  }
+}
+
+TEST(DriverChaos, AnAttemptAfterAFailedAgglomerateRaisesAnError) {
+  // Every distance is 1 - (-inf) = +inf: agglomerate finds no neighbour and
+  // throws after taking the matrix.  The next attempt has nothing to read.
+  detail::DendrogramLabels labels(
+      SimilarityMatrix(3, -std::numeric_limits<float>::infinity()),
+      Linkage::kAverage, 0.5);
+  EXPECT_THROW((void)labels(nullptr), common::Error);
+  try {
+    (void)labels(nullptr);
+    FAIL() << "expected common::Error";
+  } catch (const common::Error& error) {
+    EXPECT_NE(std::string(error.what()).find("agglomerate that threw"),
+              std::string::npos)
+        << error.what();
   }
 }
 
