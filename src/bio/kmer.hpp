@@ -6,10 +6,11 @@
 // Every function here walks the sequence with the one rolling encoder,
 // for_each_kmer.  Two views of a read's k-mers come out of it:
 //  * kmer_set — the sorted unique set I_s, the exact-Jaccard oracle's input;
-//  * kmer_stream_into — what the sketcher hashes: the same set as a multiset
-//    with some repeats left in, produced without sorting.  A minimum over a
-//    multiset equals the minimum over its set, so a sketch of the stream is
-//    byte-identical to a sketch of kmer_set.
+//  * kmer_stream_into — what the sketcher hashes for k >= 7: the same set as
+//    a multiset with some repeats left in, produced without sorting.  A
+//    minimum over a multiset equals the minimum over its set, so a sketch of
+//    the stream is byte-identical to a sketch of kmer_set.  (For k <= 6 the
+//    sketcher marks for_each_kmer's words in a bitmap instead.)
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,9 @@
 #include "core/greedy.hpp"
 
-#include <utility>
+#include <cstdint>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace mrmc::core {
 
@@ -18,9 +19,12 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
 
   // `pending` holds the indices of still-unassigned sequences, in input
   // order; each pass removes the new representative and everything it
-  // absorbs (Algorithm 1 lines 5-14).
+  // absorbs (Algorithm 1 lines 5-14).  A pass scores the whole list into
+  // `absorbed` (on `pool` when non-null), then compacts `pending` in place,
+  // keeping order.
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = i;
+  std::vector<std::uint8_t> absorbed(n);
 
   int next_label = 0;
   while (!pending.empty()) {
@@ -29,18 +33,27 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
     result.labels[rep] = label;
     result.representatives.push_back(rep);
 
-    std::vector<std::size_t> still_pending;
-    still_pending.reserve(pending.size());
-    for (std::size_t idx = 1; idx < pending.size(); ++idx) {
-      const std::size_t candidate = pending[idx];
-      ++result.comparisons;
-      if (similarity(rep, candidate) >= params.theta) {
+    const std::size_t others = pending.size() - 1;
+    const auto score = [&](std::size_t idx) {
+      absorbed[idx] = similarity(rep, pending[idx + 1]) >= params.theta;
+    };
+    if (pool != nullptr) {
+      pool->parallel_for(others, score);
+    } else {
+      for (std::size_t idx = 0; idx < others; ++idx) score(idx);
+    }
+    result.comparisons += others;
+
+    std::size_t kept = 0;
+    for (std::size_t idx = 0; idx < others; ++idx) {
+      const std::size_t candidate = pending[idx + 1];
+      if (absorbed[idx] != 0) {
         result.labels[candidate] = label;
       } else {
-        still_pending.push_back(candidate);
+        pending[kept++] = candidate;
       }
     }
-    pending = std::move(still_pending);
+    pending.resize(kept);
   }
 
   result.num_clusters = static_cast<std::size_t>(next_label);

@@ -31,9 +31,11 @@ struct GreedyResult {
 
 /// Greedy sweep over the flat sketch store.  Component-match comparisons run
 /// the batched count_equal kernel over contiguous rows; set-based pre-sorts
-/// every sketch once into a SortedSketchStore, on `pool` when non-null (the
-/// sweep itself is sequential).  Labels, representatives and the comparison
-/// count are identical at any thread count.
+/// every sketch once into a SortedSketchStore.  When `pool` is non-null the
+/// store sorts on it and each pass scores its representative against the
+/// whole pending list on it; the passes themselves stay in order.  Labels,
+/// representatives and the comparison count are identical at any thread
+/// count.
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
                             const GreedyParams& params,
                             common::ThreadPool* pool = nullptr);

@@ -1,6 +1,8 @@
 #include "core/minhash.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -106,6 +108,91 @@ MinHasher::MinHasher(MinHashParams params)
   if (params_.scheme == SketchScheme::kCMinHash) {
     cmin_.emplace(params.num_hashes, params.modulus, params.seed);
   }
+  rank_universe();
+}
+
+void MinHasher::rank_universe() {
+  const std::uint64_t universe = bio::kmer_space_size(params_.kmer);
+  if (universe > kRankedUniverse) return;
+  // A canonical read only ever marks codes x <= revcomp(x).
+  std::vector<std::uint64_t> codes;
+  for (std::uint64_t x = 0; x < universe; ++x) {
+    if (!params_.canonical || x <= bio::revcomp_kmer(x, params_.kmer)) {
+      codes.push_back(x);
+    }
+  }
+  const std::size_t features = codes.size();
+  const std::size_t hashes = sketch_size();
+  // Row f holds h_i(codes[f]) for every i, computed by the same kernels a
+  // hashed read goes through: the sketch of the one-feature set {codes[f]}.
+  std::vector<std::uint64_t> hashed(features * hashes);
+  for (std::size_t f = 0; f < features; ++f) {
+    sketch_features_into({&codes[f], 1}, {hashed.data() + f * hashes, hashes});
+  }
+  ranked_codes_.resize(hashes * features);
+  ranked_values_.resize(hashes * features);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranking(features);
+  for (std::size_t i = 0; i < hashes; ++i) {
+    for (std::size_t f = 0; f < features; ++f) {
+      ranking[f] = {hashed[f * hashes + i], codes[f]};
+    }
+    std::sort(ranking.begin(), ranking.end());
+    for (std::size_t r = 0; r < features; ++r) {
+      ranked_values_[i * features + r] = ranking[r].first;
+      ranked_codes_[i * features + r] =
+          static_cast<std::uint16_t>(ranking[r].second);
+    }
+  }
+  ranked_features_ = features;
+}
+
+void MinHasher::sketch_read_into(std::string_view seq,
+                                 std::span<std::uint64_t> out) const {
+  if (ranked_features_ == 0) {
+    sketch_features_into(kmer_stream(seq, params_), out);
+    return;
+  }
+  // The read's k-mers as a presence bitmap over the 4^k codes, which is
+  // also their exact dedup.
+  std::array<std::uint64_t, kRankedUniverse / 64> present{};
+  std::size_t distinct = 0;
+  const auto mark = [&](std::uint64_t code) {
+    std::uint64_t& word = present[code >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (code & 63);
+    distinct += (word & bit) == 0;
+    word |= bit;
+  };
+  if (params_.canonical) {
+    bio::for_each_kmer(seq, params_.kmer,
+                       [&](std::uint64_t forward, std::uint64_t reverse) {
+                         mark(std::min(forward, reverse));
+                       });
+  } else {
+    bio::for_each_kmer(seq, params_.kmer,
+                       [&](std::uint64_t forward, std::uint64_t) { mark(forward); });
+  }
+  // A lookup probes about F / d codes per slot, hashing costs d
+  // evaluations: hash the d features when d² < F (so d < 64), which also
+  // covers the empty read.
+  if (distinct * distinct < ranked_features_) {
+    std::array<std::uint64_t, 64> features{};
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < present.size(); ++w) {
+      for (std::uint64_t bits = present[w]; bits != 0; bits &= bits - 1) {
+        features[count++] = w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+      }
+    }
+    sketch_features_into({features.data(), count}, out);
+    return;
+  }
+  // Slot i: the first marked code in hash i's ranking has the read's
+  // smallest h_i.  Every marked code is ranked, so the scan stops.
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint16_t* const codes = ranked_codes_.data() + i * ranked_features_;
+    std::size_t r = 0;
+    while (((present[codes[r] >> 6] >> (codes[r] & 63)) & 1) == 0) ++r;
+    out[i] = ranked_values_[i * ranked_features_ + r];
+  }
 }
 
 void MinHasher::sketch_features_into(std::span<const std::uint64_t> features,
@@ -127,14 +214,16 @@ Sketch MinHasher::sketch_features(std::span<const std::uint64_t> features) const
 }
 
 Sketch MinHasher::sketch(std::string_view seq) const {
-  return sketch_features(kmer_stream(seq, params_));
+  Sketch sketch(family_.size());
+  sketch_read_into(seq, sketch);
+  return sketch;
 }
 
 kernels::SketchMatrix MinHasher::sketch_matrix(
     std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
   kernels::SketchMatrix matrix(seqs.size(), sketch_size());
   auto sketch_row = [&](std::size_t i) {
-    sketch_features_into(kmer_stream(seqs[i], params_), matrix.row(i));
+    sketch_read_into(seqs[i], matrix.row(i));
   };
   if (pool != nullptr && seqs.size() > 1) {
     pool->parallel_for(seqs.size(), sketch_row);

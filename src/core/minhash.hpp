@@ -144,6 +144,17 @@ struct MinHashParams {
 };
 
 /// Computes sketches for sequences.  Thread-safe after construction.
+///
+/// Two paths give the same bytes.  sketch_features / sketch_features_into
+/// always hash the given features with the batched kernels, and so do
+/// sketch / sketch_matrix for k >= 7.  For k <= 6 the universe holds at most
+/// 4096 k-mers, and the constructor ranks it once per hash
+/// function: sketch / sketch_matrix (and with them the local sketch stage
+/// and the MR sketch mapper) then mark a read's k-mers in a presence bitmap
+/// and read slot i off as the value of the first marked feature in hash i's
+/// ranking, which is the minimum of h_i over the read by construction.  A
+/// read with so few distinct k-mers d that d² < F (F features ranked) is
+/// hashed by the kernels instead, where that is cheaper than probing.
 class MinHasher {
  public:
   explicit MinHasher(MinHashParams params);
@@ -173,9 +184,24 @@ class MinHasher {
       common::ThreadPool* pool = nullptr) const;
 
  private:
+  /// Largest k-mer universe 4^k that is ranked (k <= 6).
+  static constexpr std::size_t kRankedUniverse = 4096;
+
+  /// Sketch of one read into `out`, by ranked lookup or by the kernels.
+  void sketch_read_into(std::string_view seq, std::span<std::uint64_t> out) const;
+  /// Builds the rankings below when 4^k <= kRankedUniverse.
+  void rank_universe();
+
   MinHashParams params_;
   UniversalHashFamily family_;
   std::optional<CMinHashFamily> cmin_;  ///< engaged when scheme == kCMinHash
+  /// Features per ranking: 4^k, or the canonical codes alone when
+  /// params_.canonical; 0 when the universe is too large to rank.
+  std::size_t ranked_features_ = 0;
+  /// Row i (ranked_features_ entries) lists the universe's k-mer codes in
+  /// ascending h_i order, and the same row of ranked_values_ their h_i.
+  std::vector<std::uint16_t> ranked_codes_;
+  std::vector<std::uint64_t> ranked_values_;
 };
 
 /// Pre-sorted unique minima of a set of sketches, so repeated set-based

@@ -592,7 +592,9 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
     result.labels = stages.run(
         "greedy-cluster", [&] { return cluster(stages.pool()); },
         [&] {
-          // The reducer sweeps serially; labels match at any pool size.
+          // The reducer runs on a pool worker, so it sweeps serially (a
+          // nested parallel_for on the shared pool would block a worker);
+          // labels match at any pool size.
           return detail::run_cluster_job(
               detail::job_config("greedy-cluster", exec, exec.records_per_split,
                                  1),  // GROUP ALL

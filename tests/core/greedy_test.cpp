@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace mrmc::core {
 namespace {
@@ -146,6 +149,80 @@ TEST(GreedyCluster, DeterministicAcrossCalls) {
   const auto b = greedy_cluster(sketches, {.theta = 0.6});
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_EQ(a.comparisons, b.comparisons);
+}
+
+// ---------------------------------------------------------- pooled passes
+
+/// About 2 K sketches in shuffled order: four families of 150 near copies
+/// and 1 400 unrelated sketches, so most passes open a singleton cluster
+/// and a few absorb a large one.
+kernels::SketchMatrix many_cluster_sketches() {
+  common::Xoshiro256 rng(21);
+  std::vector<Sketch> sketches;
+  for (std::size_t f = 0; f < 4; ++f) {
+    Sketch base(24);
+    for (auto& v : base) v = rng();
+    for (std::size_t m = 0; m < 150; ++m) {
+      Sketch member = base;
+      for (auto& v : member) {
+        if (rng.chance(0.1)) v = rng();
+      }
+      sketches.push_back(std::move(member));
+    }
+  }
+  for (std::size_t i = 0; i < 1400; ++i) {
+    Sketch single(24);
+    for (auto& v : single) v = rng.bounded(1'000'000);
+    sketches.push_back(std::move(single));
+  }
+  for (std::size_t i = sketches.size() - 1; i > 0; --i) {
+    std::swap(sketches[i], sketches[rng.bounded(i + 1)]);
+  }
+  return table(sketches);
+}
+
+/// Runs the sweep with no pool, checks pools of 1, 2 and 4 threads give the
+/// same result, and returns it.
+GreedyResult expect_pools_match_serial(const kernels::SketchMatrix& sketches,
+                                       const GreedyParams& params) {
+  GreedyResult serial = greedy_cluster(sketches, params);
+  for (const std::size_t threads : {1, 2, 4}) {
+    common::ThreadPool pool(threads);
+    const GreedyResult pooled = greedy_cluster(sketches, params, &pool);
+    EXPECT_EQ(pooled.labels, serial.labels) << "threads=" << threads;
+    EXPECT_EQ(pooled.representatives, serial.representatives)
+        << "threads=" << threads;
+    EXPECT_EQ(pooled.comparisons, serial.comparisons) << "threads=" << threads;
+    EXPECT_EQ(pooled.num_clusters, serial.num_clusters) << "threads=" << threads;
+  }
+  return serial;
+}
+
+TEST(GreedyCluster, PooledPassesMatchSerialOnManyClusters) {
+  const auto sketches = many_cluster_sketches();
+  for (const SketchEstimator estimator :
+       {SketchEstimator::kSetBased, SketchEstimator::kComponentMatch}) {
+    const GreedyResult serial =
+        expect_pools_match_serial(sketches, {.theta = 0.5, .estimator = estimator});
+    // 1 400 singleton passes; the families add only a few clusters.
+    EXPECT_GT(serial.num_clusters, 1400u);
+    EXPECT_LT(serial.num_clusters, 1450u);
+  }
+}
+
+TEST(GreedyCluster, PooledPassesMatchSerialAtThetaBounds) {
+  const auto sketches = many_cluster_sketches();
+  for (const SketchEstimator estimator :
+       {SketchEstimator::kSetBased, SketchEstimator::kComponentMatch}) {
+    // θ = 0: the first pass absorbs everyone.
+    const GreedyResult loose =
+        expect_pools_match_serial(sketches, {.theta = 0.0, .estimator = estimator});
+    EXPECT_EQ(loose.num_clusters, 1u);
+    EXPECT_EQ(loose.comparisons, sketches.rows() - 1);
+    // θ = 1: only equal sketches share a cluster, so nearly every pass
+    // opens a singleton.
+    expect_pools_match_serial(sketches, {.theta = 1.0, .estimator = estimator});
+  }
 }
 
 }  // namespace

@@ -133,16 +133,26 @@ TEST(MinSketchEquivalence, SketcherEquivalentAcrossKmerAndCanonical) {
         const std::size_t length = rep == 0 ? static_cast<std::size_t>(k) / 2
                                             : 20 + rng.bounded(180);
         const std::string seq = random_seq(rng, length, rep % 3 == 0 ? 0.1 : 0.0);
-        Sketch scalar, simd;
+        // sketch() ranks k <= 6 reads without the kernels, so the feature
+        // set goes through sketch_features too.
+        const std::vector<std::uint64_t> features =
+            bio::kmer_set(seq, {.k = k, .canonical = canonical});
+        Sketch scalar, simd, scalar_features, simd_features;
         {
           kernels::ScopedBackendOverride force(Backend::kScalar);
           scalar = hasher.sketch(seq);
+          scalar_features = hasher.sketch_features(features);
         }
         {
           kernels::ScopedBackendOverride force(Backend::kAvx2);
           simd = hasher.sketch(seq);
+          simd_features = hasher.sketch_features(features);
         }
         ASSERT_EQ(scalar, simd) << "k=" << k << " canonical=" << canonical;
+        ASSERT_EQ(scalar_features, simd_features)
+            << "k=" << k << " canonical=" << canonical;
+        ASSERT_EQ(scalar, scalar_features)
+            << "k=" << k << " canonical=" << canonical;
       }
     }
   }
@@ -276,6 +286,90 @@ TEST(KmerStream, SketchesEqualSketchesOfTheKmerSet) {
                 << " modulus=" << modulus
                 << " backend=" << kernels::backend_name(backend);
           }
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------ ranked lookup
+//
+// For k <= 6 MinHasher::sketch and sketch_matrix read each slot off a
+// per-hash ranking of the k-mer universe instead of hashing the read; reads
+// with few distinct k-mers (d² < F) still go to the kernels.  Both must give
+// the bytes the kernels give for the read's k-mer set.  k = 7 is past the
+// ranked bound and checks the kernel path is unchanged.
+
+/// Features the ranked path ranks: 4^k, or the canonical codes alone.
+std::size_t ranked_universe(int k, bool canonical) {
+  std::size_t features = 0;
+  for (std::uint64_t x = 0; x < bio::kmer_space_size(k); ++x) {
+    features += !canonical || x <= bio::revcomp_kmer(x, k);
+  }
+  return features;
+}
+
+TEST(RankedSketch, EqualsKernelSketchOfTheKmerSet) {
+  common::Xoshiro256 rng(1304);
+  common::ThreadPool one(1);
+  common::ThreadPool four(4);
+  for (int k = 1; k <= 7; ++k) {
+    const auto width = static_cast<std::size_t>(k);
+    std::string dinucleotide;
+    for (int i = 0; i < 150; ++i) dinucleotide += "GT";
+    std::vector<std::string> reads = {
+        "",
+        std::string(width - 1, 'A'),
+        std::string(40, 'N'),
+        // N-split: windows restart after every N.
+        random_seq(rng, width) + "N" + random_seq(rng, width + 1) + "NN" +
+            random_seq(rng, 3 * width),
+        std::string(500, 'C'),
+        dinucleotide,
+        random_seq(rng, 10'000),
+    };
+    for (int i = 0; i < 12; ++i) {
+      reads.push_back(random_seq(rng, 30 + rng.bounded(700), i % 3 == 0 ? 0.02 : 0.0));
+    }
+    const std::vector<std::string_view> views(reads.begin(), reads.end());
+    for (const bool canonical : {false, true}) {
+      const bio::KmerParams kmer{.k = k, .canonical = canonical};
+      const std::size_t universe = ranked_universe(k, canonical);
+      if (k >= 2 && k <= 6) {
+        // The homopolymer and the repeat take the hashing fallback, the
+        // 10 kb read marks the whole universe up to k = 5.
+        for (const std::size_t edge : {4, 5}) {
+          const std::size_t d = bio::kmer_set(reads[edge], kmer).size();
+          EXPECT_LT(d * d, universe) << "k=" << k << " read " << edge;
+        }
+        if (k <= 5) {
+          EXPECT_EQ(bio::kmer_set(reads[6], kmer).size(), universe);
+        }
+      }
+      for (const SketchScheme scheme :
+           {SketchScheme::kUniversal, SketchScheme::kCMinHash}) {
+        for (const std::uint64_t modulus :
+             {std::uint64_t{0}, bio::kmer_space_size(k)}) {
+          const MinHasher hasher({.kmer = k,
+                                  .num_hashes = 29,
+                                  .canonical = canonical,
+                                  .seed = 40 + static_cast<std::uint64_t>(k),
+                                  .modulus = modulus,
+                                  .scheme = scheme});
+          std::vector<Sketch> reference;
+          for (const std::string& read : reads) {
+            reference.push_back(hasher.sketch_features(bio::kmer_set(read, kmer)));
+          }
+          const auto expected = kernels::SketchMatrix::from_sketches(reference);
+          for (std::size_t i = 0; i < reads.size(); ++i) {
+            ASSERT_EQ(hasher.sketch(reads[i]), reference[i])
+                << "k=" << k << " canonical=" << canonical
+                << " scheme=" << sketch_scheme_name(scheme)
+                << " modulus=" << modulus << " read " << i;
+          }
+          EXPECT_EQ(hasher.sketch_matrix(views), expected) << "k=" << k;
+          EXPECT_EQ(hasher.sketch_matrix(views, &one), expected) << "k=" << k;
+          EXPECT_EQ(hasher.sketch_matrix(views, &four), expected) << "k=" << k;
         }
       }
     }
@@ -673,7 +767,9 @@ TEST(ClusteringEquivalence, PipelineLabelsIdenticalAcrossBackendsAndThreads) {
       PipelineParams params;
       params.mode = mode;
       params.theta = 0.5;
-      params.minhash = {.kmer = 5, .num_hashes = 20, .seed = 9};
+      // k = 7: past the ranked-lookup bound, so each backend's sketch
+      // stage runs its own kernels.
+      params.minhash = {.kmer = 7, .num_hashes = 20, .seed = 9};
       std::vector<int> reference;
       for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
         for (const std::size_t threads : {1UL, 4UL}) {
