@@ -66,4 +66,15 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// fn(i) for every i in [0, count): through pool->parallel_for when there is
+/// a pool and more than one index, else in order on the calling thread.
+inline void parallel_for(ThreadPool* pool, std::size_t count,
+                         const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && count > 1) {
+    pool->parallel_for(count, fn);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+  }
+}
+
 }  // namespace mrmc::common

@@ -1,6 +1,8 @@
 #include "core/candidate_jobs.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -8,7 +10,6 @@
 #include "core/kernels.hpp"
 #include "mr/block.hpp"
 #include "mr/runtime.hpp"
-#include "obs/metrics.hpp"
 #include "obs/pipeline.hpp"
 
 namespace mrmc::core {
@@ -120,42 +121,86 @@ CandidateJobResult run_candidate_job(
   const candidates::BandShape shape =
       candidates::resolve_band_shape(params, sketch_size, theta);
   result.shape = shape;
-  const std::uint64_t seed = params.seed;
   MRMC_REQUIRE(n * shape.bands <= std::numeric_limits<std::uint32_t>::max(),
                "read ids and bucket entries must fit 32 bits");
 
-  using BandJob = mr::Job<std::uint32_t, std::uint64_t, std::uint32_t,
-                          std::vector<std::uint32_t>>;
-  auto& bucket_hist =
-      obs::Registry::global().histogram("pipeline.candidate_bucket_size");
-  BandJob job(
-      detail::job_config("candidates", exec, exec.records_per_split),
-      [sketches, shape, seed](const std::uint32_t& id,
-                              mr::Emitter<std::uint64_t, std::uint32_t>& emit) {
-        const std::span<const std::uint64_t> sketch = sketches->row(id);
-        for (std::size_t band = 0; band < shape.bands; ++band) {
-          emit.emit(candidates::band_bucket_key(sketch, band, shape, seed), id);
+  // Reducer r owns parts [first_part(r), first_part(r + 1)); with more
+  // reducers than parts some own none.  A map task ships each reducer its
+  // split's entries in those parts as one block of byte lanes: lane b holds
+  // byte b % 8 of the key (b < 8) or of the read id (b >= 8), and the id
+  // gets as few lanes as the read count needs.  The map input is the row
+  // ids in order, so a split is the row range starting at split.front().
+  const mr::JobConfig config =
+      detail::job_config("candidates", exec, exec.records_per_split);
+  const std::size_t reducers = config.num_reducers;
+  auto first_part = [reducers](std::size_t r) {
+    return candidates::kParts * r / reducers;
+  };
+  const auto lanes = static_cast<std::uint32_t>(
+      8 + std::max<std::size_t>(1, (std::bit_width(n - 1) + 7) / 8));
+
+  using CandidateJob = mr::Job<std::uint32_t, std::uint32_t, mr::BinaryBlock,
+                               candidates::BucketCsr>;
+  CandidateJob job(
+      config,
+      [sketches, shape, seed = params.seed, reducers, first_part, lanes](
+          std::span<const std::uint32_t> split, std::size_t,
+          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
+        std::vector<std::size_t> part_start;
+        const std::vector<candidates::BucketEntry> entries =
+            candidates::part_entries(*sketches, shape, seed, split.front(),
+                                     split.front() + split.size(), part_start);
+        for (std::size_t r = 0; r < reducers; ++r) {
+          const std::size_t lo = part_start[first_part(r)];
+          const std::size_t hi = part_start[first_part(r + 1)];
+          if (lo == hi) continue;
+          mr::BinaryBlock block(8, hi - lo, lanes);
+          for (std::size_t e = lo; e < hi; ++e) {
+            const std::uint64_t word[2] = {entries[e].first, entries[e].second};
+            for (std::uint32_t b = 0; b < lanes; ++b) {
+              block.set(b, e - lo, word[b / 8] >> (8 * (b % 8)));
+            }
+          }
+          emit.emit(static_cast<std::uint32_t>(r), std::move(block));
         }
-        emit.count("candidates.band_entries",
-                   static_cast<long>(shape.bands));
+        emit.count("candidates.band_entries", std::ssize(entries));
       },
-      [&bucket_hist](const std::uint64_t&, std::vector<std::uint32_t>& ids,
-                     std::vector<std::vector<std::uint32_t>>& out,
-                     mr::ReduceContext& context) {
-        bucket_hist.observe(static_cast<double>(ids.size()));
-        if (ids.size() < 2) return;
-        std::sort(ids.begin(), ids.end());
-        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-        context.count("candidates.bucket_pairs",
-                      static_cast<long>(ids.size() * (ids.size() - 1) / 2));
-        if (ids.size() >= 2) out.push_back(std::move(ids));
+      [lanes](const std::uint32_t&, std::vector<mr::BinaryBlock>& blocks,
+              std::vector<candidates::BucketCsr>& out,
+              mr::ReduceContext& context) {
+        // The blocks hold whole parts, so one sort of all their entries
+        // gives the order the local enumerator's per-part sorts give.
+        std::vector<candidates::BucketEntry> entries;
+        for (const mr::BinaryBlock& block : blocks) {
+          for (std::uint64_t e = 0; e < block.rows(); ++e) {
+            std::uint64_t word[2] = {0, 0};
+            for (std::uint32_t b = 0; b < lanes; ++b) {
+              word[b / 8] |= block.get(b, e) << (8 * (b % 8));
+            }
+            entries.emplace_back(word[0], static_cast<std::uint32_t>(word[1]));
+          }
+        }
+        candidates::BucketCsr slice = candidates::sort_and_compact(
+            entries, std::array<std::size_t, 2>{0, entries.size()});
+        long pairs = 0;
+        for (std::size_t g = 0; g + 1 < slice.offsets.size(); ++g) {
+          const long ids = slice.offsets[g + 1] - slice.offsets[g];
+          pairs += ids * (ids - 1) / 2;
+        }
+        context.count("candidates.bucket_pairs", pairs);
+        out.push_back(std::move(slice));
       });
+  job.with_partitioner([](const std::uint32_t& r) { return r; });
   job.with_map_work([sketch_size](const std::uint32_t&) {
     return cost::compare_work(sketch_size);  // one mix per component
   });
-  job.with_reduce_work([](const std::uint64_t&, std::size_t count) {
-    const auto m = static_cast<double>(count);
-    return m * 20e-9 + m * (m - 1.0) * 1e-9;  // sort + pair emission
+  // The model sees only the block count: it charges the reducer's expected
+  // share of the n · bands entries (keys hash uniformly over the parts) at
+  // 20 ns each for the sort and compaction.
+  job.with_reduce_work([=](const std::uint32_t& r, std::size_t) {
+    return static_cast<double>(n * shape.bands) * 20e-9 *
+           static_cast<double>(first_part(r + 1) - first_part(r)) /
+           static_cast<double>(candidates::kParts);
   });
 
   std::vector<std::uint32_t> input(n);
@@ -163,13 +208,15 @@ CandidateJobResult run_candidate_job(
   auto run = job.run(input);
   result.stats = std::move(run.stats);
 
-  // The driver expands the buckets row by row: the same pair may surface
-  // from several bands (and reducers), and pairs_from_buckets dedups it per
-  // row, so the candidate set does not depend on bucket order.
+  // The slices join in reducer order, which is part order: exactly the
+  // local enumerator's CSR.
   candidates::BucketCsr buckets;
-  for (const std::vector<std::uint32_t>& bucket : run.output) {
-    buckets.ids.insert(buckets.ids.end(), bucket.begin(), bucket.end());
-    buckets.offsets.push_back(static_cast<std::uint32_t>(buckets.ids.size()));
+  for (const candidates::BucketCsr& slice : run.output) {
+    const auto base = static_cast<std::uint32_t>(buckets.ids.size());
+    buckets.ids.insert(buckets.ids.end(), slice.ids.begin(), slice.ids.end());
+    for (std::size_t g = 1; g < slice.offsets.size(); ++g) {
+      buckets.offsets.push_back(base + slice.offsets[g]);
+    }
   }
   run.output = {};
   mr::runtime::PoolLease lease(exec.threads, false);
@@ -196,7 +243,7 @@ VerifyJobResult run_verify_job(
       exec.records_per_split,
       pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
   const auto blocks = detail::run_block_job(
-      "verify", exec, per_split, pairs,
+      "verify", exec, per_split, std::span(pairs),
       [lanes](std::span<const candidates::Pair> split,
               mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         mr::BinaryBlock block = lanes.block(split.size());

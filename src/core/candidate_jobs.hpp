@@ -4,11 +4,14 @@
 // Candidate generation (ScalLoPS-style LSH banding at MapReduce scale,
 // Sunarso et al.):
 //
-//   "candidates"  map: (read_id, sketch) -> per-band (bucket_key, read_id)
-//                 GROUP on bucket_key
-//                 reduce: emit the bucket's sorted unique id list (buckets
-//                 with fewer than two distinct ids emit nothing); the
-//                 driver joins the lists into CSR and expands them row by
+//   "candidates"  map: read split -> its (bucket_key, read_id) entries,
+//                 grouped by key part (candidates::part_entries), as one
+//                 byte-lane block per reducer; reducer r owns a contiguous
+//                 group of the 256 parts (identity partitioner)
+//                 reduce: decode the blocks and sort-and-compact them into
+//                 a CSR slice (candidates::sort_and_compact, the local
+//                 enumerator's body); the driver joins the slices in
+//                 reducer order — the local CSR — and expands them row by
 //                 row with candidates::pairs_from_buckets on its pool
 //   "verify"      a block job (below) over the sorted candidate pair list:
 //                 one count-lane block per split; the driver rebuilds edges
@@ -157,7 +160,7 @@ template <typename In, typename Fill, typename MapWork>
 std::vector<PlacedBlock> run_block_job(const char* name,
                                        const ExecutionOptions& exec,
                                        std::size_t records_per_split,
-                                       const std::vector<In>& input, Fill fill,
+                                       std::span<const In> input, Fill fill,
                                        MapWork map_work, mr::JobStats& stats) {
   using Key = std::uint32_t;
   using BlockJob =

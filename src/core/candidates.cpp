@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <functional>
 #include <limits>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -115,16 +115,6 @@ namespace {
 /// Read ids and bucket positions are 32-bit.
 constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
 
-/// fn(block) for every block in [0, blocks), on the pool when there is one.
-void for_each_block(std::size_t blocks, common::ThreadPool* pool,
-                    const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && blocks > 1) {
-    pool->parallel_for(blocks, fn);
-  } else {
-    for (std::size_t block = 0; block < blocks; ++block) fn(block);
-  }
-}
-
 std::vector<Pair> all_pairs(std::size_t n) {
   std::vector<Pair> pairs;
   if (n < 2) return pairs;
@@ -135,31 +125,20 @@ std::vector<Pair> all_pairs(std::size_t n) {
   return pairs;
 }
 
-/// Bucket entries are partitioned on the top kPartBits of their key: equal
-/// keys share a part, so sorting every part on its own gives the global
-/// (key, id) order.
-constexpr unsigned kPartBits = 8;
-constexpr std::size_t kParts = std::size_t{1} << kPartBits;
+}  // namespace
 
-/// One (read, band) bucket entry: (band_bucket_key, read id).
-using Entry = std::pair<std::uint64_t, std::uint32_t>;
-
-/// Sort-based batch bucketing: one (key, id) entry per (read, band), sorted
-/// so each bucket is a contiguous run, then compacted into CSR.  The keys
-/// are hashed twice — once to size each part, once to fill it — so the
-/// 16-byte entry array is the only per-entry buffer.  Every buffer is
-/// allocated on the calling thread: memory a pool worker frees stays in
-/// that worker's allocator arena, out of reach of the caller's later
-/// allocations.
-BucketCsr lsh_buckets(const kernels::SketchMatrix& sketches,
-                      const BandShape& shape, std::uint64_t seed,
-                      common::ThreadPool* pool) {
-  const std::size_t n = sketches.rows();
+std::vector<BucketEntry> part_entries(const kernels::SketchMatrix& sketches,
+                                      const BandShape& shape,
+                                      std::uint64_t seed, std::size_t begin,
+                                      std::size_t end,
+                                      std::vector<std::size_t>& part_start,
+                                      common::ThreadPool* pool) {
+  const std::size_t rows = end - begin;
   const std::size_t row_blocks =
-      pool == nullptr ? 1 : std::min(n, pool->size() * 4);
+      pool == nullptr ? 1 : std::min(rows, pool->size() * 4);
   auto for_each_key = [&](std::size_t row_block, auto&& fn) {
-    for (std::size_t i = n * row_block / row_blocks;
-         i < n * (row_block + 1) / row_blocks; ++i) {
+    for (std::size_t i = begin + rows * row_block / row_blocks;
+         i < begin + rows * (row_block + 1) / row_blocks; ++i) {
       const auto sketch = sketches.row(i);
       for (std::size_t band = 0; band < shape.bands; ++band) {
         const std::uint64_t key = band_bucket_key(sketch, band, shape, seed);
@@ -173,12 +152,12 @@ BucketCsr lsh_buckets(const kernels::SketchMatrix& sketches,
   // in order and row blocks in order within a part, so the fill is
   // deterministic.
   std::vector<std::size_t> cursor(row_blocks * kParts, 0);
-  for_each_block(row_blocks, pool, [&](std::size_t r) {
+  common::parallel_for(pool, row_blocks, [&](std::size_t r) {
     for_each_key(r, [&](std::size_t part, std::uint64_t, std::uint32_t) {
       ++cursor[r * kParts + part];
     });
   });
-  std::vector<std::size_t> part_start(kParts + 1, 0);
+  part_start.assign(kParts + 1, 0);
   for (std::size_t p = 0; p < kParts; ++p) {
     part_start[p + 1] = part_start[p];
     for (std::size_t r = 0; r < row_blocks; ++r) {
@@ -187,22 +166,26 @@ BucketCsr lsh_buckets(const kernels::SketchMatrix& sketches,
       part_start[p + 1] += count;
     }
   }
-  std::vector<Entry> entries(part_start[kParts]);
-  for_each_block(row_blocks, pool, [&](std::size_t r) {
+  std::vector<BucketEntry> entries(part_start[kParts]);
+  common::parallel_for(pool, row_blocks, [&](std::size_t r) {
     for_each_key(r, [&](std::size_t part, std::uint64_t key, std::uint32_t id) {
       entries[cursor[r * kParts + part]++] = {key, id};
     });
   });
+  return entries;
+}
 
-  // Sort every part, then compact its runs of equal keys into buckets in
-  // two walks: one to size each part's share of the CSR, one to fill it.
-  // ids ascend within a run (the sort's tiebreak); an id repeated in one run
-  // (two bands of one read colliding on the same key) is kept once, and a
-  // bucket left with a single distinct id makes no pair and is dropped.
+BucketCsr sort_and_compact(std::span<BucketEntry> entries,
+                           std::span<const std::size_t> part_start,
+                           common::ThreadPool* pool) {
+  const std::size_t parts = part_start.size() - 1;
+  // Compact a part's runs of equal keys in two walks: one to size its share
+  // of the slice, one to fill it.  ids ascend within a run (the sort's
+  // tiebreak).
   auto for_each_bucket = [&](std::size_t p, auto&& fn) {
-    const Entry* const last = entries.data() + part_start[p + 1];
-    for (const Entry* lo = entries.data() + part_start[p]; lo != last;) {
-      const Entry* hi = lo + 1;
+    const BucketEntry* const last = entries.data() + part_start[p + 1];
+    for (const BucketEntry* lo = entries.data() + part_start[p]; lo != last;) {
+      const BucketEntry* hi = lo + 1;
       std::size_t distinct = 1;
       for (; hi != last && hi->first == lo->first; ++hi) {
         distinct += hi->second != hi[-1].second ? 1 : 0;
@@ -213,38 +196,37 @@ BucketCsr lsh_buckets(const kernels::SketchMatrix& sketches,
   };
   // part_ids[p + 1] / part_buckets[p + 1] count part p's ids and buckets;
   // after the prefix pass, part_ids[p] / part_buckets[p] are where part p's
-  // begin in the CSR.
-  std::vector<std::size_t> part_ids(kParts + 1, 0);
-  std::vector<std::size_t> part_buckets(kParts + 1, 0);
-  for_each_block(kParts, pool, [&](std::size_t p) {
+  // begin in the slice.
+  std::vector<std::size_t> part_ids(parts + 1, 0);
+  std::vector<std::size_t> part_buckets(parts + 1, 0);
+  common::parallel_for(pool, parts, [&](std::size_t p) {
     std::sort(entries.begin() + static_cast<std::ptrdiff_t>(part_start[p]),
               entries.begin() + static_cast<std::ptrdiff_t>(part_start[p + 1]));
-    for_each_bucket(p, [&](const Entry*, const Entry*, std::size_t distinct) {
+    for_each_bucket(p, [&](const BucketEntry*, const BucketEntry*,
+                           std::size_t distinct) {
       part_ids[p + 1] += distinct;
       ++part_buckets[p + 1];
     });
   });
-  for (std::size_t p = 0; p < kParts; ++p) {
-    part_ids[p + 1] += part_ids[p];
-    part_buckets[p + 1] += part_buckets[p];
-  }
-  BucketCsr buckets;
-  buckets.ids.resize(part_ids[kParts]);
-  buckets.offsets.resize(part_buckets[kParts] + 1, 0);
-  for_each_block(kParts, pool, [&](std::size_t p) {
+  std::partial_sum(part_ids.begin(), part_ids.end(), part_ids.begin());
+  std::partial_sum(part_buckets.begin(), part_buckets.end(),
+                   part_buckets.begin());
+  BucketCsr slice;
+  slice.ids.resize(part_ids[parts]);
+  slice.offsets.resize(part_buckets[parts] + 1, 0);
+  common::parallel_for(pool, parts, [&](std::size_t p) {
     std::size_t id = part_ids[p];
     std::size_t bucket = part_buckets[p];
-    for_each_bucket(p, [&](const Entry* lo, const Entry* hi, std::size_t) {
-      for (const Entry* e = lo; e != hi; ++e) {
-        if (e == lo || e->second != e[-1].second) buckets.ids[id++] = e->second;
+    for_each_bucket(p, [&](const BucketEntry* lo, const BucketEntry* hi,
+                           std::size_t) {
+      for (const BucketEntry* e = lo; e != hi; ++e) {
+        if (e == lo || e->second != e[-1].second) slice.ids[id++] = e->second;
       }
-      buckets.offsets[++bucket] = static_cast<std::uint32_t>(id);
+      slice.offsets[++bucket] = static_cast<std::uint32_t>(id);
     });
   });
-  return buckets;
+  return slice;
 }
-
-}  // namespace
 
 std::vector<Pair> pairs_from_buckets(const BucketCsr& buckets,
                                      std::size_t rows,
@@ -277,10 +259,8 @@ std::vector<Pair> pairs_from_buckets(const BucketCsr& buckets,
       work[ids[p] + 1] += hi - p - 1;
     }
   }
-  for (std::size_t a = 0; a < rows; ++a) {
-    row_start[a + 1] += row_start[a];
-    work[a + 1] += work[a];
-  }
+  std::partial_sum(row_start.begin(), row_start.end(), row_start.begin());
+  std::partial_sum(work.begin(), work.end(), work.begin());
   std::vector<Mates> slots(row_start[rows]);
   {
     std::vector<std::uint32_t> cursor(row_start.begin(), row_start.end() - 1);
@@ -313,7 +293,7 @@ std::vector<Pair> pairs_from_buckets(const BucketCsr& buckets,
   std::vector<Pair> pairs;
   auto expand = [&](bool write) {
     std::atomic<std::size_t> next_block{0};
-    for_each_block(workers, pool, [&](std::size_t w) {
+    common::parallel_for(pool, workers, [&](std::size_t w) {
       std::vector<std::uint32_t>& last = seen[w];
       std::fill(last.begin(), last.end(), 0);
       for (std::size_t k; (k = next_block.fetch_add(1)) < blocks;) {
@@ -359,8 +339,12 @@ std::vector<Pair> enumerate_pairs(const kernels::SketchMatrix& sketches,
   if (params.backend == Backend::kExactAllPairs) return all_pairs(n);
   const BandShape shape = resolve_band_shape(params, sketches.cols(), theta);
   MRMC_REQUIRE(n * shape.bands <= kMaxIndex, "bucket entries must fit 32 bits");
-  return pairs_from_buckets(lsh_buckets(sketches, shape, params.seed, pool), n,
-                            pool);
+  std::vector<std::size_t> part_start;
+  std::vector<BucketEntry> entries =
+      part_entries(sketches, shape, params.seed, 0, n, part_start, pool);
+  const BucketCsr buckets = sort_and_compact(entries, part_start, pool);
+  entries = std::vector<BucketEntry>();  // freed before any pair is written
+  return pairs_from_buckets(buckets, n, pool);
 }
 
 SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
@@ -377,11 +361,7 @@ SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
     MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");
     graph.edges[p] = Edge{a, b, similarity(a, b)};
   };
-  if (pool != nullptr) {
-    pool->parallel_for(pairs.size(), score);
-  } else {
-    for (std::size_t p = 0; p < pairs.size(); ++p) score(p);
-  }
+  common::parallel_for(pool, pairs.size(), score);
   return graph;
 }
 

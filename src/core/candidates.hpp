@@ -91,9 +91,9 @@ struct Params {
                                            double theta);
 
 /// The banding hash: bucket key of `sketch`'s band `band` under `shape`.
-/// Every consumer — the incremental index, the batch enumerator, and the
-/// candidate MapReduce job — must call this exact function so their bucket
-/// structure (and therefore their candidate sets) agree.
+/// The incremental index calls it directly and the batch enumerator and the
+/// candidate MapReduce job through part_entries, so their bucket structure
+/// (and therefore their candidate sets) agree.
 [[nodiscard]] std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
                                             std::size_t band,
                                             const BandShape& shape,
@@ -146,7 +146,45 @@ class LshBucketIndex {
 struct BucketCsr {
   std::vector<std::uint32_t> offsets{0};
   std::vector<std::uint32_t> ids;
+
+  /// Wire size for the MapReduce byte accounting: both arrays as u32s.
+  [[nodiscard]] double approx_serialized_bytes() const noexcept {
+    return 4.0 * static_cast<double>(offsets.size() + ids.size());
+  }
 };
+
+/// Bucket entries are partitioned on the top kPartBits of their key: equal
+/// keys share a part, so sorting every part on its own gives the global
+/// (key, id) order, and a contiguous run of parts compacts into a CSR slice
+/// that joins its neighbours' without a merge.
+inline constexpr unsigned kPartBits = 8;
+inline constexpr std::size_t kParts = std::size_t{1} << kPartBits;
+
+/// One (read, band) bucket entry: (band_bucket_key, read id).
+using BucketEntry = std::pair<std::uint64_t, std::uint32_t>;
+
+/// The bucket entries of rows [begin, end) — one per (row, band) — laid out
+/// part by part, each part in row then band order, with part p at
+/// [part_start[p], part_start[p + 1]).  The rows are cut into blocks hashed
+/// on `pool` when there is one, twice (once to size each part, once to fill
+/// it), so the returned array, allocated on the calling thread, is the only
+/// per-entry buffer.
+[[nodiscard]] std::vector<BucketEntry> part_entries(
+    const kernels::SketchMatrix& sketches, const BandShape& shape,
+    std::uint64_t seed, std::size_t begin, std::size_t end,
+    std::vector<std::size_t>& part_start, common::ThreadPool* pool = nullptr);
+
+/// Sorts each part of a run of whole parts — part i is entries
+/// [part_start[i], part_start[i + 1]), with part_start spanning all of
+/// `entries` — and compacts the run into a CSR slice: one bucket per key,
+/// ids ascending, a repeated id (two bands of one read on one key) kept
+/// once, buckets with fewer than two distinct ids dropped.  Parts are
+/// sorted and compacted on `pool` when there is one; the slice is allocated
+/// on the calling thread.  A run of parts may also be passed as one part
+/// ({0, entries.size()}): sorted whole, it has the same order.
+[[nodiscard]] BucketCsr sort_and_compact(
+    std::span<BucketEntry> entries, std::span<const std::size_t> part_start,
+    common::ThreadPool* pool = nullptr);
 
 /// Every pair of bucket-mates among `rows` reads, sorted by (a, b), unique,
 /// a < b: the one bucket-to-pairs routine the local enumerator and the

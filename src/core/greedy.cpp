@@ -37,11 +37,7 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
     const auto score = [&](std::size_t idx) {
       absorbed[idx] = similarity(rep, pending[idx + 1]) >= params.theta;
     };
-    if (pool != nullptr) {
-      pool->parallel_for(others, score);
-    } else {
-      for (std::size_t idx = 0; idx < others; ++idx) score(idx);
-    }
+    common::parallel_for(pool, others, score);
     result.comparisons += others;
 
     std::size_t kept = 0;

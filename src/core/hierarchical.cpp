@@ -69,11 +69,7 @@ SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketche
       matrix.set(i, j, static_cast<float>(store.jaccard(i, j)));
     }
   };
-  if (pool != nullptr && n > 64) {
-    pool->parallel_for(n, fill_row);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fill_row(i);
-  }
+  common::parallel_for(n > 64 ? pool : nullptr, n, fill_row);
   return matrix;
 }
 
@@ -126,11 +122,7 @@ class ChainDistances {
       for (std::size_t j = 0; j < stride_; ++j) row[j] = 1.0 - row[j];
       row[i] = kInf;
     };
-    if (pool != nullptr && stride_ > 64) {
-      pool->parallel_for(stride_, to_distances);
-    } else {
-      for (std::size_t i = 0; i < stride_; ++i) to_distances(i);
-    }
+    common::parallel_for(stride_ > 64 ? pool : nullptr, stride_, to_distances);
   }
 
   [[nodiscard]] std::size_t stride() const noexcept { return stride_; }

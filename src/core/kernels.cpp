@@ -650,11 +650,7 @@ void component_match_matrix(const SketchMatrix& sketches, double* out,
   };
 
   const std::size_t blocks = (n + kBlock - 1) / kBlock;
-  if (pool != nullptr && n > 64) {
-    pool->parallel_for(blocks, fill_block);
-  } else {
-    for (std::size_t block = 0; block < blocks; ++block) fill_block(block);
-  }
+  common::parallel_for(n > 64 ? pool : nullptr, blocks, fill_block);
 }
 
 }  // namespace mrmc::core::kernels

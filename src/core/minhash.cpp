@@ -225,11 +225,7 @@ kernels::SketchMatrix MinHasher::sketch_matrix(
   auto sketch_row = [&](std::size_t i) {
     sketch_read_into(seqs[i], matrix.row(i));
   };
-  if (pool != nullptr && seqs.size() > 1) {
-    pool->parallel_for(seqs.size(), sketch_row);
-  } else {
-    for (std::size_t i = 0; i < seqs.size(); ++i) sketch_row(i);
-  }
+  common::parallel_for(pool, seqs.size(), sketch_row);
   return matrix;
 }
 
@@ -249,11 +245,7 @@ SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches,
     std::sort(first, last);
     lengths_[i] = static_cast<std::size_t>(std::unique(first, last) - first);
   };
-  if (pool != nullptr && size() > 1) {
-    pool->parallel_for(size(), fill_row);
-  } else {
-    for (std::size_t i = 0; i < size(); ++i) fill_row(i);
-  }
+  common::parallel_for(pool, size(), fill_row);
 }
 
 std::pair<std::uint64_t, std::uint64_t> SortedSketchStore::jaccard_counts(

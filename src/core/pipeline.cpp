@@ -57,11 +57,6 @@ double packed_sketch_bytes(std::size_t num_hashes, std::size_t bits) noexcept {
 
 namespace {
 
-struct IndexedRead {
-  std::uint32_t index = 0;
-  std::string seq;
-};
-
 /// The knobs the clustering stages actually run with.  At b = 64 they are
 /// the user's params verbatim.  Below 64, estimators fall back to
 /// component-match (set semantics over truncated values are unsound) and
@@ -135,20 +130,14 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
   const std::size_t bits = params.sketch_bits;
   const std::uint64_t mask = sketch_bits_mask(bits);
 
-  std::vector<IndexedRead> input;
-  input.reserve(reads.size());
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    input.push_back({static_cast<std::uint32_t>(i), reads[i].seq});
-  }
-
   auto& sketch_bytes_hist =
       obs::Registry::global().histogram("pipeline.sketch_bytes");
   auto& sketch_minima_hist =
       obs::Registry::global().histogram("pipeline.sketch_distinct_minima");
   const auto blocks = detail::run_block_job(
-      "sketch", exec, exec.records_per_split, input,
+      "sketch", exec, exec.records_per_split, reads,
       [hasher, num_hashes, bits, mask, &sketch_bytes_hist,
-       &sketch_minima_hist](std::span<const IndexedRead> split,
+       &sketch_minima_hist](std::span<const bio::FastaRecord> split,
                             mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         mr::BinaryBlock block(static_cast<std::uint32_t>(bits), num_hashes,
                               static_cast<std::uint32_t>(split.size()));
@@ -169,7 +158,7 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
         }
         return block;
       },
-      [num_hashes](const IndexedRead& read) {
+      [num_hashes](const bio::FastaRecord& read) {
         return cost::sketch_work(read.seq.size(), num_hashes);
       },
       stats);
@@ -211,7 +200,7 @@ SimilarityMatrix run_similarity_job(
       obs::Registry::global().histogram("pipeline.similarity_fanout");
   const auto theta = static_cast<float>(knobs.theta);
   const auto blocks = detail::run_block_job(
-      "similarity", exec, per_split, rows,
+      "similarity", exec, per_split, std::span<const std::uint32_t>(rows),
       [lanes, n, theta, &fanout_hist](
           std::span<const std::uint32_t> split,
           mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
@@ -557,9 +546,9 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
           encode_sketches, decode_sketches));
   result.sim_total_s += result.sketch_stats.timeline.total_s;
 #if defined(__GLIBC__)
-  // The sketch job's blocks and input copies are freed but stay resident in
-  // the allocator, and the table is one large mapping that cannot reuse
-  // them; hand those pages back before the table's consumers allocate.
+  // The sketch job's blocks are freed but stay resident in the allocator,
+  // and the table is one large mapping that cannot reuse them; hand those
+  // pages back before the table's consumers allocate.
   if (stages.distributed()) ::malloc_trim(0);
 #endif
 

@@ -10,8 +10,9 @@
 //   "similarity"   map: row split -> one block of pair counts [hierarchical
 //                   only; the paper's row-wise partition of the matrix]
 //   -- LSH-banded backend --
-//   "candidates"   map: (read, sketch) -> per-band (bucket_key, read);
-//                   GROUP on bucket; reduce emits bucket id lists
+//   "candidates"   map: read split -> one block of bucket entries per
+//                   reducer, each owning a group of key parts; reduce
+//                   sorts and compacts its parts into a CSR slice
 //   "verify"       map: pair split -> one block of pair counts
 //                   -> sparse similarity graph
 //   -- either backend --

@@ -56,11 +56,7 @@ CandidateRecallReport candidate_recall(
       }
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(n, score_row);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) score_row(i);
-  }
+  common::parallel_for(pool, n, score_row);
   for (std::size_t i = 0; i < n; ++i) {
     report.true_pairs += row_true[i];
     report.recovered_pairs += row_recovered[i];

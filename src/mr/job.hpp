@@ -179,36 +179,25 @@ class Job {
   using MapWorkModel = std::function<double(const In&)>;
   using ReduceWorkModel = std::function<double(const K&, std::size_t)>;
 
+  // Every mapper runs as a SplitMapper and every reducer as a
+  // ContextReducer; the per-record and counter-less forms are wrapped.
   Job(JobConfig config, Mapper mapper, Reducer reducer)
-      : config_(std::move(config)),
-        mapper_(std::move(mapper)),
-        reducer_(std::move(reducer)) {
-    validate();
-    MRMC_CHECK(reducer_ != nullptr, "reducer required");
-  }
+      : Job(std::move(config), per_split(std::move(mapper)),
+            with_context(std::move(reducer))) {}
 
   Job(JobConfig config, Mapper mapper, ContextReducer reducer)
-      : config_(std::move(config)),
-        mapper_(std::move(mapper)),
-        context_reducer_(std::move(reducer)) {
-    validate();
-    MRMC_CHECK(context_reducer_ != nullptr, "reducer required");
-  }
+      : Job(std::move(config), per_split(std::move(mapper)),
+            std::move(reducer)) {}
 
   Job(JobConfig config, SplitMapper mapper, Reducer reducer)
-      : config_(std::move(config)),
-        split_mapper_(std::move(mapper)),
-        reducer_(std::move(reducer)) {
-    validate();
-    MRMC_CHECK(reducer_ != nullptr, "reducer required");
-  }
+      : Job(std::move(config), std::move(mapper),
+            with_context(std::move(reducer))) {}
 
   Job(JobConfig config, SplitMapper mapper, ContextReducer reducer)
       : config_(std::move(config)),
-        split_mapper_(std::move(mapper)),
-        context_reducer_(std::move(reducer)) {
+        mapper_(std::move(mapper)),
+        reducer_(std::move(reducer)) {
     validate();
-    MRMC_CHECK(context_reducer_ != nullptr, "reducer required");
   }
 
   Job& with_combiner(Combiner combiner) {
@@ -232,14 +221,13 @@ class Job {
   /// Run with automatic input splitting (round-robin locality like a DFS
   /// writing splits across nodes).  Map tasks read views of `input`;
   /// nothing is copied.
-  JobResult<Out> run(const std::vector<In>& input) {
+  JobResult<Out> run(std::span<const In> input) {
     std::vector<std::span<const In>> splits;
     std::vector<int> locality;
     const std::size_t per_split = config_.records_per_split;
-    const std::span<const In> all(input);
     for (std::size_t begin = 0; begin < input.size(); begin += per_split) {
       splits.push_back(
-          all.subspan(begin, std::min(per_split, input.size() - begin)));
+          input.subspan(begin, std::min(per_split, input.size() - begin)));
       locality.push_back(static_cast<int>((begin / per_split) %
                                           config_.cluster.nodes));
     }
@@ -332,12 +320,9 @@ class Job {
             if (attempt < injection.failures) {
               throw runtime::TaskFailure("injected map-task failure");
             }
-            if (map_guards) {
-              const std::lock_guard<std::mutex> lock(map_guards[m]);
-              map_outputs[m] = std::move(output);
-            } else {
-              map_outputs[m] = std::move(output);
-            }
+            std::unique_lock<std::mutex> lock;
+            if (map_guards) lock = std::unique_lock(map_guards[m]);
+            map_outputs[m] = std::move(output);
           },
           {}, task_options(traced, "map", m));
     }
@@ -357,14 +342,10 @@ class Job {
                 throw runtime::LostInputFailure(
                     "map output lost to node failure", map_ids[m]);
               }
-              if (map_guards) {
-                const std::lock_guard<std::mutex> lock(map_guards[m]);
-                reducer_runs[r][m] = std::move(map_outputs[m].runs[r]);
-                fetched_bytes[r][m] = map_outputs[m].run_bytes[r];
-              } else {
-                reducer_runs[r][m] = std::move(map_outputs[m].runs[r]);
-                fetched_bytes[r][m] = map_outputs[m].run_bytes[r];
-              }
+              std::unique_lock<std::mutex> lock;
+              if (map_guards) lock = std::unique_lock(map_guards[m]);
+              reducer_runs[r][m] = std::move(map_outputs[m].runs[r]);
+              fetched_bytes[r][m] = map_outputs[m].run_bytes[r];
               auto& progress = obs::progress::Tracker::global();
               if (progress.enabled()) {
                 progress.add_bytes(fetched_bytes[r][m]);
@@ -575,8 +556,25 @@ class Job {
     if (!config_.fault_plan.empty()) {
       config_.fault_plan.validate(config_.cluster.nodes);
     }
-    MRMC_CHECK(mapper_ != nullptr || split_mapper_ != nullptr,
-               "mapper required");
+    MRMC_CHECK(mapper_ != nullptr, "mapper required");
+    MRMC_CHECK(reducer_ != nullptr, "reducer required");
+  }
+
+  static SplitMapper per_split(Mapper mapper) {
+    if (mapper == nullptr) return nullptr;
+    return [mapper = std::move(mapper)](std::span<const In> split, std::size_t,
+                                        Emitter<K, V>& emitter) {
+      for (const In& record : split) mapper(record, emitter);
+    };
+  }
+
+  static ContextReducer with_context(Reducer reducer) {
+    if (reducer == nullptr) return nullptr;
+    return [reducer = std::move(reducer)](const K& key, std::vector<V>& values,
+                                          std::vector<Out>& out,
+                                          ReduceContext&) {
+      reducer(key, values, out);
+    };
   }
 
   /// Draw order matches the pre-task-graph engine (one failure draw, then
@@ -726,11 +724,8 @@ class Job {
     Emitter<K, V> emitter;
     double input_bytes = 0.0;
     double work = 0.0;
-    if (split_mapper_) {
-      split_mapper_(split, split_index, emitter);
-    }
+    mapper_(split, split_index, emitter);
     for (const In& record : split) {
-      if (mapper_) mapper_(record, emitter);
       input_bytes += approx_bytes(record);
       // Default work model: 1 microsecond of reference-node CPU per record
       // (typical lightweight Hadoop record processing).
@@ -818,11 +813,8 @@ class Job {
         // Keys are consecutive within a sorted run: drain the whole group.
         while (position[m] < runs[m].size() &&
                !(group_key < runs[m][position[m]].first)) {
-          if (destructive) {
-            values.push_back(std::move(runs[m][position[m]].second));
-          } else {
-            values.push_back(runs[m][position[m]].second);
-          }
+          V& value = runs[m][position[m]].second;
+          values.push_back(destructive ? std::move(value) : V(value));
           ++position[m];
         }
         if (position[m] < runs[m].size()) {
@@ -833,11 +825,7 @@ class Job {
       ++task.groups;
       work += reduce_work_ ? reduce_work_(group_key, values.size())
                            : 1e-6 * static_cast<double>(values.size());
-      if (context_reducer_) {
-        context_reducer_(group_key, values, task.output, context);
-      } else {
-        reducer_(group_key, values, task.output);
-      }
+      reducer_(group_key, values, task.output, context);
     }
     task.counters = std::move(context.counters());
 
@@ -849,10 +837,8 @@ class Job {
   }
 
   JobConfig config_;
-  Mapper mapper_;
-  SplitMapper split_mapper_;
-  Reducer reducer_;
-  ContextReducer context_reducer_;
+  SplitMapper mapper_;
+  ContextReducer reducer_;
   Combiner combiner_;
   Partitioner partitioner_;
   MapWorkModel map_work_;

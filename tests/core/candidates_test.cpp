@@ -494,7 +494,10 @@ TEST(PairsFromBuckets, TwoBandsOfOneRowOnOneKeyMakeNoSelfPair) {
   common::ThreadPool pool(2);
   EXPECT_TRUE(candidates::enumerate_pairs(*lone, params, 0.9).empty());
   EXPECT_TRUE(candidates::enumerate_pairs(*lone, params, 0.9, &pool).empty());
-  EXPECT_TRUE(run_candidate_job(lone, params, 0.9, {}).pairs.empty());
+  // One read per split, so colliding copies meet only in the reducer.
+  ExecutionOptions per_read;
+  per_read.records_per_split = 1;
+  EXPECT_TRUE(run_candidate_job(lone, params, 0.9, per_read).pairs.empty());
 
   // With a copy of itself: exactly the one cross pair, never (i, i).
   const auto twice = std::make_shared<const kernels::SketchMatrix>(
@@ -503,7 +506,7 @@ TEST(PairsFromBuckets, TwoBandsOfOneRowOnOneKeyMakeNoSelfPair) {
   const std::vector<candidates::Pair> expected{{1, 2}};
   EXPECT_EQ(candidates::enumerate_pairs(*twice, params, 0.9), expected);
   EXPECT_EQ(candidates::enumerate_pairs(*twice, params, 0.9, &pool), expected);
-  EXPECT_EQ(run_candidate_job(twice, params, 0.9, {}).pairs, expected);
+  EXPECT_EQ(run_candidate_job(twice, params, 0.9, per_read).pairs, expected);
 }
 
 TEST(PairsFromBuckets, ExpandsHandBuiltBucketsRowByRow) {
@@ -650,7 +653,9 @@ TEST_F(CandidateJobTest, ByteIdenticalAcrossThreadsSplitsAndNodes) {
 
   for (const std::size_t threads : {1, 3}) {
     for (const std::size_t split : {5, 11, 64}) {
-      for (const std::size_t nodes : {1, 4}) {
+      // 3 nodes run 6 reducers, which do not divide the 256 key parts;
+      // 130 nodes run 260, so some reducers own no part.
+      for (const std::size_t nodes : {1, 3, 4, 130}) {
         ExecutionOptions exec;
         exec.threads = threads;
         exec.records_per_split = split;

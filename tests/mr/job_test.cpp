@@ -129,7 +129,7 @@ TEST(Job, EmptyInputProducesEmptyOutput) {
 
 TEST(Job, SingleRecordSingleReducer) {
   WordCountJob job(test_config(1, 10), word_mapper(), sum_reducer());
-  const auto result = job.run({"hello hello"});
+  const auto result = job.run(std::vector<std::string>{"hello hello"});
   ASSERT_EQ(result.output.size(), 1u);
   EXPECT_EQ(result.output[0], (std::pair<std::string, long>{"hello", 2}));
 }

@@ -433,7 +433,7 @@ TEST(JobRetries, UserExceptionIsNotRetried) {
                   std::vector<std::pair<long, long>>&) {
                  throw std::runtime_error("reducer bug");
                });
-  EXPECT_THROW(job.run({1, 2, 3}), std::runtime_error);
+  EXPECT_THROW(job.run(std::vector<long>{1, 2, 3}), std::runtime_error);
 }
 
 // ------------------------------------------- overlapped shuffle simulation
