@@ -16,6 +16,13 @@ struct FastaRecord {
   std::string header;  ///< full header line without the leading '>'
   std::string seq;     ///< sequence with line breaks removed
 
+  /// Modelled wire size for the MapReduce byte accounting (mr::approx_bytes
+  /// dispatches to this hook): each string charged as approx_bytes charges
+  /// one, its length plus an 8-byte length header.
+  [[nodiscard]] double approx_serialized_bytes() const noexcept {
+    return static_cast<double>(id.size() + header.size() + seq.size() + 3 * 8);
+  }
+
   friend bool operator==(const FastaRecord&, const FastaRecord&) = default;
 };
 

@@ -85,21 +85,15 @@ std::vector<int> DendrogramLabels::operator()(common::ThreadPool* pool) {
 
 PairScoreLanes::PairScoreLanes(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
-    SketchEstimator estimator, std::size_t sketch_bits)
+    SketchEstimator estimator)
     : sketches_(std::move(sketches)),
-      cols_(sketches_->cols()),
-      score_(cols_) {
-  // Set-based pairs re-compare sorted minima: sort every sketch once into a
-  // store shared (read-only) by all map tasks.
-  if (estimator == SketchEstimator::kSetBased) {
-    store_ = std::make_shared<const SortedSketchStore>(*sketches_);
-  } else if (sketch_bits < 64) {
-    packed_ = std::make_shared<const kernels::PackedSketchMatrix>(
-        kernels::PackedSketchMatrix::pack(*sketches_, sketch_bits));
-  }
-  // Match counts are ≤ K; set-based |∩| and |∪| are ≤ 2K.
-  lane_bits_ = mr::min_lane_bits(store_ ? 2 * cols_ : cols_);
-}
+      // Set-based pairs re-compare sorted minima: the scorer sorts every
+      // sketch once into a store shared (read-only) by all map tasks.
+      scorer_(std::make_shared<const SketchPairSimilarity>(*sketches_,
+                                                           estimator)),
+      // Match counts are ≤ K; set-based |∩| and |∪| are ≤ 2K.
+      lane_bits_(mr::min_lane_bits(
+          (scorer_->set_based() ? 2 : 1) * sketches_->cols())) {}
 
 }  // namespace detail
 
@@ -227,7 +221,7 @@ CandidateJobResult run_candidate_job(
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    std::size_t sketch_bits, const ExecutionOptions& exec) {
+    const ExecutionOptions& exec) {
   VerifyJobResult result;
   result.graph.num_vertices = sketches->rows();
   if (pairs.empty()) return result;
@@ -238,7 +232,7 @@ VerifyJobResult run_verify_job(
   // edges in canonical (a, b) order with no re-sort.  The sketch table plays
   // Pig's GROUP-ALL broadcast relation for every map task.
   const std::size_t num_hashes = sketches->cols();
-  const detail::PairScoreLanes lanes(sketches, estimator, sketch_bits);
+  const detail::PairScoreLanes lanes(sketches, estimator);
   const std::size_t per_split = std::max<std::size_t>(
       exec.records_per_split,
       pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));

@@ -77,13 +77,10 @@ struct VerifyJobResult {
 /// MapReduce job.  `pairs` must be sorted unique (run_candidate_job output);
 /// the map tasks read views of it, so the job makes no copy of the pairs
 /// and a retry reads the same list.
-/// `sketch_bits` is PipelineParams::sketch_bits: below 64 the map tasks score
-/// b-bit packed sketch rows with the packed count_equal kernel (the sketches
-/// must already be b-bit truncated, as the sketch job leaves them).
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    std::size_t sketch_bits, const ExecutionOptions& exec);
+    const ExecutionOptions& exec);
 
 namespace detail {
 
@@ -95,56 +92,40 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
                          std::size_t records_per_split,
                          std::size_t num_reducers = 0);
 
-/// A pair score as integer count lanes of a BinaryBlock: one match count
-/// (component-match, ≤ K) or |∩| and |∪| (set-based, ≤ 2K) per pair, in the
-/// narrowest lane that holds them.  Map tasks encode; the driver decodes the
-/// exact double the local scorers compute (kernels::MatchScore /
-/// jaccard_from_counts), so a pair costs one packed lane instead of a float.
+/// A pair score as integer count lanes of a BinaryBlock: the counts of
+/// SketchPairSimilarity — one match count (component-match, ≤ K) or |∩| and
+/// |∪| (set-based, ≤ 2K) per pair — in the narrowest lane that holds them.
+/// Map tasks encode; the driver decodes the exact double the local scorers
+/// compute (SketchPairSimilarity::score), so a pair costs one packed lane
+/// instead of a float.
 class PairScoreLanes {
  public:
-  /// Below 64 `sketch_bits`, component-match rows are packed once and scored
-  /// with the packed kernel (the sketches must already be truncated).
   PairScoreLanes(std::shared_ptr<const kernels::SketchMatrix> sketches,
-                 SketchEstimator estimator, std::size_t sketch_bits);
+                 SketchEstimator estimator);
 
   /// A zeroed block of `pairs` lanes.
   [[nodiscard]] mr::BinaryBlock block(std::uint64_t pairs) const {
-    return {lane_bits_, pairs, store_ ? 2U : 1U};
+    return {lane_bits_, pairs, scorer_->set_based() ? 2U : 1U};
   }
 
   /// Score rows a and b into `lane` of `block`; returns the decoded score.
   double encode(mr::BinaryBlock& block, std::uint64_t lane, std::size_t a,
                 std::size_t b) const {
-    if (store_) {
-      const auto [inter, uni] = store_->jaccard_counts(a, b);
-      block.set(0, lane, inter);
-      block.set(1, lane, uni);
-      return jaccard_from_counts(inter, uni);
-    }
-    std::size_t matches = 0;
-    if (packed_) {
-      matches = packed_->count_equal_rows(a, b);
-    } else if (cols_ != 0) {
-      matches = kernels::count_equal(sketches_->row(a), sketches_->row(b));
-    }
-    block.set(0, lane, matches);
-    return score_(matches);
+    const SketchPairSimilarity::Counts counts = scorer_->counts(a, b);
+    block.set(0, lane, counts.shared);
+    if (scorer_->set_based()) block.set(1, lane, counts.unions);
+    return scorer_->score(counts);
   }
 
   [[nodiscard]] double decode(const mr::BinaryBlock& block,
                               std::uint64_t lane) const {
-    if (store_) {
-      return jaccard_from_counts(block.get(0, lane), block.get(1, lane));
-    }
-    return score_(block.get(0, lane));
+    return scorer_->score(
+        {block.get(0, lane), scorer_->set_based() ? block.get(1, lane) : 0});
   }
 
  private:
-  std::shared_ptr<const kernels::SketchMatrix> sketches_;
-  std::shared_ptr<const SortedSketchStore> store_;           ///< set-based
-  std::shared_ptr<const kernels::PackedSketchMatrix> packed_;  ///< b < 64
-  std::size_t cols_ = 0;
-  kernels::MatchScore score_{0};
+  std::shared_ptr<const kernels::SketchMatrix> sketches_;  ///< scorer_'s rows
+  std::shared_ptr<const SketchPairSimilarity> scorer_;
   std::uint32_t lane_bits_ = 8;
 };
 

@@ -142,31 +142,6 @@ void cmin_sketch_scalar(std::span<const std::uint64_t> premul,
   }
 }
 
-/// Lane-LSB mask for b-bit SWAR: bit set at positions 0, b, 2b, ...
-constexpr std::uint64_t packed_lsb_mask(std::size_t bits) noexcept {
-  std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < 64; i += bits) mask |= std::uint64_t{1} << i;
-  return mask;
-}
-
-/// Differing lanes between two packed rows: XOR, OR-fold each lane onto its
-/// LSB (shifts stay inside the lane because bits divides 64), popcount the
-/// lane LSBs.  Pad lanes are zero on both sides, so they never count.
-std::size_t count_diff_packed_scalar(const std::uint64_t* a,
-                                     const std::uint64_t* b,
-                                     std::size_t words, std::size_t bits,
-                                     std::uint64_t lsb) noexcept {
-  std::size_t diff = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t x = a[w] ^ b[w];
-    for (std::size_t shift = bits >> 1; shift != 0; shift >>= 1) {
-      x |= x >> shift;
-    }
-    diff += static_cast<std::size_t>(__builtin_popcountll(x & lsb));
-  }
-  return diff;
-}
-
 std::size_t argmin_scalar(std::span<const double> row) noexcept {
   std::size_t best = row.size();
   double best_value = std::numeric_limits<double>::infinity();
@@ -320,41 +295,6 @@ __attribute__((target("avx2"))) void cmin_sketch_avx2(
   if (i < nh) {
     cmin_sketch_scalar(premul, add.subspan(i), modulus, out.subspan(i));
   }
-}
-
-/// Differing lanes, byte-aligned widths only (8/16/32/64): cmpeq per lane +
-/// movemask popcount of *equal* lanes, inverted per chunk.  Sub-byte widths
-/// stay on the scalar SWAR path.
-__attribute__((target("avx2"))) std::size_t count_diff_packed_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t words,
-    std::size_t bits, std::uint64_t lsb) noexcept {
-  std::size_t i = 0;
-  std::size_t eq = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    if (bits == 8) {
-      eq += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(
-          _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)))));
-    } else if (bits == 16) {
-      eq += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(
-                _mm256_movemask_epi8(_mm256_cmpeq_epi16(va, vb))))) /
-            2;
-    } else if (bits == 32) {
-      eq += static_cast<std::size_t>(
-          __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(
-              _mm256_castsi256_ps(_mm256_cmpeq_epi32(va, vb))))));
-    } else {
-      eq += static_cast<std::size_t>(
-          __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(
-              _mm256_castsi256_pd(_mm256_cmpeq_epi64(va, vb))))));
-    }
-  }
-  std::size_t diff = i * (64 / bits) - eq;
-  diff += count_diff_packed_scalar(a + i, b + i, words - i, bits, lsb);
-  return diff;
 }
 
 __attribute__((target("avx2"))) std::size_t count_equal_avx2(
@@ -529,28 +469,6 @@ std::size_t count_equal(std::span<const std::uint64_t> a,
   return count_equal_scalar(a.data(), b.data(), n);
 }
 
-std::size_t count_equal_packed(std::span<const std::uint64_t> a,
-                               std::span<const std::uint64_t> b,
-                               std::size_t cols, std::size_t bits,
-                               Backend backend) noexcept {
-  const std::size_t words = std::min(a.size(), b.size());
-  const std::uint64_t lsb = packed_lsb_mask(bits);
-  std::size_t diff = 0;
-#if MRMC_KERNELS_X86
-  if (backend == Backend::kAvx2 && bits >= 8) {
-    diff = count_diff_packed_avx2(a.data(), b.data(), words, bits, lsb);
-  } else
-#else
-  (void)backend;
-#endif
-  {
-    diff = count_diff_packed_scalar(a.data(), b.data(), words, bits, lsb);
-  }
-  // Pad lanes are zero on both sides (equal), so every differing lane lies
-  // within the first `cols`.
-  return cols - diff;
-}
-
 std::size_t argmin(std::span<const double> row, Backend backend) noexcept {
 #if MRMC_KERNELS_X86
   if (backend == Backend::kAvx2) return argmin_avx2(row);
@@ -558,14 +476,6 @@ std::size_t argmin(std::span<const double> row, Backend backend) noexcept {
   (void)backend;
 #endif
   return argmin_scalar(row);
-}
-
-std::size_t count_distinct(std::span<const std::uint64_t> values,
-                           std::vector<std::uint64_t>& scratch) {
-  scratch.assign(values.begin(), values.end());
-  std::sort(scratch.begin(), scratch.end());
-  return static_cast<std::size_t>(
-      std::unique(scratch.begin(), scratch.end()) - scratch.begin());
 }
 
 // -------------------------------------------------------------- SketchMatrix
@@ -597,29 +507,6 @@ void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept {
   for (std::size_t i = 0; i < sketches.rows(); ++i) {
     for (std::uint64_t& value : sketches.row(i)) value &= mask;
   }
-}
-
-// -------------------------------------------------------- PackedSketchMatrix
-
-PackedSketchMatrix::PackedSketchMatrix(std::size_t rows, std::size_t cols,
-                                       std::size_t bits)
-    : rows_(rows),
-      cols_(cols),
-      bits_(bits),
-      wpr_((cols * bits + 63) / 64),
-      data_(rows * wpr_, 0) {
-  MRMC_REQUIRE(valid_pack_bits(bits),
-               "packed sketch width must be one of 1/2/4/8/16/32/64 bits");
-}
-
-PackedSketchMatrix PackedSketchMatrix::pack(const SketchMatrix& matrix,
-                                            std::size_t bits) {
-  PackedSketchMatrix packed(matrix.rows(), matrix.cols(), bits);
-  for (std::size_t i = 0; i < matrix.rows(); ++i) {
-    const auto row = matrix.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) packed.set(i, j, row[j]);
-  }
-  return packed;
 }
 
 void component_match_matrix(const SketchMatrix& sketches, double* out,

@@ -204,6 +204,17 @@ class MinHasher {
   std::vector<std::uint64_t> ranked_values_;
 };
 
+/// Jaccard from integer (|∩|, |∪|) counts; |∪| == 0 means both sets were
+/// empty, which counts as identical — the same convention as
+/// bio::exact_jaccard, so driver-side reconstruction from shuffled counts is
+/// bit-identical to mapper-side doubles.
+[[nodiscard]] constexpr double jaccard_from_counts(
+    std::uint64_t intersection, std::uint64_t unions) noexcept {
+  return unions == 0 ? 1.0
+                     : static_cast<double>(intersection) /
+                           static_cast<double>(unions);
+}
+
 /// Pre-sorted unique minima of a set of sketches, so repeated set-based
 /// comparisons (greedy sweeps, medoid scans, matrix fills) pay the sort once
 /// per sketch instead of twice per pair.  Rows sit at the matrix's fixed
@@ -241,21 +252,47 @@ class SortedSketchStore {
 };
 
 /// The chosen estimator over pairs of rows of one sketch table, equal to
-/// sketch_similarity over the same two sketches when cols() > 0.  Set-based
-/// pairs read a
-/// SortedSketchStore built once (on `pool` when non-null); component-match
-/// pairs run count_equal over the two rows.  Holds a reference to
-/// `sketches`, which must outlive it.
+/// sketch_similarity over the same two sketches when cols() > 0.  A pair's
+/// score is a function of integer counts (counts / score), which is how the
+/// MapReduce jobs ship it: the map tasks send the counts and the driver
+/// scores them, so both paths score every pair through this one class.
+/// Set-based pairs read a SortedSketchStore built once (on `pool` when
+/// non-null); component-match pairs run count_equal over the two rows.
+/// Holds a reference to `sketches`, which must outlive it.
 class SketchPairSimilarity {
  public:
+  /// The integers a pair's score is made of: the match count m in `shared`
+  /// (component-match; `unions` is 0), or |∩| and |∪| of the two rows'
+  /// sorted unique minima (set-based).
+  struct Counts {
+    std::uint64_t shared = 0;
+    std::uint64_t unions = 0;
+  };
+
   SketchPairSimilarity(const kernels::SketchMatrix& sketches,
                        SketchEstimator estimator,
                        common::ThreadPool* pool = nullptr);
 
+  [[nodiscard]] bool set_based() const noexcept {
+    return estimator_ == SketchEstimator::kSetBased;
+  }
+
+  [[nodiscard]] Counts counts(std::size_t i, std::size_t j) const noexcept {
+    if (set_based()) {
+      const auto [inter, uni] = store_.jaccard_counts(i, j);
+      return {inter, uni};
+    }
+    return {kernels::count_equal(sketches_.row(i), sketches_.row(j)), 0};
+  }
+
+  /// m / K (0 when K == 0), or jaccard_from_counts(|∩|, |∪|).
+  [[nodiscard]] double score(Counts counts) const noexcept {
+    return set_based() ? jaccard_from_counts(counts.shared, counts.unions)
+                       : score_(counts.shared);
+  }
+
   [[nodiscard]] double operator()(std::size_t i, std::size_t j) const noexcept {
-    if (estimator_ == SketchEstimator::kSetBased) return store_.jaccard(i, j);
-    if (sketches_.cols() == 0) return 0.0;
-    return score_(kernels::count_equal(sketches_.row(i), sketches_.row(j)));
+    return score(counts(i, j));
   }
 
  private:
@@ -287,11 +324,16 @@ class SketchPairSimilarity {
 // estimate at θ is identical to thresholding the raw match fraction at
 // θ' = θ·(1-C) + C — the pipeline uses the θ' form internally (it commutes
 // with average linkage too) and exposes the corrected estimator for
-// benchmarks and tests.
+// benchmarks and tests.  Both paths keep the truncated values in u64 rows
+// (kernels::mask_components) and score them with SketchPairSimilarity; only
+// the sketch job's shuffle blocks carry them in b-bit lanes.
 
-/// Valid --sketch-bits values: the packed widths of the b-bit kernels.
+/// Valid --sketch-bits values: divisors of 64, the lane widths of the
+/// sketch job's shuffle blocks (mr::BinaryBlock), so a lane never straddles
+/// a word.
 [[nodiscard]] constexpr bool valid_sketch_bits(std::size_t bits) noexcept {
-  return kernels::valid_pack_bits(bits);
+  return bits == 1 || bits == 2 || bits == 4 || bits == 8 || bits == 16 ||
+         bits == 32 || bits == 64;
 }
 
 /// Truncation mask for b-bit sketches (all-ones at b = 64).
@@ -339,17 +381,6 @@ class SketchPairSimilarity {
 [[nodiscard]] constexpr double set_based_equivalent_threshold(
     double theta) noexcept {
   return 2.0 * theta / (1.0 + theta);
-}
-
-/// Jaccard from integer (|∩|, |∪|) counts; |∪| == 0 means both sets were
-/// empty, which counts as identical — the same convention as
-/// bio::exact_jaccard, so driver-side reconstruction from shuffled counts is
-/// bit-identical to mapper-side doubles.
-[[nodiscard]] constexpr double jaccard_from_counts(
-    std::uint64_t intersection, std::uint64_t unions) noexcept {
-  return unions == 0 ? 1.0
-                     : static_cast<double>(intersection) /
-                           static_cast<double>(unions);
 }
 
 }  // namespace mrmc::core

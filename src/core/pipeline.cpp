@@ -49,9 +49,6 @@ double dendrogram_work(std::size_t n) noexcept {
 double sketch_bytes(std::size_t num_hashes) noexcept {
   return static_cast<double>(num_hashes) * 8.0 + 8.0;
 }
-double packed_sketch_bytes(std::size_t num_hashes, std::size_t bits) noexcept {
-  return static_cast<double>((num_hashes * bits + 63) / 64) * 8.0;
-}
 
 }  // namespace cost
 
@@ -97,65 +94,54 @@ EffectiveKnobs effective_knobs(const PipelineParams& params) noexcept {
           SketchEstimator::kComponentMatch, SketchEstimator::kComponentMatch};
 }
 
-/// The sketch stage in-process: every read sketched on `pool`, then the same
-/// b-bit truncation the sketch job applies before packing, so local and
-/// distributed runs score identical values at any b.
+/// The sketch stage's body, in process and in every sketch map task: the
+/// reads sketched by `hasher` (on `pool` when non-null), then truncated to
+/// b bits, so local and distributed runs score identical values at any b.
+/// The caller builds `hasher` once per run: at k <= 6 its constructor ranks
+/// the whole k-mer universe.
 kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
-                                   const PipelineParams& params,
+                                   const MinHasher& hasher,
+                                   std::size_t sketch_bits,
                                    common::ThreadPool* pool) {
   std::vector<std::string_view> seqs;
   seqs.reserve(reads.size());
   for (const auto& read : reads) seqs.emplace_back(read.seq);
-  kernels::SketchMatrix sketches =
-      MinHasher(params.minhash).sketch_matrix(seqs, pool);
-  if (params.sketch_bits < 64) {
-    kernels::mask_components(sketches, sketch_bits_mask(params.sketch_bits));
+  kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs, pool);
+  if (sketch_bits < 64) {
+    kernels::mask_components(sketches, sketch_bits_mask(sketch_bits));
   }
   return sketches;
 }
 
-/// Job 1: sketch every read.  Each map task emits ONE BinaryBlock per input
-/// split — K rows × (reads in split) columns of b-bit packed minima —
-/// instead of one vector<uint64_t> per read, so the shuffle moves the exact
-/// packed bytes (64/b-fold less at b < 64, and no per-record vector header
-/// even at b = 64).  The driver rejoins the blocks straight into the rows of
-/// one SketchMatrix.
+/// Job 1: sketch every read.  Each map task runs sketch_reads over its
+/// split serially and emits ONE BinaryBlock — K rows × (reads in split)
+/// columns of b-bit packed minima — instead of one vector<uint64_t> per
+/// read, so the shuffle moves the exact packed bytes (64/b-fold less at
+/// b < 64, and no per-record vector header even at b = 64).  The driver
+/// rejoins the blocks straight into the rows of one SketchMatrix.
 kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
-                                     const PipelineParams& params,
+                                     const MinHasher& hasher,
+                                     std::size_t sketch_bits,
                                      const ExecutionOptions& exec,
                                      mr::JobStats& stats) {
   obs::pipeline::StageScope stage("sketch");
-  auto hasher = std::make_shared<MinHasher>(params.minhash);
-  const std::size_t num_hashes = params.minhash.num_hashes;
-  const std::size_t bits = params.sketch_bits;
-  const std::uint64_t mask = sketch_bits_mask(bits);
-
-  auto& sketch_bytes_hist =
-      obs::Registry::global().histogram("pipeline.sketch_bytes");
-  auto& sketch_minima_hist =
-      obs::Registry::global().histogram("pipeline.sketch_distinct_minima");
+  const std::size_t num_hashes = hasher.sketch_size();
   const auto blocks = detail::run_block_job(
       "sketch", exec, exec.records_per_split, reads,
-      [hasher, num_hashes, bits, mask, &sketch_bytes_hist,
-       &sketch_minima_hist](std::span<const bio::FastaRecord> split,
-                            mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        mr::BinaryBlock block(static_cast<std::uint32_t>(bits), num_hashes,
+      [&hasher, num_hashes, sketch_bits](
+          std::span<const bio::FastaRecord> split,
+          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
+        mr::BinaryBlock block(static_cast<std::uint32_t>(sketch_bits),
+                              num_hashes,
                               static_cast<std::uint32_t>(split.size()));
-        const double column_bytes = cost::packed_sketch_bytes(num_hashes, bits);
-        for (std::size_t c = 0; c < split.size(); ++c) {
-          Sketch sketch = hasher->sketch(split[c].seq);
-          // Truncate first: the histogram and every downstream consumer see
-          // the same b-bit values (at b = 64 the mask is a no-op).
-          for (std::uint64_t& value : sketch) value &= mask;
+        const kernels::SketchMatrix sketches =
+            sketch_reads(split, hasher, sketch_bits, nullptr);
+        for (std::uint32_t c = 0; c < block.cols(); ++c) {
           for (std::size_t k = 0; k < num_hashes; ++k) {
-            block.set(static_cast<std::uint32_t>(c), k, sketch[k]);
+            block.set(c, k, sketches.row(c)[k]);
           }
-          sketch_bytes_hist.observe(column_bytes);
-          thread_local std::vector<std::uint64_t> scratch;
-          sketch_minima_hist.observe(
-              static_cast<double>(kernels::count_distinct(sketch, scratch)));
-          emit.count("reads.sketched");
         }
+        emit.count("reads.sketched", std::ssize(split));
         return block;
       },
       [num_hashes](const bio::FastaRecord& read) {
@@ -186,8 +172,7 @@ SimilarityMatrix run_similarity_job(
   obs::pipeline::StageScope stage("similarity");
   const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
-  const detail::PairScoreLanes lanes(sketches, knobs.estimator,
-                                     params.sketch_bits);
+  const detail::PairScoreLanes lanes(sketches, knobs.estimator);
   const std::size_t per_split = std::max<std::size_t>(
       1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
 
@@ -518,8 +503,8 @@ candidates::SparseSimilarityGraph candidate_graph(
                                         stages.pool());
       },
       [&] {
-        auto verified = run_verify_job(sketches, enumerated.pairs, estimator,
-                                       params.sketch_bits, exec);
+        auto verified =
+            run_verify_job(sketches, enumerated.pairs, estimator, exec);
         result.verify_stats = std::move(verified.stats);
         return std::move(verified.graph);
       },
@@ -537,13 +522,20 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                          const StageRunner& stages, PipelineResult& result) {
   const EffectiveKnobs knobs = effective_knobs(params);
   const std::size_t n = reads.size();
-  const auto sketches =
-      std::make_shared<const kernels::SketchMatrix>(stages.run(
-          "sketch", [&] { return sketch_reads(reads, params, stages.pool()); },
-          [&] {
-            return run_sketch_job(reads, params, exec, result.sketch_stats);
-          },
-          encode_sketches, decode_sketches));
+  // One hasher for the sketch stage, freed with its rankings after it.
+  const auto sketches = [&] {
+    const MinHasher hasher(params.minhash);
+    return std::make_shared<const kernels::SketchMatrix>(stages.run(
+        "sketch",
+        [&] {
+          return sketch_reads(reads, hasher, params.sketch_bits, stages.pool());
+        },
+        [&] {
+          return run_sketch_job(reads, hasher, params.sketch_bits, exec,
+                                result.sketch_stats);
+        },
+        encode_sketches, decode_sketches));
+  }();
   result.sim_total_s += result.sketch_stats.timeline.total_s;
 #if defined(__GLIBC__)
   // The sketch job's blocks are freed but stay resident in the allocator,

@@ -147,9 +147,6 @@ double compare_work(std::size_t num_hashes) noexcept;
 double dendrogram_work(std::size_t n) noexcept;
 /// Serialized bytes of one sketch.
 double sketch_bytes(std::size_t num_hashes) noexcept;
-/// Exact packed payload bytes of one b-bit sketch column in a BinaryBlock:
-/// ceil(num_hashes · bits / 64) words of 8 bytes.
-double packed_sketch_bytes(std::size_t num_hashes, std::size_t bits) noexcept;
 }  // namespace cost
 
 }  // namespace mrmc::core

@@ -22,7 +22,7 @@
 // get() is one unaligned word load + shift, and a serialized block can be
 // read in place (BinaryBlockView) without any decode pass.  Trailing pad
 // bits of the last word of each column are zero, which keeps serialization
-// deterministic and lets packed-compare kernels treat pad lanes as equal.
+// deterministic.
 //
 // The engine's byte accounting understands the format natively:
 // approx_bytes(BinaryBlock) is the *exact* wire size (header + payload; see

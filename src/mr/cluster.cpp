@@ -557,38 +557,27 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
     // deterministic sim-time grid: both series depend only on the timeline,
     // never on wall-clock pacing, so sampled traces stay reproducible run
     // to run.
-    const bool want_sampler_grid = obs::ResourceSampler::global().enabled();
-    const bool want_progress_grid = obs::progress::Tracker::global().enabled();
-    if (want_sampler_grid || want_progress_grid) {
-      const auto to_intervals = [](const std::vector<TaskPlacement>& tasks,
-                                   double offset) {
-        std::vector<obs::SimInterval> intervals;
-        intervals.reserve(tasks.size());
-        for (const TaskPlacement& task : tasks) {
-          intervals.push_back({task.start_s + offset, task.end_s + offset});
+    const bool sampled = obs::ResourceSampler::global().enabled();
+    const bool progress = obs::progress::Tracker::global().enabled();
+    if (sampled || progress) {
+      const auto intervals = [](const auto& tasks, double offset) {
+        std::vector<obs::SimInterval> out;
+        out.reserve(tasks.size());
+        for (const auto& task : tasks) {
+          out.push_back({task.start_s + offset, task.end_s + offset});
         }
-        return intervals;
+        return out;
       };
-      std::vector<obs::SimInterval> fetch_intervals;
-      fetch_intervals.reserve(timeline.fetches.size());
-      for (const FetchPlacement& fetch : timeline.fetches) {
-        fetch_intervals.push_back(
-            {fetch.start_s + map_offset, fetch.end_s + map_offset});
+      const auto maps = intervals(timeline.map_phase.tasks, map_offset);
+      const auto fetches = intervals(timeline.fetches, map_offset);
+      const auto reduces = intervals(timeline.reduce_phase.tasks, reduce_offset);
+      if (sampled) {
+        obs::emit_sim_grid(tracer, pid, obs::SimGrid::kActiveTasks, maps,
+                           fetches, reduces, timeline.total_s);
       }
-      const std::vector<obs::SimInterval> map_intervals =
-          to_intervals(timeline.map_phase.tasks, map_offset);
-      const std::vector<obs::SimInterval> reduce_intervals =
-          to_intervals(timeline.reduce_phase.tasks, reduce_offset);
-      if (want_sampler_grid) {
-        obs::emit_sim_task_counters(tracer, pid, map_intervals,
-                                    fetch_intervals, reduce_intervals,
-                                    timeline.total_s);
-      }
-      if (want_progress_grid) {
-        obs::progress::emit_sim_progress_grid(tracer, pid, map_intervals,
-                                              fetch_intervals,
-                                              reduce_intervals,
-                                              timeline.total_s);
+      if (progress) {
+        obs::emit_sim_grid(tracer, pid, obs::SimGrid::kProgress, maps, fetches,
+                           reduces, timeline.total_s);
       }
     }
   }

@@ -192,28 +192,4 @@ void Tracker::maybe_render(bool final_line) {
   std::fflush(stderr);
 }
 
-void emit_sim_progress_grid(Tracer& tracer, std::uint32_t pid,
-                            std::span<const SimInterval> map_tasks,
-                            std::span<const SimInterval> fetches,
-                            std::span<const SimInterval> reduce_tasks,
-                            double horizon_s, std::size_t points) {
-  if (!tracer.enabled() || horizon_s <= 0.0 || points == 0) return;
-  const auto done_at = [](std::span<const SimInterval> tasks, double t) {
-    long done = 0;
-    for (const SimInterval& task : tasks) {
-      if (task.end_s <= t) ++done;
-    }
-    return done;
-  };
-  for (std::size_t k = 0; k <= points; ++k) {
-    const double t =
-        horizon_s * static_cast<double>(k) / static_cast<double>(points);
-    tracer.sim_counter(
-        pid, "sim progress", t,
-        {{"map_done", std::to_string(done_at(map_tasks, t))},
-         {"fetch_done", std::to_string(done_at(fetches, t))},
-         {"reduce_done", std::to_string(done_at(reduce_tasks, t))}});
-  }
-}
-
 }  // namespace mrmc::obs::progress

@@ -9,10 +9,10 @@
 //
 // Everything here touches only real wall time and stderr; the simulated
 // layer stays untouched, so seeded runs remain byte-deterministic with
-// progress enabled.  For simulated jobs, emit_sim_progress_grid() writes a
-// deterministic sim-clock "sim progress" counter series into the trace —
-// derived purely from the scheduler's task intervals, identical across
-// runs and thread counts.
+// progress enabled.  For simulated jobs, obs::emit_sim_grid() with
+// SimGrid::kProgress writes a deterministic sim-clock "sim progress"
+// counter series into the trace — derived purely from the scheduler's task
+// intervals, identical across runs and thread counts.
 #pragma once
 
 #include <atomic>
@@ -20,11 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <string>
-
-#include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 
 namespace mrmc::obs::progress {
 
@@ -129,16 +125,5 @@ class Tracker {
   std::chrono::steady_clock::time_point job_start_{};
   std::chrono::steady_clock::time_point last_render_{};
 };
-
-/// Deterministic sim-clock progress curve for one simulated job: a 'C'
-/// counter series ("sim progress") of cumulative completed map/fetch/reduce
-/// counts sampled on an even grid over [0, horizon_s].  Pure function of
-/// the scheduler's task intervals — byte-identical across runs and thread
-/// counts, and invisible to the doctor's trace reconstruction.
-void emit_sim_progress_grid(Tracer& tracer, std::uint32_t pid,
-                            std::span<const SimInterval> map_tasks,
-                            std::span<const SimInterval> fetches,
-                            std::span<const SimInterval> reduce_tasks,
-                            double horizon_s, std::size_t points = 64);
 
 }  // namespace mrmc::obs::progress

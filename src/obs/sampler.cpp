@@ -181,27 +181,31 @@ void ResourceSampler::run() {
   }
 }
 
-void emit_sim_task_counters(Tracer& tracer, std::uint32_t pid,
-                            std::span<const SimInterval> map_tasks,
-                            std::span<const SimInterval> fetches,
-                            std::span<const SimInterval> reduce_tasks,
-                            double horizon_s, std::size_t points) {
+void emit_sim_grid(Tracer& tracer, std::uint32_t pid, SimGrid grid,
+                   std::span<const SimInterval> map_tasks,
+                   std::span<const SimInterval> fetches,
+                   std::span<const SimInterval> reduce_tasks, double horizon_s,
+                   std::size_t points) {
   if (!tracer.enabled() || horizon_s <= 0.0 || points == 0) return;
-  const auto live_at = [](std::span<const SimInterval> tasks, double t) {
-    long live = 0;
+  const bool progress = grid == SimGrid::kProgress;
+  const char* const name = progress ? "sim progress" : "sim active tasks";
+  const std::string suffix = progress ? "_done" : "";
+  const auto count_at = [progress](std::span<const SimInterval> tasks,
+                                   double t) {
+    long count = 0;
     for (const SimInterval& task : tasks) {
-      if (task.start_s <= t && t < task.end_s) ++live;
+      count += progress ? task.end_s <= t
+                        : (task.start_s <= t && t < task.end_s);
     }
-    return live;
+    return std::to_string(count);
   };
   for (std::size_t k = 0; k <= points; ++k) {
     const double t =
         horizon_s * static_cast<double>(k) / static_cast<double>(points);
-    tracer.sim_counter(
-        pid, "sim active tasks", t,
-        {{"map", std::to_string(live_at(map_tasks, t))},
-         {"fetch", std::to_string(live_at(fetches, t))},
-         {"reduce", std::to_string(live_at(reduce_tasks, t))}});
+    tracer.sim_counter(pid, name, t,
+                       {{"map" + suffix, count_at(map_tasks, t)},
+                        {"fetch" + suffix, count_at(fetches, t)},
+                        {"reduce" + suffix, count_at(reduce_tasks, t)}});
   }
 }
 

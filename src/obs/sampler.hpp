@@ -19,9 +19,10 @@
 // any time and must not block.
 //
 // Simulated jobs need reproducible traces, so wall-clock sampling is wrong
-// for them: emit_sim_task_counters() instead evaluates task activity on a
-// deterministic sim-time grid (pure arithmetic over the finished timeline),
-// producing identical counter events on every run of a seeded job.
+// for them: emit_sim_grid() instead evaluates task activity (and, for the
+// progress tracker, task completion) on a deterministic sim-time grid (pure
+// arithmetic over the finished timeline), producing identical counter
+// events on every run of a seeded job.
 #pragma once
 
 #include <atomic>
@@ -127,17 +128,26 @@ class SamplerScope {
 /// -1.0 where unavailable.
 [[nodiscard]] double process_cpu_seconds() noexcept;
 
-/// Deterministic sim-time counter grid for one simulated job: evaluates how
-/// many map / fetch / reduce tasks are live at each of `points + 1` equally
-/// spaced instants t_k = horizon_s * k / points and emits one
-/// "sim active tasks" counter event per instant on the job's `pid` track
-/// group.  Pure arithmetic over the finished timeline — identical output on
-/// every run of a seeded job, unlike wall-clock sampling.  No-op while the
-/// tracer is disabled or horizon_s <= 0.
-void emit_sim_task_counters(Tracer& tracer, std::uint32_t pid,
-                            std::span<const SimInterval> map_tasks,
-                            std::span<const SimInterval> fetches,
-                            std::span<const SimInterval> reduce_tasks,
-                            double horizon_s, std::size_t points = 64);
+/// The deterministic sim-clock counter series of one simulated job.
+enum class SimGrid {
+  /// "sim active tasks" {map, fetch, reduce}: tasks live at t, [start, end).
+  kActiveTasks,
+  /// "sim progress" {map_done, fetch_done, reduce_done}: tasks ended by t.
+  kProgress,
+};
+
+/// Sim-time counter grid for one simulated job: evaluates `grid` over the
+/// map / fetch / reduce task intervals at each of `points + 1` equally
+/// spaced instants t_k = horizon_s * k / points and emits one counter event
+/// per instant on the job's `pid` track group.  Pure arithmetic over the
+/// finished timeline — identical output on every run of a seeded job and
+/// at any thread count, unlike wall-clock sampling, and invisible to the
+/// doctor's trace reconstruction.  No-op while the tracer is disabled or
+/// horizon_s <= 0.
+void emit_sim_grid(Tracer& tracer, std::uint32_t pid, SimGrid grid,
+                   std::span<const SimInterval> map_tasks,
+                   std::span<const SimInterval> fetches,
+                   std::span<const SimInterval> reduce_tasks, double horizon_s,
+                   std::size_t points = 64);
 
 }  // namespace mrmc::obs

@@ -669,6 +669,22 @@ TEST_F(CandidateJobTest, ByteIdenticalAcrossThreadsSplitsAndNodes) {
   }
 }
 
+TEST_F(CandidateJobTest, ThreeByteIdLanesMatchLocalEnumeration) {
+  // Past 2^16 rows a read id takes three byte lanes of the shuffled blocks.
+  const auto sketches = std::make_shared<const kernels::SketchMatrix>(
+      family_matrix(13108, 5, 8, 0.05, 25));
+  ASSERT_GT(sketches->rows(), std::size_t{1} << 16);
+  ExecutionOptions exec;
+  exec.threads = 2;
+  exec.records_per_split = 4096;
+  exec.cluster.nodes = 4;
+  const auto job = run_candidate_job(sketches, lsh_params(), 0.9, exec);
+  ASSERT_FALSE(job.pairs.empty());
+  EXPECT_GT(job.pairs.back().second, 0xFFFFu);
+  EXPECT_EQ(job.pairs,
+            candidates::enumerate_pairs(*sketches, lsh_params(), 0.9));
+}
+
 TEST_F(CandidateJobTest, VerifyJobMatchesLocalScoring) {
   const auto sketches = shared_family(23);
   const kernels::SketchMatrix& matrix = *sketches;
@@ -678,7 +694,7 @@ TEST_F(CandidateJobTest, VerifyJobMatchesLocalScoring) {
        {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
     const auto pairs = candidates::enumerate_pairs(matrix, lsh_params(), 0.9);
     const auto local = candidates::verify_pairs(matrix, pairs, estimator);
-    const auto job = run_verify_job(sketches, pairs, estimator, 64, exec);
+    const auto job = run_verify_job(sketches, pairs, estimator, exec);
     EXPECT_EQ(job.graph.num_vertices, local.num_vertices);
     EXPECT_EQ(job.graph.edges, local.edges);
   }
@@ -692,7 +708,7 @@ TEST_F(CandidateJobTest, FaultPlanLeavesCandidatesAndEdgesIdentical) {
       run_candidate_job(sketches, lsh_params(), 0.9, healthy);
   const auto reference_edges =
       run_verify_job(sketches, reference.pairs,
-                     SketchEstimator::kComponentMatch, 64, healthy);
+                     SketchEstimator::kComponentMatch, healthy);
 
   // Node 1 crashes early and never recovers; with 4 nodes at least one
   // stays up and the job replays the lost splits.
@@ -702,7 +718,7 @@ TEST_F(CandidateJobTest, FaultPlanLeavesCandidatesAndEdgesIdentical) {
   const auto chaos = run_candidate_job(sketches, lsh_params(), 0.9, faulty);
   EXPECT_EQ(chaos.pairs, reference.pairs);
   const auto chaos_edges = run_verify_job(
-      sketches, chaos.pairs, SketchEstimator::kComponentMatch, 64, faulty);
+      sketches, chaos.pairs, SketchEstimator::kComponentMatch, faulty);
   EXPECT_EQ(chaos_edges.graph.edges, reference_edges.graph.edges);
 }
 

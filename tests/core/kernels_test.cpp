@@ -443,20 +443,6 @@ TEST(ArgminEquivalence, EmptyAndAllInfRows) {
   }
 }
 
-// --------------------------------------------------------- count_distinct
-
-TEST(CountDistinct, MatchesSetSemantics) {
-  common::Xoshiro256 rng(3);
-  std::vector<std::uint64_t> scratch;
-  for (int rep = 0; rep < 30; ++rep) {
-    std::vector<std::uint64_t> values(rng.bounded(50));
-    for (auto& v : values) v = rng.bounded(10);
-    const std::set<std::uint64_t> reference(values.begin(), values.end());
-    EXPECT_EQ(kernels::count_distinct(values, scratch), reference.size());
-  }
-  EXPECT_EQ(kernels::count_distinct({}, scratch), 0U);
-}
-
 // ----------------------------------------------------------- SketchMatrix
 
 TEST(SketchMatrix, RoundTripsThroughSketchVectors) {

@@ -1,10 +1,9 @@
-// b-bit packed sketches: the packed count_equal kernel, PackedSketchMatrix,
-// the C-MinHash sketch kernel, and the end-to-end quality floor of b-bit
-// truncation (candidate recall on Table-III-style samples).
+// b-bit sketches and C-MinHash: component truncation, the C-MinHash sketch
+// kernel, and the end-to-end quality floor of b-bit truncation (candidate
+// recall on Table-III-style samples).
 //
 // Same contract as kernels_test.cpp: scalar and AVX2 paths must be
-// *bit-identical*, and packed counts must equal the unpacked counts over the
-// same truncated values for every supported width.
+// *bit-identical*.
 
 #include "core/kernels.hpp"
 
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "core/minhash.hpp"
 #include "eval/candidate_recall.hpp"
@@ -27,114 +25,12 @@ using kernels::Backend;
 
 bool avx2_available() { return kernels::backend_available(Backend::kAvx2); }
 
-constexpr std::size_t kPackWidths[] = {1, 2, 4, 8, 16, 32, 64};
-
 std::vector<std::uint64_t> random_values(common::Xoshiro256& rng,
                                          std::size_t count,
                                          std::uint64_t mask) {
   std::vector<std::uint64_t> values(count);
   for (auto& v : values) v = rng() & mask;
   return values;
-}
-
-// ------------------------------------------------------- count_equal_packed
-
-TEST(CountEqualPacked, MatchesUnpackedCountsAtEveryWidthAndTail) {
-  common::Xoshiro256 rng(7);
-  // Lengths straddle the AVX2 4-word chunking and SWAR word boundaries.
-  for (const std::size_t bits : kPackWidths) {
-    const std::uint64_t mask = sketch_bits_mask(bits);
-    for (const std::size_t cols :
-         {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{100},
-          std::size_t{257}}) {
-      auto a = random_values(rng, cols, mask);
-      auto b = random_values(rng, cols, mask);
-      // Force a healthy number of equal lanes (narrow widths already
-      // collide; make wide widths collide too).
-      for (std::size_t i = 0; i < cols; i += 3) b[i] = a[i];
-
-      const std::size_t expected = kernels::count_equal(a, b, Backend::kScalar);
-
-      kernels::SketchMatrix matrix(2, cols);
-      std::copy(a.begin(), a.end(), matrix.row(0).begin());
-      std::copy(b.begin(), b.end(), matrix.row(1).begin());
-      const auto packed = kernels::PackedSketchMatrix::pack(matrix, bits);
-
-      EXPECT_EQ(kernels::count_equal_packed(packed.row(0), packed.row(1), cols,
-                                            bits, Backend::kScalar),
-                expected)
-          << "scalar bits=" << bits << " cols=" << cols;
-      if (avx2_available()) {
-        EXPECT_EQ(kernels::count_equal_packed(packed.row(0), packed.row(1),
-                                              cols, bits, Backend::kAvx2),
-                  expected)
-            << "avx2 bits=" << bits << " cols=" << cols;
-      }
-    }
-  }
-}
-
-TEST(CountEqualPacked, PadLanesNeverCount) {
-  // cols = 3 at 8 bits leaves 5 pad lanes per word; identical pads must not
-  // inflate the match count past cols.
-  kernels::SketchMatrix matrix(2, 3);
-  matrix.row(0)[0] = 1;
-  matrix.row(0)[1] = 2;
-  matrix.row(0)[2] = 3;
-  matrix.row(1)[0] = 1;
-  matrix.row(1)[1] = 9;
-  matrix.row(1)[2] = 3;
-  const auto packed = kernels::PackedSketchMatrix::pack(matrix, 8);
-  EXPECT_EQ(packed.count_equal_rows(0, 1, Backend::kScalar), 2u);
-  if (avx2_available()) {
-    EXPECT_EQ(packed.count_equal_rows(0, 1, Backend::kAvx2), 2u);
-  }
-}
-
-TEST(PackedSketchMatrix, PackRoundTripsTruncatedValues) {
-  common::Xoshiro256 rng(11);
-  kernels::SketchMatrix matrix(5, 37);
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (auto& v : matrix.row(i)) v = rng();
-  }
-  for (const std::size_t bits : kPackWidths) {
-    const std::uint64_t mask = sketch_bits_mask(bits);
-    const auto packed = kernels::PackedSketchMatrix::pack(matrix, bits);
-    EXPECT_EQ(packed.rows(), 5u);
-    EXPECT_EQ(packed.cols(), 37u);
-    EXPECT_EQ(packed.bits(), bits);
-    for (std::size_t i = 0; i < 5; ++i) {
-      for (std::size_t j = 0; j < 37; ++j) {
-        EXPECT_EQ(packed.get(i, j), matrix.row(i)[j] & mask)
-            << "bits=" << bits;
-      }
-    }
-  }
-}
-
-TEST(PackedSketchMatrix, SixtyFourBitsIsLosslessIdentity) {
-  common::Xoshiro256 rng(13);
-  kernels::SketchMatrix matrix(3, 64);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (auto& v : matrix.row(i)) v = rng();
-  }
-  const auto packed = kernels::PackedSketchMatrix::pack(matrix, 64);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 64; ++j) {
-      EXPECT_EQ(packed.get(i, j), matrix.row(i)[j]);
-    }
-    for (std::size_t j = i + 1; j < 3; ++j) {
-      EXPECT_EQ(packed.count_equal_rows(i, j),
-                kernels::count_equal(matrix.row(i), matrix.row(j)));
-    }
-  }
-}
-
-TEST(PackedSketchMatrix, RejectsInvalidWidth) {
-  kernels::SketchMatrix matrix(1, 4);
-  EXPECT_THROW(kernels::PackedSketchMatrix::pack(matrix, 0), common::Error);
-  EXPECT_THROW(kernels::PackedSketchMatrix::pack(matrix, 3), common::Error);
-  EXPECT_THROW(kernels::PackedSketchMatrix::pack(matrix, 33), common::Error);
 }
 
 TEST(MaskComponents, TruncatesEveryValueInPlace) {

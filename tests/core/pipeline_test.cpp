@@ -150,10 +150,6 @@ TEST(PipelineCost, ModelsArePositiveAndMonotone) {
   EXPECT_GT(cost::compare_work(100), cost::compare_work(50));
   EXPECT_GT(cost::dendrogram_work(1000), cost::dendrogram_work(100));
   EXPECT_GT(cost::sketch_bytes(100), cost::sketch_bytes(10));
-  // Packed bytes: exact words, 8x denser at b = 8, rounding up to a word.
-  EXPECT_DOUBLE_EQ(cost::packed_sketch_bytes(64, 64), 512.0);
-  EXPECT_DOUBLE_EQ(cost::packed_sketch_bytes(64, 8), 64.0);
-  EXPECT_DOUBLE_EQ(cost::packed_sketch_bytes(3, 8), 8.0);  // one word minimum
 }
 
 // ------------------------------------------------- sketch schemes and b-bit
@@ -176,31 +172,36 @@ TEST(Pipeline, CMinHashDistributedMatchesLocal) {
 }
 
 TEST(Pipeline, BBitDistributedMatchesLocal) {
-  // One stage list serves both modes: every backend × mode × width walks
-  // the same stages locally and as MapReduce jobs, with equal results.
+  // One stage list serves both modes: every k-mer path × backend × mode ×
+  // width walks the same stages locally and as MapReduce jobs, with equal
+  // results.  k = 5 sketches by ranked lookup, k = 12 by the hash kernels.
   const auto sample = small_sample();
   ExecutionOptions distributed;
   distributed.cluster.nodes = 3;
   ExecutionOptions local;
   local.distributed = false;
-  for (const auto backend : {candidates::Backend::kExactAllPairs,
-                             candidates::Backend::kLshBanded}) {
-    for (const Mode mode : {Mode::kGreedy, Mode::kHierarchical}) {
-      for (const std::size_t bits :
-           {std::size_t{64}, std::size_t{16}, std::size_t{8}}) {
-        auto params = base_params(mode);
-        params.sketch_bits = bits;
-        params.candidates.backend = backend;
-        const auto a = run_pipeline(sample.reads, params, distributed);
-        const auto b = run_pipeline(sample.reads, params, local);
-        const std::string where = std::string(candidates::backend_name(backend)) +
-                                  " " + mode_name(mode) +
-                                  " bits=" + std::to_string(bits);
-        EXPECT_EQ(a.labels, b.labels) << where;
-        EXPECT_EQ(a.num_clusters, b.num_clusters) << where;
-        EXPECT_EQ(a.candidate_pairs, b.candidate_pairs) << where;
-        if (backend == candidates::Backend::kLshBanded) {
-          EXPECT_GT(b.candidate_pairs, 0u) << where;
+  for (const int kmer : {5, 12}) {
+    for (const auto backend : {candidates::Backend::kExactAllPairs,
+                               candidates::Backend::kLshBanded}) {
+      for (const Mode mode : {Mode::kGreedy, Mode::kHierarchical}) {
+        for (const std::size_t bits :
+             {std::size_t{64}, std::size_t{16}, std::size_t{8}}) {
+          auto params = base_params(mode);
+          params.minhash.kmer = kmer;
+          params.sketch_bits = bits;
+          params.candidates.backend = backend;
+          const auto a = run_pipeline(sample.reads, params, distributed);
+          const auto b = run_pipeline(sample.reads, params, local);
+          const std::string where =
+              "k=" + std::to_string(kmer) + " " +
+              candidates::backend_name(backend) + " " + mode_name(mode) +
+              " bits=" + std::to_string(bits);
+          EXPECT_EQ(a.labels, b.labels) << where;
+          EXPECT_EQ(a.num_clusters, b.num_clusters) << where;
+          EXPECT_EQ(a.candidate_pairs, b.candidate_pairs) << where;
+          if (backend == candidates::Backend::kLshBanded) {
+            EXPECT_GT(b.candidate_pairs, 0u) << where;
+          }
         }
       }
     }

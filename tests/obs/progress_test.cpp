@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace mrmc::obs::progress {
@@ -136,7 +137,8 @@ TEST_F(ProgressGridTest, CumulativeCountsFollowTheSimClock) {
   const std::vector<SimInterval> maps = {{0.0, 2.0}, {0.0, 4.0}};
   const std::vector<SimInterval> fetches = {{2.0, 3.0}};
   const std::vector<SimInterval> reduces = {{4.0, 8.0}};
-  emit_sim_progress_grid(Tracer::global(), 2, maps, fetches, reduces, 8.0, 4);
+  emit_sim_grid(Tracer::global(), 2, SimGrid::kProgress, maps, fetches,
+                reduces, 8.0, 4);
 
   const auto events = grid_events();
   ASSERT_EQ(events.size(), 5u);  // points + 1 instants
@@ -156,10 +158,12 @@ TEST_F(ProgressGridTest, CumulativeCountsFollowTheSimClock) {
 TEST_F(ProgressGridTest, GridIsDeterministic) {
   const std::vector<SimInterval> maps = {{0.0, 1.5}, {0.5, 3.25}};
   const std::vector<SimInterval> reduces = {{3.25, 7.75}};
-  emit_sim_progress_grid(Tracer::global(), 3, maps, {}, reduces, 7.75);
+  emit_sim_grid(Tracer::global(), 3, SimGrid::kProgress, maps, {}, reduces,
+                7.75);
   const auto first = grid_events();
   Tracer::global().clear();
-  emit_sim_progress_grid(Tracer::global(), 3, maps, {}, reduces, 7.75);
+  emit_sim_grid(Tracer::global(), 3, SimGrid::kProgress, maps, {}, reduces,
+                7.75);
   const auto second = grid_events();
   ASSERT_EQ(first.size(), second.size());
   ASSERT_EQ(first.size(), 65u);  // default 64 points + 1
@@ -172,9 +176,9 @@ TEST_F(ProgressGridTest, GridIsDeterministic) {
 TEST_F(ProgressGridTest, NoOpWithoutTracerOrHorizon) {
   const std::vector<SimInterval> maps = {{0.0, 1.0}};
   Tracer::global().set_enabled(false);
-  emit_sim_progress_grid(Tracer::global(), 2, maps, {}, {}, 1.0);
+  emit_sim_grid(Tracer::global(), 2, SimGrid::kProgress, maps, {}, {}, 1.0);
   Tracer::global().set_enabled(true);
-  emit_sim_progress_grid(Tracer::global(), 2, maps, {}, {}, 0.0);
+  emit_sim_grid(Tracer::global(), 2, SimGrid::kProgress, maps, {}, {}, 0.0);
   EXPECT_TRUE(grid_events().empty());
 }
 

@@ -106,8 +106,8 @@ TEST_F(SamplerTest, SimTaskCountersFollowTheSimGrid) {
   const std::vector<SimInterval> map_tasks{{0.0, 1.0}};
   const std::vector<SimInterval> fetches{{1.0, 2.0}};
   const std::vector<SimInterval> reduce_tasks{{2.0, 3.0}};
-  emit_sim_task_counters(tracer, pid, map_tasks, fetches, reduce_tasks,
-                         /*horizon_s=*/3.0, /*points=*/3);
+  emit_sim_grid(tracer, pid, SimGrid::kActiveTasks, map_tasks, fetches,
+                reduce_tasks, /*horizon_s=*/3.0, /*points=*/3);
 
   const auto events = counter_events("sim active tasks");
   ASSERT_EQ(events.size(), 4u);  // t = 0, 1, 2, 3
@@ -135,8 +135,8 @@ TEST_F(SamplerTest, SimTaskCountersAreDeterministic) {
   const auto emit_and_collect = [&] {
     tracer.clear();
     const std::uint32_t pid = tracer.begin_sim_job("det");
-    emit_sim_task_counters(tracer, pid, map_tasks, fetches, reduce_tasks,
-                           7.75);
+    emit_sim_grid(tracer, pid, SimGrid::kActiveTasks, map_tasks, fetches,
+                  reduce_tasks, 7.75);
     std::string flat;
     for (const TraceEvent& event : Tracer::global().events()) {
       if (event.phase != 'C') continue;
