@@ -1,76 +1,44 @@
 #include "baselines/mc_lsh.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "bio/kmer.hpp"
 #include "common/error.hpp"
-#include "common/prng.hpp"
 #include "common/timer.hpp"
+#include "core/candidates.hpp"
 #include "core/minhash.hpp"
 
 namespace mrmc::baselines {
 
-namespace {
-
-/// Hash one band (a contiguous slice of the signature) into a bucket key.
-std::uint64_t band_bucket(const core::Sketch& signature, std::size_t band,
-                          std::size_t rows) {
-  std::uint64_t h = 0x811c9dc5ULL ^ (band * 0x9e3779b97f4a7c15ULL);
-  for (std::size_t r = band * rows; r < (band + 1) * rows; ++r) {
-    h = common::mix64(h ^ signature[r]);
-  }
-  return h;
-}
-
-}  // namespace
-
 BaselineResult mclsh_cluster(std::span<const bio::FastaRecord> reads,
                              const McLshParams& params) {
-  MRMC_REQUIRE(params.bands >= 1 && params.num_hashes % params.bands == 0,
-               "bands must divide num_hashes");
   MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
+  // Representatives' signatures, indexed by cluster id; a query's
+  // candidates come back lowest cluster first.  The shape check rejects a
+  // band count that does not divide num_hashes.
+  core::candidates::LshBucketIndex buckets(
+      params.num_hashes,
+      core::candidates::validated_band_shape(params.num_hashes, params.bands),
+      core::candidates::Params{}.seed);
   common::Stopwatch watch;
   BaselineResult result;
   result.labels.assign(reads.size(), -1);
   if (reads.empty()) return result;
 
-  const std::size_t rows = params.num_hashes / params.bands;
   const core::MinHasher hasher(
       {params.kmer, params.num_hashes, false, params.seed});
 
-  // Feature sets (for exact verification) and LSH signatures.
+  // Feature sets, for exact verification.
   std::vector<std::vector<std::uint64_t>> features;
-  std::vector<core::Sketch> signatures;
   features.reserve(reads.size());
-  signatures.reserve(reads.size());
   for (const auto& read : reads) {
     features.push_back(bio::kmer_set(read.seq, {.k = params.kmer}));
-    signatures.push_back(hasher.sketch_features(features.back()));
   }
 
-  // band bucket -> representative cluster ids whose signature hit it.
-  std::vector<std::unordered_map<std::uint64_t, std::vector<int>>> buckets(
-      params.bands);
   std::vector<std::size_t> rep_read;  // cluster id -> representative read
 
   for (std::size_t query = 0; query < reads.size(); ++query) {
-    // Collect candidate clusters from all band collisions.
-    std::vector<int> candidates;
-    for (std::size_t band = 0; band < params.bands; ++band) {
-      const std::uint64_t bucket = band_bucket(signatures[query], band, rows);
-      const auto it = buckets[band].find(bucket);
-      if (it == buckets[band].end()) continue;
-      for (const int cluster : it->second) {
-        if (std::find(candidates.begin(), candidates.end(), cluster) ==
-            candidates.end()) {
-          candidates.push_back(cluster);
-        }
-      }
-    }
-
+    const core::Sketch signature = hasher.sketch_features(features[query]);
     int assigned = -1;
-    for (const int cluster : candidates) {
+    for (const int cluster : buckets.candidates(signature)) {
       ++result.comparisons;
       const double jaccard =
           bio::exact_jaccard(features[rep_read[cluster]], features[query]);
@@ -82,10 +50,7 @@ BaselineResult mclsh_cluster(std::span<const bio::FastaRecord> reads,
     if (assigned < 0) {
       assigned = static_cast<int>(rep_read.size());
       rep_read.push_back(query);
-      for (std::size_t band = 0; band < params.bands; ++band) {
-        buckets[band][band_bucket(signatures[query], band, rows)].push_back(
-            assigned);
-      }
+      buckets.insert(assigned, signature);
     }
     result.labels[query] = assigned;
   }

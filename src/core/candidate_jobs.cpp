@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "core/kernels.hpp"
 #include "mr/block.hpp"
-#include "mr/runtime.hpp"
 #include "obs/pipeline.hpp"
 
 namespace mrmc::core {
@@ -101,20 +100,17 @@ CandidateJobResult run_candidate_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,
     const ExecutionOptions& exec) {
+  MRMC_REQUIRE(params.backend == candidates::Backend::kLshBanded,
+               "only the LSH backend has a candidates stage");
   CandidateJobResult result;
   const std::size_t n = sketches->rows();
-  if (n < 2) return result;
-
-  if (params.backend == candidates::Backend::kExactAllPairs) {
-    result.pairs = candidates::enumerate_pairs(*sketches, params, theta);
-    return result;
-  }
-
-  obs::pipeline::StageScope stage("candidates");
   const std::size_t sketch_size = sketches->cols();
   const candidates::BandShape shape =
       candidates::resolve_band_shape(params, sketch_size, theta);
   result.shape = shape;
+  if (n < 2) return result;
+
+  obs::pipeline::StageScope stage("candidates");
   MRMC_REQUIRE(n * shape.bands <= std::numeric_limits<std::uint32_t>::max(),
                "read ids and bucket entries must fit 32 bits");
 
@@ -203,8 +199,8 @@ CandidateJobResult run_candidate_job(
   result.stats = std::move(run.stats);
 
   // The slices join in reducer order, which is part order: exactly the
-  // local enumerator's CSR.
-  candidates::BucketCsr buckets;
+  // local candidates::lsh_buckets CSR.
+  candidates::BucketCsr& buckets = result.buckets;
   for (const candidates::BucketCsr& slice : run.output) {
     const auto base = static_cast<std::uint32_t>(buckets.ids.size());
     buckets.ids.insert(buckets.ids.end(), slice.ids.begin(), slice.ids.end());
@@ -212,9 +208,6 @@ CandidateJobResult run_candidate_job(
       buckets.offsets.push_back(base + slice.offsets[g]);
     }
   }
-  run.output = {};
-  mr::runtime::PoolLease lease(exec.threads, false);
-  result.pairs = candidates::pairs_from_buckets(buckets, n, &lease.pool());
   return result;
 }
 

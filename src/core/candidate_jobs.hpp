@@ -10,17 +10,19 @@
 //                 group of the 256 parts (identity partitioner)
 //                 reduce: decode the blocks and sort-and-compact them into
 //                 a CSR slice (candidates::sort_and_compact, the local
-//                 enumerator's body); the driver joins the slices in
-//                 reducer order — the local CSR — and expands them row by
-//                 row with candidates::pairs_from_buckets on its pool
-//   "verify"      a block job (below) over the sorted candidate pair list:
-//                 one count-lane block per split; the driver rebuilds edges
-//                 positionally from the already-sorted pair list
+//                 stage's body); the driver joins the slices in reducer
+//                 order — the local candidates::lsh_buckets CSR, which the
+//                 greedy stage sweeps directly
+//   "verify"      (hierarchical only) a block job (below) over the sorted
+//                 pair list the pipeline expands from the CSR
+//                 (candidates::pairs_from_buckets): one count-lane block per
+//                 split; the driver rebuilds edges positionally from the
+//                 already-sorted pair list
 //
-// Both drivers produce sorted unique outputs, so candidate sets and
-// edge lists are byte-identical across thread counts, record split orders,
+// Both drivers produce sorted unique outputs, so bucket lists and edge
+// lists are byte-identical across thread counts, record split orders,
 // fault plans that leave one live node, and scalar vs AVX2 kernels — and
-// identical to the local candidates::enumerate_pairs / verify_pairs path.
+// identical to the local candidates::lsh_buckets / verify_pairs path.
 // Each job claims a lineage stage ("candidates" / "verify") so
 // `mrmc_doctor pipeline` reports them like any other pipeline stage.
 //
@@ -51,18 +53,18 @@
 
 namespace mrmc::core {
 
+/// The candidates stage's value in both modes.
 struct CandidateJobResult {
-  std::vector<candidates::Pair> pairs;  ///< sorted by (a, b), unique
-  candidates::BandShape shape;          ///< resolved banding ({0, 0} for exact)
-  mr::JobStats stats;                   ///< empty for the exact backend
+  candidates::BucketCsr buckets;  ///< the LSH buckets, as lsh_buckets builds
+  candidates::BandShape shape;    ///< resolved banding
+  mr::JobStats stats;             ///< empty when computed locally
 };
 
-/// Enumerate candidate pairs for the sketch table.  The LSH backend runs the
-/// "candidates" MapReduce job on the simulated cluster; the exact backend
-/// enumerates all pairs driver-side with candidates::enumerate_pairs (an
-/// all-pairs shuffle would itself be the O(n^2) wall this layer removes).
-/// Read ids are 32-bit: rows × bands must stay below 2^32 (InvalidArgument
-/// otherwise).
+/// Bucket the sketch table under the LSH backend with the "candidates"
+/// MapReduce job on the simulated cluster; the result equals
+/// candidates::lsh_buckets on the same table.  The exact backend has no
+/// candidates stage (InvalidArgument).  Read ids are 32-bit: rows × bands
+/// must stay below 2^32 (InvalidArgument otherwise).
 CandidateJobResult run_candidate_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,
@@ -74,7 +76,7 @@ struct VerifyJobResult {
 };
 
 /// Score candidate pairs into a sparse similarity graph via the "verify"
-/// MapReduce job.  `pairs` must be sorted unique (run_candidate_job output);
+/// MapReduce job.  `pairs` must be sorted unique (pairs_from_buckets output);
 /// the map tasks read views of it, so the job makes no copy of the pairs
 /// and a retry reads the same list.
 VerifyJobResult run_verify_job(

@@ -80,14 +80,15 @@ LshBucketIndex::LshBucketIndex(std::size_t sketch_size, BandShape shape,
     : shape_(shape), seed_(seed) {
   MRMC_REQUIRE(shape.bands >= 1 && shape.bands * shape.rows == sketch_size,
                "band shape must tile the sketch length");
-  buckets_.resize(shape_.bands);
 }
 
 void LshBucketIndex::insert(int id, std::span<const std::uint64_t> sketch) {
   MRMC_REQUIRE(sketch.size() == shape_.bands * shape_.rows,
                "sketch length mismatch");
   for (std::size_t band = 0; band < shape_.bands; ++band) {
-    buckets_[band][band_bucket_key(sketch, band, shape_, seed_)].push_back(id);
+    std::vector<int>& bucket =
+        buckets_[band_bucket_key(sketch, band, shape_, seed_)];
+    if (bucket.empty() || bucket.back() != id) bucket.push_back(id);
   }
   ++inserted_;
 }
@@ -98,15 +99,13 @@ std::vector<int> LshBucketIndex::candidates(
                "sketch length mismatch");
   std::vector<int> out;
   for (std::size_t band = 0; band < shape_.bands; ++band) {
-    const auto it =
-        buckets_[band].find(band_bucket_key(sketch, band, shape_, seed_));
-    if (it == buckets_[band].end()) continue;
-    for (const int id : it->second) {
-      if (std::find(out.begin(), out.end(), id) == out.end()) {
-        out.push_back(id);
-      }
+    const auto it = buckets_.find(band_bucket_key(sketch, band, shape_, seed_));
+    if (it != buckets_.end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
     }
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -228,6 +227,23 @@ BucketCsr sort_and_compact(std::span<BucketEntry> entries,
   return slice;
 }
 
+void validate_buckets(const BucketCsr& buckets, std::size_t rows) {
+  const std::vector<std::uint32_t>& offsets = buckets.offsets;
+  const std::vector<std::uint32_t>& ids = buckets.ids;
+  MRMC_REQUIRE(!offsets.empty() && offsets.front() == 0 &&
+                   offsets.back() == ids.size(),
+               "offsets must frame the ids");
+  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+    MRMC_REQUIRE(offsets[g] < offsets[g + 1] &&
+                     offsets[g + 1] - offsets[g] >= 2,
+                 "every bucket needs two ids");
+    MRMC_REQUIRE(ids[offsets[g + 1] - 1] < rows, "bucket id out of range");
+    for (std::uint32_t p = offsets[g] + 1; p < offsets[g + 1]; ++p) {
+      MRMC_REQUIRE(ids[p - 1] < ids[p], "bucket ids must ascend");
+    }
+  }
+}
+
 std::vector<Pair> pairs_from_buckets(const BucketCsr& buckets,
                                      std::size_t rows,
                                      common::ThreadPool* pool) {
@@ -235,9 +251,7 @@ std::vector<Pair> pairs_from_buckets(const BucketCsr& buckets,
   const std::vector<std::uint32_t>& ids = buckets.ids;
   MRMC_REQUIRE(rows <= kMaxIndex, "read ids must fit 32 bits");
   MRMC_REQUIRE(ids.size() <= kMaxIndex, "bucket entries must fit 32 bits");
-  MRMC_REQUIRE(!offsets.empty() && offsets.front() == 0 &&
-                   offsets.back() == ids.size(),
-               "offsets must frame the ids");
+  validate_buckets(buckets, rows);
 
   // Row index: slot s of row a is one bucket holding a, as the range of
   // a's mates b > a in it — the ids after a in that ascending bucket.
@@ -249,14 +263,9 @@ std::vector<Pair> pairs_from_buckets(const BucketCsr& buckets,
   std::vector<std::uint32_t> row_start(rows + 1, 0);
   std::vector<std::uint64_t> work(rows + 1, 0);
   for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
-    const std::uint32_t lo = offsets[g];
-    const std::uint32_t hi = offsets[g + 1];
-    MRMC_REQUIRE(lo < hi && hi - lo >= 2, "every bucket needs two ids");
-    MRMC_REQUIRE(ids[hi - 1] < rows, "bucket id out of range");
-    for (std::uint32_t p = lo; p + 1 < hi; ++p) {
-      MRMC_REQUIRE(ids[p] < ids[p + 1], "bucket ids must ascend");
+    for (std::uint32_t p = offsets[g]; p + 1 < offsets[g + 1]; ++p) {
       ++row_start[ids[p] + 1];
-      work[ids[p] + 1] += hi - p - 1;
+      work[ids[p] + 1] += offsets[g + 1] - p - 1;
     }
   }
   std::partial_sum(row_start.begin(), row_start.end(), row_start.begin());
@@ -330,6 +339,18 @@ std::vector<Pair> pairs_from_buckets(const BucketCsr& buckets,
   return pairs;
 }
 
+BucketCsr lsh_buckets(const kernels::SketchMatrix& sketches,
+                      const BandShape& shape, std::uint64_t seed,
+                      common::ThreadPool* pool) {
+  const std::size_t n = sketches.rows();
+  MRMC_REQUIRE(n <= kMaxIndex && n * shape.bands <= kMaxIndex,
+               "read ids and bucket entries must fit 32 bits");
+  std::vector<std::size_t> part_start;
+  std::vector<BucketEntry> entries =
+      part_entries(sketches, shape, seed, 0, n, part_start, pool);
+  return sort_and_compact(entries, part_start, pool);
+}
+
 std::vector<Pair> enumerate_pairs(const kernels::SketchMatrix& sketches,
                                   const Params& params, double theta,
                                   common::ThreadPool* pool) {
@@ -338,13 +359,8 @@ std::vector<Pair> enumerate_pairs(const kernels::SketchMatrix& sketches,
   if (n < 2) return {};
   if (params.backend == Backend::kExactAllPairs) return all_pairs(n);
   const BandShape shape = resolve_band_shape(params, sketches.cols(), theta);
-  MRMC_REQUIRE(n * shape.bands <= kMaxIndex, "bucket entries must fit 32 bits");
-  std::vector<std::size_t> part_start;
-  std::vector<BucketEntry> entries =
-      part_entries(sketches, shape, params.seed, 0, n, part_start, pool);
-  const BucketCsr buckets = sort_and_compact(entries, part_start, pool);
-  entries = std::vector<BucketEntry>();  // freed before any pair is written
-  return pairs_from_buckets(buckets, n, pool);
+  return pairs_from_buckets(lsh_buckets(sketches, shape, params.seed, pool), n,
+                            pool);
 }
 
 SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,

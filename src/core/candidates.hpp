@@ -13,16 +13,21 @@
 //     bucket-mates become candidate pairs.  Near-linear in practice where
 //     all-pairs is quadratic (bench/ablation_lsh_index).
 //
-// Candidates are then *verified*: every pair is scored with the batched
-// sketch kernels (count_equal / SortedSketchStore) into a
-// SparseSimilarityGraph that greedy (greedy_cluster_graph), hierarchical
-// (similarity_matrix_from_graph), and pig's CalculatePairwiseSimilarity all
-// consume.  The S-curve / band-shape math lives here and only here.
+// The LSH backend's product is the bucket CSR (lsh_buckets, or the
+// candidate MapReduce job's joined slices).  The greedy sweep runs straight
+// off it (greedy_cluster_buckets), checking each read against the
+// representatives in its buckets only.  The hierarchical path expands it
+// into pairs (pairs_from_buckets) and *verifies* them: every pair is scored
+// into a SparseSimilarityGraph that similarity_matrix_from_graph densifies
+// and pig's CalculatePairwiseSimilarity consumes.  enumerate_pairs,
+// build_graph and greedy_cluster_graph compose the same pieces into the
+// pair-list path the tests and benches compare against.  The S-curve /
+// band-shape math lives here and only here.
 //
-// Everything in this header is deterministic: candidate sets and edge lists
-// are sorted and deduplicated, so they are byte-identical across thread
-// counts, record split orders, local vs distributed execution, and scalar
-// vs AVX2 kernel backends.
+// Everything in this header is deterministic: bucket lists, candidate sets
+// and edge lists are sorted and deduplicated, so they are byte-identical
+// across thread counts, record split orders, local vs distributed
+// execution, and scalar vs AVX2 kernel backends.
 #pragma once
 
 #include <cstddef>
@@ -103,8 +108,9 @@ struct Params {
 using Pair = std::pair<std::uint32_t, std::uint32_t>;
 
 /// Incremental banded bucket index: supports interleaved insert / candidate
-/// queries, as IncrementalClusterer needs.  Batch enumeration should prefer
-/// enumerate_pairs.
+/// queries, as IncrementalClusterer and the MC-LSH baseline need.  A bucket
+/// is every inserted (id, band) sharing one band_bucket_key, as in
+/// BucketCsr.  Batch work should prefer lsh_buckets.
 class LshBucketIndex {
  public:
   LshBucketIndex(std::size_t sketch_size, BandShape shape, std::uint64_t seed);
@@ -115,7 +121,8 @@ class LshBucketIndex {
   void insert(int id, std::span<const std::uint64_t> sketch);
 
   /// All ids sharing at least one band bucket with `sketch`, deduplicated,
-  /// in insertion order.
+  /// ascending — so a greedy caller that inserts representatives in order
+  /// tries the lowest one first, as Algorithm 1 does.
   [[nodiscard]] std::vector<int> candidates(
       std::span<const std::uint64_t> sketch) const;
 
@@ -125,16 +132,17 @@ class LshBucketIndex {
   BandShape shape_;
   std::uint64_t seed_;
   std::size_t inserted_ = 0;
-  std::vector<std::unordered_map<std::uint64_t, std::vector<int>>> buckets_;
+  std::unordered_map<std::uint64_t, std::vector<int>> buckets_;
 };
 
 /// Enumerate candidate pairs for the whole sketch matrix under `params`:
 /// all pairs (exact backend) or bucket-mates in at least one band (LSH
-/// backend).  The result is sorted by (a, b) and deduplicated — identical
-/// at any `pool` size, and identical to what the candidate MapReduce job
-/// produces for the same inputs.  Read ids are 32-bit: the matrix may hold
-/// at most 2^32 - 1 rows, and for the LSH backend rows × bands must also
-/// stay below 2^32 (both are checked; InvalidArgument otherwise).
+/// backend: lsh_buckets, then pairs_from_buckets).  The result is sorted by
+/// (a, b) and deduplicated — identical at any `pool` size, and identical to
+/// the expansion of the candidate MapReduce job's buckets for the same
+/// inputs.  Read ids are 32-bit: the matrix may hold at most 2^32 - 1 rows,
+/// and for the LSH backend rows × bands must also stay below 2^32 (both are
+/// checked; InvalidArgument otherwise).
 [[nodiscard]] std::vector<Pair> enumerate_pairs(
     const kernels::SketchMatrix& sketches, const Params& params, double theta,
     common::ThreadPool* pool = nullptr);
@@ -151,6 +159,8 @@ struct BucketCsr {
   [[nodiscard]] double approx_serialized_bytes() const noexcept {
     return 4.0 * static_cast<double>(offsets.size() + ids.size());
   }
+
+  friend bool operator==(const BucketCsr&, const BucketCsr&) = default;
 };
 
 /// Bucket entries are partitioned on the top kPartBits of their key: equal
@@ -186,13 +196,27 @@ using BucketEntry = std::pair<std::uint64_t, std::uint32_t>;
     std::span<BucketEntry> entries, std::span<const std::size_t> part_start,
     common::ThreadPool* pool = nullptr);
 
+/// The LSH buckets of the whole sketch matrix under `shape`: part_entries
+/// over every row, then sort_and_compact — the local candidates stage, and
+/// the CSR the candidate MapReduce job's joined slices reproduce byte for
+/// byte.  rows × bands must stay below 2^32 (InvalidArgument otherwise).
+[[nodiscard]] BucketCsr lsh_buckets(const kernels::SketchMatrix& sketches,
+                                    const BandShape& shape, std::uint64_t seed,
+                                    common::ThreadPool* pool = nullptr);
+
+/// Throws InvalidArgument unless `buckets` is a CSR lsh_buckets could have
+/// built over `rows` reads: offsets frame the ids, and every bucket holds
+/// at least two ids, strictly ascending, each < rows.
+void validate_buckets(const BucketCsr& buckets, std::size_t rows);
+
 /// Every pair of bucket-mates among `rows` reads, sorted by (a, b), unique,
-/// a < b: the one bucket-to-pairs routine the local enumerator and the
-/// candidate MapReduce driver share.  Rows are split into contiguous blocks
-/// of roughly equal pair work; each row gathers its mates b > a from its
-/// buckets, deduplicates them and writes them in ascending order, so the
-/// output is identical at any `pool` size.  Requires every id < rows,
-/// rows < 2^32 and fewer than 2^32 ids (InvalidArgument otherwise).
+/// a < b: the one bucket-to-pairs routine enumerate_pairs and the
+/// hierarchical pipeline's verify stage share.  Rows are split into
+/// contiguous blocks of roughly equal pair work; each row gathers its mates
+/// b > a from its buckets, deduplicates them and writes them in ascending
+/// order, so the output is identical at any `pool` size.  Requires a CSR
+/// that passes validate_buckets, rows < 2^32 and fewer than 2^32 ids
+/// (InvalidArgument otherwise).
 [[nodiscard]] std::vector<Pair> pairs_from_buckets(
     const BucketCsr& buckets, std::size_t rows,
     common::ThreadPool* pool = nullptr);
@@ -211,9 +235,8 @@ struct Edge {
 };
 
 /// The sparse output of candidate verification: edges sorted by (a, b),
-/// a < b, unique.  Consumed by greedy_cluster_graph, by
-/// similarity_matrix_from_graph (hierarchical), and by pig's
-/// CalculatePairwiseSimilarity.
+/// a < b, unique.  Consumed by similarity_matrix_from_graph (hierarchical),
+/// by pig's CalculatePairwiseSimilarity, and by greedy_cluster_graph.
 struct SparseSimilarityGraph {
   std::size_t num_vertices = 0;
   std::vector<Edge> edges;

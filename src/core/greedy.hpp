@@ -40,9 +40,24 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
                             const GreedyParams& params,
                             common::ThreadPool* pool = nullptr);
 
-/// Algorithm 1 over a verified candidate graph instead of raw sketches: a
-/// sequence only ever joins a representative it shares a graph edge with,
-/// so the sweep is O(V + E) instead of O(N * #clusters) comparisons.  It
+/// Algorithm 1 over LSH buckets (the LSH backend's greedy stage): reads are
+/// taken in id order, and each is scored only against the representatives
+/// already recorded in its own buckets, lowest id first, each once.  It
+/// joins the first one at similarity >= theta; otherwise it becomes a
+/// representative and is recorded in each of its buckets.  Labels,
+/// representatives and `comparisons` (similarity evaluations) equal
+/// greedy_cluster_graph's over the verified pairs of the same buckets, but
+/// no pair list or graph is built.  Serial; `buckets` must pass
+/// candidates::validate_buckets over the matrix's rows (InvalidArgument
+/// otherwise).
+GreedyResult greedy_cluster_buckets(const kernels::SketchMatrix& sketches,
+                                    const candidates::BucketCsr& buckets,
+                                    const GreedyParams& params);
+
+/// Algorithm 1 over a verified candidate graph instead of raw sketches, the
+/// oracle greedy_cluster_buckets is tested against: a sequence only ever
+/// joins a representative it shares a graph edge with, so the sweep is
+/// O(V + E) instead of O(N * #clusters) comparisons.  It
 /// walks `graph.edges` in place with one cursor (each representative's
 /// edges to later reads are one contiguous run) and allocates nothing
 /// proportional to E; edges that are not strictly ascending by (a, b) with

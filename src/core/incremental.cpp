@@ -1,22 +1,8 @@
 #include "core/incremental.hpp"
 
-#include <algorithm>
-
-#include "bio/kmer.hpp"
 #include "common/error.hpp"
 
 namespace mrmc::core {
-
-namespace {
-
-Sketch sorted_unique(const Sketch& sketch) {
-  Sketch s = sketch;
-  std::sort(s.begin(), s.end());
-  s.erase(std::unique(s.begin(), s.end()), s.end());
-  return s;
-}
-
-}  // namespace
 
 IncrementalClusterer::IncrementalClusterer(MinHashParams hasher,
                                            GreedyParams greedy,
@@ -29,16 +15,10 @@ IncrementalClusterer::IncrementalClusterer(MinHashParams hasher,
 
 int IncrementalClusterer::add(std::string_view seq) {
   const Sketch sketch = hasher_.sketch(seq);
-  const bool set_based = greedy_.estimator == SketchEstimator::kSetBased;
-  const Sketch sorted = set_based ? sorted_unique(sketch) : Sketch{};
-
   int assigned = -1;
   for (const int cluster : index_.candidates(sketch)) {
-    const double similarity =
-        set_based
-            ? bio::exact_jaccard(sorted_representatives_[cluster], sorted)
-            : component_match_similarity(representatives_[cluster], sketch);
-    if (similarity >= greedy_.theta) {
+    if (sketch_similarity(representatives_[cluster], sketch,
+                          greedy_.estimator) >= greedy_.theta) {
       assigned = cluster;
       break;
     }
@@ -47,7 +27,6 @@ int IncrementalClusterer::add(std::string_view seq) {
     assigned = static_cast<int>(representatives_.size());
     index_.insert(assigned, sketch);
     representatives_.push_back(sketch);
-    sorted_representatives_.push_back(set_based ? sorted : Sketch{});
     sizes_.push_back(0);
   }
   ++sizes_[assigned];

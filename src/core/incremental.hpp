@@ -1,8 +1,10 @@
 // Incremental clustering — absorb new reads into an existing clustering
 // without re-running it, the operational mode for longitudinal studies
 // where samples arrive sequencing-run by sequencing-run.  New reads are
-// matched against existing cluster representatives through the LSH index
-// (greedy semantics); unmatched reads found new clusters.
+// matched against existing cluster representatives through the LSH index,
+// lowest label first, and join the first at >= θ (Algorithm 1's rule, as
+// greedy_cluster_buckets applies it in batch); unmatched reads found new
+// clusters.
 #pragma once
 
 #include <span>
@@ -46,8 +48,7 @@ class IncrementalClusterer {
   MinHasher hasher_;
   GreedyParams greedy_;
   candidates::LshBucketIndex index_;
-  std::vector<Sketch> representatives_;        // raw sketches
-  std::vector<Sketch> sorted_representatives_; // sorted-unique (set estimator)
+  std::vector<Sketch> representatives_;
   std::vector<std::size_t> sizes_;
   std::size_t reads_added_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -167,28 +168,22 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
 /// row on the pool.
 SimilarityMatrix run_similarity_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
-    const PipelineParams& params, const EffectiveKnobs& knobs,
+    const PipelineParams& params, SketchEstimator estimator,
     const ExecutionOptions& exec, mr::JobStats& stats) {
   obs::pipeline::StageScope stage("similarity");
   const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
-  const detail::PairScoreLanes lanes(sketches, knobs.estimator);
+  const detail::PairScoreLanes lanes(sketches, estimator);
   const std::size_t per_split = std::max<std::size_t>(
       1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
 
   std::vector<std::uint32_t> rows(n);
   for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
 
-  // Per-row fan-out: how many of the row's pairs clear theta — the density
-  // signal that decides whether sparse clustering would pay off.
-  auto& fanout_hist =
-      obs::Registry::global().histogram("pipeline.similarity_fanout");
-  const auto theta = static_cast<float>(knobs.theta);
   const auto blocks = detail::run_block_job(
       "similarity", exec, per_split, std::span<const std::uint32_t>(rows),
-      [lanes, n, theta, &fanout_hist](
-          std::span<const std::uint32_t> split,
-          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
+      [lanes, n](std::span<const std::uint32_t> split,
+                 mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         // One ragged column: row r contributes n - r - 1 lanes, upper
         // triangle in row order (the driver knows the lengths).
         std::uint64_t total = 0;
@@ -196,12 +191,9 @@ SimilarityMatrix run_similarity_job(
         mr::BinaryBlock block = lanes.block(total);
         std::uint64_t lane = 0;
         for (const std::uint32_t row : split) {
-          std::size_t fanout = 0;
           for (std::size_t j = row + 1; j < n; ++j, ++lane) {
-            const double sim = lanes.encode(block, lane, row, j);
-            if (static_cast<float>(sim) >= theta) ++fanout;
+            (void)lanes.encode(block, lane, row, j);
           }
-          fanout_hist.observe(static_cast<double>(fanout));
           emit.count("matrix.rows");
         }
         return block;
@@ -290,34 +282,42 @@ std::vector<int> decode_labels(mr::recovery::PayloadReader& reader) {
   return labels;
 }
 
+// The candidates stage's bucket CSR: u64 bands, u64 rows, u64 buckets,
+// u64 ids, then every bucket's end offset and every id as u32s.  The pair
+// list an older build stored under the same key (u64 pair count, then u32
+// a, u32 b per pair) reads its first pair as the id count: a + 2^32·b with
+// b > a >= 0 is more ids than the payload holds, so it is a miss, never a
+// hit.
 void encode_candidates(mr::recovery::PayloadWriter& writer,
                        const CandidateJobResult& candidates) {
+  const candidates::BucketCsr& buckets = candidates.buckets;
   writer.u64(candidates.shape.bands);
   writer.u64(candidates.shape.rows);
-  writer.u64(candidates.pairs.size());
-  for (const auto& [a, b] : candidates.pairs) {
-    writer.u32(a);
-    writer.u32(b);
+  writer.u64(buckets.offsets.size() - 1);
+  writer.u64(buckets.ids.size());
+  for (std::size_t g = 1; g < buckets.offsets.size(); ++g) {
+    writer.u32(buckets.offsets[g]);
   }
+  for (const std::uint32_t id : buckets.ids) writer.u32(id);
 }
 
 CandidateJobResult decode_candidates(mr::recovery::PayloadReader& reader) {
   CandidateJobResult candidates;  // stats stay empty: the job never ran
   candidates.shape.bands = reader.u64();
   candidates.shape.rows = reader.u64();
-  const std::uint64_t count = reader.u64();
-  MRMC_CHECK(count <= reader.remaining() / 8, "pair list larger than its payload");
-  candidates.pairs.resize(count);
-  for (auto& [a, b] : candidates.pairs) {
-    a = reader.u32();
-    b = reader.u32();
-  }
-  // A candidate list is sorted, unique and a < b; anything else is corrupt.
-  for (std::size_t p = 0; p < candidates.pairs.size(); ++p) {
-    MRMC_CHECK(candidates.pairs[p].first < candidates.pairs[p].second &&
-                   (p == 0 || candidates.pairs[p - 1] < candidates.pairs[p]),
-               "candidate pairs not strictly ascending");
-  }
+  const std::uint64_t buckets = reader.u64();
+  const std::uint64_t ids = reader.u64();
+  MRMC_CHECK(ids <= reader.remaining() / 4 &&
+                 buckets <= reader.remaining() / 4 - ids,
+             "bucket lists larger than their payload");
+  std::vector<std::uint32_t>& offsets = candidates.buckets.offsets;
+  offsets.resize(buckets + 1);
+  for (std::size_t g = 1; g <= buckets; ++g) offsets[g] = reader.u32();
+  candidates.buckets.ids.resize(ids);
+  for (std::uint32_t& id : candidates.buckets.ids) id = reader.u32();
+  // Anything lsh_buckets could not have built is corrupt.
+  candidates::validate_buckets(candidates.buckets,
+                               std::numeric_limits<std::uint32_t>::max());
   return candidates;
 }
 
@@ -430,9 +430,6 @@ class StageRunner {
   [[nodiscard]] bool distributed() const noexcept { return driver_ != nullptr; }
   /// The local run's pool; nullptr when distributed (the jobs lease their own).
   [[nodiscard]] common::ThreadPool* pool() const noexcept { return pool_; }
-  [[nodiscard]] mr::recovery::StageDriver& driver() const noexcept {
-    return *driver_;
-  }
 
   template <typename Local, typename Job, typename Encode, typename Decode>
   auto run(const char* name, Local&& local, Job&& job, Encode&& encode,
@@ -448,63 +445,53 @@ class StageRunner {
   mr::recovery::StageDriver* driver_ = nullptr;
 };
 
-/// candidates -> verify (the LSH backend).  The pairs die with this frame,
-/// so the cluster stage never holds them next to its own buffers.
-candidates::SparseSimilarityGraph candidate_graph(
+/// The LSH backend's candidates stage: the bucket CSR.  Band-shape selection
+/// keeps the ORIGINAL theta (see EffectiveKnobs).
+CandidateJobResult lsh_candidates(
     const std::shared_ptr<const kernels::SketchMatrix>& sketches,
-    const PipelineParams& params, SketchEstimator estimator,
+    const PipelineParams& params, const ExecutionOptions& exec,
+    const StageRunner& stages, PipelineResult& result) {
+  CandidateJobResult buckets = stages.run(
+      "candidates",
+      [&] {
+        CandidateJobResult local;
+        local.shape = candidates::resolve_band_shape(
+            params.candidates, sketches->cols(), params.theta);
+        local.buckets = candidates::lsh_buckets(
+            *sketches, local.shape, params.candidates.seed, stages.pool());
+        return local;
+      },
+      [&] {
+        return run_candidate_job(sketches, params.candidates, params.theta,
+                                 exec);
+      },
+      encode_candidates, decode_candidates);
+  result.candidate_stats = std::move(buckets.stats);
+  result.sim_total_s += result.candidate_stats.timeline.total_s;
+  return buckets;
+}
+
+/// The hierarchical LSH path's verify stage: the buckets' pairs, scored.
+/// The pairs die with this frame, so the cluster stage never holds them.
+candidates::SparseSimilarityGraph verify_buckets(
+    const std::shared_ptr<const kernels::SketchMatrix>& sketches,
+    const candidates::BucketCsr& buckets, SketchEstimator estimator,
     const ExecutionOptions& exec, const StageRunner& stages,
     PipelineResult& result) {
-  CandidateJobResult enumerated;
-  try {
-    enumerated = stages.run(
-        "candidates",
-        [&] {
-          CandidateJobResult local;
-          local.pairs = candidates::enumerate_pairs(
-              *sketches, params.candidates, params.theta, stages.pool());
-          return local;
-        },
-        [&] {
-          return run_candidate_job(sketches, params.candidates, params.theta,
-                                   exec);
-        },
-        encode_candidates, decode_candidates);
-  } catch (const mr::recovery::RetryExhausted& error) {
-    // Only the recovery driver retries, so only a distributed run gets here.
-    if (exec.lsh_fallback_max_reads == 0 ||
-        sketches->rows() > exec.lsh_fallback_max_reads) {
-      throw;
-    }
-    // Graceful degradation: banded enumeration keeps failing, but the
-    // input is small enough for the exact oracle — same pairs-at-θ
-    // semantics at O(n^2) cost, computed driver-side (no MR job, hence
-    // no lineage claim).
-    stages.driver().record_lsh_fallback("candidates");
-    static const obs::Logger logger("core.pipeline");
-    logger.warn("candidates stage degraded to exact all-pairs",
-                {{"reads", sketches->rows()},
-                 {"attempts", error.history().size()},
-                 {"error", error.what()}});
-    candidates::Params exact = params.candidates;
-    exact.backend = candidates::Backend::kExactAllPairs;
-    enumerated = stages.driver().run_stage(
-        "candidates-exact-fallback",
-        [&] { return run_candidate_job(sketches, exact, params.theta, exec); },
-        encode_candidates, decode_candidates, {.claims_lineage = false});
-  }
-  result.candidate_stats = std::move(enumerated.stats);
-  result.sim_total_s += result.candidate_stats.timeline.total_s;
-
+  const std::size_t n = sketches->rows();
   candidates::SparseSimilarityGraph graph = stages.run(
       "verify",
       [&] {
-        return candidates::verify_pairs(*sketches, enumerated.pairs, estimator,
-                                        stages.pool());
+        return candidates::verify_pairs(
+            *sketches, candidates::pairs_from_buckets(buckets, n, stages.pool()),
+            estimator, stages.pool());
       },
       [&] {
-        auto verified =
-            run_verify_job(sketches, enumerated.pairs, estimator, exec);
+        const std::vector<candidates::Pair> pairs = [&] {
+          mr::runtime::PoolLease lease(exec.threads, false);
+          return candidates::pairs_from_buckets(buckets, n, &lease.pool());
+        }();
+        auto verified = run_verify_job(sketches, pairs, estimator, exec);
         result.verify_stats = std::move(verified.stats);
         return std::move(verified.graph);
       },
@@ -514,8 +501,9 @@ candidates::SparseSimilarityGraph candidate_graph(
   return graph;
 }
 
-/// The pipeline's one stage list, for both modes: sketch -> (candidates ->
-/// verify | similarity) -> greedy-cluster or hierarchical-cluster.
+/// The pipeline's one stage list, for both modes: sketch -> (candidates |
+/// candidates -> verify | similarity) -> greedy-cluster or
+/// hierarchical-cluster.
 void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                          const PipelineParams& params,
                          const ExecutionOptions& exec,
@@ -544,32 +532,32 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   if (stages.distributed()) ::malloc_trim(0);
 #endif
 
-  // Band-shape selection keeps the ORIGINAL theta (see EffectiveKnobs).
-  std::optional<candidates::SparseSimilarityGraph> graph;
+  std::optional<CandidateJobResult> buckets;
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
-    graph = candidate_graph(sketches, params,
-                            params.mode == Mode::kGreedy ? knobs.greedy_estimator
-                                                         : knobs.estimator,
-                            exec, stages, result);
+    buckets = lsh_candidates(sketches, params, exec, stages, result);
   }
+  const double compare_work = cost::compare_work(sketches->cols());
 
   if (params.mode == Mode::kGreedy) {
     const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator};
+    std::size_t comparisons = 0;
     const auto cluster = [&](common::ThreadPool* pool) {
-      return (graph ? greedy_cluster_graph(*graph, greedy)
-                    : greedy_cluster(*sketches, greedy, pool))
-          .labels;
+      GreedyResult swept =
+          buckets ? greedy_cluster_buckets(*sketches, buckets->buckets, greedy)
+                  : greedy_cluster(*sketches, greedy, pool);
+      comparisons = swept.comparisons;
+      return std::move(swept.labels);
     };
-    // A graph sweep is O(V + E): each edge is inspected at most once.
+    // The bucket sweep visits every read and at most every bucket entry.
     // Exhaustive greedy comparisons are data dependent; model the observed
     // ~N·sqrt(N) envelope with the per-comparison sketch cost.
     const double reduce_work =
-        graph ? (static_cast<double>(n) +
-                 static_cast<double>(graph->edges.size())) *
-                    cost::compare_work(100)
-              : static_cast<double>(n) *
-                    std::max(1.0, std::sqrt(static_cast<double>(n))) *
-                    cost::compare_work(100);
+        buckets ? (static_cast<double>(n) +
+                   static_cast<double>(buckets->buckets.ids.size())) *
+                      compare_work
+                : static_cast<double>(n) *
+                      std::max(1.0, std::sqrt(static_cast<double>(n))) *
+                      compare_work;
     result.labels = stages.run(
         "greedy-cluster", [&] { return cluster(stages.pool()); },
         [&] {
@@ -583,7 +571,14 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
               result.cluster_stats);
         },
         encode_labels, decode_labels);
+    if (buckets) result.candidate_pairs = comparisons;
   } else {
+    std::optional<candidates::SparseSimilarityGraph> graph;
+    if (buckets) {
+      graph = verify_buckets(sketches, buckets->buckets, knobs.estimator, exec,
+                             stages, result);
+      buckets.reset();
+    }
     SimilarityMatrix matrix =
         graph ? similarity_matrix_from_graph(*graph)
               : stages.run(
@@ -593,7 +588,8 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                           *sketches, knobs.estimator, stages.pool());
                     },
                     [&] {
-                      return run_similarity_job(sketches, params, knobs, exec,
+                      return run_similarity_job(sketches, params,
+                                                knobs.estimator, exec,
                                                 result.similarity_stats);
                     },
                     encode_matrix, decode_matrix);
@@ -650,7 +646,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
                "sketch_bits must be one of {1, 2, 4, 8, 16, 32, 64}");
   // A band count that cannot tile the sketch, or a retry policy out of
   // range, is the caller's error in both modes, never a failed job for the
-  // retry loop or the LSH fallback.
+  // retry loop.
   mr::recovery::validate(exec.retry);
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
     (void)candidates::resolve_band_shape(

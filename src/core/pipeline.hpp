@@ -12,21 +12,24 @@
 //   -- LSH-banded backend --
 //   "candidates"   map: read split -> one block of bucket entries per
 //                   reducer, each owning a group of key parts; reduce
-//                   sorts and compacts its parts into a CSR slice
-//   "verify"       map: pair split -> one block of pair counts
-//                   -> sparse similarity graph
+//                   sorts and compacts its parts into a CSR slice; the
+//                   joined slices are the bucket CSR
+//   "verify"       [hierarchical only] the CSR's pairs; map: pair split ->
+//                   one block of pair counts -> sparse similarity graph
 //   -- either backend --
 //   "greedy-cluster" / "hierarchical-cluster"
-//                  GROUP ALL -> single reducer runs Algorithm 1 (greedy,
-//                   graph-aware under LSH) or the dendrogram build + θ-cut
-//                   (Algorithm 3, steps 6-9)
+//                  GROUP ALL -> single reducer runs Algorithm 1 (against
+//                   every pending read, or under LSH against the
+//                   representatives in each read's buckets) or the
+//                   dendrogram build + θ-cut (Algorithm 3, steps 6-9)
 //
-// Distributed (ExecutionOptions::distributed), each stage runs as the
-// MapReduce job above on the simulated cluster, under the recovery stage
-// driver (retries, checkpoints, lineage, MRMC_* stage hooks).  Local, each
-// stage is a plain in-process call of the same computation on one thread
-// pool; labels, cluster counts and candidate pair counts are identical
-// either way.  Simulated job timelines accumulate into
+// So a greedy LSH run is sketch -> candidates -> greedy-cluster: no pair
+// list, verify job or graph.  Distributed (ExecutionOptions::distributed),
+// each stage runs as the MapReduce job above on the simulated cluster,
+// under the recovery stage driver (retries, checkpoints, lineage, MRMC_*
+// stage hooks).  Local, each stage is a plain in-process call of the same
+// computation on one thread pool; labels, cluster counts and candidate pair
+// counts are identical either way.  Simulated job timelines accumulate into
 // PipelineResult::sim_total_s, the number the paper's Table III/V "Time"
 // columns report.
 #pragma once
@@ -57,8 +60,8 @@ struct PipelineParams {
   SketchEstimator estimator = SketchEstimator::kComponentMatch;
   SketchEstimator greedy_estimator = SketchEstimator::kSetBased;
   /// Pair-enumeration backend.  The exact default keeps the paper's job
-  /// shapes (and bit-for-bit outputs); kLshBanded swaps in the
-  /// candidates + verify jobs and sparse-graph clustering.
+  /// shapes (and bit-for-bit outputs); kLshBanded swaps in the candidates
+  /// job, then the bucket greedy sweep or verify + sparse-graph clustering.
   candidates::Params candidates{};
   /// b-bit sketches: keep only the low `sketch_bits` of every minwise value
   /// (∈ {1, 2, 4, 8, 16, 32, 64}).  64 (default) is today's full-width
@@ -94,11 +97,6 @@ struct ExecutionOptions {
   /// stages stay empty (their jobs never ran), so sim_total_s covers only
   /// the stages computed in *this* process.
   std::string checkpoint_dir;
-  /// Graceful degradation: when the LshBanded candidates stage exhausts its
-  /// retry budget and the input has at most this many reads, rerun pair
-  /// enumeration with the ExactAllPairs backend instead of failing the
-  /// pipeline.  0 disables the fallback.
-  std::size_t lsh_fallback_max_reads = 20000;
 };
 
 struct PipelineResult {
@@ -109,11 +107,14 @@ struct PipelineResult {
   mr::JobStats sketch_stats;
   mr::JobStats similarity_stats;  ///< hierarchical mode, exact backend only
   mr::JobStats candidate_stats;   ///< LSH backend only
-  mr::JobStats verify_stats;      ///< LSH backend only
+  mr::JobStats verify_stats;      ///< LSH backend, hierarchical mode only
   mr::JobStats cluster_stats;
-  std::size_t candidate_pairs = 0;  ///< scored pairs (LSH backend only)
+  /// Scored pairs, LSH backend only: the greedy sweep's comparisons, or the
+  /// hierarchical path's verified edges (0 when that stage was a
+  /// checkpoint hit).
+  std::size_t candidate_pairs = 0;
   /// What the recovery stage driver did: checkpoint hits/misses/writes,
-  /// retries, fallbacks (distributed path only; all-zero otherwise).
+  /// retries (distributed path only; all-zero otherwise).
   mr::recovery::RecoveryStats recovery;
 };
 

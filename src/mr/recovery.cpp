@@ -314,8 +314,7 @@ int StageDriver::run_attempts(const std::string& stage,
 
 void StageDriver::finish_stage(const std::string& stage, std::size_t sequence,
                                std::uint64_t key, const char* outcome,
-                               int attempts, std::uint64_t payload_checksum,
-                               bool claims_lineage) {
+                               int attempts, std::uint64_t payload_checksum) {
   // Absorb the payload into the fingerprint chain: downstream stage keys
   // depend on every upstream result, so any upstream change invalidates
   // everything after it — while a deterministic recompute (which reproduces
@@ -331,12 +330,10 @@ void StageDriver::finish_stage(const std::string& stage, std::size_t sequence,
   if (hit) {
     ++stats_.checkpoint_hits;
     registry.counter("recovery.checkpoint_hits").add();
-    if (claims_lineage) {
-      // Consume the lineage slot the skipped job would have claimed, so
-      // downstream jobs keep the sequence numbers of an uninterrupted run.
-      obs::pipeline::StageScope scope(stage);
-      (void)obs::pipeline::claim();
-    }
+    // Consume the lineage slot the skipped job would have claimed, so
+    // downstream jobs keep the sequence numbers of an uninterrupted run.
+    obs::pipeline::StageScope scope(stage);
+    (void)obs::pipeline::claim();
   } else {
     ++stats_.checkpoint_misses;
     registry.counter("recovery.checkpoint_misses").add();
@@ -372,18 +369,6 @@ void StageDriver::note_undecodable(const std::string& file_name) {
   // with the store's invalid files and fall through to recompute.
   (void)file_name;
   ++undecodable_;
-}
-
-void StageDriver::record_lsh_fallback(const std::string& stage) {
-  ++stats_.lsh_fallbacks;
-  obs::Registry::global().counter("recovery.lsh_fallbacks").add();
-  auto& tracer = obs::Tracer::global();
-  if (tracer.enabled()) {
-    tracer.instant("stage_fallback",
-                   {{"pipeline", obs::pipeline::current_id()},
-                    {"stage", stage},
-                    {"to", "exact-all-pairs"}});
-  }
 }
 
 void StageDriver::park(const std::string& reason) {

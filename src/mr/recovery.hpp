@@ -29,12 +29,9 @@
 //     attempt history (outcome, error, wall seconds, backoff) instead of a
 //     raw error.
 //
-//   * Degradation hooks.  record_lsh_fallback() lets a driver note that it
-//     replaced a repeatedly-failing LshBanded candidates stage with the
-//     ExactAllPairs path; park() aborts a driver whose cluster degraded
-//     below one schedulable node with DriverParked — the checkpoint
-//     directory holds every completed stage, so a later run resumes where
-//     it parked.
+//   * Parking.  park() aborts a driver whose cluster degraded below one
+//     schedulable node with DriverParked — the checkpoint directory holds
+//     every completed stage, so a later run resumes where it parked.
 //
 // Everything is observable: checkpoint hits/misses/writes land on the trace
 // as "stage_checkpoint" instants, feed the pipeline Collector, and bump
@@ -230,7 +227,6 @@ struct RecoveryStats {
   std::size_t checkpoint_writes = 0;  ///< checkpoints committed
   std::size_t invalid_checkpoints = 0;///< files rejected by validation
   std::size_t retries = 0;            ///< failed attempts that were retried
-  std::size_t lsh_fallbacks = 0;      ///< LshBanded → ExactAllPairs downgrades
   bool parked = false;                ///< driver parked for resume
 };
 
@@ -252,14 +248,6 @@ class StageDriver {
     [[nodiscard]] static Options from_env(Options base);
   };
 
-  struct StageCallOptions {
-    /// On a checkpoint hit the driver claims the stage's lineage slot (the
-    /// slot its skipped MapReduce job would have claimed) so downstream
-    /// stages keep the sequence numbers of an uninterrupted run.  Disable
-    /// for stages that run no job even when computed.
-    bool claims_lineage = true;
-  };
-
   explicit StageDriver(Options options);
 
   [[nodiscard]] bool checkpointing() const noexcept { return store_ != nullptr; }
@@ -270,10 +258,12 @@ class StageDriver {
   /// retry loop and commit the result.  `compute` returns the stage value;
   /// `encode(PayloadWriter&, const T&)` and `decode(PayloadReader&) -> T`
   /// define its checkpoint payload.  Stage names must be unique within one
-  /// driver run.
+  /// driver run.  On a checkpoint hit the driver claims the stage's lineage
+  /// slot (the slot its skipped MapReduce job would have claimed), so
+  /// downstream stages keep the sequence numbers of an uninterrupted run.
   template <typename Compute, typename Encode, typename Decode>
   auto run_stage(const std::string& stage, Compute&& compute, Encode&& encode,
-                 Decode&& decode, StageCallOptions call = {})
+                 Decode&& decode)
       -> std::decay_t<decltype(compute())> {
     using T = std::decay_t<decltype(compute())>;
     const std::size_t sequence = sequence_++;
@@ -299,8 +289,7 @@ class StageDriver {
         value.reset();
       }
       if (value) {
-        finish_stage(stage, sequence, key, "hit", 0, fnv_checksum(*payload),
-                     call.claims_lineage);
+        finish_stage(stage, sequence, key, "hit", 0, fnv_checksum(*payload));
         return std::move(*value);
       }
       note_undecodable(file_name);
@@ -313,14 +302,10 @@ class StageDriver {
     const std::uint64_t checksum = fnv_checksum(payload);
     const bool wrote = store_->store(file_name, key, payload);
     finish_stage(stage, sequence, key, wrote ? "miss+write" : "miss", attempts,
-                 checksum, call.claims_lineage);
+                 checksum);
     maybe_crash(stage);
     return value;
   }
-
-  /// Record that the driver downgraded an LshBanded candidates stage to the
-  /// ExactAllPairs path after repeated failure.
-  void record_lsh_fallback(const std::string& stage);
 
   /// Stop a driver whose cluster can no longer schedule work, leaving the
   /// checkpoint directory positioned for resume.
@@ -346,7 +331,7 @@ class StageDriver {
                                         std::size_t sequence) const;
   void finish_stage(const std::string& stage, std::size_t sequence,
                     std::uint64_t key, const char* outcome, int attempts,
-                    std::uint64_t payload_checksum, bool claims_lineage);
+                    std::uint64_t payload_checksum);
   void note_undecodable(const std::string& file_name);
   void maybe_crash(const std::string& stage);
   void maybe_inject_failure(const std::string& stage);

@@ -2,11 +2,13 @@
 // properties, band-shape selection and validation, the incremental bucket
 // index and greedy over LSH candidates, backend equivalence
 // (exact graphs reproduce the dense all-pairs matrix bit-for-bit and the
-// graph greedy sweep reproduces the exhaustive sweep), determinism of the
-// candidate MapReduce job across thread counts / split sizes / fault plans /
-// kernel backends, the bucket-to-pairs expansion against a brute-force
-// oracle on duplicate-heavy input, and the recall harness in eval/.  Kept as its own binary
-// so the TSan leg can build and run it in isolation.
+// graph greedy sweep reproduces the exhaustive sweep), the bucket greedy
+// sweep against the graph sweep, determinism of the candidate MapReduce job
+// across thread counts / split sizes / fault plans / kernel backends, the
+// bucket-to-pairs expansion against a brute-force oracle on duplicate-heavy
+// input, and the recall harness in eval/.  Kept as its own binary so the
+// TSan leg can build and run it in isolation, and run under
+// MRMC_FORCE_SCALAR=1 in CI.
 #include "core/candidates.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -354,6 +357,21 @@ TEST(LshIndex, SimilarSketchesCollide) {
   EXPECT_EQ(found[0], 0);
 }
 
+TEST(LshIndex, CandidatesComeBackAscending) {
+  // The query shares band 0 with id 5 and band 1 with id 2: band by band
+  // that is 5 then 2, but a greedy caller must try the lowest id first.
+  candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
+  common::Xoshiro256 rng(5);
+  const Sketch query = random_sketch(40, rng);
+  Sketch band0 = random_sketch(40, rng);
+  Sketch band1 = random_sketch(40, rng);
+  std::copy_n(query.begin(), 5, band0.begin());
+  std::copy_n(query.begin() + 5, 5, band1.begin() + 5);
+  index.insert(5, band0);
+  index.insert(2, band1);
+  EXPECT_EQ(index.candidates(query), (std::vector<int>{2, 5}));
+}
+
 TEST(LshIndex, CandidatesDedupAcrossBands) {
   candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
   common::Xoshiro256 rng(4);
@@ -428,6 +446,15 @@ candidates::Params lsh_params() {
   return params;
 }
 
+/// The local candidates stage's buckets under `params` at `theta`.
+candidates::BucketCsr local_buckets(const kernels::SketchMatrix& matrix,
+                                    const candidates::Params& params,
+                                    double theta) {
+  return candidates::lsh_buckets(
+      matrix, candidates::resolve_band_shape(params, matrix.cols(), theta),
+      params.seed);
+}
+
 TEST(PairsFromBuckets, DuplicateHeavyMatrixMatchesTheBruteForceOracle) {
   const auto matrix = duplicate_heavy_matrix();
   ASSERT_GE(matrix.rows(), 2000u);
@@ -455,7 +482,9 @@ TEST(PairsFromBuckets, DuplicateHeavyCandidateJobMatchesLocalEnumeration) {
   exec.threads = 3;
   exec.records_per_split = 256;
   exec.cluster.nodes = 4;
-  EXPECT_EQ(run_candidate_job(sketches, lsh_params(), 0.9, exec).pairs,
+  const auto job = run_candidate_job(sketches, lsh_params(), 0.9, exec);
+  EXPECT_EQ(job.buckets, local_buckets(*sketches, lsh_params(), 0.9));
+  EXPECT_EQ(candidates::pairs_from_buckets(job.buckets, sketches->rows()),
             candidates::enumerate_pairs(*sketches, lsh_params(), 0.9));
 }
 
@@ -497,7 +526,7 @@ TEST(PairsFromBuckets, TwoBandsOfOneRowOnOneKeyMakeNoSelfPair) {
   // One read per split, so colliding copies meet only in the reducer.
   ExecutionOptions per_read;
   per_read.records_per_split = 1;
-  EXPECT_TRUE(run_candidate_job(lone, params, 0.9, per_read).pairs.empty());
+  EXPECT_TRUE(run_candidate_job(lone, params, 0.9, per_read).buckets.ids.empty());
 
   // With a copy of itself: exactly the one cross pair, never (i, i).
   const auto twice = std::make_shared<const kernels::SketchMatrix>(
@@ -506,7 +535,9 @@ TEST(PairsFromBuckets, TwoBandsOfOneRowOnOneKeyMakeNoSelfPair) {
   const std::vector<candidates::Pair> expected{{1, 2}};
   EXPECT_EQ(candidates::enumerate_pairs(*twice, params, 0.9), expected);
   EXPECT_EQ(candidates::enumerate_pairs(*twice, params, 0.9, &pool), expected);
-  EXPECT_EQ(run_candidate_job(twice, params, 0.9, per_read).pairs, expected);
+  EXPECT_EQ(candidates::pairs_from_buckets(
+                run_candidate_job(twice, params, 0.9, per_read).buckets, 3),
+            expected);
 }
 
 TEST(PairsFromBuckets, ExpandsHandBuiltBucketsRowByRow) {
@@ -613,6 +644,132 @@ TEST(GreedyClusterGraph, RejectsOutOfRangeEdges) {
                common::InvalidArgument);
 }
 
+// ------------------------------------------------------- bucket greedy
+// greedy_cluster_buckets, the LSH pipeline's greedy stage, against its
+// oracle: greedy_cluster_graph over the verified pairs of the same buckets.
+
+void expect_bucket_sweep_matches_graph(const kernels::SketchMatrix& matrix,
+                                       const candidates::Params& lsh,
+                                       const GreedyParams& params,
+                                       const std::string& where) {
+  const auto swept = greedy_cluster_buckets(
+      matrix, local_buckets(matrix, lsh, params.theta), params);
+  const auto oracle = greedy_cluster_graph(
+      candidates::build_graph(matrix, lsh, params.theta, params.estimator),
+      params);
+  EXPECT_EQ(swept.labels, oracle.labels) << where;
+  EXPECT_EQ(swept.representatives, oracle.representatives) << where;
+  EXPECT_EQ(swept.num_clusters, oracle.num_clusters) << where;
+  EXPECT_EQ(swept.comparisons, oracle.comparisons) << where;
+}
+
+constexpr SketchEstimator kEstimators[] = {SketchEstimator::kComponentMatch,
+                                           SketchEstimator::kSetBased};
+
+TEST(GreedyClusterBuckets, MatchesTheGraphSweepOnTheDuplicateHeavyMatrix) {
+  const auto matrix = duplicate_heavy_matrix();
+  for (const auto estimator : kEstimators) {
+    for (const double theta : {0.5, 0.9}) {
+      expect_bucket_sweep_matches_graph(
+          matrix, lsh_params(), {.theta = theta, .estimator = estimator},
+          "theta=" + std::to_string(theta) + " set-based=" +
+              std::to_string(estimator == SketchEstimator::kSetBased));
+    }
+  }
+}
+
+TEST(GreedyClusterBuckets, MatchesTheGraphSweepOnRandomTables) {
+  // Families of near-copies at several noise levels, plus loose random
+  // rows (families of one), under the automatic and two explicit shapes.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto families = family_matrix(30, 1 + seed % 4, 40,
+                                        0.05 * static_cast<double>(seed), seed);
+    const auto loose = family_matrix(60, 1, 40, 0.0, seed + 100);
+    std::vector<Sketch> rows;
+    for (const auto* part : {&families, &loose}) {
+      for (std::size_t i = 0; i < part->rows(); ++i) {
+        rows.emplace_back(part->row(i).begin(), part->row(i).end());
+      }
+    }
+    common::Xoshiro256 rng(seed);
+    for (std::size_t i = rows.size() - 1; i > 0; --i) {
+      std::swap(rows[i], rows[rng.bounded(i + 1)]);
+    }
+    const auto matrix = kernels::SketchMatrix::from_sketches(rows);
+    for (const std::size_t bands : {0, 8, 20}) {
+      candidates::Params lsh = lsh_params();
+      lsh.bands = bands;
+      for (const auto estimator : kEstimators) {
+        for (const double theta : {0.3, 0.6, 0.9}) {
+          expect_bucket_sweep_matches_graph(
+              matrix, lsh, {.theta = theta, .estimator = estimator},
+              "seed=" + std::to_string(seed) + " bands=" +
+                  std::to_string(bands) + " theta=" + std::to_string(theta));
+        }
+      }
+    }
+  }
+}
+
+TEST(GreedyClusterBuckets, MatchesTheGraphSweepOnBBitSketches) {
+  // Below 64 bits the pipeline masks the rows, forces component-match and
+  // moves θ to the b-bit corrected threshold; short values collide more,
+  // so buckets grow.
+  for (const std::size_t bits : {1, 8, 16}) {
+    auto matrix = family_matrix(25, 6, 40, 0.2, 30 + bits);
+    kernels::mask_components(matrix, sketch_bits_mask(bits));
+    for (const double theta : {0.5, 0.9}) {
+      expect_bucket_sweep_matches_graph(
+          matrix, lsh_params(),
+          {.theta = bbit_adjusted_threshold(theta, bits),
+           .estimator = SketchEstimator::kComponentMatch},
+          "bits=" + std::to_string(bits) + " theta=" + std::to_string(theta));
+    }
+  }
+}
+
+TEST(GreedyClusterBuckets, AllCopiesCostOneVerificationPerRead) {
+  // Every read shares all its buckets with read 0, the one representative.
+  const std::size_t n = 500;
+  const auto base = family_matrix(1, 1, 40, 0.0, 31);
+  const kernels::SketchMatrix matrix = kernels::SketchMatrix::from_sketches(
+      std::vector<Sketch>(n, Sketch(base.row(0).begin(), base.row(0).end())));
+  for (const auto estimator : kEstimators) {
+    const GreedyParams params{.theta = 0.9, .estimator = estimator};
+    const auto swept = greedy_cluster_buckets(
+        matrix, local_buckets(matrix, lsh_params(), 0.9), params);
+    EXPECT_EQ(swept.comparisons, n - 1);
+    EXPECT_EQ(swept.num_clusters, 1u);
+    EXPECT_EQ(swept.representatives, std::vector<std::size_t>{0});
+  }
+}
+
+TEST(GreedyClusterBuckets, NoBucketsLeaveEveryReadItsOwnCluster) {
+  const auto matrix = family_matrix(4, 1, 40, 0.0, 32);
+  const auto swept = greedy_cluster_buckets(matrix, {}, {.theta = 0.0});
+  EXPECT_EQ(swept.labels, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(swept.comparisons, 0u);
+  EXPECT_TRUE(greedy_cluster_buckets({}, {}, {}).labels.empty());
+}
+
+TEST(GreedyClusterBuckets, RejectsMalformedBuckets) {
+  const auto matrix = family_matrix(5, 1, 40, 0.0, 33);
+  const auto sweep = [&](std::vector<std::uint32_t> offsets,
+                         std::vector<std::uint32_t> ids) {
+    candidates::BucketCsr buckets;
+    buckets.offsets = std::move(offsets);
+    buckets.ids = std::move(ids);
+    return greedy_cluster_buckets(matrix, buckets, {.theta = 0.5});
+  };
+  EXPECT_THROW((void)sweep({0, 2}, {1, 9}), common::InvalidArgument);
+  EXPECT_THROW((void)sweep({0, 2}, {3, 1}), common::InvalidArgument);
+  EXPECT_THROW((void)sweep({0, 2}, {1, 1}), common::InvalidArgument);
+  EXPECT_THROW((void)sweep({0, 2}, {0, 1, 2}), common::InvalidArgument);
+  EXPECT_THROW((void)sweep({}, {}), common::InvalidArgument);
+  EXPECT_THROW((void)greedy_cluster_buckets(matrix, {}, {.theta = 1.5}),
+               common::InvalidArgument);
+}
+
 // ----------------------------------------------------- the MapReduce shape
 
 class CandidateJobTest : public ::testing::Test {
@@ -630,16 +787,19 @@ class CandidateJobTest : public ::testing::Test {
   }
 };
 
-TEST_F(CandidateJobTest, MatchesLocalEnumerationExactAndLsh) {
+TEST_F(CandidateJobTest, MatchesLocalBucketsAndRejectsTheExactBackend) {
   const auto sketches = shared_family(21);
   const kernels::SketchMatrix& matrix = *sketches;
   ExecutionOptions exec;
 
-  const auto exact = run_candidate_job(sketches, {}, 0.9, exec);
-  EXPECT_EQ(exact.pairs, candidates::enumerate_pairs(matrix, {}, 0.9));
+  // The exact backend has no candidates stage.
+  EXPECT_THROW((void)run_candidate_job(sketches, {}, 0.9, exec),
+               common::InvalidArgument);
 
   const auto lsh = run_candidate_job(sketches, lsh_params(), 0.9, exec);
-  EXPECT_EQ(lsh.pairs, candidates::enumerate_pairs(matrix, lsh_params(), 0.9));
+  EXPECT_EQ(lsh.buckets, local_buckets(matrix, lsh_params(), 0.9));
+  EXPECT_EQ(candidates::pairs_from_buckets(lsh.buckets, matrix.rows()),
+            candidates::enumerate_pairs(matrix, lsh_params(), 0.9));
   EXPECT_EQ(lsh.shape.bands, 8u);
   EXPECT_GT(lsh.stats.input_records, 0u);
 }
@@ -649,7 +809,7 @@ TEST_F(CandidateJobTest, ByteIdenticalAcrossThreadsSplitsAndNodes) {
   ExecutionOptions base;
   base.records_per_split = 16;
   const auto reference = run_candidate_job(sketches, lsh_params(), 0.9, base);
-  ASSERT_FALSE(reference.pairs.empty());
+  ASSERT_FALSE(reference.buckets.ids.empty());
 
   for (const std::size_t threads : {1, 3}) {
     for (const std::size_t split : {5, 11, 64}) {
@@ -661,7 +821,7 @@ TEST_F(CandidateJobTest, ByteIdenticalAcrossThreadsSplitsAndNodes) {
         exec.records_per_split = split;
         exec.cluster.nodes = nodes;
         const auto got = run_candidate_job(sketches, lsh_params(), 0.9, exec);
-        EXPECT_EQ(got.pairs, reference.pairs)
+        EXPECT_EQ(got.buckets, reference.buckets)
             << "threads=" << threads << " split=" << split
             << " nodes=" << nodes;
       }
@@ -679,10 +839,11 @@ TEST_F(CandidateJobTest, ThreeByteIdLanesMatchLocalEnumeration) {
   exec.records_per_split = 4096;
   exec.cluster.nodes = 4;
   const auto job = run_candidate_job(sketches, lsh_params(), 0.9, exec);
-  ASSERT_FALSE(job.pairs.empty());
-  EXPECT_GT(job.pairs.back().second, 0xFFFFu);
-  EXPECT_EQ(job.pairs,
-            candidates::enumerate_pairs(*sketches, lsh_params(), 0.9));
+  const auto pairs =
+      candidates::pairs_from_buckets(job.buckets, sketches->rows());
+  ASSERT_FALSE(pairs.empty());
+  EXPECT_GT(pairs.back().second, 0xFFFFu);
+  EXPECT_EQ(pairs, candidates::enumerate_pairs(*sketches, lsh_params(), 0.9));
 }
 
 TEST_F(CandidateJobTest, VerifyJobMatchesLocalScoring) {
@@ -706,9 +867,10 @@ TEST_F(CandidateJobTest, FaultPlanLeavesCandidatesAndEdgesIdentical) {
   healthy.records_per_split = 8;
   const auto reference =
       run_candidate_job(sketches, lsh_params(), 0.9, healthy);
-  const auto reference_edges =
-      run_verify_job(sketches, reference.pairs,
-                     SketchEstimator::kComponentMatch, healthy);
+  const auto reference_edges = run_verify_job(
+      sketches,
+      candidates::pairs_from_buckets(reference.buckets, sketches->rows()),
+      SketchEstimator::kComponentMatch, healthy);
 
   // Node 1 crashes early and never recovers; with 4 nodes at least one
   // stays up and the job replays the lost splits.
@@ -716,9 +878,10 @@ TEST_F(CandidateJobTest, FaultPlanLeavesCandidatesAndEdgesIdentical) {
   faulty.fault_plan =
       mr::faults::FaultPlan({{1, 0.0001, mr::faults::kNever}});
   const auto chaos = run_candidate_job(sketches, lsh_params(), 0.9, faulty);
-  EXPECT_EQ(chaos.pairs, reference.pairs);
+  EXPECT_EQ(chaos.buckets, reference.buckets);
   const auto chaos_edges = run_verify_job(
-      sketches, chaos.pairs, SketchEstimator::kComponentMatch, faulty);
+      sketches, candidates::pairs_from_buckets(chaos.buckets, sketches->rows()),
+      SketchEstimator::kComponentMatch, faulty);
   EXPECT_EQ(chaos_edges.graph.edges, reference_edges.graph.edges);
 }
 
@@ -758,8 +921,35 @@ TEST_F(LshPipelineTest, DistributedMatchesLocalInBothModes) {
     EXPECT_EQ(a.labels, b.labels) << mode_name(mode);
     EXPECT_EQ(a.num_clusters, b.num_clusters);
     EXPECT_GT(a.candidate_stats.input_records, 0u);
-    EXPECT_GT(a.verify_stats.input_records, 0u);
     EXPECT_GT(a.candidate_pairs, 0u);
+    EXPECT_EQ(a.candidate_pairs, b.candidate_pairs) << mode_name(mode);
+    // Only the hierarchical path verifies pairs; the greedy sweep scores
+    // representatives straight off the buckets.
+    EXPECT_EQ(a.verify_stats.input_records > 0, mode == Mode::kHierarchical)
+        << mode_name(mode);
+  }
+}
+
+TEST_F(LshPipelineTest, GreedyRunsSweepTheBucketsWithoutAVerifyStage) {
+  // sketch -> candidates -> greedy-cluster in both modes: no verify job,
+  // and the scored pairs are the bucket sweep's comparisons.
+  const auto reads = sample_reads();
+  const auto params = lsh_pipeline_params(Mode::kGreedy);
+  std::vector<std::string_view> seqs;
+  for (const auto& read : reads) seqs.emplace_back(read.seq);
+  const auto sketches = MinHasher(params.minhash).sketch_matrix(seqs);
+  const auto swept = greedy_cluster_buckets(
+      sketches, local_buckets(sketches, params.candidates, params.theta),
+      {params.theta, params.greedy_estimator});
+  for (const bool distributed : {false, true}) {
+    ExecutionOptions exec;
+    exec.distributed = distributed;
+    exec.records_per_split = 16;
+    const auto result = run_pipeline(reads, params, exec);
+    EXPECT_EQ(result.labels, swept.labels) << distributed;
+    EXPECT_EQ(result.candidate_pairs, swept.comparisons) << distributed;
+    EXPECT_EQ(result.verify_stats.input_records, 0u) << distributed;
+    EXPECT_EQ(result.verify_stats.timeline.total_s, 0.0) << distributed;
   }
 }
 

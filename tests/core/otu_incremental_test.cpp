@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/candidates.hpp"
@@ -73,10 +74,11 @@ TEST(OtuTable, TsvHasHeaderAndOneRowPerCluster) {
 // ------------------------------------------------------ incremental clustering
 
 std::vector<std::string> otu_reads(std::size_t otus, std::size_t per_otu,
-                                   std::uint64_t seed) {
+                                   std::uint64_t seed,
+                                   double error_rate = 0.004) {
   const auto genes = simdata::generate_16s_genes(otus, {}, seed);
   simdata::AmpliconParams params;
-  params.errors = simdata::ErrorModel::uniform(0.004);
+  params.errors = simdata::ErrorModel::uniform(error_rate);
   params.read_length = 80;
   params.length_jitter = 0.05;
   const auto sample = simdata::amplicon_reads(
@@ -138,6 +140,36 @@ TEST(IncrementalClusterer, MatchesBatchIndexedGreedy) {
   std::vector<int> incremental;
   for (const auto& seq : reads) incremental.push_back(clusterer.add(seq));
   EXPECT_EQ(incremental, batch.labels);
+}
+
+TEST(IncrementalClusterer, JoinsTheLowestMatchingRepresentativeLikeTheGraphSweep) {
+  // At 3 % error a read often matches several representatives; Algorithm 1
+  // joins the lowest one, so the index must offer candidates in id order.
+  // Component-match on 40 seeds per θ, set-based on 10.
+  for (const auto& [estimator, seeds] :
+       {std::pair{SketchEstimator::kComponentMatch, 40},
+        std::pair{SketchEstimator::kSetBased, 10}}) {
+    for (const double theta : {0.3, 0.4, 0.5}) {
+      for (int seed = 1; seed <= seeds; ++seed) {
+        const auto reads = otu_reads(20, 30, seed, 0.03);
+        const MinHasher hasher({.kmer = 12, .num_hashes = 40, .seed = 2});
+        const std::vector<std::string_view> views(reads.begin(), reads.end());
+        const GreedyParams greedy{.theta = theta, .estimator = estimator};
+        candidates::Params lsh;
+        lsh.backend = candidates::Backend::kLshBanded;
+        lsh.bands = 20;
+        const auto batch = greedy_cluster_graph(
+            candidates::build_graph(hasher.sketch_matrix(views), lsh, theta,
+                                    estimator),
+            greedy);
+
+        IncrementalClusterer clusterer(hasher.params(), greedy, lsh.bands);
+        EXPECT_EQ(clusterer.add_all(views), batch.labels)
+            << "theta=" << theta << " seed=" << seed
+            << " set-based=" << (estimator == SketchEstimator::kSetBased);
+      }
+    }
+  }
 }
 
 TEST(IncrementalClusterer, RepresentativeSketchAccessible) {

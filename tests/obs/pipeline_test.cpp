@@ -323,15 +323,15 @@ TEST_F(PipelineDoctorTest, TraceReconstructionMatchesThePipelineResult) {
 }
 
 TEST_F(PipelineDoctorTest, LshCandidateStagesAppearAndRoundTrip) {
-  // The LSH backend adds two jobs the doctor has never been taught about —
-  // "candidates" and "verify" — and the stage list must pick them up from
-  // lineage alone.
+  // The hierarchical LSH path adds two jobs the doctor has never been
+  // taught about — "candidates" and "verify" — and the stage list must
+  // pick them up from lineage alone.
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_pipeline_candidates.json";
   core::PipelineParams params;
   params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true, .seed = 1};
-  params.mode = core::Mode::kGreedy;
-  params.theta = 0.3;
+  params.mode = core::Mode::kHierarchical;
+  params.theta = 0.5;
   params.candidates.backend = core::candidates::Backend::kLshBanded;
   core::ExecutionOptions exec;
   exec.threads = 2;
@@ -343,7 +343,7 @@ TEST_F(PipelineDoctorTest, LshCandidateStagesAppearAndRoundTrip) {
   const std::vector<PipelineReport> reports = analyze_trace_file(trace_path);
   ASSERT_EQ(reports.size(), 1u);
   expect_stages_match(reports[0],
-                      {"sketch", "candidates", "verify", "greedy-cluster"},
+                      {"sketch", "candidates", "verify", "hierarchical-cluster"},
                       {&result.sketch_stats, &result.candidate_stats,
                        &result.verify_stats, &result.cluster_stats});
 }

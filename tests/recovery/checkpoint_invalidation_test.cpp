@@ -8,8 +8,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/candidates.hpp"
 #include "core/minhash.hpp"
 #include "core/pipeline.hpp"
 #include "mr/recovery.hpp"
@@ -237,13 +239,23 @@ TEST(Invalidation, RaggedSketchPayloadIsAMissThenARecompute) {
   EXPECT_EQ(read_file(victim).substr(kHeaderBytes), payload);
 }
 
-// The LSH greedy pipeline drives 4 stages: sketch, candidates, verify,
+// The LSH greedy pipeline drives 3 stages: sketch, candidates,
 // greedy-cluster.
-constexpr std::size_t kLshStages = 4;
+constexpr std::size_t kLshStages = 3;
 
 PipelineParams lsh_params() {
   PipelineParams params = hier_params();
   params.mode = Mode::kGreedy;
+  params.candidates.backend = candidates::Backend::kLshBanded;
+  return params;
+}
+
+// The LSH hierarchical pipeline drives 4: sketch, candidates, verify,
+// hierarchical-cluster.
+constexpr std::size_t kLshHierStages = 4;
+
+PipelineParams lsh_hier_params() {
+  PipelineParams params = hier_params();
   params.candidates.backend = candidates::Backend::kLshBanded;
   return params;
 }
@@ -286,43 +298,82 @@ auto claim_2_pow_40_at(std::size_t offset) {
 TEST(Invalidation, OversizedCountsAreAMissThenARecompute) {
   // A count of 2^40 elements would be a multi-TiB allocation; each decoder
   // must refuse it against the bytes actually left.  Candidates: u64
-  // bands, u64 rows, u64 pairs.  Graph: u64 vertices, u64 edges.  Labels
-  // and the similarity matrix start with their count.
-  expect_payload_rejected("count_pairs", lsh_params(), kLshStages, 1,
+  // bands, u64 rows, u64 buckets, u64 ids.  Graph: u64 vertices, u64
+  // edges.  Labels and the similarity matrix start with their count.
+  expect_payload_rejected("count_buckets", lsh_params(), kLshStages, 1,
                           claim_2_pow_40_at(16));
-  expect_payload_rejected("count_edges", lsh_params(), kLshStages, 2,
+  expect_payload_rejected("count_ids", lsh_params(), kLshStages, 1,
+                          claim_2_pow_40_at(24));
+  expect_payload_rejected("count_edges", lsh_hier_params(), kLshHierStages, 2,
                           claim_2_pow_40_at(8));
-  expect_payload_rejected("count_labels", lsh_params(), kLshStages, 3,
+  expect_payload_rejected("count_labels", lsh_params(), kLshStages, 2,
                           claim_2_pow_40_at(0));
   expect_payload_rejected("count_matrix", hier_params(), kStages, 1,
                           claim_2_pow_40_at(0));
 }
 
 TEST(Invalidation, UnorderedCandidatePairsAreAMissThenARecompute) {
-  // The candidates payload is u64 bands, u64 rows, u64 count, then u32 a,
-  // u32 b per pair; this input yields at least two pairs.
-  // Swap the last pair's ids: b < a, though the list still ascends.
-  expect_payload_rejected("pairs_order", lsh_params(), kLshStages, 1,
+  // The candidates payload is the bucket CSR whose mates are the candidate
+  // pairs: u64 bands, u64 rows, u64 buckets, u64 ids, then each bucket's
+  // u32 end offset and every u32 id; this input yields at least one
+  // bucket.  Swap the last two ids: the last bucket no longer ascends, so
+  // its pair would come out as (b, a).
+  expect_payload_rejected("bucket_order", lsh_params(), kLshStages, 1,
                           [](std::string& payload) {
-                            ASSERT_GE(payload.size(), 24u + 16u);
+                            ASSERT_GE(payload.size(), 32u + 12u);
                             std::swap_ranges(payload.end() - 8,
                                              payload.end() - 4,
                                              payload.end() - 4);
                           });
-  // Swap the first two pairs: the list no longer ascends.
-  expect_payload_rejected("pairs_sorted", lsh_params(), kLshStages, 1,
+  // End the first bucket after one id: a bucket without a pair.
+  expect_payload_rejected("bucket_single", lsh_params(), kLshStages, 1,
                           [](std::string& payload) {
-                            std::swap_ranges(payload.begin() + 24,
-                                             payload.begin() + 32,
-                                             payload.begin() + 32);
+                            mr::recovery::PayloadWriter one;
+                            one.u32(1);
+                            payload.replace(32, 4, one.bytes());
                           });
+}
+
+TEST(Invalidation, PairListCandidatesCheckpointIsAMissThenARecompute) {
+  // Earlier builds stored the candidates stage under the same key as a pair
+  // list: u64 bands, u64 rows, u64 count, then u32 a, u32 b per pair.
+  // Such a file must never be served as buckets.
+  for (const auto& [params, stages] :
+       {std::pair{lsh_params(), kLshStages},
+        std::pair{lsh_hier_params(), kLshHierStages}}) {
+    expect_payload_rejected(
+        "pair_list", params, stages, 1, [](std::string& payload) {
+          mr::recovery::PayloadReader reader(payload);
+          const std::uint64_t bands = reader.u64();
+          const std::uint64_t rows = reader.u64();
+          candidates::BucketCsr buckets;
+          buckets.offsets.resize(reader.u64() + 1);
+          buckets.ids.resize(reader.u64());
+          for (std::size_t g = 1; g < buckets.offsets.size(); ++g) {
+            buckets.offsets[g] = reader.u32();
+          }
+          for (std::uint32_t& id : buckets.ids) id = reader.u32();
+          const auto pairs = candidates::pairs_from_buckets(
+              buckets, sample_reads().size());
+          ASSERT_FALSE(pairs.empty());
+          mr::recovery::PayloadWriter writer;
+          writer.u64(bands);
+          writer.u64(rows);
+          writer.u64(pairs.size());
+          for (const auto& [a, b] : pairs) {
+            writer.u32(a);
+            writer.u32(b);
+          }
+          payload = writer.take();
+        });
+  }
 }
 
 TEST(Invalidation, UnorderedOrOutOfRangeGraphEdgesAreAMissThenARecompute) {
   // The verify payload is u64 vertices, u64 count, then u32 a, u32 b,
   // f64 similarity per edge; this input yields at least two edges.
   // Swap the last edge's ids: b < a, though the list still ascends.
-  expect_payload_rejected("edges_order", lsh_params(), kLshStages, 2,
+  expect_payload_rejected("edges_order", lsh_hier_params(), kLshHierStages, 2,
                           [](std::string& payload) {
                             ASSERT_GE(payload.size(), 16u + 32u);
                             std::swap_ranges(payload.end() - 16,
@@ -330,14 +381,14 @@ TEST(Invalidation, UnorderedOrOutOfRangeGraphEdgesAreAMissThenARecompute) {
                                              payload.end() - 12);
                           });
   // Swap the first two edges: the list no longer ascends.
-  expect_payload_rejected("edges_sorted", lsh_params(), kLshStages, 2,
+  expect_payload_rejected("edges_sorted", lsh_hier_params(), kLshHierStages, 2,
                           [](std::string& payload) {
                             std::swap_ranges(payload.begin() + 16,
                                              payload.begin() + 32,
                                              payload.begin() + 32);
                           });
   // Point the last edge past the last vertex.
-  expect_payload_rejected("edges_range", lsh_params(), kLshStages, 2,
+  expect_payload_rejected("edges_range", lsh_hier_params(), kLshHierStages, 2,
                           [](std::string& payload) {
                             payload.replace(payload.size() - 12, 4,
                                             std::string(4, '\xff'));

@@ -92,9 +92,15 @@ std::vector<PipelineCase> pipeline_cases() {
   lsh_greedy.params.mode = Mode::kGreedy;
   lsh_greedy.params.theta = 0.3;
   lsh_greedy.params.candidates.backend = candidates::Backend::kLshBanded;
-  lsh_greedy.stages = {"sketch", "candidates", "verify", "greedy-cluster"};
+  lsh_greedy.stages = {"sketch", "candidates", "greedy-cluster"};
 
-  return {exact_greedy, exact_hier, lsh_greedy};
+  // The hierarchical LSH path is the one that still verifies pairs.
+  PipelineCase lsh_hier = exact_hier;
+  lsh_hier.name = "lsh-hierarchical";
+  lsh_hier.params.candidates.backend = candidates::Backend::kLshBanded;
+  lsh_hier.stages = {"sketch", "candidates", "verify", "hierarchical-cluster"};
+
+  return {exact_greedy, exact_hier, lsh_greedy, lsh_hier};
 }
 
 ExecutionOptions exec_options(std::size_t threads,
@@ -227,7 +233,10 @@ TEST(DriverChaos, ExhaustedRetriesCarryTheAttemptHistory) {
   }
 }
 
-TEST(DriverChaos, LshCandidatesExhaustionDegradesToExactAllPairs) {
+TEST(DriverChaos, LshCandidatesExhaustionThrowsRetryExhausted) {
+  // A candidates stage that keeps failing fails the run like any other
+  // stage: an exact all-pairs rerun would return exact-greedy labels, not
+  // the LSH labels a local run returns.
   const auto reads = sample_reads();
   const PipelineCase c = pipeline_cases()[2];  // lsh-greedy
   ExecutionOptions exec = exec_options(2, {}, "");
@@ -236,26 +245,18 @@ TEST(DriverChaos, LshCandidatesExhaustionDegradesToExactAllPairs) {
   exec.retry.backoff_cap_s = 2e-3;
 
   ScopedEnv fail("MRMC_FAIL_STAGE", "candidates:2");
-  const PipelineResult degraded = run_pipeline(reads, c.params, exec);
-  EXPECT_EQ(degraded.recovery.lsh_fallbacks, 1u);
-  EXPECT_EQ(degraded.labels.size(), reads.size());
-  EXPECT_GT(degraded.num_clusters, 0u);
-
-  // The degraded path is itself deterministic.
-  const PipelineResult again = run_pipeline(reads, c.params, exec);
-  EXPECT_EQ(again.labels, degraded.labels);
-
-  // The size guard: with the fallback disabled the exhaustion propagates.
-  ExecutionOptions no_fallback = exec;
-  no_fallback.lsh_fallback_max_reads = 0;
-  EXPECT_THROW((void)run_pipeline(reads, c.params, no_fallback),
-               mr::recovery::RetryExhausted);
+  try {
+    (void)run_pipeline(reads, c.params, exec);
+    FAIL() << "expected RetryExhausted";
+  } catch (const mr::recovery::RetryExhausted& error) {
+    EXPECT_EQ(error.stage(), "candidates");
+    EXPECT_EQ(error.history().size(), 2u);
+  }
 }
 
 TEST(DriverChaos, LshBandsThatDoNotTileTheSketchAreRejectedInBothModes) {
   // 7 bands cannot tile K = 32: a caller error, raised before any stage —
-  // never a failed job that the retry loop repeats and the LSH fallback
-  // hides behind an exact all-pairs rerun.
+  // never a failed job that the retry loop repeats.
   const auto reads = sample_reads();
   PipelineCase c = pipeline_cases()[2];  // lsh-greedy
   c.params.candidates.bands = 7;
@@ -350,9 +351,7 @@ TEST(DriverChaos, ReRunHierarchicalAttemptsReuseTheDendrogram) {
   // doomed reduce attempts, a driver retry — must cut the dendrogram the
   // first attempt built and hand back the local run's labels.
   const auto reads = sample_reads();
-  PipelineCase lsh_hier = pipeline_cases()[1];  // exact-hierarchical → LSH
-  lsh_hier.params.candidates.backend = candidates::Backend::kLshBanded;
-  for (const PipelineCase& c : {pipeline_cases()[1], lsh_hier}) {
+  for (const PipelineCase& c : {pipeline_cases()[1], pipeline_cases()[3]}) {
     const std::string backend =
         c.params.candidates.backend == candidates::Backend::kLshBanded ? "lsh"
                                                                          : "exact";
