@@ -19,6 +19,7 @@
 #include "bio/alignment.hpp"
 #include "bio/kmer.hpp"
 #include "common/prng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
@@ -198,9 +199,10 @@ void BM_MapReduceOverhead(benchmark::State& state) {
   using IdJob = mr::Job<int, int, int, std::pair<int, int>>;
   std::vector<int> input(1000);
   for (int i = 0; i < 1000; ++i) input[i] = i;
+  common::ThreadPool pool(1);
   for (auto _ : state) {
     mr::JobConfig config;
-    config.threads = 1;
+    config.pool = &pool;
     IdJob job(
         config,
         [](const int& record, mr::Emitter<int, int>& emit) {

@@ -1,17 +1,17 @@
 // A fixed-size work-stealing-free thread pool with a bulk parallel_for
-// helper.  One process-wide pool runs the MapReduce engine's task waves and
-// every parallel loop of the library: sketching, the pairwise similarity
-// fill, candidate enumeration and verification, and the evaluation code.
+// helper.  One pool per pipeline run (the process-wide pool by default) runs
+// the MapReduce engine's task graph and every parallel loop of the library:
+// sketching, the pairwise similarity fill, candidate enumeration and
+// verification, clustering, and the evaluation code.  parallel_for may be
+// called from the pool's own workers, so a task can run a parallel loop.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace mrmc::common {
@@ -35,25 +35,18 @@ class ThreadPool {
     return queue_.size();
   }
 
-  /// Enqueue a task; the returned future rethrows any exception the task threw.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto fut = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      queue_.emplace_back([task]() mutable { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
+  /// Enqueue a task.  The task must not throw: an exception that escapes it
+  /// terminates the process, so a task that can fail catches inside itself
+  /// (parallel_for's helpers and mr::runtime::TaskGraph's nodes both do).
+  void post(std::function<void()> task);
 
   /// Run fn(i) for i in [0, count) across the pool and block until done.
-  /// Workers claim contiguous blocks of max(1, count / (size() × 64))
+  /// Claimants take contiguous blocks of max(1, count / (size() × 64))
   /// indices from one shared counter, so a cheap fn is not dominated by the
   /// claim.  Every index runs exactly once, even after another index threw;
-  /// the first exception caught is rethrown.
+  /// the first exception recorded is rethrown.  A caller that is one of this
+  /// pool's workers claims blocks too, so a task may nest a parallel_for
+  /// (even on a 1-thread pool); any other caller only waits.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:

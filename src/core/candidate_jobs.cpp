@@ -16,6 +16,7 @@ namespace mrmc::core {
 namespace detail {
 
 mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
+                         common::ThreadPool* pool,
                          std::size_t records_per_split,
                          std::size_t num_reducers) {
   mr::JobConfig config;
@@ -24,7 +25,7 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
       num_reducers != 0 ? num_reducers
                         : std::max<std::size_t>(1, exec.cluster.reduce_slots());
   config.records_per_split = records_per_split;
-  config.threads = exec.threads;
+  config.pool = pool;
   config.fault_plan = exec.fault_plan;
   config.cluster = exec.cluster;
   return config;
@@ -99,7 +100,7 @@ PairScoreLanes::PairScoreLanes(
 CandidateJobResult run_candidate_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,
-    const ExecutionOptions& exec) {
+    const ExecutionOptions& exec, common::ThreadPool* pool) {
   MRMC_REQUIRE(params.backend == candidates::Backend::kLshBanded,
                "only the LSH backend has a candidates stage");
   CandidateJobResult result;
@@ -121,7 +122,7 @@ CandidateJobResult run_candidate_job(
   // gets as few lanes as the read count needs.  The map input is the row
   // ids in order, so a split is the row range starting at split.front().
   const mr::JobConfig config =
-      detail::job_config("candidates", exec, exec.records_per_split);
+      detail::job_config("candidates", exec, pool, exec.records_per_split);
   const std::size_t reducers = config.num_reducers;
   auto first_part = [reducers](std::size_t r) {
     return candidates::kParts * r / reducers;
@@ -214,7 +215,7 @@ CandidateJobResult run_candidate_job(
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    const ExecutionOptions& exec) {
+    const ExecutionOptions& exec, common::ThreadPool* pool) {
   VerifyJobResult result;
   result.graph.num_vertices = sketches->rows();
   if (pairs.empty()) return result;
@@ -230,7 +231,7 @@ VerifyJobResult run_verify_job(
       exec.records_per_split,
       pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
   const auto blocks = detail::run_block_job(
-      "verify", exec, per_split, std::span(pairs),
+      "verify", exec, pool, per_split, std::span(pairs),
       [lanes](std::span<const candidates::Pair> split,
               mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         mr::BinaryBlock block = lanes.block(split.size());

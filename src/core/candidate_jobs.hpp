@@ -64,11 +64,12 @@ struct CandidateJobResult {
 /// MapReduce job on the simulated cluster; the result equals
 /// candidates::lsh_buckets on the same table.  The exact backend has no
 /// candidates stage (InvalidArgument).  Read ids are 32-bit: rows × bands
-/// must stay below 2^32 (InvalidArgument otherwise).
+/// must stay below 2^32 (InvalidArgument otherwise).  The tasks run on
+/// `pool` (nullptr = the process-wide pool); exec.threads is not read.
 CandidateJobResult run_candidate_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,
-    const ExecutionOptions& exec);
+    const ExecutionOptions& exec, common::ThreadPool* pool = nullptr);
 
 struct VerifyJobResult {
   candidates::SparseSimilarityGraph graph;
@@ -78,19 +79,21 @@ struct VerifyJobResult {
 /// Score candidate pairs into a sparse similarity graph via the "verify"
 /// MapReduce job.  `pairs` must be sorted unique (pairs_from_buckets output);
 /// the map tasks read views of it, so the job makes no copy of the pairs
-/// and a retry reads the same list.
+/// and a retry reads the same list.  The tasks run on `pool`, as in
+/// run_candidate_job.
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    const ExecutionOptions& exec);
+    const ExecutionOptions& exec, common::ThreadPool* pool = nullptr);
 
 namespace detail {
 
-/// The JobConfig of one pipeline job: its name, split size and reducer
-/// count (0 = one per reduce slot, at least one), plus every execution knob
-/// the jobs share — threads, cluster, fault plan — so a new
-/// ExecutionOptions knob cannot silently miss a stage.
+/// The JobConfig of one pipeline job: its name, the run's pool (nullptr =
+/// the process-wide pool), split size and reducer count (0 = one per reduce
+/// slot, at least one), plus every execution knob the jobs share — cluster,
+/// fault plan — so a new ExecutionOptions knob cannot silently miss a stage.
 mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
+                         common::ThreadPool* pool,
                          std::size_t records_per_split,
                          std::size_t num_reducers = 0);
 
@@ -142,6 +145,7 @@ using PlacedBlock = std::pair<std::size_t, mr::BinaryBlock>;
 template <typename In, typename Fill, typename MapWork>
 std::vector<PlacedBlock> run_block_job(const char* name,
                                        const ExecutionOptions& exec,
+                                       common::ThreadPool* pool,
                                        std::size_t records_per_split,
                                        std::span<const In> input, Fill fill,
                                        MapWork map_work, mr::JobStats& stats) {
@@ -149,7 +153,7 @@ std::vector<PlacedBlock> run_block_job(const char* name,
   using BlockJob =
       mr::Job<In, Key, mr::BinaryBlock, std::pair<Key, mr::BinaryBlock>>;
   BlockJob job(
-      job_config(name, exec, records_per_split),
+      job_config(name, exec, pool, records_per_split),
       [fill](std::span<const In> split, std::size_t split_index,
              mr::Emitter<Key, mr::BinaryBlock>& emit) {
         emit.emit(static_cast<Key>(split_index), fill(split, emit));
@@ -192,7 +196,8 @@ class DendrogramLabels {
   DendrogramLabels(SimilarityMatrix matrix, Linkage linkage, double theta);
 
   /// `pool` converts the matrix to distances on the first call (nullptr =
-  /// serially, as a reducer on a pool worker must).
+  /// serially); the cluster job's reducer passes the run's pool, as the
+  /// local stage does.
   [[nodiscard]] std::vector<int> operator()(common::ThreadPool* pool);
 
  private:

@@ -115,20 +115,22 @@ kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
 }
 
 /// Job 1: sketch every read.  Each map task runs sketch_reads over its
-/// split serially and emits ONE BinaryBlock — K rows × (reads in split)
-/// columns of b-bit packed minima — instead of one vector<uint64_t> per
-/// read, so the shuffle moves the exact packed bytes (64/b-fold less at
-/// b < 64, and no per-record vector header even at b = 64).  The driver
-/// rejoins the blocks straight into the rows of one SketchMatrix.
+/// split serially (the splits already fill the pool) and emits ONE
+/// BinaryBlock — K rows × (reads in split) columns of b-bit packed minima —
+/// instead of one vector<uint64_t> per read, so the shuffle moves the exact
+/// packed bytes (64/b-fold less at b < 64, and no per-record vector header
+/// even at b = 64).  The driver rejoins the blocks straight into the rows
+/// of one SketchMatrix.
 kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
                                      const MinHasher& hasher,
                                      std::size_t sketch_bits,
                                      const ExecutionOptions& exec,
+                                     common::ThreadPool* pool,
                                      mr::JobStats& stats) {
   obs::pipeline::StageScope stage("sketch");
   const std::size_t num_hashes = hasher.sketch_size();
   const auto blocks = detail::run_block_job(
-      "sketch", exec, exec.records_per_split, reads,
+      "sketch", exec, pool, exec.records_per_split, reads,
       [&hasher, num_hashes, sketch_bits](
           std::span<const bio::FastaRecord> split,
           mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
@@ -169,7 +171,8 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
 SimilarityMatrix run_similarity_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const PipelineParams& params, SketchEstimator estimator,
-    const ExecutionOptions& exec, mr::JobStats& stats) {
+    const ExecutionOptions& exec, common::ThreadPool* pool,
+    mr::JobStats& stats) {
   obs::pipeline::StageScope stage("similarity");
   const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
@@ -181,7 +184,7 @@ SimilarityMatrix run_similarity_job(
   for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
 
   const auto blocks = detail::run_block_job(
-      "similarity", exec, per_split, std::span<const std::uint32_t>(rows),
+      "similarity", exec, pool, per_split, std::span<const std::uint32_t>(rows),
       [lanes, n](std::span<const std::uint32_t> split,
                  mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         // One ragged column: row r contributes n - r - 1 lanes, upper
@@ -218,8 +221,7 @@ SimilarityMatrix run_similarity_job(
                  split_blocks.end(),
              "a similarity split returned no block");
   SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
-  mr::runtime::PoolLease lease(exec.threads, false);
-  lease.pool().parallel_for(n, [&](std::size_t row) {
+  common::parallel_for(pool, n, [&](std::size_t row) {
     const std::size_t first = row - row % per_split;
     const std::size_t k = row - first;
     const mr::BinaryBlock& block = *split_blocks[row / per_split];
@@ -416,33 +418,27 @@ std::uint64_t input_fingerprint(std::span<const bio::FastaRecord> reads) {
 
 // ---------------------------------------------------------- the stage list
 
-/// How the stage list runs.  Local: each stage's in-process body is a plain
-/// call on the run's one pool — no retry, checkpoint, lineage claim or
-/// stage hook, so an error keeps its type.  Distributed: each stage's
-/// MapReduce job is driven by the recovery driver under the stage's name
-/// (the lineage stage name), so a checkpoint hit claims the job's lineage
-/// slot and downstream sequence numbers match an uninterrupted run.
-class StageRunner {
- public:
-  explicit StageRunner(common::ThreadPool& pool) : pool_(&pool) {}
-  explicit StageRunner(mr::recovery::StageDriver& driver) : driver_(&driver) {}
+/// How the stage list runs.  Both modes run on the run's one pool.  Local
+/// (no driver): each stage's in-process body is a plain call — no retry,
+/// checkpoint, lineage claim or stage hook, so an error keeps its type.
+/// Distributed: each stage's MapReduce job is driven by the recovery driver
+/// under the stage's name (the lineage stage name), so a checkpoint hit
+/// claims the job's lineage slot and downstream sequence numbers match an
+/// uninterrupted run.
+struct StageRunner {
+  common::ThreadPool* pool;  ///< never nullptr
+  mr::recovery::StageDriver* driver = nullptr;
 
-  [[nodiscard]] bool distributed() const noexcept { return driver_ != nullptr; }
-  /// The local run's pool; nullptr when distributed (the jobs lease their own).
-  [[nodiscard]] common::ThreadPool* pool() const noexcept { return pool_; }
+  [[nodiscard]] bool distributed() const noexcept { return driver != nullptr; }
 
   template <typename Local, typename Job, typename Encode, typename Decode>
   auto run(const char* name, Local&& local, Job&& job, Encode&& encode,
            Decode&& decode) const -> std::decay_t<decltype(local())> {
-    if (driver_ == nullptr) return local();
-    return driver_->run_stage(name, std::forward<Job>(job),
-                              std::forward<Encode>(encode),
-                              std::forward<Decode>(decode));
+    if (driver == nullptr) return local();
+    return driver->run_stage(name, std::forward<Job>(job),
+                             std::forward<Encode>(encode),
+                             std::forward<Decode>(decode));
   }
-
- private:
-  common::ThreadPool* pool_ = nullptr;
-  mr::recovery::StageDriver* driver_ = nullptr;
 };
 
 /// The LSH backend's candidates stage: the bucket CSR.  Band-shape selection
@@ -458,12 +454,12 @@ CandidateJobResult lsh_candidates(
         local.shape = candidates::resolve_band_shape(
             params.candidates, sketches->cols(), params.theta);
         local.buckets = candidates::lsh_buckets(
-            *sketches, local.shape, params.candidates.seed, stages.pool());
+            *sketches, local.shape, params.candidates.seed, stages.pool);
         return local;
       },
       [&] {
         return run_candidate_job(sketches, params.candidates, params.theta,
-                                 exec);
+                                 exec, stages.pool);
       },
       encode_candidates, decode_candidates);
   result.candidate_stats = std::move(buckets.stats);
@@ -483,15 +479,13 @@ candidates::SparseSimilarityGraph verify_buckets(
       "verify",
       [&] {
         return candidates::verify_pairs(
-            *sketches, candidates::pairs_from_buckets(buckets, n, stages.pool()),
-            estimator, stages.pool());
+            *sketches, candidates::pairs_from_buckets(buckets, n, stages.pool),
+            estimator, stages.pool);
       },
       [&] {
-        const std::vector<candidates::Pair> pairs = [&] {
-          mr::runtime::PoolLease lease(exec.threads, false);
-          return candidates::pairs_from_buckets(buckets, n, &lease.pool());
-        }();
-        auto verified = run_verify_job(sketches, pairs, estimator, exec);
+        auto verified = run_verify_job(
+            sketches, candidates::pairs_from_buckets(buckets, n, stages.pool),
+            estimator, exec, stages.pool);
         result.verify_stats = std::move(verified.stats);
         return std::move(verified.graph);
       },
@@ -516,11 +510,11 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
     return std::make_shared<const kernels::SketchMatrix>(stages.run(
         "sketch",
         [&] {
-          return sketch_reads(reads, hasher, params.sketch_bits, stages.pool());
+          return sketch_reads(reads, hasher, params.sketch_bits, stages.pool);
         },
         [&] {
           return run_sketch_job(reads, hasher, params.sketch_bits, exec,
-                                result.sketch_stats);
+                                stages.pool, result.sketch_stats);
         },
         encode_sketches, decode_sketches));
   }();
@@ -541,10 +535,10 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   if (params.mode == Mode::kGreedy) {
     const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator};
     std::size_t comparisons = 0;
-    const auto cluster = [&](common::ThreadPool* pool) {
+    const auto cluster = [&] {
       GreedyResult swept =
           buckets ? greedy_cluster_buckets(*sketches, buckets->buckets, greedy)
-                  : greedy_cluster(*sketches, greedy, pool);
+                  : greedy_cluster(*sketches, greedy, stages.pool);
       comparisons = swept.comparisons;
       return std::move(swept.labels);
     };
@@ -559,16 +553,12 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                       std::max(1.0, std::sqrt(static_cast<double>(n))) *
                       compare_work;
     result.labels = stages.run(
-        "greedy-cluster", [&] { return cluster(stages.pool()); },
+        "greedy-cluster", cluster,
         [&] {
-          // The reducer runs on a pool worker, so it sweeps serially (a
-          // nested parallel_for on the shared pool would block a worker);
-          // labels match at any pool size.
           return detail::run_cluster_job(
-              detail::job_config("greedy-cluster", exec, exec.records_per_split,
-                                 1),  // GROUP ALL
-              n, reduce_work, [&] { return cluster(nullptr); },
-              result.cluster_stats);
+              detail::job_config("greedy-cluster", exec, stages.pool,
+                                 exec.records_per_split, 1),  // GROUP ALL
+              n, reduce_work, cluster, result.cluster_stats);
         },
         encode_labels, decode_labels);
     if (buckets) result.candidate_pairs = comparisons;
@@ -585,11 +575,12 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                     "similarity",
                     [&] {
                       return pairwise_similarity_matrix(
-                          *sketches, knobs.estimator, stages.pool());
+                          *sketches, knobs.estimator, stages.pool);
                     },
                     [&] {
                       return run_similarity_job(sketches, params,
                                                 knobs.estimator, exec,
+                                                stages.pool,
                                                 result.similarity_stats);
                     },
                     encode_matrix, decode_matrix);
@@ -599,15 +590,14 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
     // agglomerate rewrites its cells to distances in place.
     detail::DendrogramLabels labels(std::move(matrix), params.linkage,
                                     knobs.theta);
+    const auto cut = [&] { return labels(stages.pool); };
     result.labels = stages.run(
-        "hierarchical-cluster", [&] { return labels(stages.pool()); },
+        "hierarchical-cluster", cut,
         [&] {
-          // The reducer runs on a pool worker, so it converts serially.
           return detail::run_cluster_job(
-              detail::job_config("hierarchical-cluster", exec,
+              detail::job_config("hierarchical-cluster", exec, stages.pool,
                                  std::max<std::size_t>(1, n / 8), 1),
-              n, cost::dendrogram_work(n), [&] { return labels(nullptr); },
-              result.cluster_stats);
+              n, cost::dendrogram_work(n), cut, result.cluster_stats);
         },
         encode_labels, decode_labels);
   }
@@ -660,6 +650,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
       {{"reads", std::to_string(reads.size())},
        {"distributed", exec.distributed ? "true" : "false"}});
 
+  mr::runtime::PoolLease lease(exec.threads, false);
   if (exec.distributed) {
     // Lineage root: every job this pipeline drives claims a (pipeline id,
     // stage, sequence) from this scope, so the doctor can stitch the jobs
@@ -690,7 +681,8 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
           !exec.fault_plan.leaves_schedulable(exec.cluster.nodes)) {
         driver.park("fault plan leaves no schedulable node");
       }
-      run_pipeline_stages(reads, params, exec, StageRunner(driver), result);
+      run_pipeline_stages(reads, params, exec, {&lease.pool(), &driver},
+                          result);
     } catch (...) {
       // A crashed/parked/exhausted driver still leaves complete artifacts
       // behind — the resume run's doctor needs this run's trace.
@@ -700,8 +692,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
     }
     result.recovery = driver.stats();
   } else {
-    mr::runtime::PoolLease lease(exec.threads, false);
-    run_pipeline_stages(reads, params, exec, StageRunner(lease.pool()), result);
+    run_pipeline_stages(reads, params, exec, {&lease.pool()}, result);
   }
 
   result.num_clusters = count_clusters(result.labels);

@@ -77,8 +77,10 @@ struct PipelineParams {
 struct ExecutionOptions {
   bool distributed = true;       ///< stage the pipeline as MapReduce jobs
   mr::ClusterConfig cluster{};
-  /// Real execution threads.  0 = the lazily-created process-wide pool
-  /// shared by all jobs (mr::runtime::shared_pool()); > 0 = a private pool.
+  /// Real execution threads.  run_pipeline leases one pool per run and
+  /// runs every stage body and every job's tasks (map and reduce alike) on
+  /// it: 0 = the lazily-created process-wide pool
+  /// (mr::runtime::shared_pool()); > 0 = a private pool of that size.
   std::size_t threads = 0;
   std::size_t records_per_split = 512;
   /// Node-failure schedule applied to every job in the pipeline (empty =

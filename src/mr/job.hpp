@@ -90,9 +90,10 @@ struct JobConfig {
   std::string name = "job";
   std::size_t num_reducers = 4;
   std::size_t records_per_split = 1024;  ///< map input split granularity
-  /// Real execution threads.  0 = run on the process-wide shared pool
-  /// (runtime::shared_pool()); > 0 = a private pool of that size.
-  std::size_t threads = 0;
+  /// The pool the job's tasks run on (not owned); nullptr = the
+  /// process-wide pool (runtime::shared_pool()).  A task may run
+  /// parallel_for on it.
+  common::ThreadPool* pool = nullptr;
   ClusterConfig cluster{};
   double map_failure_rate = 0.0;  ///< injected per-map-task failure probability
   double reduce_failure_rate = 0.0;  ///< ditto for reduce tasks
@@ -145,7 +146,10 @@ struct JobStats {
   std::size_t spill_runs = 0;        ///< non-empty per-reducer spill runs
   double spill_bytes = 0.0;          ///< bytes across those runs (== shuffle)
   std::size_t merge_fan_in_max = 0;  ///< widest reduce-side run merge
-  double map_cpu_s = 0.0;     ///< measured thread CPU time (not wall), informational
+  /// Measured CPU time of each map task's own thread (not wall), summed;
+  /// informational.  Work a task hands to other pool workers through
+  /// parallel_for is not counted.
+  double map_cpu_s = 0.0;
   double reduce_cpu_s = 0.0;  ///< ditto, summed across reduce tasks
   Counters counters;
   JobTimeline timeline;       ///< deterministic simulated cluster time
@@ -378,8 +382,8 @@ class Job {
       obs::progress::Tracker::JobScope progress_scope(
           obs::progress::Tracker::global(), config_.name, num_maps,
           num_maps * num_reducers, num_reducers);
-      runtime::PoolLease lease(config_.threads, false);
-      graph.run(lease.pool());
+      graph.run(config_.pool != nullptr ? *config_.pool
+                                        : runtime::shared_pool());
     }
 
     // ------------------------------- deterministic single-threaded assembly

@@ -157,7 +157,7 @@ void TaskGraph::submit(common::ThreadPool& pool, std::size_t id) {
     ++inflight_;
     queue_depth_->set(static_cast<double>(inflight_));
   }
-  pool.submit([this, &pool, id] { execute(pool, id); });
+  pool.post([this, &pool, id] { execute(pool, id); });
 }
 
 void TaskGraph::execute(common::ThreadPool& pool, std::size_t id) {
@@ -242,7 +242,7 @@ void TaskGraph::execute(common::ThreadPool& pool, std::size_t id) {
       if (retry) {
         // The node stays in flight; re-run it as a fresh pool task so other
         // ready work interleaves with the retry.
-        pool.submit([this, &pool, id] { execute(pool, id); });
+        pool.post([this, &pool, id] { execute(pool, id); });
         return;
       }
     } catch (...) {

@@ -61,14 +61,13 @@ class LostInputFailure : public common::Error {
   std::size_t input_;
 };
 
-/// The process-wide pool shared by every job (lazily created, sized to
-/// hardware_concurrency).  Jobs used to build and tear down a pool each —
-/// three times per clustered pipeline run.
+/// The process-wide pool (lazily created, sized to hardware_concurrency):
+/// the default pool of every job and every pipeline run.
 common::ThreadPool& shared_pool();
 
-/// Resolves which pool a job should run on: the shared process-wide pool by
-/// default, or a private pool when the caller asked for `threads > 0` or an
-/// isolated pool explicitly.  Owns the private pool, if any.
+/// Resolves which pool a run uses: the shared process-wide pool by default,
+/// or a private pool when the caller asked for `threads > 0` or an isolated
+/// pool explicitly.  Owns the private pool, if any.
 class PoolLease {
  public:
   PoolLease(std::size_t threads, bool isolated);

@@ -152,19 +152,6 @@ void LogConfig::set_default_level(LogLevel level) {
   recompute_min_locked();
 }
 
-void LogConfig::set_rule(std::string logger_prefix, LogLevel level) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [prefix, rule_level] : rules_) {
-    if (prefix == logger_prefix) {
-      rule_level = level;
-      recompute_min_locked();
-      return;
-    }
-  }
-  rules_.emplace_back(std::move(logger_prefix), level);
-  recompute_min_locked();
-}
-
 void LogConfig::clear_rules() {
   std::lock_guard<std::mutex> lock(mutex_);
   rules_.clear();

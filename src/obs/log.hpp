@@ -121,7 +121,6 @@ class LogConfig {
   }
 
   void set_default_level(LogLevel level);
-  void set_rule(std::string logger_prefix, LogLevel level);
   void clear_rules();
 
   /// Apply an MRMC_LOG-style spec ("warn,mr=debug"); replaces all rules.

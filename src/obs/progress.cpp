@@ -29,11 +29,6 @@ Tracker& Tracker::global() {
   return instance;
 }
 
-void Tracker::set_min_render_interval_ms(double ms) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  min_render_interval_ms_ = ms;
-}
-
 void Tracker::begin_job(std::string name, std::size_t planned_maps,
                         std::size_t planned_fetches,
                         std::size_t planned_reduces) {
@@ -140,7 +135,7 @@ void Tracker::maybe_render(bool final_line) {
   const auto now = std::chrono::steady_clock::now();
   if (!final_line &&
       std::chrono::duration<double, std::milli>(now - last_render_).count() <
-          min_render_interval_ms_) {
+          kMinRenderIntervalMs) {
     return;
   }
   last_render_ = now;

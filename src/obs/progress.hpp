@@ -47,7 +47,6 @@ class Tracker {
   void set_render(bool render) noexcept {
     render_.store(render, std::memory_order_relaxed);
   }
-  void set_min_render_interval_ms(double ms);
 
   /// Start tracking a job: record its name and planned task counts, zero
   /// the done/retry/byte tallies.
@@ -121,7 +120,7 @@ class Tracker {
   std::string job_;
   bool active_ = false;
   std::size_t jobs_completed_ = 0;
-  double min_render_interval_ms_ = 100.0;
+  static constexpr double kMinRenderIntervalMs = 100.0;
   std::chrono::steady_clock::time_point job_start_{};
   std::chrono::steady_clock::time_point last_render_{};
 };

@@ -55,17 +55,17 @@ std::string to_text(const Tuple& tuple) {
 
 PigContext::PigContext(mr::SimDfs* dfs, mr::ClusterConfig cluster,
                        std::size_t threads)
-    : dfs_(dfs), cluster_(cluster), threads_(threads) {
+    : dfs_(dfs), cluster_(cluster), lease_(threads, false) {
   MRMC_REQUIRE(dfs != nullptr, "PigContext needs a DFS");
 }
 
 mr::JobConfig PigContext::make_config(const std::string& name,
-                                      std::size_t reducers) const {
+                                      std::size_t reducers) {
   mr::JobConfig config;
   config.name = name;
   config.num_reducers = reducers;
   config.records_per_split = 512;
-  config.threads = threads_;
+  config.pool = &lease_.pool();
   config.cluster = cluster_;
   return config;
 }

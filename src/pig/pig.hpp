@@ -12,6 +12,7 @@
 #include "mr/cluster.hpp"
 #include "mr/job.hpp"
 #include "mr/recovery.hpp"
+#include "mr/runtime.hpp"
 #include "mr/simdfs.hpp"
 #include "pig/tuple.hpp"
 #include "pig/udf.hpp"
@@ -20,8 +21,9 @@ namespace mrmc::pig {
 
 class PigContext {
  public:
-  /// `threads == 0` runs every statement's job on the process-wide shared
-  /// pool (mr::runtime::shared_pool()); > 0 uses a private pool per job.
+  /// Every statement's job runs on one pool, leased for the context's
+  /// lifetime: `threads == 0` is the process-wide shared pool
+  /// (mr::runtime::shared_pool()), > 0 a private pool of that size.
   PigContext(mr::SimDfs* dfs, mr::ClusterConfig cluster, std::size_t threads = 0);
 
   /// LOAD '<path>' USING FastaStorage AS (seq, id): parses a FASTA file
@@ -53,11 +55,11 @@ class PigContext {
   [[nodiscard]] mr::SimDfs& dfs() noexcept { return *dfs_; }
 
  private:
-  mr::JobConfig make_config(const std::string& name, std::size_t reducers) const;
+  mr::JobConfig make_config(const std::string& name, std::size_t reducers);
 
   mr::SimDfs* dfs_;
   mr::ClusterConfig cluster_;
-  std::size_t threads_;
+  mr::runtime::PoolLease lease_;
   double sim_time_s_ = 0.0;
   std::vector<mr::JobStats> jobs_;
 };

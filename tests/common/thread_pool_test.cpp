@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -20,25 +21,18 @@ TEST(ThreadPool, ExplicitSizeHonored) {
   EXPECT_EQ(pool.size(), 3u);
 }
 
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ManySubmissionsAllComplete) {
   ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
+  std::vector<int> squares(100);
+  std::latch done(100);
   for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
+    pool.post([&, i] {
+      squares[i] = i * i;
+      done.count_down();
+    });
   }
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[i].get(), i * i);
+  done.wait();
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(squares[i], i * i);
 }
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
@@ -117,6 +111,79 @@ TEST(ThreadPool, ParallelForAccumulatesCorrectSum) {
   std::vector<long> partial(1000);
   pool.parallel_for(1000, [&](std::size_t i) { partial[i] = static_cast<long>(i); });
   EXPECT_EQ(std::accumulate(partial.begin(), partial.end(), 0L), 499500L);
+}
+
+// parallel_for from the pool's own workers: the caller claims blocks too,
+// so the loop finishes even when no other worker is free.
+
+/// Each nested loop's visit counts, and whether its caller saw the throw.
+struct NestedRun {
+  std::vector<std::vector<std::atomic<int>>> visits;
+  std::vector<int> rethrown;
+};
+
+/// Runs a nested parallel_for of `count` indices from `callers` tasks posted
+/// at once to `pool` (each task blocks until every task started, so all
+/// workers are busy with a caller); index `throw_at` throws in every loop.
+NestedRun run_nested(ThreadPool& pool, std::size_t callers, std::size_t count,
+                     std::size_t throw_at) {
+  NestedRun run;
+  run.visits = std::vector<std::vector<std::atomic<int>>>(callers);
+  for (auto& visits : run.visits) {
+    visits = std::vector<std::atomic<int>>(count);
+  }
+  run.rethrown.assign(callers, 0);
+  std::latch started(static_cast<std::ptrdiff_t>(callers));
+  std::latch done(static_cast<std::ptrdiff_t>(callers));
+  for (std::size_t c = 0; c < callers; ++c) {
+    pool.post([&, c] {
+      started.arrive_and_wait();
+      try {
+        pool.parallel_for(count, [&](std::size_t i) {
+          ++run.visits[c][i];
+          if (i == throw_at) throw std::runtime_error("nested");
+        });
+      } catch (const std::runtime_error&) {
+        run.rethrown[c] = 1;
+      }
+      done.count_down();
+    });
+  }
+  done.wait();
+  return run;
+}
+
+TEST(ThreadPool, NestedParallelForOnOneWorkerRunsEveryIndexOnce) {
+  ThreadPool pool(1);
+  const NestedRun run = run_nested(pool, 1, 1000, 1000);
+  for (const auto& v : run.visits[0]) EXPECT_EQ(v.load(), 1);
+  EXPECT_EQ(run.rethrown[0], 0);
+}
+
+TEST(ThreadPool, NestedParallelForFromEveryWorkerAtOnce) {
+  ThreadPool pool(4);
+  const NestedRun run = run_nested(pool, 4, 10007, 10007);
+  for (std::size_t c = 0; c < 4; ++c) {
+    for (std::size_t i = 0; i < 10007; ++i) {
+      ASSERT_EQ(run.visits[c][i].load(), 1) << "caller " << c << " index " << i;
+    }
+    EXPECT_EQ(run.rethrown[c], 0);
+  }
+  // Helpers the callers posted but never needed drain as no-ops.
+  std::atomic<int> count{0};
+  pool.parallel_for(100, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, NestedParallelForRethrowsToTheNestedCaller) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(workers);
+    const NestedRun run = run_nested(pool, workers, 5000, 123);
+    for (std::size_t c = 0; c < workers; ++c) {
+      EXPECT_EQ(run.rethrown[c], 1) << workers << " workers, caller " << c;
+      for (const auto& v : run.visits[c]) ASSERT_EQ(v.load(), 1);
+    }
+  }
 }
 
 }  // namespace

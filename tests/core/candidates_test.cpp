@@ -479,10 +479,10 @@ TEST(PairsFromBuckets, DuplicateHeavyCandidateJobMatchesLocalEnumeration) {
   const auto sketches =
       std::make_shared<const kernels::SketchMatrix>(duplicate_heavy_matrix());
   ExecutionOptions exec;
-  exec.threads = 3;
   exec.records_per_split = 256;
   exec.cluster.nodes = 4;
-  const auto job = run_candidate_job(sketches, lsh_params(), 0.9, exec);
+  common::ThreadPool three(3);
+  const auto job = run_candidate_job(sketches, lsh_params(), 0.9, exec, &three);
   EXPECT_EQ(job.buckets, local_buckets(*sketches, lsh_params(), 0.9));
   EXPECT_EQ(candidates::pairs_from_buckets(job.buckets, sketches->rows()),
             candidates::enumerate_pairs(*sketches, lsh_params(), 0.9));
@@ -812,15 +812,16 @@ TEST_F(CandidateJobTest, ByteIdenticalAcrossThreadsSplitsAndNodes) {
   ASSERT_FALSE(reference.buckets.ids.empty());
 
   for (const std::size_t threads : {1, 3}) {
+    common::ThreadPool pool(threads);
     for (const std::size_t split : {5, 11, 64}) {
       // 3 nodes run 6 reducers, which do not divide the 256 key parts;
       // 130 nodes run 260, so some reducers own no part.
       for (const std::size_t nodes : {1, 3, 4, 130}) {
         ExecutionOptions exec;
-        exec.threads = threads;
         exec.records_per_split = split;
         exec.cluster.nodes = nodes;
-        const auto got = run_candidate_job(sketches, lsh_params(), 0.9, exec);
+        const auto got =
+            run_candidate_job(sketches, lsh_params(), 0.9, exec, &pool);
         EXPECT_EQ(got.buckets, reference.buckets)
             << "threads=" << threads << " split=" << split
             << " nodes=" << nodes;
@@ -835,10 +836,10 @@ TEST_F(CandidateJobTest, ThreeByteIdLanesMatchLocalEnumeration) {
       family_matrix(13108, 5, 8, 0.05, 25));
   ASSERT_GT(sketches->rows(), std::size_t{1} << 16);
   ExecutionOptions exec;
-  exec.threads = 2;
   exec.records_per_split = 4096;
   exec.cluster.nodes = 4;
-  const auto job = run_candidate_job(sketches, lsh_params(), 0.9, exec);
+  common::ThreadPool two(2);
+  const auto job = run_candidate_job(sketches, lsh_params(), 0.9, exec, &two);
   const auto pairs =
       candidates::pairs_from_buckets(job.buckets, sketches->rows());
   ASSERT_FALSE(pairs.empty());

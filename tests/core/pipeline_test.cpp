@@ -35,33 +35,44 @@ TEST(Pipeline, EmptyInput) {
   EXPECT_EQ(result.num_clusters, 0u);
 }
 
-TEST(Pipeline, DistributedGreedyMatchesLocal) {
+/// Distributed runs on `nodes` simulated nodes and local runs, each on a
+/// pool of 0 (the shared pool), 1 and 3 threads, give the labels of a local
+/// run on the shared pool, under both estimators.  A 1-thread pool runs the
+/// cluster reducer's nested parallel loops on the reducer's own worker.
+void expect_distributed_matches_local(Mode mode, std::size_t nodes) {
   const auto sample = small_sample();
-  ExecutionOptions distributed;
-  distributed.distributed = true;
-  distributed.cluster.nodes = 4;
-  ExecutionOptions local;
-  local.distributed = false;
+  for (const auto estimator :
+       {SketchEstimator::kSetBased, SketchEstimator::kComponentMatch}) {
+    auto params = base_params(mode);
+    (mode == Mode::kGreedy ? params.greedy_estimator : params.estimator) =
+        estimator;
+    ExecutionOptions local;
+    local.distributed = false;
+    const auto reference = run_pipeline(sample.reads, params, local);
+    for (const std::size_t threads : {0, 1, 3}) {
+      ExecutionOptions distributed;
+      distributed.cluster.nodes = nodes;
+      distributed.threads = threads;
+      local.threads = threads;
+      const std::string where = std::string(mode_name(mode)) + " estimator " +
+                                std::to_string(static_cast<int>(estimator)) +
+                                " threads " + std::to_string(threads);
+      const auto a = run_pipeline(sample.reads, params, distributed);
+      EXPECT_EQ(a.labels, reference.labels) << where;
+      EXPECT_EQ(a.num_clusters, reference.num_clusters) << where;
+      EXPECT_EQ(run_pipeline(sample.reads, params, local).labels,
+                reference.labels)
+          << where;
+    }
+  }
+}
 
-  const auto params = base_params(Mode::kGreedy);
-  const auto a = run_pipeline(sample.reads, params, distributed);
-  const auto b = run_pipeline(sample.reads, params, local);
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.num_clusters, b.num_clusters);
+TEST(Pipeline, DistributedGreedyMatchesLocal) {
+  expect_distributed_matches_local(Mode::kGreedy, 4);
 }
 
 TEST(Pipeline, DistributedHierarchicalMatchesLocal) {
-  const auto sample = small_sample();
-  ExecutionOptions distributed;
-  distributed.distributed = true;
-  distributed.cluster.nodes = 3;
-  ExecutionOptions local;
-  local.distributed = false;
-
-  const auto params = base_params(Mode::kHierarchical);
-  const auto a = run_pipeline(sample.reads, params, distributed);
-  const auto b = run_pipeline(sample.reads, params, local);
-  EXPECT_EQ(a.labels, b.labels);
+  expect_distributed_matches_local(Mode::kHierarchical, 3);
 }
 
 TEST(Pipeline, DistributedHierarchicalMatchesLocalAcrossCompactions) {

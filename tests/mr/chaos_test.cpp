@@ -59,11 +59,12 @@ std::vector<std::vector<long>> make_splits(std::size_t count,
 }
 
 JobConfig chaos_config(const std::string& name) {
+  static common::ThreadPool pool(2);
   JobConfig config;
   config.name = name;
   config.num_reducers = 4;
   config.cluster.nodes = 4;
-  config.threads = 2;
+  config.pool = &pool;
   return config;
 }
 

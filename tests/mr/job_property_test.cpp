@@ -57,11 +57,12 @@ TEST_P(EngineShapeSweep, HistogramIsExactUnderAnyShape) {
   const auto [reducers, split, nodes] = GetParam();
   const auto input = make_input(500, 11);
 
+  static common::ThreadPool pool(2);
   JobConfig config;
   config.num_reducers = reducers;
   config.records_per_split = split;
   config.cluster.nodes = nodes;
-  config.threads = 2;
+  config.pool = &pool;
   CountJob job(config, histogram_mapper(), sum_reducer());
   const auto result = job.run(input);
 

@@ -20,11 +20,12 @@ namespace {
 using WordCountJob = Job<std::string, std::string, long, std::pair<std::string, long>>;
 
 JobConfig test_config(std::size_t reducers = 3, std::size_t split = 2) {
+  static common::ThreadPool pool(2);
   JobConfig config;
   config.name = "test";
   config.num_reducers = reducers;
   config.records_per_split = split;
-  config.threads = 2;
+  config.pool = &pool;
   config.cluster.nodes = 4;
   return config;
 }

@@ -325,12 +325,17 @@ void expect_identical(const RunSnapshot& a, const RunSnapshot& b,
   EXPECT_EQ(a.task_spans, b.task_spans);
 }
 
-JobConfig determinism_config(std::size_t threads) {
+common::ThreadPool& two_workers() {
+  static common::ThreadPool pool(2);
+  return pool;
+}
+
+JobConfig determinism_config(common::ThreadPool& pool = two_workers()) {
   JobConfig config;
   config.name = "determinism";
   config.num_reducers = 4;
   config.cluster.nodes = 4;
-  config.threads = threads;
+  config.pool = &pool;
   return config;
 }
 
@@ -342,7 +347,8 @@ TEST(JobDeterminism, OutputCountersAndTimelineAgreeAcrossThreadCounts) {
   bool have_base = false;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{0} /* shared hw pool */}) {
-    CountJob job(determinism_config(threads), histogram_mapper(),
+    runtime::PoolLease lease(threads, false);
+    CountJob job(determinism_config(lease.pool()), histogram_mapper(),
                  sum_reducer());
     const RunSnapshot snap = snapshot(job.run_splits(splits, nodes));
     if (!have_base) {
@@ -359,7 +365,7 @@ TEST(JobDeterminism, ShuffledSplitOrderIsByteIdentical) {
   const auto splits = make_splits(8, 31);
   const std::vector<int> nodes(splits.size(), -1);
 
-  CountJob job(determinism_config(2), histogram_mapper(), sum_reducer());
+  CountJob job(determinism_config(), histogram_mapper(), sum_reducer());
   const RunSnapshot base = snapshot(job.run_splits(splits, nodes));
 
   // A fixed derangement of the split order.
@@ -370,7 +376,7 @@ TEST(JobDeterminism, ShuffledSplitOrderIsByteIdentical) {
   shuffled.reserve(splits.size());
   for (const std::size_t p : perm) shuffled.push_back(splits[p]);
 
-  CountJob job2(determinism_config(2), histogram_mapper(), sum_reducer());
+  CountJob job2(determinism_config(), histogram_mapper(), sum_reducer());
   const RunSnapshot snap = snapshot(job2.run_splits(shuffled, nodes));
   expect_identical(base, snap, "rotated split order");
 }
@@ -381,7 +387,7 @@ TEST(JobRetries, ReduceFailureIsReExecutedAndCounted) {
   const auto splits = make_splits(4, 37);
   const std::vector<int> nodes(splits.size(), -1);
 
-  auto config = determinism_config(2);
+  auto config = determinism_config();
   config.name = "reduce-retry";
   config.reduce_failure_rate = 1.0;  // every reduce task fails...
   config.max_task_attempts = 3;      // ...twice, succeeding on the last try
@@ -394,7 +400,7 @@ TEST(JobRetries, ReduceFailureIsReExecutedAndCounted) {
   EXPECT_EQ(result.stats.max_task_attempts, 3u);
 
   // Re-execution must not corrupt the answer.
-  auto clean_config = determinism_config(2);
+  auto clean_config = determinism_config();
   clean_config.name = "reduce-clean";
   CountJob clean(clean_config, histogram_mapper(), sum_reducer());
   const auto baseline = clean.run_splits(splits, nodes);
@@ -408,7 +414,7 @@ TEST(JobRetries, MapAndReduceFailuresCompose) {
   const auto splits = make_splits(5, 41);
   const std::vector<int> nodes(splits.size(), -1);
 
-  auto config = determinism_config(2);
+  auto config = determinism_config();
   config.name = "both-retry";
   config.map_failure_rate = 1.0;
   config.reduce_failure_rate = 1.0;
@@ -419,14 +425,14 @@ TEST(JobRetries, MapAndReduceFailuresCompose) {
   EXPECT_EQ(result.stats.map_retries, splits.size());
   EXPECT_EQ(result.stats.reduce_retries, config.num_reducers);
 
-  auto clean_config = determinism_config(2);
+  auto clean_config = determinism_config();
   clean_config.name = "both-clean";
   CountJob clean(clean_config, histogram_mapper(), sum_reducer());
   EXPECT_EQ(result.output, clean.run_splits(splits, nodes).output);
 }
 
 TEST(JobRetries, UserExceptionIsNotRetried) {
-  auto config = determinism_config(2);
+  auto config = determinism_config();
   config.name = "user-error";
   CountJob job(config, histogram_mapper(),
                [](const long&, std::vector<long>&,
@@ -442,10 +448,10 @@ TEST(OverlappedShuffle, HidesTransferTimeUnderTheMapPhase) {
   const auto splits = make_splits(10, 43);
   const std::vector<int> nodes(splits.size(), -1);
 
-  auto overlapped_config = determinism_config(2);
+  auto overlapped_config = determinism_config();
   overlapped_config.name = "overlapped";
   overlapped_config.overlapped_shuffle = true;
-  auto barrier_config = determinism_config(2);
+  auto barrier_config = determinism_config();
   barrier_config.name = "barrier";
   barrier_config.overlapped_shuffle = false;
 
@@ -484,7 +490,7 @@ TEST(OverlappedShuffle, MergeWidthHistogramObservesEveryReducer) {
                           .histogram("runtime.reduce_merge_width")
                           .snapshot()
                           .count;
-  auto config = determinism_config(2);
+  auto config = determinism_config();
   config.name = "merge-width";
   CountJob job(config, histogram_mapper(), sum_reducer());
   job.run(make_splits(3, 47)[2]);  // any input

@@ -173,10 +173,11 @@ using CountJob = mr::Job<std::string, std::string, long,
 /// the same work, except the straggler_rate fraction that runs
 /// straggler_slowdown x longer (mr::Job's per-task-index seeded rng).
 mr::JobStats golden_straggler_stats(double straggler_rate) {
+  static common::ThreadPool pool(2);
   mr::JobConfig config;
   config.name = "golden";
   config.records_per_split = 1;  // one map task per line
-  config.threads = 2;
+  config.pool = &pool;
   config.cluster.nodes = 4;
   config.seed = 7;
   config.straggler_rate = straggler_rate;

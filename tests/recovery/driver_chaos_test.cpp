@@ -21,6 +21,7 @@
 #include "core/pipeline.hpp"
 #include "mr/faults.hpp"
 #include "mr/recovery.hpp"
+#include "mr/runtime.hpp"
 #include "simdata/datasets.hpp"
 
 namespace mrmc::core {
@@ -361,16 +362,19 @@ TEST(DriverChaos, ReRunHierarchicalAttemptsReuseTheDendrogram) {
 
     // The cluster job with every reduce attempt but the last doomed, then
     // the whole job again on the same body, as a driver retry runs it.
+    // The reducer cuts on the pool its job runs on, as run_pipeline's does.
     ExecutionOptions exec = exec_options(2, {}, "");
+    mr::runtime::PoolLease lease(exec.threads, false);
     detail::DendrogramLabels labels(cluster_stage_matrix(reads, c.params),
                                     c.params.linkage, c.params.theta);
-    mr::JobConfig config =
-        detail::job_config("hierarchical-cluster", exec, reads.size() / 8, 1);
+    mr::JobConfig config = detail::job_config(
+        "hierarchical-cluster", exec, &lease.pool(), reads.size() / 8, 1);
     config.reduce_failure_rate = 1.0;
     for (int run = 0; run < 2; ++run) {
       mr::JobStats stats;
       EXPECT_EQ(detail::run_cluster_job(config, reads.size(), 1.0,
-                                        [&] { return labels(nullptr); }, stats),
+                                        [&] { return labels(&lease.pool()); },
+                                        stats),
                 expected.labels)
           << backend << " run " << run;
       EXPECT_EQ(stats.reduce_retries, config.max_task_attempts - 1) << backend;
