@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/log.hpp"
@@ -41,6 +42,10 @@ std::vector<FastaRecord> read_fasta(std::istream& in,
   std::vector<FastaRecord> records;
   std::string line;
   FastaRecord current;
+  // The record's sequence lines, gathered in one buffer that keeps its
+  // capacity; the record gets an exact-size copy (appending to its own
+  // string would leave up to twice the bytes it needs).
+  std::string seq;
   bool in_record = false;    // a valid header has been seen
   bool quarantined = false;  // inside a record whose header was rejected
   bool leading_junk = false; // already counted the pre-header garbage run
@@ -56,12 +61,14 @@ std::vector<FastaRecord> read_fasta(std::istream& in,
 
   auto flush = [&] {
     if (!in_record) return;
-    if (current.seq.empty()) {
+    if (seq.empty()) {
       fail("fasta: record '" + current.id + "' has no sequence");
     } else {
+      current.seq = std::string(seq);  // copy-constructed: capacity == size
       records.push_back(std::move(current));
     }
     current = {};
+    seq.clear();
   };
 
   while (std::getline(in, line)) {
@@ -70,7 +77,7 @@ std::vector<FastaRecord> read_fasta(std::istream& in,
     if (line.front() == '>') {
       flush();
       quarantined = false;
-      const std::string header = line.substr(1);
+      std::string header = line.substr(1);
       if (first_token(header).empty()) {
         fail("fasta: record with empty id");
         // Lenient: swallow this record's sequence lines too.
@@ -79,7 +86,7 @@ std::vector<FastaRecord> read_fasta(std::istream& in,
         continue;
       }
       in_record = true;
-      current.header = header;
+      current.header = std::move(header);
       current.id = first_token(current.header);
     } else {
       if (!in_record) {
@@ -90,7 +97,7 @@ std::vector<FastaRecord> read_fasta(std::istream& in,
         }
         continue;
       }
-      current.seq += line;
+      seq += line;
     }
   }
   flush();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <unordered_set>
 #include <utility>
@@ -21,20 +20,13 @@ const char* linkage_name(Linkage linkage) noexcept {
 }
 
 SimilarityMatrix::SimilarityMatrix(std::size_t n, float fill)
-    : n_(n), data_(std::make_unique_for_overwrite<double[]>(n * n)) {
-  std::fill_n(data_.get(), n * n, static_cast<double>(fill));
-}
+    : n_(n), data_(n * n, static_cast<double>(fill)) {}
 
 SimilarityMatrix SimilarityMatrix::for_overwrite(std::size_t n) {
   SimilarityMatrix matrix;
   matrix.n_ = n;
-  matrix.data_ = std::make_unique_for_overwrite<double[]>(n * n);
+  matrix.data_ = LargeArray<double>::for_overwrite(n * n);
   return matrix;
-}
-
-SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& other)
-    : n_(other.n_), data_(std::make_unique_for_overwrite<double[]>(n_ * n_)) {
-  std::copy_n(other.data_.get(), n_ * n_, data_.get());
 }
 
 SimilarityMatrix::SimilarityMatrix(SimilarityMatrix&& other) noexcept

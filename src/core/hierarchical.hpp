@@ -16,12 +16,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/candidates.hpp"
+#include "core/large_array.hpp"
 #include "core/minhash.hpp"
 
 namespace mrmc::core {
@@ -33,8 +33,9 @@ enum class Linkage { kSingle, kAverage, kComplete };
 /// Dense square matrix of pairwise similarities in [0, 1].  Cells are
 /// doubles that each hold a float value (set() narrows), so the distances
 /// agglomerate() derives in place equal 1 - double(float(sim)) on every
-/// path, and the f32 checkpoint bytes lose nothing.  Copies are deep; a
-/// moved-from matrix is empty.
+/// path, and the f32 checkpoint bytes lose nothing.  The cells are one
+/// LargeArray (huge pages at n >= 512).  Copies are deep; a moved-from
+/// matrix is empty.
 class SimilarityMatrix {
  public:
   SimilarityMatrix() = default;
@@ -44,7 +45,7 @@ class SimilarityMatrix {
   /// pages are first touched by the (pooled) fill instead of a zero pass.
   [[nodiscard]] static SimilarityMatrix for_overwrite(std::size_t n);
 
-  SimilarityMatrix(const SimilarityMatrix& other);
+  SimilarityMatrix(const SimilarityMatrix& other) = default;
   SimilarityMatrix(SimilarityMatrix&& other) noexcept;
   SimilarityMatrix& operator=(SimilarityMatrix other) noexcept;
 
@@ -57,14 +58,14 @@ class SimilarityMatrix {
     data_[j * n_ + i] = value;
   }
   [[nodiscard]] std::span<const double> row(std::size_t i) const noexcept {
-    return {data_.get() + i * n_, n_};
+    return {data_.data() + i * n_, n_};
   }
   /// Raw n×n row-major storage.  Writers store float values only.
-  [[nodiscard]] double* mutable_data() noexcept { return data_.get(); }
+  [[nodiscard]] double* mutable_data() noexcept { return data_.data(); }
 
  private:
   std::size_t n_ = 0;
-  std::unique_ptr<double[]> data_;
+  LargeArray<double> data_;
 };
 
 /// All-pairs sketch similarity over the flat sketch store.  Component-match

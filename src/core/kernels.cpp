@@ -484,21 +484,25 @@ SketchMatrix::SketchMatrix(std::size_t rows, std::size_t cols,
                            std::uint64_t fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
+SketchMatrix SketchMatrix::for_overwrite(std::size_t rows, std::size_t cols) {
+  SketchMatrix matrix;
+  matrix.rows_ = rows;
+  matrix.cols_ = cols;
+  matrix.data_ = LargeArray<std::uint64_t>::for_overwrite(rows * cols);
+  return matrix;
+}
+
 SketchMatrix SketchMatrix::from_sketches(
     std::span<const std::vector<std::uint64_t>> sketches) {
-  SketchMatrix matrix;
-  if (sketches.empty()) return matrix;
+  if (sketches.empty()) return {};
   const std::size_t cols = sketches.front().size();
   for (const auto& sketch : sketches) {
     MRMC_REQUIRE(sketch.size() == cols,
                  "all sketches must have the same length");
   }
-  matrix.rows_ = sketches.size();
-  matrix.cols_ = cols;
-  matrix.data_.resize(matrix.rows_ * cols);
+  SketchMatrix matrix = for_overwrite(sketches.size(), cols);
   for (std::size_t i = 0; i < sketches.size(); ++i) {
-    std::copy(sketches[i].begin(), sketches[i].end(),
-              matrix.data_.begin() + static_cast<std::ptrdiff_t>(i * cols));
+    std::copy(sketches[i].begin(), sketches[i].end(), matrix.row(i).begin());
   }
   return matrix;
 }

@@ -30,6 +30,8 @@
 #include <span>
 #include <vector>
 
+#include "core/large_array.hpp"
+
 namespace mrmc::common {
 class ThreadPool;
 }  // namespace mrmc::common
@@ -185,13 +187,17 @@ class MatchScore {
                                  Backend backend = active_backend()) noexcept;
 
 /// Flat row-major sketch table: rows() sketches of cols() minima each in one
-/// contiguous uint64_t block.  It is the only form a table of sketches takes
-/// — sketching, checkpoints, candidates, verification and both clustering
-/// modes all read it, locally and in the MapReduce jobs.
+/// contiguous uint64_t LargeArray.  It is the only form a table of sketches
+/// takes — sketching, checkpoints, candidates, verification and both
+/// clustering modes all read it, locally and in the MapReduce jobs.
 class SketchMatrix {
  public:
   SketchMatrix() = default;
   SketchMatrix(std::size_t rows, std::size_t cols, std::uint64_t fill = 0);
+  /// rows×cols, cells uninitialised: for producers that write every cell,
+  /// so the pages are first touched by the (pooled) writers.
+  [[nodiscard]] static SketchMatrix for_overwrite(std::size_t rows,
+                                                  std::size_t cols);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -218,7 +224,7 @@ class SketchMatrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<std::uint64_t> data_;
+  LargeArray<std::uint64_t> data_;
 };
 
 /// In-place truncation of every component to its low bits (the b-bit

@@ -221,7 +221,8 @@ Sketch MinHasher::sketch(std::string_view seq) const {
 
 kernels::SketchMatrix MinHasher::sketch_matrix(
     std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
-  kernels::SketchMatrix matrix(seqs.size(), sketch_size());
+  // Every row is written (a read with no k-mer gets kEmptyFeatureMin).
+  auto matrix = kernels::SketchMatrix::for_overwrite(seqs.size(), sketch_size());
   auto sketch_row = [&](std::size_t i) {
     sketch_read_into(seqs[i], matrix.row(i));
   };
@@ -234,13 +235,12 @@ kernels::SketchMatrix MinHasher::sketch_matrix(
 SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches,
                                      common::ThreadPool* pool)
     : stride_(sketches.cols()),
-      values_(std::make_unique_for_overwrite<std::uint64_t[]>(sketches.rows() *
-                                                              stride_)),
+      values_(LargeArray<std::uint64_t>::for_overwrite(sketches.rows() * stride_)),
       lengths_(sketches.rows()) {
   // Copy row i into place, then sort and dedup it there.
   auto fill_row = [&](std::size_t i) {
     const std::span<const std::uint64_t> sketch = sketches.row(i);
-    std::uint64_t* const first = values_.get() + i * stride_;
+    std::uint64_t* const first = values_.data() + i * stride_;
     std::uint64_t* const last = std::copy(sketch.begin(), sketch.end(), first);
     std::sort(first, last);
     lengths_[i] = static_cast<std::size_t>(std::unique(first, last) - first);

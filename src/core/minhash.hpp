@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -230,7 +229,7 @@ class SortedSketchStore {
 
   [[nodiscard]] std::size_t size() const noexcept { return lengths_.size(); }
   [[nodiscard]] std::span<const std::uint64_t> row(std::size_t i) const noexcept {
-    return {values_.get() + i * stride_, lengths_[i]};
+    return {values_.data() + i * stride_, lengths_[i]};
   }
   /// == bio::exact_jaccard over the sorted unique minima of sketches i and j.
   [[nodiscard]] double jaccard(std::size_t i, std::size_t j) const noexcept {
@@ -247,7 +246,7 @@ class SortedSketchStore {
   /// size() rows of stride_ slots.  Left uninitialized until each row is
   /// copied in, so the first touch of every page happens on the thread
   /// sorting it.
-  std::unique_ptr<std::uint64_t[]> values_;
+  LargeArray<std::uint64_t> values_;
   std::vector<std::size_t> lengths_;  ///< unique minima at the front of each row
 };
 

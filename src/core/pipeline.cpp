@@ -152,13 +152,23 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
       },
       stats);
 
-  kernels::SketchMatrix sketches(reads.size(), num_hashes);
+  // The splits' blocks are disjoint; covering every read, they write every
+  // row, so the rejoin runs block by block on the pool, which also
+  // first-touches the pages.
+  std::size_t rejoined = 0;
   for (const auto& [first, block] : blocks) {
+    MRMC_CHECK(first + block.cols() <= reads.size(), "sketch block misplaced");
+    rejoined += block.cols();
+  }
+  MRMC_CHECK(rejoined == reads.size(), "sketch blocks do not cover the reads");
+  auto sketches = kernels::SketchMatrix::for_overwrite(reads.size(), num_hashes);
+  common::parallel_for(pool, blocks.size(), [&](std::size_t b) {
+    const auto& [first, block] = blocks[b];
     for (std::uint32_t c = 0; c < block.cols(); ++c) {
       const std::span<std::uint64_t> row = sketches.row(first + c);
       for (std::size_t k = 0; k < num_hashes; ++k) row[k] = block.get(c, k);
     }
-  }
+  });
   return sketches;
 }
 
@@ -262,7 +272,7 @@ kernels::SketchMatrix decode_sketches(mr::recovery::PayloadReader& reader) {
   const std::uint64_t words = reader.remaining() / 8;
   MRMC_CHECK(cols <= words && rows <= (words + 1) / (cols + 1),
              "sketch table larger than its payload");
-  kernels::SketchMatrix sketches(rows, cols);
+  auto sketches = kernels::SketchMatrix::for_overwrite(rows, cols);
   for (std::size_t i = 0; i < rows; ++i) {
     if (i > 0) MRMC_CHECK(reader.u64() == cols, "ragged sketch table");
     for (std::uint64_t& component : sketches.row(i)) component = reader.u64();

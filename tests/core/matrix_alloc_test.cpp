@@ -1,20 +1,27 @@
 // Allocation bounds of the dense hierarchical path: the similarity matrix is
-// the one n² buffer from the similarity fill to the dendrogram.  The global
-// operator new below counts every request at or above a threshold, which
-// pins "no second n² buffer" without reading RSS.
+// the one n² buffer from the similarity fill to the dendrogram, and the
+// sketch table is one rows×cols buffer.  The global operator new below counts
+// every request at or above a threshold, aligned or not (core::LargeArray
+// places arrays of 2 MiB and more on huge-page boundaries), which pins "no
+// second buffer" without reading RSS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/hierarchical.hpp"
 #include "core/kernels.hpp"
+#include "core/minhash.hpp"
 
 namespace mrmc::core {
 namespace {
@@ -33,11 +40,25 @@ void* counted_malloc(std::size_t size) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
+void* counted_aligned_malloc(std::size_t size, std::align_val_t align) noexcept {
+  if (size >= large_threshold.load(std::memory_order_relaxed)) {
+    large_requests.fetch_add(1, std::memory_order_relaxed);
+    std::size_t seen = largest_request.load(std::memory_order_relaxed);
+    while (size > seen && !largest_request.compare_exchange_weak(seen, size)) {
+    }
+  }
+  void* block = nullptr;
+  const std::size_t alignment =
+      std::max(static_cast<std::size_t>(align), sizeof(void*));
+  return posix_memalign(&block, alignment, size == 0 ? 1 : size) == 0 ? block
+                                                                      : nullptr;
+}
+
 }  // namespace
 }  // namespace mrmc::core
 
-// Every unaligned form is replaced so that new and delete stay paired (an
-// ASan build reports a mismatch otherwise).
+// Every form, unaligned and aligned, is replaced so that new and delete stay
+// paired (an ASan build reports a mismatch otherwise).
 void* operator new(std::size_t size) {
   if (void* block = mrmc::core::counted_malloc(size)) return block;
   throw std::bad_alloc();
@@ -57,6 +78,39 @@ void operator delete(void* block, const std::nothrow_t&) noexcept {
   std::free(block);
 }
 void operator delete[](void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* block = mrmc::core::counted_aligned_malloc(size, align)) return block;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return mrmc::core::counted_aligned_malloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return mrmc::core::counted_aligned_malloc(size, align);
+}
+void operator delete(void* block, std::align_val_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::size_t, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, std::size_t, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(block);
 }
 
@@ -124,6 +178,45 @@ TEST(MatrixAllocation, AgglomeratingAMovedMatrixRequestsNoLargeBlock) {
                                 << seen.largest;
       EXPECT_EQ(work.size(), 0U);  // moved from: empty
       EXPECT_EQ(dendrogram.merges.size(), kReads - 1);
+    }
+  }
+}
+
+TEST(MatrixAllocation, SketchMatrixRequestsOneBlock) {
+  // 4096 × 64 × 8 B = 2 MiB: the huge-page path.
+  constexpr std::size_t kRows = 4096;
+  // The reads back to back in one string, viewed from a stack array (a
+  // vector of views would be a second large request).  Some are shorter
+  // than k: their rows are written too.
+  common::Xoshiro256 rng(5);
+  std::array<std::size_t, kRows + 1> ends{};
+  std::string bases;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (std::size_t j = 4 + rng.bounded(40); j > 0; --j) {
+      bases += "ACGT"[rng.bounded(4)];
+    }
+    ends[i + 1] = bases.size();
+  }
+  std::array<std::string_view, kRows> seqs;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    seqs[i] = std::string_view(bases).substr(ends[i], ends[i + 1] - ends[i]);
+  }
+  common::ThreadPool pool(2);
+  for (const int k : {5, 9}) {
+    const MinHasher hasher(
+        {.kmer = k, .num_hashes = 64, .canonical = true, .seed = 3});
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+      kernels::SketchMatrix sketches;
+      const LargeRequests seen = large_requests_of(kRows * 64 * 4, [&] {
+        sketches = hasher.sketch_matrix(seqs, p);
+      });
+      EXPECT_EQ(seen.count, 1U) << "k=" << k << " pooled=" << (p != nullptr);
+      EXPECT_EQ(seen.largest, kRows * 64 * sizeof(std::uint64_t));
+      ASSERT_EQ(sketches.rows(), kRows);
+      for (std::size_t i = 0; i < kRows; ++i) {
+        const Sketch expected = hasher.sketch(seqs[i]);
+        ASSERT_TRUE(std::ranges::equal(sketches.row(i), expected)) << i;
+      }
     }
   }
 }

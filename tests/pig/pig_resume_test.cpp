@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -36,11 +37,24 @@ void* counted_malloc(std::size_t size) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
+void* counted_aligned_malloc(std::size_t size, std::align_val_t align) noexcept {
+  std::size_t seen = largest_request.load(std::memory_order_relaxed);
+  while (size > seen && !largest_request.compare_exchange_weak(seen, size)) {
+  }
+  void* block = nullptr;
+  const std::size_t alignment =
+      std::max(static_cast<std::size_t>(align), sizeof(void*));
+  return posix_memalign(&block, alignment, size == 0 ? 1 : size) == 0 ? block
+                                                                      : nullptr;
+}
+
 }  // namespace
 }  // namespace mrmc::pig
 
-// Every unaligned form of new and delete is replaced, so each allocation of
-// this binary pairs malloc with free (sanitizers check the pairing).
+// Every form of new and delete, unaligned and aligned (core::LargeArray
+// places arrays of 2 MiB and more on huge-page boundaries), is replaced, so
+// each allocation of this binary pairs malloc or posix_memalign with free
+// (sanitizers check the pairing).
 void* operator new(std::size_t size) {
   if (void* block = mrmc::pig::counted_malloc(size)) return block;
   throw std::bad_alloc();
@@ -60,6 +74,39 @@ void operator delete(void* block, const std::nothrow_t&) noexcept {
   std::free(block);
 }
 void operator delete[](void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* block = mrmc::pig::counted_aligned_malloc(size, align)) return block;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return mrmc::pig::counted_aligned_malloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return mrmc::pig::counted_aligned_malloc(size, align);
+}
+void operator delete(void* block, std::align_val_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::size_t, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, std::size_t, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(block);
 }
 
