@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -12,9 +13,8 @@ namespace mrmc::bio {
 
 namespace {
 
-std::string first_token(std::string_view line) {
-  const auto end = line.find_first_of(" \t");
-  return std::string(line.substr(0, end));
+std::string_view first_token(std::string_view line) {
+  return line.substr(0, line.find_first_of(" \t"));
 }
 
 void strip_cr(std::string& line) {
@@ -77,8 +77,8 @@ std::vector<FastaRecord> read_fasta(std::istream& in,
     if (line.front() == '>') {
       flush();
       quarantined = false;
-      std::string header = line.substr(1);
-      if (first_token(header).empty()) {
+      const std::string_view id = first_token(std::string_view(line).substr(1));
+      if (id.empty()) {
         fail("fasta: record with empty id");
         // Lenient: swallow this record's sequence lines too.
         in_record = false;
@@ -86,8 +86,8 @@ std::vector<FastaRecord> read_fasta(std::istream& in,
         continue;
       }
       in_record = true;
-      current.header = std::move(header);
-      current.id = first_token(current.header);
+      current.id = std::string(id);
+      current.header = line.substr(1);
     } else {
       if (!in_record) {
         if (quarantined) continue;  // body of an already-counted bad record

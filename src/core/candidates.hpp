@@ -244,11 +244,13 @@ struct SparseSimilarityGraph {
 
 /// Score every candidate pair with the sketch kernels.  Pairs must be
 /// sorted unique (enumerate_pairs output); edges come back in the same
-/// order.  Bit-identical at any pool size and under scalar or AVX2 kernel
-/// dispatch.
+/// order.  `certificate` is the sketching hasher's (see
+/// SketchPairSimilarity).  Bit-identical at any pool size, with or without
+/// the certificate, and under scalar or AVX2 kernel dispatch.
 [[nodiscard]] SparseSimilarityGraph verify_pairs(
     const kernels::SketchMatrix& sketches, std::span<const Pair> pairs,
-    SketchEstimator estimator, common::ThreadPool* pool = nullptr);
+    SketchEstimator estimator, common::ThreadPool* pool = nullptr,
+    SlotDisjointCertificate certificate = {});
 
 /// enumerate_pairs + verify_pairs in one call.
 [[nodiscard]] SparseSimilarityGraph build_graph(

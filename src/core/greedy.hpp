@@ -20,6 +20,9 @@ namespace mrmc::core {
 struct GreedyParams {
   double theta = 0.9;  ///< similarity threshold θ
   SketchEstimator estimator = SketchEstimator::kSetBased;
+  /// The sketching hasher's certificate (MinHasher::slot_disjoint), which
+  /// lets set-based pairs score from count_equal; see SketchPairSimilarity.
+  SlotDisjointCertificate certificate{};
 };
 
 struct GreedyResult {
@@ -29,13 +32,14 @@ struct GreedyResult {
   std::size_t comparisons = 0;   ///< sketch comparisons performed
 };
 
-/// Greedy sweep over the flat sketch store.  Component-match comparisons run
-/// the batched count_equal kernel over contiguous rows; set-based pre-sorts
+/// Greedy sweep over the flat sketch store, scored by SketchPairSimilarity:
+/// component-match and certified set-based comparisons run the batched
+/// count_equal kernel over contiguous rows; uncertified set-based pre-sorts
 /// every sketch once into a SortedSketchStore.  When `pool` is non-null the
 /// store sorts on it and each pass scores its representative against the
 /// whole pending list on it; the passes themselves stay in order.  Labels,
 /// representatives and the comparison count are identical at any thread
-/// count.
+/// count, with or without the certificate.
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
                             const GreedyParams& params,
                             common::ThreadPool* pool = nullptr);

@@ -40,7 +40,8 @@ SimilarityMatrix& SimilarityMatrix::operator=(SimilarityMatrix other) noexcept {
 
 SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
                                             SketchEstimator estimator,
-                                            common::ThreadPool* pool) {
+                                            common::ThreadPool* pool,
+                                            SlotDisjointCertificate certificate) {
   const std::size_t n = sketches.rows();
   // Both fills below write every cell, diagonal included.
   SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
@@ -53,12 +54,11 @@ SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketche
     return matrix;
   }
 
-  // Set-based: pre-sort once so each comparison is a linear merge.
-  const SortedSketchStore store(sketches, pool);
+  const SketchPairSimilarity similarity(sketches, estimator, pool, certificate);
   auto fill_row = [&](std::size_t i) {
     matrix.set(i, i, 1.0F);
     for (std::size_t j = i + 1; j < n; ++j) {
-      matrix.set(i, j, static_cast<float>(store.jaccard(i, j)));
+      matrix.set(i, j, static_cast<float>(similarity(i, j)));
     }
   };
   common::parallel_for(n > 64 ? pool : nullptr, n, fill_row);

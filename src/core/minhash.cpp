@@ -36,6 +36,26 @@ std::span<const std::uint64_t> kmer_stream(std::string_view seq,
   return stream;
 }
 
+/// True when no two of `cells` are equal and none is kEmptyMin: one pass
+/// over an open-addressing set at most half full, with kEmptyMin marking
+/// its free slots.
+bool distinct_and_never_empty(std::span<const std::uint64_t> cells) {
+  const auto bits = std::max(1, static_cast<int>(std::bit_width(2 * cells.size())));
+  std::vector<std::uint64_t> set(std::size_t{1} << bits, kEmptyMin);
+  const std::size_t mask = set.size() - 1;
+  for (const std::uint64_t cell : cells) {
+    if (cell == kEmptyMin) return false;
+    // Fibonacci hashing: the top bits of the product spread small values
+    // (an outer modulus m) as well as full-range ones.
+    std::size_t slot = (cell * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+    for (; set[slot] != kEmptyMin; slot = (slot + 1) & mask) {
+      if (set[slot] == cell) return false;
+    }
+    set[slot] = cell;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* sketch_scheme_name(SketchScheme scheme) noexcept {
@@ -129,6 +149,9 @@ void MinHasher::rank_universe() {
   for (std::size_t f = 0; f < features; ++f) {
     sketch_features_into({&codes[f], 1}, {hashed.data() + f * hashes, hashes});
   }
+  if (distinct_and_never_empty(hashed)) {
+    slot_disjoint_ = SlotDisjointCertificate(hashes);
+  }
   ranked_codes_.resize(hashes * features);
   ranked_values_.resize(hashes * features);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranking(features);
@@ -146,8 +169,9 @@ void MinHasher::rank_universe() {
   ranked_features_ = features;
 }
 
-void MinHasher::sketch_read_into(std::string_view seq,
-                                 std::span<std::uint64_t> out) const {
+void MinHasher::sketch_into(std::string_view seq,
+                            std::span<std::uint64_t> out) const {
+  MRMC_REQUIRE(out.size() == sketch_size(), "output span must hold one slot per hash");
   if (ranked_features_ == 0) {
     sketch_features_into(kmer_stream(seq, params_), out);
     return;
@@ -215,7 +239,7 @@ Sketch MinHasher::sketch_features(std::span<const std::uint64_t> features) const
 
 Sketch MinHasher::sketch(std::string_view seq) const {
   Sketch sketch(family_.size());
-  sketch_read_into(seq, sketch);
+  sketch_into(seq, sketch);
   return sketch;
 }
 
@@ -224,7 +248,7 @@ kernels::SketchMatrix MinHasher::sketch_matrix(
   // Every row is written (a read with no k-mer gets kEmptyFeatureMin).
   auto matrix = kernels::SketchMatrix::for_overwrite(seqs.size(), sketch_size());
   auto sketch_row = [&](std::size_t i) {
-    sketch_read_into(seqs[i], matrix.row(i));
+    sketch_into(seqs[i], matrix.row(i));
   };
   common::parallel_for(pool, seqs.size(), sketch_row);
   return matrix;
@@ -258,13 +282,15 @@ std::pair<std::uint64_t, std::uint64_t> SortedSketchStore::jaccard_counts(
 
 SketchPairSimilarity::SketchPairSimilarity(const kernels::SketchMatrix& sketches,
                                            SketchEstimator estimator,
-                                           common::ThreadPool* pool)
+                                           common::ThreadPool* pool,
+                                           SlotDisjointCertificate certificate)
     : sketches_(sketches),
       estimator_(estimator),
       score_(sketches.cols()),
-      store_(estimator == SketchEstimator::kSetBased
-                 ? SortedSketchStore(sketches, pool)
-                 : SortedSketchStore()) {}
+      slot_disjoint_(certificate.holds() &&
+                     certificate.sketch_size() == sketches.cols()),
+      store_(set_based() && !slot_disjoint_ ? SortedSketchStore(sketches, pool)
+                                            : SortedSketchStore()) {}
 
 // ------------------------------------------------------------------ estimators
 

@@ -142,6 +142,31 @@ struct MinHashParams {
   SketchScheme scheme = SketchScheme::kUniversal;
 };
 
+/// Proof that a MinHasher's full-width sketches share values only slot by
+/// slot: every value of its K × F table h_i(code) is distinct and none is
+/// kEmptyMin.  Then a non-empty sketch holds K distinct values, and two
+/// sketches share a value only where they match in the same slot, so the
+/// set-based counts of two rows follow from count_equal alone (see
+/// SketchPairSimilarity).  Only a MinHasher can issue a certificate that
+/// holds; a default-constructed one does not, and sketches truncated to
+/// b < 64 bits are not covered by it.
+class SlotDisjointCertificate {
+ public:
+  SlotDisjointCertificate() = default;
+
+  /// True when issued by a hasher whose table passed the check.
+  [[nodiscard]] bool holds() const noexcept { return sketch_size_ != 0; }
+  /// K of the certified hasher (0 when the certificate does not hold).
+  [[nodiscard]] std::size_t sketch_size() const noexcept { return sketch_size_; }
+
+ private:
+  friend class MinHasher;
+  explicit SlotDisjointCertificate(std::size_t sketch_size) noexcept
+      : sketch_size_(sketch_size) {}
+
+  std::size_t sketch_size_ = 0;
+};
+
 /// Computes sketches for sequences.  Thread-safe after construction.
 ///
 /// Two paths give the same bytes.  sketch_features / sketch_features_into
@@ -154,6 +179,10 @@ struct MinHashParams {
 /// ranking, which is the minimum of h_i over the read by construction.  A
 /// read with so few distinct k-mers d that d² < F (F features ranked) is
 /// hashed by the kernels instead, where that is cheaper than probing.
+///
+/// Either way every value of a k <= 6 sketch is an entry of the table the
+/// rankings are built from, so the constructor also checks that table for
+/// collisions once (slot_disjoint()).
 class MinHasher {
  public:
   explicit MinHasher(MinHashParams params);
@@ -166,6 +195,10 @@ class MinHasher {
 
   /// Sketch of one sequence (Equation 4).
   [[nodiscard]] Sketch sketch(std::string_view seq) const;
+
+  /// Allocation-free variant: writes the sketch of `seq` into `out` (length
+  /// sketch_size()), by ranked lookup or by the kernels.
+  void sketch_into(std::string_view seq, std::span<std::uint64_t> out) const;
 
   /// Sketch of an explicit feature set.
   [[nodiscard]] Sketch sketch_features(std::span<const std::uint64_t> features) const;
@@ -182,13 +215,20 @@ class MinHasher {
       std::span<const std::string_view> seqs,
       common::ThreadPool* pool = nullptr) const;
 
+  /// Holds when k <= 6 and no two cells of the ranked table h_i(code) are
+  /// equal or kEmptyMin.  It fails where the outer modulus forces a
+  /// collision (K · F > m, e.g. m = 4^k) and for k >= 7, whose values are
+  /// never tabulated.
+  [[nodiscard]] SlotDisjointCertificate slot_disjoint() const noexcept {
+    return slot_disjoint_;
+  }
+
  private:
   /// Largest k-mer universe 4^k that is ranked (k <= 6).
   static constexpr std::size_t kRankedUniverse = 4096;
 
-  /// Sketch of one read into `out`, by ranked lookup or by the kernels.
-  void sketch_read_into(std::string_view seq, std::span<std::uint64_t> out) const;
-  /// Builds the rankings below when 4^k <= kRankedUniverse.
+  /// Builds the rankings below, and checks the certificate, when 4^k <=
+  /// kRankedUniverse.
   void rank_universe();
 
   MinHashParams params_;
@@ -201,6 +241,7 @@ class MinHasher {
   /// ascending h_i order, and the same row of ranked_values_ their h_i.
   std::vector<std::uint16_t> ranked_codes_;
   std::vector<std::uint64_t> ranked_values_;
+  SlotDisjointCertificate slot_disjoint_;
 };
 
 /// Jaccard from integer (|∩|, |∪|) counts; |∪| == 0 means both sets were
@@ -215,8 +256,9 @@ class MinHasher {
 }
 
 /// Pre-sorted unique minima of a set of sketches, so repeated set-based
-/// comparisons (greedy sweeps, medoid scans, matrix fills) pay the sort once
-/// per sketch instead of twice per pair.  Rows sit at the matrix's fixed
+/// comparisons of an uncertified table (SketchPairSimilarity without a
+/// SlotDisjointCertificate) pay the sort once per sketch instead of twice
+/// per pair.  Rows sit at the matrix's fixed
 /// stride of cols() with a length each, so every row sorts in place and
 /// independently of the others.
 class SortedSketchStore {
@@ -255,9 +297,14 @@ class SortedSketchStore {
 /// score is a function of integer counts (counts / score), which is how the
 /// MapReduce jobs ship it: the map tasks send the counts and the driver
 /// scores them, so both paths score every pair through this one class.
-/// Set-based pairs read a SortedSketchStore built once (on `pool` when
-/// non-null); component-match pairs run count_equal over the two rows.
-/// Holds a reference to `sketches`, which must outlive it.
+/// Component-match pairs run count_equal over the two rows.  Set-based
+/// pairs do too when `certificate` holds for the table's K (the table must
+/// then be full-width sketches of the hasher that issued it): with m =
+/// count_equal, two non-empty rows have |∩| = m and |∪| = 2K - m, an empty
+/// row (every slot kEmptyMin) against a non-empty one 0 and K + 1, and two
+/// empty rows 1 and 1, the very counts of SortedSketchStore::jaccard_counts.
+/// Otherwise set-based pairs read a SortedSketchStore built once (on `pool`
+/// when non-null).  Holds a reference to `sketches`, which must outlive it.
 class SketchPairSimilarity {
  public:
   /// The integers a pair's score is made of: the match count m in `shared`
@@ -270,18 +317,28 @@ class SketchPairSimilarity {
 
   SketchPairSimilarity(const kernels::SketchMatrix& sketches,
                        SketchEstimator estimator,
-                       common::ThreadPool* pool = nullptr);
+                       common::ThreadPool* pool = nullptr,
+                       SlotDisjointCertificate certificate = {});
 
   [[nodiscard]] bool set_based() const noexcept {
     return estimator_ == SketchEstimator::kSetBased;
   }
 
   [[nodiscard]] Counts counts(std::size_t i, std::size_t j) const noexcept {
-    if (set_based()) {
+    const std::span<const std::uint64_t> a = sketches_.row(i);
+    const std::span<const std::uint64_t> b = sketches_.row(j);
+    if (!set_based()) return {kernels::count_equal(a, b), 0};
+    if (!slot_disjoint_) {
       const auto [inter, uni] = store_.jaccard_counts(i, j);
       return {inter, uni};
     }
-    return {kernels::count_equal(sketches_.row(i), sketches_.row(j)), 0};
+    const bool a_empty = a.front() == kEmptyMin;
+    const bool b_empty = b.front() == kEmptyMin;
+    if (a_empty || b_empty) {
+      return a_empty && b_empty ? Counts{1, 1} : Counts{0, a.size() + 1};
+    }
+    const std::uint64_t shared = kernels::count_equal(a, b);
+    return {shared, 2 * a.size() - shared};
   }
 
   /// m / K (0 when K == 0), or jaccard_from_counts(|∩|, |∪|).
@@ -298,7 +355,8 @@ class SketchPairSimilarity {
   const kernels::SketchMatrix& sketches_;
   SketchEstimator estimator_;
   kernels::MatchScore score_;
-  SortedSketchStore store_;  ///< empty unless set-based
+  bool slot_disjoint_;       ///< set-based pairs score from count_equal
+  SortedSketchStore store_;  ///< empty unless set-based and not slot_disjoint_
 };
 
 /// Estimated Jaccard similarity of two sketches (must be equal length).
@@ -310,7 +368,8 @@ class SketchPairSimilarity {
                                                 const Sketch& b) noexcept;
 
 /// Set-based estimator of Algorithm 1 line 9.  Sort work runs in reused
-/// thread-local scratch; for repeated comparisons prefer SortedSketchStore.
+/// thread-local scratch; for repeated comparisons over a sketch table prefer
+/// SketchPairSimilarity.
 [[nodiscard]] double set_based_similarity(const Sketch& a, const Sketch& b);
 
 // ---------------------------------------------------------- b-bit sketches
@@ -371,7 +430,8 @@ class SketchPairSimilarity {
 
 /// Component-match threshold equivalent to a set-based threshold θ.  With K
 /// independent hash families the two sketches share exactly the m matching
-/// minima (cross-family value collisions are negligible at 61 bits), so the
+/// minima (cross-family value collisions are negligible at 61 bits, and a
+/// SlotDisjointCertificate rules them out), so the
 /// set-based estimate is the monotone map J_set = m / (2K - m) of the match
 /// fraction — thresholding J_set at θ is the same decision as thresholding
 /// m/K at 2θ/(1+θ).  Truncated sketches cannot evaluate J_set directly

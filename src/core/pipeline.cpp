@@ -95,11 +95,11 @@ EffectiveKnobs effective_knobs(const PipelineParams& params) noexcept {
           SketchEstimator::kComponentMatch, SketchEstimator::kComponentMatch};
 }
 
-/// The sketch stage's body, in process and in every sketch map task: the
-/// reads sketched by `hasher` (on `pool` when non-null), then truncated to
-/// b bits, so local and distributed runs score identical values at any b.
-/// The caller builds `hasher` once per run: at k <= 6 its constructor ranks
-/// the whole k-mer universe.
+/// The local sketch stage's body: the reads sketched by `hasher` (on `pool`
+/// when non-null), then truncated to b bits, the values the sketch job's
+/// blocks carry, so local and distributed runs score identical values at
+/// any b.  The caller builds `hasher` once per run: at k <= 6 its
+/// constructor ranks the whole k-mer universe.
 kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
                                    const MinHasher& hasher,
                                    std::size_t sketch_bits,
@@ -114,13 +114,15 @@ kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
   return sketches;
 }
 
-/// Job 1: sketch every read.  Each map task runs sketch_reads over its
-/// split serially (the splits already fill the pool) and emits ONE
-/// BinaryBlock — K rows × (reads in split) columns of b-bit packed minima —
-/// instead of one vector<uint64_t> per read, so the shuffle moves the exact
-/// packed bytes (64/b-fold less at b < 64, and no per-record vector header
-/// even at b = 64).  The driver rejoins the blocks straight into the rows
-/// of one SketchMatrix.
+/// Job 1: sketch every read.  Each map task sketches its split serially
+/// (the splits already fill the pool), read by read through one reused
+/// K-slot row, straight into ONE BinaryBlock — K rows × (reads in split)
+/// columns of b-bit packed minima — instead of one vector<uint64_t> per
+/// read, so the shuffle moves the exact packed bytes (64/b-fold less at
+/// b < 64, and no per-record vector header even at b = 64).  The block's
+/// b-bit lanes keep each value's low b bits, the truncation sketch_reads
+/// applies, so the values equal the local stage's.  The driver rejoins the
+/// blocks straight into the rows of one SketchMatrix.
 kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
                                      const MinHasher& hasher,
                                      std::size_t sketch_bits,
@@ -137,12 +139,10 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
         mr::BinaryBlock block(static_cast<std::uint32_t>(sketch_bits),
                               num_hashes,
                               static_cast<std::uint32_t>(split.size()));
-        const kernels::SketchMatrix sketches =
-            sketch_reads(split, hasher, sketch_bits, nullptr);
+        std::vector<std::uint64_t> row(num_hashes);
         for (std::uint32_t c = 0; c < block.cols(); ++c) {
-          for (std::size_t k = 0; k < num_hashes; ++k) {
-            block.set(c, k, sketches.row(c)[k]);
-          }
+          hasher.sketch_into(split[c].seq, row);
+          for (std::size_t k = 0; k < num_hashes; ++k) block.set(c, k, row[k]);
         }
         emit.count("reads.sketched", std::ssize(split));
         return block;
@@ -181,12 +181,12 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
 SimilarityMatrix run_similarity_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const PipelineParams& params, SketchEstimator estimator,
-    const ExecutionOptions& exec, common::ThreadPool* pool,
-    mr::JobStats& stats) {
+    SlotDisjointCertificate certificate, const ExecutionOptions& exec,
+    common::ThreadPool* pool, mr::JobStats& stats) {
   obs::pipeline::StageScope stage("similarity");
   const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
-  const detail::PairScoreLanes lanes(sketches, estimator);
+  const detail::PairScoreLanes lanes(sketches, estimator, certificate);
   const std::size_t per_split = std::max<std::size_t>(
       1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
 
@@ -482,20 +482,20 @@ CandidateJobResult lsh_candidates(
 candidates::SparseSimilarityGraph verify_buckets(
     const std::shared_ptr<const kernels::SketchMatrix>& sketches,
     const candidates::BucketCsr& buckets, SketchEstimator estimator,
-    const ExecutionOptions& exec, const StageRunner& stages,
-    PipelineResult& result) {
+    SlotDisjointCertificate certificate, const ExecutionOptions& exec,
+    const StageRunner& stages, PipelineResult& result) {
   const std::size_t n = sketches->rows();
   candidates::SparseSimilarityGraph graph = stages.run(
       "verify",
       [&] {
         return candidates::verify_pairs(
             *sketches, candidates::pairs_from_buckets(buckets, n, stages.pool),
-            estimator, stages.pool);
+            estimator, stages.pool, certificate);
       },
       [&] {
         auto verified = run_verify_job(
             sketches, candidates::pairs_from_buckets(buckets, n, stages.pool),
-            estimator, exec, stages.pool);
+            estimator, exec, stages.pool, certificate);
         result.verify_stats = std::move(verified.stats);
         return std::move(verified.graph);
       },
@@ -514,9 +514,13 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                          const StageRunner& stages, PipelineResult& result) {
   const EffectiveKnobs knobs = effective_knobs(params);
   const std::size_t n = reads.size();
-  // One hasher for the sketch stage, freed with its rankings after it.
+  // One hasher for the sketch stage, freed with its rankings after it.  Its
+  // certificate outlives it and reaches every set-based scorer of the run;
+  // it does not cover b-bit truncated values.
+  SlotDisjointCertificate certificate;
   const auto sketches = [&] {
     const MinHasher hasher(params.minhash);
+    if (params.sketch_bits >= 64) certificate = hasher.slot_disjoint();
     return std::make_shared<const kernels::SketchMatrix>(stages.run(
         "sketch",
         [&] {
@@ -543,7 +547,8 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   const double compare_work = cost::compare_work(sketches->cols());
 
   if (params.mode == Mode::kGreedy) {
-    const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator};
+    const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator,
+                              certificate};
     std::size_t comparisons = 0;
     const auto cluster = [&] {
       GreedyResult swept =
@@ -575,8 +580,8 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   } else {
     std::optional<candidates::SparseSimilarityGraph> graph;
     if (buckets) {
-      graph = verify_buckets(sketches, buckets->buckets, knobs.estimator, exec,
-                             stages, result);
+      graph = verify_buckets(sketches, buckets->buckets, knobs.estimator,
+                             certificate, exec, stages, result);
       buckets.reset();
     }
     SimilarityMatrix matrix =
@@ -585,12 +590,12 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                     "similarity",
                     [&] {
                       return pairwise_similarity_matrix(
-                          *sketches, knobs.estimator, stages.pool);
+                          *sketches, knobs.estimator, stages.pool, certificate);
                     },
                     [&] {
                       return run_similarity_job(sketches, params,
-                                                knobs.estimator, exec,
-                                                stages.pool,
+                                                knobs.estimator, certificate,
+                                                exec, stages.pool,
                                                 result.similarity_stats);
                     },
                     encode_matrix, decode_matrix);

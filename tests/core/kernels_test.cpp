@@ -376,6 +376,119 @@ TEST(RankedSketch, EqualsKernelSketchOfTheKmerSet) {
   }
 }
 
+// ------------------------------------------------- slot-disjoint sketches
+//
+// A MinHasher certifies its k <= 6 sketches when its ranked table h_i(code)
+// has no repeated value and no kEmptyMin.  SketchPairSimilarity then scores
+// set-based pairs from count_equal; the counts must be the store's.
+
+TEST(SlotDisjointCertificate, HoldsAtFullRangeAndFailsWhereTheModulusForcesACollision) {
+  EXPECT_FALSE(SlotDisjointCertificate().holds());
+  constexpr std::size_t kHashes = 29;
+  for (int k = 1; k <= 7; ++k) {
+    for (const bool canonical : {false, true}) {
+      const std::size_t features = ranked_universe(k, canonical);
+      for (const SketchScheme scheme :
+           {SketchScheme::kUniversal, SketchScheme::kCMinHash}) {
+        const std::string where = "k=" + std::to_string(k) +
+                                  " canonical=" + std::to_string(canonical) +
+                                  " scheme=" + sketch_scheme_name(scheme);
+        const MinHashParams params{.kmer = k,
+                                   .num_hashes = kHashes,
+                                   .canonical = canonical,
+                                   .seed = 70 + static_cast<std::uint64_t>(k),
+                                   .scheme = scheme};
+        const SlotDisjointCertificate full = MinHasher(params).slot_disjoint();
+        // k = 7 is never tabulated, so it is never certified.
+        EXPECT_EQ(full.holds(), k <= 6) << where;
+        EXPECT_EQ(full.sketch_size(), k <= 6 ? kHashes : 0) << where;
+        // m = 4^k: K · F values in [0, m) must collide.
+        auto literal = params;
+        literal.modulus = bio::kmer_space_size(k);
+        ASSERT_GT(kHashes * features, literal.modulus) << where;
+        EXPECT_FALSE(MinHasher(literal).slot_disjoint().holds()) << where;
+      }
+    }
+  }
+}
+
+TEST(SlotDisjointCertificate, CertifiedCountsEqualTheStoreOnEveryPair) {
+  common::Xoshiro256 rng(2718);
+  common::ThreadPool pool(3);
+  for (int k = 1; k <= 6; ++k) {
+    const auto width = static_cast<std::size_t>(k);
+    const std::string base = random_seq(rng, 400);
+    std::string mutated = base;
+    for (int m = 0; m < 6; ++m) mutated[rng.bounded(mutated.size())] = 'A';
+    std::string dinucleotide;
+    for (int i = 0; i < 100; ++i) dinucleotide += "GT";
+    std::vector<std::string> reads = {
+        // Empty sketches: no read, shorter than k, all N.
+        "", std::string(width - 1, 'C'), std::string(30, 'N'),
+        // The hashing fallback (d² < F) from k = 2 on.
+        std::string(300, 'A'), dinucleotide,
+        // Marks the whole universe up to k = 5.
+        random_seq(rng, 10'000),
+        // Identical and near-identical sketches.
+        base, base, mutated,
+    };
+    for (int i = 0; i < 10; ++i) {
+      reads.push_back(random_seq(rng, 20 + rng.bounded(500), i % 4 == 0 ? 0.02 : 0.0));
+    }
+    const std::vector<std::string_view> views(reads.begin(), reads.end());
+    for (const bool canonical : {false, true}) {
+      for (const SketchScheme scheme :
+           {SketchScheme::kUniversal, SketchScheme::kCMinHash}) {
+        const MinHasher hasher({.kmer = k,
+                                .num_hashes = 40,
+                                .canonical = canonical,
+                                .seed = 90 + static_cast<std::uint64_t>(k),
+                                .scheme = scheme});
+        ASSERT_TRUE(hasher.slot_disjoint().holds());
+        const auto sketches = hasher.sketch_matrix(views);
+        const SortedSketchStore store(sketches);
+        const SketchPairSimilarity uncertified(sketches, SketchEstimator::kSetBased,
+                                               &pool);
+        const SketchPairSimilarity certified(sketches, SketchEstimator::kSetBased,
+                                             nullptr, hasher.slot_disjoint());
+        for (std::size_t i = 0; i < reads.size(); ++i) {
+          for (std::size_t j = 0; j < reads.size(); ++j) {
+            const auto [inter, uni] = store.jaccard_counts(i, j);
+            const SketchPairSimilarity::Counts counts = certified.counts(i, j);
+            ASSERT_EQ(counts.shared, inter)
+                << "k=" << k << " canonical=" << canonical
+                << " scheme=" << sketch_scheme_name(scheme) << " pair " << i
+                << "," << j;
+            ASSERT_EQ(counts.unions, uni) << "k=" << k << " pair " << i << "," << j;
+            ASSERT_EQ(certified(i, j), uncertified(i, j));
+            ASSERT_EQ(certified(i, j), store.jaccard(i, j));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SlotDisjointCertificate, UncertifiedScorerCountsCrossSlotCoincidences) {
+  // 2 sits in slot 1 of row 0 and slot 0 of row 1: no slot matches, but
+  // the two sets share it.
+  kernels::SketchMatrix sketches(2, 4);
+  std::ranges::copy(std::vector<std::uint64_t>{1, 2, 3, 4}, sketches.row(0).begin());
+  std::ranges::copy(std::vector<std::uint64_t>{2, 9, 8, 7}, sketches.row(1).begin());
+  const SketchPairSimilarity::Counts expected{1, 7};
+  const SketchPairSimilarity plain(sketches, SketchEstimator::kSetBased);
+  EXPECT_EQ(plain.counts(0, 1).shared, expected.shared);
+  EXPECT_EQ(plain.counts(0, 1).unions, expected.unions);
+  // A certificate issued for another sketch length does not apply.
+  const MinHasher other({.kmer = 3, .num_hashes = 5, .seed = 2});
+  ASSERT_TRUE(other.slot_disjoint().holds());
+  const SketchPairSimilarity mismatched(sketches, SketchEstimator::kSetBased,
+                                        nullptr, other.slot_disjoint());
+  EXPECT_EQ(mismatched.counts(0, 1).shared, expected.shared);
+  EXPECT_EQ(mismatched.counts(0, 1).unions, expected.unions);
+  EXPECT_EQ(kernels::count_equal(sketches.row(0), sketches.row(1)), 0U);
+}
+
 // ------------------------------------------------------------ count_equal
 
 TEST(CountEqualEquivalence, AllLengthsIncludingTails) {
@@ -575,6 +688,34 @@ TEST(SimilarityMatrixEquivalence, BackendsAndThreadCountsAgree) {
                 << "backend=" << kernels::backend_name(backend)
                 << " pooled=" << (p != nullptr) << " cell " << i << "," << j;
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimilarityMatrixEquivalence, CertifiedSetBasedFillEqualsTheStoreFill) {
+  auto reads = make_reads(90, 41);
+  reads[7].seq = "NNNN";  // an empty sketch
+  reads[8].seq = "ACG";   // shorter than k
+  std::vector<std::string_view> views;
+  for (const auto& read : reads) views.emplace_back(read.seq);
+  for (const int k : {4, 5}) {
+    const MinHasher hasher({.kmer = k, .num_hashes = 50, .canonical = true, .seed = 12});
+    ASSERT_TRUE(hasher.slot_disjoint().holds());
+    const auto sketches = hasher.sketch_matrix(views);
+    const SimilarityMatrix reference =
+        pairwise_similarity_matrix(sketches, SketchEstimator::kSetBased);
+    for (const std::size_t threads : {1, 4}) {
+      common::ThreadPool pool(threads);
+      const SimilarityMatrix got = pairwise_similarity_matrix(
+          sketches, SketchEstimator::kSetBased, &pool, hasher.slot_disjoint());
+      ASSERT_EQ(got.size(), reference.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        for (std::size_t j = 0; j < got.size(); ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.row(i)[j]),
+                    std::bit_cast<std::uint64_t>(reference.row(i)[j]))
+              << "k=" << k << " threads=" << threads << " cell " << i << "," << j;
         }
       }
     }

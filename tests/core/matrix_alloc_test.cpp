@@ -16,9 +16,11 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
 #include "core/kernels.hpp"
 #include "core/minhash.hpp"
@@ -217,6 +219,48 @@ TEST(MatrixAllocation, SketchMatrixRequestsOneBlock) {
         const Sketch expected = hasher.sketch(seqs[i]);
         ASSERT_TRUE(std::ranges::equal(sketches.row(i), expected)) << i;
       }
+    }
+  }
+}
+
+TEST(MatrixAllocation, CertifiedSetBasedGreedyBuildsNoSortedStore) {
+  // A sorted sketch store is one rows × K × 8 B request; a certified k <= 6
+  // run scores set-based pairs from the sketch table and makes none, while
+  // k = 7 (never certified) still sorts into one.
+  constexpr std::size_t kRows = 2000;
+  constexpr std::size_t kHashes = 64;
+  constexpr std::size_t kStoreBytes = kRows * kHashes * sizeof(std::uint64_t);
+  // Mutated copies of a few templates: a few clusters, so few passes.
+  common::Xoshiro256 rng(17);
+  std::vector<std::string> templates(8);
+  for (std::string& seq : templates) {
+    for (int j = 0; j < 150; ++j) seq += "ACGT"[rng.bounded(4)];
+  }
+  std::vector<std::string> reads(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    reads[i] = templates[i % templates.size()];
+    for (int m = 0; m < 3; ++m) reads[i][rng.bounded(150)] = "ACGT"[rng.bounded(4)];
+  }
+  std::array<std::string_view, kRows> seqs;
+  std::ranges::copy(reads, seqs.begin());
+  common::ThreadPool pool(2);
+  for (const int k : {5, 7}) {
+    const MinHasher hasher(
+        {.kmer = k, .num_hashes = kHashes, .canonical = true, .seed = 9});
+    EXPECT_EQ(hasher.slot_disjoint().holds(), k <= 6);
+    const kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs);
+    const GreedyResult uncertified =
+        greedy_cluster(sketches, {0.3, SketchEstimator::kSetBased});
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+      GreedyResult result;
+      const LargeRequests seen = large_requests_of(kStoreBytes, [&] {
+        result = greedy_cluster(
+            sketches, {0.3, SketchEstimator::kSetBased, hasher.slot_disjoint()}, p);
+      });
+      EXPECT_EQ(seen.count, k <= 6 ? 0U : 1U)
+          << "k=" << k << " pooled=" << (p != nullptr) << " largest " << seen.largest;
+      EXPECT_EQ(result.labels, uncertified.labels) << "k=" << k;
+      EXPECT_EQ(result.comparisons, uncertified.comparisons) << "k=" << k;
     }
   }
 }

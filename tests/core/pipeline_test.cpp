@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
+#include "core/greedy.hpp"
+#include "core/hierarchical.hpp"
 #include "eval/external_indices.hpp"
 #include "simdata/datasets.hpp"
 
@@ -35,34 +40,69 @@ TEST(Pipeline, EmptyInput) {
   EXPECT_EQ(result.num_clusters, 0u);
 }
 
+/// The set-based labels of `params` computed outside the pipeline, without
+/// the hasher's certificate: every pair is scored through a
+/// SortedSketchStore.
+std::vector<int> store_scored_labels(std::span<const bio::FastaRecord> reads,
+                                     const PipelineParams& params) {
+  std::vector<std::string_view> seqs;
+  for (const auto& read : reads) seqs.emplace_back(read.seq);
+  const auto sketches = MinHasher(params.minhash).sketch_matrix(seqs);
+  const bool exact = params.candidates.backend == candidates::Backend::kExactAllPairs;
+  if (params.mode == Mode::kGreedy && exact) {
+    return greedy_cluster(sketches, {params.theta, SketchEstimator::kSetBased})
+        .labels;
+  }
+  const auto graph = candidates::build_graph(sketches, params.candidates,
+                                             params.theta,
+                                             SketchEstimator::kSetBased);
+  if (params.mode == Mode::kGreedy) {
+    return greedy_cluster_graph(graph, {params.theta}).labels;
+  }
+  return cut_dendrogram(
+      agglomerate(similarity_matrix_from_graph(graph), params.linkage),
+      params.theta);
+}
+
 /// Distributed runs on `nodes` simulated nodes and local runs, each on a
 /// pool of 0 (the shared pool), 1 and 3 threads, give the labels of a local
-/// run on the shared pool, under both estimators.  A 1-thread pool runs the
-/// cluster reducer's nested parallel loops on the reducer's own worker.
+/// run on the shared pool, under both estimators and both candidate
+/// backends.  Set-based runs, which score from the hasher's certificate,
+/// also give the store-scored labels.  A 1-thread pool runs the cluster
+/// reducer's nested parallel loops on the reducer's own worker.
 void expect_distributed_matches_local(Mode mode, std::size_t nodes) {
   const auto sample = small_sample();
-  for (const auto estimator :
-       {SketchEstimator::kSetBased, SketchEstimator::kComponentMatch}) {
-    auto params = base_params(mode);
-    (mode == Mode::kGreedy ? params.greedy_estimator : params.estimator) =
-        estimator;
-    ExecutionOptions local;
-    local.distributed = false;
-    const auto reference = run_pipeline(sample.reads, params, local);
-    for (const std::size_t threads : {0, 1, 3}) {
-      ExecutionOptions distributed;
-      distributed.cluster.nodes = nodes;
-      distributed.threads = threads;
-      local.threads = threads;
-      const std::string where = std::string(mode_name(mode)) + " estimator " +
-                                std::to_string(static_cast<int>(estimator)) +
-                                " threads " + std::to_string(threads);
-      const auto a = run_pipeline(sample.reads, params, distributed);
-      EXPECT_EQ(a.labels, reference.labels) << where;
-      EXPECT_EQ(a.num_clusters, reference.num_clusters) << where;
-      EXPECT_EQ(run_pipeline(sample.reads, params, local).labels,
-                reference.labels)
-          << where;
+  for (const auto backend : {candidates::Backend::kExactAllPairs,
+                             candidates::Backend::kLshBanded}) {
+    for (const auto estimator :
+         {SketchEstimator::kSetBased, SketchEstimator::kComponentMatch}) {
+      auto params = base_params(mode);
+      params.candidates.backend = backend;
+      (mode == Mode::kGreedy ? params.greedy_estimator : params.estimator) =
+          estimator;
+      ExecutionOptions local;
+      local.distributed = false;
+      const auto reference = run_pipeline(sample.reads, params, local);
+      const std::string run = std::string(mode_name(mode)) + " " +
+                              candidates::backend_name(backend) + " estimator " +
+                              std::to_string(static_cast<int>(estimator));
+      if (estimator == SketchEstimator::kSetBased) {
+        EXPECT_EQ(reference.labels, store_scored_labels(sample.reads, params))
+            << run;
+      }
+      for (const std::size_t threads : {0, 1, 3}) {
+        ExecutionOptions distributed;
+        distributed.cluster.nodes = nodes;
+        distributed.threads = threads;
+        local.threads = threads;
+        const std::string where = run + " threads " + std::to_string(threads);
+        const auto a = run_pipeline(sample.reads, params, distributed);
+        EXPECT_EQ(a.labels, reference.labels) << where;
+        EXPECT_EQ(a.num_clusters, reference.num_clusters) << where;
+        EXPECT_EQ(run_pipeline(sample.reads, params, local).labels,
+                  reference.labels)
+            << where;
+      }
     }
   }
 }
