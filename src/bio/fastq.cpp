@@ -143,7 +143,7 @@ std::string write_fastq_string(const std::vector<FastqRecord>& records) {
   return out.str();
 }
 
-std::vector<FastaRecord> to_fasta(const std::vector<FastqRecord>& records) {
+std::vector<FastaRecord> to_fasta(std::span<const FastqRecord> records) {
   std::vector<FastaRecord> out;
   out.reserve(records.size());
   for (const auto& record : records) {
@@ -152,7 +152,7 @@ std::vector<FastaRecord> to_fasta(const std::vector<FastqRecord>& records) {
   return out;
 }
 
-std::vector<FastqRecord> quality_filter(const std::vector<FastqRecord>& records,
+std::vector<FastqRecord> quality_filter(std::span<const FastqRecord> records,
                                         const QualityFilter& filter,
                                         std::size_t* dropped) {
   std::vector<FastqRecord> kept;

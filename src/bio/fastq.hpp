@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,7 +60,7 @@ void write_fastq(std::ostream& out, const std::vector<FastqRecord>& records);
 std::string write_fastq_string(const std::vector<FastqRecord>& records);
 
 /// Drop the FASTQ quality track (for the FASTA-only clustering API).
-std::vector<FastaRecord> to_fasta(const std::vector<FastqRecord>& records);
+std::vector<FastaRecord> to_fasta(std::span<const FastqRecord> records);
 
 struct QualityFilter {
   int trim_quality = 10;           ///< 3'-trim below this Phred score
@@ -70,7 +71,7 @@ struct QualityFilter {
 /// 3'-trim each read at the first position where the windowed quality drops
 /// below `trim_quality`, then apply the length and mean-error filters.
 /// Returns surviving reads; `dropped` (optional) counts discards.
-std::vector<FastqRecord> quality_filter(const std::vector<FastqRecord>& records,
+std::vector<FastqRecord> quality_filter(std::span<const FastqRecord> records,
                                         const QualityFilter& filter,
                                         std::size_t* dropped = nullptr);
 

@@ -85,12 +85,12 @@ std::vector<int> DendrogramLabels::operator()(common::ThreadPool* pool) {
 
 PairScoreLanes::PairScoreLanes(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
-    SketchEstimator estimator, SlotDisjointCertificate certificate)
+    SketchEstimator estimator)
     : sketches_(std::move(sketches)),
-      // One scorer shared (read-only) by all map tasks: an uncertified
-      // set-based one sorts every sketch once into its store.
-      scorer_(std::make_shared<const SketchPairSimilarity>(
-          *sketches_, estimator, nullptr, certificate)),
+      // One scorer shared (read-only) by all map tasks: a set-based one on
+      // an unstamped table sorts every sketch once into its store.
+      scorer_(std::make_shared<const SketchPairSimilarity>(*sketches_,
+                                                           estimator)),
       // Match counts are ≤ K; set-based |∩| and |∪| are ≤ 2K.
       lane_bits_(mr::min_lane_bits(
           (scorer_->set_based() ? 2 : 1) * sketches_->cols())) {}
@@ -215,8 +215,7 @@ CandidateJobResult run_candidate_job(
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    const ExecutionOptions& exec, common::ThreadPool* pool,
-    SlotDisjointCertificate certificate) {
+    const ExecutionOptions& exec, common::ThreadPool* pool) {
   VerifyJobResult result;
   result.graph.num_vertices = sketches->rows();
   if (pairs.empty()) return result;
@@ -227,7 +226,7 @@ VerifyJobResult run_verify_job(
   // edges in canonical (a, b) order with no re-sort.  The sketch table plays
   // Pig's GROUP-ALL broadcast relation for every map task.
   const std::size_t num_hashes = sketches->cols();
-  const detail::PairScoreLanes lanes(sketches, estimator, certificate);
+  const detail::PairScoreLanes lanes(sketches, estimator);
   const std::size_t per_split = std::max<std::size_t>(
       exec.records_per_split,
       pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));

@@ -80,13 +80,11 @@ struct VerifyJobResult {
 /// MapReduce job.  `pairs` must be sorted unique (pairs_from_buckets output);
 /// the map tasks read views of it, so the job makes no copy of the pairs
 /// and a retry reads the same list.  The tasks run on `pool`, as in
-/// run_candidate_job.  `certificate` is the sketching hasher's (see
-/// SketchPairSimilarity); the edges are the same with or without it.
+/// run_candidate_job.  The edges are verify_pairs' on the same table.
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    const ExecutionOptions& exec, common::ThreadPool* pool = nullptr,
-    SlotDisjointCertificate certificate = {});
+    const ExecutionOptions& exec, common::ThreadPool* pool = nullptr);
 
 namespace detail {
 
@@ -108,7 +106,7 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
 class PairScoreLanes {
  public:
   PairScoreLanes(std::shared_ptr<const kernels::SketchMatrix> sketches,
-                 SketchEstimator estimator, SlotDisjointCertificate certificate);
+                 SketchEstimator estimator);
 
   /// A zeroed block of `pairs` lanes.
   [[nodiscard]] mr::BinaryBlock block(std::uint64_t pairs) const {

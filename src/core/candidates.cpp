@@ -366,13 +366,12 @@ std::vector<Pair> enumerate_pairs(const kernels::SketchMatrix& sketches,
 SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
                                    std::span<const Pair> pairs,
                                    SketchEstimator estimator,
-                                   common::ThreadPool* pool,
-                                   SlotDisjointCertificate certificate) {
+                                   common::ThreadPool* pool) {
   SparseSimilarityGraph graph;
   graph.num_vertices = sketches.rows();
   graph.edges.resize(pairs.size());
 
-  const SketchPairSimilarity similarity(sketches, estimator, pool, certificate);
+  const SketchPairSimilarity similarity(sketches, estimator, pool);
   auto score = [&](std::size_t p) {
     const auto [a, b] = pairs[p];
     MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");

@@ -244,13 +244,12 @@ struct SparseSimilarityGraph {
 
 /// Score every candidate pair with the sketch kernels.  Pairs must be
 /// sorted unique (enumerate_pairs output); edges come back in the same
-/// order.  `certificate` is the sketching hasher's (see
-/// SketchPairSimilarity).  Bit-identical at any pool size, with or without
-/// the certificate, and under scalar or AVX2 kernel dispatch.
+/// order.  Bit-identical at any pool size, with or without the table's
+/// slot-disjoint stamp (see SketchPairSimilarity), and under scalar or AVX2
+/// kernel dispatch.
 [[nodiscard]] SparseSimilarityGraph verify_pairs(
     const kernels::SketchMatrix& sketches, std::span<const Pair> pairs,
-    SketchEstimator estimator, common::ThreadPool* pool = nullptr,
-    SlotDisjointCertificate certificate = {});
+    SketchEstimator estimator, common::ThreadPool* pool = nullptr);
 
 /// enumerate_pairs + verify_pairs in one call.
 [[nodiscard]] SparseSimilarityGraph build_graph(

@@ -15,8 +15,7 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
                             common::ThreadPool* pool) {
   MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
   const std::size_t n = sketches.rows();
-  const SketchPairSimilarity similarity(sketches, params.estimator, pool,
-                                        params.certificate);
+  const SketchPairSimilarity similarity(sketches, params.estimator, pool);
   GreedyResult result;
   result.labels.assign(n, -1);
   if (n == 0) return result;
@@ -87,8 +86,7 @@ GreedyResult greedy_cluster_buckets(const kernels::SketchMatrix& sketches,
   std::vector<std::uint32_t> reps(ids.size());
   std::vector<std::uint32_t> rep_end(offsets.begin(), offsets.end() - 1);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> lists;
-  const SketchPairSimilarity similarity(sketches, params.estimator, nullptr,
-                                        params.certificate);
+  const SketchPairSimilarity similarity(sketches, params.estimator);
   GreedyResult result;
   result.labels.assign(n, -1);
   for (std::size_t i = 0; i < n; ++i) {

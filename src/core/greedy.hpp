@@ -20,9 +20,6 @@ namespace mrmc::core {
 struct GreedyParams {
   double theta = 0.9;  ///< similarity threshold θ
   SketchEstimator estimator = SketchEstimator::kSetBased;
-  /// The sketching hasher's certificate (MinHasher::slot_disjoint), which
-  /// lets set-based pairs score from count_equal; see SketchPairSimilarity.
-  SlotDisjointCertificate certificate{};
 };
 
 struct GreedyResult {
@@ -33,13 +30,14 @@ struct GreedyResult {
 };
 
 /// Greedy sweep over the flat sketch store, scored by SketchPairSimilarity:
-/// component-match and certified set-based comparisons run the batched
-/// count_equal kernel over contiguous rows; uncertified set-based pre-sorts
-/// every sketch once into a SortedSketchStore.  When `pool` is non-null the
+/// component-match comparisons, and set-based ones on a slot-disjoint
+/// stamped table, run the batched count_equal kernel over contiguous rows;
+/// set-based on an unstamped table pre-sorts every sketch once into a
+/// SortedSketchStore.  When `pool` is non-null the
 /// store sorts on it and each pass scores its representative against the
 /// whole pending list on it; the passes themselves stay in order.  Labels,
 /// representatives and the comparison count are identical at any thread
-/// count, with or without the certificate.
+/// count, with or without the stamp.
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
                             const GreedyParams& params,
                             common::ThreadPool* pool = nullptr);

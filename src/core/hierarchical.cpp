@@ -40,8 +40,7 @@ SimilarityMatrix& SimilarityMatrix::operator=(SimilarityMatrix other) noexcept {
 
 SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
                                             SketchEstimator estimator,
-                                            common::ThreadPool* pool,
-                                            SlotDisjointCertificate certificate) {
+                                            common::ThreadPool* pool) {
   const std::size_t n = sketches.rows();
   // Both fills below write every cell, diagonal included.
   SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
@@ -54,7 +53,7 @@ SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketche
     return matrix;
   }
 
-  const SketchPairSimilarity similarity(sketches, estimator, pool, certificate);
+  const SketchPairSimilarity similarity(sketches, estimator, pool);
   auto fill_row = [&](std::size_t i) {
     matrix.set(i, i, 1.0F);
     for (std::size_t j = i + 1; j < n; ++j) {

@@ -70,17 +70,16 @@ class SimilarityMatrix {
 
 /// All-pairs sketch similarity over the flat sketch store.  Component-match
 /// runs the cache-blocked SIMD tile kernel; set-based scores row by row
-/// through SketchPairSimilarity, from count_equal when `certificate` (the
-/// sketching hasher's) holds, else through a SortedSketchStore built once.
+/// through SketchPairSimilarity, from count_equal when the table carries
+/// the slot-disjoint stamp, else through a SortedSketchStore built once.
 /// When `pool` is non-null blocks/rows are computed in parallel (the
 /// paper's row-wise partition, Section III-C); the result is identical at
-/// any thread count, with or without the certificate.  The fill writes
+/// any thread count, with or without the stamp.  The fill writes
 /// every cell, so the matrix is the one n² allocation and no zero pass
 /// precedes it.
 SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
                                             SketchEstimator estimator,
-                                            common::ThreadPool* pool = nullptr,
-                                            SlotDisjointCertificate certificate = {});
+                                            common::ThreadPool* pool = nullptr);
 
 /// Densify a verified candidate graph for the agglomerative path: edge
 /// similarities land in their cells, the diagonal is 1, and absent pairs

@@ -508,6 +508,7 @@ SketchMatrix SketchMatrix::from_sketches(
 }
 
 void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept {
+  sketches.slot_disjoint_ = false;
   for (std::size_t i = 0; i < sketches.rows(); ++i) {
     for (std::uint64_t& value : sketches.row(i)) value &= mask;
   }

@@ -36,6 +36,10 @@ namespace mrmc::common {
 class ThreadPool;
 }  // namespace mrmc::common
 
+namespace mrmc::core {
+class MinHasher;
+}  // namespace mrmc::core
+
 namespace mrmc::core::kernels {
 
 /// Instruction-set backend for the kernels.  Every backend produces
@@ -190,6 +194,14 @@ class MatchScore {
 /// contiguous uint64_t LargeArray.  It is the only form a table of sketches
 /// takes — sketching, checkpoints, candidates, verification and both
 /// clustering modes all read it, locally and in the MapReduce jobs.
+///
+/// A table also carries a slot-disjoint stamp (slot_disjoint()): set when
+/// every row is a full-width sketch of a MinHasher whose hash table h_i(code)
+/// has no two equal cells and no kEmptyFeatureMin cell, so two rows share a
+/// value only in the same slot (see core::SketchPairSimilarity).  Only
+/// core::MinHasher sets it; mask_components clears it, copies and moves keep
+/// it, and operator== ignores it.  Writes through row() keep it, so a
+/// stamped table's rows may only be overwritten with that hasher's sketches.
 class SketchMatrix {
  public:
   SketchMatrix() = default;
@@ -219,18 +231,28 @@ class SketchMatrix {
   static SketchMatrix from_sketches(
       std::span<const std::vector<std::uint64_t>> sketches);
 
-  friend bool operator==(const SketchMatrix&, const SketchMatrix&) = default;
+  /// True when the rows carry the slot-disjoint stamp.
+  [[nodiscard]] bool slot_disjoint() const noexcept { return slot_disjoint_; }
+
+  /// Shape and cells only: a stamped table equals its unstamped copy.
+  friend bool operator==(const SketchMatrix& a, const SketchMatrix& b) {
+    return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
+  }
 
  private:
+  friend class core::MinHasher;
+  friend void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept;
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   LargeArray<std::uint64_t> data_;
+  bool slot_disjoint_ = false;
 };
 
 /// In-place truncation of every component to its low bits (the b-bit
 /// sketch): value &= mask.  The sketch stage applies it at b < 64, in
 /// process and in the sketch job's map tasks, so local and distributed runs
-/// score the same truncated values.
+/// score the same truncated values.  Clears the slot-disjoint stamp.
 void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept;
 
 /// Cache-blocked all-pairs component-match fill: writes every cell of the

@@ -149,9 +149,7 @@ void MinHasher::rank_universe() {
   for (std::size_t f = 0; f < features; ++f) {
     sketch_features_into({&codes[f], 1}, {hashed.data() + f * hashes, hashes});
   }
-  if (distinct_and_never_empty(hashed)) {
-    slot_disjoint_ = SlotDisjointCertificate(hashes);
-  }
+  slot_disjoint_ = distinct_and_never_empty(hashed);
   ranked_codes_.resize(hashes * features);
   ranked_values_.resize(hashes * features);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranking(features);
@@ -251,7 +249,12 @@ kernels::SketchMatrix MinHasher::sketch_matrix(
     sketch_into(seqs[i], matrix.row(i));
   };
   common::parallel_for(pool, seqs.size(), sketch_row);
+  matrix.slot_disjoint_ = slot_disjoint_;
   return matrix;
+}
+
+void MinHasher::certify(kernels::SketchMatrix& table) const noexcept {
+  table.slot_disjoint_ = slot_disjoint_ && table.cols() == sketch_size();
 }
 
 // ---------------------------------------------------------- SortedSketchStore
@@ -282,13 +285,11 @@ std::pair<std::uint64_t, std::uint64_t> SortedSketchStore::jaccard_counts(
 
 SketchPairSimilarity::SketchPairSimilarity(const kernels::SketchMatrix& sketches,
                                            SketchEstimator estimator,
-                                           common::ThreadPool* pool,
-                                           SlotDisjointCertificate certificate)
+                                           common::ThreadPool* pool)
     : sketches_(sketches),
       estimator_(estimator),
       score_(sketches.cols()),
-      slot_disjoint_(certificate.holds() &&
-                     certificate.sketch_size() == sketches.cols()),
+      slot_disjoint_(sketches.slot_disjoint()),
       store_(set_based() && !slot_disjoint_ ? SortedSketchStore(sketches, pool)
                                             : SortedSketchStore()) {}
 

@@ -142,31 +142,6 @@ struct MinHashParams {
   SketchScheme scheme = SketchScheme::kUniversal;
 };
 
-/// Proof that a MinHasher's full-width sketches share values only slot by
-/// slot: every value of its K × F table h_i(code) is distinct and none is
-/// kEmptyMin.  Then a non-empty sketch holds K distinct values, and two
-/// sketches share a value only where they match in the same slot, so the
-/// set-based counts of two rows follow from count_equal alone (see
-/// SketchPairSimilarity).  Only a MinHasher can issue a certificate that
-/// holds; a default-constructed one does not, and sketches truncated to
-/// b < 64 bits are not covered by it.
-class SlotDisjointCertificate {
- public:
-  SlotDisjointCertificate() = default;
-
-  /// True when issued by a hasher whose table passed the check.
-  [[nodiscard]] bool holds() const noexcept { return sketch_size_ != 0; }
-  /// K of the certified hasher (0 when the certificate does not hold).
-  [[nodiscard]] std::size_t sketch_size() const noexcept { return sketch_size_; }
-
- private:
-  friend class MinHasher;
-  explicit SlotDisjointCertificate(std::size_t sketch_size) noexcept
-      : sketch_size_(sketch_size) {}
-
-  std::size_t sketch_size_ = 0;
-};
-
 /// Computes sketches for sequences.  Thread-safe after construction.
 ///
 /// Two paths give the same bytes.  sketch_features / sketch_features_into
@@ -181,8 +156,13 @@ class SlotDisjointCertificate {
 /// hashed by the kernels instead, where that is cheaper than probing.
 ///
 /// Either way every value of a k <= 6 sketch is an entry of the table the
-/// rankings are built from, so the constructor also checks that table for
-/// collisions once (slot_disjoint()).
+/// rankings are built from, so the constructor also checks that table once:
+/// when no two of its cells are equal and none is kEmptyMin, the hasher's
+/// full-width sketches share values only slot by slot, and every table it
+/// writes or certifies carries the slot-disjoint stamp
+/// (kernels::SketchMatrix::slot_disjoint).  The check fails where the outer
+/// modulus forces a collision (K · F > m, e.g. m = 4^k) and for k >= 7,
+/// whose values are never tabulated.
 class MinHasher {
  public:
   explicit MinHasher(MinHashParams params);
@@ -208,26 +188,24 @@ class MinHasher {
   void sketch_features_into(std::span<const std::uint64_t> features,
                             std::span<std::uint64_t> out) const;
 
-  /// Sketches for many sequences, one row each.  When `pool` is non-null,
-  /// reads are sketched in parallel; the result is identical at any thread
-  /// count.
+  /// Sketches for many sequences, one row each, stamped slot-disjoint when
+  /// the table check passed.  When `pool` is non-null, reads are sketched in
+  /// parallel; the result is identical at any thread count.
   [[nodiscard]] kernels::SketchMatrix sketch_matrix(
       std::span<const std::string_view> seqs,
       common::ThreadPool* pool = nullptr) const;
 
-  /// Holds when k <= 6 and no two cells of the ranked table h_i(code) are
-  /// equal or kEmptyMin.  It fails where the outer modulus forces a
-  /// collision (K · F > m, e.g. m = 4^k) and for k >= 7, whose values are
-  /// never tabulated.
-  [[nodiscard]] SlotDisjointCertificate slot_disjoint() const noexcept {
-    return slot_disjoint_;
-  }
+  /// Stamps a table this hasher's full-width sketches were copied into (the
+  /// MapReduce rejoin, a checkpoint decode) as sketch_matrix would: set
+  /// when the table check passed and `table.cols()` is K, cleared
+  /// otherwise, so a table of another sketch length is refused.
+  void certify(kernels::SketchMatrix& table) const noexcept;
 
  private:
   /// Largest k-mer universe 4^k that is ranked (k <= 6).
   static constexpr std::size_t kRankedUniverse = 4096;
 
-  /// Builds the rankings below, and checks the certificate, when 4^k <=
+  /// Builds the rankings below, and runs the table check, when 4^k <=
   /// kRankedUniverse.
   void rank_universe();
 
@@ -241,7 +219,7 @@ class MinHasher {
   /// ascending h_i order, and the same row of ranked_values_ their h_i.
   std::vector<std::uint16_t> ranked_codes_;
   std::vector<std::uint64_t> ranked_values_;
-  SlotDisjointCertificate slot_disjoint_;
+  bool slot_disjoint_ = false;  ///< the table check passed
 };
 
 /// Jaccard from integer (|∩|, |∪|) counts; |∪| == 0 means both sets were
@@ -256,9 +234,8 @@ class MinHasher {
 }
 
 /// Pre-sorted unique minima of a set of sketches, so repeated set-based
-/// comparisons of an uncertified table (SketchPairSimilarity without a
-/// SlotDisjointCertificate) pay the sort once per sketch instead of twice
-/// per pair.  Rows sit at the matrix's fixed
+/// comparisons of an unstamped table (SketchPairSimilarity) pay the sort
+/// once per sketch instead of twice per pair.  Rows sit at the matrix's fixed
 /// stride of cols() with a length each, so every row sorts in place and
 /// independently of the others.
 class SortedSketchStore {
@@ -298,8 +275,7 @@ class SortedSketchStore {
 /// MapReduce jobs ship it: the map tasks send the counts and the driver
 /// scores them, so both paths score every pair through this one class.
 /// Component-match pairs run count_equal over the two rows.  Set-based
-/// pairs do too when `certificate` holds for the table's K (the table must
-/// then be full-width sketches of the hasher that issued it): with m =
+/// pairs do too when the table carries the slot-disjoint stamp: with m =
 /// count_equal, two non-empty rows have |∩| = m and |∪| = 2K - m, an empty
 /// row (every slot kEmptyMin) against a non-empty one 0 and K + 1, and two
 /// empty rows 1 and 1, the very counts of SortedSketchStore::jaccard_counts.
@@ -317,8 +293,7 @@ class SketchPairSimilarity {
 
   SketchPairSimilarity(const kernels::SketchMatrix& sketches,
                        SketchEstimator estimator,
-                       common::ThreadPool* pool = nullptr,
-                       SlotDisjointCertificate certificate = {});
+                       common::ThreadPool* pool = nullptr);
 
   [[nodiscard]] bool set_based() const noexcept {
     return estimator_ == SketchEstimator::kSetBased;
@@ -430,8 +405,8 @@ class SketchPairSimilarity {
 
 /// Component-match threshold equivalent to a set-based threshold θ.  With K
 /// independent hash families the two sketches share exactly the m matching
-/// minima (cross-family value collisions are negligible at 61 bits, and a
-/// SlotDisjointCertificate rules them out), so the
+/// minima (cross-family value collisions are negligible at 61 bits, and
+/// the slot-disjoint stamp rules them out), so the
 /// set-based estimate is the monotone map J_set = m / (2K - m) of the match
 /// fraction — thresholding J_set at θ is the same decision as thresholding
 /// m/K at 2θ/(1+θ).  Truncated sketches cannot evaluate J_set directly

@@ -181,12 +181,12 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
 SimilarityMatrix run_similarity_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const PipelineParams& params, SketchEstimator estimator,
-    SlotDisjointCertificate certificate, const ExecutionOptions& exec,
-    common::ThreadPool* pool, mr::JobStats& stats) {
+    const ExecutionOptions& exec, common::ThreadPool* pool,
+    mr::JobStats& stats) {
   obs::pipeline::StageScope stage("similarity");
   const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
-  const detail::PairScoreLanes lanes(sketches, estimator, certificate);
+  const detail::PairScoreLanes lanes(sketches, estimator);
   const std::size_t per_split = std::max<std::size_t>(
       1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
 
@@ -482,20 +482,20 @@ CandidateJobResult lsh_candidates(
 candidates::SparseSimilarityGraph verify_buckets(
     const std::shared_ptr<const kernels::SketchMatrix>& sketches,
     const candidates::BucketCsr& buckets, SketchEstimator estimator,
-    SlotDisjointCertificate certificate, const ExecutionOptions& exec,
-    const StageRunner& stages, PipelineResult& result) {
+    const ExecutionOptions& exec, const StageRunner& stages,
+    PipelineResult& result) {
   const std::size_t n = sketches->rows();
   candidates::SparseSimilarityGraph graph = stages.run(
       "verify",
       [&] {
         return candidates::verify_pairs(
             *sketches, candidates::pairs_from_buckets(buckets, n, stages.pool),
-            estimator, stages.pool, certificate);
+            estimator, stages.pool);
       },
       [&] {
         auto verified = run_verify_job(
             sketches, candidates::pairs_from_buckets(buckets, n, stages.pool),
-            estimator, exec, stages.pool, certificate);
+            estimator, exec, stages.pool);
         result.verify_stats = std::move(verified.stats);
         return std::move(verified.graph);
       },
@@ -514,14 +514,10 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                          const StageRunner& stages, PipelineResult& result) {
   const EffectiveKnobs knobs = effective_knobs(params);
   const std::size_t n = reads.size();
-  // One hasher for the sketch stage, freed with its rankings after it.  Its
-  // certificate outlives it and reaches every set-based scorer of the run;
-  // it does not cover b-bit truncated values.
-  SlotDisjointCertificate certificate;
+  // One hasher for the sketch stage, freed with its rankings after it.
   const auto sketches = [&] {
     const MinHasher hasher(params.minhash);
-    if (params.sketch_bits >= 64) certificate = hasher.slot_disjoint();
-    return std::make_shared<const kernels::SketchMatrix>(stages.run(
+    kernels::SketchMatrix table = stages.run(
         "sketch",
         [&] {
           return sketch_reads(reads, hasher, params.sketch_bits, stages.pool);
@@ -530,7 +526,11 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
           return run_sketch_job(reads, hasher, params.sketch_bits, exec,
                                 stages.pool, result.sketch_stats);
         },
-        encode_sketches, decode_sketches));
+        encode_sketches, decode_sketches);
+    // The MR rejoin and the checkpoint decoder copy the hasher's sketches
+    // into tables of their own; the stamp does not cover b-bit values.
+    if (params.sketch_bits >= 64) hasher.certify(table);
+    return std::make_shared<const kernels::SketchMatrix>(std::move(table));
   }();
   result.sim_total_s += result.sketch_stats.timeline.total_s;
 #if defined(__GLIBC__)
@@ -547,8 +547,7 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   const double compare_work = cost::compare_work(sketches->cols());
 
   if (params.mode == Mode::kGreedy) {
-    const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator,
-                              certificate};
+    const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator};
     std::size_t comparisons = 0;
     const auto cluster = [&] {
       GreedyResult swept =
@@ -581,7 +580,7 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
     std::optional<candidates::SparseSimilarityGraph> graph;
     if (buckets) {
       graph = verify_buckets(sketches, buckets->buckets, knobs.estimator,
-                             certificate, exec, stages, result);
+                             exec, stages, result);
       buckets.reset();
     }
     SimilarityMatrix matrix =
@@ -590,12 +589,12 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                     "similarity",
                     [&] {
                       return pairwise_similarity_matrix(
-                          *sketches, knobs.estimator, stages.pool, certificate);
+                          *sketches, knobs.estimator, stages.pool);
                     },
                     [&] {
                       return run_similarity_job(sketches, params,
-                                                knobs.estimator, certificate,
-                                                exec, stages.pool,
+                                                knobs.estimator, exec,
+                                                stages.pool,
                                                 result.similarity_stats);
                     },
                     encode_matrix, decode_matrix);
@@ -626,11 +625,10 @@ FastqPipelineResult run_pipeline_fastq(std::span<const bio::FastqRecord> reads,
                                        const PipelineParams& params,
                                        const ExecutionOptions& exec) {
   FastqPipelineResult result;
-  const std::vector<bio::FastqRecord> input(reads.begin(), reads.end());
   {
     obs::Tracer::Span qc_span(obs::Tracer::global(), "pipeline/fastq_qc",
                               {{"reads", std::to_string(reads.size())}});
-    const auto filtered = bio::quality_filter(input, qc, &result.dropped);
+    const auto filtered = bio::quality_filter(reads, qc, &result.dropped);
     result.kept = bio::to_fasta(filtered);
   }
   obs::Registry::global()

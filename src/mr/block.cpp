@@ -4,133 +4,15 @@
 
 namespace mrmc::mr {
 
-namespace {
-
-// The wire format is little-endian; the engine already assumes a
-// little-endian host elsewhere (StableHasher hashes raw integer bytes), so
-// plain memcpy of native integers is the encoding.
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T value) {
-  const auto offset = out.size();
-  out.resize(offset + sizeof(T));
-  std::memcpy(out.data() + offset, &value, sizeof(T));
-}
-
-template <typename T>
-T read_at(std::span<const std::uint8_t> bytes, std::size_t offset) {
-  T value;
-  std::memcpy(&value, bytes.data() + offset, sizeof(T));
-  return value;
-}
-
-std::size_t words_needed(std::uint64_t rows, std::uint32_t elem_bits) {
-  return static_cast<std::size_t>(
-      (rows * elem_bits + 63) / 64);
-}
-
-std::uint64_t header_payload_checksum(std::uint32_t elem_bits,
-                                      std::uint32_t cols, std::uint64_t rows,
-                                      const std::uint64_t* words,
-                                      std::size_t num_words) noexcept {
-  StableHasher hasher;
-  const std::uint32_t head[4] = {BinaryBlock::kMagic, BinaryBlock::kVersion,
-                                 elem_bits, cols};
-  hasher.write(head, sizeof(head));
-  hasher.write(&rows, sizeof(rows));
-  hasher.write(words, num_words * sizeof(std::uint64_t));
-  return hasher.finish();
-}
-
-}  // namespace
-
 BinaryBlock::BinaryBlock(std::uint32_t elem_bits, std::uint64_t rows,
                          std::uint32_t cols)
     : elem_bits_(elem_bits),
       rows_(rows),
       cols_(cols),
-      wpc_(words_needed(rows, elem_bits)),
+      wpc_(static_cast<std::size_t>((rows * elem_bits + 63) / 64)),
       words_(wpc_ * cols, 0) {
   MRMC_REQUIRE(valid_elem_bits(elem_bits),
                "BinaryBlock width must be one of 1/2/4/8/16/32/64 bits");
-}
-
-std::uint64_t BinaryBlock::checksum() const noexcept {
-  return header_payload_checksum(elem_bits_, cols_, rows_, words_.data(),
-                                 words_.size());
-}
-
-std::vector<std::uint8_t> BinaryBlock::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + words_.size() * sizeof(std::uint64_t));
-  put(out, kMagic);
-  put(out, kVersion);
-  put(out, elem_bits_);
-  put(out, cols_);
-  put(out, rows_);
-  put(out, checksum());
-  const auto offset = out.size();
-  out.resize(offset + words_.size() * sizeof(std::uint64_t));
-  std::memcpy(out.data() + offset, words_.data(),
-              words_.size() * sizeof(std::uint64_t));
-  return out;
-}
-
-namespace {
-
-struct ParsedHeader {
-  std::uint32_t elem_bits = 0;
-  std::uint32_t cols = 0;
-  std::uint64_t rows = 0;
-  std::size_t wpc = 0;
-  std::size_t num_words = 0;
-};
-
-ParsedHeader parse_and_validate(std::span<const std::uint8_t> bytes) {
-  MRMC_REQUIRE(bytes.size() >= BinaryBlock::kHeaderBytes,
-               "binary block shorter than its 32-byte header");
-  MRMC_REQUIRE(read_at<std::uint32_t>(bytes, 0) == BinaryBlock::kMagic,
-               "binary block magic mismatch (not an MRBB block)");
-  MRMC_REQUIRE(read_at<std::uint32_t>(bytes, 4) == BinaryBlock::kVersion,
-               "unsupported binary block version");
-  ParsedHeader header;
-  header.elem_bits = read_at<std::uint32_t>(bytes, 8);
-  header.cols = read_at<std::uint32_t>(bytes, 12);
-  header.rows = read_at<std::uint64_t>(bytes, 16);
-  MRMC_REQUIRE(valid_elem_bits(header.elem_bits),
-               "binary block width must be one of 1/2/4/8/16/32/64 bits");
-  header.wpc = words_needed(header.rows, header.elem_bits);
-  header.num_words = header.wpc * header.cols;
-  MRMC_REQUIRE(bytes.size() == BinaryBlock::kHeaderBytes +
-                                   header.num_words * sizeof(std::uint64_t),
-               "binary block payload size does not match its header");
-  // Checksum over header + payload; payload words are read unaligned.
-  StableHasher hasher;
-  hasher.write(bytes.data(), 16);  // magic, version, elem_bits, cols
-  hasher.write(bytes.data() + 16, 8);  // rows
-  hasher.write(bytes.data() + BinaryBlock::kHeaderBytes,
-               header.num_words * sizeof(std::uint64_t));
-  MRMC_REQUIRE(hasher.finish() == read_at<std::uint64_t>(bytes, 24),
-               "binary block checksum mismatch (corrupt payload)");
-  return header;
-}
-
-}  // namespace
-
-BinaryBlock BinaryBlock::deserialize(std::span<const std::uint8_t> bytes) {
-  const ParsedHeader header = parse_and_validate(bytes);
-  BinaryBlock block(header.elem_bits, header.rows, header.cols);
-  std::memcpy(block.words_.data(), bytes.data() + kHeaderBytes,
-              header.num_words * sizeof(std::uint64_t));
-  return block;
-}
-
-BinaryBlockView::BinaryBlockView(std::span<const std::uint8_t> bytes) {
-  const ParsedHeader header = parse_and_validate(bytes);
-  payload_ = bytes.data() + BinaryBlock::kHeaderBytes;
-  elem_bits_ = header.elem_bits;
-  rows_ = header.rows;
-  cols_ = header.cols;
-  wpc_ = header.wpc;
 }
 
 }  // namespace mrmc::mr

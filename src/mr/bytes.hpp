@@ -15,8 +15,6 @@
 
 namespace mrmc::mr {
 
-class StableHasher;
-
 template <typename T>
 double approx_bytes(const T& value);
 
@@ -38,25 +36,18 @@ struct is_vector : std::false_type {};
 template <typename T, typename A>
 struct is_vector<std::vector<T, A>> : std::true_type {};
 
-/// Types that know their own exact wire size (e.g. mr::BinaryBlock) expose
-/// it via this member hook; approx_bytes dispatches to it so the shuffle
-/// accounting reports the true serialized volume, not a model.
+/// Types that model their own wire size (e.g. mr::BinaryBlock) expose it
+/// via this member hook; approx_bytes dispatches to it.
 template <typename T>
 concept HasApproxSerializedBytes = requires(const T& value) {
   { value.approx_serialized_bytes() } -> std::convertible_to<double>;
-};
-
-/// Matching member hook for stable_hash_append (shape + payload feed).
-template <typename T>
-concept HasStableHashInto = requires(const T& value, StableHasher& hasher) {
-  value.stable_hash_into(hasher);
 };
 
 }  // namespace detail
 
 /// Size estimate: arithmetic types by sizeof, strings by length + header,
 /// vectors and pairs recursively, self-describing types (BinaryBlock) by
-/// their exact wire size.  Unknown aggregates fall back to sizeof.
+/// their modelled wire size.  Unknown aggregates fall back to sizeof.
 template <typename T>
 double approx_bytes(const T& value) {
   if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
@@ -122,8 +113,6 @@ void stable_hash_append(StableHasher& hasher, const T& value) {
     const std::uint64_t size = value.size();
     hasher.write(&size, sizeof(size));
     for (const auto& element : value) stable_hash_append(hasher, element);
-  } else if constexpr (detail::HasStableHashInto<T>) {
-    value.stable_hash_into(hasher);
   } else {
     hasher.write(&value, sizeof(T));
   }

@@ -77,7 +77,7 @@ TEST(QualityFilter, TrimsAtLowQualityTail) {
   // Quality drops below 10 ('+' = q10; '!' = q0) at position 4.
   const FastqRecord record{"r", "r", "ACGTACGT", "IIII!III"};
   std::size_t dropped = 0;
-  const auto kept = quality_filter({record}, {.trim_quality = 10, .min_length = 2,
+  const auto kept = quality_filter({&record, 1}, {.trim_quality = 10, .min_length = 2,
                                               .max_mean_error = 0.5},
                                    &dropped);
   ASSERT_EQ(kept.size(), 1u);
@@ -89,7 +89,7 @@ TEST(QualityFilter, TrimsAtLowQualityTail) {
 TEST(QualityFilter, DropsShortAfterTrim) {
   const FastqRecord record{"r", "r", "ACGTACGT", "II!IIIII"};
   std::size_t dropped = 0;
-  const auto kept = quality_filter({record}, {.trim_quality = 10, .min_length = 5,
+  const auto kept = quality_filter({&record, 1}, {.trim_quality = 10, .min_length = 5,
                                               .max_mean_error = 0.5},
                                    &dropped);
   EXPECT_TRUE(kept.empty());
@@ -99,7 +99,7 @@ TEST(QualityFilter, DropsShortAfterTrim) {
 TEST(QualityFilter, DropsHighMeanError) {
   const FastqRecord record{"r", "r", "ACGTACGT", "++++++++"};  // q10 -> p 0.1
   const auto kept = quality_filter(
-      {record}, {.trim_quality = 5, .min_length = 2, .max_mean_error = 0.05});
+      {&record, 1}, {.trim_quality = 5, .min_length = 2, .max_mean_error = 0.05});
   EXPECT_TRUE(kept.empty());
 }
 

@@ -16,6 +16,8 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -378,13 +380,25 @@ TEST(RankedSketch, EqualsKernelSketchOfTheKmerSet) {
 
 // ------------------------------------------------- slot-disjoint sketches
 //
-// A MinHasher certifies its k <= 6 sketches when its ranked table h_i(code)
-// has no repeated value and no kEmptyMin.  SketchPairSimilarity then scores
-// set-based pairs from count_equal; the counts must be the store's.
+// A MinHasher stamps the tables it sketches when its k <= 6 ranked table
+// h_i(code) has no repeated value and no kEmptyMin.  SketchPairSimilarity
+// then scores set-based pairs from count_equal; the counts must be the
+// store's.
 
-TEST(SlotDisjointCertificate, HoldsAtFullRangeAndFailsWhereTheModulusForcesACollision) {
-  EXPECT_FALSE(SlotDisjointCertificate().holds());
+/// A copy of `table`'s shape and cells without its stamp.
+kernels::SketchMatrix unstamped_copy(const kernels::SketchMatrix& table) {
+  kernels::SketchMatrix copy(table.rows(), table.cols());
+  for (std::size_t i = 0; i < table.rows(); ++i) {
+    std::ranges::copy(table.row(i), copy.row(i).begin());
+  }
+  return copy;
+}
+
+TEST(SlotDisjointStamp, HoldsAtFullRangeAndIsAbsentWhereTheModulusForcesACollision) {
+  EXPECT_FALSE(kernels::SketchMatrix().slot_disjoint());
+  EXPECT_FALSE(kernels::SketchMatrix(3, 4).slot_disjoint());
   constexpr std::size_t kHashes = 29;
+  const std::vector<std::string_view> reads = {"ACGTACGTTGCA", "", "GGGCCCATAT"};
   for (int k = 1; k <= 7; ++k) {
     for (const bool canonical : {false, true}) {
       const std::size_t features = ranked_universe(k, canonical);
@@ -398,21 +412,81 @@ TEST(SlotDisjointCertificate, HoldsAtFullRangeAndFailsWhereTheModulusForcesAColl
                                    .canonical = canonical,
                                    .seed = 70 + static_cast<std::uint64_t>(k),
                                    .scheme = scheme};
-        const SlotDisjointCertificate full = MinHasher(params).slot_disjoint();
-        // k = 7 is never tabulated, so it is never certified.
-        EXPECT_EQ(full.holds(), k <= 6) << where;
-        EXPECT_EQ(full.sketch_size(), k <= 6 ? kHashes : 0) << where;
+        // k = 7 is never tabulated, so it is never stamped.
+        EXPECT_EQ(MinHasher(params).sketch_matrix(reads).slot_disjoint(), k <= 6)
+            << where;
         // m = 4^k: K · F values in [0, m) must collide.
         auto literal = params;
         literal.modulus = bio::kmer_space_size(k);
         ASSERT_GT(kHashes * features, literal.modulus) << where;
-        EXPECT_FALSE(MinHasher(literal).slot_disjoint().holds()) << where;
+        EXPECT_FALSE(MinHasher(literal).sketch_matrix(reads).slot_disjoint()) << where;
       }
     }
   }
 }
 
-TEST(SlotDisjointCertificate, CertifiedCountsEqualTheStoreOnEveryPair) {
+TEST(SlotDisjointStamp, MaskClearsItCopyAndMoveKeepItAndEqualityIgnoresIt) {
+  const MinHasher hasher({.kmer = 4, .num_hashes = 16, .seed = 3});
+  const std::vector<std::string_view> reads = {"ACGTTGCAAGGT", "TTTTACGA"};
+  const kernels::SketchMatrix stamped = hasher.sketch_matrix(reads);
+  ASSERT_TRUE(stamped.slot_disjoint());
+
+  kernels::SketchMatrix copied = stamped;
+  EXPECT_TRUE(copied.slot_disjoint());
+  kernels::SketchMatrix assigned;
+  assigned = copied;
+  EXPECT_TRUE(assigned.slot_disjoint());
+  const kernels::SketchMatrix moved = std::move(copied);
+  EXPECT_TRUE(moved.slot_disjoint());
+  kernels::SketchMatrix move_assigned;
+  move_assigned = std::move(assigned);
+  EXPECT_TRUE(move_assigned.slot_disjoint());
+
+  const kernels::SketchMatrix plain = unstamped_copy(stamped);
+  EXPECT_FALSE(plain.slot_disjoint());
+  EXPECT_EQ(plain, stamped);
+
+  // The all-ones mask keeps every value and still drops the stamp.
+  kernels::SketchMatrix masked = stamped;
+  kernels::mask_components(masked, sketch_bits_mask(64));
+  EXPECT_FALSE(masked.slot_disjoint());
+  EXPECT_EQ(masked, stamped);
+  kernels::mask_components(masked, sketch_bits_mask(8));
+  EXPECT_FALSE(masked.slot_disjoint());
+  EXPECT_NE(masked, stamped);
+}
+
+TEST(SlotDisjointStamp, CertifyStampsTheHashersOwnTablesAndRefusesOthers) {
+  const MinHasher hasher({.kmer = 3, .num_hashes = 5, .seed = 2});
+  const std::vector<std::string_view> reads = {"ACGTTGCAAGGT", "", "CCCAT"};
+  const kernels::SketchMatrix sketched = hasher.sketch_matrix(reads);
+  ASSERT_TRUE(sketched.slot_disjoint());
+
+  // A table the hasher's sketches were copied into, as a rejoin or a
+  // decoder builds it.
+  kernels::SketchMatrix rejoined = unstamped_copy(sketched);
+  hasher.certify(rejoined);
+  EXPECT_TRUE(rejoined.slot_disjoint());
+
+  // Another sketch length is refused, and a stamp it carried is dropped.
+  kernels::SketchMatrix wider = MinHasher({.kmer = 3, .num_hashes = 6, .seed = 2})
+                                    .sketch_matrix(reads);
+  ASSERT_TRUE(wider.slot_disjoint());
+  hasher.certify(wider);
+  EXPECT_FALSE(wider.slot_disjoint());
+  kernels::SketchMatrix empty;
+  hasher.certify(empty);
+  EXPECT_FALSE(empty.slot_disjoint());
+
+  // A hasher whose table check fails certifies nothing.
+  const MinHasher literal(
+      {.kmer = 3, .num_hashes = 5, .seed = 2, .modulus = bio::kmer_space_size(3)});
+  kernels::SketchMatrix same_shape = sketched;
+  literal.certify(same_shape);
+  EXPECT_FALSE(same_shape.slot_disjoint());
+}
+
+TEST(SlotDisjointStamp, StampedCountsEqualUnstampedOnEveryPair) {
   common::Xoshiro256 rng(2718);
   common::ThreadPool pool(3);
   for (int k = 1; k <= 6; ++k) {
@@ -444,24 +518,27 @@ TEST(SlotDisjointCertificate, CertifiedCountsEqualTheStoreOnEveryPair) {
                                 .canonical = canonical,
                                 .seed = 90 + static_cast<std::uint64_t>(k),
                                 .scheme = scheme});
-        ASSERT_TRUE(hasher.slot_disjoint().holds());
-        const auto sketches = hasher.sketch_matrix(views);
-        const SortedSketchStore store(sketches);
-        const SketchPairSimilarity uncertified(sketches, SketchEstimator::kSetBased,
-                                               &pool);
-        const SketchPairSimilarity certified(sketches, SketchEstimator::kSetBased,
-                                             nullptr, hasher.slot_disjoint());
+        const auto stamped_table = hasher.sketch_matrix(views);
+        ASSERT_TRUE(stamped_table.slot_disjoint());
+        const auto plain_table = unstamped_copy(stamped_table);
+        const SortedSketchStore store(plain_table);
+        const SketchPairSimilarity unstamped(plain_table, SketchEstimator::kSetBased,
+                                             &pool);
+        const SketchPairSimilarity stamped(stamped_table, SketchEstimator::kSetBased);
         for (std::size_t i = 0; i < reads.size(); ++i) {
           for (std::size_t j = 0; j < reads.size(); ++j) {
             const auto [inter, uni] = store.jaccard_counts(i, j);
-            const SketchPairSimilarity::Counts counts = certified.counts(i, j);
+            const SketchPairSimilarity::Counts counts = stamped.counts(i, j);
+            const SketchPairSimilarity::Counts reference = unstamped.counts(i, j);
             ASSERT_EQ(counts.shared, inter)
                 << "k=" << k << " canonical=" << canonical
                 << " scheme=" << sketch_scheme_name(scheme) << " pair " << i
                 << "," << j;
             ASSERT_EQ(counts.unions, uni) << "k=" << k << " pair " << i << "," << j;
-            ASSERT_EQ(certified(i, j), uncertified(i, j));
-            ASSERT_EQ(certified(i, j), store.jaccard(i, j));
+            ASSERT_EQ(reference.shared, inter) << "k=" << k << " pair " << i << "," << j;
+            ASSERT_EQ(reference.unions, uni) << "k=" << k << " pair " << i << "," << j;
+            ASSERT_EQ(stamped(i, j), unstamped(i, j));
+            ASSERT_EQ(stamped(i, j), store.jaccard(i, j));
           }
         }
       }
@@ -469,23 +546,20 @@ TEST(SlotDisjointCertificate, CertifiedCountsEqualTheStoreOnEveryPair) {
   }
 }
 
-TEST(SlotDisjointCertificate, UncertifiedScorerCountsCrossSlotCoincidences) {
+TEST(SlotDisjointStamp, UnstampedScorerCountsCrossSlotCoincidences) {
   // 2 sits in slot 1 of row 0 and slot 0 of row 1: no slot matches, but
-  // the two sets share it.
+  // the two sets share it.  A hand-built table is never stamped.
   kernels::SketchMatrix sketches(2, 4);
   std::ranges::copy(std::vector<std::uint64_t>{1, 2, 3, 4}, sketches.row(0).begin());
   std::ranges::copy(std::vector<std::uint64_t>{2, 9, 8, 7}, sketches.row(1).begin());
-  const SketchPairSimilarity::Counts expected{1, 7};
+  ASSERT_FALSE(sketches.slot_disjoint());
   const SketchPairSimilarity plain(sketches, SketchEstimator::kSetBased);
-  EXPECT_EQ(plain.counts(0, 1).shared, expected.shared);
-  EXPECT_EQ(plain.counts(0, 1).unions, expected.unions);
-  // A certificate issued for another sketch length does not apply.
+  EXPECT_EQ(plain.counts(0, 1).shared, 1U);
+  EXPECT_EQ(plain.counts(0, 1).unions, 7U);
+  // A slot-disjoint hasher of another sketch length cannot stamp it.
   const MinHasher other({.kmer = 3, .num_hashes = 5, .seed = 2});
-  ASSERT_TRUE(other.slot_disjoint().holds());
-  const SketchPairSimilarity mismatched(sketches, SketchEstimator::kSetBased,
-                                        nullptr, other.slot_disjoint());
-  EXPECT_EQ(mismatched.counts(0, 1).shared, expected.shared);
-  EXPECT_EQ(mismatched.counts(0, 1).unions, expected.unions);
+  other.certify(sketches);
+  EXPECT_FALSE(sketches.slot_disjoint());
   EXPECT_EQ(kernels::count_equal(sketches.row(0), sketches.row(1)), 0U);
 }
 
@@ -702,14 +776,14 @@ TEST(SimilarityMatrixEquivalence, CertifiedSetBasedFillEqualsTheStoreFill) {
   for (const auto& read : reads) views.emplace_back(read.seq);
   for (const int k : {4, 5}) {
     const MinHasher hasher({.kmer = k, .num_hashes = 50, .canonical = true, .seed = 12});
-    ASSERT_TRUE(hasher.slot_disjoint().holds());
     const auto sketches = hasher.sketch_matrix(views);
+    ASSERT_TRUE(sketches.slot_disjoint());
     const SimilarityMatrix reference =
-        pairwise_similarity_matrix(sketches, SketchEstimator::kSetBased);
+        pairwise_similarity_matrix(unstamped_copy(sketches), SketchEstimator::kSetBased);
     for (const std::size_t threads : {1, 4}) {
       common::ThreadPool pool(threads);
-      const SimilarityMatrix got = pairwise_similarity_matrix(
-          sketches, SketchEstimator::kSetBased, &pool, hasher.slot_disjoint());
+      const SimilarityMatrix got =
+          pairwise_similarity_matrix(sketches, SketchEstimator::kSetBased, &pool);
       ASSERT_EQ(got.size(), reference.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         for (std::size_t j = 0; j < got.size(); ++j) {

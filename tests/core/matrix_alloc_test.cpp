@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <string>
 #include <string_view>
@@ -24,6 +25,7 @@
 #include "core/hierarchical.hpp"
 #include "core/kernels.hpp"
 #include "core/minhash.hpp"
+#include "core/pipeline.hpp"
 
 namespace mrmc::core {
 namespace {
@@ -223,46 +225,114 @@ TEST(MatrixAllocation, SketchMatrixRequestsOneBlock) {
   }
 }
 
-TEST(MatrixAllocation, CertifiedSetBasedGreedyBuildsNoSortedStore) {
-  // A sorted sketch store is one rows × K × 8 B request; a certified k <= 6
-  // run scores set-based pairs from the sketch table and makes none, while
-  // k = 7 (never certified) still sorts into one.
-  constexpr std::size_t kRows = 2000;
-  constexpr std::size_t kHashes = 64;
-  constexpr std::size_t kStoreBytes = kRows * kHashes * sizeof(std::uint64_t);
-  // Mutated copies of a few templates: a few clusters, so few passes.
+// A sorted sketch store is one rows × K × 8 B request.
+constexpr std::size_t kRows = 2000;
+constexpr std::size_t kHashes = 64;
+constexpr std::size_t kStoreBytes = kRows * kHashes * sizeof(std::uint64_t);
+
+/// `count` mutated copies of a few templates: a few clusters, so few greedy
+/// passes.
+std::vector<std::string> clustered_reads(std::size_t count) {
   common::Xoshiro256 rng(17);
   std::vector<std::string> templates(8);
   for (std::string& seq : templates) {
     for (int j = 0; j < 150; ++j) seq += "ACGT"[rng.bounded(4)];
   }
-  std::vector<std::string> reads(kRows);
-  for (std::size_t i = 0; i < kRows; ++i) {
+  std::vector<std::string> reads(count);
+  for (std::size_t i = 0; i < count; ++i) {
     reads[i] = templates[i % templates.size()];
     for (int m = 0; m < 3; ++m) reads[i][rng.bounded(150)] = "ACGT"[rng.bounded(4)];
   }
+  return reads;
+}
+
+TEST(MatrixAllocation, CertifiedSetBasedGreedyBuildsNoSortedStore) {
+  // A greedy run over a slot-disjoint stamped k <= 6 table scores set-based
+  // pairs from the table and makes no store request, on the table
+  // sketch_matrix writes and on a copy the hasher certifies.  k = 7 (never
+  // stamped) still sorts into one.
+  const std::vector<std::string> reads = clustered_reads(kRows);
   std::array<std::string_view, kRows> seqs;
   std::ranges::copy(reads, seqs.begin());
   common::ThreadPool pool(2);
   for (const int k : {5, 7}) {
     const MinHasher hasher(
         {.kmer = k, .num_hashes = kHashes, .canonical = true, .seed = 9});
-    EXPECT_EQ(hasher.slot_disjoint().holds(), k <= 6);
     const kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs);
-    const GreedyResult uncertified =
-        greedy_cluster(sketches, {0.3, SketchEstimator::kSetBased});
-    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
-      GreedyResult result;
-      const LargeRequests seen = large_requests_of(kStoreBytes, [&] {
-        result = greedy_cluster(
-            sketches, {0.3, SketchEstimator::kSetBased, hasher.slot_disjoint()}, p);
-      });
-      EXPECT_EQ(seen.count, k <= 6 ? 0U : 1U)
-          << "k=" << k << " pooled=" << (p != nullptr) << " largest " << seen.largest;
-      EXPECT_EQ(result.labels, uncertified.labels) << "k=" << k;
-      EXPECT_EQ(result.comparisons, uncertified.comparisons) << "k=" << k;
+    EXPECT_EQ(sketches.slot_disjoint(), k <= 6);
+    // The same cells in a table built outside the hasher: unstamped until
+    // certified.
+    kernels::SketchMatrix rejoined(kRows, kHashes);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      std::ranges::copy(sketches.row(i), rejoined.row(i).begin());
+    }
+    const GreedyResult unstamped =
+        greedy_cluster(rejoined, {0.3, SketchEstimator::kSetBased});
+    hasher.certify(rejoined);
+    const kernels::SketchMatrix& certified = rejoined;
+    EXPECT_EQ(certified.slot_disjoint(), k <= 6);
+    for (const kernels::SketchMatrix* table : {&sketches, &certified}) {
+      for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+        GreedyResult result;
+        const LargeRequests seen = large_requests_of(kStoreBytes, [&] {
+          result = greedy_cluster(*table, {0.3, SketchEstimator::kSetBased}, p);
+        });
+        EXPECT_EQ(seen.count, k <= 6 ? 0U : 1U)
+            << "k=" << k << " pooled=" << (p != nullptr) << " largest " << seen.largest;
+        EXPECT_EQ(result.labels, unstamped.labels) << "k=" << k;
+        EXPECT_EQ(result.comparisons, unstamped.comparisons) << "k=" << k;
+      }
     }
   }
+}
+
+TEST(MatrixAllocation, PipelineSetBasedGreedyBuildsNoSortedStoreOnAnyPath) {
+  // Every table the pipeline scores is stamped: the local stage's, the MR
+  // rejoin's and the checkpoint decoder's.  The runs at k = 5 and k = 7
+  // make the same large requests (table, checkpoint payloads) but for the
+  // k = 7 run's store.  Twice the rows, so the store outgrows the k = 5
+  // hasher's 1 MiB table-check set.
+  constexpr std::size_t kPipelineRows = 2 * kRows;
+  std::vector<bio::FastaRecord> reads;
+  for (const std::string& seq : clustered_reads(kPipelineRows)) {
+    reads.push_back({"r" + std::to_string(reads.size()), "", seq});
+  }
+  const std::string dir = ::testing::TempDir() + "/mrmc_alloc_checkpoint";
+  const auto requests = [&](int k, const ExecutionOptions& exec) {
+    PipelineParams params;
+    params.minhash = {.kmer = k, .num_hashes = kHashes, .canonical = true, .seed = 9};
+    params.mode = Mode::kGreedy;
+    params.theta = 0.3;
+    if (!exec.checkpoint_dir.empty()) {
+      // Seed the directory, then keep the sketch stage's checkpoint (driver
+      // sequence 0) only, so the measured run decodes the table.
+      std::filesystem::remove_all(dir);
+      (void)run_pipeline(reads, params, exec);
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().filename().string().find(".0-") == std::string::npos) {
+          std::filesystem::remove(entry.path());
+        }
+      }
+    }
+    PipelineResult result;
+    const LargeRequests seen = large_requests_of(
+        2 * kStoreBytes, [&] { result = run_pipeline(reads, params, exec); });
+    EXPECT_EQ(result.labels.size(), kPipelineRows);
+    return seen.count;
+  };
+  ExecutionOptions local;
+  local.distributed = false;
+  local.threads = 2;
+  ExecutionOptions distributed;
+  distributed.threads = 2;
+  ExecutionOptions resumed = distributed;
+  resumed.checkpoint_dir = dir;
+  for (const auto& [name, exec] :
+       {std::pair{"local", local}, std::pair{"distributed", distributed},
+        std::pair{"sketch checkpoint hit", resumed}}) {
+    EXPECT_EQ(requests(7, exec), requests(5, exec) + 1) << name;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

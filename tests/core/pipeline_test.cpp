@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <string_view>
@@ -40,14 +42,18 @@ TEST(Pipeline, EmptyInput) {
   EXPECT_EQ(result.num_clusters, 0u);
 }
 
-/// The set-based labels of `params` computed outside the pipeline, without
-/// the hasher's certificate: every pair is scored through a
+/// The set-based labels of `params` computed outside the pipeline on an
+/// unstamped copy of the hasher's table: every pair is scored through a
 /// SortedSketchStore.
 std::vector<int> store_scored_labels(std::span<const bio::FastaRecord> reads,
                                      const PipelineParams& params) {
   std::vector<std::string_view> seqs;
   for (const auto& read : reads) seqs.emplace_back(read.seq);
-  const auto sketches = MinHasher(params.minhash).sketch_matrix(seqs);
+  const auto stamped = MinHasher(params.minhash).sketch_matrix(seqs);
+  kernels::SketchMatrix sketches(stamped.rows(), stamped.cols());
+  for (std::size_t i = 0; i < stamped.rows(); ++i) {
+    std::ranges::copy(stamped.row(i), sketches.row(i).begin());
+  }
   const bool exact = params.candidates.backend == candidates::Backend::kExactAllPairs;
   if (params.mode == Mode::kGreedy && exact) {
     return greedy_cluster(sketches, {params.theta, SketchEstimator::kSetBased})
@@ -67,8 +73,8 @@ std::vector<int> store_scored_labels(std::span<const bio::FastaRecord> reads,
 /// Distributed runs on `nodes` simulated nodes and local runs, each on a
 /// pool of 0 (the shared pool), 1 and 3 threads, give the labels of a local
 /// run on the shared pool, under both estimators and both candidate
-/// backends.  Set-based runs, which score from the hasher's certificate,
-/// also give the store-scored labels.  A 1-thread pool runs the cluster
+/// backends.  Set-based runs, which score from the table's slot-disjoint
+/// stamp, also give the store-scored labels.  A 1-thread pool runs the cluster
 /// reducer's nested parallel loops on the reducer's own worker.
 void expect_distributed_matches_local(Mode mode, std::size_t nodes) {
   const auto sample = small_sample();
@@ -113,6 +119,49 @@ TEST(Pipeline, DistributedGreedyMatchesLocal) {
 
 TEST(Pipeline, DistributedHierarchicalMatchesLocal) {
   expect_distributed_matches_local(Mode::kHierarchical, 3);
+}
+
+/// The paths to a k = 5 set-based scorer: the local sketch stage's stamped
+/// table, the MR rejoin's and the checkpoint decoder's (both stamped by
+/// MinHasher::certify).  Every run gives the store-scored labels.
+TEST(Pipeline, StampedSetBasedRunsMatchFreshAndAfterACheckpointHit) {
+  const auto sample = small_sample();
+  for (const Mode mode : {Mode::kGreedy, Mode::kHierarchical}) {
+    auto params = base_params(mode);
+    params.estimator = SketchEstimator::kSetBased;
+    const std::string name = mode_name(mode);
+    const auto reference = store_scored_labels(sample.reads, params);
+    ExecutionOptions local;
+    local.distributed = false;
+    EXPECT_EQ(run_pipeline(sample.reads, params, local).labels, reference) << name;
+
+    const std::string dir =
+        ::testing::TempDir() + "/mrmc_stamped_checkpoint_" + name;
+    std::filesystem::remove_all(dir);
+    ExecutionOptions distributed;
+    distributed.cluster.nodes = 3;
+    distributed.checkpoint_dir = dir;
+    const auto fresh = run_pipeline(sample.reads, params, distributed);
+    EXPECT_EQ(fresh.labels, reference) << name;
+    EXPECT_EQ(fresh.recovery.checkpoint_hits, 0U) << name;
+
+    // Keep the sketch stage's checkpoint (driver sequence 0) only: the rerun
+    // decodes the table and scores every later stage from it.
+    std::size_t removed = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string file = entry.path().filename().string();
+      if (entry.path().extension() == ".ckpt" &&
+          file.find(".0-") == std::string::npos) {
+        std::filesystem::remove(entry.path());
+        ++removed;
+      }
+    }
+    EXPECT_GE(removed, 1U) << name;
+    const auto resumed = run_pipeline(sample.reads, params, distributed);
+    EXPECT_EQ(resumed.labels, reference) << name;
+    EXPECT_EQ(resumed.recovery.checkpoint_hits, 1U) << name;
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(Pipeline, DistributedHierarchicalMatchesLocalAcrossCompactions) {
