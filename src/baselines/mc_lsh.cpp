@@ -1,9 +1,12 @@
 #include "baselines/mc_lsh.hpp"
 
+#include <utility>
+
 #include "bio/kmer.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/candidates.hpp"
+#include "core/greedy.hpp"
 #include "core/minhash.hpp"
 
 namespace mrmc::baselines {
@@ -11,51 +14,36 @@ namespace mrmc::baselines {
 BaselineResult mclsh_cluster(std::span<const bio::FastaRecord> reads,
                              const McLshParams& params) {
   MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
-  // Representatives' signatures, indexed by cluster id; a query's
-  // candidates come back lowest cluster first.  The shape check rejects a
-  // band count that does not divide num_hashes.
-  core::candidates::LshBucketIndex buckets(
-      params.num_hashes,
-      core::candidates::validated_band_shape(params.num_hashes, params.bands),
-      core::candidates::Params{}.seed);
+  // The shape check rejects a band count that does not divide num_hashes.
+  const core::candidates::BandShape shape =
+      core::candidates::validated_band_shape(params.num_hashes, params.bands);
   common::Stopwatch watch;
-  BaselineResult result;
-  result.labels.assign(reads.size(), -1);
-  if (reads.empty()) return result;
-
   const core::MinHasher hasher(
       {params.kmer, params.num_hashes, false, params.seed});
 
-  // Feature sets, for exact verification.
+  // Feature sets, for exact verification, and their signatures.
   std::vector<std::vector<std::uint64_t>> features;
   features.reserve(reads.size());
-  for (const auto& read : reads) {
-    features.push_back(bio::kmer_set(read.seq, {.k = params.kmer}));
+  auto signatures =
+      core::kernels::SketchMatrix::for_overwrite(reads.size(), params.num_hashes);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    features.push_back(bio::kmer_set(reads[i].seq, {.k = params.kmer}));
+    hasher.sketch_features_into(features[i], signatures.row(i));
   }
 
-  std::vector<std::size_t> rep_read;  // cluster id -> representative read
+  // Algorithm 1 over the signatures' buckets, verified by exact Jaccard.
+  core::GreedyResult swept = core::sweep_buckets(
+      core::candidates::lsh_buckets(signatures, shape,
+                                    core::candidates::Params{}.seed),
+      reads.size(), 0, [&](std::size_t rep, std::size_t read) {
+        return bio::exact_jaccard(features[rep], features[read]) >=
+               params.theta;
+      });
 
-  for (std::size_t query = 0; query < reads.size(); ++query) {
-    const core::Sketch signature = hasher.sketch_features(features[query]);
-    int assigned = -1;
-    for (const int cluster : buckets.candidates(signature)) {
-      ++result.comparisons;
-      const double jaccard =
-          bio::exact_jaccard(features[rep_read[cluster]], features[query]);
-      if (jaccard >= params.theta) {
-        assigned = cluster;
-        break;
-      }
-    }
-    if (assigned < 0) {
-      assigned = static_cast<int>(rep_read.size());
-      rep_read.push_back(query);
-      buckets.insert(assigned, signature);
-    }
-    result.labels[query] = assigned;
-  }
-
-  result.num_clusters = rep_read.size();
+  BaselineResult result;
+  result.labels = std::move(swept.labels);
+  result.num_clusters = swept.num_clusters;
+  result.comparisons = swept.comparisons;
   result.wall_s = watch.seconds();
   return result;
 }

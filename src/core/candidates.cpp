@@ -75,40 +75,6 @@ std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
   return h;
 }
 
-LshBucketIndex::LshBucketIndex(std::size_t sketch_size, BandShape shape,
-                               std::uint64_t seed)
-    : shape_(shape), seed_(seed) {
-  MRMC_REQUIRE(shape.bands >= 1 && shape.bands * shape.rows == sketch_size,
-               "band shape must tile the sketch length");
-}
-
-void LshBucketIndex::insert(int id, std::span<const std::uint64_t> sketch) {
-  MRMC_REQUIRE(sketch.size() == shape_.bands * shape_.rows,
-               "sketch length mismatch");
-  for (std::size_t band = 0; band < shape_.bands; ++band) {
-    std::vector<int>& bucket =
-        buckets_[band_bucket_key(sketch, band, shape_, seed_)];
-    if (bucket.empty() || bucket.back() != id) bucket.push_back(id);
-  }
-  ++inserted_;
-}
-
-std::vector<int> LshBucketIndex::candidates(
-    std::span<const std::uint64_t> sketch) const {
-  MRMC_REQUIRE(sketch.size() == shape_.bands * shape_.rows,
-               "sketch length mismatch");
-  std::vector<int> out;
-  for (std::size_t band = 0; band < shape_.bands; ++band) {
-    const auto it = buckets_.find(band_bucket_key(sketch, band, shape_, seed_));
-    if (it != buckets_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 namespace {
 
 /// Read ids and bucket positions are 32-bit.
@@ -132,6 +98,8 @@ std::vector<BucketEntry> part_entries(const kernels::SketchMatrix& sketches,
                                       std::size_t end,
                                       std::vector<std::size_t>& part_start,
                                       common::ThreadPool* pool) {
+  MRMC_REQUIRE(shape.bands >= 1 && shape.bands * shape.rows == sketches.cols(),
+               "band shape must tile the sketch length");
   const std::size_t rows = end - begin;
   const std::size_t row_blocks =
       pool == nullptr ? 1 : std::min(rows, pool->size() * 4);

@@ -14,9 +14,10 @@
 //     all-pairs is quadratic (bench/ablation_lsh_index).
 //
 // The LSH backend's product is the bucket CSR (lsh_buckets, or the
-// candidate MapReduce job's joined slices).  The greedy sweep runs straight
-// off it (greedy_cluster_buckets), checking each read against the
-// representatives in its buckets only.  The hierarchical path expands it
+// candidate MapReduce job's joined slices).  Algorithm 1 runs straight off
+// it (sweep_buckets: the pipeline's greedy_cluster_buckets,
+// IncrementalClusterer and the MC-LSH baseline), checking each read against
+// the representatives in its buckets only.  The hierarchical path expands it
 // into pairs (pairs_from_buckets) and *verifies* them: every pair is scored
 // into a SparseSimilarityGraph that similarity_matrix_from_graph densifies
 // and pig's CalculatePairwiseSimilarity consumes.  enumerate_pairs,
@@ -33,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -96,9 +96,9 @@ struct Params {
                                            double theta);
 
 /// The banding hash: bucket key of `sketch`'s band `band` under `shape`.
-/// The incremental index calls it directly and the batch enumerator and the
-/// candidate MapReduce job through part_entries, so their bucket structure
-/// (and therefore their candidate sets) agree.
+/// The batch bucketing and the candidate MapReduce job both call it through
+/// part_entries, so their bucket structure (and therefore their candidate
+/// sets) agree.
 [[nodiscard]] std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
                                             std::size_t band,
                                             const BandShape& shape,
@@ -106,34 +106,6 @@ struct Params {
 
 /// An unordered candidate pair, stored with a < b.
 using Pair = std::pair<std::uint32_t, std::uint32_t>;
-
-/// Incremental banded bucket index: supports interleaved insert / candidate
-/// queries, as IncrementalClusterer and the MC-LSH baseline need.  A bucket
-/// is every inserted (id, band) sharing one band_bucket_key, as in
-/// BucketCsr.  Batch work should prefer lsh_buckets.
-class LshBucketIndex {
- public:
-  LshBucketIndex(std::size_t sketch_size, BandShape shape, std::uint64_t seed);
-
-  [[nodiscard]] std::size_t bands() const noexcept { return shape_.bands; }
-  [[nodiscard]] std::size_t rows() const noexcept { return shape_.rows; }
-
-  void insert(int id, std::span<const std::uint64_t> sketch);
-
-  /// All ids sharing at least one band bucket with `sketch`, deduplicated,
-  /// ascending — so a greedy caller that inserts representatives in order
-  /// tries the lowest one first, as Algorithm 1 does.
-  [[nodiscard]] std::vector<int> candidates(
-      std::span<const std::uint64_t> sketch) const;
-
-  [[nodiscard]] std::size_t size() const noexcept { return inserted_; }
-
- private:
-  BandShape shape_;
-  std::uint64_t seed_;
-  std::size_t inserted_ = 0;
-  std::unordered_map<std::uint64_t, std::vector<int>> buckets_;
-};
 
 /// Enumerate candidate pairs for the whole sketch matrix under `params`:
 /// all pairs (exact backend) or bucket-mates in at least one band (LSH
@@ -175,7 +147,8 @@ using BucketEntry = std::pair<std::uint64_t, std::uint32_t>;
 
 /// The bucket entries of rows [begin, end) — one per (row, band) — laid out
 /// part by part, each part in row then band order, with part p at
-/// [part_start[p], part_start[p + 1]).  The rows are cut into blocks hashed
+/// [part_start[p], part_start[p + 1]).  `shape` must tile the sketch rows
+/// (bands >= 1, bands × rows == sketches.cols(); InvalidArgument otherwise).  The rows are cut into blocks hashed
 /// on `pool` when there is one, twice (once to size each part, once to fill
 /// it), so the returned array, allocated on the calling thread, is the only
 /// per-entry buffer.

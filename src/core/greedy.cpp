@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -63,61 +62,11 @@ GreedyResult greedy_cluster_buckets(const kernels::SketchMatrix& sketches,
                                     const candidates::BucketCsr& buckets,
                                     const GreedyParams& params) {
   MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
-  const std::size_t n = sketches.rows();
-  const std::vector<std::uint32_t>& offsets = buckets.offsets;
-  const std::vector<std::uint32_t>& ids = buckets.ids;
-  candidates::validate_buckets(buckets, n);
-
-  // Row index: read i's buckets are bucket_of[row_start[i], row_start[i + 1]).
-  std::vector<std::uint32_t> row_start(n + 1, 0);
-  for (const std::uint32_t id : ids) ++row_start[id + 1];
-  std::partial_sum(row_start.begin(), row_start.end(), row_start.begin());
-  std::vector<std::uint32_t> bucket_of(ids.size());
-  std::vector<std::uint32_t> cursor(row_start.begin(), row_start.end() - 1);
-  for (std::uint32_t g = 0; g + 1 < offsets.size(); ++g) {
-    for (std::uint32_t p = offsets[g]; p < offsets[g + 1]; ++p) {
-      bucket_of[cursor[ids[p]]++] = g;
-    }
-  }
-
-  // Bucket g's representatives so far, in id order: reps[offsets[g],
-  // rep_end[g]).  `lists` holds one [next, end) range of them per bucket of
-  // the current read.
-  std::vector<std::uint32_t> reps(ids.size());
-  std::vector<std::uint32_t> rep_end(offsets.begin(), offsets.end() - 1);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> lists;
   const SketchPairSimilarity similarity(sketches, params.estimator);
-  GreedyResult result;
-  result.labels.assign(n, -1);
-  for (std::size_t i = 0; i < n; ++i) {
-    lists.clear();
-    for (std::uint32_t s = row_start[i]; s < row_start[i + 1]; ++s) {
-      lists.emplace_back(offsets[bucket_of[s]], rep_end[bucket_of[s]]);
-    }
-    // Merge the lists: score the lowest head once, advancing every list
-    // that holds it, until one scores >= θ or the lists run out.
-    while (result.labels[i] < 0) {
-      std::size_t rep = n;
-      for (const auto& [next, end] : lists) {
-        if (next < end) rep = std::min<std::size_t>(rep, reps[next]);
-      }
-      if (rep == n) break;
-      for (auto& [next, end] : lists) next += next < end && reps[next] == rep;
-      ++result.comparisons;
-      if (similarity(rep, i) >= params.theta) {
-        result.labels[i] = result.labels[rep];
-      }
-    }
-    if (result.labels[i] < 0) {
-      result.labels[i] = static_cast<int>(result.representatives.size());
-      result.representatives.push_back(i);
-      for (std::uint32_t s = row_start[i]; s < row_start[i + 1]; ++s) {
-        reps[rep_end[bucket_of[s]]++] = static_cast<std::uint32_t>(i);
-      }
-    }
-  }
-  result.num_clusters = result.representatives.size();
-  return result;
+  return sweep_buckets(buckets, sketches.rows(), 0,
+                       [&](std::size_t rep, std::size_t read) {
+                         return similarity(rep, read) >= params.theta;
+                       });
 }
 
 GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph,

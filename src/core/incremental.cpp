@@ -1,5 +1,8 @@
 #include "core/incremental.hpp"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "common/error.hpp"
 
 namespace mrmc::core {
@@ -9,44 +12,52 @@ IncrementalClusterer::IncrementalClusterer(MinHashParams hasher,
                                            std::size_t bands)
     : hasher_(hasher),
       greedy_(greedy),
-      index_(hasher.num_hashes,
-             candidates::validated_band_shape(hasher.num_hashes, bands),
-             candidates::Params{}.seed) {}
-
-int IncrementalClusterer::add(std::string_view seq) {
-  const Sketch sketch = hasher_.sketch(seq);
-  int assigned = -1;
-  for (const int cluster : index_.candidates(sketch)) {
-    if (sketch_similarity(representatives_[cluster], sketch,
-                          greedy_.estimator) >= greedy_.theta) {
-      assigned = cluster;
-      break;
-    }
-  }
-  if (assigned < 0) {
-    assigned = static_cast<int>(representatives_.size());
-    index_.insert(assigned, sketch);
-    representatives_.push_back(sketch);
-    sizes_.push_back(0);
-  }
-  ++sizes_[assigned];
-  ++reads_added_;
-  return assigned;
+      shape_(candidates::validated_band_shape(hasher.num_hashes, bands)),
+      representatives_(0, hasher_.sketch_size()) {
+  MRMC_REQUIRE(greedy.theta >= 0.0 && greedy.theta <= 1.0, "theta in [0, 1]");
 }
 
 std::vector<int> IncrementalClusterer::add_all(
     std::span<const std::string_view> seqs) {
-  std::vector<int> labels;
-  labels.reserve(seqs.size());
-  for (const auto seq : seqs) labels.push_back(add(seq));
+  if (seqs.empty()) return {};
+  // The representatives sit in rows [0, seeded), label by label, and the
+  // batch below them; the sweep seeds the first and tests only the second.
+  const std::size_t seeded = representatives_.rows();
+  const std::size_t cols = representatives_.cols();
+  auto table = kernels::SketchMatrix::for_overwrite(seeded + seqs.size(), cols);
+  std::copy_n(representatives_.data(), seeded * cols, table.row(0).data());
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    hasher_.sketch_into(seqs[i], table.row(seeded + i));
+  }
+  hasher_.certify(table);
+  const SketchPairSimilarity similarity(table, greedy_.estimator);
+  const GreedyResult swept = sweep_buckets(
+      candidates::lsh_buckets(table, shape_, candidates::Params{}.seed),
+      table.rows(), seeded, [&](std::size_t rep, std::size_t read) {
+        return similarity(rep, read) >= greedy_.theta;
+      });
+
+  auto grown = kernels::SketchMatrix::for_overwrite(swept.num_clusters, cols);
+  for (std::size_t label = 0; label < swept.num_clusters; ++label) {
+    std::ranges::copy(table.row(swept.representatives[label]),
+                      grown.row(label).begin());
+  }
+  representatives_ = std::move(grown);
+  sizes_.resize(swept.num_clusters, 0);
+  std::vector<int> labels(
+      swept.labels.begin() + static_cast<std::ptrdiff_t>(seeded),
+      swept.labels.end());
+  for (const int label : labels) ++sizes_[static_cast<std::size_t>(label)];
+  reads_added_ += labels.size();
   return labels;
 }
 
-const Sketch& IncrementalClusterer::representative_sketch(int label) const {
+std::span<const std::uint64_t> IncrementalClusterer::representative_sketch(
+    int label) const {
   MRMC_REQUIRE(label >= 0 &&
-                   static_cast<std::size_t>(label) < representatives_.size(),
+                   static_cast<std::size_t>(label) < representatives_.rows(),
                "unknown cluster label");
-  return representatives_[static_cast<std::size_t>(label)];
+  return representatives_.row(static_cast<std::size_t>(label));
 }
 
 }  // namespace mrmc::core

@@ -8,8 +8,15 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "bio/kmer.hpp"
 #include "common/error.hpp"
+#include "core/candidates.hpp"
+#include "core/greedy.hpp"
+#include "core/kernels.hpp"
+#include "core/minhash.hpp"
 
 #include "baselines/cdhit_like.hpp"
 #include "baselines/hclust_family.hpp"
@@ -174,6 +181,61 @@ TEST(McLsh, BandCollisionsPruneComparisons) {
   // Verified candidates should be far fewer than all pairs.
   const std::size_t all_pairs = sample.size() * (sample.size() - 1) / 2;
   EXPECT_LT(result.comparisons, all_pairs);
+}
+
+/// MC-LSH's oracle: Algorithm 1 over the graph of the pairs of the same
+/// buckets (pairs_from_buckets), weighted by the exact Jaccard of the pairs'
+/// k-mer sets.
+core::GreedyResult mclsh_graph_oracle(std::span<const bio::FastaRecord> reads,
+                                      const McLshParams& params) {
+  const core::MinHasher hasher(
+      {params.kmer, params.num_hashes, false, params.seed});
+  std::vector<std::vector<std::uint64_t>> features;
+  std::vector<core::Sketch> signatures;
+  for (const auto& read : reads) {
+    features.push_back(bio::kmer_set(read.seq, {.k = params.kmer}));
+    signatures.push_back(hasher.sketch_features(features.back()));
+  }
+  const auto buckets = core::candidates::lsh_buckets(
+      core::kernels::SketchMatrix::from_sketches(signatures),
+      core::candidates::validated_band_shape(params.num_hashes, params.bands),
+      core::candidates::Params{}.seed);
+  core::candidates::SparseSimilarityGraph graph;
+  graph.num_vertices = reads.size();
+  for (const auto& [a, b] :
+       core::candidates::pairs_from_buckets(buckets, reads.size())) {
+    graph.edges.push_back({a, b, bio::exact_jaccard(features[a], features[b])});
+  }
+  return core::greedy_cluster_graph(graph, {.theta = params.theta});
+}
+
+TEST(McLsh, MatchesTheGraphSweepOverTheSameBuckets) {
+  // 3 %-error amplicon reads, and the same reads with every fifth one cut
+  // below k (an empty k-mer set).
+  const auto genes = simdata::generate_16s_genes(12, {}, 31);
+  simdata::AmpliconParams amplicon;
+  amplicon.errors = simdata::ErrorModel::uniform(0.03);
+  amplicon.read_length = 100;
+  const auto noisy = simdata::amplicon_reads(
+      genes, std::vector<double>(genes.size(), 1.0), 240, amplicon, 32);
+  std::vector<bio::FastaRecord> short_reads = noisy.reads;
+  for (std::size_t i = 0; i < short_reads.size(); i += 5) {
+    short_reads[i].seq.resize(i % 15);
+  }
+  for (const bool shortened : {false, true}) {
+    const auto& reads = shortened ? short_reads : noisy.reads;
+    for (const double theta : {0.3, 0.5}) {
+      const McLshParams params{.theta = theta, .kmer = 15, .num_hashes = 50,
+                               .bands = 10};
+      const BaselineResult result = mclsh_cluster(reads, params);
+      const core::GreedyResult oracle = mclsh_graph_oracle(reads, params);
+      const std::string where = "theta=" + std::to_string(theta) +
+                                " short=" + std::to_string(shortened);
+      EXPECT_EQ(result.labels, oracle.labels) << where;
+      EXPECT_EQ(result.num_clusters, oracle.num_clusters) << where;
+      EXPECT_EQ(result.comparisons, oracle.comparisons) << where;
+    }
+  }
 }
 
 TEST(Esprit, FilterSkipsMostAlignments) {

@@ -1,6 +1,6 @@
 // core::candidates — the pair-enumeration layer.  Covers the S-curve
-// properties, band-shape selection and validation, the incremental bucket
-// index and greedy over LSH candidates, backend equivalence
+// properties, band-shape selection and validation, the bucket index as the
+// sweep queries it and greedy over LSH candidates, backend equivalence
 // (exact graphs reproduce the dense all-pairs matrix bit-for-bit and the
 // graph greedy sweep reproduces the exhaustive sweep), the bucket greedy
 // sweep against the graph sweep, determinism of the candidate MapReduce job
@@ -303,8 +303,10 @@ TEST(GreedyClusterGraph, EmptyGraphIsAllSingletons) {
   EXPECT_EQ(result.labels, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// --------------------------------------------------------- LshBucketIndex
-// The incremental index IncrementalClusterer queries, with the default seed.
+// ------------------------------------------------------ the bucket index
+// The LSH index is the bucket CSR lsh_buckets builds, queried by
+// sweep_buckets: the pipeline's greedy stage, IncrementalClusterer and the
+// MC-LSH baseline all look representatives up this way.
 
 constexpr std::uint64_t kIndexSeed = candidates::Params{}.seed;
 
@@ -314,71 +316,87 @@ Sketch random_sketch(std::size_t length, common::Xoshiro256& rng) {
   return sketch;
 }
 
+/// The representatives sweep_buckets tests `query` against, in the order
+/// it tests them, when `reps` are seeded above it and none joins.
+std::vector<std::size_t> tested_representatives(std::vector<Sketch> reps,
+                                                const Sketch& query,
+                                                const candidates::BandShape& shape) {
+  const std::size_t seeded = reps.size();
+  reps.push_back(query);
+  const auto matrix = kernels::SketchMatrix::from_sketches(reps);
+  std::vector<std::size_t> tested;
+  const auto swept = sweep_buckets(
+      candidates::lsh_buckets(matrix, shape, kIndexSeed), matrix.rows(), seeded,
+      [&](std::size_t rep, std::size_t read) {
+        EXPECT_EQ(read, seeded);
+        tested.push_back(rep);
+        return false;
+      });
+  EXPECT_EQ(swept.comparisons, tested.size());
+  EXPECT_EQ(swept.labels.back(), static_cast<int>(seeded));
+  return tested;
+}
+
 TEST(LshIndex, RejectsBadShapes) {
-  // The shape must tile the sketch exactly, and every sketch must fit it.
-  const candidates::BandShape ragged{7, 7};
-  const candidates::BandShape empty{0, 5};
-  EXPECT_THROW(candidates::LshBucketIndex(50, ragged, kIndexSeed),
+  // The shape must tile the sketch exactly.
+  common::Xoshiro256 rng(6);
+  const auto matrix = kernels::SketchMatrix::from_sketches(
+      std::vector<Sketch>{random_sketch(50, rng), random_sketch(50, rng)});
+  EXPECT_THROW((void)candidates::lsh_buckets(matrix, {7, 7}, kIndexSeed),
                common::InvalidArgument);
-  EXPECT_THROW(candidates::LshBucketIndex(50, empty, kIndexSeed),
+  EXPECT_THROW((void)candidates::lsh_buckets(matrix, {0, 5}, kIndexSeed),
                common::InvalidArgument);
-  candidates::LshBucketIndex index(50, {10, 5}, kIndexSeed);
-  EXPECT_THROW(index.insert(0, Sketch(49)), common::InvalidArgument);
-  EXPECT_THROW((void)index.candidates(Sketch(49)), common::InvalidArgument);
+  EXPECT_THROW((void)candidates::lsh_buckets(matrix, {10, 6}, kIndexSeed),
+               common::InvalidArgument);
+  EXPECT_NO_THROW((void)candidates::lsh_buckets(matrix, {10, 5}, kIndexSeed));
 }
 
 TEST(LshIndex, IdenticalSketchesAlwaysCandidates) {
-  candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
   common::Xoshiro256 rng(1);
   const Sketch sketch = random_sketch(40, rng);
-  index.insert(7, sketch);
-  const auto found = index.candidates(sketch);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0], 7);
-  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(tested_representatives({sketch}, sketch, {8, 5}),
+            std::vector<std::size_t>{0});
 }
 
 TEST(LshIndex, DisjointSketchesRarelyCollide) {
-  candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
   common::Xoshiro256 rng(2);
-  for (int id = 0; id < 50; ++id) index.insert(id, random_sketch(40, rng));
-  EXPECT_LT(index.candidates(random_sketch(40, rng)).size(), 3u);
+  std::vector<Sketch> reps;
+  for (int id = 0; id < 50; ++id) reps.push_back(random_sketch(40, rng));
+  EXPECT_LT(tested_representatives(reps, random_sketch(40, rng), {8, 5}).size(),
+            3u);
 }
 
 TEST(LshIndex, SimilarSketchesCollide) {
-  candidates::LshBucketIndex index(40, {20, 2}, kIndexSeed);  // sensitive
   common::Xoshiro256 rng(3);
   const Sketch base = random_sketch(40, rng);
-  index.insert(0, base);
   Sketch similar = base;
   for (std::size_t i = 0; i < 4; ++i) similar[i * 10] = rng();  // J ~ 0.9
-  const auto found = index.candidates(similar);
-  ASSERT_FALSE(found.empty());
-  EXPECT_EQ(found[0], 0);
+  // {20, 2} is a sensitive shape.
+  EXPECT_EQ(tested_representatives({base}, similar, {20, 2}),
+            std::vector<std::size_t>{0});
 }
 
 TEST(LshIndex, CandidatesComeBackAscending) {
-  // The query shares band 0 with id 5 and band 1 with id 2: band by band
-  // that is 5 then 2, but a greedy caller must try the lowest id first.
-  candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
+  // The query shares band 0 with representative 1 and band 1 with
+  // representative 0: band by band that is 1 then 0, but Algorithm 1 must
+  // try the lowest first.
   common::Xoshiro256 rng(5);
   const Sketch query = random_sketch(40, rng);
-  Sketch band0 = random_sketch(40, rng);
   Sketch band1 = random_sketch(40, rng);
-  std::copy_n(query.begin(), 5, band0.begin());
+  Sketch band0 = random_sketch(40, rng);
   std::copy_n(query.begin() + 5, 5, band1.begin() + 5);
-  index.insert(5, band0);
-  index.insert(2, band1);
-  EXPECT_EQ(index.candidates(query), (std::vector<int>{2, 5}));
+  std::copy_n(query.begin(), 5, band0.begin());
+  EXPECT_EQ(tested_representatives({band1, band0}, query, {8, 5}),
+            (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(LshIndex, CandidatesDedupAcrossBands) {
-  candidates::LshBucketIndex index(40, {8, 5}, kIndexSeed);
+  // Both representatives collide with the query in all 8 bands but are
+  // tested once each.
   common::Xoshiro256 rng(4);
   const Sketch sketch = random_sketch(40, rng);
-  index.insert(1, sketch);
-  // The same id collides in all 8 bands but must be returned once.
-  EXPECT_EQ(index.candidates(sketch).size(), 1u);
+  EXPECT_EQ(tested_representatives({sketch, sketch}, sketch, {8, 5}),
+            (std::vector<std::size_t>{0, 1}));
 }
 
 // ------------------------------------------------ bucket-to-pairs expansion
@@ -767,6 +785,9 @@ TEST(GreedyClusterBuckets, RejectsMalformedBuckets) {
   EXPECT_THROW((void)sweep({0, 2}, {0, 1, 2}), common::InvalidArgument);
   EXPECT_THROW((void)sweep({}, {}), common::InvalidArgument);
   EXPECT_THROW((void)greedy_cluster_buckets(matrix, {}, {.theta = 1.5}),
+               common::InvalidArgument);
+  const auto never = [](std::size_t, std::size_t) { return false; };
+  EXPECT_THROW((void)sweep_buckets(candidates::BucketCsr{}, 5, 6, never),
                common::InvalidArgument);
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -100,9 +103,9 @@ TEST(IncrementalClusterer, GrowsClustersAcrossBatches) {
   const auto batch2 = otu_reads(3, 5, 10);  // same OTUs, same seed genes
 
   auto clusterer = make_clusterer();
-  for (const auto& seq : batch1) clusterer.add(seq);
+  clusterer.add_all(std::vector<std::string_view>(batch1.begin(), batch1.end()));
   const std::size_t after_first = clusterer.num_clusters();
-  for (const auto& seq : batch2) clusterer.add(seq);
+  clusterer.add_all(std::vector<std::string_view>(batch2.begin(), batch2.end()));
 
   // Second batch reads (same gene pool) mostly join existing clusters.
   EXPECT_LE(clusterer.num_clusters(), after_first + 2);
@@ -137,9 +140,7 @@ TEST(IncrementalClusterer, MatchesBatchIndexedGreedy) {
       greedy);
 
   auto clusterer = make_clusterer();
-  std::vector<int> incremental;
-  for (const auto& seq : reads) incremental.push_back(clusterer.add(seq));
-  EXPECT_EQ(incremental, batch.labels);
+  EXPECT_EQ(clusterer.add_all(views), batch.labels);
 }
 
 TEST(IncrementalClusterer, JoinsTheLowestMatchingRepresentativeLikeTheGraphSweep) {
@@ -174,9 +175,73 @@ TEST(IncrementalClusterer, JoinsTheLowestMatchingRepresentativeLikeTheGraphSweep
 
 TEST(IncrementalClusterer, RepresentativeSketchAccessible) {
   auto clusterer = make_clusterer();
-  const int label = clusterer.add(otu_reads(1, 1, 13).front());
+  const std::string read = otu_reads(1, 1, 13).front();
+  const std::vector<std::string_view> batch{read};
+  const int label = clusterer.add_all(batch).front();
   EXPECT_EQ(clusterer.representative_sketch(label).size(), 40u);
   EXPECT_THROW((void)clusterer.representative_sketch(99), common::InvalidArgument);
+  EXPECT_TRUE(clusterer.add_all({}).empty());
+}
+
+TEST(IncrementalClusterer, BatchesAddUpToOneBucketSweep) {
+  // Two batches through the clusterer give the labels of one
+  // greedy_cluster_buckets run over the first batch followed by the
+  // second, under both estimators and at several θ.
+  const MinHasher hasher({.kmer = 12, .num_hashes = 40, .seed = 2});
+  const candidates::BandShape shape{20, 2};
+  for (const auto estimator :
+       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+    for (const double theta : {0.3, 0.5, 0.8}) {
+      for (const std::uint64_t seed : {3, 4}) {
+        const auto reads = otu_reads(20, 30, seed, 0.03);
+        const std::vector<std::string_view> views(reads.begin(), reads.end());
+        const std::span<const std::string_view> all(views);
+        const std::size_t cut = views.size() / 3;
+        const GreedyParams greedy{.theta = theta, .estimator = estimator};
+        const auto sketches = hasher.sketch_matrix(views);
+        const auto batch = greedy_cluster_buckets(
+            sketches,
+            candidates::lsh_buckets(sketches, shape, candidates::Params{}.seed),
+            greedy);
+
+        IncrementalClusterer clusterer(hasher.params(), greedy, shape.bands);
+        std::vector<int> labels = clusterer.add_all(all.first(cut));
+        const std::vector<int> second = clusterer.add_all(all.subspan(cut));
+        labels.insert(labels.end(), second.begin(), second.end());
+        const std::string where = "theta=" + std::to_string(theta) +
+                                  " seed=" + std::to_string(seed) +
+                                  " set-based=" +
+                                  std::to_string(estimator ==
+                                                 SketchEstimator::kSetBased);
+        EXPECT_EQ(labels, batch.labels) << where;
+        EXPECT_EQ(clusterer.num_clusters(), batch.num_clusters) << where;
+        EXPECT_EQ(clusterer.num_reads(), reads.size()) << where;
+        std::size_t total = 0;
+        for (const std::size_t size : clusterer.cluster_sizes()) total += size;
+        EXPECT_EQ(total, reads.size()) << where;
+        for (std::size_t label = 0; label < batch.num_clusters; ++label) {
+          const auto sketch =
+              clusterer.representative_sketch(static_cast<int>(label));
+          EXPECT_TRUE(std::ranges::equal(
+              sketch, hasher.sketch(views[batch.representatives[label]])))
+              << where << " label=" << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(IncrementalClusterer, RejectsThetaOutsideTheUnitInterval) {
+  const MinHashParams hasher{.kmer = 12, .num_hashes = 40, .seed = 2};
+  for (const double theta : {-0.1, 1.1}) {
+    EXPECT_THROW((void)IncrementalClusterer(hasher, {.theta = theta}, 20),
+                 common::InvalidArgument)
+        << theta;
+  }
+  EXPECT_NO_THROW((void)IncrementalClusterer(hasher, {.theta = 0.0}, 20));
+  EXPECT_NO_THROW((void)IncrementalClusterer(hasher, {.theta = 1.0}, 20));
+  EXPECT_THROW((void)IncrementalClusterer(hasher, {.theta = 0.5}, 7),
+               common::InvalidArgument);
 }
 
 }  // namespace

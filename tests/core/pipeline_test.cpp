@@ -378,5 +378,89 @@ TEST(Pipeline, RejectsInvalidSketchBits) {
   EXPECT_THROW(run_pipeline(sample.reads, params), common::InvalidArgument);
 }
 
+// -------------------------------------------------------- hostile inputs
+// Inputs real samples contain and the simulators do not: every mode ×
+// backend finishes on them, and the MapReduce run gives the local labels.
+
+std::vector<bio::FastaRecord> records(const std::vector<std::string>& seqs) {
+  std::vector<bio::FastaRecord> reads;
+  for (const auto& seq : seqs) {
+    const std::string id = "r" + std::to_string(reads.size());
+    reads.push_back({id, id, seq});
+  }
+  return reads;
+}
+
+/// Runs every mode × backend locally and on three simulated nodes; returns
+/// the cluster counts of the local runs.
+std::vector<std::size_t> expect_hostile_input_runs(
+    std::span<const bio::FastaRecord> reads) {
+  std::vector<std::size_t> clusters;
+  for (const Mode mode : {Mode::kGreedy, Mode::kHierarchical}) {
+    for (const auto backend : {candidates::Backend::kExactAllPairs,
+                               candidates::Backend::kLshBanded}) {
+      auto params = base_params(mode);
+      params.candidates.backend = backend;
+      const std::string where = std::string(mode_name(mode)) + " " +
+                                candidates::backend_name(backend);
+      ExecutionOptions local;
+      local.distributed = false;
+      ExecutionOptions distributed;
+      distributed.cluster.nodes = 3;
+      const PipelineResult a = run_pipeline(reads, params, local);
+      const PipelineResult b = run_pipeline(reads, params, distributed);
+      EXPECT_EQ(a.labels.size(), reads.size()) << where;
+      EXPECT_EQ(a.labels, b.labels) << where;
+      EXPECT_EQ(a.num_clusters, b.num_clusters) << where;
+      clusters.push_back(a.num_clusters);
+    }
+  }
+  return clusters;
+}
+
+TEST(PipelineHostileInput, OneRead) {
+  const auto reads = records({"ACGTTGCAAGGCTTACCGATGCA"});
+  EXPECT_EQ(expect_hostile_input_runs(reads),
+            (std::vector<std::size_t>{1, 1, 1, 1}));
+}
+
+TEST(PipelineHostileInput, ReadsShorterThanK) {
+  const auto reads = records({"ACG", "", "T", "ACGT", "GGCC", "ACGTTGCAAGG"});
+  EXPECT_EQ(expect_hostile_input_runs(reads).size(), 4u);
+}
+
+TEST(PipelineHostileInput, AllNReads) {
+  const auto reads =
+      records({"NNNNNNNNNNNNNNNNNNNN", "NNNNNNNNNN", "nnnnnnnnnnnnnnn",
+               "ACGTTGCAAGGCTTACCGATGCA", "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNN"});
+  EXPECT_EQ(expect_hostile_input_runs(reads).size(), 4u);
+}
+
+TEST(PipelineHostileInput, Homopolymers) {
+  const auto reads = records({std::string(60, 'A'), std::string(40, 'C'),
+                              std::string(80, 'G'), std::string(60, 'T'),
+                              std::string(60, 'A'), "ACACACACACACACACACACACAC",
+                              std::string(7, 'A')});
+  EXPECT_EQ(expect_hostile_input_runs(reads).size(), 4u);
+}
+
+TEST(PipelineHostileInput, LowercaseAndIupacCodes) {
+  const auto reads = records({"acgttgcaaggcttaccgatgcaacgttgcaagg",
+                              "ACGTTGCAAGGCTTACCGATGCAACGTTGCAAGG",
+                              "ACGTRYKMSWBDHVNACGTTGCAAGGCTTACCG",
+                              "acgtrykmswbdhvnacgttgcaaggcttaccg",
+                              "AcGtTgCaAgGcTtAcCgAtGcAaCgTtGcAaGg"});
+  EXPECT_EQ(expect_hostile_input_runs(reads).size(), 4u);
+}
+
+TEST(PipelineHostileInput, ThreeThousandCopiesOfOneRead) {
+  // Every LSH bucket holds all 3 000 reads: hierarchical LSH verifies all
+  // 4 498 500 pairs.
+  const auto reads = records(std::vector<std::string>(
+      3000, "ACGTTGCAAGGCTTACCGATGCAACGTTGCAAGGTTACGATCGGATCCAGT"));
+  EXPECT_EQ(expect_hostile_input_runs(reads),
+            (std::vector<std::size_t>{1, 1, 1, 1}));
+}
+
 }  // namespace
 }  // namespace mrmc::core
