@@ -2,7 +2,7 @@
 //
 // PR 4 made *task*-level failure survivable (kill-and-requeue, lost-output
 // re-execution); this layer does the same for the *driver*.  A pipeline
-// driver (core::run_pipeline, pig's algorithm3, or a future iterative
+// driver (core::run_pipeline, pig::run_script, or a future iterative
 // connected-components driver) wraps each stage in
 // StageDriver::run_stage(stage, compute, encode, decode):
 //
@@ -257,10 +257,17 @@ class StageDriver {
   /// Drive one stage: serve it from checkpoint, or compute it under the
   /// retry loop and commit the result.  `compute` returns the stage value;
   /// `encode(PayloadWriter&, const T&)` and `decode(PayloadReader&) -> T`
-  /// define its checkpoint payload.  Stage names must be unique within one
-  /// driver run.  On a checkpoint hit the driver claims the stage's lineage
-  /// slot (the slot its skipped MapReduce job would have claimed), so
-  /// downstream stages keep the sequence numbers of an uninterrupted run.
+  /// define its checkpoint payload.  A name may repeat within one run (a
+  /// pig script runs "group-all" once per GROUP ALL): the stage sequence
+  /// number is part of the key and the file name, so the repeats never
+  /// share a checkpoint.  The hooks match by name alone.
+  /// MRMC_CRASH_AFTER_STAGE fires after the first occurrence that computes
+  /// (a hit never fires it), so a resume under the same hook dies at the
+  /// next computed occurrence.  MRMC_FAIL_STAGE's count is spent by the
+  /// computed attempts of every occurrence, in run order.  On a checkpoint
+  /// hit the driver claims the stage's lineage slot (the slot its skipped
+  /// MapReduce job would have claimed), so downstream stages keep the
+  /// sequence numbers of an uninterrupted run.
   template <typename Compute, typename Encode, typename Decode>
   auto run_stage(const std::string& stage, Compute&& compute, Encode&& encode,
                  Decode&& decode)

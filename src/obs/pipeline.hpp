@@ -268,7 +268,7 @@ void write_configured_reports();
 
 /// Every artifact the environment asks for: flush the MRMC_TRACE trace,
 /// write the MRMC_METRICS snapshot, then write_configured_reports().  The
-/// pipeline drivers (core::run_pipeline, pig::run_algorithm3) call this at
+/// pipeline drivers (core::run_pipeline, pig::run_script) call this at
 /// every pipeline boundary, on success and when a stage throws.
 void write_configured_artifacts();
 

@@ -1,8 +1,9 @@
-// PigContext — a miniature Pig Latin runtime.  Each dataflow operator
-// (LOAD / FOREACH..GENERATE..FLATTEN / GROUP ALL / STORE) executes as a
-// MapReduce job on the simulated cluster, exactly how Pig plans scripts
-// onto Hadoop.  Job statistics and simulated timelines accumulate in the
-// context for reporting.
+// PigContext — a miniature Pig Latin runtime.  FOREACH..GENERATE..FLATTEN,
+// GROUP ALL and GROUP BY each execute as one MapReduce job on the simulated
+// cluster, as Pig plans scripts onto Hadoop; LOAD and STORE read and write
+// the DFS directly.  Job statistics and simulated timelines accumulate in
+// the context for reporting.  Scripts run on a context through
+// pig::run_script (pig/script.hpp), which also drives checkpoint and resume.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,8 @@ class PigContext {
   Relation group_all(const Relation& input);
 
   /// G = GROUP A BY $field: keyed shuffle producing (key, bag) tuples, one
-  /// per distinct value of the (string/long) field, ordered by key.  This
+  /// per distinct value of the string, long or double field (doubles by
+  /// exact value), ordered by key as ORDER BY orders it (value_less).  This
   /// is the engine's real reduce-side grouping, unlike GROUP ALL's
   /// single-reducer funnel.
   Relation group_by(const Relation& input, std::size_t field);
@@ -55,7 +57,12 @@ class PigContext {
   [[nodiscard]] mr::SimDfs& dfs() noexcept { return *dfs_; }
 
  private:
-  mr::JobConfig make_config(const std::string& name, std::size_t reducers);
+  /// Run one `Job` named `name` over `input`, each tuple tagged with its
+  /// index, on the context's pool and cluster; add its simulated time and
+  /// stats to the context and return its output.
+  template <typename Job, typename Map, typename Reduce>
+  auto run_job(const std::string& name, std::size_t reducers, Map map,
+               Reduce reduce, const Relation& input);
 
   mr::SimDfs* dfs_;
   mr::ClusterConfig cluster_;
@@ -68,11 +75,9 @@ class PigContext {
 struct Algorithm3Params {
   int kmer = 5;                   ///< $KMER
   std::size_t num_hashes = 100;   ///< $NUMHASH
-  std::uint64_t seed = 1;         ///< seeds the hash family ($DIV analogue)
+  std::uint64_t seed = 1;         ///< the UDF seed ($DIV is 0)
   double cutoff = 0.9;            ///< $CUTOFF
   core::Linkage linkage = core::Linkage::kAverage;  ///< $LINK
-  core::SketchEstimator estimator = core::SketchEstimator::kComponentMatch;
-  core::SketchEstimator greedy_estimator = core::SketchEstimator::kSetBased;
 };
 
 struct Algorithm3Result {
@@ -86,10 +91,13 @@ struct Algorithm3Result {
   mr::recovery::RecoveryStats recovery;  ///< checkpoint hits/misses/retries
 };
 
-/// Execute Algorithm 3 end to end: LOAD -> StringGenerator ->
-/// TranslateToKmer -> CalculateMinwiseHash -> GROUP ALL ->
-/// {CalculatePairwiseSimilarity -> AgglomerativeHierarchicalClustering,
-///  GreedyClustering} -> STORE into `out_hier` / `out_greedy`.
+/// Execute Algorithm 3 end to end: fills the $-parameters of
+/// algorithm3_script() and runs it through run_script on a fresh context
+/// (LOAD -> StringGenerator -> TranslateToKmer -> CalculateMinwiseHash ->
+/// GROUP ALL -> {CalculatePairwiseSimilarity ->
+/// AgglomerativeHierarchicalClustering, GreedyClustering} -> STORE into
+/// `out_hier` / `out_greedy`).  The paths become quoted script text, so
+/// they may not contain a quote or a '$'.
 Algorithm3Result run_algorithm3(mr::SimDfs& dfs, const std::string& input_path,
                                 const std::string& out_hier,
                                 const std::string& out_greedy,

@@ -2,10 +2,19 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "mr/bytes.hpp"
+#include "mr/recovery.hpp"
+#include "obs/log.hpp"
+#include "obs/pipeline.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::pig {
 
@@ -30,6 +39,40 @@ std::string trim(std::string_view text) {
 std::string upper(std::string text) {
   for (char& c : text) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   return text;
+}
+
+/// `token` as a number when all of it is one (std::from_chars grammar).
+std::optional<double> to_number(std::string_view token) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+double number_token(const std::string& token, std::size_t line,
+                    const char* what) {
+  if (const auto value = to_number(token)) return *value;
+  syntax_error(line,
+               std::string(what) + " needs a number, got '" + token + "'");
+}
+
+/// The field index of a "$<digits>" token.
+std::size_t field_token(const std::string& token, std::size_t line) {
+  std::size_t field = 0;
+  const char* end = token.data() + token.size();
+  if (token.size() < 2 || token[0] != '$' ||
+      std::from_chars(token.data() + 1, end, field) !=
+          std::from_chars_result{end, std::errc()}) {
+    syntax_error(line, "expected a field reference $<n>, got '" + token + "'");
+  }
+  return field;
+}
+
+/// A UDF argument that configures the UDF rather than naming a field.
+bool numeric_arg(const std::string& arg) {
+  return std::isdigit(static_cast<unsigned char>(arg.front())) ||
+         arg.front() == '.' || arg.front() == '-';
 }
 
 /// Split a statement into whitespace tokens, keeping quoted strings and
@@ -101,6 +144,10 @@ void parse_udf_call(std::string call, Statement& statement, std::size_t line) {
   std::string arg;
   while (std::getline(args, arg, ',')) {
     statement.udf_args.push_back(trim(arg));
+    const std::string& added = statement.udf_args.back();
+    if (!added.empty() && numeric_arg(added)) {
+      (void)number_token(added, line, statement.udf_name.c_str());
+    }
   }
 }
 
@@ -134,11 +181,10 @@ Statement parse_statement(const std::string& text, std::size_t line) {
     return statement;
   }
   if (op == "GROUP") {
-    if (tokens.size() >= 6 && upper(tokens[4]) == "BY" && !tokens[5].empty() &&
-        tokens[5][0] == '$') {
+    if (tokens.size() >= 6 && upper(tokens[4]) == "BY") {
       statement.kind = Statement::Kind::kGroupBy;
       statement.source = tokens[3];
-      statement.field = std::stoul(tokens[5].substr(1));
+      statement.field = field_token(tokens[5], line);
       return statement;
     }
     if (tokens.size() < 5 || upper(tokens[4]) != "ALL") {
@@ -158,32 +204,38 @@ Statement parse_statement(const std::string& text, std::size_t line) {
     statement.kind = Statement::Kind::kLimit;
     if (tokens.size() < 5) syntax_error(line, "LIMIT needs <rel> <count>");
     statement.source = tokens[3];
-    statement.literal = std::stod(tokens[4]);
+    statement.literal = number_token(tokens[4], line, "LIMIT");
+    if (!(statement.literal >= 0.0) ||
+        statement.literal != std::floor(statement.literal)) {
+      syntax_error(line, "LIMIT needs a non-negative whole count, got '" +
+                             tokens[4] + "'");
+    }
     return statement;
   }
   if (op == "ORDER") {
     // X = ORDER <rel> BY $<field> [DESC]
-    if (tokens.size() < 6 || upper(tokens[4]) != "BY" || tokens[5].empty() ||
-        tokens[5][0] != '$') {
+    if (tokens.size() < 6 || upper(tokens[4]) != "BY") {
       syntax_error(line, "expected ORDER <rel> BY $<field> [DESC]");
     }
     statement.kind = Statement::Kind::kOrderBy;
     statement.source = tokens[3];
-    statement.field = std::stoul(tokens[5].substr(1));
+    statement.field = field_token(tokens[5], line);
     statement.descending = tokens.size() > 6 && upper(tokens[6]) == "DESC";
     return statement;
   }
   if (op == "FILTER") {
     // X = FILTER <rel> BY $<field> <op> <literal>
-    if (tokens.size() < 8 || upper(tokens[4]) != "BY" || tokens[5].empty() ||
-        tokens[5][0] != '$') {
+    constexpr std::string_view kComparisons[] = {">", "<", ">=", "<=", "==",
+                                                 "!="};
+    if (tokens.size() < 8 || upper(tokens[4]) != "BY" ||
+        std::count(kComparisons, std::end(kComparisons), tokens[6]) == 0) {
       syntax_error(line, "expected FILTER <rel> BY $<field> <op> <value>");
     }
     statement.kind = Statement::Kind::kFilter;
     statement.source = tokens[3];
-    statement.field = std::stoul(tokens[5].substr(1));
+    statement.field = field_token(tokens[5], line);
     statement.comparison = tokens[6];
-    statement.literal = std::stod(tokens[7]);
+    statement.literal = number_token(tokens[7], line, "FILTER");
     return statement;
   }
   if (op == "FOREACH") {
@@ -226,8 +278,15 @@ std::vector<Statement> parse_script(std::string_view text) {
   std::size_t line_number = 0;
   while (std::getline(stream, line)) {
     ++line_number;
-    const auto comment = line.find("--");
-    if (comment != std::string::npos) line = line.substr(0, comment);
+    // "--" starts a comment unless it sits inside a quoted path.
+    bool quoted = false;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      if (line[i] == '\'') quoted = !quoted;
+      if (!quoted && line.compare(i, 2, "--") == 0) {
+        line.resize(i);
+        break;
+      }
+    }
     // Strip a trailing semicolon.
     std::string body = trim(line);
     if (!body.empty() && body.back() == ';') body.pop_back();
@@ -279,9 +338,8 @@ std::unique_ptr<Udf> make_udf(const Statement& statement, std::uint64_t seed,
   std::vector<std::string> words;
   for (const auto& arg : statement.udf_args) {
     if (arg.empty()) continue;
-    if (std::isdigit(static_cast<unsigned char>(arg.front())) ||
-        arg.front() == '.' || arg.front() == '-') {
-      numeric.push_back(std::stod(arg));
+    if (numeric_arg(arg)) {
+      numeric.push_back(to_number(arg).value());  // checked by the parser
     } else {
       words.push_back(arg);
     }
@@ -324,9 +382,10 @@ std::unique_ptr<Udf> make_udf(const Statement& statement, std::uint64_t seed,
   if (name == "AgglomerativeHierarchicalClustering") {
     core::Linkage linkage = core::Linkage::kAverage;
     for (const auto& word : words) {
-      if (word == "single") linkage = core::Linkage::kSingle;
-      if (word == "average") linkage = core::Linkage::kAverage;
-      if (word == "complete") linkage = core::Linkage::kComplete;
+      for (const auto named : {core::Linkage::kSingle, core::Linkage::kAverage,
+                               core::Linkage::kComplete}) {
+        if (word == core::linkage_name(named)) linkage = named;
+      }
     }
     MRMC_REQUIRE(!numeric.empty(),
                  "AgglomerativeHierarchicalClustering needs $CUTOFF");
@@ -341,35 +400,6 @@ std::unique_ptr<Udf> make_udf(const Statement& statement, std::uint64_t seed,
   throw common::InvalidArgument("pig script: unknown UDF '" + name + "'");
 }
 
-bool tuples_equal(const Tuple& a, const Tuple& b);
-
-bool values_equal(const Value& a, const Value& b) {
-  if (a.index() != b.index()) return false;
-  return std::visit(
-      [&b](const auto& va) {
-        using T = std::decay_t<decltype(va)>;
-        const auto& vb = std::get<T>(b);
-        if constexpr (std::is_same_v<T, Bag>) {
-          if (va.size() != vb.size()) return false;
-          for (std::size_t i = 0; i < va.size(); ++i) {
-            if (!tuples_equal(va[i], vb[i])) return false;
-          }
-          return true;
-        } else {
-          return va == vb;
-        }
-      },
-      a);
-}
-
-bool tuples_equal(const Tuple& a, const Tuple& b) {
-  if (a.fields.size() != b.fields.size()) return false;
-  for (std::size_t i = 0; i < a.fields.size(); ++i) {
-    if (!values_equal(a.fields[i], b.fields[i])) return false;
-  }
-  return true;
-}
-
 double numeric_field(const Tuple& tuple, std::size_t field) {
   MRMC_REQUIRE(field < tuple.fields.size(), "field index out of range");
   const Value& value = tuple.fields[field];
@@ -378,13 +408,112 @@ double numeric_field(const Tuple& tuple, std::size_t field) {
   throw common::InvalidArgument("pig script: field is not numeric");
 }
 
-bool compare_values(const Value& a, const Value& b) {
-  // Order: by type index first, then by value for comparable types.
-  if (a.index() != b.index()) return a.index() < b.index();
-  if (const auto* s = std::get_if<std::string>(&a)) return *s < std::get<std::string>(b);
-  if (const auto* l = std::get_if<long>(&a)) return *l < std::get<long>(b);
-  if (const auto* d = std::get_if<double>(&a)) return *d < std::get<double>(b);
-  return false;  // lists/bags: stable order
+// -------------------------------------------- checkpoint (de)serialization
+// Relations as mr::recovery checkpoint payloads.  Values round-trip through
+// their variant index, recursively for bags, so a decoded relation is
+// field-for-field identical to the encoded one (doubles as raw IEEE bits).
+
+void encode_value(mr::recovery::PayloadWriter& writer, const Value& value);
+Value decode_value(mr::recovery::PayloadReader& reader);
+
+/// A claimed element count whose elements take at least `min_bytes` each:
+/// one the rest of the payload cannot hold is a corrupt checkpoint (a miss
+/// and a recompute), never an allocation of the claimed size.
+std::size_t decode_count(mr::recovery::PayloadReader& reader,
+                         std::size_t min_bytes) {
+  const std::uint64_t count = reader.u64();
+  MRMC_CHECK(count <= reader.remaining() / min_bytes,
+             "pig checkpoint count larger than its payload");
+  return count;
+}
+
+void encode_tuple(mr::recovery::PayloadWriter& writer, const Tuple& tuple) {
+  writer.u64(tuple.fields.size());
+  for (const Value& value : tuple.fields) encode_value(writer, value);
+}
+
+Tuple decode_tuple(mr::recovery::PayloadReader& reader) {
+  Tuple tuple;
+  tuple.fields.resize(decode_count(reader, 12));  // u32 tag + 8 bytes each
+  for (Value& value : tuple.fields) value = decode_value(reader);
+  return tuple;
+}
+
+void encode_value(mr::recovery::PayloadWriter& writer, const Value& value) {
+  writer.u32(static_cast<std::uint32_t>(value.index()));
+  std::visit(
+      [&writer](const auto& field) {
+        using T = std::decay_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          writer.str(field);
+        } else if constexpr (std::is_same_v<T, long>) {
+          writer.i64(field);
+        } else if constexpr (std::is_same_v<T, double>) {
+          writer.f64(field);
+        } else if constexpr (std::is_same_v<T, std::vector<long>>) {
+          writer.u64(field.size());
+          for (const long element : field) writer.i64(element);
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+          writer.u64(field.size());
+          for (const double element : field) writer.f64(element);
+        } else {  // Bag
+          writer.u64(field.size());
+          for (const Tuple& element : field) encode_tuple(writer, element);
+        }
+      },
+      value);
+}
+
+Value decode_value(mr::recovery::PayloadReader& reader) {
+  switch (reader.u32()) {
+    case 0: return Value(reader.str());
+    case 1: return Value(static_cast<long>(reader.i64()));
+    case 2: return Value(reader.f64());
+    case 3: {
+      std::vector<long> list(decode_count(reader, 8));
+      for (long& element : list) element = static_cast<long>(reader.i64());
+      return Value(std::move(list));
+    }
+    case 4: {
+      std::vector<double> list(decode_count(reader, 8));
+      for (double& element : list) element = reader.f64();
+      return Value(std::move(list));
+    }
+    case 5: {
+      Bag bag(decode_count(reader, 8));  // a tuple is at least its count
+      for (Tuple& element : bag) element = decode_tuple(reader);
+      return Value(std::move(bag));
+    }
+    default:
+      throw common::Error("pig checkpoint: unknown value tag");
+  }
+}
+
+void encode_relation(mr::recovery::PayloadWriter& writer,
+                     const Relation& relation) {
+  writer.u64(relation.size());
+  for (const Tuple& tuple : relation) encode_tuple(writer, tuple);
+}
+
+Relation decode_relation(mr::recovery::PayloadReader& reader) {
+  Relation relation(decode_count(reader, 8));
+  for (Tuple& tuple : relation) tuple = decode_tuple(reader);
+  return relation;
+}
+
+/// Hash of the DFS bytes of every LOAD path that exists before the script
+/// runs.  A path the script writes first is derived from hashed inputs.
+std::uint64_t load_fingerprint(const mr::SimDfs& dfs,
+                               const std::vector<Statement>& statements) {
+  mr::StableHasher hasher;
+  for (const Statement& statement : statements) {
+    if (statement.kind == Statement::Kind::kLoad &&
+        dfs.exists(statement.source)) {
+      mr::stable_hash_append(
+          hasher, std::pair{statement.source, dfs.read(statement.source)});
+    }
+  }
+  return hasher.finish();
 }
 
 }  // namespace
@@ -394,6 +523,43 @@ ScriptResult run_script(PigContext& context, std::string_view text,
                         std::uint64_t udf_seed) {
   const std::string resolved = substitute_parameters(text, params);
   const auto statements = parse_script(resolved);
+
+  obs::Tracer::Span script_span(obs::Tracer::global(), "pig script");
+  obs::pipeline::PipelineScope lineage("pig");
+  // Recovery driver, configured from the environment alone:
+  // MRMC_CHECKPOINT_DIR arms checkpointing, and MRMC_CRASH_AFTER_STAGE /
+  // MRMC_FAIL_STAGE work here as in core::run_pipeline.  Stage names are
+  // the lineage stages the operators claim, so a checkpoint hit claims the
+  // (stage, sequence) slot an uninterrupted run would.
+  mr::recovery::StageDriver::Options options;
+  options.label = "pig";
+  options = mr::recovery::StageDriver::Options::from_env(options);
+  if (!options.checkpoint_dir.empty()) {
+    options.params_fingerprint = mr::stable_hash(std::pair{resolved, udf_seed});
+    options.input_fingerprint = load_fingerprint(context.dfs(), statements);
+  }
+  mr::recovery::StageDriver driver(options);
+  // The driver makes one attempt per stage, so a statement's own error
+  // keeps its type rather than arriving wrapped in RetryExhausted; an
+  // injected MRMC_FAIL_STAGE failure fires before compute and still does.
+  const auto stage = [&driver](const std::string& name, auto compute) {
+    std::exception_ptr error;
+    const auto keep_error = [&] {
+      try {
+        return compute();
+      } catch (...) {
+        error = std::current_exception();
+        throw;
+      }
+    };
+    try {
+      return driver.run_stage(name, keep_error, encode_relation,
+                              decode_relation);
+    } catch (const mr::recovery::RetryExhausted&) {
+      if (error) std::rethrow_exception(error);
+      throw;
+    }
+  };
 
   ScriptResult result;
   int last_kmer = 5;  // TranslateToKmer updates this for CalculateMinwiseHash
@@ -406,94 +572,111 @@ ScriptResult run_script(PigContext& context, std::string_view text,
     return it->second;
   };
 
-  for (const auto& statement : statements) {
-    switch (statement.kind) {
-      case Statement::Kind::kLoad:
-        result.relations[statement.target] = context.load_fasta(statement.source);
-        break;
-      case Statement::Kind::kForeach: {
-        const Relation* input = &relation_of(statement.source);
-        Relation grouped;
-        if (statement.inner_group_all) {
-          grouped = context.group_all(*input);
-          input = &grouped;
-        }
-        const auto udf = make_udf(statement, udf_seed, &last_kmer);
-        result.relations[statement.target] = context.foreach_generate(*input, *udf);
-        break;
-      }
-      case Statement::Kind::kGroupAll:
-        result.relations[statement.target] =
-            context.group_all(relation_of(statement.source));
-        break;
-      case Statement::Kind::kGroupBy:
-        result.relations[statement.target] =
-            context.group_by(relation_of(statement.source), statement.field);
-        break;
-      case Statement::Kind::kDistinct: {
-        const Relation& input = relation_of(statement.source);
-        Relation output;
-        for (const Tuple& tuple : input) {
-          const bool seen = std::any_of(
-              output.begin(), output.end(),
-              [&](const Tuple& existing) { return tuples_equal(existing, tuple); });
-          if (!seen) output.push_back(tuple);
-        }
-        result.relations[statement.target] = std::move(output);
-        break;
-      }
-      case Statement::Kind::kOrderBy: {
-        Relation output = relation_of(statement.source);
-        std::stable_sort(output.begin(), output.end(),
-                         [&](const Tuple& a, const Tuple& b) {
-                           const bool less = compare_values(
-                               a.fields.at(statement.field),
-                               b.fields.at(statement.field));
-                           const bool greater = compare_values(
-                               b.fields.at(statement.field),
-                               a.fields.at(statement.field));
-                           return statement.descending ? greater : less;
-                         });
-        result.relations[statement.target] = std::move(output);
-        break;
-      }
-      case Statement::Kind::kLimit: {
-        Relation output = relation_of(statement.source);
-        const auto count = static_cast<std::size_t>(statement.literal);
-        if (output.size() > count) output.resize(count);
-        result.relations[statement.target] = std::move(output);
-        break;
-      }
-      case Statement::Kind::kFilter: {
-        const Relation& input = relation_of(statement.source);
-        Relation output;
-        for (const Tuple& tuple : input) {
-          const double value = numeric_field(tuple, statement.field);
-          const double rhs = statement.literal;
-          bool keep = false;
-          if (statement.comparison == ">") keep = value > rhs;
-          else if (statement.comparison == "<") keep = value < rhs;
-          else if (statement.comparison == ">=") keep = value >= rhs;
-          else if (statement.comparison == "<=") keep = value <= rhs;
-          else if (statement.comparison == "==") keep = value == rhs;
-          else if (statement.comparison == "!=") keep = value != rhs;
-          else {
-            throw common::InvalidArgument("pig script: bad comparison '" +
-                                          statement.comparison + "'");
+  // A throwing statement still leaves the run's trace, metrics and reports
+  // behind, as core::run_pipeline does.
+  try {
+    for (const auto& statement : statements) {
+      switch (statement.kind) {
+        case Statement::Kind::kLoad:
+          result.relations[statement.target] =
+              context.load_fasta(statement.source);
+          break;
+        case Statement::Kind::kForeach: {
+          // FOREACH (GROUP x ALL) runs two jobs, so it is two stages.
+          const Relation* input = &relation_of(statement.source);
+          Relation grouped;
+          if (statement.inner_group_all) {
+            grouped =
+                stage("group-all", [&] { return context.group_all(*input); });
+            input = &grouped;
           }
-          if (keep) output.push_back(tuple);
+          // Built outside the stage: TranslateToKmer sets last_kmer even when
+          // its stage is a checkpoint hit.
+          const auto udf = make_udf(statement, udf_seed, &last_kmer);
+          result.relations[statement.target] =
+              stage(std::string("foreach-") + udf->name(),
+                    [&] { return context.foreach_generate(*input, *udf); });
+          break;
         }
-        result.relations[statement.target] = std::move(output);
-        break;
+        case Statement::Kind::kGroupAll:
+          result.relations[statement.target] = stage("group-all", [&] {
+            return context.group_all(relation_of(statement.source));
+          });
+          break;
+        case Statement::Kind::kGroupBy:
+          result.relations[statement.target] = stage("group-by", [&] {
+            return context.group_by(relation_of(statement.source),
+                                    statement.field);
+          });
+          break;
+        case Statement::Kind::kDistinct: {
+          const Relation& input = relation_of(statement.source);
+          Relation output;
+          for (const Tuple& tuple : input) {
+            if (std::find(output.begin(), output.end(), tuple) ==
+                output.end()) {
+              output.push_back(tuple);
+            }
+          }
+          result.relations[statement.target] = std::move(output);
+          break;
+        }
+        case Statement::Kind::kOrderBy: {
+          Relation output = relation_of(statement.source);
+          std::stable_sort(output.begin(), output.end(),
+                           [&](const Tuple& a, const Tuple& b) {
+                             const Value& x = a.fields.at(statement.field);
+                             const Value& y = b.fields.at(statement.field);
+                             return statement.descending ? value_less(y, x)
+                                                         : value_less(x, y);
+                           });
+          result.relations[statement.target] = std::move(output);
+          break;
+        }
+        case Statement::Kind::kLimit: {
+          Relation output = relation_of(statement.source);
+          const auto count = static_cast<std::size_t>(statement.literal);
+          if (output.size() > count) output.resize(count);
+          result.relations[statement.target] = std::move(output);
+          break;
+        }
+        case Statement::Kind::kFilter: {
+          Relation output;
+          for (const Tuple& tuple : relation_of(statement.source)) {
+            const double value = numeric_field(tuple, statement.field);
+            const double rhs = statement.literal;
+            bool keep = false;  // the parser admits these six comparisons
+            if (statement.comparison == ">") keep = value > rhs;
+            else if (statement.comparison == "<") keep = value < rhs;
+            else if (statement.comparison == ">=") keep = value >= rhs;
+            else if (statement.comparison == "<=") keep = value <= rhs;
+            else if (statement.comparison == "==") keep = value == rhs;
+            else if (statement.comparison == "!=") keep = value != rhs;
+            if (keep) output.push_back(tuple);
+          }
+          result.relations[statement.target] = std::move(output);
+          break;
+        }
+        case Statement::Kind::kStore:
+          context.store(relation_of(statement.source), statement.udf_name);
+          result.stored_paths.push_back(statement.udf_name);
+          break;
       }
-      case Statement::Kind::kStore:
-        context.store(relation_of(statement.source), statement.udf_name);
-        result.stored_paths.push_back(statement.udf_name);
-        break;
     }
+  } catch (...) {
+    obs::pipeline::write_configured_artifacts();
+    throw;
   }
   result.sim_time_s = context.sim_time_s();
   result.jobs_run = context.job_history().size();
+  result.recovery = driver.stats();
+
+  static const obs::Logger logger("pig");
+  logger.info("script finished", {{"jobs", result.jobs_run},
+                                  {"sim_time_s", result.sim_time_s},
+                                  {"checkpoint_hits",
+                                   result.recovery.checkpoint_hits}});
+  obs::pipeline::write_configured_artifacts();
   return result;
 }
 

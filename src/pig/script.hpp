@@ -14,9 +14,20 @@
 //   STORE K INTO '$OUTPUT1';
 //   STORE L INTO '$OUTPUT2';
 //
-// Comments start with "--".  UDF argument lists may reference fields by
-// name (ignored — the paper's UDFs read positional fields) while numeric /
-// $-parameters configure the UDF.
+// Comments start with "--" (outside quoted paths).  UDF argument lists may
+// reference fields by name (ignored — the paper's UDFs read positional
+// fields) while numeric / $-parameters configure the UDF.
+//
+// Every script is resumable.  run_script drives each statement that runs a
+// MapReduce job — FOREACH ("foreach-<Udf>"), GROUP ALL ("group-all"; a
+// FOREACH over (GROUP x ALL) is two stages) and GROUP BY ("group-by") —
+// through one mr::recovery::StageDriver configured from the environment
+// alone: with MRMC_CHECKPOINT_DIR set, completed stages are served from
+// checkpoint, keyed by the resolved script text, the UDF seed and the DFS
+// bytes of the LOAD paths.  LOAD, STORE, DISTINCT, ORDER, LIMIT and FILTER
+// run in the driver and always re-run, so a resumed script stores
+// byte-identical files.  MRMC_CRASH_AFTER_STAGE and MRMC_FAIL_STAGE work as
+// in core::run_pipeline.
 #pragma once
 
 #include <map>
@@ -65,14 +76,18 @@ std::string substitute_parameters(std::string_view text,
 struct ScriptResult {
   std::map<std::string, Relation> relations;  ///< every named alias
   std::vector<std::string> stored_paths;      ///< STORE targets, in order
-  double sim_time_s = 0.0;
+  double sim_time_s = 0.0;                ///< of the context's jobs so far
   std::size_t jobs_run = 0;
+  mr::recovery::RecoveryStats recovery;   ///< checkpoint hits/misses/retries
 };
 
 /// Execute a script (after parameter substitution) on a context.  The UDF
 /// registry covers the paper's six functions; `udf_seed` seeds
 /// CalculateMinwiseHash's hash family (the $DIV argument of the paper is
-/// folded into it).
+/// folded into it).  A statement's error keeps its type; an injected
+/// MRMC_FAIL_STAGE failure throws mr::recovery::RetryExhausted.  The run's
+/// MRMC_TRACE / MRMC_METRICS / report artifacts are written on success and
+/// on a throw.
 ScriptResult run_script(PigContext& context, std::string_view text,
                         const std::map<std::string, std::string>& params = {},
                         std::uint64_t udf_seed = 1);

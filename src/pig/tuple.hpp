@@ -25,6 +25,9 @@ struct Tuple {
   Tuple() = default;
   explicit Tuple(std::vector<Value> f) : fields(std::move(f)) {}
 
+  /// Field by field, bags recursively (DISTINCT's equality).
+  friend bool operator==(const Tuple&, const Tuple&) = default;
+
   [[nodiscard]] std::size_t size() const noexcept { return fields.size(); }
 
   template <typename T>
@@ -38,6 +41,11 @@ struct Tuple {
 };
 
 using Relation = std::vector<Tuple>;
+
+/// Strict weak order on field values, the one ORDER BY and GROUP BY use:
+/// by field type (variant index) first, then strings, longs and doubles by
+/// value (NaN after every other double); lists and bags compare equal.
+bool value_less(const Value& a, const Value& b);
 
 /// Render a tuple as tab-separated text (lists comma-joined, bags counted) —
 /// the format STORE writes to SimDfs.

@@ -32,6 +32,38 @@ TEST(GroupBy, GroupsByLongFieldOrderedByKey) {
   EXPECT_EQ(grouped[1].get<Bag>(1).size(), 2u);
   EXPECT_EQ(grouped[2].get<long>(0), 2);
   EXPECT_EQ(grouped[2].get<Bag>(1).size(), 1u);
+
+  // Labels 0-11 come back in numeric order (as text, 10 and 11 would sort
+  // before 2).
+  Relation twelve;
+  for (long label = 11; label >= 0; --label) {
+    twelve.push_back(Tuple({std::string("r") + std::to_string(label), label}));
+  }
+  const Relation by_label = ctx.group_by(twelve, 1);
+  ASSERT_EQ(by_label.size(), 12u);
+  for (long label = 0; label < 12; ++label) {
+    EXPECT_EQ(by_label[label].get<long>(0), label);
+    EXPECT_EQ(by_label[label].get<Bag>(1).size(), 1u);
+  }
+}
+
+TEST(GroupBy, GroupsByExactDoubleValueInNumericOrder) {
+  mr::SimDfs dfs({.nodes = 4});
+  PigContext ctx(&dfs, {.nodes = 4});
+  Relation relation;
+  for (const double value : {0.1234562, 10.0, 0.1234561, 2.0, 0.1234562}) {
+    relation.push_back(Tuple({value}));
+  }
+  // Six decimals would merge 0.1234561 and 0.1234562; exact keys keep them
+  // apart.
+  const Relation grouped = ctx.group_by(relation, 0);
+  ASSERT_EQ(grouped.size(), 4u);
+  EXPECT_EQ(grouped[0].get<double>(0), 0.1234561);
+  EXPECT_EQ(grouped[0].get<Bag>(1).size(), 1u);
+  EXPECT_EQ(grouped[1].get<double>(0), 0.1234562);
+  EXPECT_EQ(grouped[1].get<Bag>(1).size(), 2u);
+  EXPECT_EQ(grouped[2].get<double>(0), 2.0);
+  EXPECT_EQ(grouped[3].get<double>(0), 10.0);
 }
 
 TEST(GroupBy, BagPreservesInputOrder) {

@@ -1,8 +1,10 @@
-// Resumable Algorithm 3: the Pig driver runs on the same mr::recovery
-// StageDriver as core::run_pipeline, configured via MRMC_CHECKPOINT_DIR.
-// A killed script resumes with completed steps served from checkpoint and
-// byte-identical stored outputs.
+// Resumable Pig scripts: run_script drives every job statement through the
+// same mr::recovery StageDriver as core::run_pipeline, configured via
+// MRMC_CHECKPOINT_DIR.  A killed script — Algorithm 3 or any other —
+// resumes with completed steps served from checkpoint and byte-identical
+// stored outputs.
 #include "pig/pig.hpp"
+#include "pig/script.hpp"
 
 #include <gtest/gtest.h>
 
@@ -240,6 +242,99 @@ TEST(PigResume, MetricsAreWrittenOnSuccessAndWhenAStageThrows) {
   ScopedEnv fail("MRMC_FAIL_STAGE", "foreach-CalculatePairwiseSimilarity:5");
   EXPECT_THROW((void)Fixture().run(), mr::recovery::RetryExhausted);
   EXPECT_TRUE(std::filesystem::exists(dir + "/failed.json"));
+}
+
+TEST(PigResume, RepeatedStageNameCrashesAtEachComputedOccurrence) {
+  // Algorithm 3 runs "group-all" at sequences 3 and 5.  The crash hook
+  // fires after the first occurrence that computes; a hit never fires it.
+  Fixture baseline_fixture;
+  const Algorithm3Result baseline = baseline_fixture.run();
+
+  Fixture fixture;
+  ScopedEnv ckpt("MRMC_CHECKPOINT_DIR", fresh_dir("repeat"));
+  {
+    ScopedEnv crash("MRMC_CRASH_AFTER_STAGE", "group-all");
+    EXPECT_THROW(fixture.run(), mr::recovery::InjectedDriverCrash);  // after 3
+    EXPECT_THROW(fixture.run(), mr::recovery::InjectedDriverCrash);  // after 5
+  }
+  const Algorithm3Result resumed = fixture.run();
+  EXPECT_EQ(resumed.recovery.checkpoint_hits, 6u);
+  EXPECT_EQ(resumed.jobs_run, kSteps - 6);
+  EXPECT_EQ(resumed.hierarchical, baseline.hierarchical);
+  EXPECT_EQ(resumed.greedy, baseline.greedy);
+}
+
+/// A script other than Algorithm 3: k-mers, minwise sketches, greedy
+/// clustering over GROUP ALL, then GROUP BY label, ORDER and two STOREs.
+/// Driver stages: StringGenerator, TranslateToKmer, CalculateMinwiseHash,
+/// group-all, GreedyClustering, group-by.
+constexpr std::string_view kLabelScript = R"(
+A = LOAD '/input.fa' USING FastaStorage;
+B = FOREACH A GENERATE FLATTEN(StringGenerator(seq, readid));
+C = FOREACH B GENERATE FLATTEN(TranslateToKmer(seq, seqid, 5));
+E = FOREACH C GENERATE FLATTEN(CalculateMinwiseHash(seqkmer, seqid2, 32, 0));
+L = FOREACH (GROUP E ALL) GENERATE FLATTEN(GreedyClustering(F, 32, 0.45));
+G = GROUP L BY $1;
+O = ORDER L BY $1 DESC;
+STORE G INTO '/out/groups';
+STORE O INTO '/out/ordered';
+)";
+constexpr std::size_t kLabelScriptStages = 6;
+
+ScriptResult run_label_script(Fixture& fixture) {
+  PigContext context(&fixture.dfs, {.nodes = 4});
+  return run_script(context, kLabelScript);
+}
+
+TEST(PigResume, KilledNonAlgorithm3ScriptResumesWithByteIdenticalStores) {
+  Fixture baseline_fixture;
+  const ScriptResult baseline = run_label_script(baseline_fixture);
+  EXPECT_EQ(baseline.jobs_run, kLabelScriptStages);
+  EXPECT_EQ(baseline.recovery.stages, kLabelScriptStages);
+  const std::string groups = baseline_fixture.dfs.read("/out/groups");
+  const std::string ordered = baseline_fixture.dfs.read("/out/ordered");
+
+  Fixture fixture;
+  ScopedEnv ckpt("MRMC_CHECKPOINT_DIR", fresh_dir("script"));
+  {
+    ScopedEnv crash("MRMC_CRASH_AFTER_STAGE", "foreach-CalculateMinwiseHash");
+    EXPECT_THROW(run_label_script(fixture),
+                 mr::recovery::InjectedDriverCrash);
+    EXPECT_FALSE(fixture.dfs.exists("/out/groups"));
+  }
+
+  const ScriptResult resumed = run_label_script(fixture);
+  EXPECT_EQ(resumed.recovery.stages, kLabelScriptStages);
+  EXPECT_EQ(resumed.recovery.checkpoint_hits, 3u);
+  EXPECT_EQ(resumed.recovery.checkpoint_misses, kLabelScriptStages - 3);
+  EXPECT_EQ(resumed.jobs_run, kLabelScriptStages - 3);
+  EXPECT_EQ(fixture.dfs.read("/out/groups"), groups);
+  EXPECT_EQ(fixture.dfs.read("/out/ordered"), ordered);
+}
+
+TEST(PigResume, ChangedInputFastaIgnoresTheWarmDirectory) {
+  Fixture fixture;
+  ScopedEnv ckpt("MRMC_CHECKPOINT_DIR", fresh_dir("input"));
+  const ScriptResult first = run_label_script(fixture);
+  EXPECT_EQ(first.recovery.checkpoint_writes, kLabelScriptStages);
+
+  // The same reads less the last one: the LOAD path's bytes change, so no
+  // stage may hit, Algorithm 3's included.
+  const auto sample = simdata::build_whole_metagenome(
+      simdata::whole_metagenome_spec("S8"), {.reads = 30, .seed = 5});
+  const std::vector<bio::FastaRecord> fewer(sample.reads.begin(),
+                                            sample.reads.end() - 1);
+  fixture.dfs.write("/input.fa", bio::write_fasta_string(fewer));
+  const ScriptResult rerun = run_label_script(fixture);
+  EXPECT_EQ(rerun.recovery.checkpoint_hits, 0u);
+  EXPECT_EQ(rerun.recovery.checkpoint_misses, kLabelScriptStages);
+  EXPECT_EQ(rerun.relations.at("L").size(), fewer.size());
+
+  (void)fixture.run();  // warms the directory for Algorithm 3 on `fewer`
+  fixture.dfs.write("/input.fa", bio::write_fasta_string(sample.reads));
+  const Algorithm3Result algorithm3 = fixture.run();
+  EXPECT_EQ(algorithm3.recovery.checkpoint_hits, 0u);
+  EXPECT_EQ(algorithm3.jobs_run, kSteps);
 }
 
 // A checkpoint file: magic, u32 version, u64 key, u64 payload size and u64

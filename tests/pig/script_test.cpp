@@ -68,8 +68,10 @@ TEST(ParseScript, GroupDistinctOrderLimitFilterStore) {
 
 TEST(ParseScript, CommentsAndBlankLinesIgnored) {
   const auto statements = parse_script(
-      "-- a comment\n\nA = LOAD '/x'; -- trailing comment\n");
-  ASSERT_EQ(statements.size(), 1u);
+      "-- a comment\n\nA = LOAD '/x'; -- trailing comment\n"
+      "B = LOAD '/runs--7/in.fa'; -- a quoted '--' is part of the path\n");
+  ASSERT_EQ(statements.size(), 2u);
+  EXPECT_EQ(statements[1].source, "/runs--7/in.fa");
 }
 
 TEST(ParseScript, SyntaxErrorsCarryLineNumbers) {
@@ -78,6 +80,22 @@ TEST(ParseScript, SyntaxErrorsCarryLineNumbers) {
     FAIL() << "must throw";
   } catch (const common::InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+  // Malformed numbers and field references name their line too, and never
+  // escape as std:: conversion errors.
+  for (const char* bad : {"O = ORDER A BY $x;", "G = GROUP A BY $;",
+                          "M = LIMIT A x;", "M = LIMIT A -1;",
+                          "M = LIMIT A 2.5;", "F = FILTER A BY $0 > -;",
+                          "F = FILTER A BY $z > 1;", "F = FILTER A BY $0 ~ 1;",
+                          "G = GROUP A BY 1;",
+                          "K = FOREACH B GENERATE TranslateToKmer(seq, -);"}) {
+    try {
+      parse_script(std::string("A = LOAD '/x';\n") + bad);
+      FAIL() << bad << " must throw";
+    } catch (const common::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << bad << ": " << e.what();
+    }
   }
   EXPECT_THROW(parse_script("STORE K SOMEWHERE"), common::InvalidArgument);
   EXPECT_THROW(parse_script("A = LOAD unquoted"), common::InvalidArgument);
