@@ -77,7 +77,7 @@ class Flags {
 /// Wire the shared observability flags into the obs globals, before any
 /// simulated job runs:
 ///   --trace=<path>    Chrome trace of every simulated job (as MRMC_TRACE)
-///   --report=<path>   job-doctor report; .html/.json/text by extension
+///   --report=<path>   job-doctor report; JSON for .json, else text
 ///                     (as MRMC_REPORT); bare --report prints text at exit
 /// Environment variables already set keep working; --trace overrides
 /// MRMC_TRACE's path.

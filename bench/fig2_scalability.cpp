@@ -19,7 +19,7 @@
 //       [--hashes=100] [--validate] [--seed=42]
 //       [--trace=fig2.json]   # Chrome trace of every simulated job
 //       [--metrics]           # print the obs metrics snapshot at the end
-//       [--report=fig2.html]  # job-doctor report (bare --report: text)
+//       [--report=fig2.txt]   # job-doctor report (.json: JSON; bare: stdout)
 //       [--bench-json[=path]] # machine-readable BENCH_fig2.json record
 //       [--node-failures]     # makespan-vs-crash-count sweep at 4/8/12
 //                             # nodes; writes BENCH_fig2_faults.json

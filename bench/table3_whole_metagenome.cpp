@@ -9,7 +9,7 @@
 //   ./table3_whole_metagenome [--samples=S1,S2] [--scale=0.02] [--reads=N]
 //       [--theta-h=0.50] [--theta-g=0.32] [--kmer=5] [--hashes=100]
 //       [--nodes=8] [--seed=42]
-//       [--trace=t3.json] [--metrics] [--report[=t3.html]]  # obs outputs
+//       [--trace=t3.json] [--metrics] [--report[=t3.txt]]  # obs outputs
 #include <iostream>
 #include <sstream>
 

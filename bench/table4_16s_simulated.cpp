@@ -12,7 +12,7 @@
 //   ./table4_16s_simulated [--reads=600] [--genomes=43] [--kmer=15]
 //       [--hashes=50] [--theta-h=0.12] [--theta-g=0.05] [--identity=0.95]
 //       [--nodes=8] [--seed=42]
-//       [--trace=t4.json] [--metrics] [--report[=t4.html]]  # obs outputs
+//       [--trace=t4.json] [--metrics] [--report[=t4.txt]]  # obs outputs
 #include <iostream>
 
 #include "bench_util.hpp"

@@ -10,7 +10,7 @@
 //   ./table5_16s_environmental [--samples=53R,55R] [--scale=0.0166]
 //       [--reads=N] [--kmer=15] [--hashes=50] [--theta-h=0.35]
 //       [--theta-g=0.30] [--identity=0.95] [--nodes=8] [--seed=42]
-//       [--trace=t5.json] [--metrics] [--report[=t5.html]]  # obs outputs
+//       [--trace=t5.json] [--metrics] [--report[=t5.txt]]  # obs outputs
 #include <iostream>
 #include <sstream>
 

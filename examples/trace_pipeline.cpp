@@ -9,16 +9,18 @@
 //     data-local tasks) and per-phase simulated-duration histograms
 //     (now with p50/p95/p99 estimates), and
 //   * a job-doctor report — critical-path decomposition, utilization, and
-//     findings for every simulated job, printed below and written as HTML, and
+//     findings for every simulated job, printed below and written to a file,
+//     and
 //   * a pipeline-doctor report — the jobs of each run_pipeline call stitched
 //     into one end-to-end view (per-stage critical path, aggregate shuffle
-//     bytes, stage-level findings), printed below and written as HTML.
+//     bytes, stage-level findings), printed below and written to a file.
+//     Both reports are JSON for a .json path and text otherwise.
 //
-//   ./trace_pipeline [reads] [trace.json] [metrics.txt] [report.html]
-//       [pipeline.html]
+//   ./trace_pipeline [reads] [trace.json] [metrics.txt] [report.json]
+//       [pipeline.json]
 //
 // The same artifacts come out of ANY pipeline run via environment variables:
-//   MRMC_TRACE=out.json MRMC_METRICS=metrics.txt MRMC_REPORT=report.html
+//   MRMC_TRACE=out.json MRMC_METRICS=metrics.txt MRMC_REPORT=report.json
 //       ./quickstart   (all three on one command line)
 // and the trace file can be re-analyzed offline: mrmc_doctor out.json
 #include <cstdlib>
@@ -41,9 +43,9 @@ int main(int argc, char** argv) {
   const std::size_t reads = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 600;
   const std::string trace_path = argc > 2 ? argv[2] : "trace_pipeline.json";
   const std::string metrics_path = argc > 3 ? argv[3] : "trace_pipeline_metrics.txt";
-  const std::string report_path = argc > 4 ? argv[4] : "trace_pipeline_report.html";
+  const std::string report_path = argc > 4 ? argv[4] : "trace_pipeline_report.json";
   const std::string pipeline_path =
-      argc > 5 ? argv[5] : "trace_pipeline_pipeline.html";
+      argc > 5 ? argv[5] : "trace_pipeline_pipeline.json";
 
   auto& tracer = obs::Tracer::global();
   tracer.set_output_path(trace_path);
@@ -110,7 +112,7 @@ int main(int argc, char** argv) {
   std::cout << "\nJob doctor (" << jobs.size() << " simulated jobs)\n"
             << obs::report::render(jobs, "text");
   if (obs::report::write_report(report_path, jobs)) {
-    std::cout << "wrote HTML report to " << report_path << "\n";
+    std::cout << "wrote job report to " << report_path << "\n";
   }
 
   // The pipeline doctor: both run_pipeline calls stitched end to end — the
@@ -121,7 +123,7 @@ int main(int argc, char** argv) {
             << " pipelines)\n"
             << obs::pipeline::render(pipeline_reports, "text");
   if (obs::pipeline::write_report(pipeline_path, pipeline_reports)) {
-    std::cout << "wrote HTML pipeline report to " << pipeline_path << "\n";
+    std::cout << "wrote pipeline report to " << pipeline_path << "\n";
   }
   return 0;
 }

@@ -4,7 +4,9 @@
 // must round-trip use the public obs::trace_double (%.17g).
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -49,21 +51,6 @@ inline void append_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
 }
 
-inline std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 inline constexpr const char* kReset = "\x1b[0m";
 
 /// ANSI colour of a finding's severity in the text reports.
@@ -74,6 +61,47 @@ inline const char* severity_color(report::Severity severity) {
     case report::Severity::kCritical: return "\x1b[31m";  // red
   }
   return "";
+}
+
+/// The findings block of the job and pipeline text reports.  `none` ends
+/// the one line printed when there are no findings.
+inline void append_findings_text(std::string& out,
+                                 std::span<const report::Finding> findings,
+                                 std::string_view none, bool color) {
+  if (findings.empty()) {
+    out += "  findings: none — ";
+    out += none;
+    out += "\n";
+    return;
+  }
+  out += "  findings:\n";
+  for (const report::Finding& finding : findings) {
+    out += "    [";
+    if (color) out += severity_color(finding.severity);
+    out += report::severity_name(finding.severity);
+    if (color) out += kReset;
+    out += "] " + finding.id + ": " + finding.message + "\n";
+    out += "        -> " + finding.recommendation + "\n";
+  }
+}
+
+/// The `"findings": [...]` member of the job and pipeline JSON reports.
+inline void append_findings_json(std::string& out,
+                                 std::span<const report::Finding> findings) {
+  out += ", \"findings\": [";
+  for (std::size_t i = 0; i < findings.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += "{\"id\": ";
+    append_json_string(out, findings[i].id);
+    out += ", \"severity\": ";
+    append_json_string(out, report::severity_name(findings[i].severity));
+    out += ", \"message\": ";
+    append_json_string(out, findings[i].message);
+    out += ", \"recommendation\": ";
+    append_json_string(out, findings[i].recommendation);
+    out += "}";
+  }
+  out += "]";
 }
 
 }  // namespace mrmc::obs

@@ -401,19 +401,8 @@ std::string to_text(const PipelineReport& report, bool color) {
       out += "  key " + row.key + "\n";
     }
   }
-  if (report.findings.empty()) {
-    out += "  findings: none — no stage dominates and the driver keeps up\n";
-  } else {
-    out += "  findings:\n";
-    for (const report::Finding& finding : report.findings) {
-      out += "    [";
-      if (color) out += severity_color(finding.severity);
-      out += report::severity_name(finding.severity);
-      if (color) out += kReset;
-      out += "] " + finding.id + ": " + finding.message + "\n";
-      out += "        -> " + finding.recommendation + "\n";
-    }
-  }
+  append_findings_text(out, report.findings,
+                       "no stage dominates and the driver keeps up", color);
   return out;
 }
 
@@ -480,21 +469,8 @@ std::string to_json(const PipelineReport& report) {
     }
     out += "]}";
   }
-  out += ", \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const report::Finding& finding = report.findings[i];
-    if (i > 0) out += ", ";
-    out += "{\"id\": ";
-    append_json_string(out, finding.id);
-    out += ", \"severity\": ";
-    append_json_string(out, report::severity_name(finding.severity));
-    out += ", \"message\": ";
-    append_json_string(out, finding.message);
-    out += ", \"recommendation\": ";
-    append_json_string(out, finding.recommendation);
-    out += "}";
-  }
-  out += "]}";
+  append_findings_json(out, report.findings);
+  out += "}";
   return out;
 }
 
@@ -506,94 +482,6 @@ std::string to_json(std::span<const PipelineReport> reports) {
   }
   out += "\n]}\n";
   return out;
-}
-
-std::string to_html(std::span<const PipelineReport> reports) {
-  std::string body;
-  for (const PipelineReport& report : reports) {
-    body += "<section>\n<h2>" + html_escape(report.id) + "</h2>\n";
-    body += "<p class=\"sum\">sim total <b>" + f2(report.sim_total_s) +
-            "s</b> over " + std::to_string(report.stages.size()) + " stages";
-    if (report.has_wall) {
-      body += " · wall " + f2(report.wall_total_s) + "s · driver gaps " +
-              f2(report.driver_gap_s) + "s";
-    }
-    body += "</p>\n";
-    // Stacked stage-share bar: each stage's slice of the sim makespan.
-    if (report.sim_total_s > 0.0) {
-      static const char* kColors[] = {"#4e79a7", "#f28e2b", "#59a14f",
-                                      "#e15759", "#b07aa1", "#76b7b2"};
-      body += "<div class=\"cpbar\">";
-      for (std::size_t i = 0; i < report.stages.size(); ++i) {
-        const StageReport& stage = report.stages[i];
-        if (stage.sim_share <= 0.0) continue;
-        body += "<span style=\"background:" + std::string(kColors[i % 6]) +
-                ";width:" + f2(stage.sim_share * 100.0) + "%\" title=\"" +
-                html_escape(stage.job.stage) + " " + f2(stage.job.total_s) +
-                "s\"></span>";
-      }
-      body += "</div>\n";
-    }
-    body += "<table><tr><th>stage</th><th>sim</th><th>share</th>"
-            "<th>shuffle MB</th><th>wall</th><th>gap</th></tr>\n";
-    for (const StageReport& stage : report.stages) {
-      body += "<tr><td>#" + std::to_string(stage.job.sequence) + " " +
-              html_escape(stage.job.stage) +
-              (stage.job.round >= 0
-                   ? " (round " + std::to_string(stage.job.round) + ")"
-                   : "") +
-              "</td><td>" + f2(stage.job.total_s) + "s</td><td>" +
-              pct(stage.sim_share) + "</td><td>" +
-              f2(stage.job.shuffle_bytes / 1e6) + "</td><td>" +
-              (stage.has_wall ? f2(stage.wall_s) + "s" : "—") + "</td><td>" +
-              (stage.has_wall ? f2(stage.gap_before_s) + "s" : "—") +
-              "</td></tr>\n";
-    }
-    body += "</table>\n";
-    if (!report.recovery.rows.empty()) {
-      body += "<h3>recovery</h3>\n<p class=\"sum\">" +
-              std::to_string(report.recovery.hits) + " hit(s) · " +
-              std::to_string(report.recovery.misses) + " miss(es) · " +
-              std::to_string(report.recovery.writes) + " write(s)</p>\n";
-      body += "<table><tr><th>stage</th><th>outcome</th><th>attempts</th>"
-              "<th>key</th></tr>\n";
-      for (const RecoveryRecord& row : report.recovery.rows) {
-        body += "<tr><td>#" + std::to_string(row.sequence) + " " +
-                html_escape(row.stage) + "</td><td>" +
-                html_escape(row.outcome) + "</td><td>" +
-                std::to_string(row.attempts) + "</td><td><code>" +
-                html_escape(row.key) + "</code></td></tr>\n";
-      }
-      body += "</table>\n";
-    }
-    body += "<ul>\n";
-    for (const report::Finding& finding : report.findings) {
-      const char* cls =
-          finding.severity == report::Severity::kCritical ? "critical"
-          : finding.severity == report::Severity::kWarning ? "warning"
-                                                           : "info";
-      body += "<li class=\"" + std::string(cls) + "\"><b>" +
-              html_escape(finding.id) + "</b>: " +
-              html_escape(finding.message) + "<br>&rarr; " +
-              html_escape(finding.recommendation) + "</li>\n";
-    }
-    body += "</ul>\n</section>\n";
-  }
-  return "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
-         "<title>mrmc pipeline doctor</title>\n<style>\n"
-         "body{font:14px/1.5 system-ui,sans-serif;margin:2em auto;"
-         "max-width:920px;color:#202124}\n"
-         "h2{border-bottom:1px solid #dadce0;padding-bottom:.2em}\n"
-         ".sum{color:#5f6368}\n"
-         ".cpbar{display:flex;height:18px;border-radius:3px;overflow:hidden;"
-         "margin:.5em 0}\n"
-         ".cpbar span{display:block;height:100%}\n"
-         "table{border-collapse:collapse}\n"
-         "td,th{border:1px solid #dadce0;padding:.2em .6em;text-align:left}\n"
-         "li.warning{color:#b06000}\nli.critical{color:#c5221f}\n"
-         "li{margin-bottom:.5em}\n"
-         "</style></head><body>\n<h1>mrmc pipeline doctor</h1>\n" +
-         body + "</body></html>\n";
 }
 
 std::string to_bench_json(std::span<const PipelineReport> reports) {
@@ -642,9 +530,7 @@ std::string to_bench_json(std::span<const PipelineReport> reports) {
 
 std::string render(std::span<const PipelineReport> reports,
                    std::string_view format, bool color) {
-  if (format == "html") return to_html(reports);
-  if (format == "json") return to_json(reports);
-  return to_text(reports, color);
+  return format == "json" ? to_json(reports) : to_text(reports, color);
 }
 
 bool write_report(const std::string& path,

@@ -245,14 +245,13 @@ struct PipelineReport {
                                   bool color = false);
 [[nodiscard]] std::string to_json(const PipelineReport& report);
 [[nodiscard]] std::string to_json(std::span<const PipelineReport> reports);
-[[nodiscard]] std::string to_html(std::span<const PipelineReport> reports);
 
 /// Schema-v1 BENCH record ("bench": "pipeline") with one row per stage plus
 /// a <total> row per pipeline: simulated per-leg seconds (deterministic,
 /// tight-gated by `mrmc_doctor regress`) and wall seconds (noisy-gated).
 [[nodiscard]] std::string to_bench_json(std::span<const PipelineReport> reports);
 
-/// Render `reports` as "text", "json" or "html".
+/// Render `reports` as "json", or as text for any other format.
 [[nodiscard]] std::string render(std::span<const PipelineReport> reports,
                                  std::string_view format, bool color = false);
 

@@ -25,7 +25,7 @@ bool ends_with(std::string_view name, std::string_view suffix) {
          name.substr(name.size() - suffix.size()) == suffix;
 }
 
-/// Compact human rendering for the text/html reports.
+/// Compact human rendering for the text report.
 std::string f6(double value) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.6g", value);
@@ -479,46 +479,6 @@ std::string to_json(const CompareReport& report) {
   }
   out += "\n]}\n";
   return out;
-}
-
-std::string to_html(const CompareReport& report) {
-  std::string body = "<h2>summary</h2>\n<p class=\"sum\">" +
-                     std::to_string(report.compared) +
-                     " metrics compared · <b class=\"regression\">" +
-                     std::to_string(report.regressions) +
-                     " regression(s)</b> · " +
-                     std::to_string(report.improvements) +
-                     " improvement(s) · " + std::to_string(report.missing) +
-                     " missing — " +
-                     (report.ok() ? "<b>PASS</b>" : "<b>FAIL</b>") + "</p>\n";
-  body += "<h2>entries</h2>\n<table>\n<tr><th>status</th><th>source</th>"
-          "<th>key</th><th>metric</th><th>baseline</th><th>candidate</th>"
-          "<th>ratio</th></tr>\n";
-  for (const CompareEntry& entry : report.entries) {
-    if (entry.status == Status::kOk) continue;  // table stays readable
-    body += "<tr class=\"" + std::string(status_name(entry.status)) +
-            "\"><td>" + status_name(entry.status) + "</td><td>" +
-            html_escape(entry.source) + "</td><td>" + html_escape(entry.key) +
-            "</td><td>" + html_escape(entry.metric) + "</td><td>" +
-            f6(entry.baseline) + "</td><td>" + f6(entry.candidate) +
-            "</td><td>" + f6(entry.ratio) + "</td></tr>\n";
-  }
-  body += "</table>\n<p class=\"sum\">" +
-          std::to_string(static_cast<long>(report.entries.size())) +
-          " entries total; rows within thresholds omitted</p>\n";
-  return "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
-         "<title>mrmc regression doctor</title>\n<style>\n"
-         "body{font:14px/1.5 system-ui,sans-serif;margin:2em auto;"
-         "max-width:920px;color:#202124}\n"
-         "table{border-collapse:collapse;width:100%}\n"
-         "th,td{border:1px solid #dadce0;padding:.25em .5em;"
-         "text-align:left;font:12px monospace}\n"
-         ".sum{color:#5f6368}\n"
-         "tr.regression,b.regression{color:#c5221f}\n"
-         "tr.improvement{color:#137333}\ntr.missing{color:#b06000}\n"
-         "tr.new,tr.info{color:#5f6368}\n"
-         "</style></head><body>\n<h1>mrmc regression doctor</h1>\n" +
-         body + "</body></html>\n";
 }
 
 }  // namespace mrmc::obs::regress

@@ -121,7 +121,5 @@ struct CompareReport {
                                   bool color = false);
 /// JSON with %.17g doubles: {"summary": {...}, "entries": [...]}.
 [[nodiscard]] std::string to_json(const CompareReport& report);
-/// Self-contained HTML table, regressions highlighted.
-[[nodiscard]] std::string to_html(const CompareReport& report);
 
 }  // namespace mrmc::obs::regress

@@ -622,19 +622,9 @@ std::string to_text(const JobReport& report, bool color) {
     }
   }
 
-  if (report.findings.empty()) {
-    out += "  findings: none — the job is as parallel as its task breakdown allows\n";
-  } else {
-    out += "  findings:\n";
-    for (const Finding& finding : report.findings) {
-      out += "    [";
-      if (color) out += severity_color(finding.severity);
-      out += severity_name(finding.severity);
-      if (color) out += kReset;
-      out += "] " + finding.id + ": " + finding.message + "\n";
-      out += "        -> " + finding.recommendation + "\n";
-    }
-  }
+  append_findings_text(
+      out, report.findings,
+      "the job is as parallel as its task breakdown allows", color);
   return out;
 }
 
@@ -755,21 +745,8 @@ std::string to_json(const JobReport& report) {
     }
     out += "]}";
   }
-  out += ", \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Finding& finding = report.findings[i];
-    if (i > 0) out += ", ";
-    out += "{\"id\": ";
-    append_json_string(out, finding.id);
-    out += ", \"severity\": ";
-    append_json_string(out, severity_name(finding.severity));
-    out += ", \"message\": ";
-    append_json_string(out, finding.message);
-    out += ", \"recommendation\": ";
-    append_json_string(out, finding.recommendation);
-    out += "}";
-  }
-  out += "]}";
+  append_findings_json(out, report.findings);
+  out += "}";
   return out;
 }
 
@@ -783,283 +760,12 @@ std::string to_json(std::span<const JobReport> reports) {
   return out;
 }
 
-// --------------------------------------------------------------------- HTML
-
-namespace {
-
-constexpr const char* kMapColor = "#4e79a7";
-constexpr const char* kShuffleColor = "#f28e2b";
-constexpr const char* kReduceColor = "#59a14b";
-
-struct GanttRow {
-  std::string label;
-  const char* color;
-  std::vector<std::pair<double, double>> spans;  ///< absolute [begin, end)
-  std::vector<bool> straggler;                   ///< parallel to spans
-};
-
-/// Lay one phase out as Gantt rows (one per node/slot that ran a task),
-/// shifted to its absolute position on the job's critical path.
-void phase_rows(const PhaseAnalysis& phase, const std::vector<TaskSample>& tasks,
-                double offset_s, const char* color, double straggler_factor,
-                std::vector<GanttRow>& rows) {
-  std::map<std::pair<int, int>, std::size_t> row_of;
-  const double threshold = straggler_factor * phase.median_task_s;
-  for (const TaskSample& task : tasks) {
-    const auto key = std::make_pair(task.node, task.slot);
-    auto it = row_of.find(key);
-    if (it == row_of.end()) {
-      it = row_of.emplace(key, rows.size()).first;
-      rows.push_back({"n" + std::to_string(task.node) + " " + phase.phase +
-                          " s" + std::to_string(task.slot),
-                      color,
-                      {},
-                      {}});
-    }
-    GanttRow& row = rows[it->second];
-    row.spans.emplace_back(offset_s + task.start_s, offset_s + task.end_s);
-    row.straggler.push_back(tasks.size() >= 3 && threshold > 0.0 &&
-                            task.duration_s() > threshold);
-  }
-}
-
-void gantt_svg(std::string& out, const JobReport& report,
-               const std::vector<GanttRow>& rows) {
-  constexpr double kWidth = 860.0, kLabel = 110.0, kRowH = 16.0;
-  const double total = report.total_s > 0.0 ? report.total_s : 1.0;
-  const double height = kRowH * static_cast<double>(rows.size()) + 22.0;
-  auto x = [&](double t) {
-    return kLabel + (kWidth - kLabel) * (t / total);
-  };
-  out += "<svg viewBox=\"0 0 " + f2(kWidth) + " " + f2(height) +
-         "\" style=\"width:100%;max-width:" + f2(kWidth) + "px\">\n";
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const double y = 18.0 + kRowH * static_cast<double>(r);
-    out += "<text x=\"0\" y=\"" + f2(y + 11.0) +
-           "\" class=\"lbl\">" + html_escape(rows[r].label) + "</text>\n";
-    for (std::size_t s = 0; s < rows[r].spans.size(); ++s) {
-      const auto [begin, end] = rows[r].spans[s];
-      out += "<rect x=\"" + f2(x(begin)) + "\" y=\"" + f2(y) + "\" width=\"" +
-             f2(std::max(1.0, x(end) - x(begin))) + "\" height=\"" +
-             f2(kRowH - 3.0) + "\" fill=\"" + rows[r].color + "\"";
-      if (rows[r].straggler[s]) {
-        out += " stroke=\"#e15759\" stroke-width=\"2\"";
-      }
-      out += "><title>" + f2(begin) + "s – " + f2(end) + "s</title></rect>\n";
-    }
-  }
-  // Time axis: start, startup boundary, end.
-  out += "<text x=\"" + f2(kLabel) + "\" y=\"12\" class=\"lbl\">0s</text>\n";
-  out += "<text x=\"" + f2(kWidth - 40.0) + "\" y=\"12\" class=\"lbl\">" +
-         f2(report.total_s) + "s</text>\n";
-  out += "</svg>\n";
-}
-
-/// Per-node utilization strip: 100 bins over [0, total_s], opacity = the
-/// node's busy slot-seconds in the bin over its available slot-seconds.
-void utilization_svg(std::string& out, const JobReport& report,
-                     const JobInput& input) {
-  if (report.total_s <= 0.0) return;
-  constexpr int kBins = 100;
-  constexpr double kWidth = 860.0, kLabel = 110.0, kRowH = 14.0;
-  const double total = report.total_s;
-  const double bin_s = total / kBins;
-  const double slots_per_node = static_cast<double>(
-      std::max(input.map_slots_per_node, input.reduce_slots_per_node));
-  const double height = kRowH * static_cast<double>(input.nodes) + 6.0;
-  out += "<svg viewBox=\"0 0 " + f2(kWidth) + " " + f2(height) +
-         "\" style=\"width:100%;max-width:" + f2(kWidth) + "px\">\n";
-  const double map_offset = report.startup_s;
-  const double reduce_offset =
-      report.startup_s + report.map_phase.makespan_s + report.shuffle_s;
-  for (std::size_t node = 0; node < input.nodes; ++node) {
-    std::vector<double> busy(kBins, 0.0);
-    auto accumulate = [&](const std::vector<TaskSample>& tasks, double offset) {
-      for (const TaskSample& task : tasks) {
-        if (static_cast<std::size_t>(task.node) != node) continue;
-        const double begin = offset + task.start_s;
-        const double end = offset + task.end_s;
-        for (int b = std::max(0, static_cast<int>(begin / bin_s));
-             b < kBins && b * bin_s < end; ++b) {
-          const double lo = std::max(begin, b * bin_s);
-          const double hi = std::min(end, (b + 1) * bin_s);
-          if (hi > lo) busy[static_cast<std::size_t>(b)] += hi - lo;
-        }
-      }
-    };
-    accumulate(input.map_tasks, map_offset);
-    accumulate(input.reduce_tasks, reduce_offset);
-    const double y = 2.0 + kRowH * static_cast<double>(node);
-    out += "<text x=\"0\" y=\"" + f2(y + 10.0) + "\" class=\"lbl\">node " +
-           std::to_string(node) + "</text>\n";
-    for (int b = 0; b < kBins; ++b) {
-      const double fraction =
-          std::min(1.0, busy[static_cast<std::size_t>(b)] /
-                            (bin_s * slots_per_node));
-      if (fraction <= 0.0) continue;
-      out += "<rect x=\"" +
-             f2(kLabel + (kWidth - kLabel) * b / kBins) + "\" y=\"" + f2(y) +
-             "\" width=\"" + f2((kWidth - kLabel) / kBins) + "\" height=\"" +
-             f2(kRowH - 3.0) + "\" fill=\"" + kMapColor +
-             "\" fill-opacity=\"" + f2(0.15 + 0.85 * fraction) + "\"/>\n";
-    }
-  }
-  out += "</svg>\n";
-}
-
-void critical_path_bar(std::string& out, const JobReport& report) {
-  if (report.total_s <= 0.0) return;
-  out += "<div class=\"cpbar\">";
-  const std::pair<const char*, double> legs[] = {
-      {"#9aa0a6", report.startup_s},
-      {kMapColor, report.map_phase.makespan_s},
-      {kShuffleColor, report.shuffle_s},
-      {kReduceColor, report.reduce_phase.makespan_s}};
-  const char* names[] = {"startup", "map", "shuffle", "reduce"};
-  for (int i = 0; i < 4; ++i) {
-    const double fraction = legs[i].second / report.total_s;
-    if (fraction <= 0.0) continue;
-    out += "<span style=\"background:" + std::string(legs[i].first) +
-           ";width:" + f2(fraction * 100.0) + "%\" title=\"" + names[i] + " " +
-           f2(legs[i].second) + "s\"></span>";
-  }
-  out += "</div>\n";
-}
-
-/// HTML for one job: the summary, then the Gantt + utilization strips drawn
-/// from the job's raw task placements.
-std::string job_html(const JobReport& report, const JobInput& input) {
-  std::string out;
-  out += "<section>\n<h2>" + html_escape(report.name) + "</h2>\n";
-  out += "<p class=\"sum\">total <b>" + f2(report.total_s) + "s</b> on " +
-         std::to_string(report.nodes) + " nodes · parallel efficiency <b>" +
-         pct(report.parallel_efficiency) + "</b> · overhead " +
-         pct(report.overhead_fraction) + " · map " +
-         std::to_string(report.map_phase.task_count) + " tasks · reduce " +
-         std::to_string(report.reduce_phase.task_count) + " tasks</p>\n";
-  if (!report.pipeline.empty()) {
-    out += "<p class=\"sum\">pipeline <b>" + html_escape(report.pipeline) +
-           "</b> · stage <b>" + html_escape(report.stage) + "</b> · seq " +
-           std::to_string(report.sequence);
-    if (report.round >= 0) out += " · round " + std::to_string(report.round);
-    out += "</p>\n";
-  }
-  critical_path_bar(out, report);
-  std::vector<GanttRow> rows;
-  AnalyzeOptions defaults;
-  phase_rows(report.map_phase, input.map_tasks, report.startup_s, kMapColor,
-             defaults.straggler_factor, rows);
-  if (report.shuffle_s > 0.0) {
-    rows.push_back({"shuffle",
-                    kShuffleColor,
-                    {{report.startup_s + report.map_phase.makespan_s,
-                      report.startup_s + report.map_phase.makespan_s +
-                          report.shuffle_s}},
-                    {false}});
-  }
-  phase_rows(report.reduce_phase, input.reduce_tasks,
-             report.startup_s + report.map_phase.makespan_s + report.shuffle_s,
-             kReduceColor, defaults.straggler_factor, rows);
-  out += "<h3>schedule</h3>\n";
-  gantt_svg(out, report, rows);
-  out += "<h3>node utilization</h3>\n";
-  utilization_svg(out, report, input);
-  if (!report.bytes.empty()) {
-    out += "<h3>bytes</h3>\n<p class=\"sum\">map in <b>" +
-           f2(report.bytes.map_input_bytes / 1e6) + " MB</b>, out <b>" +
-           f2(report.bytes.map_output_bytes / 1e6) + " MB</b> · shuffle <b>" +
-           f2(report.bytes.fetch_bytes / 1e6) + " MB</b> in " +
-           std::to_string(report.bytes.fetch_count) +
-           " fetches (max fan-in " +
-           std::to_string(report.bytes.max_fetch_fan_in) +
-           ") · reduce in <b>" + f2(report.bytes.reduce_input_bytes / 1e6) +
-           " MB</b>, out <b>" + f2(report.bytes.reduce_output_bytes / 1e6) +
-           " MB</b></p>\n";
-  }
-  if (!report.faults.empty()) {
-    out += "<h3>faults</h3>\n<p class=\"sum\">" +
-           std::to_string(report.faults.node_crashes) +
-           " node crash(es) · " +
-           std::to_string(report.faults.killed_attempts) + " killed · " +
-           std::to_string(report.faults.lost_map_outputs) +
-           " map outputs lost · " +
-           std::to_string(report.faults.blacklisted_nodes) +
-           " blacklisted · lost work <b>" + f2(report.faults.lost_work_s) +
-           "s</b> · downtime " + f2(report.faults.downtime_s) + "s</p>\n<ul>\n";
-    for (const FaultEventSample& event : report.faults.events) {
-      out += "<li class=\"warning\">node " + std::to_string(event.node) +
-             " down at " + f2(event.crash_s) + "s, detected " +
-             f2(event.detect_s) + "s, ";
-      if (event.blacklisted) {
-        out += "blacklisted";
-      } else if (event.recover_s < 0.0) {
-        out += "never recovered";
-      } else {
-        out += "recovered " + f2(event.recover_s) + "s";
-      }
-      out += "</li>\n";
-    }
-    for (const LostAttemptSample& lost : report.faults.lost_attempts) {
-      out += "<li class=\"" +
-             std::string(lost.kind == "lost-output" ? "critical" : "warning") +
-             "\">" + html_escape(lost.kind) + ": " + html_escape(lost.phase) +
-             " task " + std::to_string(lost.task) + " on node " +
-             std::to_string(lost.node) + " slot " + std::to_string(lost.slot) +
-             " [" + f2(lost.start_s) + "s, " + f2(lost.end_s) + "s]</li>\n";
-    }
-    out += "</ul>\n";
-  }
-  out += "<h3>findings</h3>\n";
-  if (report.findings.empty()) {
-    out += "<p>none — the job is as parallel as its task breakdown allows</p>\n";
-  } else {
-    out += "<ul>\n";
-    for (const Finding& finding : report.findings) {
-      out += "<li class=\"" + std::string(severity_name(finding.severity)) +
-             "\"><b>" + html_escape(finding.id) + "</b>: " +
-             html_escape(finding.message) + "<br><i>" +
-             html_escape(finding.recommendation) + "</i></li>\n";
-    }
-    out += "</ul>\n";
-  }
-  out += "</section>\n";
-  return out;
-}
-
-std::string page_html(const std::string& body) {
-  return "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
-         "<title>mrmc job doctor</title>\n<style>\n"
-         "body{font:14px/1.5 system-ui,sans-serif;margin:2em auto;"
-         "max-width:920px;color:#202124}\n"
-         "h2{border-bottom:1px solid #dadce0;padding-bottom:.2em}\n"
-         ".lbl{font:10px monospace;fill:#5f6368}\n"
-         ".sum{color:#5f6368}\n"
-         ".cpbar{display:flex;height:18px;border-radius:3px;overflow:hidden;"
-         "margin:.5em 0}\n"
-         ".cpbar span{display:block;height:100%}\n"
-         "li.warning{color:#b06000}\nli.critical{color:#c5221f}\n"
-         "li{margin-bottom:.5em}\n"
-         "</style></head><body>\n<h1>mrmc job doctor</h1>\n" +
-         body + "</body></html>\n";
-}
-
-}  // namespace
-
-std::string to_html(std::span<const JobInput> jobs) {
-  std::string body;
-  for (const JobInput& job : jobs) body += job_html(analyze(job), job);
-  return page_html(body);
-}
-
 std::string format_for_path(std::string_view path) {
-  if (path.ends_with(".html")) return "html";
-  if (path.ends_with(".json")) return "json";
-  return "text";
+  return path.ends_with(".json") ? "json" : "text";
 }
 
 std::string render(std::span<const JobInput> jobs, std::string_view format,
                    bool color) {
-  if (format == "html") return to_html(jobs);
   std::vector<JobReport> reports;
   reports.reserve(jobs.size());
   for (const JobInput& job : jobs) reports.push_back(analyze(job));

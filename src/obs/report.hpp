@@ -13,10 +13,11 @@
 //     reduce skew, poor data locality, idle slots, shuffle- or
 //     startup-bound jobs — each with a heuristic recommendation.
 //
-// A report renders three ways: ANSI text (to_text), self-contained HTML
-// with an inline-SVG Gantt and per-node utilization strips (to_html), and
-// JSON (to_json) whose doubles are printed with %.17g so an offline reader
-// recovers the scheduler's numbers bit-for-bit.
+// A report renders two ways: ANSI text (to_text) and JSON (to_json) whose
+// doubles are printed with %.17g so an offline reader recovers the
+// scheduler's numbers bit-for-bit.  The schedule itself is drawn by any
+// Chrome-trace viewer (Perfetto, chrome://tracing) from the trace file,
+// which carries one node/slot track per task placement.
 //
 // The trace carries the scheduler's doubles as %.17g args and every derived
 // quantity is combined in a fixed left-to-right order, so the report's
@@ -256,17 +257,12 @@ struct JobReport {
 [[nodiscard]] std::string to_json(const JobReport& report);
 [[nodiscard]] std::string to_json(std::span<const JobReport> reports);
 
-/// Self-contained HTML page: per job an inline-SVG Gantt of its task
-/// placements (one row per node/slot, stragglers outlined), per-node
-/// utilization strips, the critical-path bar, and the findings list.  No
-/// external assets.
-[[nodiscard]] std::string to_html(std::span<const JobInput> jobs);
-
-/// The output format a report path asks for: "html" or "json" by
-/// extension, "text" otherwise.  The one rule every report writer uses.
+/// The output format a report path asks for: "json" for a .json path,
+/// "text" otherwise.  The one rule every report writer uses.
 [[nodiscard]] std::string format_for_path(std::string_view path);
 
-/// Analyze `jobs` and render them as "text", "json" or "html".
+/// Analyze `jobs` and render them as "json", or as text for any other
+/// format.
 [[nodiscard]] std::string render(std::span<const JobInput> jobs,
                                  std::string_view format, bool color = false);
 

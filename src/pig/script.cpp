@@ -9,6 +9,7 @@
 #include <optional>
 #include <sstream>
 
+#include "bio/kmer.hpp"
 #include "common/error.hpp"
 #include "mr/bytes.hpp"
 #include "mr/recovery.hpp"
@@ -48,6 +49,11 @@ std::optional<double> to_number(std::string_view token) {
   const auto [stop, error] = std::from_chars(token.data(), end, value);
   if (error != std::errc() || stop != end) return std::nullopt;
   return value;
+}
+
+/// Whether `value` is a whole number in [lo, hi).
+bool whole_in(double value, double lo, double hi) {
+  return value >= lo && value < hi && value == std::floor(value);
 }
 
 double number_token(const std::string& token, std::size_t line,
@@ -205,8 +211,8 @@ Statement parse_statement(const std::string& text, std::size_t line) {
     if (tokens.size() < 5) syntax_error(line, "LIMIT needs <rel> <count>");
     statement.source = tokens[3];
     statement.literal = number_token(tokens[4], line, "LIMIT");
-    if (!(statement.literal >= 0.0) ||
-        statement.literal != std::floor(statement.literal)) {
+    // 2^64: the first whole double past every std::size_t count.
+    if (!whole_in(statement.literal, 0.0, 0x1p64)) {
       syntax_error(line, "LIMIT needs a non-negative whole count, got '" +
                              tokens[4] + "'");
     }
@@ -293,44 +299,60 @@ std::vector<Statement> parse_script(std::string_view text) {
     body = trim(body);
     if (body.empty()) continue;
     statements.push_back(parse_statement(body, line_number));
+    statements.back().line = line_number;
   }
   return statements;
 }
 
 std::string substitute_parameters(std::string_view text,
                                   const std::map<std::string, std::string>& params) {
-  // Longest name first so $OUTPUT1 is not clobbered by $OUTPUT.
-  std::vector<std::pair<std::string, std::string>> ordered(params.begin(),
-                                                           params.end());
-  std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
-    return a.first.size() > b.first.size();
-  });
-  std::string out{text};
-  for (const auto& [name, value] : ordered) {
-    const std::string token = "$" + name;
-    std::size_t pos = 0;
-    while ((pos = out.find(token, pos)) != std::string::npos) {
-      out.replace(pos, token.size(), value);
-      pos += value.size();
+  for (const auto& [name, value] : params) {
+    if (value.find_first_of("'\n") != std::string::npos) {
+      throw common::InvalidArgument("pig script: parameter $" + name +
+                                    " holds a quote or a newline");
     }
   }
-  const auto leftover = out.find('$');
-  if (leftover != std::string::npos) {
+  std::string out;
+  std::size_t at = 0;
+  for (std::size_t dollar = text.find('$'); dollar != text.npos;
+       dollar = text.find('$', at)) {
+    out += text.substr(at, dollar - at);
+    const std::string_view rest = text.substr(dollar + 1);
+    // Longest name first so $OUTPUT1 is not read as $OUTPUT and a "1".
+    const std::pair<const std::string, std::string>* match = nullptr;
+    for (const auto& param : params) {
+      if (rest.starts_with(param.first) &&
+          (match == nullptr || param.first.size() > match->first.size())) {
+        match = &param;
+      }
+    }
+    if (match != nullptr) {
+      out += match->second;
+      at = dollar + 1 + match->first.size();
+      continue;
+    }
     // Field references like $0 inside ORDER/FILTER are legitimate.
-    const char next = leftover + 1 < out.size() ? out[leftover + 1] : ' ';
-    if (!std::isdigit(static_cast<unsigned char>(next))) {
+    if (rest.empty() || !std::isdigit(static_cast<unsigned char>(rest[0]))) {
       throw common::InvalidArgument("pig script: unresolved parameter near '" +
-                                    out.substr(leftover, 16) + "'");
+                                    std::string(text.substr(dollar, 16)) + "'");
     }
+    out += '$';
+    at = dollar + 1;
   }
+  out += text.substr(at);
   return out;
 }
 
 namespace {
 
+/// The largest $NUMHASH CalculateMinwiseHash takes: far above the paper's
+/// 50 and 100, so a count past it is a typo rather than a sketch length.
+constexpr std::size_t kMaxNumHashes = std::size_t{1} << 16;
+
 /// Instantiate one of the paper's UDFs from its script call.  Numeric
 /// arguments configure the UDF; field-name arguments are ignored (the UDFs
-/// read positional fields, as in the paper's Java implementations).
+/// read positional fields, as in the paper's Java implementations).  A
+/// missing or out-of-range number names the UDF and the statement's line.
 std::unique_ptr<Udf> make_udf(const Statement& statement, std::uint64_t seed,
                               int* last_kmer) {
   const std::string& name = statement.udf_name;
@@ -344,19 +366,33 @@ std::unique_ptr<Udf> make_udf(const Statement& statement, std::uint64_t seed,
       words.push_back(arg);
     }
   }
+  const auto require = [&](bool ok, const std::string& what) {
+    if (!ok) syntax_error(statement.line, name + " needs " + what);
+  };
+  // The last number, a similarity threshold or cutoff in [0, 1].
+  const auto fraction = [&](const char* what) {
+    require(!numeric.empty() && numeric.back() >= 0.0 && numeric.back() <= 1.0,
+            std::string(what) + " in [0, 1]");
+    return numeric.back();
+  };
 
   if (name == "StringGenerator") return std::make_unique<StringGenerator>();
   if (name == "TranslateToKmer") {
-    MRMC_REQUIRE(!numeric.empty(), "TranslateToKmer needs $KMER");
+    require(!numeric.empty() && whole_in(numeric[0], 1.0, bio::kMaxKmerK + 1.0),
+            "$KMER as a whole number in [1, 31]");
     *last_kmer = static_cast<int>(numeric[0]);
     return std::make_unique<TranslateToKmer>(*last_kmer);
   }
   if (name == "CalculateMinwiseHash") {
-    MRMC_REQUIRE(!numeric.empty(), "CalculateMinwiseHash needs $NUMHASH");
+    require(!numeric.empty() && whole_in(numeric[0], 1.0, kMaxNumHashes + 1.0),
+            "$NUMHASH as a whole number in [1, " +
+                std::to_string(kMaxNumHashes) + "]");
     // The paper's $DIV (a prime > feature-set size) parameterizes the hash
     // family; we fold it into the seed of our fixed-prime family.  An
     // optional `cminhash` word swaps in the C-MinHash affine-composition
     // scheme (same dialect extension style as `lsh` below).
+    require(numeric.size() < 2 || whole_in(numeric[1], 0.0, 0x1p64),
+            "$DIV as a whole number in [0, 2^64)");
     const auto div_seed =
         numeric.size() > 1 ? static_cast<std::uint64_t>(numeric[1]) : 0;
     auto scheme = core::SketchScheme::kUniversal;
@@ -375,7 +411,7 @@ std::unique_ptr<Udf> make_udf(const Statement& statement, std::uint64_t seed,
     for (const auto& word : words) {
       if (word == "lsh") candidates.backend = core::candidates::Backend::kLshBanded;
     }
-    const double theta = numeric.empty() ? 0.9 : numeric.back();
+    const double theta = numeric.empty() ? 0.9 : fraction("theta");
     return std::make_unique<CalculatePairwiseSimilarity>(
         core::SketchEstimator::kComponentMatch, candidates, theta);
   }
@@ -387,14 +423,11 @@ std::unique_ptr<Udf> make_udf(const Statement& statement, std::uint64_t seed,
         if (word == core::linkage_name(named)) linkage = named;
       }
     }
-    MRMC_REQUIRE(!numeric.empty(),
-                 "AgglomerativeHierarchicalClustering needs $CUTOFF");
     return std::make_unique<AgglomerativeHierarchicalClustering>(
-        linkage, numeric.back());
+        linkage, fraction("$CUTOFF"));
   }
   if (name == "GreedyClustering") {
-    MRMC_REQUIRE(!numeric.empty(), "GreedyClustering needs $CUTOFF");
-    return std::make_unique<GreedyClustering>(numeric.back(),
+    return std::make_unique<GreedyClustering>(fraction("$CUTOFF"),
                                               core::SketchEstimator::kSetBased);
   }
   throw common::InvalidArgument("pig script: unknown UDF '" + name + "'");

@@ -63,13 +63,19 @@ struct Statement {
   bool descending = false;       ///< kOrderBy
   std::string comparison;        ///< kFilter: one of > < >= <= == !=
   double literal = 0.0;          ///< kFilter numeric literal / kLimit count
+  std::size_t line = 0;          ///< 1-based script line, for errors
 };
 
 /// Parse a script; throws InvalidArgument with a line number on bad syntax.
+/// A UDF's numeric arguments are checked against its ranges when the
+/// statement runs, with the same kind of error.
 std::vector<Statement> parse_script(std::string_view text);
 
-/// Substitute $NAME occurrences from `params` (longest-name-first).  Unknown
-/// $NAMEs are an error.
+/// Substitute $NAME occurrences from `params` in one left-to-right pass,
+/// longest name first; a substituted value is never rescanned, so it may
+/// hold '$'.  $<digit> field references stay.  An unknown $NAME, or a
+/// value holding a quote or a newline (it would end the script's quoted
+/// string), is an InvalidArgument.
 std::string substitute_parameters(std::string_view text,
                                   const std::map<std::string, std::string>& params);
 

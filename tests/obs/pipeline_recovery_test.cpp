@@ -103,7 +103,7 @@ TEST_F(PipelineRecoveryTest, ColdRunRecoverySectionRoundTripsByteIdentical) {
   EXPECT_NE(to_text(offline[0]).find("recovery:"), std::string::npos);
   const auto parsed = common::parse_json(to_json(offline[0]));
   EXPECT_EQ(parsed.at("recovery").at("stages").array.size(), 3u);
-  EXPECT_NE(to_html(offline).find("recovery"), std::string::npos);
+  EXPECT_NE(render(offline, "text").find("recovery"), std::string::npos);
 }
 
 TEST_F(PipelineRecoveryTest, ResumedRunIsRecoveryOnlyAndStillRoundTrips) {

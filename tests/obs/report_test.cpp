@@ -132,9 +132,9 @@ TEST(Analyze, ShuffleBoundFiresOnShuffleHeavyJobs) {
   EXPECT_TRUE(report.has_finding("shuffle-bound"));
 }
 
-TEST(Renderers, TextJsonAndHtmlTellTheSameStory) {
+TEST(Renderers, TextAndJsonTellTheSameStory) {
   JobInput input = two_node_input();
-  input.name = "render <job> & escape";
+  input.name = "render <job> & \"escape\"";
   input.map_tasks.push_back({4, 1, 0, 5.0, 25.0, true});  // a straggler
   const JobReport report = analyze(input);
   ASSERT_TRUE(report.has_finding("map-straggler"));
@@ -145,6 +145,9 @@ TEST(Renderers, TextJsonAndHtmlTellTheSameStory) {
   EXPECT_NE(text.find("node utilization"), std::string::npos);
 
   const std::string json = obs::report::to_json(report);
+  // The name is one JSON string: quotes escaped, markup characters verbatim.
+  EXPECT_NE(json.find("\"name\": \"render <job> & \\\"escape\\\"\""),
+            std::string::npos);
   const common::JsonValue root = common::parse_json(json);
   EXPECT_EQ(root.at("name").string, input.name);
   // %.17g doubles survive the parse bit-for-bit.
@@ -155,13 +158,6 @@ TEST(Renderers, TextJsonAndHtmlTellTheSameStory) {
     straggler_in_json |= finding.at("id").string == "map-straggler";
   }
   EXPECT_TRUE(straggler_in_json);
-
-  const std::vector<JobInput> jobs{input};
-  const std::string html = obs::report::to_html(jobs);
-  EXPECT_NE(html.find("<h3>schedule</h3>"), std::string::npos);  // the Gantt
-  EXPECT_NE(html.find("<svg"), std::string::npos);
-  EXPECT_NE(html.find("render &lt;job&gt; &amp; escape"), std::string::npos);
-  EXPECT_EQ(html.find("<job>"), std::string::npos);  // name was escaped
 }
 
 // ---------------------------------------------------------------- golden
@@ -392,8 +388,8 @@ TEST_F(DoctorRoundTripTest, CliBinaryReproducesTheInProcessReport) {
       ::testing::TempDir() + "/mrmc_doctor_cli_trace.json";
   const std::string out_path =
       ::testing::TempDir() + "/mrmc_doctor_cli_report.json";
-  const std::string html_path =
-      ::testing::TempDir() + "/mrmc_doctor_cli_report.html";
+  const std::string text_path =
+      ::testing::TempDir() + "/mrmc_doctor_cli_report.txt";
   const std::vector<mr::JobTimeline> timelines = simulate_two_jobs(trace_path);
   // What MRMC_REPORT renders from the tracer's in-memory events.
   const std::string in_process = obs::report::render(traced_jobs(), "json");
@@ -416,13 +412,32 @@ TEST_F(DoctorRoundTripTest, CliBinaryReproducesTheInProcessReport) {
     EXPECT_EQ(path.at("shuffle_s").number, timelines[i].shuffle_s);
   }
 
-  // The offline HTML report draws each job's schedule.
-  const std::string html_command = std::string(MRMC_DOCTOR_BIN) + " " +
-                                   trace_path + " -o " + html_path +
+  // Any other extension gets the text report, without colour.
+  const std::string text_command = std::string(MRMC_DOCTOR_BIN) + " " +
+                                   trace_path + " -o " + text_path +
                                    " 2>/dev/null";
-  ASSERT_EQ(std::system(html_command.c_str()), 0) << html_command;
-  EXPECT_NE(read_file(html_path).find("<h3>schedule</h3>"),
-            std::string::npos);
+  ASSERT_EQ(std::system(text_command.c_str()), 0) << text_command;
+  EXPECT_EQ(read_file(text_path), obs::report::render(traced_jobs(), "text"));
+}
+
+TEST_F(DoctorRoundTripTest, CliBinaryRejectsAnUnknownFormatOutLoud) {
+  const std::string trace_path =
+      ::testing::TempDir() + "/mrmc_doctor_cli_format_trace.json";
+  const std::string err_path =
+      ::testing::TempDir() + "/mrmc_doctor_cli_format.err";
+  simulate_two_jobs(trace_path);
+  for (const std::string mode : {"", "pipeline ", "compare "}) {
+    const std::string args =
+        mode == "compare " ? trace_path + " " + trace_path : trace_path;
+    const std::string command = std::string(MRMC_DOCTOR_BIN) + " " + mode +
+                                args + " --format=xml 2>" + err_path;
+    EXPECT_NE(std::system(command.c_str()), 0) << command;
+    const std::string err = read_file(err_path);
+    EXPECT_NE(err.find("mrmc_doctor: unknown format 'xml' (text|json)"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+  }
 }
 #endif  // MRMC_DOCTOR_BIN
 
@@ -430,12 +445,6 @@ TEST_F(DoctorRoundTripTest, CliBinaryReproducesTheInProcessReport) {
 
 TEST(ReportOutput, WritesTheFormatTheExtensionAsksFor) {
   const std::vector<JobInput> jobs{two_node_input()};
-
-  const std::string html_path = ::testing::TempDir() + "/mrmc_report.html";
-  ASSERT_TRUE(obs::report::write_report(html_path, jobs));
-  const std::string html = read_file(html_path);
-  EXPECT_NE(html.find("<h3>schedule</h3>"), std::string::npos);
-  EXPECT_NE(html.find("unit"), std::string::npos);
 
   const std::string json_path = ::testing::TempDir() + "/mrmc_report.json";
   ASSERT_TRUE(obs::report::write_report(json_path, jobs));
@@ -445,7 +454,14 @@ TEST(ReportOutput, WritesTheFormatTheExtensionAsksFor) {
 
   const std::string text_path = ::testing::TempDir() + "/mrmc_report.txt";
   ASSERT_TRUE(obs::report::write_report(text_path, jobs));
-  EXPECT_NE(read_file(text_path).find("critical path"), std::string::npos);
+  const std::string text = obs::report::render(jobs, "text");
+  EXPECT_NE(text.find("critical path"), std::string::npos);
+  EXPECT_EQ(read_file(text_path), text);
+
+  // Only .json selects JSON: an .html path gets the text report too.
+  const std::string html_path = ::testing::TempDir() + "/mrmc_report.html";
+  ASSERT_TRUE(obs::report::write_report(html_path, jobs));
+  EXPECT_EQ(read_file(html_path), text);
 
   EXPECT_FALSE(obs::report::write_report(text_path, {}));  // nothing to write
 }

@@ -155,5 +155,27 @@ TEST(Algorithm3, StoredOutputIsParseable) {
   EXPECT_NE(text.find('\t'), std::string::npos);
 }
 
+TEST(Algorithm3, PathsMayHoldDollarsButNotQuotes) {
+  const auto sample = simdata::build_whole_metagenome(
+      simdata::whole_metagenome_spec("S13"), {.reads = 12, .seed = 7});
+  mr::SimDfs dfs(dfs_options());
+  dfs.write("/input.fa", bio::write_fasta_string(sample.reads));
+  dfs.write("/in$1.fa", bio::write_fasta_string(sample.reads));
+  run_algorithm3(dfs, "/input.fa", "/oh", "/og", {});
+  // A '$' in a path is part of the path, never a parameter to resolve.
+  run_algorithm3(dfs, "/in$1.fa", "/o/$INPUT", "/o/$OUTPUT1$", {});
+  EXPECT_EQ(dfs.read("/o/$INPUT"), dfs.read("/oh"));
+  EXPECT_EQ(dfs.read("/o/$OUTPUT1$"), dfs.read("/og"));
+
+  // A quote would end the script's quoted path: the error names the path.
+  try {
+    run_algorithm3(dfs, "/input.fa", "/oh", "/o'g", {});
+    FAIL() << "a quoted path must throw";
+  } catch (const common::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("$OUTPUT2"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace mrmc::pig

@@ -85,7 +85,7 @@ TEST(ParseScript, SyntaxErrorsCarryLineNumbers) {
   // escape as std:: conversion errors.
   for (const char* bad : {"O = ORDER A BY $x;", "G = GROUP A BY $;",
                           "M = LIMIT A x;", "M = LIMIT A -1;",
-                          "M = LIMIT A 2.5;", "F = FILTER A BY $0 > -;",
+                          "M = LIMIT A 2.5;", "M = LIMIT A 1e300;", "F = FILTER A BY $0 > -;",
                           "F = FILTER A BY $z > 1;", "F = FILTER A BY $0 ~ 1;",
                           "G = GROUP A BY 1;",
                           "K = FOREACH B GENERATE TranslateToKmer(seq, -);"}) {
@@ -119,8 +119,29 @@ TEST(SubstituteParameters, LongestNameWins) {
 
 TEST(SubstituteParameters, UnresolvedParameterThrows) {
   EXPECT_THROW(substitute_parameters("$MISSING", {}), common::InvalidArgument);
-  // Field references like $0 are fine.
+  // Field references like $0 are fine, and do not hide a later unknown.
   EXPECT_NO_THROW(substitute_parameters("ORDER A BY $0", {}));
+  EXPECT_THROW(substitute_parameters("ORDER A BY $0; $MISSING", {}),
+               common::InvalidArgument);
+}
+
+TEST(SubstituteParameters, ValuesAreNeverRescanned) {
+  const auto out = substitute_parameters(
+      "STORE K INTO '$OUTPUT1'; STORE L INTO '$OUTPUT2';",
+      {{"INPUT", "/in"}, {"OUTPUT1", "/o/$INPUT"}, {"OUTPUT2", "/o/$9$"}});
+  EXPECT_EQ(out, "STORE K INTO '/o/$INPUT'; STORE L INTO '/o/$9$';");
+}
+
+TEST(SubstituteParameters, QuoteOrNewlineInAValueThrowsNamingIt) {
+  for (const char* value : {"/o'ut", "/o\nut"}) {
+    try {
+      substitute_parameters("STORE K INTO '$OUTPUT1';", {{"OUTPUT1", value}});
+      FAIL() << value << " must throw";
+    } catch (const common::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("$OUTPUT1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------------------------ execute
@@ -129,6 +150,61 @@ mr::SimDfs make_dfs_with_sample(const simdata::LabeledReads& sample) {
   mr::SimDfs dfs({.nodes = 4, .block_size = 8192, .replication = 2});
   dfs.write("/in.fa", bio::write_fasta_string(sample.reads));
   return dfs;
+}
+
+/// Run each `call` as the UDF of line 2, and expect the range error that
+/// names `udf` and the line before any job runs.
+void expect_rejected_udf_calls(const std::string& udf,
+                               std::initializer_list<const char*> calls) {
+  for (const char* call : calls) {
+    mr::SimDfs dfs({.nodes = 2, .block_size = 8192, .replication = 1});
+    dfs.write("/in.fa", ">r\nACGT\n");
+    PigContext ctx(&dfs, {.nodes = 2});
+    try {
+      run_script(ctx, std::string("A = LOAD '/in.fa' USING FastaStorage;\n") +
+                          "B = FOREACH A GENERATE FLATTEN(" + udf + "(" +
+                          call + "));\n");
+      FAIL() << udf << "(" << call << ") must throw";
+    } catch (const common::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2: " + udf + " needs"), std::string::npos)
+          << call << ": " << what;
+    }
+    EXPECT_EQ(ctx.job_history().size(), 0u) << call;
+  }
+}
+
+TEST(UdfArguments, TranslateToKmerNeedsAWholeKInRange) {
+  expect_rejected_udf_calls(
+      "TranslateToKmer",
+      {"seq, seqid", "seq, seqid, -1", "seq, seqid, 2.5", "seq, seqid, 0",
+       "seq, seqid, 32", "seq, seqid, 1e12"});
+}
+
+TEST(UdfArguments, CalculateMinwiseHashNeedsWholeCountsInRange) {
+  expect_rejected_udf_calls(
+      "CalculateMinwiseHash",
+      {"kmers, id", "kmers, id, -1, 0", "kmers, id, 2.5, 0", "kmers, id, 0, 0",
+       "kmers, id, 1e30, 0", "kmers, id, 16, -1", "kmers, id, 16, 0.5",
+       "kmers, id, 16, 1e20"});
+}
+
+TEST(UdfArguments, CalculatePairwiseSimilarityNeedsThetaInUnitRange) {
+  expect_rejected_udf_calls("CalculatePairwiseSimilarity",
+                            {"minwise, F, lsh, -0.1", "minwise, F, 1.5",
+                             "minwise, F, lsh, 1e300"});
+}
+
+TEST(UdfArguments, AgglomerativeHierarchicalClusteringNeedsACutoff) {
+  expect_rejected_udf_calls(
+      "AgglomerativeHierarchicalClustering",
+      {"sim, average", "sim, average, 64, -0.5", "sim, average, 64, 2",
+       "sim, single, 64, 1e300"});
+}
+
+TEST(UdfArguments, GreedyClusteringNeedsACutoff) {
+  expect_rejected_udf_calls("GreedyClustering",
+                            {"F", "F, 64, -0.5", "F, 64, 1.5", "F, 64, 1e300"});
 }
 
 TEST(RunScript, Algorithm3TextMatchesBuiltInRunner) {

@@ -7,8 +7,7 @@
 //
 //   mrmc_doctor <trace.json>                    # ANSI text to stdout
 //   mrmc_doctor <trace.json> --format=json      # machine-readable
-//   mrmc_doctor <trace.json> --format=html      # self-contained HTML page
-//   mrmc_doctor <trace.json> -o report.html     # format from extension
+//   mrmc_doctor <trace.json> -o report.json     # JSON for .json, else text
 //   mrmc_doctor <trace.json> --no-color
 //   mrmc_doctor <trace.json> --job <pid>        # one job only
 //   mrmc_doctor jobs <trace.json>               # one-line-per-job listing
@@ -25,7 +24,7 @@
 //
 //   mrmc_doctor compare <baseline.json> <candidate.json>
 //       [--threshold=1.25] [--noisy-threshold=2.5] [--abs-slack=0]
-//       [--format=text|json|html] [-o <path>] [--no-color]
+//       [--format=text|json] [-o <path>] [--no-color]
 //   mrmc_doctor regress --baseline-dir=bench/baselines [--candidate-dir=.]
 //       [threshold flags as above] [-o <path>]
 //   mrmc_doctor index <dir>     # (re)write <dir>/BENCH_index.json
@@ -35,8 +34,8 @@
 // candidates warn and skip rather than fail, so a partial bench run still
 // gates what it produced.
 //
-// Exit status: 0 success, 1 unreadable/malformed input or bad usage,
-// 2 when compare/regress found at least one regression.
+// Exit status: 0 success, 1 unreadable/malformed input or bad usage
+// (an unknown --format too), 2 when compare/regress found a regression.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -61,14 +60,14 @@ namespace regress = mrmc::obs::regress;
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s <trace.json> [--format=text|json|html] [-o <path>]"
+      "usage: %s <trace.json> [--format=text|json] [-o <path>]"
       " [--no-color] [--job <pid>]\n"
       "       %s jobs <trace.json>\n"
-      "       %s pipeline <trace.json> [--format=text|json|html] [-o <path>]"
+      "       %s pipeline <trace.json> [--format=text|json] [-o <path>]"
       " [--no-color] [--bench-json=<path>]\n"
       "       %s compare <baseline.json> <candidate.json>"
       " [--threshold=R] [--noisy-threshold=R] [--abs-slack=S]"
-      " [--format=text|json|html] [-o <path>] [--no-color]\n"
+      " [--format=text|json] [-o <path>] [--no-color]\n"
       "       %s regress --baseline-dir=<dir> [--candidate-dir=<dir>]"
       " [threshold flags] [-o <path>] [--no-color]\n"
       "       %s index <dir>\n",
@@ -79,7 +78,7 @@ int usage(const char* argv0) {
 /// Flags shared by every mode; positional args collect in `positional`.
 struct Options {
   std::vector<std::string> positional;
-  std::string format;
+  std::string format;  ///< "text" or "json" once main() resolves it
   std::string output_path;
   std::string baseline_dir;
   std::string candidate_dir = ".";
@@ -138,10 +137,18 @@ Options parse_options(int argc, char** argv, int first) {
   return options;
 }
 
-/// Explicit --format wins, then the output extension, then text.
+/// Explicit --format wins, then the output extension, then text.  Empty,
+/// after saying so on stderr, when --format names no known format.
 std::string resolve_format(const Options& options) {
-  if (!options.format.empty()) return options.format;
-  return mrmc::obs::report::format_for_path(options.output_path);
+  if (options.format.empty()) {
+    return mrmc::obs::report::format_for_path(options.output_path);
+  }
+  if (options.format == "text" || options.format == "json") {
+    return options.format;
+  }
+  std::fprintf(stderr, "mrmc_doctor: unknown format '%s' (text|json)\n",
+               options.format.c_str());
+  return {};
 }
 
 /// Write `rendered` to -o (or stdout).  Returns false on an unwritable path.
@@ -162,17 +169,13 @@ bool deliver(const Options& options, const std::string& rendered,
 }
 
 /// Render a finished comparison and turn it into an exit status.
-int finish_compare(const Options& options, const regress::CompareReport& report,
-                   const std::string& format) {
-  std::string rendered;
-  if (format == "json") {
-    rendered = regress::to_json(report);
-  } else if (format == "html") {
-    rendered = regress::to_html(report);
-  } else {
-    rendered =
-        regress::to_text(report, options.color && options.output_path.empty());
-  }
+int finish_compare(const Options& options,
+                   const regress::CompareReport& report) {
+  const std::string rendered =
+      options.format == "json"
+          ? regress::to_json(report)
+          : regress::to_text(report,
+                             options.color && options.output_path.empty());
   if (!deliver(options, rendered, "comparison")) return 1;
   // An -o run still narrates pass/fail on stderr so CI logs show the verdict.
   if (!options.output_path.empty()) {
@@ -183,14 +186,11 @@ int finish_compare(const Options& options, const regress::CompareReport& report,
 }
 
 int run_compare(const Options& options) {
-  const std::string format = resolve_format(options);
-  if (format != "text" && format != "json" && format != "html") return 1;
   try {
     const auto baseline = regress::load_rows(options.positional[0]);
     const auto candidate = regress::load_rows(options.positional[1]);
     return finish_compare(
-        options, regress::compare(baseline, candidate, options.thresholds),
-        format);
+        options, regress::compare(baseline, candidate, options.thresholds));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "mrmc_doctor: %s\n", error.what());
     return 1;
@@ -198,8 +198,6 @@ int run_compare(const Options& options) {
 }
 
 int run_regress(const Options& options) {
-  const std::string format = resolve_format(options);
-  if (format != "text" && format != "json" && format != "html") return 1;
   const std::string manifest_path =
       options.baseline_dir + "/BENCH_index.json";
   std::ifstream manifest_file(manifest_path);
@@ -249,8 +247,7 @@ int run_regress(const Options& options) {
   std::fprintf(stderr, "mrmc_doctor: comparing %zu artifact file(s) against %s\n",
                compared_files, options.baseline_dir.c_str());
   return finish_compare(
-      options, regress::compare(baseline, candidate, options.thresholds),
-      format);
+      options, regress::compare(baseline, candidate, options.thresholds));
 }
 
 int run_index(const std::string& dir) {
@@ -338,9 +335,6 @@ int run_jobs(const Options& options) {
 
 /// `pipeline <trace>`: stitch lineage-carrying jobs into PipelineReports.
 int run_pipeline_mode(const Options& options) {
-  const std::string format = resolve_format(options);
-  if (format != "text" && format != "json" && format != "html") return 1;
-
   using namespace mrmc::obs;
   std::vector<pipeline::PipelineReport> reports;
   const std::string& trace_path = options.positional[0];
@@ -371,17 +365,14 @@ int run_pipeline_mode(const Options& options) {
   }
 
   const std::string rendered = pipeline::render(
-      reports, format, options.color && options.output_path.empty());
-  if (!deliver(options, rendered, (format + " pipeline report").c_str())) {
-    return 1;
-  }
-  return 0;
+      reports, options.format, options.color && options.output_path.empty());
+  return deliver(options, rendered,
+                 (options.format + " pipeline report").c_str())
+             ? 0
+             : 1;
 }
 
 int run_single_trace(const Options& options) {
-  const std::string format = resolve_format(options);
-  if (format != "text" && format != "json" && format != "html") return 1;
-
   using namespace mrmc::obs;
   std::vector<report::JobInput> jobs;
   const std::string& trace_path = options.positional[0];
@@ -420,50 +411,41 @@ int run_single_trace(const Options& options) {
   }
 
   const std::string rendered = report::render(
-      jobs, format, options.color && options.output_path.empty());
-  if (!deliver(options, rendered, (format + " report").c_str())) return 1;
-  return 0;
+      jobs, options.format, options.color && options.output_path.empty());
+  return deliver(options, rendered, (options.format + " report").c_str())
+             ? 0
+             : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2) {
-    const std::string mode = argv[1];
-    if (mode == "-h" || mode == "--help") {
-      usage(argv[0]);
-      return 0;
-    }
-    if (mode == "jobs") {
-      const Options options = parse_options(argc, argv, 2);
-      if (!options.ok || options.positional.size() != 1) return usage(argv[0]);
-      return run_jobs(options);
-    }
-    if (mode == "pipeline") {
-      const Options options = parse_options(argc, argv, 2);
-      if (!options.ok || options.positional.size() != 1) return usage(argv[0]);
-      return run_pipeline_mode(options);
-    }
-    if (mode == "compare") {
-      const Options options = parse_options(argc, argv, 2);
-      if (!options.ok || options.positional.size() != 2) return usage(argv[0]);
-      return run_compare(options);
-    }
-    if (mode == "regress") {
-      const Options options = parse_options(argc, argv, 2);
-      if (!options.ok || !options.positional.empty() ||
-          options.baseline_dir.empty()) {
-        return usage(argv[0]);
-      }
-      return run_regress(options);
-    }
-    if (mode == "index") {
-      const Options options = parse_options(argc, argv, 2);
-      if (!options.ok || options.positional.size() != 1) return usage(argv[0]);
-      return run_index(options.positional[0]);
-    }
+  const std::string mode = argc >= 2 ? argv[1] : "";
+  if (mode == "-h" || mode == "--help") {
+    usage(argv[0]);
+    return 0;
   }
-  const Options options = parse_options(argc, argv, 1);
-  if (!options.ok || options.positional.size() != 1) return usage(argv[0]);
-  return run_single_trace(options);
+  const bool has_mode = mode == "jobs" || mode == "pipeline" ||
+                        mode == "compare" || mode == "regress" ||
+                        mode == "index";
+  Options options = parse_options(argc, argv, has_mode ? 2 : 1);
+  if (!options.ok) return usage(argv[0]);
+  options.format = resolve_format(options);
+  if (options.format.empty()) return usage(argv[0]);
+  const std::size_t args = options.positional.size();
+  if (mode == "jobs") return args == 1 ? run_jobs(options) : usage(argv[0]);
+  if (mode == "pipeline") {
+    return args == 1 ? run_pipeline_mode(options) : usage(argv[0]);
+  }
+  if (mode == "compare") {
+    return args == 2 ? run_compare(options) : usage(argv[0]);
+  }
+  if (mode == "regress") {
+    return args == 0 && !options.baseline_dir.empty() ? run_regress(options)
+                                                      : usage(argv[0]);
+  }
+  if (mode == "index") {
+    return args == 1 ? run_index(options.positional[0]) : usage(argv[0]);
+  }
+  return args == 1 ? run_single_trace(options) : usage(argv[0]);
 }
