@@ -291,6 +291,7 @@ int main(int argc, char** argv) {
                                       .scheme = scheme});
         core::kernels::SketchMatrix matrix = hasher.sketch_matrix(seqs);
         if (bits < 64) {
+          matrix = hasher.widen(matrix);
           core::kernels::mask_components(matrix, core::sketch_bits_mask(bits));
         }
         core::candidates::Params lsh_params;

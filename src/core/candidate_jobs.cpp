@@ -28,6 +28,8 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
   config.pool = pool;
   config.fault_plan = exec.fault_plan;
   config.cluster = exec.cluster;
+  config.map_failure_rate = exec.map_failure_rate;
+  config.reduce_failure_rate = exec.reduce_failure_rate;
   return config;
 }
 
@@ -235,10 +237,12 @@ VerifyJobResult run_verify_job(
       [lanes](std::span<const candidates::Pair> split,
               mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         mr::BinaryBlock block = lanes.block(split.size());
-        for (std::size_t r = 0; r < split.size(); ++r) {
-          lanes.encode(block, r, split[r].first, split[r].second);
-          emit.count("verify.pairs_scored");
-        }
+        lanes.sketches().with_cell([&]<typename Cell>(Cell) {
+          for (std::size_t r = 0; r < split.size(); ++r) {
+            lanes.encode<Cell>(block, r, split[r].first, split[r].second);
+            emit.count("verify.pairs_scored");
+          }
+        });
         return block;
       },
       [num_hashes](const candidates::Pair&) {

@@ -91,7 +91,8 @@ namespace detail {
 /// The JobConfig of one pipeline job: its name, the run's pool (nullptr =
 /// the process-wide pool), split size and reducer count (0 = one per reduce
 /// slot, at least one), plus every execution knob the jobs share — cluster,
-/// fault plan — so a new ExecutionOptions knob cannot silently miss a stage.
+/// fault plan, task failure rates — so a new ExecutionOptions knob cannot
+/// silently miss a stage.
 mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
                          common::ThreadPool* pool,
                          std::size_t records_per_split,
@@ -113,10 +114,17 @@ class PairScoreLanes {
     return {lane_bits_, pairs, scorer_->set_based() ? 2U : 1U};
   }
 
+  [[nodiscard]] const kernels::SketchMatrix& sketches() const noexcept {
+    return *sketches_;
+  }
+
   /// Score rows a and b into `lane` of `block`; returns the decoded score.
+  /// Cell is the table's cell type, taken once per block from
+  /// sketches().with_cell.
+  template <typename Cell>
   double encode(mr::BinaryBlock& block, std::uint64_t lane, std::size_t a,
                 std::size_t b) const {
-    const SketchPairSimilarity::Counts counts = scorer_->counts(a, b);
+    const SketchPairSimilarity::Counts counts = scorer_->counts<Cell>(a, b);
     block.set(0, lane, counts.shared);
     if (scorer_->set_based()) block.set(1, lane, counts.unions);
     return scorer_->score(counts);

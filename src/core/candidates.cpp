@@ -65,16 +65,6 @@ BandShape resolve_band_shape(const Params& params, std::size_t sketch_size,
              : select_band_shape(sketch_size, theta, params.target_recall);
 }
 
-std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
-                              std::size_t band, const BandShape& shape,
-                              std::uint64_t seed) noexcept {
-  std::uint64_t h = common::mix64(seed ^ (band * 0x9e3779b97f4a7c15ULL));
-  for (std::size_t r = band * shape.rows; r < (band + 1) * shape.rows; ++r) {
-    h = common::mix64(h ^ sketch[r]);
-  }
-  return h;
-}
-
 namespace {
 
 /// Read ids and bucket positions are 32-bit.
@@ -104,14 +94,16 @@ std::vector<BucketEntry> part_entries(const kernels::SketchMatrix& sketches,
   const std::size_t row_blocks =
       pool == nullptr ? 1 : std::min(rows, pool->size() * 4);
   auto for_each_key = [&](std::size_t row_block, auto&& fn) {
-    for (std::size_t i = begin + rows * row_block / row_blocks;
-         i < begin + rows * (row_block + 1) / row_blocks; ++i) {
-      const auto sketch = sketches.row(i);
-      for (std::size_t band = 0; band < shape.bands; ++band) {
-        const std::uint64_t key = band_bucket_key(sketch, band, shape, seed);
-        fn(key >> (64 - kPartBits), key, static_cast<std::uint32_t>(i));
+    sketches.with_cell([&]<typename Cell>(Cell) {
+      for (std::size_t i = begin + rows * row_block / row_blocks;
+           i < begin + rows * (row_block + 1) / row_blocks; ++i) {
+        const auto sketch = sketches.row<Cell>(i);
+        for (std::size_t band = 0; band < shape.bands; ++band) {
+          const std::uint64_t key = band_bucket_key(sketch, band, shape, seed);
+          fn(key >> (64 - kPartBits), key, static_cast<std::uint32_t>(i));
+        }
       }
-    }
+    });
   };
 
   // cursor[r * kParts + p]: row block r's entries in part p, then (after
@@ -340,12 +332,14 @@ SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
   graph.edges.resize(pairs.size());
 
   const SketchPairSimilarity similarity(sketches, estimator, pool);
-  auto score = [&](std::size_t p) {
-    const auto [a, b] = pairs[p];
-    MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");
-    graph.edges[p] = Edge{a, b, similarity(a, b)};
-  };
-  common::parallel_for(pool, pairs.size(), score);
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    auto score = [&](std::size_t p) {
+      const auto [a, b] = pairs[p];
+      MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");
+      graph.edges[p] = Edge{a, b, similarity.at<Cell>(a, b)};
+    };
+    common::parallel_for(pool, pairs.size(), score);
+  });
   return graph;
 }
 

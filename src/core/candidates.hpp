@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/minhash.hpp"
 
@@ -95,14 +96,23 @@ struct Params {
                                            std::size_t sketch_size,
                                            double theta);
 
-/// The banding hash: bucket key of `sketch`'s band `band` under `shape`.
-/// The batch bucketing and the candidate MapReduce job both call it through
-/// part_entries, so their bucket structure (and therefore their candidate
-/// sets) agree.
-[[nodiscard]] std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
-                                            std::size_t band,
+/// The banding hash: bucket key of `sketch`'s band `band` under `shape`,
+/// one mix64 round per cell.  The batch bucketing and the candidate
+/// MapReduce job both call it through part_entries, so their bucket
+/// structure (and therefore their candidate sets) agree.  `sketch` is a row
+/// of 64-bit values or of 16-bit codes, whose zero-extended codes it mixes:
+/// a band of codes shares a key with exactly the rows sharing its values,
+/// since a stamped hasher's h_i is one to one.
+template <typename Cells>
+[[nodiscard]] std::uint64_t band_bucket_key(const Cells& sketch, std::size_t band,
                                             const BandShape& shape,
-                                            std::uint64_t seed) noexcept;
+                                            std::uint64_t seed) noexcept {
+  std::uint64_t h = common::mix64(seed ^ (band * 0x9e3779b97f4a7c15ULL));
+  for (std::size_t r = band * shape.rows; r < (band + 1) * shape.rows; ++r) {
+    h = common::mix64(h ^ sketch[r]);
+  }
+  return h;
+}
 
 /// An unordered candidate pair, stored with a < b.
 using Pair = std::pair<std::uint32_t, std::uint32_t>;

@@ -29,30 +29,32 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
   std::vector<std::uint8_t> absorbed(n);
 
   int next_label = 0;
-  while (!pending.empty()) {
-    const std::size_t rep = pending.front();
-    const int label = next_label++;
-    result.labels[rep] = label;
-    result.representatives.push_back(rep);
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    while (!pending.empty()) {
+      const std::size_t rep = pending.front();
+      const int label = next_label++;
+      result.labels[rep] = label;
+      result.representatives.push_back(rep);
 
-    const std::size_t others = pending.size() - 1;
-    const auto score = [&](std::size_t idx) {
-      absorbed[idx] = similarity(rep, pending[idx + 1]) >= params.theta;
-    };
-    common::parallel_for(pool, others, score);
-    result.comparisons += others;
+      const std::size_t others = pending.size() - 1;
+      const auto score = [&](std::size_t idx) {
+        absorbed[idx] = similarity.at<Cell>(rep, pending[idx + 1]) >= params.theta;
+      };
+      common::parallel_for(pool, others, score);
+      result.comparisons += others;
 
-    std::size_t kept = 0;
-    for (std::size_t idx = 0; idx < others; ++idx) {
-      const std::size_t candidate = pending[idx + 1];
-      if (absorbed[idx] != 0) {
-        result.labels[candidate] = label;
-      } else {
-        pending[kept++] = candidate;
+      std::size_t kept = 0;
+      for (std::size_t idx = 0; idx < others; ++idx) {
+        const std::size_t candidate = pending[idx + 1];
+        if (absorbed[idx] != 0) {
+          result.labels[candidate] = label;
+        } else {
+          pending[kept++] = candidate;
+        }
       }
+      pending.resize(kept);
     }
-    pending.resize(kept);
-  }
+  });
 
   result.num_clusters = static_cast<std::size_t>(next_label);
   return result;
@@ -63,10 +65,12 @@ GreedyResult greedy_cluster_buckets(const kernels::SketchMatrix& sketches,
                                     const GreedyParams& params) {
   MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
   const SketchPairSimilarity similarity(sketches, params.estimator);
-  return sweep_buckets(buckets, sketches.rows(), 0,
-                       [&](std::size_t rep, std::size_t read) {
-                         return similarity(rep, read) >= params.theta;
-                       });
+  return sketches.with_cell([&]<typename Cell>(Cell) {
+    return sweep_buckets(buckets, sketches.rows(), 0,
+                         [&](std::size_t rep, std::size_t read) {
+                           return similarity.at<Cell>(rep, read) >= params.theta;
+                         });
+  });
 }
 
 GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph,

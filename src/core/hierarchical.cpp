@@ -54,13 +54,15 @@ SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketche
   }
 
   const SketchPairSimilarity similarity(sketches, estimator, pool);
-  auto fill_row = [&](std::size_t i) {
-    matrix.set(i, i, 1.0F);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      matrix.set(i, j, static_cast<float>(similarity(i, j)));
-    }
-  };
-  common::parallel_for(n > 64 ? pool : nullptr, n, fill_row);
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    auto fill_row = [&](std::size_t i) {
+      matrix.set(i, i, 1.0F);
+      for (std::size_t j = i + 1; j < n; ++j) {
+        matrix.set(i, j, static_cast<float>(similarity.at<Cell>(i, j)));
+      }
+    };
+    common::parallel_for(n > 64 ? pool : nullptr, n, fill_row);
+  });
   return matrix;
 }
 

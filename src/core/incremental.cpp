@@ -25,16 +25,15 @@ std::vector<int> IncrementalClusterer::add_all(
   const std::size_t seeded = representatives_.rows();
   const std::size_t cols = representatives_.cols();
   auto table = kernels::SketchMatrix::for_overwrite(seeded + seqs.size(), cols);
-  std::copy_n(representatives_.data(), seeded * cols, table.row(0).data());
+  std::copy_n(representatives_.row_ptr(0), seeded * cols, table.row(0).data());
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     hasher_.sketch_into(seqs[i], table.row(seeded + i));
   }
-  hasher_.certify(table);
   const SketchPairSimilarity similarity(table, greedy_.estimator);
   const GreedyResult swept = sweep_buckets(
       candidates::lsh_buckets(table, shape_, candidates::Params{}.seed),
       table.rows(), seeded, [&](std::size_t rep, std::size_t read) {
-        return similarity(rep, read) >= greedy_.theta;
+        return similarity.at<std::uint64_t>(rep, read) >= greedy_.theta;
       });
 
   auto grown = kernels::SketchMatrix::for_overwrite(swept.num_clusters, cols);

@@ -83,7 +83,8 @@ void min_sketch_scalar(std::span<const std::uint64_t> mul,
   }
 }
 
-std::size_t count_equal_scalar(const std::uint64_t* a, const std::uint64_t* b,
+template <typename Cell>
+std::size_t count_equal_scalar(const Cell* a, const Cell* b,
                                std::size_t n) noexcept {
   std::size_t matches = 0;
   for (std::size_t i = 0; i < n; ++i) matches += a[i] == b[i] ? 1 : 0;
@@ -326,6 +327,21 @@ __attribute__((target("avx2"))) std::size_t count_equal_avx2(
   return matches;
 }
 
+/// 16 codes per compare: cmpeq_epi16 sets both bytes of a matching lane,
+/// so the byte movemask counts every match twice.
+__attribute__((target("avx2"))) std::size_t count_equal_avx2(
+    const std::uint16_t* a, const std::uint16_t* b, std::size_t n) noexcept {
+  std::size_t bytes = 0, i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256i eq = _mm256_cmpeq_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
+    bytes += static_cast<std::size_t>(__builtin_popcount(
+        static_cast<unsigned>(_mm256_movemask_epi8(eq))));
+  }
+  return bytes / 2 + count_equal_scalar(a + i, b + i, n - i);
+}
+
 __attribute__((target("avx2"))) std::size_t argmin_avx2(
     std::span<const double> row) noexcept {
   const std::size_t n = row.size();
@@ -457,9 +473,9 @@ void cmin_sketch(std::uint64_t mul, std::span<const std::uint64_t> add,
   cmin_sketch_scalar(premul, add, modulus, out);
 }
 
-std::size_t count_equal(std::span<const std::uint64_t> a,
-                        std::span<const std::uint64_t> b,
-                        Backend backend) noexcept {
+template <typename Cell>
+std::size_t count_equal_cells(std::span<const Cell> a, std::span<const Cell> b,
+                              Backend backend) noexcept {
   const std::size_t n = std::min(a.size(), b.size());
 #if MRMC_KERNELS_X86
   if (backend == Backend::kAvx2) return count_equal_avx2(a.data(), b.data(), n);
@@ -467,6 +483,18 @@ std::size_t count_equal(std::span<const std::uint64_t> a,
   (void)backend;
 #endif
   return count_equal_scalar(a.data(), b.data(), n);
+}
+
+std::size_t count_equal(std::span<const std::uint64_t> a,
+                        std::span<const std::uint64_t> b,
+                        Backend backend) noexcept {
+  return count_equal_cells(a, b, backend);
+}
+
+std::size_t count_equal(std::span<const std::uint16_t> a,
+                        std::span<const std::uint16_t> b,
+                        Backend backend) noexcept {
+  return count_equal_cells(a, b, backend);
 }
 
 std::size_t argmin(std::span<const double> row, Backend backend) noexcept {
@@ -482,13 +510,13 @@ std::size_t argmin(std::span<const double> row, Backend backend) noexcept {
 
 SketchMatrix::SketchMatrix(std::size_t rows, std::size_t cols,
                            std::uint64_t fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+    : rows_(rows), cols_(cols), values_(rows * cols, fill) {}
 
 SketchMatrix SketchMatrix::for_overwrite(std::size_t rows, std::size_t cols) {
   SketchMatrix matrix;
   matrix.rows_ = rows;
   matrix.cols_ = cols;
-  matrix.data_ = LargeArray<std::uint64_t>::for_overwrite(rows * cols);
+  matrix.values_ = LargeArray<std::uint64_t>::for_overwrite(rows * cols);
   return matrix;
 }
 
@@ -507,8 +535,24 @@ SketchMatrix SketchMatrix::from_sketches(
   return matrix;
 }
 
-void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept {
-  sketches.slot_disjoint_ = false;
+SketchMatrix SketchMatrix::head(std::size_t n) const {
+  SketchMatrix head;
+  head.rows_ = std::min(n, rows_);
+  head.cols_ = cols_;
+  head.slot_disjoint_ = slot_disjoint_;
+  const std::size_t cells = head.rows_ * cols_;
+  if (slot_disjoint_) {
+    head.codes_ = LargeArray<std::uint16_t>::for_overwrite(cells);
+    std::copy_n(codes_.data(), cells, head.codes_.data());
+  } else {
+    head.values_ = LargeArray<std::uint64_t>::for_overwrite(cells);
+    std::copy_n(values_.data(), cells, head.values_.data());
+  }
+  return head;
+}
+
+void mask_components(SketchMatrix& sketches, std::uint64_t mask) {
+  MRMC_REQUIRE(!sketches.slot_disjoint(), "b-bit truncation needs values, not codes");
   for (std::size_t i = 0; i < sketches.rows(); ++i) {
     for (std::uint64_t& value : sketches.row(i)) value &= mask;
   }
@@ -523,26 +567,28 @@ void component_match_matrix(const SketchMatrix& sketches, double* out,
   // partner rows stream through once per block.
   constexpr std::size_t kBlock = 8;
   const MatchScore score(cols);
-
-  auto fill_block = [&](std::size_t block) {
-    const std::size_t i0 = block * kBlock;
-    const std::size_t i1 = std::min(i0 + kBlock, n);
-    for (std::size_t i = i0; i < i1; ++i) out[i * stride + i] = 1.0;
-    for (std::size_t j = i0 + 1; j < n; ++j) {
-      const std::uint64_t* rj = sketches.row_ptr(j);
-      const std::size_t iend = std::min(i1, j);
-      for (std::size_t i = i0; i < iend; ++i) {
-        const std::size_t eq =
-            count_equal({sketches.row_ptr(i), cols}, {rj, cols}, backend);
-        const double sim = static_cast<float>(score(eq));
-        out[i * stride + j] = sim;
-        out[j * stride + i] = sim;
-      }
-    }
-  };
-
   const std::size_t blocks = (n + kBlock - 1) / kBlock;
-  common::parallel_for(n > 64 ? pool : nullptr, blocks, fill_block);
+
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    auto fill_block = [&](std::size_t block) {
+      const std::size_t i0 = block * kBlock;
+      const std::size_t i1 = std::min(i0 + kBlock, n);
+      for (std::size_t i = i0; i < i1; ++i) out[i * stride + i] = 1.0;
+      for (std::size_t j = i0 + 1; j < n; ++j) {
+        const Cell* rj = sketches.row_ptr<Cell>(j);
+        const std::size_t iend = std::min(i1, j);
+        for (std::size_t i = i0; i < iend; ++i) {
+          const std::size_t eq = count_equal(
+              std::span{sketches.row_ptr<Cell>(i), cols}, std::span{rj, cols},
+              backend);
+          const double sim = static_cast<float>(score(eq));
+          out[i * stride + j] = sim;
+          out[j * stride + i] = sim;
+        }
+      }
+    };
+    common::parallel_for(n > 64 ? pool : nullptr, blocks, fill_block);
+  });
 }
 
 }  // namespace mrmc::core::kernels

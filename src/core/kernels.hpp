@@ -12,8 +12,9 @@
 //                        hash-outer / feature-inner loops, 4-way unrolled
 //                        Mersenne-61 reduction (AVX2: 4 hash lanes per
 //                        feature broadcast).
-//  * count_equal       — positions with equal 64-bit components (AVX2:
-//                        cmpeq + movemask popcount), the component-match
+//  * count_equal       — positions with equal components, 64-bit values or
+//                        16-bit codes (AVX2: cmpeq + movemask popcount, 4
+//                        or 16 lanes per compare), the component-match
 //                        estimator's inner loop.
 //  * component_match_matrix — cache-blocked all-pairs similarity fill over a
 //                        flat SketchMatrix (no pointer chase per cell).
@@ -73,6 +74,10 @@ inline constexpr std::uint64_t kMersenne61 = (std::uint64_t{1} << 61) - 1;
 
 /// Sentinel minimum for an empty feature set (no x to minimize over).
 inline constexpr std::uint64_t kEmptyFeatureMin = ~std::uint64_t{0};
+
+/// Its counterpart in a table of codes, its low 16 bits: no k-mer code
+/// (< 4^6) reaches it.
+inline constexpr auto kEmptyFeatureCode = static_cast<std::uint16_t>(kEmptyFeatureMin);
 
 namespace detail {
 
@@ -164,6 +169,9 @@ void cmin_sketch(std::uint64_t mul, std::span<const std::uint64_t> add,
 [[nodiscard]] std::size_t count_equal(std::span<const std::uint64_t> a,
                                       std::span<const std::uint64_t> b,
                                       Backend backend = active_backend()) noexcept;
+[[nodiscard]] std::size_t count_equal(std::span<const std::uint16_t> a,
+                                      std::span<const std::uint16_t> b,
+                                      Backend backend = active_backend()) noexcept;
 
 /// The component-match score m / K for sketches of K = `cols` components,
 /// in its one rounding: m · (1/K), the reciprocal taken once at
@@ -190,24 +198,28 @@ class MatchScore {
 [[nodiscard]] std::size_t argmin(std::span<const double> row,
                                  Backend backend = active_backend()) noexcept;
 
-/// Flat row-major sketch table: rows() sketches of cols() minima each in one
-/// contiguous uint64_t LargeArray.  It is the only form a table of sketches
-/// takes — sketching, checkpoints, candidates, verification and both
-/// clustering modes all read it, locally and in the MapReduce jobs.
+/// Flat row-major sketch table: rows() sketches of cols() cells each in one
+/// contiguous LargeArray.  It is the only form a table of sketches takes —
+/// sketching, checkpoints, candidates, verification and both clustering
+/// modes all read it, locally and in the MapReduce jobs.
 ///
-/// A table also carries a slot-disjoint stamp (slot_disjoint()): set when
-/// every row is a full-width sketch of a MinHasher whose hash table h_i(code)
-/// has no two equal cells and no kEmptyFeatureMin cell, so two rows share a
-/// value only in the same slot (see core::SketchPairSimilarity).  Only
-/// core::MinHasher sets it; mask_components clears it, copies and moves keep
-/// it, and operator== ignores it.  Writes through row() keep it, so a
-/// stamped table's rows may only be overwritten with that hasher's sketches.
+/// A table records its cell width: a cell is an 8-byte minwise value, or
+/// the 2-byte argmin k-mer code of a slot-disjoint stamped table
+/// (slot_disjoint()): core::MinHasher writes one when its
+/// k <= 6 hash table h_i(code) has no two equal cells and no
+/// kEmptyFeatureMin cell, so the code fixes the value, and two rows share a
+/// value only in the same slot, exactly where they share a code (see
+/// core::SketchPairSimilarity).  kEmptyFeatureCode marks a read with no
+/// k-mer.  Only core::MinHasher makes tables of codes, and
+/// MinHasher::widen turns one back into values; copies and moves keep the
+/// width.  Loops over pairs read the width once, through with_cell.
 class SketchMatrix {
  public:
   SketchMatrix() = default;
+  /// rows×cols values, every one `fill`.
   SketchMatrix(std::size_t rows, std::size_t cols, std::uint64_t fill = 0);
-  /// rows×cols, cells uninitialised: for producers that write every cell,
-  /// so the pages are first touched by the (pooled) writers.
+  /// rows×cols values, cells uninitialised: for producers that write every
+  /// cell, so the pages are first touched by the (pooled) writers.
   [[nodiscard]] static SketchMatrix for_overwrite(std::size_t rows,
                                                   std::size_t cols);
 
@@ -215,45 +227,64 @@ class SketchMatrix {
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] bool empty() const noexcept { return rows_ == 0; }
 
-  [[nodiscard]] std::span<std::uint64_t> row(std::size_t i) noexcept {
-    return {data_.data() + i * cols_, cols_};
+  /// Row i as cells of type Cell, which must be the table's cell type:
+  /// std::uint64_t (the default) for values, std::uint16_t for codes.
+  template <typename Cell = std::uint64_t>
+  [[nodiscard]] std::span<Cell> row(std::size_t i) noexcept {
+    return {const_cast<Cell*>(row_ptr<Cell>(i)), cols_};
   }
-  [[nodiscard]] std::span<const std::uint64_t> row(std::size_t i) const noexcept {
-    return {data_.data() + i * cols_, cols_};
+  template <typename Cell = std::uint64_t>
+  [[nodiscard]] std::span<const Cell> row(std::size_t i) const noexcept {
+    return {row_ptr<Cell>(i), cols_};
   }
-  [[nodiscard]] const std::uint64_t* row_ptr(std::size_t i) const noexcept {
-    return data_.data() + i * cols_;
+  template <typename Cell = std::uint64_t>
+  [[nodiscard]] const Cell* row_ptr(std::size_t i) const noexcept {
+    return cells(Cell{}) + i * cols_;
   }
-  [[nodiscard]] const std::uint64_t* data() const noexcept { return data_.data(); }
+
+  /// fn(Cell{}) with the table's cell type, std::uint16_t or std::uint64_t:
+  /// a loop over pairs inside fn reads the width once, not per pair.
+  template <typename Fn>
+  decltype(auto) with_cell(Fn&& fn) const {
+    return slot_disjoint_ ? fn(std::uint16_t{}) : fn(std::uint64_t{});
+  }
 
   /// Gather single sketches into a flat matrix.  All sketches must have
   /// the same length (MinHasher guarantees this).
   static SketchMatrix from_sketches(
       std::span<const std::vector<std::uint64_t>> sketches);
 
-  /// True when the rows carry the slot-disjoint stamp.
+  /// The first min(n, rows()) rows, in this table's width and stamp.
+  [[nodiscard]] SketchMatrix head(std::size_t n) const;
+
+  /// True when the table is a stamped table of 16-bit codes.
   [[nodiscard]] bool slot_disjoint() const noexcept { return slot_disjoint_; }
 
-  /// Shape and cells only: a stamped table equals its unstamped copy.
+  /// Width, shape and cells.
   friend bool operator==(const SketchMatrix& a, const SketchMatrix& b) {
-    return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
+    return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.values_ == b.values_ &&
+           a.codes_ == b.codes_;
   }
 
  private:
   friend class core::MinHasher;
-  friend void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept;
+
+  const std::uint64_t* cells(std::uint64_t) const noexcept { return values_.data(); }
+  const std::uint16_t* cells(std::uint16_t) const noexcept { return codes_.data(); }
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  LargeArray<std::uint64_t> data_;
+  LargeArray<std::uint64_t> values_;  ///< the cells of a table of values
+  LargeArray<std::uint16_t> codes_;   ///< the cells of a table of codes
   bool slot_disjoint_ = false;
 };
 
-/// In-place truncation of every component to its low bits (the b-bit
-/// sketch): value &= mask.  The sketch stage applies it at b < 64, in
-/// process and in the sketch job's map tasks, so local and distributed runs
-/// score the same truncated values.  Clears the slot-disjoint stamp.
-void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept;
+/// In-place truncation of every value to its low bits (the b-bit sketch):
+/// value &= mask.  The sketch stage applies it at b < 64, in process and in
+/// the sketch job's map tasks, so local and distributed runs score the same
+/// truncated values.  A table of codes is refused (InvalidArgument): widen
+/// it first.
+void mask_components(SketchMatrix& sketches, std::uint64_t mask);
 
 /// Cache-blocked all-pairs component-match fill: writes every cell of the
 /// symmetric n×n matrix (diagonal 1) into `out` with `stride` doubles per

@@ -146,12 +146,14 @@ void MinHasher::rank_universe() {
   // Row f holds h_i(codes[f]) for every i, computed by the same kernels a
   // hashed read goes through: the sketch of the one-feature set {codes[f]}.
   std::vector<std::uint64_t> hashed(features * hashes);
+  values_.assign(universe * hashes, 0);
   for (std::size_t f = 0; f < features; ++f) {
     sketch_features_into({&codes[f], 1}, {hashed.data() + f * hashes, hashes});
+    std::copy_n(hashed.data() + f * hashes, hashes,
+                values_.data() + codes[f] * hashes);
   }
   slot_disjoint_ = distinct_and_never_empty(hashed);
   ranked_codes_.resize(hashes * features);
-  ranked_values_.resize(hashes * features);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranking(features);
   for (std::size_t i = 0; i < hashes; ++i) {
     for (std::size_t f = 0; f < features; ++f) {
@@ -159,7 +161,6 @@ void MinHasher::rank_universe() {
     }
     std::sort(ranking.begin(), ranking.end());
     for (std::size_t r = 0; r < features; ++r) {
-      ranked_values_[i * features + r] = ranking[r].first;
       ranked_codes_[i * features + r] =
           static_cast<std::uint16_t>(ranking[r].second);
     }
@@ -174,6 +175,18 @@ void MinHasher::sketch_into(std::string_view seq,
     sketch_features_into(kmer_stream(seq, params_), out);
     return;
   }
+  ranked_sketch_into(seq, out);
+}
+
+void MinHasher::sketch_into(std::string_view seq,
+                            std::span<std::uint16_t> out) const {
+  MRMC_REQUIRE(out.size() == sketch_size() && slot_disjoint_,
+               "codes need one slot per hash and a hasher whose table check passed");
+  ranked_sketch_into(seq, out);
+}
+
+template <typename Cell>
+void MinHasher::ranked_sketch_into(std::string_view seq, std::span<Cell> out) const {
   // The read's k-mers as a presence bitmap over the 4^k codes, which is
   // also their exact dedup.
   std::array<std::uint64_t, kRankedUniverse / 64> present{};
@@ -193,9 +206,15 @@ void MinHasher::sketch_into(std::string_view seq,
     bio::for_each_kmer(seq, params_.kmer,
                        [&](std::uint64_t forward, std::uint64_t) { mark(forward); });
   }
-  // A lookup probes about F / d codes per slot, hashing costs d
-  // evaluations: hash the d features when d² < F (so d < 64), which also
-  // covers the empty read.
+  const std::size_t hashes = out.size();
+  // Slot i's cell for its argmin code: the code itself, or h_i(code).
+  const auto cell = [&](std::uint64_t code, std::size_t i) {
+    if constexpr (sizeof(Cell) == sizeof(std::uint16_t)) return static_cast<Cell>(code);
+    else return values_[code * hashes + i];
+  };
+  // A lookup probes about F / d codes per slot, the tabulated values d:
+  // scan the d codes' values when d² < F (so d < 64).  The empty read keeps
+  // the sentinel, kEmptyMin or its low 16 bits.
   if (distinct * distinct < ranked_features_) {
     std::array<std::uint64_t, 64> features{};
     std::size_t count = 0;
@@ -204,16 +223,25 @@ void MinHasher::sketch_into(std::string_view seq,
         features[count++] = w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
       }
     }
-    sketch_features_into({features.data(), count}, out);
+    for (std::size_t i = 0; i < hashes; ++i) {
+      std::uint64_t best = kEmptyMin;
+      out[i] = static_cast<Cell>(kEmptyMin);
+      for (std::size_t f = 0; f < count; ++f) {
+        if (values_[features[f] * hashes + i] < best) {
+          best = values_[features[f] * hashes + i];
+          out[i] = cell(features[f], i);
+        }
+      }
+    }
     return;
   }
   // Slot i: the first marked code in hash i's ranking has the read's
   // smallest h_i.  Every marked code is ranked, so the scan stops.
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  for (std::size_t i = 0; i < hashes; ++i) {
     const std::uint16_t* const codes = ranked_codes_.data() + i * ranked_features_;
     std::size_t r = 0;
     while (((present[codes[r] >> 6] >> (codes[r] & 63)) & 1) == 0) ++r;
-    out[i] = ranked_values_[i * ranked_features_ + r];
+    out[i] = cell(codes[r], i);
   }
 }
 
@@ -243,18 +271,42 @@ Sketch MinHasher::sketch(std::string_view seq) const {
 
 kernels::SketchMatrix MinHasher::sketch_matrix(
     std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
-  // Every row is written (a read with no k-mer gets kEmptyFeatureMin).
-  auto matrix = kernels::SketchMatrix::for_overwrite(seqs.size(), sketch_size());
-  auto sketch_row = [&](std::size_t i) {
-    sketch_into(seqs[i], matrix.row(i));
-  };
-  common::parallel_for(pool, seqs.size(), sketch_row);
-  matrix.slot_disjoint_ = slot_disjoint_;
+  // Every row is written (a read with no k-mer gets the empty sentinel).
+  kernels::SketchMatrix matrix = table_for_overwrite(seqs.size());
+  matrix.with_cell([&]<typename Cell>(Cell) {
+    common::parallel_for(pool, seqs.size(), [&](std::size_t i) {
+      sketch_into(seqs[i], matrix.row<Cell>(i));
+    });
+  });
   return matrix;
 }
 
-void MinHasher::certify(kernels::SketchMatrix& table) const noexcept {
-  table.slot_disjoint_ = slot_disjoint_ && table.cols() == sketch_size();
+kernels::SketchMatrix MinHasher::table_for_overwrite(std::size_t rows) const {
+  if (!slot_disjoint_) return kernels::SketchMatrix::for_overwrite(rows, sketch_size());
+  kernels::SketchMatrix table;
+  table.rows_ = rows;
+  table.cols_ = sketch_size();
+  table.codes_ = LargeArray<std::uint16_t>::for_overwrite(rows * table.cols_);
+  table.slot_disjoint_ = true;
+  return table;
+}
+
+kernels::SketchMatrix MinHasher::widen(const kernels::SketchMatrix& table,
+                                       common::ThreadPool* pool) const {
+  if (!table.slot_disjoint()) return table;
+  const std::size_t hashes = sketch_size();
+  MRMC_REQUIRE(slot_disjoint_ && table.cols() == hashes,
+               "a table of codes widens only through a hasher that writes them");
+  auto wide = kernels::SketchMatrix::for_overwrite(table.rows(), hashes);
+  common::parallel_for(pool, table.rows(), [&](std::size_t r) {
+    const std::span<const std::uint16_t> codes = table.row<std::uint16_t>(r);
+    for (std::size_t i = 0; i < hashes; ++i) {
+      wide.row(r)[i] = codes[i] == kernels::kEmptyFeatureCode
+                           ? kEmptyMin
+                           : values_[codes[i] * hashes + i];
+    }
+  });
+  return wide;
 }
 
 // ---------------------------------------------------------- SortedSketchStore
@@ -264,6 +316,7 @@ SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches,
     : stride_(sketches.cols()),
       values_(LargeArray<std::uint64_t>::for_overwrite(sketches.rows() * stride_)),
       lengths_(sketches.rows()) {
+  MRMC_REQUIRE(!sketches.slot_disjoint(), "a sorted store holds values, not codes");
   // Copy row i into place, then sort and dedup it there.
   auto fill_row = [&](std::size_t i) {
     const std::span<const std::uint64_t> sketch = sketches.row(i);
@@ -289,9 +342,9 @@ SketchPairSimilarity::SketchPairSimilarity(const kernels::SketchMatrix& sketches
     : sketches_(sketches),
       estimator_(estimator),
       score_(sketches.cols()),
-      slot_disjoint_(sketches.slot_disjoint()),
-      store_(set_based() && !slot_disjoint_ ? SortedSketchStore(sketches, pool)
-                                            : SortedSketchStore()) {}
+      store_(set_based() && !sketches.slot_disjoint()
+                 ? SortedSketchStore(sketches, pool)
+                 : SortedSketchStore()) {}
 
 // ------------------------------------------------------------------ estimators
 

@@ -147,22 +147,22 @@ struct MinHashParams {
 /// Two paths give the same bytes.  sketch_features / sketch_features_into
 /// always hash the given features with the batched kernels, and so do
 /// sketch / sketch_matrix for k >= 7.  For k <= 6 the universe holds at most
-/// 4096 k-mers, and the constructor ranks it once per hash
-/// function: sketch / sketch_matrix (and with them the local sketch stage
-/// and the MR sketch mapper) then mark a read's k-mers in a presence bitmap
-/// and read slot i off as the value of the first marked feature in hash i's
-/// ranking, which is the minimum of h_i over the read by construction.  A
-/// read with so few distinct k-mers d that d² < F (F features ranked) is
-/// hashed by the kernels instead, where that is cheaper than probing.
+/// 4096 k-mers, and the constructor tabulates h_i(code) for every k-mer code
+/// and ranks the codes once per hash function: sketch / sketch_matrix (and
+/// with them the local sketch stage and the MR sketch mapper) then mark a
+/// read's k-mers in a presence bitmap and read slot i off the first marked
+/// code in hash i's ranking, the argmin of h_i over the read by
+/// construction.  A read with so few distinct k-mers d that d² < F (F codes
+/// ranked) takes the argmin over its d codes' tabulated values instead.
 ///
-/// Either way every value of a k <= 6 sketch is an entry of the table the
-/// rankings are built from, so the constructor also checks that table once:
-/// when no two of its cells are equal and none is kEmptyMin, the hasher's
-/// full-width sketches share values only slot by slot, and every table it
-/// writes or certifies carries the slot-disjoint stamp
-/// (kernels::SketchMatrix::slot_disjoint).  The check fails where the outer
-/// modulus forces a collision (K · F > m, e.g. m = 4^k) and for k >= 7,
-/// whose values are never tabulated.
+/// The constructor also checks the tabulated values once: when no two of
+/// them are equal and none is kEmptyMin, a slot's argmin code fixes its
+/// value, and two sketches share values only slot by slot.  Such a hasher
+/// writes its tables as codes (sketch_matrix, table_for_overwrite), stamped
+/// slot-disjoint (kernels::SketchMatrix::slot_disjoint), at a quarter of the
+/// bytes; widen turns them back into values.  The check fails where the
+/// outer modulus forces a collision (K · F > m, e.g. m = 4^k) and for
+/// k >= 7, whose values are never tabulated: those tables hold values.
 class MinHasher {
  public:
   explicit MinHasher(MinHashParams params);
@@ -172,6 +172,8 @@ class MinHasher {
   [[nodiscard]] const UniversalHashFamily& family() const noexcept {
     return family_;
   }
+  /// True when the table check passed: this hasher's tables hold codes.
+  [[nodiscard]] bool writes_codes() const noexcept { return slot_disjoint_; }
 
   /// Sketch of one sequence (Equation 4).
   [[nodiscard]] Sketch sketch(std::string_view seq) const;
@@ -179,6 +181,11 @@ class MinHasher {
   /// Allocation-free variant: writes the sketch of `seq` into `out` (length
   /// sketch_size()), by ranked lookup or by the kernels.
   void sketch_into(std::string_view seq, std::span<std::uint64_t> out) const;
+
+  /// The codes variant: the argmin code of every slot of sketch(seq),
+  /// kernels::kEmptyFeatureCode for a read with no k-mer.  Requires
+  /// writes_codes() (InvalidArgument).
+  void sketch_into(std::string_view seq, std::span<std::uint16_t> out) const;
 
   /// Sketch of an explicit feature set.
   [[nodiscard]] Sketch sketch_features(std::span<const std::uint64_t> features) const;
@@ -188,37 +195,47 @@ class MinHasher {
   void sketch_features_into(std::span<const std::uint64_t> features,
                             std::span<std::uint64_t> out) const;
 
-  /// Sketches for many sequences, one row each, stamped slot-disjoint when
-  /// the table check passed.  When `pool` is non-null, reads are sketched in
-  /// parallel; the result is identical at any thread count.
+  /// Sketches for many sequences, one row each: codes when writes_codes(),
+  /// else values.  When `pool` is non-null, reads are sketched in parallel;
+  /// the result is identical at any thread count.
   [[nodiscard]] kernels::SketchMatrix sketch_matrix(
       std::span<const std::string_view> seqs,
       common::ThreadPool* pool = nullptr) const;
 
-  /// Stamps a table this hasher's full-width sketches were copied into (the
-  /// MapReduce rejoin, a checkpoint decode) as sketch_matrix would: set
-  /// when the table check passed and `table.cols()` is K, cleared
-  /// otherwise, so a table of another sketch length is refused.
-  void certify(kernels::SketchMatrix& table) const noexcept;
+  /// An uninitialised rows × sketch_size() table in sketch_matrix's cell
+  /// format, for the tables this hasher's sketches are copied into (the
+  /// MapReduce rejoin, a checkpoint decode).
+  [[nodiscard]] kernels::SketchMatrix table_for_overwrite(std::size_t rows) const;
+
+  /// `table` as values: a table of codes this hasher wrote gets h_i(code)
+  /// per cell (kEmptyMin for kEmptyFeatureCode), the values sketch() gives;
+  /// a table of values is copied.  Rows convert on `pool` when non-null.
+  [[nodiscard]] kernels::SketchMatrix widen(const kernels::SketchMatrix& table,
+                                            common::ThreadPool* pool = nullptr) const;
 
  private:
   /// Largest k-mer universe 4^k that is ranked (k <= 6).
   static constexpr std::size_t kRankedUniverse = 4096;
 
-  /// Builds the rankings below, and runs the table check, when 4^k <=
+  /// Builds the tables below, and runs the table check, when 4^k <=
   /// kRankedUniverse.
   void rank_universe();
+
+  /// Either sketch_into of a ranked hasher.
+  template <typename Cell>
+  void ranked_sketch_into(std::string_view seq, std::span<Cell> out) const;
 
   MinHashParams params_;
   UniversalHashFamily family_;
   std::optional<CMinHashFamily> cmin_;  ///< engaged when scheme == kCMinHash
-  /// Features per ranking: 4^k, or the canonical codes alone when
+  /// Codes per ranking: 4^k, or the canonical codes alone when
   /// params_.canonical; 0 when the universe is too large to rank.
   std::size_t ranked_features_ = 0;
-  /// Row i (ranked_features_ entries) lists the universe's k-mer codes in
-  /// ascending h_i order, and the same row of ranked_values_ their h_i.
+  /// Row i (ranked_features_ entries) lists the ranked k-mer codes in
+  /// ascending h_i order.
   std::vector<std::uint16_t> ranked_codes_;
-  std::vector<std::uint64_t> ranked_values_;
+  /// values_[code · K + i] = h_i(code) for every ranked code (0 elsewhere).
+  std::vector<std::uint64_t> values_;
   bool slot_disjoint_ = false;  ///< the table check passed
 };
 
@@ -234,15 +251,16 @@ class MinHasher {
 }
 
 /// Pre-sorted unique minima of a set of sketches, so repeated set-based
-/// comparisons of an unstamped table (SketchPairSimilarity) pay the sort
+/// comparisons of a table of values (SketchPairSimilarity) pay the sort
 /// once per sketch instead of twice per pair.  Rows sit at the matrix's fixed
 /// stride of cols() with a length each, so every row sorts in place and
 /// independently of the others.
 class SortedSketchStore {
  public:
   SortedSketchStore() = default;
-  /// When `pool` is non-null the rows sort in parallel; the store is the
-  /// same at any thread count.
+  /// `sketches` must hold values (InvalidArgument otherwise).  When `pool`
+  /// is non-null the rows sort in parallel; the store is the same at any
+  /// thread count.
   explicit SortedSketchStore(const kernels::SketchMatrix& sketches,
                              common::ThreadPool* pool = nullptr);
 
@@ -270,17 +288,21 @@ class SortedSketchStore {
 };
 
 /// The chosen estimator over pairs of rows of one sketch table, equal to
-/// sketch_similarity over the same two sketches when cols() > 0.  A pair's
-/// score is a function of integer counts (counts / score), which is how the
-/// MapReduce jobs ship it: the map tasks send the counts and the driver
-/// scores them, so both paths score every pair through this one class.
-/// Component-match pairs run count_equal over the two rows.  Set-based
-/// pairs do too when the table carries the slot-disjoint stamp: with m =
-/// count_equal, two non-empty rows have |∩| = m and |∪| = 2K - m, an empty
-/// row (every slot kEmptyMin) against a non-empty one 0 and K + 1, and two
-/// empty rows 1 and 1, the very counts of SortedSketchStore::jaccard_counts.
-/// Otherwise set-based pairs read a SortedSketchStore built once (on `pool`
-/// when non-null).  Holds a reference to `sketches`, which must outlive it.
+/// sketch_similarity over the same two sketches (widened, for a table of
+/// codes) when cols() > 0.  A pair's score is a function of integer counts
+/// (counts / score), which is how the MapReduce jobs ship it: the map tasks
+/// send the counts and the driver scores them, so both paths score every
+/// pair through this one class.  Component-match pairs run count_equal over
+/// the two rows.  Set-based pairs do too on a stamped table of codes: with
+/// m = count_equal, two non-empty rows have |∩| = m and |∪| = 2K - m, an
+/// empty row (every slot kEmptyFeatureCode) against a non-empty one 0 and
+/// K + 1, and two empty rows 1 and 1, the very counts of
+/// SortedSketchStore::jaccard_counts over the values.  On a table of values
+/// set-based pairs read a SortedSketchStore built once (on `pool` when
+/// non-null).  Loops over pairs take the table's cell type once
+/// (kernels::SketchMatrix::with_cell) and call counts<Cell> / at<Cell>;
+/// operator() reads it per call.  Holds a reference to `sketches`, which
+/// must outlive it.
 class SketchPairSimilarity {
  public:
   /// The integers a pair's score is made of: the match count m in `shared`
@@ -299,16 +321,18 @@ class SketchPairSimilarity {
     return estimator_ == SketchEstimator::kSetBased;
   }
 
+  /// Cell must be the table's cell type.
+  template <typename Cell>
   [[nodiscard]] Counts counts(std::size_t i, std::size_t j) const noexcept {
-    const std::span<const std::uint64_t> a = sketches_.row(i);
-    const std::span<const std::uint64_t> b = sketches_.row(j);
+    const std::span<const Cell> a = sketches_.row<Cell>(i);
+    const std::span<const Cell> b = sketches_.row<Cell>(j);
     if (!set_based()) return {kernels::count_equal(a, b), 0};
-    if (!slot_disjoint_) {
+    if constexpr (sizeof(Cell) == sizeof(std::uint64_t)) {
       const auto [inter, uni] = store_.jaccard_counts(i, j);
       return {inter, uni};
     }
-    const bool a_empty = a.front() == kEmptyMin;
-    const bool b_empty = b.front() == kEmptyMin;
+    const bool a_empty = a.front() == kernels::kEmptyFeatureCode;
+    const bool b_empty = b.front() == kernels::kEmptyFeatureCode;
     if (a_empty || b_empty) {
       return a_empty && b_empty ? Counts{1, 1} : Counts{0, a.size() + 1};
     }
@@ -322,16 +346,19 @@ class SketchPairSimilarity {
                        : score_(counts.shared);
   }
 
+  template <typename Cell>
+  [[nodiscard]] double at(std::size_t i, std::size_t j) const noexcept {
+    return score(counts<Cell>(i, j));
+  }
   [[nodiscard]] double operator()(std::size_t i, std::size_t j) const noexcept {
-    return score(counts(i, j));
+    return sketches_.with_cell([&]<typename Cell>(Cell) { return at<Cell>(i, j); });
   }
 
  private:
   const kernels::SketchMatrix& sketches_;
   SketchEstimator estimator_;
   kernels::MatchScore score_;
-  bool slot_disjoint_;       ///< set-based pairs score from count_equal
-  SortedSketchStore store_;  ///< empty unless set-based and not slot_disjoint_
+  SortedSketchStore store_;  ///< empty unless set-based on a table of values
 };
 
 /// Estimated Jaccard similarity of two sketches (must be equal length).

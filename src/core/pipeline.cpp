@@ -109,6 +109,7 @@ kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
   for (const auto& read : reads) seqs.emplace_back(read.seq);
   kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs, pool);
   if (sketch_bits < 64) {
+    sketches = hasher.widen(sketches, pool);
     kernels::mask_components(sketches, sketch_bits_mask(sketch_bits));
   }
   return sketches;
@@ -117,12 +118,13 @@ kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
 /// Job 1: sketch every read.  Each map task sketches its split serially
 /// (the splits already fill the pool), read by read through one reused
 /// K-slot row, straight into ONE BinaryBlock — K rows × (reads in split)
-/// columns of b-bit packed minima — instead of one vector<uint64_t> per
-/// read, so the shuffle moves the exact packed bytes (64/b-fold less at
-/// b < 64, and no per-record vector header even at b = 64).  The block's
-/// b-bit lanes keep each value's low b bits, the truncation sketch_reads
-/// applies, so the values equal the local stage's.  The driver rejoins the
-/// blocks straight into the rows of one SketchMatrix.
+/// columns of packed cells — instead of one vector<uint64_t> per read, so
+/// the shuffle moves the exact packed bytes.  At b = 64 a hasher that
+/// writes codes packs them into 16-bit lanes; otherwise the block's b-bit
+/// lanes keep each value's low b bits, the truncation sketch_reads applies
+/// (64/b-fold less at b < 64, and no per-record vector header even at
+/// b = 64).  Either way the cells equal the local stage's.  The driver
+/// rejoins the blocks straight into the rows of one SketchMatrix.
 kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
                                      const MinHasher& hasher,
                                      std::size_t sketch_bits,
@@ -131,43 +133,48 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
                                      mr::JobStats& stats) {
   obs::pipeline::StageScope stage("sketch");
   const std::size_t num_hashes = hasher.sketch_size();
-  const auto blocks = detail::run_block_job(
-      "sketch", exec, pool, exec.records_per_split, reads,
-      [&hasher, num_hashes, sketch_bits](
-          std::span<const bio::FastaRecord> split,
-          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        mr::BinaryBlock block(static_cast<std::uint32_t>(sketch_bits),
-                              num_hashes,
-                              static_cast<std::uint32_t>(split.size()));
-        std::vector<std::uint64_t> row(num_hashes);
-        for (std::uint32_t c = 0; c < block.cols(); ++c) {
-          hasher.sketch_into(split[c].seq, row);
-          for (std::size_t k = 0; k < num_hashes; ++k) block.set(c, k, row[k]);
-        }
-        emit.count("reads.sketched", std::ssize(split));
-        return block;
-      },
-      [num_hashes](const bio::FastaRecord& read) {
-        return cost::sketch_work(read.seq.size(), num_hashes);
-      },
-      stats);
+  const bool codes = sketch_bits >= 64 && hasher.writes_codes();
+  auto sketches = codes ? hasher.table_for_overwrite(reads.size())
+                        : kernels::SketchMatrix::for_overwrite(reads.size(), num_hashes);
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    const auto blocks = detail::run_block_job(
+        "sketch", exec, pool, exec.records_per_split, reads,
+        [&hasher, num_hashes, bits = codes ? 16 : sketch_bits](
+            std::span<const bio::FastaRecord> split,
+            mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
+          mr::BinaryBlock block(static_cast<std::uint32_t>(bits), num_hashes,
+                                static_cast<std::uint32_t>(split.size()));
+          std::vector<Cell> row(num_hashes);
+          for (std::uint32_t c = 0; c < block.cols(); ++c) {
+            hasher.sketch_into(split[c].seq, std::span<Cell>(row));
+            for (std::size_t k = 0; k < num_hashes; ++k) block.set(c, k, row[k]);
+          }
+          emit.count("reads.sketched", std::ssize(split));
+          return block;
+        },
+        [num_hashes](const bio::FastaRecord& read) {
+          return cost::sketch_work(read.seq.size(), num_hashes);
+        },
+        stats);
 
-  // The splits' blocks are disjoint; covering every read, they write every
-  // row, so the rejoin runs block by block on the pool, which also
-  // first-touches the pages.
-  std::size_t rejoined = 0;
-  for (const auto& [first, block] : blocks) {
-    MRMC_CHECK(first + block.cols() <= reads.size(), "sketch block misplaced");
-    rejoined += block.cols();
-  }
-  MRMC_CHECK(rejoined == reads.size(), "sketch blocks do not cover the reads");
-  auto sketches = kernels::SketchMatrix::for_overwrite(reads.size(), num_hashes);
-  common::parallel_for(pool, blocks.size(), [&](std::size_t b) {
-    const auto& [first, block] = blocks[b];
-    for (std::uint32_t c = 0; c < block.cols(); ++c) {
-      const std::span<std::uint64_t> row = sketches.row(first + c);
-      for (std::size_t k = 0; k < num_hashes; ++k) row[k] = block.get(c, k);
+    // The splits' blocks are disjoint; covering every read, they write
+    // every row, so the rejoin runs block by block on the pool, which also
+    // first-touches the pages.
+    std::size_t rejoined = 0;
+    for (const auto& [first, block] : blocks) {
+      MRMC_CHECK(first + block.cols() <= reads.size(), "sketch block misplaced");
+      rejoined += block.cols();
     }
+    MRMC_CHECK(rejoined == reads.size(), "sketch blocks do not cover the reads");
+    common::parallel_for(pool, blocks.size(), [&](std::size_t b) {
+      const auto& [first, block] = blocks[b];
+      for (std::uint32_t c = 0; c < block.cols(); ++c) {
+        const std::span<Cell> row = sketches.row<Cell>(first + c);
+        for (std::size_t k = 0; k < num_hashes; ++k) {
+          row[k] = static_cast<Cell>(block.get(c, k));
+        }
+      }
+    });
   });
   return sketches;
 }
@@ -202,13 +209,15 @@ SimilarityMatrix run_similarity_job(
         std::uint64_t total = 0;
         for (const std::uint32_t row : split) total += n - row - 1;
         mr::BinaryBlock block = lanes.block(total);
-        std::uint64_t lane = 0;
-        for (const std::uint32_t row : split) {
-          for (std::size_t j = row + 1; j < n; ++j, ++lane) {
-            (void)lanes.encode(block, lane, row, j);
+        lanes.sketches().with_cell([&]<typename Cell>(Cell) {
+          std::uint64_t lane = 0;
+          for (const std::uint32_t row : split) {
+            for (std::size_t j = row + 1; j < n; ++j, ++lane) {
+              (void)lanes.encode<Cell>(block, lane, row, j);
+            }
+            emit.count("matrix.rows");
           }
-          emit.count("matrix.rows");
-        }
+        });
         return block;
       },
       [n, num_hashes](const std::uint32_t& row) {
@@ -251,32 +260,61 @@ SimilarityMatrix run_similarity_job(
 // payload — the property that keeps downstream checkpoints valid after an
 // upstream invalidation.
 
-// The sketch table: u64 rows, then per row u64 cols and its cols u64
-// values.  Repeating cols on every row keeps the bytes of the per-sketch
-// layout, so older checkpoints still hit.  A row whose length differs from
-// the first one is a corrupt checkpoint.
+// The sketch table: u64 rows, then per row u64 cols and its cols cells,
+// u64 values or u16 codes.  A table of codes leads with kCodeTableTag
+// (more rows than any payload holds, so never a row count).  Repeating
+// cols on every row keeps the bytes of the per-sketch layout.  A row whose
+// length differs from the first one is a corrupt checkpoint.
+constexpr std::uint64_t kCodeTableTag = ~std::uint64_t{0};
+
 void encode_sketches(mr::recovery::PayloadWriter& writer,
                      const kernels::SketchMatrix& sketches) {
+  if (sketches.slot_disjoint()) writer.u64(kCodeTableTag);
   writer.u64(sketches.rows());
-  for (std::size_t i = 0; i < sketches.rows(); ++i) {
-    writer.u64(sketches.cols());
-    for (const std::uint64_t component : sketches.row(i)) writer.u64(component);
-  }
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    for (std::size_t i = 0; i < sketches.rows(); ++i) {
+      writer.u64(sketches.cols());
+      for (const Cell cell : sketches.row<Cell>(i)) {
+        sizeof(Cell) == 2 ? writer.u16(static_cast<std::uint16_t>(cell))
+                          : writer.u64(cell);
+      }
+    }
+  });
 }
 
-kernels::SketchMatrix decode_sketches(mr::recovery::PayloadReader& reader) {
-  const std::uint64_t rows = reader.u64();
+/// The payload must be in the cell width the stage writes (an older
+/// build's table of values where this one writes codes is a miss), and a
+/// table of codes `hasher`'s, every code a k-mer of its universe or
+/// kEmptyFeatureCode.
+kernels::SketchMatrix decode_sketches(mr::recovery::PayloadReader& reader,
+                                      const MinHasher& hasher,
+                                      std::size_t sketch_bits) {
+  const bool codes = sketch_bits >= 64 && hasher.writes_codes();
+  std::uint64_t rows = reader.u64();
+  MRMC_CHECK(codes == (rows == kCodeTableTag), "sketch table in another cell width");
+  if (codes) rows = reader.u64();
   if (rows == 0) return {};
   const std::uint64_t cols = reader.u64();
-  // rows · (cols + 1) - 1 words follow; bound the allocation by them.
-  const std::uint64_t words = reader.remaining() / 8;
-  MRMC_CHECK(cols <= words && rows <= (words + 1) / (cols + 1),
-             "sketch table larger than its payload");
-  auto sketches = kernels::SketchMatrix::for_overwrite(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i) {
-    if (i > 0) MRMC_CHECK(reader.u64() == cols, "ragged sketch table");
-    for (std::uint64_t& component : sketches.row(i)) component = reader.u64();
-  }
+  // rows · cols cells and rows - 1 more cols words follow; bound the
+  // allocation by them.
+  const std::uint64_t cell_bytes = codes ? 2 : 8;
+  MRMC_CHECK((!codes || cols == hasher.sketch_size()) &&
+                 cols <= reader.remaining() / cell_bytes &&
+                 rows <= (reader.remaining() + 8) / (cols * cell_bytes + 8),
+             "sketch table unlike the hasher's or larger than its payload");
+  auto sketches = codes ? hasher.table_for_overwrite(rows)
+                        : kernels::SketchMatrix::for_overwrite(rows, cols);
+  const std::uint64_t universe = bio::kmer_space_size(hasher.params().kmer);
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (i > 0) MRMC_CHECK(reader.u64() == cols, "ragged sketch table");
+      for (Cell& cell : sketches.row<Cell>(i)) {
+        cell = static_cast<Cell>(codes ? reader.u16() : reader.u64());
+        MRMC_CHECK(!codes || cell < universe || cell == kernels::kEmptyFeatureCode,
+                   "code outside the k-mer universe");
+      }
+    }
+  });
   return sketches;
 }
 
@@ -403,6 +441,11 @@ std::uint64_t params_fingerprint(const PipelineParams& params) {
   mr::stable_hash_append(hasher, params.minhash.modulus);
   mr::stable_hash_append(hasher, static_cast<int>(params.minhash.scheme));
   mr::stable_hash_append(hasher, params.sketch_bits);
+  // k <= 6 tables at b = 64 may be codes: key them apart from the value
+  // tables older checkpoints hold, so those miss once and are rewritten.
+  if (params.minhash.kmer <= 6 && params.sketch_bits >= 64) {
+    mr::stable_hash_append(hasher, std::uint32_t{16});  // bits per cell
+  }
   mr::stable_hash_append(hasher, static_cast<int>(params.mode));
   mr::stable_hash_append(hasher, params.theta);
   mr::stable_hash_append(hasher, static_cast<int>(params.linkage));
@@ -526,10 +569,9 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
           return run_sketch_job(reads, hasher, params.sketch_bits, exec,
                                 stages.pool, result.sketch_stats);
         },
-        encode_sketches, decode_sketches);
-    // The MR rejoin and the checkpoint decoder copy the hasher's sketches
-    // into tables of their own; the stamp does not cover b-bit values.
-    if (params.sketch_bits >= 64) hasher.certify(table);
+        encode_sketches, [&](mr::recovery::PayloadReader& reader) {
+          return decode_sketches(reader, hasher, params.sketch_bits);
+        });
     return std::make_shared<const kernels::SketchMatrix>(std::move(table));
   }();
   result.sim_total_s += result.sketch_stats.timeline.total_s;

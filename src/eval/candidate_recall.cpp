@@ -24,11 +24,7 @@ CandidateRecallReport candidate_recall(
   // Materialize the subsample so the backend sees exactly the rows the
   // oracle scores (banding on the full matrix would propose out-of-sample
   // pairs and skew precision).
-  core::kernels::SketchMatrix sample(n, sketches.cols());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src = sketches.row(i);
-    std::copy(src.begin(), src.end(), sample.row(i).begin());
-  }
+  const core::kernels::SketchMatrix sample = sketches.head(n);
 
   if (params.backend == candidates::Backend::kLshBanded) {
     report.shape = candidates::resolve_band_shape(params, sample.cols(), theta);
@@ -45,18 +41,20 @@ CandidateRecallReport candidate_recall(
 
   std::vector<std::size_t> row_true(n, 0);
   std::vector<std::size_t> row_recovered(n, 0);
-  auto score_row = [&](std::size_t i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (similarity(i, j) < theta) continue;
-      ++row_true[i];
-      const candidates::Pair pair{static_cast<std::uint32_t>(i),
-                                  static_cast<std::uint32_t>(j)};
-      if (std::binary_search(proposed.begin(), proposed.end(), pair)) {
-        ++row_recovered[i];
+  sample.with_cell([&]<typename Cell>(Cell) {
+    auto score_row = [&](std::size_t i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (similarity.at<Cell>(i, j) < theta) continue;
+        ++row_true[i];
+        const candidates::Pair pair{static_cast<std::uint32_t>(i),
+                                    static_cast<std::uint32_t>(j)};
+        if (std::binary_search(proposed.begin(), proposed.end(), pair)) {
+          ++row_recovered[i];
+        }
       }
-    }
-  };
-  common::parallel_for(pool, n, score_row);
+    };
+    common::parallel_for(pool, n, score_row);
+  });
   for (std::size_t i = 0; i < n; ++i) {
     report.true_pairs += row_true[i];
     report.recovered_pairs += row_recovered[i];

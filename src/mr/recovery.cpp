@@ -73,20 +73,12 @@ double backoff_delay_s(const RetryPolicy& policy, int attempt) {
 
 // ------------------------------------------------------- payload encoding
 
-void PayloadWriter::u32(std::uint32_t value) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xffU);
+void PayloadWriter::put(std::uint64_t value, std::size_t bytes) {
+  char out[8];
+  for (std::size_t i = 0; i < bytes; ++i) {
+    out[i] = static_cast<char>((value >> (8 * i)) & 0xffU);
   }
-  buffer_.append(bytes, sizeof(bytes));
-}
-
-void PayloadWriter::u64(std::uint64_t value) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xffU);
-  }
-  buffer_.append(bytes, sizeof(bytes));
+  buffer_.append(out, bytes);
 }
 
 void PayloadWriter::f64(double value) {
@@ -108,27 +100,15 @@ void PayloadReader::need(std::size_t count) {
   }
 }
 
-std::uint32_t PayloadReader::u32() {
-  need(4);
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(bytes_[pos_ + i]))
-             << (8 * i);
-  }
-  pos_ += 4;
-  return value;
-}
-
-std::uint64_t PayloadReader::u64() {
-  need(8);
+std::uint64_t PayloadReader::take(std::size_t bytes) {
+  need(bytes);
   std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < bytes; ++i) {
     value |= static_cast<std::uint64_t>(
                  static_cast<unsigned char>(bytes_[pos_ + i]))
              << (8 * i);
   }
-  pos_ += 8;
+  pos_ += bytes;
   return value;
 }
 

@@ -126,8 +126,9 @@ void validate(const RetryPolicy& policy);
 /// Byte-order-independent little-endian encoder for checkpoint payloads.
 class PayloadWriter {
  public:
-  void u32(std::uint32_t value);
-  void u64(std::uint64_t value);
+  void u16(std::uint16_t value) { put(value, 2); }
+  void u32(std::uint32_t value) { put(value, 4); }
+  void u64(std::uint64_t value) { put(value, 8); }
   void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
   void f64(double value);
   void f32(float value);
@@ -137,6 +138,9 @@ class PayloadWriter {
   [[nodiscard]] std::string take() { return std::move(buffer_); }
 
  private:
+  /// The low `bytes` bytes of `value`, least significant first.
+  void put(std::uint64_t value, std::size_t bytes);
+
   std::string buffer_;
 };
 
@@ -146,8 +150,9 @@ class PayloadReader {
  public:
   explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
 
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  [[nodiscard]] std::uint16_t u16() { return static_cast<std::uint16_t>(take(2)); }
+  [[nodiscard]] std::uint32_t u32() { return static_cast<std::uint32_t>(take(4)); }
+  [[nodiscard]] std::uint64_t u64() { return take(8); }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64();
   [[nodiscard]] float f32();
@@ -164,6 +169,8 @@ class PayloadReader {
 
  private:
   void need(std::size_t count);
+  /// The next `bytes` bytes as a little-endian integer.
+  [[nodiscard]] std::uint64_t take(std::size_t bytes);
 
   std::string_view bytes_;
   std::size_t pos_ = 0;

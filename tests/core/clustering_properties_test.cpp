@@ -16,8 +16,10 @@
 namespace mrmc::core {
 namespace {
 
+/// The k = 5 table of codes of an S9 sample, or its values when `values`.
 kernels::SketchMatrix sample_sketches(std::uint64_t seed,
-                                      std::size_t reads = 120) {
+                                      std::size_t reads = 120,
+                                      bool values = false) {
   const auto sample = simdata::build_whole_metagenome(
       simdata::whole_metagenome_spec("S9"), {.reads = reads, .seed = seed});
   const MinHasher hasher(
@@ -25,7 +27,8 @@ kernels::SketchMatrix sample_sketches(std::uint64_t seed,
   std::vector<std::string_view> seqs;
   seqs.reserve(sample.size());
   for (const auto& read : sample.reads) seqs.emplace_back(read.seq);
-  return hasher.sketch_matrix(seqs);
+  const kernels::SketchMatrix codes = hasher.sketch_matrix(seqs);
+  return values ? hasher.widen(codes) : codes;
 }
 
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -55,7 +58,7 @@ TEST_P(SeedSweep, ThresholdExtremesBehave) {
 }
 
 TEST_P(SeedSweep, HierarchicalIsInvariantToInputPermutation) {
-  const auto sketches = sample_sketches(GetParam(), 60);
+  const auto sketches = sample_sketches(GetParam(), 60, true);
   const auto baseline = hierarchical_cluster(sketches, {.theta = 0.5});
 
   // Permute, cluster, and compare partitions via ARI (labels renumber).

@@ -280,8 +280,8 @@ TEST(KmerStream, SketchesEqualSketchesOfTheKmerSet) {
                 bio::kmer_set(read, {.k = k, .canonical = true})));
           }
           const auto expected = kernels::SketchMatrix::from_sketches(reference);
-          EXPECT_EQ(hasher.sketch_matrix(views), expected);
-          EXPECT_EQ(hasher.sketch_matrix(views, &pool), expected);
+          EXPECT_EQ(hasher.widen(hasher.sketch_matrix(views)), expected);
+          EXPECT_EQ(hasher.widen(hasher.sketch_matrix(views, &pool)), expected);
           for (std::size_t i = 0; i < reads.size(); ++i) {
             ASSERT_EQ(hasher.sketch(reads[i]), reference[i])
                 << "k=" << k << " scheme=" << sketch_scheme_name(scheme)
@@ -369,9 +369,13 @@ TEST(RankedSketch, EqualsKernelSketchOfTheKmerSet) {
                 << " scheme=" << sketch_scheme_name(scheme)
                 << " modulus=" << modulus << " read " << i;
           }
-          EXPECT_EQ(hasher.sketch_matrix(views), expected) << "k=" << k;
-          EXPECT_EQ(hasher.sketch_matrix(views, &one), expected) << "k=" << k;
-          EXPECT_EQ(hasher.sketch_matrix(views, &four), expected) << "k=" << k;
+          // A table of codes widens to the values of the same reads.
+          for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                        &one, &four}) {
+            const auto table = hasher.sketch_matrix(views, p);
+            EXPECT_EQ(table.slot_disjoint(), hasher.writes_codes()) << "k=" << k;
+            EXPECT_EQ(hasher.widen(table, p), expected) << "k=" << k;
+          }
         }
       }
     }
@@ -380,19 +384,11 @@ TEST(RankedSketch, EqualsKernelSketchOfTheKmerSet) {
 
 // ------------------------------------------------- slot-disjoint sketches
 //
-// A MinHasher stamps the tables it sketches when its k <= 6 ranked table
-// h_i(code) has no repeated value and no kEmptyMin.  SketchPairSimilarity
-// then scores set-based pairs from count_equal; the counts must be the
-// store's.
-
-/// A copy of `table`'s shape and cells without its stamp.
-kernels::SketchMatrix unstamped_copy(const kernels::SketchMatrix& table) {
-  kernels::SketchMatrix copy(table.rows(), table.cols());
-  for (std::size_t i = 0; i < table.rows(); ++i) {
-    std::ranges::copy(table.row(i), copy.row(i).begin());
-  }
-  return copy;
-}
+// A MinHasher writes its tables as 16-bit argmin codes, stamped
+// slot-disjoint, when its k <= 6 table h_i(code) has no repeated value and
+// no kEmptyMin.  SketchPairSimilarity then scores set-based pairs from
+// count_equal over the codes; the counts must be the store's over the
+// widened values.
 
 TEST(SlotDisjointStamp, HoldsAtFullRangeAndIsAbsentWhereTheModulusForcesACollision) {
   EXPECT_FALSE(kernels::SketchMatrix().slot_disjoint());
@@ -413,8 +409,8 @@ TEST(SlotDisjointStamp, HoldsAtFullRangeAndIsAbsentWhereTheModulusForcesACollisi
                                    .seed = 70 + static_cast<std::uint64_t>(k),
                                    .scheme = scheme};
         // k = 7 is never tabulated, so it is never stamped.
-        EXPECT_EQ(MinHasher(params).sketch_matrix(reads).slot_disjoint(), k <= 6)
-            << where;
+        const auto table = MinHasher(params).sketch_matrix(reads);
+        EXPECT_EQ(table.slot_disjoint(), k <= 6) << where;
         // m = 4^k: K · F values in [0, m) must collide.
         auto literal = params;
         literal.modulus = bio::kmer_space_size(k);
@@ -425,14 +421,15 @@ TEST(SlotDisjointStamp, HoldsAtFullRangeAndIsAbsentWhereTheModulusForcesACollisi
   }
 }
 
-TEST(SlotDisjointStamp, MaskClearsItCopyAndMoveKeepItAndEqualityIgnoresIt) {
+TEST(SlotDisjointStamp, CopyAndMoveKeepItAndWideningDropsIt) {
   const MinHasher hasher({.kmer = 4, .num_hashes = 16, .seed = 3});
-  const std::vector<std::string_view> reads = {"ACGTTGCAAGGT", "TTTTACGA"};
+  const std::vector<std::string_view> reads = {"ACGTTGCAAGGT", "TTTTACGA", ""};
   const kernels::SketchMatrix stamped = hasher.sketch_matrix(reads);
   ASSERT_TRUE(stamped.slot_disjoint());
 
   kernels::SketchMatrix copied = stamped;
   EXPECT_TRUE(copied.slot_disjoint());
+  EXPECT_EQ(copied, stamped);
   kernels::SketchMatrix assigned;
   assigned = copied;
   EXPECT_TRUE(assigned.slot_disjoint());
@@ -441,49 +438,60 @@ TEST(SlotDisjointStamp, MaskClearsItCopyAndMoveKeepItAndEqualityIgnoresIt) {
   kernels::SketchMatrix move_assigned;
   move_assigned = std::move(assigned);
   EXPECT_TRUE(move_assigned.slot_disjoint());
+  const kernels::SketchMatrix head = stamped.head(2);
+  EXPECT_TRUE(head.slot_disjoint());
+  ASSERT_EQ(head.rows(), 2U);
+  EXPECT_TRUE(std::ranges::equal(head.row<std::uint16_t>(1),
+                                 stamped.row<std::uint16_t>(1)));
 
-  const kernels::SketchMatrix plain = unstamped_copy(stamped);
-  EXPECT_FALSE(plain.slot_disjoint());
-  EXPECT_EQ(plain, stamped);
-
-  // The all-ones mask keeps every value and still drops the stamp.
+  // Widening gives the values sketch() gives, unstamped; a table of values
+  // widens to itself.  Only values can be truncated.
+  const kernels::SketchMatrix wide = hasher.widen(stamped);
+  EXPECT_FALSE(wide.slot_disjoint());
+  EXPECT_NE(wide, stamped);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(wide.row(i), hasher.sketch(reads[i]))) << i;
+  }
+  EXPECT_EQ(wide.row(2).front(), kEmptyMin);
+  EXPECT_EQ(stamped.row<std::uint16_t>(2).front(), kernels::kEmptyFeatureCode);
+  EXPECT_EQ(hasher.widen(wide), wide);
   kernels::SketchMatrix masked = stamped;
+  EXPECT_THROW(kernels::mask_components(masked, sketch_bits_mask(8)),
+               common::InvalidArgument);
+  masked = wide;
   kernels::mask_components(masked, sketch_bits_mask(64));
-  EXPECT_FALSE(masked.slot_disjoint());
-  EXPECT_EQ(masked, stamped);
+  EXPECT_EQ(masked, wide);
   kernels::mask_components(masked, sketch_bits_mask(8));
-  EXPECT_FALSE(masked.slot_disjoint());
-  EXPECT_NE(masked, stamped);
+  EXPECT_NE(masked, wide);
 }
 
-TEST(SlotDisjointStamp, CertifyStampsTheHashersOwnTablesAndRefusesOthers) {
+TEST(SlotDisjointStamp, OnlyTheWritingHasherMakesAndWidensCodeTables) {
   const MinHasher hasher({.kmer = 3, .num_hashes = 5, .seed = 2});
   const std::vector<std::string_view> reads = {"ACGTTGCAAGGT", "", "CCCAT"};
   const kernels::SketchMatrix sketched = hasher.sketch_matrix(reads);
   ASSERT_TRUE(sketched.slot_disjoint());
 
-  // A table the hasher's sketches were copied into, as a rejoin or a
-  // decoder builds it.
-  kernels::SketchMatrix rejoined = unstamped_copy(sketched);
-  hasher.certify(rejoined);
-  EXPECT_TRUE(rejoined.slot_disjoint());
+  // A table the hasher's codes are copied into, as a rejoin or a decoder
+  // builds it.
+  kernels::SketchMatrix rejoined = hasher.table_for_overwrite(reads.size());
+  ASSERT_TRUE(rejoined.slot_disjoint());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    hasher.sketch_into(reads[i], rejoined.row<std::uint16_t>(i));
+  }
+  EXPECT_EQ(rejoined, sketched);
 
-  // Another sketch length is refused, and a stamp it carried is dropped.
-  kernels::SketchMatrix wider = MinHasher({.kmer = 3, .num_hashes = 6, .seed = 2})
-                                    .sketch_matrix(reads);
-  ASSERT_TRUE(wider.slot_disjoint());
-  hasher.certify(wider);
-  EXPECT_FALSE(wider.slot_disjoint());
-  kernels::SketchMatrix empty;
-  hasher.certify(empty);
-  EXPECT_FALSE(empty.slot_disjoint());
-
-  // A hasher whose table check fails certifies nothing.
+  // A hasher of another sketch length, or one whose table check fails,
+  // cannot widen these codes; the latter writes no codes at all.
+  EXPECT_THROW((void)MinHasher({.kmer = 3, .num_hashes = 6, .seed = 2}).widen(sketched),
+               common::InvalidArgument);
   const MinHasher literal(
       {.kmer = 3, .num_hashes = 5, .seed = 2, .modulus = bio::kmer_space_size(3)});
-  kernels::SketchMatrix same_shape = sketched;
-  literal.certify(same_shape);
-  EXPECT_FALSE(same_shape.slot_disjoint());
+  EXPECT_FALSE(literal.writes_codes());
+  EXPECT_FALSE(literal.table_for_overwrite(2).slot_disjoint());
+  EXPECT_THROW((void)literal.widen(sketched), common::InvalidArgument);
+  std::vector<std::uint16_t> codes(5);
+  EXPECT_THROW(literal.sketch_into(reads[0], codes), common::InvalidArgument);
+  EXPECT_THROW(SortedSketchStore{sketched}, common::InvalidArgument);
 }
 
 TEST(SlotDisjointStamp, StampedCountsEqualUnstampedOnEveryPair) {
@@ -520,7 +528,7 @@ TEST(SlotDisjointStamp, StampedCountsEqualUnstampedOnEveryPair) {
                                 .scheme = scheme});
         const auto stamped_table = hasher.sketch_matrix(views);
         ASSERT_TRUE(stamped_table.slot_disjoint());
-        const auto plain_table = unstamped_copy(stamped_table);
+        const auto plain_table = hasher.widen(stamped_table, &pool);
         const SortedSketchStore store(plain_table);
         const SketchPairSimilarity unstamped(plain_table, SketchEstimator::kSetBased,
                                              &pool);
@@ -528,8 +536,10 @@ TEST(SlotDisjointStamp, StampedCountsEqualUnstampedOnEveryPair) {
         for (std::size_t i = 0; i < reads.size(); ++i) {
           for (std::size_t j = 0; j < reads.size(); ++j) {
             const auto [inter, uni] = store.jaccard_counts(i, j);
-            const SketchPairSimilarity::Counts counts = stamped.counts(i, j);
-            const SketchPairSimilarity::Counts reference = unstamped.counts(i, j);
+            const SketchPairSimilarity::Counts counts =
+                stamped.counts<std::uint16_t>(i, j);
+            const SketchPairSimilarity::Counts reference =
+                unstamped.counts<std::uint64_t>(i, j);
             ASSERT_EQ(counts.shared, inter)
                 << "k=" << k << " canonical=" << canonical
                 << " scheme=" << sketch_scheme_name(scheme) << " pair " << i
@@ -554,12 +564,8 @@ TEST(SlotDisjointStamp, UnstampedScorerCountsCrossSlotCoincidences) {
   std::ranges::copy(std::vector<std::uint64_t>{2, 9, 8, 7}, sketches.row(1).begin());
   ASSERT_FALSE(sketches.slot_disjoint());
   const SketchPairSimilarity plain(sketches, SketchEstimator::kSetBased);
-  EXPECT_EQ(plain.counts(0, 1).shared, 1U);
-  EXPECT_EQ(plain.counts(0, 1).unions, 7U);
-  // A slot-disjoint hasher of another sketch length cannot stamp it.
-  const MinHasher other({.kmer = 3, .num_hashes = 5, .seed = 2});
-  other.certify(sketches);
-  EXPECT_FALSE(sketches.slot_disjoint());
+  EXPECT_EQ(plain.counts<std::uint64_t>(0, 1).shared, 1U);
+  EXPECT_EQ(plain.counts<std::uint64_t>(0, 1).unions, 7U);
   EXPECT_EQ(kernels::count_equal(sketches.row(0), sketches.row(1)), 0U);
 }
 
@@ -590,6 +596,94 @@ TEST(CountEqualEquivalence, HighBitValues) {
   EXPECT_EQ(kernels::count_equal(a, b, Backend::kScalar), 3U);
   if (avx2_available()) {
     EXPECT_EQ(kernels::count_equal(a, b, Backend::kAvx2), 3U);
+  }
+}
+
+TEST(CountEqualEquivalence, CodesAtAllLengthsIncludingTails) {
+  common::Xoshiro256 rng(7);
+  for (std::size_t len = 0; len <= 100; ++len) {
+    std::vector<std::uint16_t> a(len), b(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      // A small alphabet with the empty sentinel: frequent equality.
+      a[i] = rng.bounded(4) == 0 ? kernels::kEmptyFeatureCode
+                                 : static_cast<std::uint16_t>(rng.bounded(3));
+      b[i] = rng.bounded(4) == 0 ? kernels::kEmptyFeatureCode
+                                 : static_cast<std::uint16_t>(rng.bounded(3));
+    }
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < len; ++i) expected += a[i] == b[i] ? 1 : 0;
+    EXPECT_EQ(kernels::count_equal(std::span<const std::uint16_t>(a), b,
+                                   Backend::kScalar),
+              expected);
+    if (avx2_available()) {
+      EXPECT_EQ(kernels::count_equal(std::span<const std::uint16_t>(a), b,
+                                     Backend::kAvx2),
+                expected)
+          << "len=" << len;
+    }
+  }
+}
+
+TEST(CodeKernels, TileKernelOnCodesEqualsItOnTheValues) {
+  // k = 1: four codes, so slots match often; K = 40 leaves an 8-code tail
+  // after the 16-lane compares.  Short reads take the d² < F fallback.
+  common::Xoshiro256 rng(43);
+  std::vector<std::string> reads;
+  for (int i = 0; i < 150; ++i) reads.push_back(random_seq(rng, 1 + rng.bounded(12)));
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  const MinHasher hasher({.kmer = 1, .num_hashes = 40, .seed = 4});
+  const kernels::SketchMatrix codes = hasher.sketch_matrix(views);
+  ASSERT_TRUE(codes.slot_disjoint());
+  const kernels::SketchMatrix values = hasher.widen(codes);
+  const std::size_t n = reads.size();
+  std::vector<double> expected(n * n);
+  kernels::component_match_matrix(values, expected.data(), n, Backend::kScalar);
+  common::ThreadPool pool(4);
+  for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+    if (!kernels::backend_available(backend)) continue;
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+      std::vector<double> out(n * n, std::numeric_limits<double>::quiet_NaN());
+      kernels::component_match_matrix(codes, out.data(), n, backend, p);
+      for (std::size_t cell = 0; cell < n * n; ++cell) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[cell]),
+                  std::bit_cast<std::uint64_t>(expected[cell]))
+            << "backend=" << kernels::backend_name(backend)
+            << " pooled=" << (p != nullptr) << " cell " << cell / n << ","
+            << cell % n;
+      }
+    }
+  }
+  // The per-pair scorers agree with the tile on both widths.
+  for (const SketchEstimator estimator :
+       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+    const SketchPairSimilarity on_codes(codes, estimator);
+    const SketchPairSimilarity on_values(values, estimator);
+    for (std::size_t i = 0; i < n; i += 7) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(on_codes.at<std::uint16_t>(i, j), on_values.at<std::uint64_t>(i, j))
+            << i << "," << j;
+        ASSERT_EQ(on_codes(i, j), on_values(i, j)) << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(CodeKernels, BandKeyOfCodesMixesTheZeroExtendedCodes) {
+  common::Xoshiro256 rng(47);
+  for (std::size_t len = 1; len <= 40; ++len) {
+    std::vector<std::uint16_t> codes(len);
+    for (auto& code : codes) code = static_cast<std::uint16_t>(rng.bounded(4096));
+    const std::vector<std::uint64_t> extended(codes.begin(), codes.end());
+    for (std::size_t bands = 1; bands <= len; ++bands) {
+      if (len % bands != 0) continue;
+      const candidates::BandShape shape{bands, len / bands};
+      for (std::size_t band = 0; band < bands; ++band) {
+        ASSERT_EQ(candidates::band_bucket_key(std::span<const std::uint16_t>(codes),
+                                              band, shape, 11),
+                  candidates::band_bucket_key(extended, band, shape, 11))
+            << "len=" << len << " band=" << band;
+      }
+    }
   }
 }
 
@@ -779,7 +873,7 @@ TEST(SimilarityMatrixEquivalence, CertifiedSetBasedFillEqualsTheStoreFill) {
     const auto sketches = hasher.sketch_matrix(views);
     ASSERT_TRUE(sketches.slot_disjoint());
     const SimilarityMatrix reference =
-        pairwise_similarity_matrix(unstamped_copy(sketches), SketchEstimator::kSetBased);
+        pairwise_similarity_matrix(hasher.widen(sketches), SketchEstimator::kSetBased);
     for (const std::size_t threads : {1, 4}) {
       common::ThreadPool pool(threads);
       const SimilarityMatrix got =

@@ -116,8 +116,9 @@ TEST(MinHasher, SketchMatrixRowsMatchIndividualSketches) {
   const auto sketches = hasher.sketch_matrix(seqs);
   ASSERT_EQ(sketches.rows(), 2u);
   ASSERT_EQ(sketches.cols(), 8u);
+  const auto values = hasher.widen(sketches);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    const auto row = sketches.row(i);
+    const auto row = values.row(i);
     EXPECT_EQ(Sketch(row.begin(), row.end()), hasher.sketch(seqs[i]));
   }
 }

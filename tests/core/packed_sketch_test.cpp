@@ -120,7 +120,7 @@ TEST(BBitQuality, CandidateRecallAboveFloorAtEightBits) {
   for (const auto& read : data.reads) seqs.emplace_back(read.seq);
   const MinHasher hasher({.kmer = 5, .num_hashes = 64, .canonical = true,
                           .seed = 1});
-  kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs);
+  kernels::SketchMatrix sketches = hasher.widen(hasher.sketch_matrix(seqs));
   kernels::mask_components(sketches, sketch_bits_mask(8));
 
   const auto report = eval::candidate_recall(

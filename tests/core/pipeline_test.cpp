@@ -42,26 +42,24 @@ TEST(Pipeline, EmptyInput) {
   EXPECT_EQ(result.num_clusters, 0u);
 }
 
-/// The set-based labels of `params` computed outside the pipeline on an
-/// unstamped copy of the hasher's table: every pair is scored through a
-/// SortedSketchStore.
-std::vector<int> store_scored_labels(std::span<const bio::FastaRecord> reads,
+/// The labels of `params` computed outside the pipeline on the widened
+/// values of the hasher's table of codes: set-based pairs are scored
+/// through a SortedSketchStore, component-match pairs by count_equal over
+/// 64-bit values.
+std::vector<int> value_scored_labels(std::span<const bio::FastaRecord> reads,
                                      const PipelineParams& params) {
   std::vector<std::string_view> seqs;
   for (const auto& read : reads) seqs.emplace_back(read.seq);
-  const auto stamped = MinHasher(params.minhash).sketch_matrix(seqs);
-  kernels::SketchMatrix sketches(stamped.rows(), stamped.cols());
-  for (std::size_t i = 0; i < stamped.rows(); ++i) {
-    std::ranges::copy(stamped.row(i), sketches.row(i).begin());
-  }
+  const MinHasher hasher(params.minhash);
+  const auto sketches = hasher.widen(hasher.sketch_matrix(seqs));
+  const SketchEstimator estimator =
+      params.mode == Mode::kGreedy ? params.greedy_estimator : params.estimator;
   const bool exact = params.candidates.backend == candidates::Backend::kExactAllPairs;
   if (params.mode == Mode::kGreedy && exact) {
-    return greedy_cluster(sketches, {params.theta, SketchEstimator::kSetBased})
-        .labels;
+    return greedy_cluster(sketches, {params.theta, estimator}).labels;
   }
   const auto graph = candidates::build_graph(sketches, params.candidates,
-                                             params.theta,
-                                             SketchEstimator::kSetBased);
+                                             params.theta, estimator);
   if (params.mode == Mode::kGreedy) {
     return greedy_cluster_graph(graph, {params.theta}).labels;
   }
@@ -73,8 +71,8 @@ std::vector<int> store_scored_labels(std::span<const bio::FastaRecord> reads,
 /// Distributed runs on `nodes` simulated nodes and local runs, each on a
 /// pool of 0 (the shared pool), 1 and 3 threads, give the labels of a local
 /// run on the shared pool, under both estimators and both candidate
-/// backends.  Set-based runs, which score from the table's slot-disjoint
-/// stamp, also give the store-scored labels.  A 1-thread pool runs the cluster
+/// backends, and those are the labels of the widened values.  A 1-thread
+/// pool runs the cluster
 /// reducer's nested parallel loops on the reducer's own worker.
 void expect_distributed_matches_local(Mode mode, std::size_t nodes) {
   const auto sample = small_sample();
@@ -92,10 +90,7 @@ void expect_distributed_matches_local(Mode mode, std::size_t nodes) {
       const std::string run = std::string(mode_name(mode)) + " " +
                               candidates::backend_name(backend) + " estimator " +
                               std::to_string(static_cast<int>(estimator));
-      if (estimator == SketchEstimator::kSetBased) {
-        EXPECT_EQ(reference.labels, store_scored_labels(sample.reads, params))
-            << run;
-      }
+      EXPECT_EQ(reference.labels, value_scored_labels(sample.reads, params)) << run;
       for (const std::size_t threads : {0, 1, 3}) {
         ExecutionOptions distributed;
         distributed.cluster.nodes = nodes;
@@ -121,46 +116,66 @@ TEST(Pipeline, DistributedHierarchicalMatchesLocal) {
   expect_distributed_matches_local(Mode::kHierarchical, 3);
 }
 
-/// The paths to a k = 5 set-based scorer: the local sketch stage's stamped
-/// table, the MR rejoin's and the checkpoint decoder's (both stamped by
-/// MinHasher::certify).  Every run gives the store-scored labels.
-TEST(Pipeline, StampedSetBasedRunsMatchFreshAndAfterACheckpointHit) {
+/// The paths to a k = 5 table of codes: the local sketch stage's, the MR
+/// rejoin's and the checkpoint decoder's.  Every run of `params` gives the
+/// labels of the widened values.
+void expect_value_scored_labels_on_every_path(const PipelineParams& params,
+                                              const std::string& name) {
   const auto sample = small_sample();
+  const auto reference = value_scored_labels(sample.reads, params);
+  ExecutionOptions local;
+  local.distributed = false;
+  EXPECT_EQ(run_pipeline(sample.reads, params, local).labels, reference) << name;
+
+  const std::string dir = ::testing::TempDir() + "/mrmc_code_checkpoint_" + name;
+  std::filesystem::remove_all(dir);
+  ExecutionOptions distributed;
+  distributed.cluster.nodes = 3;
+  distributed.checkpoint_dir = dir;
+  const auto fresh = run_pipeline(sample.reads, params, distributed);
+  EXPECT_EQ(fresh.labels, reference) << name;
+  EXPECT_EQ(fresh.recovery.checkpoint_hits, 0U) << name;
+
+  // Keep the sketch stage's checkpoint (driver sequence 0) only: the rerun
+  // decodes the table and scores every later stage from it.
+  std::size_t removed = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    if (entry.path().extension() == ".ckpt" && file.find(".0-") == std::string::npos) {
+      std::filesystem::remove(entry.path());
+      ++removed;
+    }
+  }
+  EXPECT_GE(removed, 1U) << name;
+  const auto resumed = run_pipeline(sample.reads, params, distributed);
+  EXPECT_EQ(resumed.labels, reference) << name;
+  EXPECT_EQ(resumed.recovery.checkpoint_hits, 1U) << name;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Pipeline, StampedSetBasedRunsMatchFreshAndAfterACheckpointHit) {
   for (const Mode mode : {Mode::kGreedy, Mode::kHierarchical}) {
     auto params = base_params(mode);
     params.estimator = SketchEstimator::kSetBased;
-    const std::string name = mode_name(mode);
-    const auto reference = store_scored_labels(sample.reads, params);
-    ExecutionOptions local;
-    local.distributed = false;
-    EXPECT_EQ(run_pipeline(sample.reads, params, local).labels, reference) << name;
+    expect_value_scored_labels_on_every_path(params, mode_name(mode));
+  }
+}
 
-    const std::string dir =
-        ::testing::TempDir() + "/mrmc_stamped_checkpoint_" + name;
-    std::filesystem::remove_all(dir);
-    ExecutionOptions distributed;
-    distributed.cluster.nodes = 3;
-    distributed.checkpoint_dir = dir;
-    const auto fresh = run_pipeline(sample.reads, params, distributed);
-    EXPECT_EQ(fresh.labels, reference) << name;
-    EXPECT_EQ(fresh.recovery.checkpoint_hits, 0U) << name;
-
-    // Keep the sketch stage's checkpoint (driver sequence 0) only: the rerun
-    // decodes the table and scores every later stage from it.
-    std::size_t removed = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      const std::string file = entry.path().filename().string();
-      if (entry.path().extension() == ".ckpt" &&
-          file.find(".0-") == std::string::npos) {
-        std::filesystem::remove(entry.path());
-        ++removed;
-      }
-    }
-    EXPECT_GE(removed, 1U) << name;
-    const auto resumed = run_pipeline(sample.reads, params, distributed);
-    EXPECT_EQ(resumed.labels, reference) << name;
-    EXPECT_EQ(resumed.recovery.checkpoint_hits, 1U) << name;
-    std::filesystem::remove_all(dir);
+TEST(Pipeline, CodeTableRunsGiveTheValueScoredLabelsOnEveryPath) {
+  // Greedy component-match, hierarchical average linkage on both
+  // estimators, and the LSH backend in both modes.
+  auto greedy = base_params(Mode::kGreedy);
+  greedy.greedy_estimator = SketchEstimator::kComponentMatch;
+  expect_value_scored_labels_on_every_path(greedy, "greedy-component");
+  auto average = base_params(Mode::kHierarchical);
+  ASSERT_EQ(average.linkage, Linkage::kAverage);
+  expect_value_scored_labels_on_every_path(average, "average-component");
+  average.estimator = SketchEstimator::kSetBased;
+  expect_value_scored_labels_on_every_path(average, "average-set");
+  for (const Mode mode : {Mode::kGreedy, Mode::kHierarchical}) {
+    auto lsh = base_params(mode);
+    lsh.candidates.backend = candidates::Backend::kLshBanded;
+    expect_value_scored_labels_on_every_path(lsh, std::string("lsh-") + mode_name(mode));
   }
 }
 
@@ -328,7 +343,9 @@ TEST(Pipeline, BBitPackingShrinksSketchShuffle) {
   const auto sample = small_sample();
   ExecutionOptions exec;
   exec.cluster.nodes = 4;
+  // k = 7 is never tabulated: its b = 64 blocks carry 64-bit values.
   auto wide = base_params(Mode::kHierarchical);
+  wide.minhash.kmer = 7;
   auto narrow = wide;
   narrow.sketch_bits = 8;
   const auto full = run_pipeline(sample.reads, wide, exec);
@@ -338,6 +355,11 @@ TEST(Pipeline, BBitPackingShrinksSketchShuffle) {
   EXPECT_GT(full.sketch_stats.shuffle_bytes, 0.0);
   EXPECT_LT(packed.sketch_stats.shuffle_bytes,
             full.sketch_stats.shuffle_bytes / 4.0);
+  // At k = 5 the b = 64 blocks carry 16-bit codes, a quarter of the values
+  // plus the block headers.
+  const auto codes = run_pipeline(sample.reads, base_params(Mode::kHierarchical), exec);
+  EXPECT_LT(codes.sketch_stats.shuffle_bytes, full.sketch_stats.shuffle_bytes / 3.5);
+  EXPECT_GT(codes.sketch_stats.shuffle_bytes, full.sketch_stats.shuffle_bytes / 4.0);
 }
 
 TEST(Pipeline, BBitLabelsStayFaithfulToFullWidth) {

@@ -278,6 +278,21 @@ TEST_F(TraceRegressTest, CliCompareExitsZeroCleanAndTwoOnRegression) {
   EXPECT_EQ(doctor_exit("compare " + base + " " + slow + " >/dev/null"), 2);
 }
 
+TEST_F(TraceRegressTest, CliRejectsThresholdsThatAreNotNumbersInRange) {
+  const std::string base = ::testing::TempDir() + "/regress_cli_flags.json";
+  write_job_trace(base, 1.0);
+  const std::string compare = "compare " + base + " " + base;
+  EXPECT_EQ(doctor_exit(compare + " --threshold=1.5 --noisy-threshold=0"
+                                  " --abs-slack=0.01 >/dev/null"),
+            0);
+  for (const char* flag :
+       {"--threshold=abc", "--threshold=1.5x", "--threshold=", "--threshold=0",
+        "--threshold=-2", "--noisy-threshold=abc", "--noisy-threshold=-1",
+        "--abs-slack=abc", "--abs-slack=-0.5", "--threshold=nan"}) {
+    EXPECT_EQ(doctor_exit(compare + " " + flag + " >/dev/null 2>&1"), 1) << flag;
+  }
+}
+
 TEST_F(TraceRegressTest, CliRegressWalksTheBaselineManifest) {
   const std::string base_dir = ::testing::TempDir() + "/regress_baselines";
   const std::string cand_dir = ::testing::TempDir() + "/regress_candidates";

@@ -50,13 +50,18 @@ void* counted_aligned_malloc(std::size_t size, std::align_val_t align) noexcept 
                                                                       : nullptr;
 }
 
+/// The one release of both allocators above.  Out of line, so gcc's
+/// -Wmismatched-new-delete sees each replaced operator delete call this
+/// function, never free itself, inlined after a replaced operator new.
+[[gnu::noinline]] void counted_free(void* block) noexcept { std::free(block); }
+
 }  // namespace
 }  // namespace mrmc::pig
 
 // Every form of new and delete, unaligned and aligned (core::LargeArray
 // places arrays of 2 MiB and more on huge-page boundaries), is replaced, so
 // each allocation of this binary pairs malloc or posix_memalign with free
-// (sanitizers check the pairing).
+// through counted_free (sanitizers check the pairing).
 void* operator new(std::size_t size) {
   if (void* block = mrmc::pig::counted_malloc(size)) return block;
   throw std::bad_alloc();
@@ -68,15 +73,19 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return mrmc::pig::counted_malloc(size);
 }
-void operator delete(void* block) noexcept { std::free(block); }
-void operator delete[](void* block) noexcept { std::free(block); }
-void operator delete(void* block, std::size_t) noexcept { std::free(block); }
-void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block) noexcept { mrmc::pig::counted_free(block); }
+void operator delete[](void* block) noexcept { mrmc::pig::counted_free(block); }
+void operator delete(void* block, std::size_t) noexcept {
+  mrmc::pig::counted_free(block);
+}
+void operator delete[](void* block, std::size_t) noexcept {
+  mrmc::pig::counted_free(block);
+}
 void operator delete(void* block, const std::nothrow_t&) noexcept {
-  std::free(block);
+  mrmc::pig::counted_free(block);
 }
 void operator delete[](void* block, const std::nothrow_t&) noexcept {
-  std::free(block);
+  mrmc::pig::counted_free(block);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
   if (void* block = mrmc::pig::counted_aligned_malloc(size, align)) return block;
@@ -93,23 +102,25 @@ void* operator new[](std::size_t size, std::align_val_t align,
                      const std::nothrow_t&) noexcept {
   return mrmc::pig::counted_aligned_malloc(size, align);
 }
-void operator delete(void* block, std::align_val_t) noexcept { std::free(block); }
+void operator delete(void* block, std::align_val_t) noexcept {
+  mrmc::pig::counted_free(block);
+}
 void operator delete[](void* block, std::align_val_t) noexcept {
-  std::free(block);
+  mrmc::pig::counted_free(block);
 }
 void operator delete(void* block, std::size_t, std::align_val_t) noexcept {
-  std::free(block);
+  mrmc::pig::counted_free(block);
 }
 void operator delete[](void* block, std::size_t, std::align_val_t) noexcept {
-  std::free(block);
+  mrmc::pig::counted_free(block);
 }
 void operator delete(void* block, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(block);
+  mrmc::pig::counted_free(block);
 }
 void operator delete[](void* block, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(block);
+  mrmc::pig::counted_free(block);
 }
 
 namespace mrmc::pig {

@@ -185,12 +185,13 @@ TEST(Invalidation, CorruptedCheckpointRecomputesThatStageOnly) {
   EXPECT_EQ(rerun.recovery.checkpoint_hits, kStages - 1);
 }
 
-/// The sketch stage's payload for `reads` under hier_params(): u64 rows,
-/// then per row its u64 length and values.  `edit` may reshape row i first.
+/// The layout of a sketch stage's table of values for `reads` under
+/// `params`: u64 rows, then per row its u64 length and values.  `edit` may
+/// reshape row i first.
 template <typename Edit>
 std::string sketch_payload(const std::vector<bio::FastaRecord>& reads,
-                           Edit&& edit) {
-  const MinHasher hasher(hier_params().minhash);
+                           Edit&& edit, const PipelineParams& params = hier_params()) {
+  const MinHasher hasher(params.minhash);
   mr::recovery::PayloadWriter writer;
   writer.u64(reads.size());
   for (std::size_t i = 0; i < reads.size(); ++i) {
@@ -203,14 +204,60 @@ std::string sketch_payload(const std::vector<bio::FastaRecord>& reads,
 }
 
 TEST(Invalidation, SketchPayloadIsRowsThenLengthAndValuesPerRow) {
+  // k = 7 is never tabulated: its table holds values.
+  PipelineParams params = hier_params();
+  params.minhash.kmer = 7;
   const auto reads = sample_reads();
   const std::string dir = fresh_dir("layout");
-  (void)run_pipeline(reads, hier_params(), checkpointed(dir));
+  (void)run_pipeline(reads, params, checkpointed(dir));
 
   const std::string blob = read_file(checkpoint_of(dir, 0));
   ASSERT_GE(blob.size(), kHeaderBytes);
   EXPECT_EQ(blob.substr(kHeaderBytes),
-            sketch_payload(reads, [](std::size_t, Sketch&) {}));
+            sketch_payload(reads, [](std::size_t, Sketch&) {}, params));
+}
+
+TEST(Invalidation, SketchPayloadOfCodesIsTagThenRowsThenLengthAndCodesPerRow) {
+  const auto reads = sample_reads();
+  const std::string dir = fresh_dir("codes");
+  (void)run_pipeline(reads, hier_params(), checkpointed(dir));
+
+  const MinHasher hasher(hier_params().minhash);
+  ASSERT_TRUE(hasher.writes_codes());
+  mr::recovery::PayloadWriter writer;
+  writer.u64(~std::uint64_t{0});
+  writer.u64(reads.size());
+  std::vector<std::uint16_t> codes(hasher.sketch_size());
+  for (const auto& read : reads) {
+    hasher.sketch_into(read.seq, codes);
+    writer.u64(codes.size());
+    for (const std::uint16_t code : codes) writer.u16(code);
+  }
+  EXPECT_EQ(read_file(checkpoint_of(dir, 0)).substr(kHeaderBytes), writer.bytes());
+}
+
+TEST(Invalidation, OldValueTableSketchCheckpointMissesOnceThenHits) {
+  // An older build stored this k = 5 stage's table as values.  Sealed under
+  // this run's key it is a miss: the stage recomputes the table of codes,
+  // rewrites the checkpoint, and the runs after it hit everywhere.
+  const auto reads = sample_reads();
+  const std::string dir = fresh_dir("old_values");
+  const PipelineResult first = run_pipeline(reads, hier_params(), checkpointed(dir));
+  const std::filesystem::path victim = checkpoint_of(dir, 0);
+  ASSERT_FALSE(victim.empty());
+  const std::string payload = read_file(victim).substr(kHeaderBytes);
+  reseal_payload(victim, sketch_payload(reads, [](std::size_t, Sketch&) {}));
+
+  const PipelineResult rerun = run_pipeline(reads, hier_params(), checkpointed(dir));
+  EXPECT_EQ(rerun.labels, first.labels);
+  EXPECT_EQ(rerun.recovery.invalid_checkpoints, 1u);
+  EXPECT_EQ(rerun.recovery.checkpoint_misses, 1u);
+  EXPECT_EQ(rerun.recovery.checkpoint_hits, kStages - 1);
+  EXPECT_EQ(read_file(victim).substr(kHeaderBytes), payload);
+
+  const PipelineResult third = run_pipeline(reads, hier_params(), checkpointed(dir));
+  EXPECT_EQ(third.labels, first.labels);
+  EXPECT_EQ(third.recovery.checkpoint_hits, kStages);
 }
 
 TEST(Invalidation, RaggedSketchPayloadIsAMissThenARecompute) {

@@ -37,6 +37,7 @@
 // Exit status: 0 success, 1 unreadable/malformed input or bad usage
 // (an unknown --format too), 2 when compare/regress found a regression.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -89,6 +90,17 @@ struct Options {
   bool ok = true;
 };
 
+/// `text` as a finite number above `min` (at or above it when `or_equal`)
+/// into `out`; false for anything else, "abc" and "1.5x" included.
+bool read_number(const char* text, double min, bool or_equal, double& out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) return false;
+  if (or_equal ? value < min : value <= min) return false;
+  out = value;
+  return true;
+}
+
 Options parse_options(int argc, char** argv, int first) {
   Options options;
   for (int i = first; i < argc; ++i) {
@@ -100,11 +112,12 @@ Options parse_options(int argc, char** argv, int first) {
     if (const char* fmt = value_of("--format")) {
       options.format = fmt;
     } else if (const char* ratio = value_of("--threshold")) {
-      options.thresholds.ratio = std::atof(ratio);
+      options.ok = read_number(ratio, 0.0, false, options.thresholds.ratio);
     } else if (const char* noisy = value_of("--noisy-threshold")) {
-      options.thresholds.noisy_ratio = std::atof(noisy);
+      // 0 is meaningful here: it demotes noisy metrics to information.
+      options.ok = read_number(noisy, 0.0, true, options.thresholds.noisy_ratio);
     } else if (const char* slack = value_of("--abs-slack")) {
-      options.thresholds.abs_slack = std::atof(slack);
+      options.ok = read_number(slack, 0.0, true, options.thresholds.abs_slack);
     } else if (const char* base = value_of("--baseline-dir")) {
       options.baseline_dir = base;
     } else if (const char* cand = value_of("--candidate-dir")) {
@@ -133,6 +146,7 @@ Options parse_options(int argc, char** argv, int first) {
     } else {
       options.positional.push_back(arg);
     }
+    if (!options.ok) return options;
   }
   return options;
 }
