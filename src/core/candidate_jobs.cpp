@@ -28,8 +28,6 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
   config.pool = pool;
   config.fault_plan = exec.fault_plan;
   config.cluster = exec.cluster;
-  config.map_failure_rate = exec.map_failure_rate;
-  config.reduce_failure_rate = exec.reduce_failure_rate;
   return config;
 }
 

@@ -91,8 +91,7 @@ namespace detail {
 /// The JobConfig of one pipeline job: its name, the run's pool (nullptr =
 /// the process-wide pool), split size and reducer count (0 = one per reduce
 /// slot, at least one), plus every execution knob the jobs share — cluster,
-/// fault plan, task failure rates — so a new ExecutionOptions knob cannot
-/// silently miss a stage.
+/// fault plan — so a new ExecutionOptions knob cannot silently miss a stage.
 mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
                          common::ThreadPool* pool,
                          std::size_t records_per_split,

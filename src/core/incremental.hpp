@@ -38,10 +38,8 @@ class IncrementalClusterer {
   }
   [[nodiscard]] std::size_t num_reads() const noexcept { return reads_added_; }
 
-  /// Sketch of the representative anchoring `label`; valid until the next
-  /// add_all.
-  [[nodiscard]] std::span<const std::uint64_t> representative_sketch(
-      int label) const;
+  /// Sketch of the representative anchoring `label`, as values.
+  [[nodiscard]] Sketch representative_sketch(int label) const;
 
   /// Current per-cluster sizes, indexed by label.
   [[nodiscard]] const std::vector<std::size_t>& cluster_sizes() const noexcept {
@@ -52,7 +50,7 @@ class IncrementalClusterer {
   MinHasher hasher_;
   GreedyParams greedy_;
   candidates::BandShape shape_;
-  /// Row l: the sketch of label l's representative.
+  /// Row l: the sketch of label l's representative, in the hasher's cells.
   kernels::SketchMatrix representatives_;
   std::vector<std::size_t> sizes_;
   std::size_t reads_added_ = 0;

@@ -552,7 +552,6 @@ SketchMatrix SketchMatrix::head(std::size_t n) const {
 }
 
 void mask_components(SketchMatrix& sketches, std::uint64_t mask) {
-  MRMC_REQUIRE(!sketches.slot_disjoint(), "b-bit truncation needs values, not codes");
   for (std::size_t i = 0; i < sketches.rows(); ++i) {
     for (std::uint64_t& value : sketches.row(i)) value &= mask;
   }

@@ -26,11 +26,14 @@
 // that pins the scalar path regardless of CPU support.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/large_array.hpp"
 
 namespace mrmc::common {
@@ -228,17 +231,22 @@ class SketchMatrix {
   [[nodiscard]] bool empty() const noexcept { return rows_ == 0; }
 
   /// Row i as cells of type Cell, which must be the table's cell type:
-  /// std::uint64_t (the default) for values, std::uint16_t for codes.
+  /// std::uint64_t (the default) for values, std::uint16_t for codes
+  /// (InvalidArgument otherwise).
   template <typename Cell = std::uint64_t>
-  [[nodiscard]] std::span<Cell> row(std::size_t i) noexcept {
-    return {const_cast<Cell*>(row_ptr<Cell>(i)), cols_};
+  [[nodiscard]] std::span<Cell> row(std::size_t i) {
+    return {const_cast<Cell*>(std::as_const(*this).row<Cell>(i).data()), cols_};
   }
   template <typename Cell = std::uint64_t>
-  [[nodiscard]] std::span<const Cell> row(std::size_t i) const noexcept {
+  [[nodiscard]] std::span<const Cell> row(std::size_t i) const {
+    MRMC_REQUIRE((sizeof(Cell) == 2) == slot_disjoint_, "the table's cell width");
     return {row_ptr<Cell>(i), cols_};
   }
+  /// row() unchecked, for loops over pairs that took the width once
+  /// (with_cell); debug builds assert it.
   template <typename Cell = std::uint64_t>
   [[nodiscard]] const Cell* row_ptr(std::size_t i) const noexcept {
+    assert((sizeof(Cell) == 2) == slot_disjoint_);
     return cells(Cell{}) + i * cols_;
   }
 

@@ -300,10 +300,11 @@ kernels::SketchMatrix MinHasher::widen(const kernels::SketchMatrix& table,
   auto wide = kernels::SketchMatrix::for_overwrite(table.rows(), hashes);
   common::parallel_for(pool, table.rows(), [&](std::size_t r) {
     const std::span<const std::uint16_t> codes = table.row<std::uint16_t>(r);
+    const std::span<std::uint64_t> values = wide.row(r);
     for (std::size_t i = 0; i < hashes; ++i) {
-      wide.row(r)[i] = codes[i] == kernels::kEmptyFeatureCode
-                           ? kEmptyMin
-                           : values_[codes[i] * hashes + i];
+      values[i] = codes[i] == kernels::kEmptyFeatureCode
+                      ? kEmptyMin
+                      : values_[codes[i] * hashes + i];
     }
   });
   return wide;
@@ -316,7 +317,6 @@ SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches,
     : stride_(sketches.cols()),
       values_(LargeArray<std::uint64_t>::for_overwrite(sketches.rows() * stride_)),
       lengths_(sketches.rows()) {
-  MRMC_REQUIRE(!sketches.slot_disjoint(), "a sorted store holds values, not codes");
   // Copy row i into place, then sort and dedup it there.
   auto fill_row = [&](std::size_t i) {
     const std::span<const std::uint64_t> sketch = sketches.row(i);

@@ -324,8 +324,8 @@ class SketchPairSimilarity {
   /// Cell must be the table's cell type.
   template <typename Cell>
   [[nodiscard]] Counts counts(std::size_t i, std::size_t j) const noexcept {
-    const std::span<const Cell> a = sketches_.row<Cell>(i);
-    const std::span<const Cell> b = sketches_.row<Cell>(j);
+    const std::span<const Cell> a{sketches_.row_ptr<Cell>(i), sketches_.cols()};
+    const std::span<const Cell> b{sketches_.row_ptr<Cell>(j), sketches_.cols()};
     if (!set_based()) return {kernels::count_equal(a, b), 0};
     if constexpr (sizeof(Cell) == sizeof(std::uint64_t)) {
       const auto [inter, uni] = store_.jaccard_counts(i, j);

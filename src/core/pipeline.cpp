@@ -274,10 +274,7 @@ void encode_sketches(mr::recovery::PayloadWriter& writer,
   sketches.with_cell([&]<typename Cell>(Cell) {
     for (std::size_t i = 0; i < sketches.rows(); ++i) {
       writer.u64(sketches.cols());
-      for (const Cell cell : sketches.row<Cell>(i)) {
-        sizeof(Cell) == 2 ? writer.u16(static_cast<std::uint16_t>(cell))
-                          : writer.u64(cell);
-      }
+      for (const Cell cell : sketches.row<Cell>(i)) writer.put(cell, sizeof(Cell));
     }
   });
 }
@@ -441,11 +438,6 @@ std::uint64_t params_fingerprint(const PipelineParams& params) {
   mr::stable_hash_append(hasher, params.minhash.modulus);
   mr::stable_hash_append(hasher, static_cast<int>(params.minhash.scheme));
   mr::stable_hash_append(hasher, params.sketch_bits);
-  // k <= 6 tables at b = 64 may be codes: key them apart from the value
-  // tables older checkpoints hold, so those miss once and are rewritten.
-  if (params.minhash.kmer <= 6 && params.sketch_bits >= 64) {
-    mr::stable_hash_append(hasher, std::uint32_t{16});  // bits per cell
-  }
   mr::stable_hash_append(hasher, static_cast<int>(params.mode));
   mr::stable_hash_append(hasher, params.theta);
   mr::stable_hash_append(hasher, static_cast<int>(params.linkage));

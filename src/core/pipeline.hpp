@@ -87,10 +87,6 @@ struct ExecutionOptions {
   /// fault-free).  The clustering output is byte-identical either way; only
   /// the simulated timelines pay for the lost work.
   mr::faults::FaultPlan fault_plan{};
-  /// Injected per-task failure probabilities of every job (0 = none): a
-  /// failed attempt is re-executed, so the output is unchanged.
-  double map_failure_rate = 0.0;
-  double reduce_failure_rate = 0.0;
   /// Driver-level retry policy around every stage's job: attempts per job,
   /// per-attempt wall deadline, exponential-backoff shape.  Exhaustion
   /// throws mr::recovery::RetryExhausted with the attempt history.

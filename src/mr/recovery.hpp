@@ -126,6 +126,8 @@ void validate(const RetryPolicy& policy);
 /// Byte-order-independent little-endian encoder for checkpoint payloads.
 class PayloadWriter {
  public:
+  /// The low `bytes` bytes of `value`, least significant first.
+  void put(std::uint64_t value, std::size_t bytes);
   void u16(std::uint16_t value) { put(value, 2); }
   void u32(std::uint32_t value) { put(value, 4); }
   void u64(std::uint64_t value) { put(value, 8); }
@@ -138,9 +140,6 @@ class PayloadWriter {
   [[nodiscard]] std::string take() { return std::move(buffer_); }
 
  private:
-  /// The low `bytes` bytes of `value`, least significant first.
-  void put(std::uint64_t value, std::size_t bytes);
-
   std::string buffer_;
 };
 

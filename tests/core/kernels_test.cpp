@@ -494,6 +494,26 @@ TEST(SlotDisjointStamp, OnlyTheWritingHasherMakesAndWidensCodeTables) {
   EXPECT_THROW(SortedSketchStore{sketched}, common::InvalidArgument);
 }
 
+TEST(SlotDisjointStamp, RowsAreReadOnlyInTheTablesCellWidth) {
+  // row() of the wrong cell type is refused, not a span over the other
+  // width's (empty) cells: the default 64-bit row() on a table of codes,
+  // and 16-bit rows of a table of values.
+  const MinHasher hasher({.kmer = 3, .num_hashes = 5, .seed = 2});
+  const std::vector<std::string_view> reads = {"ACGTTGCAAGGT", "CCCAT"};
+  kernels::SketchMatrix codes = hasher.sketch_matrix(reads);
+  ASSERT_TRUE(codes.slot_disjoint());
+  const kernels::SketchMatrix& const_codes = codes;
+  EXPECT_THROW((void)codes.row(0), common::InvalidArgument);
+  EXPECT_THROW((void)const_codes.row(1), common::InvalidArgument);
+  EXPECT_EQ(codes.row<std::uint16_t>(1).size(), 5U);
+
+  kernels::SketchMatrix values = hasher.widen(codes);
+  const kernels::SketchMatrix& const_values = values;
+  EXPECT_THROW((void)values.row<std::uint16_t>(0), common::InvalidArgument);
+  EXPECT_THROW((void)const_values.row<std::uint16_t>(1), common::InvalidArgument);
+  EXPECT_EQ(const_values.row(1).size(), 5U);
+}
+
 TEST(SlotDisjointStamp, StampedCountsEqualUnstampedOnEveryPair) {
   common::Xoshiro256 rng(2718);
   common::ThreadPool pool(3);

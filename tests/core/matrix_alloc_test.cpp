@@ -21,8 +21,10 @@
 
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/candidates.hpp"
 #include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
+#include "core/incremental.hpp"
 #include "core/kernels.hpp"
 #include "core/minhash.hpp"
 #include "core/pipeline.hpp"
@@ -58,6 +60,11 @@ void* counted_aligned_malloc(std::size_t size, std::align_val_t align) noexcept 
                                                                       : nullptr;
 }
 
+/// The one release of both allocators above.  Out of line, so gcc's
+/// -Wmismatched-new-delete sees each replaced operator delete call this
+/// function, never free itself, inlined after a replaced operator new.
+[[gnu::noinline]] void counted_free(void* block) noexcept { std::free(block); }
+
 }  // namespace
 }  // namespace mrmc::core
 
@@ -74,15 +81,23 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return mrmc::core::counted_malloc(size);
 }
-void operator delete(void* block) noexcept { std::free(block); }
-void operator delete[](void* block) noexcept { std::free(block); }
-void operator delete(void* block, std::size_t) noexcept { std::free(block); }
-void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block) noexcept {
+  mrmc::core::counted_free(block);
+}
+void operator delete[](void* block) noexcept {
+  mrmc::core::counted_free(block);
+}
+void operator delete(void* block, std::size_t) noexcept {
+  mrmc::core::counted_free(block);
+}
+void operator delete[](void* block, std::size_t) noexcept {
+  mrmc::core::counted_free(block);
+}
 void operator delete(void* block, const std::nothrow_t&) noexcept {
-  std::free(block);
+  mrmc::core::counted_free(block);
 }
 void operator delete[](void* block, const std::nothrow_t&) noexcept {
-  std::free(block);
+  mrmc::core::counted_free(block);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
   if (void* block = mrmc::core::counted_aligned_malloc(size, align)) return block;
@@ -99,23 +114,25 @@ void* operator new[](std::size_t size, std::align_val_t align,
                      const std::nothrow_t&) noexcept {
   return mrmc::core::counted_aligned_malloc(size, align);
 }
-void operator delete(void* block, std::align_val_t) noexcept { std::free(block); }
+void operator delete(void* block, std::align_val_t) noexcept {
+  mrmc::core::counted_free(block);
+}
 void operator delete[](void* block, std::align_val_t) noexcept {
-  std::free(block);
+  mrmc::core::counted_free(block);
 }
 void operator delete(void* block, std::size_t, std::align_val_t) noexcept {
-  std::free(block);
+  mrmc::core::counted_free(block);
 }
 void operator delete[](void* block, std::size_t, std::align_val_t) noexcept {
-  std::free(block);
+  mrmc::core::counted_free(block);
 }
 void operator delete(void* block, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(block);
+  mrmc::core::counted_free(block);
 }
 void operator delete[](void* block, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(block);
+  mrmc::core::counted_free(block);
 }
 
 namespace mrmc::core {
@@ -286,6 +303,31 @@ TEST(MatrixAllocation, CertifiedSetBasedGreedyBuildsNoSortedStore) {
         EXPECT_EQ(result.comparisons, unstamped.comparisons) << "k=" << k;
       }
     }
+  }
+}
+
+TEST(MatrixAllocation, CodeTableIncrementalClustererBuildsNoSortedStore) {
+  // The clusterer stacks its representatives and the batch in the hasher's
+  // cells: at k = 5 codes, scored set-based from the table with no store
+  // request, and the labels of the store-scored values.  k = 7 still sorts.
+  const std::vector<std::string> reads = clustered_reads(kRows);
+  std::array<std::string_view, kRows> seqs;
+  std::ranges::copy(reads, seqs.begin());
+  const candidates::BandShape shape{16, 4};
+  const GreedyParams greedy{0.3, SketchEstimator::kSetBased};
+  for (const int k : {5, 7}) {
+    const MinHasher hasher(
+        {.kmer = k, .num_hashes = kHashes, .canonical = true, .seed = 9});
+    const kernels::SketchMatrix values = hasher.widen(hasher.sketch_matrix(seqs));
+    const GreedyResult expected = greedy_cluster_buckets(
+        values, candidates::lsh_buckets(values, shape, candidates::Params{}.seed),
+        greedy);
+    IncrementalClusterer clusterer(hasher.params(), greedy, shape.bands);
+    std::vector<int> labels;
+    const LargeRequests seen =
+        large_requests_of(kStoreBytes, [&] { labels = clusterer.add_all(seqs); });
+    EXPECT_EQ(seen.count == 0, k <= 6) << "k=" << k << " largest " << seen.largest;
+    EXPECT_EQ(labels, expected.labels) << "k=" << k;
   }
 }
 

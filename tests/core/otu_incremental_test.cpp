@@ -186,45 +186,48 @@ TEST(IncrementalClusterer, RepresentativeSketchAccessible) {
 TEST(IncrementalClusterer, BatchesAddUpToOneBucketSweep) {
   // Two batches through the clusterer give the labels of one
   // greedy_cluster_buckets run over the first batch followed by the
-  // second, under both estimators and at several θ.
-  const MinHasher hasher({.kmer = 12, .num_hashes = 40, .seed = 2});
-  const candidates::BandShape shape{20, 2};
-  for (const auto estimator :
-       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
-    for (const double theta : {0.3, 0.5, 0.8}) {
-      for (const std::uint64_t seed : {3, 4}) {
-        const auto reads = otu_reads(20, 30, seed, 0.03);
-        const std::vector<std::string_view> views(reads.begin(), reads.end());
-        const std::span<const std::string_view> all(views);
-        const std::size_t cut = views.size() / 3;
-        const GreedyParams greedy{.theta = theta, .estimator = estimator};
-        const auto sketches = hasher.sketch_matrix(views);
-        const auto batch = greedy_cluster_buckets(
-            sketches,
-            candidates::lsh_buckets(sketches, shape, candidates::Params{}.seed),
-            greedy);
+  // second, under both estimators and at several θ.  The sweep scores the
+  // values; at k = 5 the clusterer holds codes.
+  for (const int k : {12, 5}) {
+    const MinHasher hasher({.kmer = k, .num_hashes = 40, .seed = 2});
+    ASSERT_EQ(hasher.writes_codes(), k <= 6);
+    const candidates::BandShape shape{20, 2};
+    for (const auto estimator :
+         {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+      for (const double theta : {0.3, 0.5, 0.8}) {
+        for (const std::uint64_t seed : {3, 4}) {
+          const auto reads = otu_reads(20, 30, seed, 0.03);
+          const std::vector<std::string_view> views(reads.begin(), reads.end());
+          const std::span<const std::string_view> all(views);
+          const std::size_t cut = views.size() / 3;
+          const GreedyParams greedy{.theta = theta, .estimator = estimator};
+          const auto values = hasher.widen(hasher.sketch_matrix(views));
+          const auto batch = greedy_cluster_buckets(
+              values,
+              candidates::lsh_buckets(values, shape, candidates::Params{}.seed),
+              greedy);
 
-        IncrementalClusterer clusterer(hasher.params(), greedy, shape.bands);
-        std::vector<int> labels = clusterer.add_all(all.first(cut));
-        const std::vector<int> second = clusterer.add_all(all.subspan(cut));
-        labels.insert(labels.end(), second.begin(), second.end());
-        const std::string where = "theta=" + std::to_string(theta) +
-                                  " seed=" + std::to_string(seed) +
-                                  " set-based=" +
-                                  std::to_string(estimator ==
-                                                 SketchEstimator::kSetBased);
-        EXPECT_EQ(labels, batch.labels) << where;
-        EXPECT_EQ(clusterer.num_clusters(), batch.num_clusters) << where;
-        EXPECT_EQ(clusterer.num_reads(), reads.size()) << where;
-        std::size_t total = 0;
-        for (const std::size_t size : clusterer.cluster_sizes()) total += size;
-        EXPECT_EQ(total, reads.size()) << where;
-        for (std::size_t label = 0; label < batch.num_clusters; ++label) {
-          const auto sketch =
-              clusterer.representative_sketch(static_cast<int>(label));
-          EXPECT_TRUE(std::ranges::equal(
-              sketch, hasher.sketch(views[batch.representatives[label]])))
-              << where << " label=" << label;
+          IncrementalClusterer clusterer(hasher.params(), greedy, shape.bands);
+          std::vector<int> labels = clusterer.add_all(all.first(cut));
+          const std::vector<int> second = clusterer.add_all(all.subspan(cut));
+          labels.insert(labels.end(), second.begin(), second.end());
+          const std::string where =
+              "k=" + std::to_string(k) + " theta=" + std::to_string(theta) +
+              " seed=" + std::to_string(seed) + " set-based=" +
+              std::to_string(estimator == SketchEstimator::kSetBased);
+          EXPECT_EQ(labels, batch.labels) << where;
+          EXPECT_EQ(clusterer.num_clusters(), batch.num_clusters) << where;
+          EXPECT_EQ(clusterer.num_reads(), reads.size()) << where;
+          std::size_t total = 0;
+          for (const std::size_t size : clusterer.cluster_sizes()) total += size;
+          EXPECT_EQ(total, reads.size()) << where;
+          for (std::size_t label = 0; label < batch.num_clusters; ++label) {
+            const auto sketch =
+                clusterer.representative_sketch(static_cast<int>(label));
+            EXPECT_TRUE(std::ranges::equal(
+                sketch, hasher.sketch(views[batch.representatives[label]])))
+                << where << " label=" << label;
+          }
         }
       }
     }

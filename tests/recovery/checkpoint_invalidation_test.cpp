@@ -237,9 +237,10 @@ TEST(Invalidation, SketchPayloadOfCodesIsTagThenRowsThenLengthAndCodesPerRow) {
 }
 
 TEST(Invalidation, OldValueTableSketchCheckpointMissesOnceThenHits) {
-  // An older build stored this k = 5 stage's table as values.  Sealed under
-  // this run's key it is a miss: the stage recomputes the table of codes,
-  // rewrites the checkpoint, and the runs after it hit everywhere.
+  // An older build stored this k = 5 stage's table as values under the
+  // same key.  The payload lacks the codes' leading tag, so it is a miss:
+  // the stage recomputes the table of codes, rewrites the checkpoint, and
+  // the runs after it hit everywhere.
   const auto reads = sample_reads();
   const std::string dir = fresh_dir("old_values");
   const PipelineResult first = run_pipeline(reads, hier_params(), checkpointed(dir));
