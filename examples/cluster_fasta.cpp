@@ -9,7 +9,11 @@
 //
 // Try it on a generated sample:
 //   ./pig_metagenome   # or write your own FASTA
+#include <charconv>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "common/table.hpp"
@@ -32,6 +36,23 @@ std::string opt_value(const std::string& arg) {
   const auto eq = arg.find('=');
   return eq == std::string::npos ? "" : arg.substr(eq + 1);
 }
+
+/// The whole of `value` as a number in [lo, hi], or nothing: a trailing
+/// character, a sign an unsigned type cannot take, NaN or an out-of-range
+/// value all read as nothing.
+template <typename T>
+std::optional<T> parse_in(const std::string& value, T lo, T hi) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end || !(out >= lo && out <= hi)) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+/// Pig's $NUMHASH bound: far above the paper's 50 and 100.
+constexpr std::size_t kMaxHashes = std::size_t{1} << 16;
 
 }  // namespace
 
@@ -58,11 +79,17 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg.rfind("--kmer=", 0) == 0) {
-      params.minhash.kmer = std::stoi(value);
+      const auto kmer = parse_in(value, 1, bio::kMaxKmerK);
+      if (!kmer) return usage();
+      params.minhash.kmer = *kmer;
     } else if (arg.rfind("--hashes=", 0) == 0) {
-      params.minhash.num_hashes = std::stoul(value);
+      const auto hashes = parse_in<std::size_t>(value, 1, kMaxHashes);
+      if (!hashes) return usage();
+      params.minhash.num_hashes = *hashes;
     } else if (arg.rfind("--theta=", 0) == 0) {
-      params.theta = std::stod(value);
+      const auto theta = parse_in(value, 0.0, 1.0);
+      if (!theta) return usage();
+      params.theta = *theta;
     } else if (arg.rfind("--linkage=", 0) == 0) {
       if (value == "single") {
         params.linkage = core::Linkage::kSingle;
@@ -74,11 +101,17 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg.rfind("--nodes=", 0) == 0) {
-      exec.cluster.nodes = std::stoul(value);
+      const auto nodes = parse_in<std::size_t>(
+          value, 1, std::numeric_limits<std::size_t>::max());
+      if (!nodes) return usage();
+      exec.cluster.nodes = *nodes;
     } else if (arg == "--local") {
       exec.distributed = false;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      params.minhash.seed = std::stoull(value);
+      const auto seed = parse_in<std::uint64_t>(
+          value, 0, std::numeric_limits<std::uint64_t>::max());
+      if (!seed) return usage();
+      params.minhash.seed = *seed;
     } else if (arg == "--summary") {
       summary = true;
     } else {

@@ -68,21 +68,6 @@ std::vector<int> run_cluster_job(const mr::JobConfig& config, std::size_t n,
   return labels;
 }
 
-DendrogramLabels::DendrogramLabels(SimilarityMatrix matrix, Linkage linkage,
-                                   double theta)
-    : matrix_(std::move(matrix)), linkage_(linkage), theta_(theta) {}
-
-std::vector<int> DendrogramLabels::operator()(common::ThreadPool* pool) {
-  if (!dendrogram_) {
-    MRMC_CHECK(!consumed_,
-               "the similarity matrix went to an agglomerate that threw; "
-               "no dendrogram is left to cut");
-    consumed_ = true;
-    dendrogram_ = agglomerate(std::move(matrix_), linkage_, pool);
-  }
-  return cut_dendrogram(*dendrogram_, theta_);
-}
-
 PairScoreLanes::PairScoreLanes(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     SketchEstimator estimator)

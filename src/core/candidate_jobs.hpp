@@ -38,14 +38,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/candidates.hpp"
-#include "core/hierarchical.hpp"
 #include "core/kernels.hpp"
 #include "core/pipeline.hpp"
 #include "mr/block.hpp"
@@ -186,34 +184,11 @@ std::vector<PlacedBlock> run_block_job(const char* name,
 /// `cluster()` — Algorithm 1 or the dendrogram build + θ-cut — and emits
 /// each index's label in sorted index order.  `cluster` runs once per
 /// reduce attempt: a doomed attempt (JobConfig::reduce_failure_rate) calls
-/// it again, and so does every driver retry of the stage.
+/// it again.
 std::vector<int> run_cluster_job(const mr::JobConfig& config, std::size_t n,
                                  double reduce_work,
                                  const std::function<std::vector<int>()>& cluster,
                                  mr::JobStats& stats);
-
-/// The hierarchical-cluster stage's body.  agglomerate() consumes the
-/// matrix, so the first call builds the dendrogram and every call cuts that
-/// one dendrogram: a re-run attempt (a doomed reduce attempt, a driver
-/// retry after MRMC_FAIL_STAGE or a job timeout) gets the same labels.  A
-/// call after one whose agglomerate threw raises common::Error instead of
-/// reading the moved-from matrix.
-class DendrogramLabels {
- public:
-  DendrogramLabels(SimilarityMatrix matrix, Linkage linkage, double theta);
-
-  /// `pool` converts the matrix to distances on the first call (nullptr =
-  /// serially); the cluster job's reducer passes the run's pool, as the
-  /// local stage does.
-  [[nodiscard]] std::vector<int> operator()(common::ThreadPool* pool);
-
- private:
-  SimilarityMatrix matrix_;
-  Linkage linkage_;
-  double theta_;
-  bool consumed_ = false;
-  std::optional<Dendrogram> dendrogram_;
-};
 
 }  // namespace detail
 

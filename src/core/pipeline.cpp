@@ -463,13 +463,13 @@ std::uint64_t input_fingerprint(std::span<const bio::FastaRecord> reads) {
 
 // ---------------------------------------------------------- the stage list
 
-/// How the stage list runs.  Both modes run on the run's one pool.  Local
-/// (no driver): each stage's in-process body is a plain call — no retry,
-/// checkpoint, lineage claim or stage hook, so an error keeps its type.
-/// Distributed: each stage's MapReduce job is driven by the recovery driver
-/// under the stage's name (the lineage stage name), so a checkpoint hit
-/// claims the job's lineage slot and downstream sequence numbers match an
-/// uninterrupted run.
+/// How the stage list runs.  Both modes run on the run's one pool, and a
+/// stage's error keeps its type in both.  Local (no driver): each stage's
+/// in-process body is a plain call — no checkpoint, lineage claim or stage
+/// hook.  Distributed: each stage's MapReduce job is driven by the recovery
+/// driver under the stage's name (the lineage stage name), so a checkpoint
+/// hit claims the job's lineage slot and downstream sequence numbers match
+/// an uninterrupted run.
 struct StageRunner {
   common::ThreadPool* pool;  ///< never nullptr
   mr::recovery::StageDriver* driver = nullptr;
@@ -635,10 +635,18 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
     graph.reset();  // densified: the cluster stage reads the matrix only
     result.sim_total_s += result.similarity_stats.timeline.total_s;
     // The matrix is the run's one n² buffer: the cluster stage takes it and
-    // agglomerate rewrites its cells to distances in place.
-    detail::DendrogramLabels labels(std::move(matrix), params.linkage,
-                                    knobs.theta);
-    const auto cut = [&] { return labels(stages.pool); };
+    // agglomerate rewrites its cells to distances in place.  A re-run
+    // reduce attempt (JobConfig::reduce_failure_rate) finds it consumed, so
+    // the first call keeps its labels for every later one.
+    std::optional<std::vector<int>> cut_labels;
+    const auto cut = [&] {
+      if (!cut_labels) {
+        cut_labels = cut_dendrogram(
+            agglomerate(std::move(matrix), params.linkage, stages.pool),
+            knobs.theta);
+      }
+      return *cut_labels;
+    };
     result.labels = stages.run(
         "hierarchical-cluster", cut,
         [&] {
@@ -681,10 +689,9 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
   common::Stopwatch watch;
   MRMC_REQUIRE(valid_sketch_bits(params.sketch_bits),
                "sketch_bits must be one of {1, 2, 4, 8, 16, 32, 64}");
-  // A band count that cannot tile the sketch, or a retry policy out of
-  // range, is the caller's error in both modes, never a failed job for the
-  // retry loop.
-  mr::recovery::validate(exec.retry);
+  // θ outside [0, 1] (NaN included) or a band count that cannot tile the
+  // sketch is the caller's error in both modes, raised before any stage.
+  MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
     (void)candidates::resolve_band_shape(
         params.candidates, params.minhash.num_hashes, params.theta);
@@ -708,7 +715,6 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
     mr::recovery::StageDriver::Options driver_options;
     driver_options.label = std::string("pipeline-") + mode_name(params.mode);
     driver_options.checkpoint_dir = exec.checkpoint_dir;
-    driver_options.retry = exec.retry;
     driver_options =
         mr::recovery::StageDriver::Options::from_env(driver_options);
     if (!driver_options.checkpoint_dir.empty()) {
@@ -731,7 +737,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
       run_pipeline_stages(reads, params, exec, {&lease.pool(), &driver},
                           result);
     } catch (...) {
-      // A crashed/parked/exhausted driver still leaves complete artifacts
+      // A crashed/parked/failed driver still leaves complete artifacts
       // behind — the resume run's doctor needs this run's trace.
       result.recovery = driver.stats();
       obs::pipeline::write_configured_artifacts();

@@ -26,12 +26,12 @@
 // So a greedy LSH run is sketch -> candidates -> greedy-cluster: no pair
 // list, verify job or graph.  Distributed (ExecutionOptions::distributed),
 // each stage runs as the MapReduce job above on the simulated cluster,
-// under the recovery stage driver (retries, checkpoints, lineage, MRMC_*
-// stage hooks).  Local, each stage is a plain in-process call of the same
-// computation on one thread pool; labels, cluster counts and candidate pair
-// counts are identical either way.  Simulated job timelines accumulate into
-// PipelineResult::sim_total_s, the number the paper's Table III/V "Time"
-// columns report.
+// under the recovery stage driver (checkpoints, lineage,
+// MRMC_CRASH_AFTER_STAGE).  Local, each stage is a plain in-process call of
+// the same computation on one thread pool; labels, cluster counts and
+// candidate pair counts are identical either way.  Simulated job timelines
+// accumulate into PipelineResult::sim_total_s, the number the paper's
+// Table III/V "Time" columns report.
 #pragma once
 
 #include <cstdint>
@@ -87,11 +87,6 @@ struct ExecutionOptions {
   /// fault-free).  The clustering output is byte-identical either way; only
   /// the simulated timelines pay for the lost work.
   mr::faults::FaultPlan fault_plan{};
-  /// Driver-level retry policy around every stage's job: attempts per job,
-  /// per-attempt wall deadline, exponential-backoff shape.  Exhaustion
-  /// throws mr::recovery::RetryExhausted with the attempt history.
-  /// Validated in both modes; only distributed runs retry.
-  mr::recovery::RetryPolicy retry{};
   /// Durable stage checkpoints (mr::recovery): directory for checkpoint
   /// files; "" falls back to MRMC_CHECKPOINT_DIR (unset = disabled).  With
   /// checkpoints on, a restarted run serves completed stages from disk and
@@ -115,8 +110,8 @@ struct PipelineResult {
   /// hierarchical path's verified edges (0 when that stage was a
   /// checkpoint hit).
   std::size_t candidate_pairs = 0;
-  /// What the recovery stage driver did: checkpoint hits/misses/writes,
-  /// retries (distributed path only; all-zero otherwise).
+  /// What the recovery stage driver did: checkpoint hits/misses/writes
+  /// (distributed path only; all-zero otherwise).
   mr::recovery::RecoveryStats recovery;
 };
 

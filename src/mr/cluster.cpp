@@ -19,15 +19,19 @@
 
 namespace mrmc::mr {
 
-SimScheduler::SimScheduler(ClusterConfig config) : config_(config) {
-  MRMC_REQUIRE(config_.nodes >= 1, "cluster needs at least one node");
-  MRMC_REQUIRE(config_.map_slots_per_node >= 1, "need at least one map slot");
-  MRMC_REQUIRE(config_.reduce_slots_per_node >= 1, "need at least one reduce slot");
-  MRMC_REQUIRE(config_.node.cpu_rate > 0, "cpu_rate must be positive");
-  MRMC_REQUIRE(config_.node.disk_bw > 0 && config_.node.net_bw > 0,
+void validate(const ClusterConfig& config) {
+  MRMC_REQUIRE(config.nodes >= 1, "cluster needs at least one node");
+  MRMC_REQUIRE(config.map_slots_per_node >= 1, "need at least one map slot");
+  MRMC_REQUIRE(config.reduce_slots_per_node >= 1, "need at least one reduce slot");
+  MRMC_REQUIRE(config.node.cpu_rate > 0, "cpu_rate must be positive");
+  MRMC_REQUIRE(config.node.disk_bw > 0 && config.node.net_bw > 0,
                "bandwidths must be positive");
-  MRMC_REQUIRE(config_.task_startup_s >= 0 && config_.job_startup_s >= 0,
+  MRMC_REQUIRE(config.task_startup_s >= 0 && config.job_startup_s >= 0,
                "startup overheads must be non-negative");
+}
+
+SimScheduler::SimScheduler(ClusterConfig config) : config_(config) {
+  validate(config_);
 }
 
 double SimScheduler::task_duration(const TaskSpec& task, bool data_local) const {

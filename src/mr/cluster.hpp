@@ -50,6 +50,12 @@ struct ClusterConfig {
   }
 };
 
+/// Throws common::InvalidArgument unless the cluster has at least one
+/// node, one map slot and one reduce slot per node, positive CPU rate and
+/// bandwidths, and non-negative startup overheads.  Job's constructor and
+/// SimScheduler's both call it, so no task is placed on such a cluster.
+void validate(const ClusterConfig& config);
+
 /// One task's resource demand, in machine-independent units.
 struct TaskSpec {
   double work = 0.0;          ///< CPU work units

@@ -542,6 +542,7 @@ class Job {
   };
 
   void validate() const {
+    mr::validate(config_.cluster);
     MRMC_REQUIRE(config_.num_reducers >= 1, "need at least one reducer");
     MRMC_REQUIRE(config_.records_per_split >= 1, "split size must be positive");
     MRMC_REQUIRE(config_.max_task_attempts >= 1,

@@ -1,13 +1,10 @@
 #include "mr/recovery.hpp"
 
 #include <bit>
-#include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "common/fsio.hpp"
 #include "mr/bytes.hpp"
@@ -24,52 +21,7 @@ constexpr std::uint32_t kVersion = 1;
 // magic + version + key + payload size + payload checksum.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
 
-std::string exhausted_message(const std::string& stage,
-                              const std::vector<AttemptRecord>& history) {
-  std::ostringstream out;
-  out << "stage '" << stage << "' failed after " << history.size()
-      << " attempt(s)";
-  if (!history.empty()) {
-    out << "; last " << history.back().outcome << ": " << history.back().error;
-  }
-  return out.str();
-}
-
-double elapsed_s(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 }  // namespace
-
-// ----------------------------------------------------------- retry policy
-
-RetryExhausted::RetryExhausted(std::string stage,
-                               std::vector<AttemptRecord> history)
-    : common::Error(exhausted_message(stage, history)),
-      stage_(std::move(stage)),
-      history_(std::move(history)) {}
-
-void validate(const RetryPolicy& policy) {
-  MRMC_REQUIRE(policy.max_job_attempts >= 1, "max_job_attempts must be >= 1");
-  MRMC_REQUIRE(policy.job_timeout_s >= 0.0, "job_timeout_s must be >= 0");
-  MRMC_REQUIRE(policy.backoff_base_s > 0.0, "backoff_base_s must be > 0");
-  MRMC_REQUIRE(policy.backoff_cap_s >= policy.backoff_base_s,
-               "backoff_cap_s must be >= backoff_base_s");
-}
-
-double backoff_delay_s(const RetryPolicy& policy, int attempt) {
-  MRMC_REQUIRE(attempt >= 1, "attempt must be >= 1");
-  double raw = policy.backoff_base_s * std::ldexp(1.0, attempt - 1);
-  if (!(raw < policy.backoff_cap_s)) raw = policy.backoff_cap_s;
-  StableHasher hasher;
-  stable_hash_append(hasher, policy.seed);
-  stable_hash_append(hasher, attempt);
-  // 53 high-quality bits -> [0, 1), then mapped onto [0.5, 1.0).
-  const double unit =
-      static_cast<double>(hasher.finish() >> 11) * 0x1.0p-53;
-  return raw * (0.5 + 0.5 * unit);
-}
 
 // ------------------------------------------------------- payload encoding
 
@@ -215,22 +167,10 @@ StageDriver::Options StageDriver::Options::from_env(Options base) {
       crash != nullptr && *crash != '\0') {
     base.crash_after = crash;
   }
-  if (const char* fail = std::getenv("MRMC_FAIL_STAGE");
-      fail != nullptr && *fail != '\0') {
-    const std::string spec = fail;
-    const std::size_t colon = spec.rfind(':');
-    base.fail_stage = spec.substr(0, colon == std::string::npos ? spec.size()
-                                                                : colon);
-    base.fail_count = 1;
-    if (colon != std::string::npos) {
-      base.fail_count = std::atoi(spec.c_str() + colon + 1);
-    }
-  }
   return base;
 }
 
 StageDriver::StageDriver(Options options) : options_(std::move(options)) {
-  validate(options_.retry);
   if (!options_.checkpoint_dir.empty()) {
     store_ = std::make_unique<CheckpointStore>(options_.checkpoint_dir);
   }
@@ -249,52 +189,9 @@ std::uint64_t StageDriver::stage_key(const std::string& stage,
   return hasher.finish();
 }
 
-int StageDriver::run_attempts(const std::string& stage,
-                              const std::function<void()>& invoke,
-                              const std::function<void()>& discard) {
-  const RetryPolicy& policy = options_.retry;
-  std::vector<AttemptRecord> history;
-  for (int attempt = 1;; ++attempt) {
-    std::string outcome;
-    std::string error;
-    const auto start = std::chrono::steady_clock::now();
-    bool ok = false;
-    try {
-      maybe_inject_failure(stage);
-      invoke();
-      ok = true;
-    } catch (const InjectedDriverCrash&) {
-      throw;  // the kill hook is a crash, not a stage failure
-    } catch (const DriverParked&) {
-      throw;
-    } catch (const std::exception& e) {
-      outcome = "failed";
-      error = e.what();
-    }
-    const double wall_s = elapsed_s(start);
-    if (ok && policy.job_timeout_s > 0.0 && wall_s > policy.job_timeout_s) {
-      // The compute returned, but past its deadline: the driver treats it
-      // exactly as a job tracker would a job it already declared dead.
-      ok = false;
-      outcome = "timeout";
-      error = "attempt exceeded job_timeout_s=" +
-              std::to_string(policy.job_timeout_s);
-      discard();
-    }
-    if (ok) return attempt;
-    const bool last = attempt >= policy.max_job_attempts;
-    const double backoff_s = last ? 0.0 : backoff_delay_s(policy, attempt);
-    history.push_back({attempt, outcome, error, wall_s, backoff_s});
-    if (last) throw RetryExhausted(stage, std::move(history));
-    ++stats_.retries;
-    obs::Registry::global().counter("recovery.retries").add();
-    if (backoff_s > 0.0) sleep_for(backoff_s);
-  }
-}
-
 void StageDriver::finish_stage(const std::string& stage, std::size_t sequence,
                                std::uint64_t key, const char* outcome,
-                               int attempts, std::uint64_t payload_checksum) {
+                               std::uint64_t payload_checksum) {
   // Absorb the payload into the fingerprint chain: downstream stage keys
   // depend on every upstream result, so any upstream change invalidates
   // everything after it — while a deterministic recompute (which reproduces
@@ -339,16 +236,8 @@ void StageDriver::finish_stage(const std::string& stage, std::size_t sequence,
                     {"stage", stage},
                     {"sequence", std::to_string(sequence)},
                     {"outcome", outcome},
-                    {"key", key_hex(key)},
-                    {"attempts", std::to_string(attempts)}});
+                    {"key", key_hex(key)}});
   }
-}
-
-void StageDriver::note_undecodable(const std::string& file_name) {
-  // Checksum-valid but undecodable (payload/decoder mismatch): count it
-  // with the store's invalid files and fall through to recompute.
-  (void)file_name;
-  ++undecodable_;
 }
 
 void StageDriver::park(const std::string& reason) {
@@ -362,20 +251,6 @@ void StageDriver::maybe_crash(const std::string& stage) {
   obs::Registry::global().counter("recovery.injected_crashes").add();
   throw InjectedDriverCrash("injected driver crash after stage '" + stage +
                             "'");
-}
-
-void StageDriver::maybe_inject_failure(const std::string& stage) {
-  if (options_.fail_count <= 0 || options_.fail_stage != stage) return;
-  --options_.fail_count;
-  throw common::Error("injected stage failure for '" + stage + "'");
-}
-
-void StageDriver::sleep_for(double seconds) const {
-  if (options_.retry.sleeper) {
-    options_.retry.sleeper(seconds);
-    return;
-  }
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 }  // namespace mrmc::mr::recovery

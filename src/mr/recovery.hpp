@@ -19,15 +19,11 @@
 //     is deterministic, recompute regenerates byte-identical payloads, so
 //     downstream checkpoints remain valid after an upstream invalidation.
 //
-//   * Retry with backoff.  Each stage's compute runs under a deterministic
-//     retry loop: up to RetryPolicy::max_job_attempts attempts, exponential
-//     backoff (base * 2^(attempt-1), capped) scaled by seeded jitter in
-//     [0.5, 1.0), and an optional per-attempt wall deadline (job_timeout_s).
-//     A timed-out attempt counts as failed even though the computation
-//     returned — the driver-side approximation of a job tracker killing an
-//     overdue job.  Exhaustion throws RetryExhausted carrying the full
-//     attempt history (outcome, error, wall seconds, backoff) instead of a
-//     raw error.
+//   * One attempt.  Each stage's compute runs exactly once.  Task-level
+//     failures are retried inside the job (JobConfig::max_task_attempts,
+//     lost-output re-execution under a FaultPlan), and every stage is
+//     deterministic, so a second driver-level attempt could only repeat the
+//     first.  A stage's exception reaches the caller with its own type.
 //
 //   * Parking.  park() aborts a driver whose cluster degraded below one
 //     schedulable node with DriverParked — the checkpoint directory holds
@@ -38,56 +34,28 @@
 // recovery.* metrics; the pipeline doctor renders them in a "recovery"
 // section byte-identical whether built in-process or from the trace.
 //
-// Deterministic test hooks: MRMC_CRASH_AFTER_STAGE=<stage> throws
+// Deterministic test hook: MRMC_CRASH_AFTER_STAGE=<stage> throws
 // InjectedDriverCrash after <stage>'s checkpoint commits (the chaos tests'
-// kill point), and MRMC_FAIL_STAGE=<stage>[:<count>] makes the first
-// <count> attempts of <stage> fail before compute runs.
+// kill point).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 
 namespace mrmc::mr::recovery {
 
-// ----------------------------------------------------------- retry policy
+// ------------------------------------------------------------ driver errors
 
-/// One attempt of a stage's compute, as recorded by the retry loop.
-struct AttemptRecord {
-  int attempt = 0;        ///< 1-based
-  std::string outcome;    ///< "failed" (threw) or "timeout" (deadline blown)
-  std::string error;      ///< what() of the failure / deadline description
-  double wall_s = 0.0;    ///< real seconds the attempt ran
-  double backoff_s = 0.0; ///< delay slept before the next attempt (0 on last)
-};
-
-/// Thrown when a stage fails RetryPolicy::max_job_attempts times.
-class RetryExhausted : public common::Error {
- public:
-  RetryExhausted(std::string stage, std::vector<AttemptRecord> history);
-
-  [[nodiscard]] const std::string& stage() const noexcept { return stage_; }
-  [[nodiscard]] const std::vector<AttemptRecord>& history() const noexcept {
-    return history_;
-  }
-
- private:
-  std::string stage_;
-  std::vector<AttemptRecord> history_;
-};
-
-/// Thrown by the MRMC_CRASH_AFTER_STAGE kill hook.  Deliberately NOT
-/// retryable: the retry loop rethrows it so a "crashed" driver dies exactly
-/// once, after the named stage's checkpoint was committed.
+/// Thrown by the MRMC_CRASH_AFTER_STAGE kill hook, after the named stage's
+/// checkpoint was committed.
 class InjectedDriverCrash : public common::Error {
  public:
   using Error::Error;
@@ -100,26 +68,6 @@ class DriverParked : public common::Error {
  public:
   using Error::Error;
 };
-
-/// Driver-level retry policy around each stage (core::ExecutionOptions::retry).
-/// Distinct from JobConfig::max_task_attempts, which retries single tasks
-/// inside one job run.
-struct RetryPolicy {
-  int max_job_attempts = 1;     ///< >= 1; 1 = no retry
-  double job_timeout_s = 0.0;   ///< per-attempt wall deadline; 0 = none
-  double backoff_base_s = 0.5;  ///< > 0
-  double backoff_cap_s = 30.0;  ///< >= backoff_base_s
-  std::uint64_t seed = 1;       ///< jitter seed
-  /// Test seam: called instead of a real sleep between attempts.
-  std::function<void(double)> sleeper;
-};
-
-/// Throws common::InvalidArgument on out-of-range policy knobs.
-void validate(const RetryPolicy& policy);
-
-/// The deterministic backoff before attempt `attempt + 1`:
-/// min(cap, base * 2^(attempt-1)) scaled by FNV-seeded jitter in [0.5, 1.0).
-[[nodiscard]] double backoff_delay_s(const RetryPolicy& policy, int attempt);
 
 // ------------------------------------------------------- payload encoding
 
@@ -232,7 +180,6 @@ struct RecoveryStats {
   std::size_t checkpoint_misses = 0;  ///< stages computed
   std::size_t checkpoint_writes = 0;  ///< checkpoints committed
   std::size_t invalid_checkpoints = 0;///< files rejected by validation
-  std::size_t retries = 0;            ///< failed attempts that were retried
   bool parked = false;                ///< driver parked for resume
 };
 
@@ -243,14 +190,10 @@ class StageDriver {
     std::uint64_t params_fingerprint = 0;
     std::uint64_t input_fingerprint = 0;
     std::string checkpoint_dir;          ///< "" = checkpointing disabled
-    RetryPolicy retry;
     std::string crash_after;             ///< MRMC_CRASH_AFTER_STAGE hook
-    std::string fail_stage;              ///< MRMC_FAIL_STAGE hook
-    int fail_count = 0;                  ///< injected failures left
 
     /// Fill unset hooks from the environment: MRMC_CHECKPOINT_DIR (only
-    /// when checkpoint_dir is empty), MRMC_CRASH_AFTER_STAGE,
-    /// MRMC_FAIL_STAGE=<stage>[:<count>] (count defaults to 1).
+    /// when checkpoint_dir is empty) and MRMC_CRASH_AFTER_STAGE.
     [[nodiscard]] static Options from_env(Options base);
   };
 
@@ -260,17 +203,16 @@ class StageDriver {
   [[nodiscard]] const RecoveryStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
-  /// Drive one stage: serve it from checkpoint, or compute it under the
-  /// retry loop and commit the result.  `compute` returns the stage value;
-  /// `encode(PayloadWriter&, const T&)` and `decode(PayloadReader&) -> T`
-  /// define its checkpoint payload.  A name may repeat within one run (a
-  /// pig script runs "group-all" once per GROUP ALL): the stage sequence
-  /// number is part of the key and the file name, so the repeats never
-  /// share a checkpoint.  The hooks match by name alone.
-  /// MRMC_CRASH_AFTER_STAGE fires after the first occurrence that computes
-  /// (a hit never fires it), so a resume under the same hook dies at the
-  /// next computed occurrence.  MRMC_FAIL_STAGE's count is spent by the
-  /// computed attempts of every occurrence, in run order.  On a checkpoint
+  /// Drive one stage: serve it from checkpoint, or call `compute` once and
+  /// commit the result.  An exception from `compute` propagates unchanged.
+  /// `compute` returns the stage value; `encode(PayloadWriter&, const T&)`
+  /// and `decode(PayloadReader&) -> T` define its checkpoint payload.  A
+  /// name may repeat within one run (a pig script runs "group-all" once
+  /// per GROUP ALL): the stage sequence number is part of the key and the
+  /// file name, so the repeats never share a checkpoint.  The hook matches
+  /// by name alone: MRMC_CRASH_AFTER_STAGE fires after the first
+  /// occurrence that computes (a hit never fires it), so a resume under
+  /// the same hook dies at the next computed occurrence.  On a checkpoint
   /// hit the driver claims the stage's lineage slot (the slot its skipped
   /// MapReduce job would have claimed), so downstream stages keep the
   /// sequence numbers of an uninterrupted run.
@@ -281,8 +223,7 @@ class StageDriver {
     using T = std::decay_t<decltype(compute())>;
     const std::size_t sequence = sequence_++;
     if (!store_) {
-      int attempts = 0;
-      T value = compute_with_retry<T>(stage, compute, attempts);
+      T value = compute();
       ++stats_.stages;
       maybe_crash(stage);
       return value;
@@ -302,20 +243,20 @@ class StageDriver {
         value.reset();
       }
       if (value) {
-        finish_stage(stage, sequence, key, "hit", 0, fnv_checksum(*payload));
+        finish_stage(stage, sequence, key, "hit", fnv_checksum(*payload));
         return std::move(*value);
       }
-      note_undecodable(file_name);
+      // Checksum-valid but undecodable (payload/decoder mismatch): count
+      // it with the store's invalid files and recompute.
+      ++undecodable_;
     }
-    int attempts = 0;
-    T value = compute_with_retry<T>(stage, compute, attempts);
+    T value = compute();
     PayloadWriter writer;
     encode(writer, value);
     const std::string payload = writer.take();
     const std::uint64_t checksum = fnv_checksum(payload);
     const bool wrote = store_->store(file_name, key, payload);
-    finish_stage(stage, sequence, key, wrote ? "miss+write" : "miss", attempts,
-                 checksum);
+    finish_stage(stage, sequence, key, wrote ? "miss+write" : "miss", checksum);
     maybe_crash(stage);
     return value;
   }
@@ -325,30 +266,12 @@ class StageDriver {
   [[noreturn]] void park(const std::string& reason);
 
  private:
-  template <typename T, typename Compute>
-  T compute_with_retry(const std::string& stage, Compute&& compute,
-                       int& attempts) {
-    std::optional<T> result;
-    attempts = run_attempts(
-        stage, [&] { result.emplace(compute()); }, [&] { result.reset(); });
-    return std::move(*result);
-  }
-
-  /// The type-erased retry loop: returns the attempt count that succeeded,
-  /// throws RetryExhausted (or rethrows InjectedDriverCrash / DriverParked).
-  int run_attempts(const std::string& stage,
-                   const std::function<void()>& invoke,
-                   const std::function<void()>& discard);
-
   [[nodiscard]] std::uint64_t stage_key(const std::string& stage,
                                         std::size_t sequence) const;
   void finish_stage(const std::string& stage, std::size_t sequence,
-                    std::uint64_t key, const char* outcome, int attempts,
+                    std::uint64_t key, const char* outcome,
                     std::uint64_t payload_checksum);
-  void note_undecodable(const std::string& file_name);
   void maybe_crash(const std::string& stage);
-  void maybe_inject_failure(const std::string& stage);
-  void sleep_for(double seconds) const;
 
   Options options_;
   std::unique_ptr<CheckpointStore> store_;

@@ -313,8 +313,6 @@ std::vector<PipelineInput> pipelines_from_trace(const common::JsonValue& root) {
     record.sequence = static_cast<std::size_t>(
         std::strtod(args.at("sequence").string.c_str(), nullptr));
     record.outcome = args.at("outcome").string;
-    record.attempts = static_cast<int>(
-        std::strtod(args.at("attempts").string.c_str(), nullptr));
     record.key = args.at("key").string;
     pipeline_for(record.pipeline).recovery.push_back(std::move(record));
   }
@@ -394,11 +392,7 @@ std::string to_text(const PipelineReport& report, bool color) {
            " write(s)\n";
     for (const RecoveryRecord& row : report.recovery.rows) {
       out += "    #" + std::to_string(row.sequence) + " \"" + row.stage +
-             "\" " + row.outcome;
-      if (row.attempts > 1) {
-        out += " (" + std::to_string(row.attempts) + " attempts)";
-      }
-      out += "  key " + row.key + "\n";
+             "\" " + row.outcome + "  key " + row.key + "\n";
     }
   }
   append_findings_text(out, report.findings,
@@ -462,8 +456,7 @@ std::string to_json(const PipelineReport& report) {
       out += ", \"sequence\": " + std::to_string(row.sequence) +
              ", \"outcome\": ";
       append_json_string(out, row.outcome);
-      out += ", \"attempts\": " + std::to_string(row.attempts) +
-             ", \"key\": ";
+      out += ", \"key\": ";
       append_json_string(out, row.key);
       out += "}";
     }

@@ -159,7 +159,6 @@ struct RecoveryRecord {
   std::string stage;         ///< stage name ("sketch", "similarity", ...)
   std::size_t sequence = 0;  ///< 0-based driver stage sequence
   std::string outcome;       ///< "hit", "miss+write", or "miss"
-  int attempts = 0;          ///< compute attempts (0 for a hit)
   std::string key;           ///< 16-hex-digit checkpoint key
 };
 

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <exception>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -560,9 +559,9 @@ ScriptResult run_script(PigContext& context, std::string_view text,
   obs::Tracer::Span script_span(obs::Tracer::global(), "pig script");
   obs::pipeline::PipelineScope lineage("pig");
   // Recovery driver, configured from the environment alone:
-  // MRMC_CHECKPOINT_DIR arms checkpointing, and MRMC_CRASH_AFTER_STAGE /
-  // MRMC_FAIL_STAGE work here as in core::run_pipeline.  Stage names are
-  // the lineage stages the operators claim, so a checkpoint hit claims the
+  // MRMC_CHECKPOINT_DIR arms checkpointing, and MRMC_CRASH_AFTER_STAGE
+  // works here as in core::run_pipeline.  Stage names are the lineage
+  // stages the operators claim, so a checkpoint hit claims the
   // (stage, sequence) slot an uninterrupted run would.
   mr::recovery::StageDriver::Options options;
   options.label = "pig";
@@ -572,26 +571,8 @@ ScriptResult run_script(PigContext& context, std::string_view text,
     options.input_fingerprint = load_fingerprint(context.dfs(), statements);
   }
   mr::recovery::StageDriver driver(options);
-  // The driver makes one attempt per stage, so a statement's own error
-  // keeps its type rather than arriving wrapped in RetryExhausted; an
-  // injected MRMC_FAIL_STAGE failure fires before compute and still does.
   const auto stage = [&driver](const std::string& name, auto compute) {
-    std::exception_ptr error;
-    const auto keep_error = [&] {
-      try {
-        return compute();
-      } catch (...) {
-        error = std::current_exception();
-        throw;
-      }
-    };
-    try {
-      return driver.run_stage(name, keep_error, encode_relation,
-                              decode_relation);
-    } catch (const mr::recovery::RetryExhausted&) {
-      if (error) std::rethrow_exception(error);
-      throw;
-    }
+    return driver.run_stage(name, compute, encode_relation, decode_relation);
   };
 
   ScriptResult result;

@@ -26,8 +26,8 @@
 // checkpoint, keyed by the resolved script text, the UDF seed and the DFS
 // bytes of the LOAD paths.  LOAD, STORE, DISTINCT, ORDER, LIMIT and FILTER
 // run in the driver and always re-run, so a resumed script stores
-// byte-identical files.  MRMC_CRASH_AFTER_STAGE and MRMC_FAIL_STAGE work as
-// in core::run_pipeline.
+// byte-identical files.  MRMC_CRASH_AFTER_STAGE works as in
+// core::run_pipeline.
 #pragma once
 
 #include <map>
@@ -84,14 +84,13 @@ struct ScriptResult {
   std::vector<std::string> stored_paths;      ///< STORE targets, in order
   double sim_time_s = 0.0;                ///< of the context's jobs so far
   std::size_t jobs_run = 0;
-  mr::recovery::RecoveryStats recovery;   ///< checkpoint hits/misses/retries
+  mr::recovery::RecoveryStats recovery;   ///< checkpoint hits/misses/writes
 };
 
 /// Execute a script (after parameter substitution) on a context.  The UDF
 /// registry covers the paper's six functions; `udf_seed` seeds
 /// CalculateMinwiseHash's hash family (the $DIV argument of the paper is
-/// folded into it).  A statement's error keeps its type; an injected
-/// MRMC_FAIL_STAGE failure throws mr::recovery::RetryExhausted.  The run's
+/// folded into it).  A statement's error keeps its type.  The run's
 /// MRMC_TRACE / MRMC_METRICS / report artifacts are written on success and
 /// on a throw.
 ScriptResult run_script(PigContext& context, std::string_view text,

@@ -269,6 +269,33 @@ TEST(Job, RejectsInvalidConfig) {
                common::InvalidArgument);
 }
 
+TEST(Job, RejectsAClusterWithNoNodeOrSlotBeforeAnyTaskRuns) {
+  // A 0-node cluster once reached the split-locality modulo in run() and
+  // died of SIGFPE; every ClusterConfig check now runs at construction.
+  int mapped = 0;
+  const WordCountJob::Mapper counting = [&](const std::string&,
+                                            Emitter<std::string, long>&) {
+    ++mapped;
+  };
+  for (int field = 0; field < 6; ++field) {
+    auto config = test_config();
+    switch (field) {
+      case 0: config.cluster.nodes = 0; break;
+      case 1: config.cluster.map_slots_per_node = 0; break;
+      case 2: config.cluster.reduce_slots_per_node = 0; break;
+      case 3: config.cluster.node.cpu_rate = 0.0; break;
+      case 4: config.cluster.node.net_bw = 0.0; break;
+      default: config.cluster.task_startup_s = -1.0; break;
+    }
+    EXPECT_THROW(WordCountJob(config, counting, sum_reducer()).run(kLines),
+                 common::InvalidArgument)
+        << "field " << field;
+    EXPECT_THROW(SimScheduler{config.cluster}, common::InvalidArgument)
+        << "field " << field;
+  }
+  EXPECT_EQ(mapped, 0);
+}
+
 TEST(Job, RejectsZeroAttemptBudget) {
   auto config = test_config();
   config.max_task_attempts = 0;  // would mean no attempt ever runs

@@ -250,8 +250,9 @@ TEST(PigResume, MetricsAreWrittenOnSuccessAndWhenAStageThrows) {
   EXPECT_TRUE(std::filesystem::exists(dir + "/done.json"));
 
   ScopedEnv metrics("MRMC_METRICS", dir + "/failed.json");
-  ScopedEnv fail("MRMC_FAIL_STAGE", "foreach-CalculatePairwiseSimilarity:5");
-  EXPECT_THROW((void)Fixture().run(), mr::recovery::RetryExhausted);
+  ScopedEnv crash("MRMC_CRASH_AFTER_STAGE",
+                  "foreach-CalculatePairwiseSimilarity");
+  EXPECT_THROW((void)Fixture().run(), mr::recovery::InjectedDriverCrash);
   EXPECT_TRUE(std::filesystem::exists(dir + "/failed.json"));
 }
 

@@ -1,5 +1,5 @@
-// Driver-scope chaos tests: the PR's headline invariant.  For every
-// pipeline shape, kill the driver (MRMC_CRASH_AFTER_STAGE) after each
+// Driver-scope chaos tests: the recovery layer's headline invariant.  For
+// every pipeline shape, kill the driver (MRMC_CRASH_AFTER_STAGE) after each
 // stage in turn — across fault plans and thread counts — and the resumed
 // run must produce byte-identical cluster labels with every completed
 // stage served from checkpoint (asserted via the hit counters).
@@ -200,22 +200,6 @@ TEST(DriverChaos, ParkedDriverResumesAfterTheClusterIsRepaired) {
   EXPECT_FALSE(resumed.recovery.parked);
 }
 
-TEST(DriverChaos, RetriedStageLeavesLabelsByteIdentical) {
-  const auto reads = sample_reads();
-  const PipelineCase c = pipeline_cases()[1];  // exact-hierarchical
-  const PipelineResult baseline =
-      run_pipeline(reads, c.params, exec_options(2, {}, ""));
-
-  ExecutionOptions exec = exec_options(2, {}, "");
-  exec.retry.max_job_attempts = 3;
-  exec.retry.backoff_base_s = 1e-3;
-  exec.retry.backoff_cap_s = 2e-3;
-  ScopedEnv fail("MRMC_FAIL_STAGE", "similarity:2");
-  const PipelineResult retried = run_pipeline(reads, c.params, exec);
-  EXPECT_EQ(retried.labels, baseline.labels);
-  EXPECT_EQ(retried.recovery.retries, 2u);
-}
-
 TEST(DriverChaos, ReExecutedSketchMapsLeaveTheCodeTableLabelsByteIdentical) {
   // Node 1 dies just after every job starts, killing the map attempts it
   // runs: the k = 5 sketch job's blocks of 16-bit codes then come from
@@ -236,55 +220,47 @@ TEST(DriverChaos, ReExecutedSketchMapsLeaveTheCodeTableLabelsByteIdentical) {
   }
 }
 
-TEST(DriverChaos, ExhaustedRetriesCarryTheAttemptHistory) {
-  const auto reads = sample_reads();
-  const PipelineCase c = pipeline_cases()[0];
-  ExecutionOptions exec = exec_options(2, {}, "");
-  exec.retry.max_job_attempts = 2;
-  exec.retry.backoff_base_s = 1e-3;
-  exec.retry.backoff_cap_s = 2e-3;
-  ScopedEnv fail("MRMC_FAIL_STAGE", "sketch:5");
-  try {
-    (void)run_pipeline(reads, c.params, exec);
-    FAIL() << "expected RetryExhausted";
-  } catch (const mr::recovery::RetryExhausted& error) {
-    EXPECT_EQ(error.stage(), "sketch");
-    ASSERT_EQ(error.history().size(), 2u);
-    EXPECT_EQ(error.history()[0].outcome, "failed");
-  }
-}
-
-TEST(DriverChaos, LshCandidatesExhaustionThrowsRetryExhausted) {
-  // A candidates stage that keeps failing fails the run like any other
-  // stage: an exact all-pairs rerun would return exact-greedy labels, not
-  // the LSH labels a local run returns.
+TEST(DriverChaos, AFailingLshCandidatesStageFailsTheRunWithItsOwnError) {
+  // Resume an LSH run whose sketch stage is checkpointed on a 0-node
+  // cluster: the sketch hits, so the candidates job is the first to run and
+  // its validation error reaches the caller as thrown.  The run never falls
+  // back to exact all-pairs, whose labels differ from the LSH labels; the
+  // repaired resume hits the sketch and returns the local LSH labels.
   const auto reads = sample_reads();
   const PipelineCase c = pipeline_cases()[2];  // lsh-greedy
-  ExecutionOptions exec = exec_options(2, {}, "");
-  exec.retry.max_job_attempts = 2;
-  exec.retry.backoff_base_s = 1e-3;
-  exec.retry.backoff_cap_s = 2e-3;
+  ExecutionOptions local = exec_options(2, {}, "");
+  local.distributed = false;
+  const PipelineResult expected = run_pipeline(reads, c.params, local);
 
-  ScopedEnv fail("MRMC_FAIL_STAGE", "candidates:2");
-  try {
-    (void)run_pipeline(reads, c.params, exec);
-    FAIL() << "expected RetryExhausted";
-  } catch (const mr::recovery::RetryExhausted& error) {
-    EXPECT_EQ(error.stage(), "candidates");
-    EXPECT_EQ(error.history().size(), 2u);
+  const std::string dir = fresh_dir("candidates");
+  {
+    ScopedEnv crash("MRMC_CRASH_AFTER_STAGE", "sketch");
+    EXPECT_THROW((void)run_pipeline(reads, c.params, exec_options(2, {}, dir)),
+                 mr::recovery::InjectedDriverCrash);
   }
+  ExecutionOptions no_nodes = exec_options(2, {}, dir);
+  no_nodes.cluster.nodes = 0;
+  try {
+    (void)run_pipeline(reads, c.params, no_nodes);
+    FAIL() << "expected common::InvalidArgument";
+  } catch (const common::InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("at least one node"),
+              std::string::npos)
+        << error.what();
+  }
+
+  const PipelineResult resumed =
+      run_pipeline(reads, c.params, exec_options(2, {}, dir));
+  EXPECT_EQ(resumed.labels, expected.labels);
+  EXPECT_EQ(resumed.recovery.checkpoint_hits, 1u);  // "sketch"
 }
 
 TEST(DriverChaos, LshBandsThatDoNotTileTheSketchAreRejectedInBothModes) {
-  // 7 bands cannot tile K = 32: a caller error, raised before any stage —
-  // never a failed job that the retry loop repeats.
+  // 7 bands cannot tile K = 32: a caller error, raised before any stage.
   const auto reads = sample_reads();
   PipelineCase c = pipeline_cases()[2];  // lsh-greedy
   c.params.candidates.bands = 7;
   ExecutionOptions distributed = exec_options(2, {}, "");
-  distributed.retry.max_job_attempts = 2;
-  distributed.retry.backoff_base_s = 1e-3;
-  distributed.retry.backoff_cap_s = 2e-3;
   EXPECT_THROW((void)run_pipeline(reads, c.params, distributed),
                common::InvalidArgument);
   ExecutionOptions local;
@@ -293,25 +269,32 @@ TEST(DriverChaos, LshBandsThatDoNotTileTheSketchAreRejectedInBothModes) {
                common::InvalidArgument);
 }
 
-TEST(DriverChaos, RetryPolicyOutOfRangeIsRejectedInBothModes) {
-  // No attempt at all is a caller error, raised before any stage in both
-  // modes, even though only a distributed run retries.
+TEST(DriverChaos, ThetaOutsideTheUnitIntervalIsRejectedInBothModes) {
+  // θ outside [0, 1], NaN included, is a caller error raised before any
+  // stage: no read is sketched and no checkpoint directory is made.
   const auto reads = sample_reads();
-  const PipelineCase c = pipeline_cases()[0];
-  for (const bool distributed : {true, false}) {
-    ExecutionOptions exec = exec_options(2, {}, "");
-    exec.distributed = distributed;
-    exec.retry.max_job_attempts = 0;
-    EXPECT_THROW((void)run_pipeline(reads, c.params, exec),
-                 common::InvalidArgument)
-        << "distributed=" << distributed;
+  for (PipelineCase c : pipeline_cases()) {
+    for (const double theta :
+         {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+      c.params.theta = theta;
+      for (const bool distributed : {true, false}) {
+        const std::string dir = fresh_dir("theta");
+        ExecutionOptions exec = exec_options(2, {}, dir);
+        exec.distributed = distributed;
+        EXPECT_THROW((void)run_pipeline(reads, c.params, exec),
+                     common::InvalidArgument)
+            << c.name << " theta=" << theta << " distributed=" << distributed;
+        EXPECT_FALSE(std::filesystem::exists(dir)) << c.name;
+      }
+    }
   }
 }
 
 TEST(DriverChaos, LocalRunIgnoresTheStageHooksAndCheckpoints) {
-  // A local run calls its stage bodies directly: no retry loop for
-  // MRMC_FAIL_STAGE to fail, and no checkpoint for MRMC_CHECKPOINT_DIR (or
-  // ExecutionOptions::checkpoint_dir) to write or serve.
+  // A local run calls its stage bodies directly: no driver for
+  // MRMC_CRASH_AFTER_STAGE to stop, and no checkpoint for
+  // MRMC_CHECKPOINT_DIR (or ExecutionOptions::checkpoint_dir) to write or
+  // serve.
   const auto reads = sample_reads();
   for (const PipelineCase& c : pipeline_cases()) {
     ExecutionOptions local = exec_options(2, {}, "");
@@ -322,7 +305,6 @@ TEST(DriverChaos, LocalRunIgnoresTheStageHooksAndCheckpoints) {
     local.checkpoint_dir = dir;
     ScopedEnv env_dir("MRMC_CHECKPOINT_DIR", dir);
     for (const std::string& stage : c.stages) {
-      ScopedEnv fail("MRMC_FAIL_STAGE", stage + ":5");
       ScopedEnv crash("MRMC_CRASH_AFTER_STAGE", stage);
       const PipelineResult hooked = run_pipeline(reads, c.params, local);
       EXPECT_EQ(hooked.labels, baseline.labels) << c.name << " " << stage;
@@ -333,21 +315,24 @@ TEST(DriverChaos, LocalRunIgnoresTheStageHooksAndCheckpoints) {
 }
 
 TEST(DriverChaos, LocalStageErrorsKeepTheirType) {
-  // θ outside [0, 1] is rejected inside the cluster stage.  Distributed,
-  // the driver's retry loop wraps it; locally it surfaces as it was thrown.
+  // An error reaches the caller as it was thrown, in both modes.  θ = 1.5
+  // is rejected before any stage; a 0-node cluster fails the distributed
+  // sketch stage's first job, which the driver does not wrap.
   const auto reads = sample_reads();
   for (PipelineCase c : pipeline_cases()) {
-    c.params.theta = 1.5;
-    if (c.params.candidates.backend == candidates::Backend::kLshBanded) {
-      c.params.candidates.bands = 4;  // skip θ-driven band selection
-    }
     ExecutionOptions local = exec_options(2, {}, "");
     local.distributed = false;
+    ExecutionOptions no_nodes = exec_options(2, {}, "");
+    no_nodes.cluster.nodes = 0;
+    EXPECT_THROW((void)run_pipeline(reads, c.params, no_nodes),
+                 common::InvalidArgument)
+        << c.name;
+    c.params.theta = 1.5;
     EXPECT_THROW((void)run_pipeline(reads, c.params, local),
                  common::InvalidArgument)
         << c.name;
     EXPECT_THROW((void)run_pipeline(reads, c.params, exec_options(2, {}, "")),
-                 mr::recovery::RetryExhausted)
+                 common::InvalidArgument)
         << c.name;
   }
 }
@@ -367,65 +352,65 @@ SimilarityMatrix cluster_stage_matrix(const std::vector<bio::FastaRecord>& reads
       sketches, params.candidates, params.theta, params.estimator));
 }
 
-TEST(DriverChaos, ReRunHierarchicalAttemptsReuseTheDendrogram) {
-  // agglomerate consumes the matrix, so every attempt after the first —
-  // doomed reduce attempts, a driver retry — must cut the dendrogram the
-  // first attempt built and hand back the local run's labels.
+TEST(DriverChaos, ReRunHierarchicalAttemptsReuseTheCutLabels) {
+  // agglomerate consumes the matrix, so the hierarchical-cluster stage
+  // keeps the labels its first reduce attempt cut: every doomed reduce
+  // attempt after it must hand back the local run's labels without a
+  // second agglomerate.
   const auto reads = sample_reads();
   for (const PipelineCase& c : {pipeline_cases()[1], pipeline_cases()[3]}) {
-    const std::string backend =
-        c.params.candidates.backend == candidates::Backend::kLshBanded ? "lsh"
-                                                                         : "exact";
     ExecutionOptions local = exec_options(2, {}, "");
     local.distributed = false;
     const PipelineResult expected = run_pipeline(reads, c.params, local);
 
-    // The cluster job with every reduce attempt but the last doomed, then
-    // the whole job again on the same body, as a driver retry runs it.
-    // The reducer cuts on the pool its job runs on, as run_pipeline's does.
+    // The cluster job with every reduce attempt but the last doomed.  The
+    // reducer cuts on the pool its job runs on, as run_pipeline's does.
     ExecutionOptions exec = exec_options(2, {}, "");
     mr::runtime::PoolLease lease(exec.threads, false);
-    detail::DendrogramLabels labels(cluster_stage_matrix(reads, c.params),
-                                    c.params.linkage, c.params.theta);
+    SimilarityMatrix matrix = cluster_stage_matrix(reads, c.params);
+    std::optional<std::vector<int>> cut_labels;
+    int agglomerates = 0;
+    const auto cut = [&] {
+      if (!cut_labels) {
+        ++agglomerates;
+        cut_labels = cut_dendrogram(
+            agglomerate(std::move(matrix), c.params.linkage, &lease.pool()),
+            c.params.theta);
+      }
+      return *cut_labels;
+    };
     mr::JobConfig config = detail::job_config(
         "hierarchical-cluster", exec, &lease.pool(), reads.size() / 8, 1);
     config.reduce_failure_rate = 1.0;
-    for (int run = 0; run < 2; ++run) {
-      mr::JobStats stats;
-      EXPECT_EQ(detail::run_cluster_job(config, reads.size(), 1.0,
-                                        [&] { return labels(&lease.pool()); },
-                                        stats),
-                expected.labels)
-          << backend << " run " << run;
-      EXPECT_EQ(stats.reduce_retries, config.max_task_attempts - 1) << backend;
-    }
-
-    // A distributed run whose cluster stage fails once under the driver.
-    exec.retry.max_job_attempts = 2;
-    exec.retry.backoff_base_s = 1e-3;
-    exec.retry.backoff_cap_s = 2e-3;
-    ScopedEnv fail("MRMC_FAIL_STAGE", "hierarchical-cluster:1");
-    const PipelineResult retried = run_pipeline(reads, c.params, exec);
-    EXPECT_EQ(retried.labels, expected.labels) << backend;
-    EXPECT_EQ(retried.recovery.retries, 1u) << backend;
+    mr::JobStats stats;
+    EXPECT_EQ(detail::run_cluster_job(config, reads.size(), 1.0, cut, stats),
+              expected.labels)
+        << c.name;
+    EXPECT_EQ(stats.reduce_retries, config.max_task_attempts - 1) << c.name;
+    EXPECT_EQ(agglomerates, 1) << c.name;
   }
 }
 
-TEST(DriverChaos, AnAttemptAfterAFailedAgglomerateRaisesAnError) {
-  // Every distance is 1 - (-inf) = +inf: agglomerate finds no neighbour and
-  // throws after taking the matrix.  The next attempt has nothing to read.
-  detail::DendrogramLabels labels(
-      SimilarityMatrix(3, -std::numeric_limits<float>::infinity()),
-      Linkage::kAverage, 0.5);
-  EXPECT_THROW((void)labels(nullptr), common::Error);
-  try {
-    (void)labels(nullptr);
-    FAIL() << "expected common::Error";
-  } catch (const common::Error& error) {
-    EXPECT_NE(std::string(error.what()).find("agglomerate that threw"),
-              std::string::npos)
-        << error.what();
-  }
+TEST(DriverChaos, AClusterBodyThatThrowsAbortsTheClusterJob) {
+  // Only a TaskFailure re-runs a reduce attempt: any other error from the
+  // cluster body (an agglomerate that threw, say) aborts the job with its
+  // own type, so no attempt follows it.
+  ExecutionOptions exec = exec_options(2, {}, "");
+  mr::runtime::PoolLease lease(exec.threads, false);
+  mr::JobConfig config = detail::job_config("hierarchical-cluster", exec,
+                                            &lease.pool(), 4, 1);
+  config.reduce_failure_rate = 1.0;
+  int calls = 0;
+  mr::JobStats stats;
+  EXPECT_THROW((void)detail::run_cluster_job(
+                   config, 16, 1.0,
+                   [&]() -> std::vector<int> {
+                     ++calls;
+                     throw common::Error("no active neighbour found");
+                   },
+                   stats),
+               common::Error);
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

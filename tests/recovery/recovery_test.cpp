@@ -1,21 +1,15 @@
 // Unit tests for mr::recovery building blocks: payload encoding, the
-// deterministic backoff schedule, retry-policy validation, the checkpoint
-// store's validation surface, and the StageDriver's retry / checkpoint /
-// park behavior in isolation (the end-to-end kill/resume matrix lives in
-// driver_chaos_test.cpp).
+// checkpoint store's validation surface, and the StageDriver's single
+// attempt / checkpoint / park behavior in isolation (the end-to-end
+// kill/resume matrix lives in driver_chaos_test.cpp).
 #include "mr/recovery.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -76,53 +70,6 @@ TEST(Payload, DoneDetectsTrailingBytes) {
   EXPECT_FALSE(reader.done());
   (void)reader.u32();
   EXPECT_TRUE(reader.done());
-}
-
-// ----------------------------------------------------------- retry policy
-
-TEST(RetryPolicy, ValidateRejectsOutOfRangeKnobs) {
-  RetryPolicy ok;
-  EXPECT_NO_THROW(validate(ok));
-
-  RetryPolicy bad = ok;
-  bad.max_job_attempts = 0;
-  EXPECT_THROW(validate(bad), common::InvalidArgument);
-
-  bad = ok;
-  bad.job_timeout_s = -1.0;
-  EXPECT_THROW(validate(bad), common::InvalidArgument);
-
-  bad = ok;
-  bad.backoff_base_s = 0.0;
-  EXPECT_THROW(validate(bad), common::InvalidArgument);
-
-  bad = ok;
-  bad.backoff_cap_s = bad.backoff_base_s / 2.0;
-  EXPECT_THROW(validate(bad), common::InvalidArgument);
-}
-
-TEST(RetryPolicy, BackoffIsDeterministicExponentialAndCapped) {
-  RetryPolicy policy;
-  policy.backoff_base_s = 0.5;
-  policy.backoff_cap_s = 4.0;
-  policy.seed = 17;
-
-  for (int attempt = 1; attempt <= 12; ++attempt) {
-    const double delay = backoff_delay_s(policy, attempt);
-    // Jitter maps the raw delay onto [0.5 * raw, raw).
-    const double raw =
-        std::min(policy.backoff_cap_s,
-                 policy.backoff_base_s * std::pow(2.0, attempt - 1));
-    EXPECT_GE(delay, 0.5 * raw) << attempt;
-    EXPECT_LT(delay, raw + 1e-12) << attempt;
-    // Same policy, same attempt -> bit-identical delay.
-    EXPECT_EQ(delay, backoff_delay_s(policy, attempt)) << attempt;
-  }
-  // A different seed reshuffles the jitter.
-  RetryPolicy other = policy;
-  other.seed = 18;
-  EXPECT_NE(backoff_delay_s(policy, 1), backoff_delay_s(other, 1));
-  EXPECT_THROW((void)backoff_delay_s(policy, 0), common::InvalidArgument);
 }
 
 // ------------------------------------------------------- checkpoint store
@@ -310,89 +257,28 @@ TEST(StageDriver, UndecodablePayloadFallsBackToRecompute) {
   EXPECT_EQ(reader.stats().invalid_checkpoints, 1u);
 }
 
-TEST(StageDriver, RetriesWithRecordedBackoffThenSucceeds) {
-  std::vector<double> slept;
-  StageDriver::Options options;
-  options.retry.max_job_attempts = 3;
-  options.retry.backoff_base_s = 0.25;
-  options.retry.backoff_cap_s = 8.0;
-  options.retry.seed = 5;
-  options.retry.sleeper = [&](double s) { slept.push_back(s); };
-  options.fail_stage = "flaky";
-  options.fail_count = 2;
-
-  StageDriver driver(options);
-  int calls = 0;
-  const std::string value = driver.run_stage(
-      "flaky",
-      [&] {
-        ++calls;
-        return std::string("ok");
-      },
-      encode_string, decode_string);
-  EXPECT_EQ(value, "ok");
-  EXPECT_EQ(calls, 1);  // injected failures fire before compute
-  EXPECT_EQ(driver.stats().retries, 2u);
-  ASSERT_EQ(slept.size(), 2u);
-  EXPECT_EQ(slept[0], backoff_delay_s(options.retry, 1));
-  EXPECT_EQ(slept[1], backoff_delay_s(options.retry, 2));
-}
-
-TEST(StageDriver, ExhaustionThrowsWithFullAttemptHistory) {
-  StageDriver::Options options;
-  options.retry.max_job_attempts = 3;
-  options.retry.backoff_base_s = 1e-4;
-  options.retry.backoff_cap_s = 1e-3;
-  options.retry.sleeper = [](double) {};
-
-  StageDriver driver(options);
-  try {
-    (void)driver.run_stage(
-        "doomed",
-        [&]() -> std::string { throw common::Error("boom"); }, encode_string,
-        decode_string);
-    FAIL() << "expected RetryExhausted";
-  } catch (const RetryExhausted& error) {
-    EXPECT_EQ(error.stage(), "doomed");
-    ASSERT_EQ(error.history().size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(error.history()[i].attempt, static_cast<int>(i) + 1);
-      EXPECT_EQ(error.history()[i].outcome, "failed");
-      EXPECT_EQ(error.history()[i].error, "boom");
+TEST(StageDriver, AStageErrorPropagatesOnceWithItsType) {
+  // One attempt, checkpointing or not: the compute's own exception reaches
+  // the caller unwrapped, and nothing is committed for the failed stage.
+  for (const bool checkpointing : {false, true}) {
+    StageDriver::Options options;
+    if (checkpointing) options.checkpoint_dir = unique_dir("error");
+    StageDriver driver(options);
+    int calls = 0;
+    EXPECT_THROW((void)driver.run_stage(
+                     "doomed",
+                     [&]() -> std::string {
+                       ++calls;
+                       throw common::InvalidArgument("boom");
+                     },
+                     encode_string, decode_string),
+                 common::InvalidArgument)
+        << "checkpointing=" << checkpointing;
+    EXPECT_EQ(calls, 1) << "checkpointing=" << checkpointing;
+    EXPECT_EQ(driver.stats().stages, 0u);
+    if (checkpointing) {
+      EXPECT_TRUE(std::filesystem::is_empty(options.checkpoint_dir));
     }
-    // Backoff recorded for retried attempts, zero after the last one.
-    EXPECT_GT(error.history()[0].backoff_s, 0.0);
-    EXPECT_GT(error.history()[1].backoff_s, 0.0);
-    EXPECT_EQ(error.history()[2].backoff_s, 0.0);
-    EXPECT_NE(std::string(error.what()).find("doomed"), std::string::npos);
-  }
-  EXPECT_EQ(driver.stats().retries, 2u);  // the last attempt is not a retry
-}
-
-TEST(StageDriver, OverdueAttemptCountsAsTimeout) {
-  StageDriver::Options options;
-  options.retry.max_job_attempts = 2;
-  options.retry.job_timeout_s = 1e-9;  // everything real blows this deadline
-  options.retry.backoff_base_s = 1e-4;
-  options.retry.backoff_cap_s = 1e-3;
-  options.retry.sleeper = [](double) {};
-
-  StageDriver driver(options);
-  try {
-    (void)driver.run_stage(
-        "slow",
-        [] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          return std::string("too late");
-        },
-        encode_string, decode_string);
-    FAIL() << "expected RetryExhausted";
-  } catch (const RetryExhausted& error) {
-    ASSERT_EQ(error.history().size(), 2u);
-    EXPECT_EQ(error.history()[0].outcome, "timeout");
-    EXPECT_EQ(error.history()[1].outcome, "timeout");
-    EXPECT_NE(error.history()[0].error.find("job_timeout_s"),
-              std::string::npos);
   }
 }
 
@@ -420,12 +306,6 @@ TEST(StageDriver, CrashHookFiresAfterTheCheckpointCommits) {
                               encode_string, decode_string),
             "v");
   EXPECT_EQ(resumed.stats().checkpoint_hits, 1u);
-}
-
-TEST(StageDriver, RejectsInvalidRetryPolicyAtConstruction) {
-  StageDriver::Options options;
-  options.retry.max_job_attempts = 0;
-  EXPECT_THROW(StageDriver{options}, common::InvalidArgument);
 }
 
 }  // namespace
