@@ -9,13 +9,12 @@
 //
 // Try it on a generated sample:
 //   ./pig_metagenome   # or write your own FASTA
-#include <charconv>
 #include <cstdint>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <string>
 
+#include "cli.hpp"
 #include "common/table.hpp"
 #include "core/mrmc.hpp"
 #include "eval/metrics.hpp"
@@ -37,19 +36,7 @@ std::string opt_value(const std::string& arg) {
   return eq == std::string::npos ? "" : arg.substr(eq + 1);
 }
 
-/// The whole of `value` as a number in [lo, hi], or nothing: a trailing
-/// character, a sign an unsigned type cannot take, NaN or an out-of-range
-/// value all read as nothing.
-template <typename T>
-std::optional<T> parse_in(const std::string& value, T lo, T hi) {
-  T out{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec != std::errc() || ptr != end || !(out >= lo && out <= hi)) {
-    return std::nullopt;
-  }
-  return out;
-}
+using examples::parse_in;
 
 /// Pig's $NUMHASH bound: far above the paper's 50 and 100.
 constexpr std::size_t kMaxHashes = std::size_t{1} << 16;
@@ -119,7 +106,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  try {
+  return examples::run_main("cluster_fasta", [&] {
     const auto reads = bio::read_fasta_file(path);
     if (reads.empty()) {
       std::cerr << "cluster_fasta: no records in " << path << "\n";
@@ -139,9 +126,6 @@ int main(int argc, char** argv) {
                 << "; Shannon H' = "
                 << common::fmt_f(eval::shannon_index(result.labels), 3) << "\n";
     }
-  } catch (const common::Error& error) {
-    std::cerr << "cluster_fasta: " << error.what() << "\n";
-    return 1;
-  }
-  return 0;
+    return 0;
+  });
 }

@@ -5,12 +5,14 @@
 //   ./make_dataset table1 53R out.fa [--reads=N] [--seed=S]
 //   ./make_dataset 16s 0.03 out.fa [--reads=N] [--seed=S]
 //   ./make_dataset 16s 0.05 out.fq --fastq [--reads=N]   (with qualities)
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "bio/seq_stats.hpp"
-#include "common/error.hpp"
+#include "cli.hpp"
 #include "common/table.hpp"
 #include "simdata/datasets.hpp"
 #include "simdata/fastq_sim.hpp"
@@ -33,18 +35,26 @@ int main(int argc, char** argv) {
   const std::string selector = argv[2];
   const std::string out_path = argv[3];
 
-  std::size_t reads = 0;
-  std::uint64_t seed = 42;
-  bool fastq = false;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--reads=", 0) == 0) reads = std::stoul(arg.substr(8));
-    else if (arg.rfind("--seed=", 0) == 0) seed = std::stoull(arg.substr(7));
-    else if (arg == "--fastq") fastq = true;
-    else return usage();
-  }
+  return examples::run_main("make_dataset", [&] {
+    std::size_t reads = 0;  // 0: the sample's default size
+    std::uint64_t seed = 42;
+    bool fastq = false;
+    for (int i = 4; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--reads=", 0) == 0) {
+        reads = examples::parse_arg<std::size_t>("--reads", arg.substr(8), 1,
+                                                 examples::kMaxReads);
+      } else if (arg.rfind("--seed=", 0) == 0) {
+        seed = examples::parse_arg<std::uint64_t>(
+            "--seed", arg.substr(7), 0,
+            std::numeric_limits<std::uint64_t>::max());
+      } else if (arg == "--fastq") {
+        fastq = true;
+      } else {
+        return usage();
+      }
+    }
 
-  try {
     simdata::LabeledReads sample;
     if (kind == "table2") {
       simdata::WholeMetagenomeOptions options;
@@ -61,7 +71,8 @@ int main(int argc, char** argv) {
     } else if (kind == "16s") {
       simdata::Sim16sOptions options;
       if (reads != 0) options.reads = reads;
-      options.error_rate = std::stod(selector);
+      options.error_rate =
+          examples::parse_arg("error rate", selector, 0.0, 1.0);
       options.seed = seed;
       sample = simdata::build_16s_simulated(options);
     } else {
@@ -90,9 +101,6 @@ int main(int argc, char** argv) {
       std::cerr << "ground truth: " << sample.species.size()
                 << " source organisms (labels in read headers)\n";
     }
-  } catch (const common::Error& error) {
-    std::cerr << "make_dataset: " << error.what() << "\n";
-    return 1;
-  }
-  return 0;
+    return 0;
+  });
 }

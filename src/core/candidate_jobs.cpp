@@ -4,12 +4,14 @@
 #include <array>
 #include <bit>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
 #include "core/kernels.hpp"
 #include "mr/block.hpp"
 #include "obs/pipeline.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::core {
 
@@ -67,18 +69,6 @@ std::vector<int> run_cluster_job(const mr::JobConfig& config, std::size_t n,
   for (const auto& [index, label] : result.output) labels[index] = label;
   return labels;
 }
-
-PairScoreLanes::PairScoreLanes(
-    std::shared_ptr<const kernels::SketchMatrix> sketches,
-    SketchEstimator estimator)
-    : sketches_(std::move(sketches)),
-      // One scorer shared (read-only) by all map tasks: a set-based one on
-      // an unstamped table sorts every sketch once into its store.
-      scorer_(std::make_shared<const SketchPairSimilarity>(*sketches_,
-                                                           estimator)),
-      // Match counts are ≤ K; set-based |∩| and |∪| are ≤ 2K.
-      lane_bits_(mr::min_lane_bits(
-          (scorer_->set_based() ? 2 : 1) * sketches_->cols())) {}
 
 }  // namespace detail
 
@@ -185,7 +175,10 @@ CandidateJobResult run_candidate_job(
   result.stats = std::move(run.stats);
 
   // The slices join in reducer order, which is part order: exactly the
-  // local candidates::lsh_buckets CSR.
+  // local candidates::lsh_buckets CSR.  The join runs serially between jobs,
+  // so it gets its own span.
+  obs::Tracer::Span join_span(obs::Tracer::global(), "pipeline/candidates_join",
+                              {{"slices", std::to_string(run.output.size())}});
   candidates::BucketCsr& buckets = result.buckets;
   for (const candidates::BucketCsr& slice : run.output) {
     const auto base = static_cast<std::uint32_t>(buckets.ids.size());
@@ -206,40 +199,36 @@ VerifyJobResult run_verify_job(
   if (pairs.empty()) return result;
 
   obs::pipeline::StageScope stage("verify");
-  // Splits partition the sorted unique pairs in order, so split s covers
-  // pairs [s · per_split, ...) verbatim and the positional rejoin yields the
-  // edges in canonical (a, b) order with no re-sort.  The sketch table plays
-  // Pig's GROUP-ALL broadcast relation for every map task.
+  // Splits partition the sorted unique pairs in order, so split s scores
+  // pairs [s · per_split, ...) into the same slots of the edge list, which
+  // comes out in canonical (a, b) order with no re-sort.  The sketch table
+  // plays Pig's GROUP-ALL broadcast relation for every map task, and one
+  // scorer serves them all: a set-based one on a table of values sorts every
+  // sketch once into its store.
   const std::size_t num_hashes = sketches->cols();
-  const detail::PairScoreLanes lanes(sketches, estimator);
+  const SketchPairSimilarity scorer(*sketches, estimator);
   const std::size_t per_split = std::max<std::size_t>(
       exec.records_per_split,
       pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-  const auto blocks = detail::run_block_job(
+  std::vector<candidates::Edge>& edges = result.graph.edges;
+  edges.resize(pairs.size());
+  detail::run_in_place_job(
       "verify", exec, pool, per_split, std::span(pairs),
-      [lanes](std::span<const candidates::Pair> split,
-              mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        mr::BinaryBlock block = lanes.block(split.size());
-        lanes.sketches().with_cell([&]<typename Cell>(Cell) {
+      [&](std::span<const candidates::Pair> split, std::size_t first,
+          mr::Emitter<std::uint32_t, mr::BlockReceipt>& emit) {
+        sketches->with_cell([&]<typename Cell>(Cell) {
           for (std::size_t r = 0; r < split.size(); ++r) {
-            lanes.encode<Cell>(block, r, split[r].first, split[r].second);
+            const auto [a, b] = split[r];
+            edges[first + r] = candidates::Edge{a, b, scorer.at<Cell>(a, b)};
             emit.count("verify.pairs_scored");
           }
         });
-        return block;
+        return detail::pair_score_bytes(scorer, num_hashes, split.size());
       },
       [num_hashes](const candidates::Pair&) {
         return cost::compare_work(num_hashes);
       },
       result.stats);
-  result.graph.edges.resize(pairs.size());
-  for (const auto& [first, block] : blocks) {
-    for (std::uint64_t r = 0; r < block.rows(); ++r) {
-      const auto [a, b] = pairs[first + r];
-      result.graph.edges[first + r] =
-          candidates::Edge{a, b, lanes.decode(block, r)};
-    }
-  }
   return result;
 }
 

@@ -13,11 +13,11 @@
 //                 stage's body); the driver joins the slices in reducer
 //                 order — the local candidates::lsh_buckets CSR, which the
 //                 greedy stage sweeps directly
-//   "verify"      (hierarchical only) a block job (below) over the sorted
-//                 pair list the pipeline expands from the CSR
-//                 (candidates::pairs_from_buckets): one count-lane block per
-//                 split; the driver rebuilds edges positionally from the
-//                 already-sorted pair list
+//   "verify"      (hierarchical only) an in-place job (below) over the
+//                 sorted pair list the pipeline expands from the CSR
+//                 (candidates::pairs_from_buckets): a map task scores its
+//                 split's pairs straight into their slots of the edge list,
+//                 which is then in the pair list's sorted order
 //
 // Both drivers produce sorted unique outputs, so bucket lists and edge
 // lists are byte-identical across thread counts, record split orders,
@@ -27,12 +27,12 @@
 // `mrmc_doctor pipeline` reports them like any other pipeline stage.
 //
 // detail:: holds what every pipeline job builder shares: the one JobConfig
-// builder, the two job shapes — the block job of the sketch, similarity and
-// verify stages (a map task turns its split into ONE BinaryBlock, the
-// reduce is the identity, the driver rejoins blocks positionally) and the
-// GROUP-ALL cluster job of the greedy and hierarchical stages — and
-// PairScoreLanes, the one encode/decode of a pair score as integer count
-// lanes.
+// builder, the two job shapes — the in-place job of the sketch, similarity
+// and verify stages (a map task writes its split straight into the stage's
+// value and emits a receipt that models the block it would have shuffled;
+// the reduce is the identity) and the GROUP-ALL cluster job of the greedy
+// and hierarchical stages — and pair_score_bytes, the one wire model of a
+// pair score as integer count lanes.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +45,7 @@
 #include "common/error.hpp"
 #include "core/candidates.hpp"
 #include "core/kernels.hpp"
+#include "core/minhash.hpp"
 #include "core/pipeline.hpp"
 #include "mr/block.hpp"
 #include "mr/job.hpp"
@@ -95,88 +96,59 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
                          std::size_t records_per_split,
                          std::size_t num_reducers = 0);
 
-/// A pair score as integer count lanes of a BinaryBlock: the counts of
-/// SketchPairSimilarity — one match count (component-match, ≤ K) or |∩| and
-/// |∪| (set-based, ≤ 2K) per pair — in the narrowest lane that holds them.
-/// Map tasks encode; the driver decodes the exact double the local scorers
-/// compute (SketchPairSimilarity::score), so a pair costs one packed lane
-/// instead of a float.
-class PairScoreLanes {
- public:
-  PairScoreLanes(std::shared_ptr<const kernels::SketchMatrix> sketches,
-                 SketchEstimator estimator);
+/// The modelled wire bytes of `pairs` pair scores as integer count lanes:
+/// one match count (component-match, ≤ K) or |∩| and |∪| (set-based, ≤ 2K)
+/// per pair, in the narrowest lane that holds them — what a similarity or
+/// verify map task reports for the scores it writes in place.
+[[nodiscard]] inline double pair_score_bytes(const SketchPairSimilarity& scorer,
+                                             std::size_t sketch_size,
+                                             std::uint64_t pairs) noexcept {
+  const std::uint32_t cols = scorer.set_based() ? 2 : 1;
+  return mr::BinaryBlock::modelled_bytes(mr::min_lane_bits(cols * sketch_size),
+                                         pairs, cols);
+}
 
-  /// A zeroed block of `pairs` lanes.
-  [[nodiscard]] mr::BinaryBlock block(std::uint64_t pairs) const {
-    return {lane_bits_, pairs, scorer_->set_based() ? 2U : 1U};
-  }
-
-  [[nodiscard]] const kernels::SketchMatrix& sketches() const noexcept {
-    return *sketches_;
-  }
-
-  /// Score rows a and b into `lane` of `block`; returns the decoded score.
-  /// Cell is the table's cell type, taken once per block from
-  /// sketches().with_cell.
-  template <typename Cell>
-  double encode(mr::BinaryBlock& block, std::uint64_t lane, std::size_t a,
-                std::size_t b) const {
-    const SketchPairSimilarity::Counts counts = scorer_->counts<Cell>(a, b);
-    block.set(0, lane, counts.shared);
-    if (scorer_->set_based()) block.set(1, lane, counts.unions);
-    return scorer_->score(counts);
-  }
-
-  [[nodiscard]] double decode(const mr::BinaryBlock& block,
-                              std::uint64_t lane) const {
-    return scorer_->score(
-        {block.get(0, lane), scorer_->set_based() ? block.get(1, lane) : 0});
-  }
-
- private:
-  std::shared_ptr<const kernels::SketchMatrix> sketches_;  ///< scorer_'s rows
-  std::shared_ptr<const SketchPairSimilarity> scorer_;
-  std::uint32_t lane_bits_ = 8;
-};
-
-/// A block-job output block and the index of its split's first record.
-using PlacedBlock = std::pair<std::size_t, mr::BinaryBlock>;
-
-/// The block-job shape: `fill(split, emit)` turns each map split into ONE
-/// BinaryBlock (it may bump counters on `emit`), keyed by split index, and
-/// the reduce is the identity.  Returns every block placed at its split's
-/// first record, split_index · records_per_split, for the caller's
-/// positional rejoin.
+/// The in-place job shape of the sketch, similarity and verify stages.
+/// `fill(split, first, emit)` writes the split's records straight into the
+/// stage's value from record `first` = split_index · records_per_split on
+/// (it may bump counters on `emit`) and returns the modelled bytes of the
+/// block the split's output stands for (mr::BinaryBlock::modelled_bytes).
+/// The map emits that as a receipt keyed by split index and the reduce is
+/// the identity, so the job's shuffle bytes, spill runs and simulated time
+/// are the block's.  Splits own disjoint ranges of the value: a re-executed
+/// map attempt rewrites identical bytes into its own range.  Throws unless
+/// the receipts tile the input.
 template <typename In, typename Fill, typename MapWork>
-std::vector<PlacedBlock> run_block_job(const char* name,
-                                       const ExecutionOptions& exec,
-                                       common::ThreadPool* pool,
-                                       std::size_t records_per_split,
-                                       std::span<const In> input, Fill fill,
-                                       MapWork map_work, mr::JobStats& stats) {
+void run_in_place_job(const char* name, const ExecutionOptions& exec,
+                      common::ThreadPool* pool, std::size_t records_per_split,
+                      std::span<const In> input, Fill fill, MapWork map_work,
+                      mr::JobStats& stats) {
   using Key = std::uint32_t;
-  using BlockJob =
-      mr::Job<In, Key, mr::BinaryBlock, std::pair<Key, mr::BinaryBlock>>;
-  BlockJob job(
+  using Receipt = mr::BlockReceipt;
+  using ReceiptJob = mr::Job<In, Key, Receipt, std::pair<Key, Receipt>>;
+  ReceiptJob job(
       job_config(name, exec, pool, records_per_split),
-      [fill](std::span<const In> split, std::size_t split_index,
-             mr::Emitter<Key, mr::BinaryBlock>& emit) {
-        emit.emit(static_cast<Key>(split_index), fill(split, emit));
+      [fill, records_per_split](std::span<const In> split,
+                                std::size_t split_index,
+                                mr::Emitter<Key, Receipt>& emit) {
+        const double bytes = fill(split, split_index * records_per_split, emit);
+        emit.emit(static_cast<Key>(split_index), Receipt{split.size(), bytes});
       },
-      [](const Key& key, std::vector<mr::BinaryBlock>& values,
-         std::vector<std::pair<Key, mr::BinaryBlock>>& out) {
-        MRMC_CHECK(values.size() == 1, "one block per split");
-        out.emplace_back(key, std::move(values.front()));
+      [](const Key& key, std::vector<Receipt>& values,
+         std::vector<std::pair<Key, Receipt>>& out) {
+        MRMC_CHECK(values.size() == 1, "one receipt per split");
+        out.emplace_back(key, values.front());
       });
   job.with_map_work(std::move(map_work));
   auto run = job.run(input);
   stats = std::move(run.stats);
-  std::vector<PlacedBlock> blocks;
-  blocks.reserve(run.output.size());
-  for (auto& [split_index, block] : run.output) {
-    blocks.emplace_back(split_index * records_per_split, std::move(block));
+  std::size_t covered = 0;
+  for (const auto& [split_index, receipt] : run.output) {
+    MRMC_CHECK(split_index * records_per_split + receipt.records <= input.size(),
+               "split misplaced");
+    covered += receipt.records;
   }
-  return blocks;
+  MRMC_CHECK(covered == input.size(), "the splits do not cover the input");
 }
 
 /// The GROUP-ALL cluster job (Algorithm 3, steps 8 and 9): every map task

@@ -203,8 +203,8 @@ class MinHasher {
       common::ThreadPool* pool = nullptr) const;
 
   /// An uninitialised rows × sketch_size() table in sketch_matrix's cell
-  /// format, for the tables this hasher's sketches are copied into (the
-  /// MapReduce rejoin, a checkpoint decode).
+  /// format, for the tables this hasher's sketches are written into (the
+  /// MapReduce sketch job's, a checkpoint decode's).
   [[nodiscard]] kernels::SketchMatrix table_for_overwrite(std::size_t rows) const;
 
   /// `table` as values: a table of codes this hasher wrote gets h_i(code)
@@ -386,11 +386,11 @@ class SketchPairSimilarity {
 // with average linkage too) and exposes the corrected estimator for
 // benchmarks and tests.  Both paths keep the truncated values in u64 rows
 // (kernels::mask_components) and score them with SketchPairSimilarity; only
-// the sketch job's shuffle blocks carry them in b-bit lanes.
+// the sketch job's modelled shuffle bytes count them in b-bit lanes.
 
 /// Valid --sketch-bits values: divisors of 64, the lane widths of the
-/// sketch job's shuffle blocks (mr::BinaryBlock), so a lane never straddles
-/// a word.
+/// blocks the sketch job's shuffle is modelled as (mr::BinaryBlock), so a
+/// lane never straddles a word.
 [[nodiscard]] constexpr bool valid_sketch_bits(std::size_t bits) noexcept {
   return bits == 1 || bits == 2 || bits == 4 || bits == 8 || bits == 16 ||
          bits == 32 || bits == 64;

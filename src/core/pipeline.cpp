@@ -116,15 +116,13 @@ kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
 }
 
 /// Job 1: sketch every read.  Each map task sketches its split serially
-/// (the splits already fill the pool), read by read through one reused
-/// K-slot row, straight into ONE BinaryBlock — K rows × (reads in split)
-/// columns of packed cells — instead of one vector<uint64_t> per read, so
-/// the shuffle moves the exact packed bytes.  At b = 64 a hasher that
-/// writes codes packs them into 16-bit lanes; otherwise the block's b-bit
-/// lanes keep each value's low b bits, the truncation sketch_reads applies
-/// (64/b-fold less at b < 64, and no per-record vector header even at
-/// b = 64).  Either way the cells equal the local stage's.  The driver
-/// rejoins the blocks straight into the rows of one SketchMatrix.
+/// (the splits already fill the pool), read by read with
+/// MinHasher::sketch_into straight into the split's rows of the stage's one
+/// SketchMatrix, and at b < 64 keeps each value's low b bits, the
+/// truncation sketch_reads applies, so the cells equal the local stage's.
+/// Its receipt models the block of K rows × (reads in split) columns the
+/// shuffle would have carried: 16-bit lanes when the hasher writes codes,
+/// b-bit lanes otherwise.
 kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
                                      const MinHasher& hasher,
                                      std::size_t sketch_bits,
@@ -136,55 +134,40 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
   const bool codes = sketch_bits >= 64 && hasher.writes_codes();
   auto sketches = codes ? hasher.table_for_overwrite(reads.size())
                         : kernels::SketchMatrix::for_overwrite(reads.size(), num_hashes);
-  sketches.with_cell([&]<typename Cell>(Cell) {
-    const auto blocks = detail::run_block_job(
-        "sketch", exec, pool, exec.records_per_split, reads,
-        [&hasher, num_hashes, bits = codes ? 16 : sketch_bits](
-            std::span<const bio::FastaRecord> split,
-            mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-          mr::BinaryBlock block(static_cast<std::uint32_t>(bits), num_hashes,
-                                static_cast<std::uint32_t>(split.size()));
-          std::vector<Cell> row(num_hashes);
-          for (std::uint32_t c = 0; c < block.cols(); ++c) {
-            hasher.sketch_into(split[c].seq, std::span<Cell>(row));
-            for (std::size_t k = 0; k < num_hashes; ++k) block.set(c, k, row[k]);
+  const auto lane_bits = static_cast<std::uint32_t>(codes ? 16 : sketch_bits);
+  const std::uint64_t mask = sketch_bits_mask(sketch_bits);
+  detail::run_in_place_job(
+      "sketch", exec, pool, exec.records_per_split, reads,
+      [&](std::span<const bio::FastaRecord> split, std::size_t first,
+          mr::Emitter<std::uint32_t, mr::BlockReceipt>& emit) {
+        sketches.with_cell([&]<typename Cell>(Cell) {
+          for (std::size_t c = 0; c < split.size(); ++c) {
+            const std::span<Cell> row = sketches.row<Cell>(first + c);
+            hasher.sketch_into(split[c].seq, row);
+            if (sketch_bits < 64) {
+              for (Cell& cell : row) cell = static_cast<Cell>(cell & mask);
+            }
           }
-          emit.count("reads.sketched", std::ssize(split));
-          return block;
-        },
-        [num_hashes](const bio::FastaRecord& read) {
-          return cost::sketch_work(read.seq.size(), num_hashes);
-        },
-        stats);
-
-    // The splits' blocks are disjoint; covering every read, they write
-    // every row, so the rejoin runs block by block on the pool, which also
-    // first-touches the pages.
-    std::size_t rejoined = 0;
-    for (const auto& [first, block] : blocks) {
-      MRMC_CHECK(first + block.cols() <= reads.size(), "sketch block misplaced");
-      rejoined += block.cols();
-    }
-    MRMC_CHECK(rejoined == reads.size(), "sketch blocks do not cover the reads");
-    common::parallel_for(pool, blocks.size(), [&](std::size_t b) {
-      const auto& [first, block] = blocks[b];
-      for (std::uint32_t c = 0; c < block.cols(); ++c) {
-        const std::span<Cell> row = sketches.row<Cell>(first + c);
-        for (std::size_t k = 0; k < num_hashes; ++k) {
-          row[k] = static_cast<Cell>(block.get(c, k));
-        }
-      }
-    });
-  });
+        });
+        emit.count("reads.sketched", std::ssize(split));
+        return mr::BinaryBlock::modelled_bytes(
+            lane_bits, num_hashes, static_cast<std::uint32_t>(split.size()));
+      },
+      [num_hashes](const bio::FastaRecord& read) {
+        return cost::sketch_work(read.seq.size(), num_hashes);
+      },
+      stats);
   return sketches;
 }
 
 /// Job 2: all-pairs similarity, map tasks own contiguous row ranges (the
 /// paper's row-wise partition).  The sketch table plays the role of Pig's
-/// GROUP-ALL broadcast relation.  Each map task ships ONE block of pair
-/// count lanes per split (detail::PairScoreLanes) instead of a vector<float>
-/// per row, and the driver rebuilds the identical floats from them, row by
-/// row on the pool.
+/// GROUP-ALL broadcast relation.  Row r's task writes cell (r, r) and cells
+/// (r, j), (j, r) for j > r of the stage's one matrix, scored by the local
+/// SketchPairSimilarity: rows write disjoint cells that together cover the
+/// matrix, and the map tasks first-touch its pages.  A task's receipt
+/// models its rows' upper-triangle scores as count lanes
+/// (detail::pair_score_bytes).
 SimilarityMatrix run_similarity_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const PipelineParams& params, SketchEstimator estimator,
@@ -193,63 +176,35 @@ SimilarityMatrix run_similarity_job(
   obs::pipeline::StageScope stage("similarity");
   const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
-  const detail::PairScoreLanes lanes(sketches, estimator);
+  const SketchPairSimilarity scorer(*sketches, estimator);
   const std::size_t per_split = std::max<std::size_t>(
       1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
 
   std::vector<std::uint32_t> rows(n);
   for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
 
-  const auto blocks = detail::run_block_job(
+  SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
+  detail::run_in_place_job(
       "similarity", exec, pool, per_split, std::span<const std::uint32_t>(rows),
-      [lanes, n](std::span<const std::uint32_t> split,
-                 mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        // One ragged column: row r contributes n - r - 1 lanes, upper
-        // triangle in row order (the driver knows the lengths).
-        std::uint64_t total = 0;
-        for (const std::uint32_t row : split) total += n - row - 1;
-        mr::BinaryBlock block = lanes.block(total);
-        lanes.sketches().with_cell([&]<typename Cell>(Cell) {
-          std::uint64_t lane = 0;
+      [&](std::span<const std::uint32_t> split, std::size_t,
+          mr::Emitter<std::uint32_t, mr::BlockReceipt>& emit) {
+        std::uint64_t pairs = 0;
+        sketches->with_cell([&]<typename Cell>(Cell) {
           for (const std::uint32_t row : split) {
-            for (std::size_t j = row + 1; j < n; ++j, ++lane) {
-              (void)lanes.encode<Cell>(block, lane, row, j);
+            matrix.set(row, row, 1.0F);
+            for (std::size_t j = row + 1; j < n; ++j) {
+              matrix.set(row, j, static_cast<float>(scorer.at<Cell>(row, j)));
             }
+            pairs += n - row - 1;
             emit.count("matrix.rows");
           }
         });
-        return block;
+        return detail::pair_score_bytes(scorer, sketches->cols(), pairs);
       },
       [n, num_hashes](const std::uint32_t& row) {
         return static_cast<double>(n - row - 1) * cost::compare_work(num_hashes);
       },
       stats);
-
-  // Lanes follow the mapper's (row, j) iteration order, so row r's lanes
-  // start k(2(n - first) - k - 1)/2 into its split's block, k = r - first.
-  // Row r writes cell (r, r) and cells (r, j), (j, r) for j > r: rows write
-  // disjoint cells that together cover the matrix, so the decode runs row by
-  // row on the pool, which also first-touches the pages.
-  std::vector<const mr::BinaryBlock*> split_blocks(
-      (n + per_split - 1) / per_split, nullptr);
-  for (const auto& [first, block] : blocks) {
-    MRMC_CHECK(first % per_split == 0 && first < n, "similarity block misplaced");
-    split_blocks[first / per_split] = &block;
-  }
-  MRMC_CHECK(std::find(split_blocks.begin(), split_blocks.end(), nullptr) ==
-                 split_blocks.end(),
-             "a similarity split returned no block");
-  SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
-  common::parallel_for(pool, n, [&](std::size_t row) {
-    const std::size_t first = row - row % per_split;
-    const std::size_t k = row - first;
-    const mr::BinaryBlock& block = *split_blocks[row / per_split];
-    std::uint64_t lane = k * (2 * (n - first) - k - 1) / 2;
-    matrix.set(row, row, 1.0F);
-    for (std::size_t j = row + 1; j < n; ++j, ++lane) {
-      matrix.set(row, j, static_cast<float>(lanes.decode(block, lane)));
-    }
-  });
   return matrix;
 }
 
@@ -567,16 +522,19 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
     return std::make_shared<const kernels::SketchMatrix>(std::move(table));
   }();
   result.sim_total_s += result.sketch_stats.timeline.total_s;
-#if defined(__GLIBC__)
-  // The sketch job's blocks are freed but stay resident in the allocator,
-  // and the table is one large mapping that cannot reuse them; hand those
-  // pages back before the table's consumers allocate.
-  if (stages.distributed()) ::malloc_trim(0);
-#endif
 
   std::optional<CandidateJobResult> buckets;
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
     buckets = lsh_candidates(sketches, params, exec, stages, result);
+#if defined(__GLIBC__)
+    // The candidates job's blocks, the only shuffle blocks a run still
+    // builds, are freed but stay resident in the allocator; hand those
+    // pages back before the cluster stage allocates.
+    if (stages.distributed()) {
+      obs::Tracer::Span trim_span(obs::Tracer::global(), "pipeline/malloc_trim");
+      ::malloc_trim(0);
+    }
+#endif
   }
   const double compare_work = cost::compare_work(sketches->cols());
 

@@ -1,11 +1,12 @@
-// mr::BinaryBlock — the columnar shuffle payload of the block jobs.
+// mr::BinaryBlock — the columnar shuffle payload of the candidates job, and
+// the wire model of the in-place jobs.
 //
-// Large jobs (sketch, similarity, verify) used to shuffle one
-// vector<uint64_t> per record: an 8-byte header plus 8 bytes per component,
-// per record, per hop.  A BinaryBlock instead carries one *split's* worth of
-// fixed-width values as packed little-endian columns, so a map task emits a
-// single value that the shuffle moves in memory.  Values sit column-major:
-// cols × words_per_column() u64 words, where words_per_column() =
+// Large jobs used to shuffle one vector<uint64_t> per record: an 8-byte
+// header plus 8 bytes per component, per record, per hop.  A BinaryBlock
+// instead carries one *split's* worth of fixed-width values as packed
+// little-endian columns, so a map task emits a single value that the
+// shuffle moves in memory.  Values sit column-major: cols ×
+// words_per_column() u64 words, where words_per_column() =
 // ceil(rows · elem_bits / 64).  elem_bits ∈ {1, 2, 4, 8, 16, 32, 64} always
 // divides 64, so a value never straddles a word boundary and get() is one
 // word load + shift.
@@ -14,7 +15,11 @@
 // header (width, shape) plus its payload words; approx_bytes(BinaryBlock)
 // reports exactly that (the member hook picked up by mr/bytes.hpp), so
 // shuffle-byte counters and the pipeline doctor see the packed volume.  No
-// block is ever serialized.
+// block is ever serialized.  The sketch, similarity and verify map tasks
+// write their split straight into the stage's value (a Hadoop map task's
+// side output) and emit a BlockReceipt that models the block they no
+// longer build: BinaryBlock::modelled_bytes is the one size formula behind
+// both.
 #pragma once
 
 #include <cstddef>
@@ -86,12 +91,19 @@ class BinaryBlock {
     return (words_[word] >> shift) & lane_mask();
   }
 
-  /// Modelled wire size, kHeaderBytes + 8 · words — the member hook
-  /// mr/bytes.hpp dispatches to, so shuffle accounting sees the packed
-  /// volume.
-  [[nodiscard]] double approx_serialized_bytes() const noexcept {
+  /// Modelled wire size of a rows × cols block of `elem_bits`-wide values:
+  /// kHeaderBytes + 8 · cols · ceil(rows · elem_bits / 64).
+  [[nodiscard]] static constexpr double modelled_bytes(
+      std::uint32_t elem_bits, std::uint64_t rows, std::uint32_t cols) noexcept {
     return static_cast<double>(kHeaderBytes) +
-           static_cast<double>(words_.size()) * 8.0;
+           static_cast<double>((rows * elem_bits + 63) / 64) *
+               static_cast<double>(cols) * 8.0;
+  }
+
+  /// modelled_bytes of this block — the member hook mr/bytes.hpp
+  /// dispatches to, so shuffle accounting sees the packed volume.
+  [[nodiscard]] double approx_serialized_bytes() const noexcept {
+    return modelled_bytes(elem_bits_, rows_, cols_);
   }
 
   friend bool operator==(const BinaryBlock&, const BinaryBlock&) = default;
@@ -107,6 +119,17 @@ class BinaryBlock {
   std::uint32_t cols_ = 0;
   std::size_t wpc_ = 0;  ///< words per column = ceil(rows · elem_bits / 64)
   std::vector<std::uint64_t> words_;
+};
+
+/// What a map task that writes its split in place emits instead of the
+/// BinaryBlock it would have shuffled: the split's record count and that
+/// block's modelled_bytes, which the engine charges as the block's, so
+/// shuffle bytes, spill runs and the simulated clock stay the block's.
+struct BlockReceipt {
+  std::uint64_t records = 0;
+  double bytes = 0.0;
+
+  [[nodiscard]] double approx_serialized_bytes() const noexcept { return bytes; }
 };
 
 }  // namespace mrmc::mr

@@ -167,8 +167,9 @@ class Job {
   using Mapper = std::function<void(const In&, Emitter<K, V>&)>;
   /// Whole-split mapper: one call per input split, with the split's global
   /// index.  The batched shape behind the binary columnar shuffle — a job
-  /// can emit one packed block per split instead of one value per record
-  /// (the driver rejoins positionally via split_index × records_per_split).
+  /// can emit one packed block per split instead of one value per record,
+  /// or write the split in place from record split_index ×
+  /// records_per_split on.
   /// Byte/work accounting stays per-record: input bytes and the map work
   /// model are still charged for every record of the split.
   using SplitMapper =

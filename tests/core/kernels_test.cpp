@@ -471,14 +471,14 @@ TEST(SlotDisjointStamp, OnlyTheWritingHasherMakesAndWidensCodeTables) {
   const kernels::SketchMatrix sketched = hasher.sketch_matrix(reads);
   ASSERT_TRUE(sketched.slot_disjoint());
 
-  // A table the hasher's codes are copied into, as a rejoin or a decoder
-  // builds it.
-  kernels::SketchMatrix rejoined = hasher.table_for_overwrite(reads.size());
-  ASSERT_TRUE(rejoined.slot_disjoint());
+  // A table the hasher's codes are written into, as the MR sketch job or a
+  // decoder builds it.
+  kernels::SketchMatrix written = hasher.table_for_overwrite(reads.size());
+  ASSERT_TRUE(written.slot_disjoint());
   for (std::size_t i = 0; i < reads.size(); ++i) {
-    hasher.sketch_into(reads[i], rejoined.row<std::uint16_t>(i));
+    hasher.sketch_into(reads[i], written.row<std::uint16_t>(i));
   }
-  EXPECT_EQ(rejoined, sketched);
+  EXPECT_EQ(written, sketched);
 
   // A hasher of another sketch length, or one whose table check fails,
   // cannot widen these codes; the latter writes no codes at all.

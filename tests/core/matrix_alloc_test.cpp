@@ -269,9 +269,9 @@ std::vector<std::string> clustered_reads(std::size_t count) {
 TEST(MatrixAllocation, CertifiedSetBasedGreedyBuildsNoSortedStore) {
   // A greedy run over a k <= 6 table of codes scores set-based pairs from
   // the table and makes no store request, on the table sketch_matrix writes
-  // and on a copy in a table the hasher made (as a rejoin builds it).  The
-  // labels are those of the store-scored values.  k = 7 (values) still
-  // sorts into one.
+  // and on a copy in a table the hasher made (as a checkpoint decode builds
+  // it).  The labels are those of the store-scored values.  k = 7 (values)
+  // still sorts into one.
   const std::vector<std::string> reads = clustered_reads(kRows);
   std::array<std::string_view, kRows> seqs;
   std::ranges::copy(reads, seqs.begin());
@@ -281,15 +281,15 @@ TEST(MatrixAllocation, CertifiedSetBasedGreedyBuildsNoSortedStore) {
         {.kmer = k, .num_hashes = kHashes, .canonical = true, .seed = 9});
     const kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs);
     EXPECT_EQ(sketches.slot_disjoint(), k <= 6);
-    kernels::SketchMatrix rejoined = hasher.table_for_overwrite(kRows);
+    kernels::SketchMatrix copied = hasher.table_for_overwrite(kRows);
     sketches.with_cell([&]<typename Cell>(Cell) {
       for (std::size_t i = 0; i < kRows; ++i) {
-        std::ranges::copy(sketches.row<Cell>(i), rejoined.row<Cell>(i).begin());
+        std::ranges::copy(sketches.row<Cell>(i), copied.row<Cell>(i).begin());
       }
     });
     const GreedyResult unstamped =
         greedy_cluster(hasher.widen(sketches), {0.3, SketchEstimator::kSetBased});
-    const kernels::SketchMatrix& certified = rejoined;
+    const kernels::SketchMatrix& certified = copied;
     EXPECT_EQ(certified.slot_disjoint(), k <= 6);
     for (const kernels::SketchMatrix* table : {&sketches, &certified}) {
       for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
@@ -333,8 +333,8 @@ TEST(MatrixAllocation, CodeTableIncrementalClustererBuildsNoSortedStore) {
 
 TEST(MatrixAllocation, PipelineSetBasedGreedyBuildsNoSortedStoreOnAnyPath) {
   // Every table the pipeline scores at k = 5 holds codes: the local
-  // stage's, the MR rejoin's and the checkpoint decoder's.  Such a run makes
-  // no request the size of a store (4000 × 64 × 8 B): its table and
+  // stage's, the MR sketch job's and the checkpoint decoder's.  Such a run
+  // makes no request the size of a store (4000 × 64 × 8 B): its table and
   // checkpoint payloads are a quarter of that.  The k = 7 run, whose table
   // holds values, makes its store request and its table's.  Twice the rows,
   // so the store outgrows the k = 5 hasher's 1 MiB table-check set.

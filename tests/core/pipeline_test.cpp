@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <span>
 #include <string>
@@ -13,6 +14,8 @@
 #include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
 #include "eval/external_indices.hpp"
+#include "mr/block.hpp"
+#include "mr/bytes.hpp"
 #include "simdata/datasets.hpp"
 
 namespace mrmc::core {
@@ -117,7 +120,7 @@ TEST(Pipeline, DistributedHierarchicalMatchesLocal) {
 }
 
 /// The paths to a k = 5 table of codes: the local sketch stage's, the MR
-/// rejoin's and the checkpoint decoder's.  Every run of `params` gives the
+/// sketch job's and the checkpoint decoder's.  Every run of `params` gives the
 /// labels of the widened values.
 void expect_value_scored_labels_on_every_path(const PipelineParams& params,
                                               const std::string& name) {
@@ -360,6 +363,83 @@ TEST(Pipeline, BBitPackingShrinksSketchShuffle) {
   const auto codes = run_pipeline(sample.reads, base_params(Mode::kHierarchical), exec);
   EXPECT_LT(codes.sketch_stats.shuffle_bytes, full.sketch_stats.shuffle_bytes / 3.5);
   EXPECT_GT(codes.sketch_stats.shuffle_bytes, full.sketch_stats.shuffle_bytes / 4.0);
+}
+
+/// What a block job over `records` records in splits of `per_split` would
+/// have shuffled: per split, a 4-byte key and `block(first, size)`.
+template <typename Block>
+double block_job_bytes(std::size_t records, std::size_t per_split, Block block) {
+  double bytes = 0.0;
+  for (std::size_t first = 0; first < records; first += per_split) {
+    bytes += 4.0 + mr::approx_bytes(block(first, std::min(per_split, records - first)));
+  }
+  return bytes;
+}
+
+TEST(Pipeline, InPlaceJobReceiptsModelTheBlocksTheyReplace) {
+  // The sketch, similarity and verify map tasks write in place and emit a
+  // receipt for the BinaryBlock their split would have shuffled, so each
+  // job's shuffle bytes are those blocks': K × reads sketch cells (16-bit
+  // codes on a k = 5 table at b = 64, b-bit lanes otherwise) and one count
+  // lane per pair (two, |∩| and |∪|, set-based), on tables of codes and of
+  // values at b ∈ {64, 16, 8}.
+  const auto sample = small_sample();
+  const std::size_t n = sample.reads.size();
+  ExecutionOptions exec;
+  exec.cluster.nodes = 3;
+  exec.records_per_split = 16;
+  const std::size_t map_waves = exec.cluster.map_slots() * 4;
+  for (const int kmer : {5, 12}) {
+    for (const std::size_t bits : {std::size_t{64}, std::size_t{16}, std::size_t{8}}) {
+      for (const auto estimator :
+           {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+        auto params = base_params(Mode::kHierarchical);
+        params.minhash.kmer = kmer;
+        params.sketch_bits = bits;
+        params.estimator = estimator;
+        const std::size_t num_hashes = params.minhash.num_hashes;
+        const std::string where = "k=" + std::to_string(kmer) +
+                                  " bits=" + std::to_string(bits) +
+                                  " set_based=" + std::to_string(estimator ==
+                                                                 SketchEstimator::kSetBased);
+        const auto cell_bits =
+            static_cast<std::uint32_t>(kmer == 5 && bits == 64 ? 16 : bits);
+        // Below 64 bits every estimator scores as component-match.
+        const std::uint32_t lanes =
+            bits == 64 && estimator == SketchEstimator::kSetBased ? 2 : 1;
+        const std::uint32_t lane_bits = mr::min_lane_bits(lanes * num_hashes);
+
+        const auto exact = run_pipeline(sample.reads, params, exec);
+        EXPECT_EQ(exact.sketch_stats.shuffle_bytes,
+                  block_job_bytes(n, 16, [&](std::size_t, std::size_t size) {
+                    return mr::BinaryBlock(cell_bits, num_hashes,
+                                           static_cast<std::uint32_t>(size));
+                  }))
+            << where;
+        EXPECT_EQ(exact.similarity_stats.shuffle_bytes,
+                  block_job_bytes(n, std::max<std::size_t>(1, n / map_waves),
+                                  [&](std::size_t first, std::size_t size) {
+                                    std::uint64_t pairs = 0;
+                                    for (std::size_t r = first; r < first + size; ++r) {
+                                      pairs += n - r - 1;
+                                    }
+                                    return mr::BinaryBlock(lane_bits, pairs, lanes);
+                                  }))
+            << where;
+
+        params.candidates.backend = candidates::Backend::kLshBanded;
+        const auto lsh = run_pipeline(sample.reads, params, exec);
+        const std::size_t pairs = lsh.candidate_pairs;
+        ASSERT_GT(pairs, 0u) << where;
+        EXPECT_EQ(lsh.verify_stats.shuffle_bytes,
+                  block_job_bytes(pairs, std::max<std::size_t>(16, pairs / map_waves),
+                                  [&](std::size_t, std::size_t size) {
+                                    return mr::BinaryBlock(lane_bits, size, lanes);
+                                  }))
+            << where;
+      }
+    }
+  }
 }
 
 TEST(Pipeline, BBitLabelsStayFaithfulToFullWidth) {

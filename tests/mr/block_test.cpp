@@ -86,6 +86,23 @@ TEST(BinaryBlock, ApproxBytesIsExactWireSize) {
   EXPECT_DOUBLE_EQ(approx_bytes(narrow), 32.0 + 13.0 * 8.0 * 7.0);
 }
 
+TEST(BinaryBlock, ModelledBytesEqualABuiltBlocksAndAReceiptReportsThem) {
+  // The in-place jobs' receipts report modelled_bytes for the blocks they
+  // no longer build: it must be a built block's approx_bytes at every
+  // width and shape, ragged word tails and empty blocks included.
+  for (const std::uint32_t bits : kAllWidths) {
+    for (const std::uint64_t rows : {0ull, 1ull, 63ull, 64ull, 65ull, 1000ull}) {
+      for (const std::uint32_t cols : {0u, 1u, 2u, 7u}) {
+        const double modelled = BinaryBlock::modelled_bytes(bits, rows, cols);
+        EXPECT_EQ(modelled, approx_bytes(BinaryBlock(bits, rows, cols)))
+            << "bits=" << bits << " rows=" << rows << " cols=" << cols;
+        EXPECT_EQ(approx_bytes(BlockReceipt{rows, modelled}), modelled);
+      }
+    }
+  }
+  EXPECT_EQ(BinaryBlock::modelled_bytes(0, 0, 0), approx_bytes(BinaryBlock()));
+}
+
 TEST(BinaryBlock, MinLaneBitsCoversCountRanges) {
   EXPECT_EQ(min_lane_bits(0), 8u);
   EXPECT_EQ(min_lane_bits(255), 8u);

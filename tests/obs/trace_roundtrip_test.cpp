@@ -250,5 +250,31 @@ TEST_F(TraceRoundTripTest, GreedyPipelineEventsReconstructTimelines) {
   EXPECT_TRUE(saw_job_span);
 }
 
+TEST_F(TraceRoundTripTest, LshPipelineSpansItsSerialSections) {
+  // The serial work between an LSH run's jobs gets its own
+  // wall-clock spans: the candidates CSR join and, on glibc, the
+  // malloc_trim after the candidates job.
+  const auto reads = sample_reads(60);
+  core::PipelineParams params;
+  params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true, .seed = 2};
+  params.mode = core::Mode::kGreedy;
+  params.theta = 0.3;
+  params.candidates.backend = core::candidates::Backend::kLshBanded;
+  core::ExecutionOptions exec;
+  exec.threads = 2;
+  exec.records_per_split = 16;
+
+  (void)core::run_pipeline(reads, params, exec);
+
+  std::map<std::string, int> spans;
+  for (const obs::TraceEvent& event : obs::Tracer::global().events()) {
+    if (event.pid == obs::kRealPid && event.phase == 'X') ++spans[event.name];
+  }
+  EXPECT_EQ(spans["pipeline/candidates_join"], 1);
+#if defined(__GLIBC__)
+  EXPECT_EQ(spans["pipeline/malloc_trim"], 1);
+#endif
+}
+
 }  // namespace
 }  // namespace mrmc

@@ -202,9 +202,9 @@ TEST(DriverChaos, ParkedDriverResumesAfterTheClusterIsRepaired) {
 
 TEST(DriverChaos, ReExecutedSketchMapsLeaveTheCodeTableLabelsByteIdentical) {
   // Node 1 dies just after every job starts, killing the map attempts it
-  // runs: the k = 5 sketch job's blocks of 16-bit codes then come from
-  // re-executed map attempts, and every shape still gives its fault-free
-  // labels.
+  // runs: the k = 5 sketch job's rows of 16-bit codes are then rewritten in
+  // place by re-executed map attempts, and every shape still gives its
+  // fault-free labels.
   const auto reads = sample_reads();
   const ExecutionOptions fault_free = exec_options(2, {}, "");
   const mr::faults::FaultPlan plan(
@@ -217,6 +217,33 @@ TEST(DriverChaos, ReExecutedSketchMapsLeaveTheCodeTableLabelsByteIdentical) {
     EXPECT_EQ(faulted.labels, baseline.labels) << c.name;
     EXPECT_GT(faulted.sketch_stats.lost_map_reruns, 0u) << c.name;
     EXPECT_EQ(baseline.sketch_stats.lost_map_reruns, 0u) << c.name;
+  }
+}
+
+TEST(DriverChaos, ReExecutedScoringMapsLeaveTheHierarchicalLabelsByteIdentical) {
+  // The same plan re-executes the similarity job's map attempts (exact
+  // shape), which rewrite their rows' cells of the matrix in place, and the
+  // verify job's (LSH shape), which rewrite their slots of the edge list;
+  // both shapes give their fault-free labels.
+  const auto reads = sample_reads();
+  const ExecutionOptions fault_free = exec_options(2, {}, "");
+  const mr::faults::FaultPlan plan(
+      {{1, fault_free.cluster.job_startup_s + 0.1, mr::faults::kNever}});
+  const std::vector<PipelineCase> cases = pipeline_cases();
+  for (const PipelineCase& c : {cases[1], cases[3]}) {
+    ASSERT_EQ(c.params.mode, Mode::kHierarchical) << c.name;
+    const bool lsh = c.params.candidates.backend == candidates::Backend::kLshBanded;
+    const PipelineResult baseline = run_pipeline(reads, c.params, fault_free);
+    const PipelineResult faulted =
+        run_pipeline(reads, c.params, exec_options(2, plan, ""));
+    EXPECT_EQ(faulted.labels, baseline.labels) << c.name;
+    const mr::JobStats& rerun =
+        lsh ? faulted.verify_stats : faulted.similarity_stats;
+    const mr::JobStats& clean =
+        lsh ? baseline.verify_stats : baseline.similarity_stats;
+    EXPECT_GT(rerun.lost_map_reruns, 0u) << c.name;
+    EXPECT_EQ(clean.lost_map_reruns, 0u) << c.name;
+    EXPECT_GT(clean.map_tasks, 1u) << c.name;
   }
 }
 
