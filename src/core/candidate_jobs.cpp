@@ -1,17 +1,8 @@
 #include "core/candidate_jobs.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <limits>
-#include <string>
-#include <utility>
-
-#include "common/error.hpp"
-#include "core/kernels.hpp"
-#include "mr/block.hpp"
-#include "obs/pipeline.hpp"
-#include "obs/trace.hpp"
 
 namespace mrmc::core {
 
@@ -37,7 +28,6 @@ std::vector<int> run_cluster_job(const mr::JobConfig& config, std::size_t n,
                                  double reduce_work,
                                  const std::function<std::vector<int>()>& cluster,
                                  mr::JobStats& stats) {
-  obs::pipeline::StageScope stage(config.name);
   using ClusterJob =
       mr::Job<std::uint32_t, int, std::uint32_t, std::pair<std::uint32_t, int>>;
   ClusterJob job(
@@ -86,7 +76,6 @@ CandidateJobResult run_candidate_job(
   result.shape = shape;
   if (n < 2) return result;
 
-  obs::pipeline::StageScope stage("candidates");
   MRMC_REQUIRE(n * shape.bands <= std::numeric_limits<std::uint32_t>::max(),
                "read ids and bucket entries must fit 32 bits");
 
@@ -187,48 +176,6 @@ CandidateJobResult run_candidate_job(
       buckets.offsets.push_back(base + slice.offsets[g]);
     }
   }
-  return result;
-}
-
-VerifyJobResult run_verify_job(
-    std::shared_ptr<const kernels::SketchMatrix> sketches,
-    const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    const ExecutionOptions& exec, common::ThreadPool* pool) {
-  VerifyJobResult result;
-  result.graph.num_vertices = sketches->rows();
-  if (pairs.empty()) return result;
-
-  obs::pipeline::StageScope stage("verify");
-  // Splits partition the sorted unique pairs in order, so split s scores
-  // pairs [s · per_split, ...) into the same slots of the edge list, which
-  // comes out in canonical (a, b) order with no re-sort.  The sketch table
-  // plays Pig's GROUP-ALL broadcast relation for every map task, and one
-  // scorer serves them all: a set-based one on a table of values sorts every
-  // sketch once into its store.
-  const std::size_t num_hashes = sketches->cols();
-  const SketchPairSimilarity scorer(*sketches, estimator);
-  const std::size_t per_split = std::max<std::size_t>(
-      exec.records_per_split,
-      pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-  std::vector<candidates::Edge>& edges = result.graph.edges;
-  edges.resize(pairs.size());
-  detail::run_in_place_job(
-      "verify", exec, pool, per_split, std::span(pairs),
-      [&](std::span<const candidates::Pair> split, std::size_t first,
-          mr::Emitter<std::uint32_t, mr::BlockReceipt>& emit) {
-        sketches->with_cell([&]<typename Cell>(Cell) {
-          for (std::size_t r = 0; r < split.size(); ++r) {
-            const auto [a, b] = split[r];
-            edges[first + r] = candidates::Edge{a, b, scorer.at<Cell>(a, b)};
-            emit.count("verify.pairs_scored");
-          }
-        });
-        return detail::pair_score_bytes(scorer, num_hashes, split.size());
-      },
-      [num_hashes](const candidates::Pair&) {
-        return cost::compare_work(num_hashes);
-      },
-      result.stats);
   return result;
 }
 

@@ -1,5 +1,5 @@
-// The MapReduce job builders behind core::run_pipeline's distributed stages,
-// and the two job shapes they share.
+// The pipeline's stage runner and the MapReduce job builders behind
+// core::run_pipeline's distributed stages.
 //
 // Candidate generation (ScalLoPS-style LSH banding at MapReduce scale,
 // Sunarso et al.):
@@ -13,42 +13,45 @@
 //                 stage's body); the driver joins the slices in reducer
 //                 order — the local candidates::lsh_buckets CSR, which the
 //                 greedy stage sweeps directly
-//   "verify"      (hierarchical only) an in-place job (below) over the
+//   "verify"      (hierarchical only) an in-place stage (below) over the
 //                 sorted pair list the pipeline expands from the CSR
-//                 (candidates::pairs_from_buckets): a map task scores its
-//                 split's pairs straight into their slots of the edge list,
-//                 which is then in the pair list's sorted order
+//                 (candidates::pairs_from_buckets): candidates::verify_rows
+//                 scores a range of pairs straight into their slots of the
+//                 edge list, which is then in the pair list's sorted order
 //
-// Both drivers produce sorted unique outputs, so bucket lists and edge
-// lists are byte-identical across thread counts, record split orders,
-// fault plans that leave one live node, and scalar vs AVX2 kernels — and
-// identical to the local candidates::lsh_buckets / verify_pairs path.
-// Each job claims a lineage stage ("candidates" / "verify") so
-// `mrmc_doctor pipeline` reports them like any other pipeline stage.
+// The sketch, similarity and verify stages are in-place stages: each has
+// one row-range body (MinHasher::sketch_rows, similarity_rows,
+// candidates::verify_rows) that writes records [first, last) of the
+// stage's value, and detail::StageRunner::fill runs it — across the run's
+// pool locally, as the map body of the stage's job over each split when
+// distributed.  Every stage's output is byte-identical across modes,
+// thread counts, record split orders, fault plans that leave one live
+// node, and scalar vs AVX2 kernels.  Each job claims a lineage stage
+// (its name) so `mrmc_doctor pipeline` reports them like any other
+// pipeline stage.
 //
-// detail:: holds what every pipeline job builder shares: the one JobConfig
-// builder, the two job shapes — the in-place job of the sketch, similarity
-// and verify stages (a map task writes its split straight into the stage's
-// value and emits a receipt that models the block it would have shuffled;
-// the reduce is the identity) and the GROUP-ALL cluster job of the greedy
-// and hierarchical stages — and pair_score_bytes, the one wire model of a
-// pair score as integer count lanes.
+// detail:: holds what every pipeline stage shares: the one JobConfig
+// builder, the StageRunner (each stage's checkpoint driver, lineage stage
+// and wall span, and the in-place stages' runner) and the GROUP-ALL
+// cluster job of the greedy and hierarchical stages.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/candidates.hpp"
 #include "core/kernels.hpp"
-#include "core/minhash.hpp"
 #include "core/pipeline.hpp"
 #include "mr/block.hpp"
 #include "mr/job.hpp"
+#include "obs/pipeline.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::core {
 
@@ -70,21 +73,6 @@ CandidateJobResult run_candidate_job(
     const candidates::Params& params, double theta,
     const ExecutionOptions& exec, common::ThreadPool* pool = nullptr);
 
-struct VerifyJobResult {
-  candidates::SparseSimilarityGraph graph;
-  mr::JobStats stats;
-};
-
-/// Score candidate pairs into a sparse similarity graph via the "verify"
-/// MapReduce job.  `pairs` must be sorted unique (pairs_from_buckets output);
-/// the map tasks read views of it, so the job makes no copy of the pairs
-/// and a retry reads the same list.  The tasks run on `pool`, as in
-/// run_candidate_job.  The edges are verify_pairs' on the same table.
-VerifyJobResult run_verify_job(
-    std::shared_ptr<const kernels::SketchMatrix> sketches,
-    const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    const ExecutionOptions& exec, common::ThreadPool* pool = nullptr);
-
 namespace detail {
 
 /// The JobConfig of one pipeline job: its name, the run's pool (nullptr =
@@ -96,60 +84,76 @@ mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
                          std::size_t records_per_split,
                          std::size_t num_reducers = 0);
 
-/// The modelled wire bytes of `pairs` pair scores as integer count lanes:
-/// one match count (component-match, ≤ K) or |∩| and |∪| (set-based, ≤ 2K)
-/// per pair, in the narrowest lane that holds them — what a similarity or
-/// verify map task reports for the scores it writes in place.
-[[nodiscard]] inline double pair_score_bytes(const SketchPairSimilarity& scorer,
-                                             std::size_t sketch_size,
-                                             std::uint64_t pairs) noexcept {
-  const std::uint32_t cols = scorer.set_based() ? 2 : 1;
-  return mr::BinaryBlock::modelled_bytes(mr::min_lane_bits(cols * sketch_size),
-                                         pairs, cols);
-}
+/// How run_pipeline's stage list runs.  Both modes run on one pool, and a
+/// stage's error keeps its type in both.  Each stage gets one
+/// `pipeline/<stage>` wall span, a checkpoint hit included.  A local run
+/// has no driver: each stage is a plain call — no checkpoint, lineage claim
+/// or stage hook.  A distributed run's recovery driver runs each stage's
+/// MapReduce job under the stage's name (the lineage stage name), so a
+/// checkpoint hit claims the job's lineage slot and downstream sequence
+/// numbers match an uninterrupted run.
+struct StageRunner {
+  const ExecutionOptions& exec;  ///< exec.distributed picks the mode
+  common::ThreadPool* pool;
+  mr::recovery::StageDriver* driver = nullptr;  ///< a distributed run's
 
-/// The in-place job shape of the sketch, similarity and verify stages.
-/// `fill(split, first, emit)` writes the split's records straight into the
-/// stage's value from record `first` = split_index · records_per_split on
-/// (it may bump counters on `emit`) and returns the modelled bytes of the
-/// block the split's output stands for (mr::BinaryBlock::modelled_bytes).
-/// The map emits that as a receipt keyed by split index and the reduce is
-/// the identity, so the job's shuffle bytes, spill runs and simulated time
-/// are the block's.  Splits own disjoint ranges of the value: a re-executed
-/// map attempt rewrites identical bytes into its own range.  Throws unless
-/// the receipts tile the input.
-template <typename In, typename Fill, typename MapWork>
-void run_in_place_job(const char* name, const ExecutionOptions& exec,
-                      common::ThreadPool* pool, std::size_t records_per_split,
-                      std::span<const In> input, Fill fill, MapWork map_work,
-                      mr::JobStats& stats) {
-  using Key = std::uint32_t;
-  using Receipt = mr::BlockReceipt;
-  using ReceiptJob = mr::Job<In, Key, Receipt, std::pair<Key, Receipt>>;
-  ReceiptJob job(
-      job_config(name, exec, pool, records_per_split),
-      [fill, records_per_split](std::span<const In> split,
-                                std::size_t split_index,
-                                mr::Emitter<Key, Receipt>& emit) {
-        const double bytes = fill(split, split_index * records_per_split, emit);
-        emit.emit(static_cast<Key>(split_index), Receipt{split.size(), bytes});
-      },
-      [](const Key& key, std::vector<Receipt>& values,
-         std::vector<std::pair<Key, Receipt>>& out) {
-        MRMC_CHECK(values.size() == 1, "one receipt per split");
-        out.emplace_back(key, values.front());
-      });
-  job.with_map_work(std::move(map_work));
-  auto run = job.run(input);
-  stats = std::move(run.stats);
-  std::size_t covered = 0;
-  for (const auto& [split_index, receipt] : run.output) {
-    MRMC_CHECK(split_index * records_per_split + receipt.records <= input.size(),
-               "split misplaced");
-    covered += receipt.records;
+  template <typename Compute, typename Encode, typename Decode>
+  auto run(const char* name, Compute&& compute, Encode&& encode,
+           Decode&& decode) const {
+    obs::Tracer::Span span(obs::Tracer::global(), std::string("pipeline/") + name);
+    obs::pipeline::StageScope scope(name);
+    if (driver == nullptr) return compute();
+    return driver->run_stage(name, compute, encode, decode);
   }
-  MRMC_CHECK(covered == input.size(), "the splits do not cover the input");
-}
+
+  /// Runs an in-place stage: `body(first, last)` writes records
+  /// [first, last) of the stage's value (a table, matrix or edge list the
+  /// caller allocated), one record per `input` record.  Locally the body
+  /// runs across the pool in blocks of `grain` records
+  /// (kernels::for_each_block).  Distributed it is the map body of the
+  /// stage's job `name` over splits of `records_per_split` records: a map
+  /// task fills its split, bumps `counter` once per record and emits a
+  /// receipt keyed by split index, charged as the block its records
+  /// [first, last) stand for (`block_bytes(first, last)`, an
+  /// mr::BinaryBlock::modelled_bytes); the reduce is the identity, so the
+  /// job's shuffle bytes, spill runs and simulated time are the blocks'.
+  /// `map_work(record)` is a record's modelled work.  Splits own disjoint
+  /// ranges of the value: a re-executed map attempt rewrites identical
+  /// bytes into its own range.  Throws unless the receipts tile the input.
+  template <typename In, typename Body, typename BlockBytes, typename MapWork>
+  void fill(const char* name, std::span<const In> input, std::size_t grain,
+            std::size_t records_per_split, const char* counter, Body body,
+            BlockBytes block_bytes, MapWork map_work, mr::JobStats& stats) const {
+    const std::size_t n = input.size();
+    if (!exec.distributed) return kernels::for_each_block(pool, n, grain, body);
+    using Receipt = mr::BlockReceipt;
+    mr::Job<In, std::uint32_t, Receipt, std::pair<std::uint32_t, Receipt>> job(
+        job_config(name, exec, pool, records_per_split),
+        [&](std::span<const In> split, std::size_t split_index,
+            mr::Emitter<std::uint32_t, Receipt>& emit) {
+          const std::size_t first = split_index * records_per_split;
+          body(first, first + split.size());
+          emit.count(counter, std::ssize(split));
+          emit.emit(static_cast<std::uint32_t>(split_index),
+                    Receipt{split.size(), block_bytes(first, first + split.size())});
+        },
+        [](const std::uint32_t& key, std::vector<Receipt>& values,
+           std::vector<std::pair<std::uint32_t, Receipt>>& out) {
+          MRMC_CHECK(values.size() == 1, "one receipt per split");
+          out.emplace_back(key, values.front());
+        });
+    job.with_map_work(map_work);
+    auto run = job.run(input);
+    stats = std::move(run.stats);
+    std::size_t covered = 0;
+    for (const auto& [split_index, receipt] : run.output) {
+      MRMC_CHECK(split_index * records_per_split + receipt.records <= n,
+                 "split misplaced");
+      covered += receipt.records;
+    }
+    MRMC_CHECK(covered == n, "the splits do not cover the input");
+  }
+};
 
 /// The GROUP-ALL cluster job (Algorithm 3, steps 8 and 9): every map task
 /// emits its read indices under one key; the single reducer runs

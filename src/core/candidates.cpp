@@ -323,23 +323,28 @@ std::vector<Pair> enumerate_pairs(const kernels::SketchMatrix& sketches,
                             pool);
 }
 
+void verify_rows(const SketchPairSimilarity& scorer, std::span<const Pair> pairs,
+                 std::span<Edge> edges, std::size_t first, std::size_t last) {
+  const kernels::SketchMatrix& sketches = scorer.sketches();
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    for (std::size_t p = first; p < last; ++p) {
+      const auto [a, b] = pairs[p];
+      MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");
+      edges[p] = Edge{a, b, scorer.at<Cell>(a, b)};
+    }
+  });
+}
+
 SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
                                    std::span<const Pair> pairs,
                                    SketchEstimator estimator,
                                    common::ThreadPool* pool) {
-  SparseSimilarityGraph graph;
-  graph.num_vertices = sketches.rows();
-  graph.edges.resize(pairs.size());
-
-  const SketchPairSimilarity similarity(sketches, estimator, pool);
-  sketches.with_cell([&]<typename Cell>(Cell) {
-    auto score = [&](std::size_t p) {
-      const auto [a, b] = pairs[p];
-      MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");
-      graph.edges[p] = Edge{a, b, similarity.at<Cell>(a, b)};
-    };
-    common::parallel_for(pool, pairs.size(), score);
-  });
+  SparseSimilarityGraph graph{sketches.rows(), std::vector<Edge>(pairs.size())};
+  const SketchPairSimilarity scorer(sketches, estimator, pool);
+  kernels::for_each_block(pool, pairs.size(), 1,
+                          [&](std::size_t first, std::size_t last) {
+                            verify_rows(scorer, pairs, graph.edges, first, last);
+                          });
   return graph;
 }
 

@@ -225,11 +225,18 @@ struct SparseSimilarityGraph {
   std::vector<Edge> edges;
 };
 
-/// Score every candidate pair with the sketch kernels.  Pairs must be
-/// sorted unique (enumerate_pairs output); edges come back in the same
-/// order.  Bit-identical at any pool size, with or without the table's
-/// slot-disjoint stamp (see SketchPairSimilarity), and under scalar or AVX2
-/// kernel dispatch.
+/// The verify body of verify_pairs and of the pipeline's verify stage in
+/// both modes: edges[p] = pairs[p] scored by `scorer`, for p in
+/// [first, last).  A pair must hold a < b < the table's rows
+/// (InvalidArgument otherwise).
+void verify_rows(const SketchPairSimilarity& scorer, std::span<const Pair> pairs,
+                 std::span<Edge> edges, std::size_t first, std::size_t last);
+
+/// Score every candidate pair with the sketch kernels: verify_rows, pair by
+/// pair on `pool`.  Pairs must be sorted unique (enumerate_pairs output);
+/// edges come back in the same order.  Bit-identical at any pool size, with
+/// or without the table's slot-disjoint stamp (see SketchPairSimilarity),
+/// and under scalar or AVX2 kernel dispatch.
 [[nodiscard]] SparseSimilarityGraph verify_pairs(
     const kernels::SketchMatrix& sketches, std::span<const Pair> pairs,
     SketchEstimator estimator, common::ThreadPool* pool = nullptr);

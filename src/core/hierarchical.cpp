@@ -38,31 +38,34 @@ SimilarityMatrix& SimilarityMatrix::operator=(SimilarityMatrix other) noexcept {
   return *this;
 }
 
+void similarity_rows(const SketchPairSimilarity& scorer, SimilarityMatrix& matrix,
+                     std::size_t first, std::size_t last) {
+  const kernels::SketchMatrix& sketches = scorer.sketches();
+  const std::size_t n = matrix.size();
+  if (!scorer.set_based()) {
+    kernels::component_match_rows(sketches, matrix.mutable_data(), n, first, last);
+    return;
+  }
+  sketches.with_cell([&]<typename Cell>(Cell) {
+    for (std::size_t i = first; i < last; ++i) {
+      matrix.set(i, i, 1.0F);
+      for (std::size_t j = i + 1; j < n; ++j) {
+        matrix.set(i, j, static_cast<float>(scorer.at<Cell>(i, j)));
+      }
+    }
+  });
+}
+
 SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
                                             SketchEstimator estimator,
                                             common::ThreadPool* pool) {
   const std::size_t n = sketches.rows();
-  // Both fills below write every cell, diagonal included.
   SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
-  if (n == 0) return matrix;
-
-  if (estimator == SketchEstimator::kComponentMatch) {
-    // Cache-blocked SIMD fill straight into the matrix storage.
-    kernels::component_match_matrix(sketches, matrix.mutable_data(), n,
-                                    kernels::active_backend(), pool);
-    return matrix;
-  }
-
-  const SketchPairSimilarity similarity(sketches, estimator, pool);
-  sketches.with_cell([&]<typename Cell>(Cell) {
-    auto fill_row = [&](std::size_t i) {
-      matrix.set(i, i, 1.0F);
-      for (std::size_t j = i + 1; j < n; ++j) {
-        matrix.set(i, j, static_cast<float>(similarity.at<Cell>(i, j)));
-      }
-    };
-    common::parallel_for(n > 64 ? pool : nullptr, n, fill_row);
-  });
+  const SketchPairSimilarity scorer(sketches, estimator, pool);
+  kernels::for_each_block(pool, n, kernels::kTileRows,
+                          [&](std::size_t first, std::size_t last) {
+                            similarity_rows(scorer, matrix, first, last);
+                          });
   return matrix;
 }
 

@@ -68,15 +68,25 @@ class SimilarityMatrix {
   LargeArray<double> data_;
 };
 
-/// All-pairs sketch similarity over the flat sketch store.  Component-match
-/// runs the cache-blocked SIMD tile kernel; set-based scores row by row
-/// through SketchPairSimilarity, from count_equal when the table carries
-/// the slot-disjoint stamp, else through a SortedSketchStore built once.
-/// When `pool` is non-null blocks/rows are computed in parallel (the
-/// paper's row-wise partition, Section III-C); the result is identical at
-/// any thread count, with or without the stamp.  The fill writes
-/// every cell, so the matrix is the one n² allocation and no zero pass
-/// precedes it.
+/// The similarity body of pairwise_similarity_matrix and of the pipeline's
+/// similarity stage in both modes: rows [first, last) of `matrix`, n×n for
+/// the n-row table `scorer` reads, get cell (r, r) = 1 and cells (r, j),
+/// (j, r) for every j > r.  Component-match runs the cache-blocked SIMD
+/// tile kernel (kernels::component_match_rows); set-based scores row by row
+/// through `scorer`.  A cell's value does not depend on the range that
+/// writes it, so disjoint ranges write disjoint cells and ranges covering
+/// [0, n) write every cell.
+void similarity_rows(const SketchPairSimilarity& scorer, SimilarityMatrix& matrix,
+                     std::size_t first, std::size_t last);
+
+/// All-pairs sketch similarity over the flat sketch store: similarity_rows
+/// over tiles of kernels::kTileRows rows.  Set-based pairs score from
+/// count_equal when the table carries the slot-disjoint stamp, else through
+/// a SortedSketchStore built once.  When `pool` is non-null and n > 64 the
+/// tiles run in parallel (the paper's row-wise partition, Section III-C);
+/// the result is identical at any thread count, with or without the stamp.
+/// The fill writes every cell, so the matrix is the one n² allocation and
+/// no zero pass precedes it.
 SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
                                             SketchEstimator estimator,
                                             common::ThreadPool* pool = nullptr);

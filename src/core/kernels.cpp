@@ -557,21 +557,22 @@ void mask_components(SketchMatrix& sketches, std::uint64_t mask) {
   }
 }
 
-void component_match_matrix(const SketchMatrix& sketches, double* out,
-                            std::size_t stride, Backend backend,
-                            common::ThreadPool* pool) {
+void for_each_block(common::ThreadPool* pool, std::size_t n, std::size_t block,
+                    const std::function<void(std::size_t, std::size_t)>& fn) {
+  common::parallel_for(n > 64 ? pool : nullptr, (n + block - 1) / block,
+                       [&](std::size_t b) {
+                         fn(b * block, std::min(n, (b + 1) * block));
+                       });
+}
+
+void component_match_rows(const SketchMatrix& sketches, double* out, std::size_t stride,
+                          std::size_t first, std::size_t last, Backend backend) {
   const std::size_t n = sketches.rows();
   const std::size_t cols = sketches.cols();
-  // Block height: 8 rows of up to 512 components stay L1-resident while the
-  // partner rows stream through once per block.
-  constexpr std::size_t kBlock = 8;
   const MatchScore score(cols);
-  const std::size_t blocks = (n + kBlock - 1) / kBlock;
-
   sketches.with_cell([&]<typename Cell>(Cell) {
-    auto fill_block = [&](std::size_t block) {
-      const std::size_t i0 = block * kBlock;
-      const std::size_t i1 = std::min(i0 + kBlock, n);
+    for (std::size_t i0 = first; i0 < last; i0 += kTileRows) {
+      const std::size_t i1 = std::min(i0 + kTileRows, last);
       for (std::size_t i = i0; i < i1; ++i) out[i * stride + i] = 1.0;
       for (std::size_t j = i0 + 1; j < n; ++j) {
         const Cell* rj = sketches.row_ptr<Cell>(j);
@@ -585,9 +586,17 @@ void component_match_matrix(const SketchMatrix& sketches, double* out,
           out[j * stride + i] = sim;
         }
       }
-    };
-    common::parallel_for(n > 64 ? pool : nullptr, blocks, fill_block);
+    }
   });
+}
+
+void component_match_matrix(const SketchMatrix& sketches, double* out,
+                            std::size_t stride, Backend backend,
+                            common::ThreadPool* pool) {
+  for_each_block(pool, sketches.rows(), kTileRows,
+                 [&](std::size_t first, std::size_t last) {
+                   component_match_rows(sketches, out, stride, first, last, backend);
+                 });
 }
 
 }  // namespace mrmc::core::kernels

@@ -16,8 +16,10 @@
 //                        16-bit codes (AVX2: cmpeq + movemask popcount, 4
 //                        or 16 lanes per compare), the component-match
 //                        estimator's inner loop.
-//  * component_match_matrix — cache-blocked all-pairs similarity fill over a
-//                        flat SketchMatrix (no pointer chase per cell).
+//  * component_match_rows — cache-blocked all-pairs similarity fill of a row
+//                        range over a flat SketchMatrix (no pointer chase
+//                        per cell); component_match_matrix runs it over
+//                        every row.
 //  * argmin            — first-minimum row scan for the nearest-neighbour
 //                        chain in agglomerate().
 //
@@ -29,6 +31,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -294,14 +297,33 @@ class SketchMatrix {
 /// it first.
 void mask_components(SketchMatrix& sketches, std::uint64_t mask);
 
-/// Cache-blocked all-pairs component-match fill: writes every cell of the
-/// symmetric n×n matrix (diagonal 1) into `out` with `stride` doubles per
-/// row, out[i*stride+j] = double(float(MatchScore(cols)(count_equal(row i,
-/// row j)))); 0 off the diagonal when cols == 0 (matching
-/// component_match_similarity on empty sketches).  Rows are processed in
-/// blocks so each block stays L1-resident while the partner rows stream.
-/// When `pool` is non-null, blocks run in parallel (and first-touch the
-/// pages they write); the result is identical at any thread count.
+/// fn(first, last) over [0, n) in blocks of `block` indices: on `pool`
+/// when it is non-null and n > 64, else in order.  The local loop of the
+/// all-pairs fills and of the pipeline's in-place stages.
+void for_each_block(common::ThreadPool* pool, std::size_t n, std::size_t block,
+                    const std::function<void(std::size_t, std::size_t)>& fn);
+
+/// Rows per tile of the component-match fill: 8 rows of up to 512
+/// components stay L1-resident while the partner rows stream through once
+/// per tile.
+inline constexpr std::size_t kTileRows = 8;
+
+/// Rows [first, last) of the all-pairs component-match fill, in tiles of
+/// kTileRows rows from `first` on: cell (i, i) = 1 and cells (i, j),
+/// (j, i) for every j > i, out[i*stride+j] = double(float(MatchScore(cols)(
+/// count_equal(row i, row j)))); 0 off the diagonal when cols == 0
+/// (matching component_match_similarity on empty sketches).  A cell's
+/// value does not depend on the range that writes it, so ranges that
+/// together cover [0, n) write the full fill, and disjoint ranges write
+/// disjoint cells.
+void component_match_rows(const SketchMatrix& sketches, double* out,
+                          std::size_t stride, std::size_t first,
+                          std::size_t last, Backend backend = active_backend());
+
+/// Every cell of the symmetric n×n component-match matrix (diagonal 1)
+/// into `out` with `stride` doubles per row: component_match_rows over
+/// one-tile blocks (for_each_block), which first-touch the pages they
+/// write; the result is identical at any thread count.
 void component_match_matrix(const SketchMatrix& sketches, double* out,
                             std::size_t stride,
                             Backend backend = active_backend(),

@@ -273,16 +273,19 @@ kernels::SketchMatrix MinHasher::sketch_matrix(
     std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
   // Every row is written (a read with no k-mer gets the empty sentinel).
   kernels::SketchMatrix matrix = table_for_overwrite(seqs.size());
-  matrix.with_cell([&]<typename Cell>(Cell) {
-    common::parallel_for(pool, seqs.size(), [&](std::size_t i) {
-      sketch_into(seqs[i], matrix.row<Cell>(i));
-    });
-  });
+  kernels::for_each_block(pool, seqs.size(), 1,
+                          [&](std::size_t first, std::size_t last) {
+                            sketch_rows(matrix, first, last,
+                                        [&](std::size_t r) { return seqs[r]; });
+                          });
   return matrix;
 }
 
-kernels::SketchMatrix MinHasher::table_for_overwrite(std::size_t rows) const {
-  if (!slot_disjoint_) return kernels::SketchMatrix::for_overwrite(rows, sketch_size());
+kernels::SketchMatrix MinHasher::table_for_overwrite(std::size_t rows,
+                                                     std::size_t sketch_bits) const {
+  if (!slot_disjoint_ || sketch_bits < 64) {
+    return kernels::SketchMatrix::for_overwrite(rows, sketch_size());
+  }
   kernels::SketchMatrix table;
   table.rows_ = rows;
   table.cols_ = sketch_size();

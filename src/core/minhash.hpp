@@ -149,7 +149,7 @@ struct MinHashParams {
 /// sketch / sketch_matrix for k >= 7.  For k <= 6 the universe holds at most
 /// 4096 k-mers, and the constructor tabulates h_i(code) for every k-mer code
 /// and ranks the codes once per hash function: sketch / sketch_matrix (and
-/// with them the local sketch stage and the MR sketch mapper) then mark a
+/// with them the pipeline's sketch stage, sketch_rows) then mark a
 /// read's k-mers in a presence bitmap and read slot i off the first marked
 /// code in hash i's ranking, the argmin of h_i over the read by
 /// construction.  A read with so few distinct k-mers d that d² < F (F codes
@@ -202,10 +202,29 @@ class MinHasher {
       std::span<const std::string_view> seqs,
       common::ThreadPool* pool = nullptr) const;
 
+  /// The sketch body of sketch_matrix and of the pipeline's sketch stage in
+  /// both modes: row r of `table`, for r in [first, last), gets the sketch
+  /// of the sequence seq(r) returns, each cell cut to `mask` (a
+  /// sketch_bits_mask; all-ones keeps every bit).  `table` is in
+  /// table_for_overwrite's cell format, or of values when `mask` truncates.
+  template <typename SeqOf>
+  void sketch_rows(kernels::SketchMatrix& table, std::size_t first, std::size_t last,
+                   SeqOf&& seq, std::uint64_t mask = ~std::uint64_t{0}) const {
+    table.with_cell([&]<typename Cell>(Cell) {
+      for (std::size_t r = first; r < last; ++r) {
+        const std::span<Cell> row = table.row<Cell>(r);
+        sketch_into(seq(r), row);
+        for (Cell& cell : row) cell = static_cast<Cell>(cell & mask);
+      }
+    });
+  }
+
   /// An uninitialised rows × sketch_size() table in sketch_matrix's cell
   /// format, for the tables this hasher's sketches are written into (the
-  /// MapReduce sketch job's, a checkpoint decode's).
-  [[nodiscard]] kernels::SketchMatrix table_for_overwrite(std::size_t rows) const;
+  /// pipeline's sketch stage's, a checkpoint decode's); of values when
+  /// `sketch_bits` < 64, whose truncated cells no code holds.
+  [[nodiscard]] kernels::SketchMatrix table_for_overwrite(
+      std::size_t rows, std::size_t sketch_bits = 64) const;
 
   /// `table` as values: a table of codes this hasher wrote gets h_i(code)
   /// per cell (kEmptyMin for kEmptyFeatureCode), the values sketch() gives;
@@ -320,6 +339,7 @@ class SketchPairSimilarity {
   [[nodiscard]] bool set_based() const noexcept {
     return estimator_ == SketchEstimator::kSetBased;
   }
+  const kernels::SketchMatrix& sketches() const noexcept { return sketches_; }
 
   /// Cell must be the table's cell type.
   template <typename Cell>
@@ -384,9 +404,10 @@ class SketchPairSimilarity {
 // estimate at θ is identical to thresholding the raw match fraction at
 // θ' = θ·(1-C) + C — the pipeline uses the θ' form internally (it commutes
 // with average linkage too) and exposes the corrected estimator for
-// benchmarks and tests.  Both paths keep the truncated values in u64 rows
-// (kernels::mask_components) and score them with SketchPairSimilarity; only
-// the sketch job's modelled shuffle bytes count them in b-bit lanes.
+// benchmarks and tests.  The sketch stage writes the truncated values into
+// u64 rows in both modes (MinHasher::sketch_rows under sketch_bits_mask)
+// and scores them with SketchPairSimilarity; only the sketch job's
+// modelled shuffle bytes count them in b-bit lanes.
 
 /// Valid --sketch-bits values: divisors of 64, the lane widths of the
 /// blocks the sketch job's shuffle is modelled as (mr::BinaryBlock), so a

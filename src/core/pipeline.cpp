@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #if defined(__GLIBC__)
@@ -95,119 +97,6 @@ EffectiveKnobs effective_knobs(const PipelineParams& params) noexcept {
           SketchEstimator::kComponentMatch, SketchEstimator::kComponentMatch};
 }
 
-/// The local sketch stage's body: the reads sketched by `hasher` (on `pool`
-/// when non-null), then truncated to b bits, the values the sketch job's
-/// blocks carry, so local and distributed runs score identical values at
-/// any b.  The caller builds `hasher` once per run: at k <= 6 its
-/// constructor ranks the whole k-mer universe.
-kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
-                                   const MinHasher& hasher,
-                                   std::size_t sketch_bits,
-                                   common::ThreadPool* pool) {
-  std::vector<std::string_view> seqs;
-  seqs.reserve(reads.size());
-  for (const auto& read : reads) seqs.emplace_back(read.seq);
-  kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs, pool);
-  if (sketch_bits < 64) {
-    sketches = hasher.widen(sketches, pool);
-    kernels::mask_components(sketches, sketch_bits_mask(sketch_bits));
-  }
-  return sketches;
-}
-
-/// Job 1: sketch every read.  Each map task sketches its split serially
-/// (the splits already fill the pool), read by read with
-/// MinHasher::sketch_into straight into the split's rows of the stage's one
-/// SketchMatrix, and at b < 64 keeps each value's low b bits, the
-/// truncation sketch_reads applies, so the cells equal the local stage's.
-/// Its receipt models the block of K rows × (reads in split) columns the
-/// shuffle would have carried: 16-bit lanes when the hasher writes codes,
-/// b-bit lanes otherwise.
-kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
-                                     const MinHasher& hasher,
-                                     std::size_t sketch_bits,
-                                     const ExecutionOptions& exec,
-                                     common::ThreadPool* pool,
-                                     mr::JobStats& stats) {
-  obs::pipeline::StageScope stage("sketch");
-  const std::size_t num_hashes = hasher.sketch_size();
-  const bool codes = sketch_bits >= 64 && hasher.writes_codes();
-  auto sketches = codes ? hasher.table_for_overwrite(reads.size())
-                        : kernels::SketchMatrix::for_overwrite(reads.size(), num_hashes);
-  const auto lane_bits = static_cast<std::uint32_t>(codes ? 16 : sketch_bits);
-  const std::uint64_t mask = sketch_bits_mask(sketch_bits);
-  detail::run_in_place_job(
-      "sketch", exec, pool, exec.records_per_split, reads,
-      [&](std::span<const bio::FastaRecord> split, std::size_t first,
-          mr::Emitter<std::uint32_t, mr::BlockReceipt>& emit) {
-        sketches.with_cell([&]<typename Cell>(Cell) {
-          for (std::size_t c = 0; c < split.size(); ++c) {
-            const std::span<Cell> row = sketches.row<Cell>(first + c);
-            hasher.sketch_into(split[c].seq, row);
-            if (sketch_bits < 64) {
-              for (Cell& cell : row) cell = static_cast<Cell>(cell & mask);
-            }
-          }
-        });
-        emit.count("reads.sketched", std::ssize(split));
-        return mr::BinaryBlock::modelled_bytes(
-            lane_bits, num_hashes, static_cast<std::uint32_t>(split.size()));
-      },
-      [num_hashes](const bio::FastaRecord& read) {
-        return cost::sketch_work(read.seq.size(), num_hashes);
-      },
-      stats);
-  return sketches;
-}
-
-/// Job 2: all-pairs similarity, map tasks own contiguous row ranges (the
-/// paper's row-wise partition).  The sketch table plays the role of Pig's
-/// GROUP-ALL broadcast relation.  Row r's task writes cell (r, r) and cells
-/// (r, j), (j, r) for j > r of the stage's one matrix, scored by the local
-/// SketchPairSimilarity: rows write disjoint cells that together cover the
-/// matrix, and the map tasks first-touch its pages.  A task's receipt
-/// models its rows' upper-triangle scores as count lanes
-/// (detail::pair_score_bytes).
-SimilarityMatrix run_similarity_job(
-    std::shared_ptr<const kernels::SketchMatrix> sketches,
-    const PipelineParams& params, SketchEstimator estimator,
-    const ExecutionOptions& exec, common::ThreadPool* pool,
-    mr::JobStats& stats) {
-  obs::pipeline::StageScope stage("similarity");
-  const std::size_t n = sketches->rows();
-  const std::size_t num_hashes = params.minhash.num_hashes;
-  const SketchPairSimilarity scorer(*sketches, estimator);
-  const std::size_t per_split = std::max<std::size_t>(
-      1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-
-  std::vector<std::uint32_t> rows(n);
-  for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
-
-  SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
-  detail::run_in_place_job(
-      "similarity", exec, pool, per_split, std::span<const std::uint32_t>(rows),
-      [&](std::span<const std::uint32_t> split, std::size_t,
-          mr::Emitter<std::uint32_t, mr::BlockReceipt>& emit) {
-        std::uint64_t pairs = 0;
-        sketches->with_cell([&]<typename Cell>(Cell) {
-          for (const std::uint32_t row : split) {
-            matrix.set(row, row, 1.0F);
-            for (std::size_t j = row + 1; j < n; ++j) {
-              matrix.set(row, j, static_cast<float>(scorer.at<Cell>(row, j)));
-            }
-            pairs += n - row - 1;
-            emit.count("matrix.rows");
-          }
-        });
-        return detail::pair_score_bytes(scorer, sketches->cols(), pairs);
-      },
-      [n, num_hashes](const std::uint32_t& row) {
-        return static_cast<double>(n - row - 1) * cost::compare_work(num_hashes);
-      },
-      stats);
-  return matrix;
-}
-
 // ------------------------------------------------ checkpoint serialization
 // Stage results as mr::recovery checkpoint payloads.  Every encoder is an
 // exact byte function of its value (no floats printed, no maps iterated in
@@ -248,14 +137,12 @@ kernels::SketchMatrix decode_sketches(mr::recovery::PayloadReader& reader,
   if (rows == 0) return {};
   const std::uint64_t cols = reader.u64();
   // rows · cols cells and rows - 1 more cols words follow; bound the
-  // allocation by them.
+  // allocation by them.  The stage writes K cells a row in either width.
   const std::uint64_t cell_bytes = codes ? 2 : 8;
-  MRMC_CHECK((!codes || cols == hasher.sketch_size()) &&
-                 cols <= reader.remaining() / cell_bytes &&
+  MRMC_CHECK(cols == hasher.sketch_size() &&
                  rows <= (reader.remaining() + 8) / (cols * cell_bytes + 8),
              "sketch table unlike the hasher's or larger than its payload");
-  auto sketches = codes ? hasher.table_for_overwrite(rows)
-                        : kernels::SketchMatrix::for_overwrite(rows, cols);
+  auto sketches = hasher.table_for_overwrite(rows, sketch_bits);
   const std::uint64_t universe = bio::kmer_space_size(hasher.params().kmer);
   sketches.with_cell([&]<typename Cell>(Cell) {
     for (std::size_t i = 0; i < rows; ++i) {
@@ -418,80 +305,80 @@ std::uint64_t input_fingerprint(std::span<const bio::FastaRecord> reads) {
 
 // ---------------------------------------------------------- the stage list
 
-/// How the stage list runs.  Both modes run on the run's one pool, and a
-/// stage's error keeps its type in both.  Local (no driver): each stage's
-/// in-process body is a plain call — no checkpoint, lineage claim or stage
-/// hook.  Distributed: each stage's MapReduce job is driven by the recovery
-/// driver under the stage's name (the lineage stage name), so a checkpoint
-/// hit claims the job's lineage slot and downstream sequence numbers match
-/// an uninterrupted run.
-struct StageRunner {
-  common::ThreadPool* pool;  ///< never nullptr
-  mr::recovery::StageDriver* driver = nullptr;
-
-  [[nodiscard]] bool distributed() const noexcept { return driver != nullptr; }
-
-  template <typename Local, typename Job, typename Encode, typename Decode>
-  auto run(const char* name, Local&& local, Job&& job, Encode&& encode,
-           Decode&& decode) const -> std::decay_t<decltype(local())> {
-    if (driver == nullptr) return local();
-    return driver->run_stage(name, std::forward<Job>(job),
-                             std::forward<Encode>(encode),
-                             std::forward<Decode>(decode));
-  }
-};
-
-/// The LSH backend's candidates stage: the bucket CSR.  Band-shape selection
-/// keeps the ORIGINAL theta (see EffectiveKnobs).
-CandidateJobResult lsh_candidates(
-    const std::shared_ptr<const kernels::SketchMatrix>& sketches,
-    const PipelineParams& params, const ExecutionOptions& exec,
-    const StageRunner& stages, PipelineResult& result) {
-  CandidateJobResult buckets = stages.run(
-      "candidates",
-      [&] {
-        CandidateJobResult local;
-        local.shape = candidates::resolve_band_shape(
-            params.candidates, sketches->cols(), params.theta);
-        local.buckets = candidates::lsh_buckets(
-            *sketches, local.shape, params.candidates.seed, stages.pool);
-        return local;
-      },
-      [&] {
-        return run_candidate_job(sketches, params.candidates, params.theta,
-                                 exec, stages.pool);
-      },
-      encode_candidates, decode_candidates);
-  result.candidate_stats = std::move(buckets.stats);
-  result.sim_total_s += result.candidate_stats.timeline.total_s;
-  return buckets;
+/// The similarity and verify jobs size their splits to about four waves of
+/// the cluster's map slots.
+std::size_t map_waves(const ExecutionOptions& exec) noexcept {
+  return std::max<std::size_t>(1, exec.cluster.map_slots() * 4);
 }
 
-/// The hierarchical LSH path's verify stage: the buckets' pairs, scored.
-/// The pairs die with this frame, so the cluster stage never holds them.
-candidates::SparseSimilarityGraph verify_buckets(
-    const std::shared_ptr<const kernels::SketchMatrix>& sketches,
-    const candidates::BucketCsr& buckets, SketchEstimator estimator,
-    const ExecutionOptions& exec, const StageRunner& stages,
-    PipelineResult& result) {
-  const std::size_t n = sketches->rows();
-  candidates::SparseSimilarityGraph graph = stages.run(
-      "verify",
-      [&] {
-        return candidates::verify_pairs(
-            *sketches, candidates::pairs_from_buckets(buckets, n, stages.pool),
-            estimator, stages.pool);
+/// The modelled wire bytes of `pairs` pair scores as integer count lanes:
+/// one match count (component-match, ≤ K) or |∩| and |∪| (set-based, ≤ 2K)
+/// per pair, in the narrowest lane that holds them — what a similarity or
+/// verify map task reports for the scores it writes in place.
+double pair_score_bytes(const SketchPairSimilarity& scorer,
+                        std::uint64_t pairs) noexcept {
+  const std::uint32_t cols = scorer.set_based() ? 2 : 1;
+  return mr::BinaryBlock::modelled_bytes(
+      mr::min_lane_bits(cols * scorer.sketches().cols()), pairs, cols);
+}
+
+/// The similarity stage: the all-pairs matrix, filled by similarity_rows
+/// over 8-row tiles.  The "similarity" job's map tasks own contiguous row
+/// ranges (the paper's row-wise partition; the sketch table plays Pig's
+/// GROUP-ALL broadcast relation), each charged as its rows' upper-triangle
+/// scores in count lanes.
+SimilarityMatrix similarity_stage(const kernels::SketchMatrix& sketches,
+                                  SketchEstimator estimator,
+                                  const detail::StageRunner& stages,
+                                  mr::JobStats& stats) {
+  const std::size_t n = sketches.rows();
+  const SketchPairSimilarity scorer(sketches, estimator, stages.pool);
+  SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(n);
+  std::vector<std::uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0U);
+  stages.fill(
+      "similarity", std::span<const std::uint32_t>(rows), kernels::kTileRows,
+      std::max<std::size_t>(1, n / map_waves(stages.exec)), "matrix.rows",
+      [&](std::size_t first, std::size_t last) {
+        similarity_rows(scorer, matrix, first, last);
       },
-      [&] {
-        auto verified = run_verify_job(
-            sketches, candidates::pairs_from_buckets(buckets, n, stages.pool),
-            estimator, exec, stages.pool);
-        result.verify_stats = std::move(verified.stats);
-        return std::move(verified.graph);
+      [&](std::size_t first, std::size_t last) {  // the rows' pairs (r, j > r)
+        return pair_score_bytes(
+            scorer, (last - first) * (2 * n - first - last - 1) / 2);
       },
-      encode_graph, decode_graph);
-  result.sim_total_s += result.verify_stats.timeline.total_s;
-  result.candidate_pairs = graph.edges.size();
+      [n, work = cost::compare_work(sketches.cols())](const std::uint32_t& row) {
+        return static_cast<double>(n - row - 1) * work;
+      },
+      stats);
+  return matrix;
+}
+
+/// The verify stage: `pairs` (sorted unique) scored by
+/// candidates::verify_rows into an edge list in their order.  The "verify"
+/// job's splits partition the pairs in order, each charged as its pairs'
+/// scores in count lanes; no job runs when there is no pair.
+candidates::SparseSimilarityGraph verify_stage(
+    const kernels::SketchMatrix& sketches, std::span<const candidates::Pair> pairs,
+    SketchEstimator estimator, const detail::StageRunner& stages,
+    mr::JobStats& stats) {
+  candidates::SparseSimilarityGraph graph{
+      sketches.rows(), std::vector<candidates::Edge>(pairs.size())};
+  if (pairs.empty()) return graph;
+  const SketchPairSimilarity scorer(sketches, estimator, stages.pool);
+  stages.fill(
+      "verify", pairs, 1,
+      std::max(stages.exec.records_per_split, pairs.size() / map_waves(stages.exec)),
+      "verify.pairs_scored",
+      [&](std::size_t first, std::size_t last) {
+        candidates::verify_rows(scorer, pairs, graph.edges, first, last);
+      },
+      [&](std::size_t first, std::size_t last) {
+        return pair_score_bytes(scorer, last - first);
+      },
+      [work = cost::compare_work(sketches.cols())](const candidates::Pair&) {
+        return work;
+      },
+      stats);
   return graph;
 }
 
@@ -500,37 +387,73 @@ candidates::SparseSimilarityGraph verify_buckets(
 /// hierarchical-cluster.
 void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                          const PipelineParams& params,
-                         const ExecutionOptions& exec,
-                         const StageRunner& stages, PipelineResult& result) {
+                         const detail::StageRunner& stages,
+                         PipelineResult& result) {
   const EffectiveKnobs knobs = effective_knobs(params);
+  const ExecutionOptions& exec = stages.exec;
   const std::size_t n = reads.size();
-  // One hasher for the sketch stage, freed with its rankings after it.
+  // The sketch stage: row r of the table is reads[r]'s sketch, in 16-bit
+  // codes when sketch_bits is 64 and the hasher writes them, else in values
+  // cut to their low sketch_bits bits.  A "sketch" job split is
+  // exec.records_per_split reads, charged as a block of K × (reads in
+  // split) cells in 16-bit or b-bit lanes.  One hasher for the stage, freed
+  // with its rankings after it.
   const auto sketches = [&] {
     const MinHasher hasher(params.minhash);
-    kernels::SketchMatrix table = stages.run(
+    const std::size_t num_hashes = hasher.sketch_size();
+    return std::make_shared<const kernels::SketchMatrix>(stages.run(
         "sketch",
         [&] {
-          return sketch_reads(reads, hasher, params.sketch_bits, stages.pool);
-        },
-        [&] {
-          return run_sketch_job(reads, hasher, params.sketch_bits, exec,
-                                stages.pool, result.sketch_stats);
+          auto table = hasher.table_for_overwrite(n, params.sketch_bits);
+          const std::size_t lane_bits = table.slot_disjoint() ? 16 : params.sketch_bits;
+          stages.fill(
+              "sketch", reads, 1, exec.records_per_split, "reads.sketched",
+              [&](std::size_t first, std::size_t last) {
+                hasher.sketch_rows(
+                    table, first, last,
+                    [&](std::size_t r) { return std::string_view(reads[r].seq); },
+                    sketch_bits_mask(params.sketch_bits));
+              },
+              [&](std::size_t first, std::size_t last) {
+                return mr::BinaryBlock::modelled_bytes(
+                    lane_bits, num_hashes, static_cast<std::uint32_t>(last - first));
+              },
+              [num_hashes](const bio::FastaRecord& read) {
+                return cost::sketch_work(read.seq.size(), num_hashes);
+              },
+              result.sketch_stats);
+          return table;
         },
         encode_sketches, [&](mr::recovery::PayloadReader& reader) {
           return decode_sketches(reader, hasher, params.sketch_bits);
-        });
-    return std::make_shared<const kernels::SketchMatrix>(std::move(table));
+        }));
   }();
-  result.sim_total_s += result.sketch_stats.timeline.total_s;
 
+  // The LSH backend's bucket CSR.  Band-shape selection keeps the ORIGINAL
+  // theta (see EffectiveKnobs).
   std::optional<CandidateJobResult> buckets;
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
-    buckets = lsh_candidates(sketches, params, exec, stages, result);
+    buckets = stages.run(
+        "candidates",
+        [&] {
+          if (exec.distributed) {
+            return run_candidate_job(sketches, params.candidates, params.theta,
+                                     exec, stages.pool);
+          }
+          CandidateJobResult local;
+          local.shape = candidates::resolve_band_shape(
+              params.candidates, sketches->cols(), params.theta);
+          local.buckets = candidates::lsh_buckets(
+              *sketches, local.shape, params.candidates.seed, stages.pool);
+          return local;
+        },
+        encode_candidates, decode_candidates);
+    result.candidate_stats = std::move(buckets->stats);
 #if defined(__GLIBC__)
     // The candidates job's blocks, the only shuffle blocks a run still
     // builds, are freed but stay resident in the allocator; hand those
     // pages back before the cluster stage allocates.
-    if (stages.distributed()) {
+    if (exec.distributed) {
       obs::Tracer::Span trim_span(obs::Tracer::global(), "pipeline/malloc_trim");
       ::malloc_trim(0);
     }
@@ -559,20 +482,32 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                       std::max(1.0, std::sqrt(static_cast<double>(n))) *
                       compare_work;
     result.labels = stages.run(
-        "greedy-cluster", cluster,
+        "greedy-cluster",
         [&] {
-          return detail::run_cluster_job(
-              detail::job_config("greedy-cluster", exec, stages.pool,
-                                 exec.records_per_split, 1),  // GROUP ALL
-              n, reduce_work, cluster, result.cluster_stats);
+          return exec.distributed
+                     ? detail::run_cluster_job(
+                           detail::job_config("greedy-cluster", exec, stages.pool,
+                                              exec.records_per_split, 1),  // GROUP ALL
+                           n, reduce_work, cluster, result.cluster_stats)
+                     : cluster();
         },
         encode_labels, decode_labels);
     if (buckets) result.candidate_pairs = comparisons;
   } else {
     std::optional<candidates::SparseSimilarityGraph> graph;
     if (buckets) {
-      graph = verify_buckets(sketches, buckets->buckets, knobs.estimator,
-                             exec, stages, result);
+      // The hierarchical LSH path scores the buckets' pairs, which die with
+      // the stage, so the cluster stage never holds them.
+      graph = stages.run(
+          "verify",
+          [&] {
+            return verify_stage(
+                *sketches,
+                candidates::pairs_from_buckets(buckets->buckets, n, stages.pool),
+                knobs.estimator, stages, result.verify_stats);
+          },
+          encode_graph, decode_graph);
+      result.candidate_pairs = graph->edges.size();
       buckets.reset();
     }
     SimilarityMatrix matrix =
@@ -580,18 +515,11 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
               : stages.run(
                     "similarity",
                     [&] {
-                      return pairwise_similarity_matrix(
-                          *sketches, knobs.estimator, stages.pool);
-                    },
-                    [&] {
-                      return run_similarity_job(sketches, params,
-                                                knobs.estimator, exec,
-                                                stages.pool,
-                                                result.similarity_stats);
+                      return similarity_stage(*sketches, knobs.estimator, stages,
+                                              result.similarity_stats);
                     },
                     encode_matrix, decode_matrix);
     graph.reset();  // densified: the cluster stage reads the matrix only
-    result.sim_total_s += result.similarity_stats.timeline.total_s;
     // The matrix is the run's one n² buffer: the cluster stage takes it and
     // agglomerate rewrites its cells to distances in place.  A re-run
     // reduce attempt (JobConfig::reduce_failure_rate) finds it consumed, so
@@ -606,16 +534,24 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
       return *cut_labels;
     };
     result.labels = stages.run(
-        "hierarchical-cluster", cut,
+        "hierarchical-cluster",
         [&] {
-          return detail::run_cluster_job(
-              detail::job_config("hierarchical-cluster", exec, stages.pool,
-                                 std::max<std::size_t>(1, n / 8), 1),
-              n, cost::dendrogram_work(n), cut, result.cluster_stats);
+          return exec.distributed
+                     ? detail::run_cluster_job(
+                           detail::job_config("hierarchical-cluster", exec,
+                                              stages.pool,
+                                              std::max<std::size_t>(1, n / 8), 1),
+                           n, cost::dendrogram_work(n), cut, result.cluster_stats)
+                     : cut();
         },
         encode_labels, decode_labels);
   }
-  result.sim_total_s += result.cluster_stats.timeline.total_s;
+  // Stages that did not run as jobs (a local run's, checkpoint hits) add 0.
+  for (const mr::JobStats* stats :
+       {&result.sketch_stats, &result.candidate_stats, &result.verify_stats,
+        &result.similarity_stats, &result.cluster_stats}) {
+    result.sim_total_s += stats->timeline.total_s;
+  }
 }
 
 }  // namespace
@@ -653,6 +589,12 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
     (void)candidates::resolve_band_shape(
         params.candidates, params.minhash.num_hashes, params.theta);
+  }
+  // So is a distributed run's split size or cluster that no job could run
+  // on, raised before the checkpoint directory is made.
+  if (exec.distributed) {
+    MRMC_REQUIRE(exec.records_per_split >= 1, "records_per_split >= 1");
+    mr::validate(exec.cluster);
   }
   PipelineResult result;
   if (reads.empty()) return result;
@@ -692,7 +634,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
           !exec.fault_plan.leaves_schedulable(exec.cluster.nodes)) {
         driver.park("fault plan leaves no schedulable node");
       }
-      run_pipeline_stages(reads, params, exec, {&lease.pool(), &driver},
+      run_pipeline_stages(reads, params, {exec, &lease.pool(), &driver},
                           result);
     } catch (...) {
       // A crashed/parked/failed driver still leaves complete artifacts
@@ -703,7 +645,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
     }
     result.recovery = driver.stats();
   } else {
-    run_pipeline_stages(reads, params, exec, {&lease.pool()}, result);
+    run_pipeline_stages(reads, params, {exec, &lease.pool()}, result);
   }
 
   result.num_clusters = count_clusters(result.labels);

@@ -5,17 +5,20 @@
 // which stages it holds depends on the candidate backend
 // (PipelineParams::candidates) and the mode:
 //
-//   "sketch"       map: read split -> one block of sketches  [always]
+//   "sketch"       map: read split -> its rows of the sketch table, charged
+//                   as one block of sketches  [always]
 //   -- exact all-pairs backend (the paper's shape, the default) --
-//   "similarity"   map: row split -> one block of pair counts [hierarchical
-//                   only; the paper's row-wise partition of the matrix]
+//   "similarity"   map: row split -> its rows of the matrix, charged as one
+//                   block of pair counts [hierarchical only; the paper's
+//                   row-wise partition of the matrix]
 //   -- LSH-banded backend --
 //   "candidates"   map: read split -> one block of bucket entries per
 //                   reducer, each owning a group of key parts; reduce
 //                   sorts and compacts its parts into a CSR slice; the
 //                   joined slices are the bucket CSR
 //   "verify"       [hierarchical only] the CSR's pairs; map: pair split ->
-//                   one block of pair counts -> sparse similarity graph
+//                   its edges of the sparse similarity graph, charged as
+//                   one block of pair counts
 //   -- either backend --
 //   "greedy-cluster" / "hierarchical-cluster"
 //                  GROUP ALL -> single reducer runs Algorithm 1 (against
@@ -28,8 +31,9 @@
 // each stage runs as the MapReduce job above on the simulated cluster,
 // under the recovery stage driver (checkpoints, lineage,
 // MRMC_CRASH_AFTER_STAGE).  Local, each stage is a plain in-process call of
-// the same computation on one thread pool; labels, cluster counts and
-// candidate pair counts are identical either way.  Simulated job timelines
+// the same computation on one thread pool: the sketch, similarity and verify
+// stages run the very row-range body their map tasks run.  Labels, cluster
+// counts and candidate pair counts are identical either way.  Simulated job timelines
 // accumulate into PipelineResult::sim_total_s, the number the paper's
 // Table III/V "Time" columns report.
 #pragma once
@@ -76,12 +80,17 @@ struct PipelineParams {
 
 struct ExecutionOptions {
   bool distributed = true;       ///< stage the pipeline as MapReduce jobs
+  /// The simulated cluster of a distributed run (mr::validate'd before any
+  /// stage); a local run ignores it.
   mr::ClusterConfig cluster{};
   /// Real execution threads.  run_pipeline leases one pool per run and
   /// runs every stage body and every job's tasks (map and reduce alike) on
   /// it: 0 = the lazily-created process-wide pool
   /// (mr::runtime::shared_pool()); > 0 = a private pool of that size.
   std::size_t threads = 0;
+  /// Records per map split of a distributed run's sketch, candidates and
+  /// greedy-cluster jobs, and the fewest pairs per verify split (>= 1,
+  /// checked before any stage); a local run ignores it.
   std::size_t records_per_split = 512;
   /// Node-failure schedule applied to every job in the pipeline (empty =
   /// fault-free).  The clustering output is byte-identical either way; only

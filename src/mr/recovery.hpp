@@ -30,9 +30,9 @@
 //     every completed stage, so a later run resumes where it parked.
 //
 // Everything is observable: checkpoint hits/misses/writes land on the trace
-// as "stage_checkpoint" instants, feed the pipeline Collector, and bump
-// recovery.* metrics; the pipeline doctor renders them in a "recovery"
-// section byte-identical whether built in-process or from the trace.
+// as "stage_checkpoint" instants and bump recovery.* metrics; the pipeline
+// doctor renders them in a "recovery" section from the trace's events
+// (MRMC_PIPELINE renders the tracer's in-memory events the same way).
 //
 // Deterministic test hook: MRMC_CRASH_AFTER_STAGE=<stage> throws
 // InjectedDriverCrash after <stage>'s checkpoint commits (the chaos tests'

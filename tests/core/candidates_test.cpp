@@ -14,10 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -806,6 +810,49 @@ class CandidateJobTest : public ::testing::Test {
     params.backend = candidates::Backend::kLshBanded;
     return params;
   }
+
+  /// The verify body (candidates::verify_rows) over `pairs`, run by the
+  /// stage runner in the mode exec.distributed picks: across `pool`, or as
+  /// the map tasks of a job in splits of exec.records_per_split pairs.
+  static candidates::SparseSimilarityGraph verify(
+      const kernels::SketchMatrix& sketches, std::span<const candidates::Pair> pairs,
+      SketchEstimator estimator, const ExecutionOptions& exec,
+      common::ThreadPool* pool = nullptr) {
+    candidates::SparseSimilarityGraph graph{
+        sketches.rows(), std::vector<candidates::Edge>(pairs.size())};
+    const SketchPairSimilarity scorer(sketches, estimator, pool);
+    mr::JobStats stats;
+    detail::StageRunner{exec, pool}.fill(
+        "verify", pairs, 1, exec.records_per_split, "verify.pairs_scored",
+        [&](std::size_t first, std::size_t last) {
+          candidates::verify_rows(scorer, pairs, graph.edges, first, last);
+        },
+        [](std::size_t first, std::size_t last) { return 8.0 * (last - first); },
+        [](const candidates::Pair&) { return 1e-9; }, stats);
+    return graph;
+  }
+
+  /// The similarity body (similarity_rows) over every row, as `verify`
+  /// runs its body, in splits of `per_split` rows.
+  static SimilarityMatrix similarity(const kernels::SketchMatrix& sketches,
+                                     SketchEstimator estimator,
+                                     const ExecutionOptions& exec,
+                                     std::size_t per_split, common::ThreadPool* pool,
+                                     mr::JobStats& stats) {
+    const SketchPairSimilarity scorer(sketches, estimator, pool);
+    SimilarityMatrix matrix = SimilarityMatrix::for_overwrite(sketches.rows());
+    std::vector<std::uint32_t> rows(sketches.rows());
+    std::iota(rows.begin(), rows.end(), 0U);
+    detail::StageRunner{exec, pool}.fill(
+        "similarity", std::span<const std::uint32_t>(rows), kernels::kTileRows,
+        per_split, "matrix.rows",
+        [&](std::size_t first, std::size_t last) {
+          similarity_rows(scorer, matrix, first, last);
+        },
+        [](std::size_t first, std::size_t last) { return 8.0 * (last - first); },
+        [](const std::uint32_t&) { return 1e-9; }, stats);
+    return matrix;
+  }
 };
 
 TEST_F(CandidateJobTest, MatchesLocalBucketsAndRejectsTheExactBackend) {
@@ -877,9 +924,9 @@ TEST_F(CandidateJobTest, VerifyJobMatchesLocalScoring) {
        {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
     const auto pairs = candidates::enumerate_pairs(matrix, lsh_params(), 0.9);
     const auto local = candidates::verify_pairs(matrix, pairs, estimator);
-    const auto job = run_verify_job(sketches, pairs, estimator, exec);
-    EXPECT_EQ(job.graph.num_vertices, local.num_vertices);
-    EXPECT_EQ(job.graph.edges, local.edges);
+    const auto job = verify(matrix, pairs, estimator, exec);
+    EXPECT_EQ(job.num_vertices, local.num_vertices);
+    EXPECT_EQ(job.edges, local.edges);
   }
 }
 
@@ -889,8 +936,8 @@ TEST_F(CandidateJobTest, FaultPlanLeavesCandidatesAndEdgesIdentical) {
   healthy.records_per_split = 8;
   const auto reference =
       run_candidate_job(sketches, lsh_params(), 0.9, healthy);
-  const auto reference_edges = run_verify_job(
-      sketches,
+  const auto reference_edges = verify(
+      *sketches,
       candidates::pairs_from_buckets(reference.buckets, sketches->rows()),
       SketchEstimator::kComponentMatch, healthy);
 
@@ -901,10 +948,95 @@ TEST_F(CandidateJobTest, FaultPlanLeavesCandidatesAndEdgesIdentical) {
       mr::faults::FaultPlan({{1, 0.0001, mr::faults::kNever}});
   const auto chaos = run_candidate_job(sketches, lsh_params(), 0.9, faulty);
   EXPECT_EQ(chaos.buckets, reference.buckets);
-  const auto chaos_edges = run_verify_job(
-      sketches, candidates::pairs_from_buckets(chaos.buckets, sketches->rows()),
+  const auto chaos_edges = verify(
+      *sketches, candidates::pairs_from_buckets(chaos.buckets, sketches->rows()),
       SketchEstimator::kComponentMatch, faulty);
-  EXPECT_EQ(chaos_edges.graph.edges, reference_edges.graph.edges);
+  EXPECT_EQ(chaos_edges.edges, reference_edges.edges);
+}
+
+TEST_F(CandidateJobTest, MapReduceScoringBodiesEqualTheLocalFills) {
+  // The similarity and verify map tasks run the local stages' row-range
+  // bodies on their splits, so cells and edges are byte-identical to the
+  // local runs' (and to pairwise_similarity_matrix / verify_pairs) on a
+  // table of codes (k = 5) and of values (k = 7, whose set-based pairs read
+  // the sorted store), with splits that start mid-tile and a ragged last
+  // split, on 1 and 4 threads.
+  const auto reads =
+      simdata::build_whole_metagenome(simdata::whole_metagenome_spec("S8"),
+                                      {.reads = 100, .seed = 3})
+          .reads;
+  const std::size_t n = reads.size();
+  std::vector<std::string_view> seqs;
+  for (const auto& read : reads) seqs.emplace_back(read.seq);
+  std::vector<candidates::Pair> pairs;
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = a + 1; b < std::min<std::size_t>(n, a + 6); ++b) {
+      pairs.emplace_back(a, b);
+    }
+  }
+  ExecutionOptions local;
+  local.distributed = false;
+  ExecutionOptions distributed;
+  distributed.records_per_split = 7;
+  ASSERT_NE(n % 7, 0u);
+  ASSERT_NE(pairs.size() % 7, 0u);
+  common::ThreadPool serial(1);
+  for (const int kmer : {5, 7}) {
+    const kernels::SketchMatrix table =
+        MinHasher({.kmer = kmer, .num_hashes = 64, .canonical = true, .seed = 1})
+            .sketch_matrix(seqs);
+    ASSERT_EQ(table.slot_disjoint(), kmer == 5);
+    for (const auto estimator :
+         {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+      const std::string where = "k=" + std::to_string(kmer) + " set_based=" +
+                                std::to_string(estimator == SketchEstimator::kSetBased);
+      mr::JobStats stats;
+      const SimilarityMatrix expected =
+          similarity(table, estimator, local, 7, &serial, stats);
+      const SimilarityMatrix reference = pairwise_similarity_matrix(table, estimator);
+      ASSERT_EQ(std::memcmp(expected.row(0).data(), reference.row(0).data(),
+                            n * n * sizeof(double)),
+                0)
+          << where;
+      const auto expected_edges = verify(table, pairs, estimator, local, &serial).edges;
+      ASSERT_EQ(expected_edges, candidates::verify_pairs(table, pairs, estimator).edges)
+          << where;
+      for (const std::size_t threads : {1, 4}) {
+        common::ThreadPool pool(threads);
+        const SimilarityMatrix cells =
+            similarity(table, estimator, distributed, 7, &pool, stats);
+        EXPECT_EQ(stats.map_tasks, (n + 6) / 7) << where;
+        EXPECT_EQ(stats.counters["matrix.rows"], static_cast<long>(n)) << where;
+        EXPECT_EQ(std::memcmp(cells.row(0).data(), expected.row(0).data(),
+                              n * n * sizeof(double)),
+                  0)
+            << where << " threads=" << threads;
+        EXPECT_EQ(verify(table, pairs, estimator, distributed, &pool).edges,
+                  expected_edges)
+            << where << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST_F(CandidateJobTest, VerifyRejectsPairsOutOfRangeInBothModes) {
+  // The verify body checks every pair it scores, in the map tasks too.
+  const kernels::SketchMatrix table = family_matrix(7, 6, 40, 0.05, 25);
+  const auto rows = static_cast<std::uint32_t>(table.rows());
+  common::ThreadPool pool(2);
+  for (const candidates::Pair& bad :
+       {candidates::Pair{4, 4}, candidates::Pair{9, 2}, candidates::Pair{0, rows}}) {
+    const std::vector<candidates::Pair> pairs = {{0, 1}, {1, 2}, bad};
+    for (const bool distributed : {false, true}) {
+      ExecutionOptions exec;
+      exec.distributed = distributed;
+      exec.records_per_split = 1;
+      EXPECT_THROW(
+          (void)verify(table, pairs, SketchEstimator::kComponentMatch, exec, &pool),
+          common::InvalidArgument)
+          << bad.first << "," << bad.second << " distributed=" << distributed;
+    }
+  }
 }
 
 // ---------------------------------------------------------- pipeline routing

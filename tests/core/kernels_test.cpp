@@ -688,6 +688,58 @@ TEST(CodeKernels, TileKernelOnCodesEqualsItOnTheValues) {
   }
 }
 
+TEST(CodeKernels, RowRangesOfTheTileKernelWriteTheFullFill) {
+  // Ranges that start mid-tile and end ragged, on codes and on their
+  // values: together they write the full fill bit for bit on every
+  // backend, and one range writes exactly its rows' cells (i, i), (i, j)
+  // and (j, i) for j > i.
+  common::Xoshiro256 rng(44);
+  std::vector<std::string> reads;
+  for (int i = 0; i < 150; ++i) reads.push_back(random_seq(rng, 1 + rng.bounded(12)));
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  const MinHasher hasher({.kmer = 1, .num_hashes = 40, .seed = 4});
+  const kernels::SketchMatrix codes = hasher.sketch_matrix(views);
+  ASSERT_TRUE(codes.slot_disjoint());
+  const std::size_t n = reads.size();
+  const std::vector<std::size_t> cuts = {0, 3, 11, 29, 64, 101, 149, 150};
+  const double unwritten = std::numeric_limits<double>::quiet_NaN();
+  for (const kernels::SketchMatrix& table : {codes, hasher.widen(codes)}) {
+    std::vector<double> expected(n * n);
+    kernels::component_match_matrix(table, expected.data(), n, Backend::kScalar);
+    for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+      if (!kernels::backend_available(backend)) continue;
+      const std::string where = std::string("backend=") +
+                                kernels::backend_name(backend) +
+                                " codes=" + std::to_string(table.slot_disjoint());
+      std::vector<double> out(n * n, unwritten);
+      for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
+        kernels::component_match_rows(table, out.data(), n, cuts[r], cuts[r + 1],
+                                      backend);
+      }
+      for (std::size_t cell = 0; cell < n * n; ++cell) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[cell]),
+                  std::bit_cast<std::uint64_t>(expected[cell]))
+            << where << " cell " << cell / n << "," << cell % n;
+      }
+      std::vector<double> one(n * n, unwritten);
+      kernels::component_match_rows(table, one.data(), n, 5, 21, backend);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::size_t owner = std::min(i, j);
+          if (owner >= 5 && owner < 21) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(one[i * n + j]),
+                      std::bit_cast<std::uint64_t>(expected[i * n + j]))
+                << where << " cell " << i << "," << j;
+          } else {
+            ASSERT_TRUE(std::isnan(one[i * n + j]))
+                << where << " cell " << i << "," << j;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CodeKernels, BandKeyOfCodesMixesTheZeroExtendedCodes) {
   common::Xoshiro256 rng(47);
   for (std::size_t len = 1; len <= 40; ++len) {

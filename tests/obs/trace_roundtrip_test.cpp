@@ -251,29 +251,38 @@ TEST_F(TraceRoundTripTest, GreedyPipelineEventsReconstructTimelines) {
 }
 
 TEST_F(TraceRoundTripTest, LshPipelineSpansItsSerialSections) {
-  // The serial work between an LSH run's jobs gets its own
-  // wall-clock spans: the candidates CSR join and, on glibc, the
-  // malloc_trim after the candidates job.
+  // Every stage gets one `pipeline/<stage>` wall-clock span in both modes,
+  // and the serial work between a distributed LSH run's jobs gets its own:
+  // the candidates CSR join and, on glibc, the malloc_trim after the
+  // candidates job.
   const auto reads = sample_reads(60);
   core::PipelineParams params;
   params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true, .seed = 2};
   params.mode = core::Mode::kGreedy;
   params.theta = 0.3;
   params.candidates.backend = core::candidates::Backend::kLshBanded;
-  core::ExecutionOptions exec;
-  exec.threads = 2;
-  exec.records_per_split = 16;
+  for (const bool distributed : {true, false}) {
+    core::ExecutionOptions exec;
+    exec.distributed = distributed;
+    exec.threads = 2;
+    exec.records_per_split = 16;
+    obs::Tracer::global().clear();
 
-  (void)core::run_pipeline(reads, params, exec);
+    (void)core::run_pipeline(reads, params, exec);
 
-  std::map<std::string, int> spans;
-  for (const obs::TraceEvent& event : obs::Tracer::global().events()) {
-    if (event.pid == obs::kRealPid && event.phase == 'X') ++spans[event.name];
-  }
-  EXPECT_EQ(spans["pipeline/candidates_join"], 1);
+    std::map<std::string, int> spans;
+    for (const obs::TraceEvent& event : obs::Tracer::global().events()) {
+      if (event.pid == obs::kRealPid && event.phase == 'X') ++spans[event.name];
+    }
+    for (const char* stage : {"sketch", "candidates", "greedy-cluster"}) {
+      EXPECT_EQ(spans[std::string("pipeline/") + stage], 1)
+          << stage << " distributed=" << distributed;
+    }
+    EXPECT_EQ(spans["pipeline/candidates_join"], distributed ? 1 : 0);
 #if defined(__GLIBC__)
-  EXPECT_EQ(spans["pipeline/malloc_trim"], 1);
+    EXPECT_EQ(spans["pipeline/malloc_trim"], distributed ? 1 : 0);
 #endif
+  }
 }
 
 }  // namespace

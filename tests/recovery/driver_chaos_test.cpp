@@ -249,10 +249,10 @@ TEST(DriverChaos, ReExecutedScoringMapsLeaveTheHierarchicalLabelsByteIdentical) 
 
 TEST(DriverChaos, AFailingLshCandidatesStageFailsTheRunWithItsOwnError) {
   // Resume an LSH run whose sketch stage is checkpointed on a 0-node
-  // cluster: the sketch hits, so the candidates job is the first to run and
-  // its validation error reaches the caller as thrown.  The run never falls
-  // back to exact all-pairs, whose labels differ from the LSH labels; the
-  // repaired resume hits the sketch and returns the local LSH labels.
+  // cluster: the cluster's validation error reaches the caller as thrown.
+  // The run never falls back to exact all-pairs, whose labels differ from
+  // the LSH labels; the repaired resume hits the sketch and returns the
+  // local LSH labels.
   const auto reads = sample_reads();
   const PipelineCase c = pipeline_cases()[2];  // lsh-greedy
   ExecutionOptions local = exec_options(2, {}, "");
@@ -314,6 +314,28 @@ TEST(DriverChaos, ThetaOutsideTheUnitIntervalIsRejectedInBothModes) {
         EXPECT_FALSE(std::filesystem::exists(dir)) << c.name;
       }
     }
+  }
+}
+
+TEST(DriverChaos, BadExecutionOptionsAreRejectedBeforeAnyStageOfADistributedRun) {
+  // A split size of 0 or a cluster with no node is a distributed run's
+  // caller error, raised before any stage: no read is sketched and no
+  // checkpoint directory is made.  A local run reads neither option.
+  const auto reads = sample_reads();
+  const PipelineCase c = pipeline_cases()[1];  // exact-hierarchical
+  ExecutionOptions local = exec_options(2, {}, "");
+  local.distributed = false;
+  const PipelineResult expected = run_pipeline(reads, c.params, local);
+  for (const std::string bad : {"split", "nodes"}) {
+    const std::string dir = fresh_dir("options");
+    ExecutionOptions exec = exec_options(2, {}, dir);
+    if (bad == "split") exec.records_per_split = 0;
+    if (bad == "nodes") exec.cluster.nodes = 0;
+    EXPECT_THROW((void)run_pipeline(reads, c.params, exec), common::InvalidArgument)
+        << bad;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << bad;
+    exec.distributed = false;
+    EXPECT_EQ(run_pipeline(reads, c.params, exec).labels, expected.labels) << bad;
   }
 }
 
