@@ -40,6 +40,11 @@ double mean_error_probability(const FastqRecord& record) {
   return total / static_cast<double>(record.quality.size());
 }
 
+// One getline loop on the calling thread: no benchmark reads FASTQ.  To
+// parse it on the pool, follow the FASTA chunk parser (parse_chunks in
+// fasta.cpp); a cut there needs one more check, since '@' can also open a
+// quality line: a record start is an '@' line whose second line after it
+// begins with '+'.
 std::vector<FastqRecord> read_fastq(std::istream& in,
                                     const ParseOptions& options,
                                     ParseReport* report) {
@@ -117,6 +122,9 @@ std::vector<FastqRecord> read_fastq_file(const std::string& path,
   ParseReport local;
   if (report == nullptr) report = &local;
   auto records = read_fastq(file, options, report);
+  // A read error ends the getline loop like the end of the file does; only
+  // badbit tells them apart.  A directory opens, then fails its first read.
+  if (file.bad()) throw common::IoError("fastq: cannot read '" + path + "'");
   if (report->skipped > 0) {
     static const obs::Logger logger("bio.fastq");
     logger.warn("skipped malformed records", {{"path", path},

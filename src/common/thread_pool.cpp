@@ -57,6 +57,11 @@ void ThreadPool::worker_loop() {
   }
 }
 
+ThreadPool& shared_pool() {
+  static ThreadPool pool(0);
+  return pool;
+}
+
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;

@@ -59,6 +59,11 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// The process-wide pool (created on first use, sized to
+/// hardware_concurrency()): the default pool of every MapReduce job and
+/// pipeline run, and the pool the FASTA file reader parses its chunks on.
+ThreadPool& shared_pool();
+
 /// fn(i) for every i in [0, count): through pool->parallel_for when there is
 /// a pool and more than one index, else in order on the calling thread.
 inline void parallel_for(ThreadPool* pool, std::size_t count,

@@ -2,6 +2,7 @@
 //
 //   #include "core/mrmc.hpp"
 //
+//   // Parsed in record-aligned chunks on the process-wide thread pool.
 //   auto reads = mrmc::bio::read_fasta_file("sample.fa");
 //   mrmc::core::PipelineParams params;
 //   params.minhash = {.kmer = 5, .num_hashes = 100, .seed = 1};

@@ -86,7 +86,7 @@ struct ExecutionOptions {
   /// Real execution threads.  run_pipeline leases one pool per run and
   /// runs every stage body and every job's tasks (map and reduce alike) on
   /// it: 0 = the lazily-created process-wide pool
-  /// (mr::runtime::shared_pool()); > 0 = a private pool of that size.
+  /// (common::shared_pool()); > 0 = a private pool of that size.
   std::size_t threads = 0;
   /// Records per map split of a distributed run's sketch, candidates and
   /// greedy-cluster jobs, and the fewest pairs per verify split (>= 1,

@@ -91,7 +91,7 @@ struct JobConfig {
   std::size_t num_reducers = 4;
   std::size_t records_per_split = 1024;  ///< map input split granularity
   /// The pool the job's tasks run on (not owned); nullptr = the
-  /// process-wide pool (runtime::shared_pool()).  A task may run
+  /// process-wide pool (common::shared_pool()).  A task may run
   /// parallel_for on it.
   common::ThreadPool* pool = nullptr;
   ClusterConfig cluster{};

@@ -80,11 +80,6 @@ void register_sampler_probes() {
   });
 }
 
-common::ThreadPool& shared_pool() {
-  static common::ThreadPool pool(0);
-  return pool;
-}
-
 PoolLease::PoolLease(std::size_t threads, bool isolated) {
   if (isolated || threads != 0) {
     owned_ = std::make_unique<common::ThreadPool>(threads);

@@ -61,9 +61,9 @@ class LostInputFailure : public common::Error {
   std::size_t input_;
 };
 
-/// The process-wide pool (lazily created, sized to hardware_concurrency):
-/// the default pool of every job and every pipeline run.
-common::ThreadPool& shared_pool();
+/// The process-wide pool lives in common, so that bio can parse on it
+/// without linking mr.
+using common::shared_pool;
 
 /// Resolves which pool a run uses: the shared process-wide pool by default,
 /// or a private pool when the caller asked for `threads > 0` or an isolated

@@ -24,7 +24,7 @@ class PigContext {
  public:
   /// Every statement's job runs on one pool, leased for the context's
   /// lifetime: `threads == 0` is the process-wide shared pool
-  /// (mr::runtime::shared_pool()), > 0 a private pool of that size.
+  /// (common::shared_pool()), > 0 a private pool of that size.
   PigContext(mr::SimDfs* dfs, mr::ClusterConfig cluster, std::size_t threads = 0);
 
   /// LOAD '<path>' USING FastaStorage AS (seq, id): parses a FASTA file

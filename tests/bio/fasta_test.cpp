@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -69,6 +73,20 @@ TEST(ReadFasta, RejectsEmptyId) {
 
 TEST(ReadFastaFile, MissingFileThrows) {
   EXPECT_THROW(read_fasta_file("/nonexistent/path.fa"), common::IoError);
+}
+
+TEST(ReadFastaFile, DirectoryThrowsNamingThePath) {
+  const std::string dir = ::testing::TempDir() + "/mrmc_fasta_dir_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  for (const ParseOptions options : {ParseOptions{}, ParseOptions{OnParseError::kSkip}}) {
+    try {
+      (void)read_fasta_file(dir, options);
+      ADD_FAILURE() << "a directory read as a FASTA file";
+    } catch (const common::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + dir + "'"), std::string::npos) << e.what();
+    }
+  }
+  std::filesystem::remove(dir);
 }
 
 TEST(WriteFasta, RoundTrip) {

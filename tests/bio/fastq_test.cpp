@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace mrmc::bio {
@@ -39,6 +44,20 @@ TEST(ReadFastq, RejectsMalformedRecords) {
 
 TEST(ReadFastq, MissingFileThrows) {
   EXPECT_THROW(read_fastq_file("/does/not/exist.fq"), common::IoError);
+}
+
+TEST(ReadFastq, DirectoryThrowsNamingThePath) {
+  const std::string dir = ::testing::TempDir() + "/mrmc_fastq_dir_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  for (const ParseOptions options : {ParseOptions{}, ParseOptions{OnParseError::kSkip}}) {
+    try {
+      (void)read_fastq_file(dir, options);
+      ADD_FAILURE() << "a directory read as a FASTQ file";
+    } catch (const common::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + dir + "'"), std::string::npos) << e.what();
+    }
+  }
+  std::filesystem::remove(dir);
 }
 
 TEST(WriteFastq, RoundTrip) {
